@@ -146,27 +146,37 @@ def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams) -> 
     return total
 
 
-def loglik_ratio_path(stats_new: BinStats, stats_old: BinStats, params: ModelParams) -> float:
-    """Log-likelihood ratio of two endpoint-matched paths under one model.
+def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
+                      sums_old: np.ndarray, counts_old: np.ndarray, params: ModelParams):
+    """Log-likelihood ratio of endpoint-matched paths under one model, row-wise.
 
-    Only the bins with nonzero slope or intercept contribute; the value is
-    independent of alpha and of the compensator entirely:
+    Takes per-bin sums and counts of shape (N+1,) for one path or (rows, N+1)
+    for many, and returns a float or one value per row.  Only the bins with
+    nonzero slope or intercept contribute; the value is independent of alpha
+    and of the compensator entirely:
 
         -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k).
+
+    Raises ContractError when a row's two totals differ by more than 1e-9
+    relative (the paths do not share endpoints).
     """
-    _check_stats_match(stats_old, params)
-    _check_stats_match(stats_new, params)
-    tol = _ENDPOINT_RTOL * max(abs(stats_old.total), abs(stats_new.total))
-    if abs(stats_new.total - stats_old.total) > tol:
+    for sums in (sums_new, sums_old):
+        if sums.shape[-1] != params.n_bins + 1:
+            raise ContractError(
+                f"stats have {sums.shape[-1] - 1} bins but params have {params.n_bins}"
+            )
+    total_new = sums_new.sum(axis=-1)
+    total_old = sums_old.sum(axis=-1)
+    tol = _ENDPOINT_RTOL * np.maximum(np.abs(total_old), np.abs(total_new))
+    mismatched = np.abs(total_new - total_old) > tol
+    if np.any(mismatched):
         raise ContractError(
-            f"paths do not share endpoints: totals {stats_old.total} vs {stats_new.total}"
+            f"paths do not share endpoints: totals differ in {int(np.sum(mismatched))} row(s)"
         )
     if params.n_bins == 0:
-        return 0.0
-    return -float(
-        params.theta_slopes @ (stats_new.sums[1:] - stats_old.sums[1:])
-        + params.theta_intercepts @ (stats_new.counts[1:] - stats_old.counts[1:])
-    )
+        return np.zeros(np.shape(total_new))[()]
+    return -((sums_new[..., 1:] - sums_old[..., 1:]) @ params.theta_slopes
+             + (counts_new[..., 1:] - counts_old[..., 1:]) @ params.theta_intercepts)
 
 
 def psi_log(stats: BinStats, params: ModelParams) -> float:

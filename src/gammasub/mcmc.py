@@ -15,16 +15,16 @@ independent of the order in which segments are processed.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy.special import gammaln
 
 from .data import Observations
-from .exceptions import ConfigError, ContractError, DegeneratePathError, DomainError
-from .likelihood import BinStats, bin_stats_matrix, loglik_ratio_params, psi_log
+from .exceptions import ConfigError, ContractError, DomainError
+from .likelihood import BinStats, bin_stats_matrix, loglik_ratio_params, loglik_ratio_path, psi_log
 from .model import ModelParams, PriorSpec, prior_logpdf
-from .paths import GridPath, TimeGrid
+from .paths import GridPath, TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
 
 __all__ = [
     "ProposalSpec",
@@ -41,9 +41,6 @@ __all__ = [
     "read_chain_csv",
     "write_meta_json",
 ]
-
-_RESAMPLE_LIMIT = 100
-_TINY = np.finfo(float).tiny
 
 _STAGES = ("params", "beta")
 
@@ -139,20 +136,11 @@ class ChainState:
         return BinStats(self.seg_sums.sum(axis=0), self.seg_counts.sum(axis=0),
                         self.grid.horizon)
 
-    def segment_stats(self, i: int) -> BinStats:
-        return BinStats(self.seg_sums[i], self.seg_counts[i], float(self.grid.spans[i]))
-
     def segment_paths(self) -> list[GridPath]:
         """Materialize the segments as GridPath objects (diagnostic view)."""
-        out = []
-        for i in range(self.n_segments):
-            start = self.obs.values[i]
-            end = self.obs.values[i + 1]
-            values = np.concatenate(([start], start + np.cumsum(self.increments[i])))
-            np.clip(values, None, end, out=values)
-            values[-1] = end
-            out.append(GridPath(self.grid.segment_grid(i), values, self.increments[i]))
-        return out
+        v = self.obs.values
+        return [GridPath.pinned(self.grid.segment_grid(i), v[i], v[i + 1], self.increments[i])
+                for i in range(self.n_segments)]
 
     def record(self) -> ChainRecord:
         return ChainRecord(
@@ -169,49 +157,6 @@ class ChainState:
         )
 
 
-def _pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale rows of raw to sum to targets; returns (pinned, degenerate_mask).
-
-    Row sums match the targets to within accumulation ulp; the GridPath view
-    pins the endpoint values themselves exactly.
-    """
-    totals = raw.sum(axis=1)
-    degenerate = totals == 0.0
-    good = ~degenerate
-    out = np.zeros_like(raw)
-    if np.any(good):
-        clamped = np.maximum(raw[good], _TINY)
-        out[good] = targets[good, None] * clamped / clamped.sum(axis=1, keepdims=True)
-    return out, degenerate
-
-
-def _sample_bridge_rows(rng: np.random.Generator, shape_col: np.ndarray,
-                        m: int, targets: np.ndarray) -> np.ndarray:
-    """Draw Gamma bridge increments row-wise: rows sum to targets exactly.
-
-    The bridge transform is scale free, so the driving increments are drawn
-    with unit scale.  Rows whose draw degenerates to zero are redrawn up to
-    the resample limit.
-    """
-    n = targets.size
-    raw = rng.gamma(shape=np.broadcast_to(shape_col, (n, m)))
-    out, degenerate = _pin_rows(raw, targets)
-    tries = 0
-    while np.any(degenerate):
-        tries += 1
-        if tries > _RESAMPLE_LIMIT:
-            raise DegeneratePathError(
-                f"{int(degenerate.sum())} bridge proposals degenerate after "
-                f"{_RESAMPLE_LIMIT} resamples; increase refinement or check beta*h"
-            )
-        idx = np.flatnonzero(degenerate)
-        raw = rng.gamma(shape=np.broadcast_to(shape_col, (n, m))[idx])
-        redone, still = _pin_rows(raw, targets[idx])
-        out[idx] = redone
-        degenerate[idx] = still
-    return out
-
-
 def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return tuple(np.random.Generator(np.random.Philox(s)) for s in root.spawn(4))
@@ -225,8 +170,8 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
         raise DomainError("observations must start at time 0")
     rng_path, rng_accept, rng_params, rng_beta = _make_rngs(seed)
     deltas = obs.increments
-    shape_col = params0.beta * (grid.spans / grid.m)[:, None]
-    increments = _sample_bridge_rows(rng_path, shape_col, grid.m, deltas)
+    shapes = np.broadcast_to(params0.beta * (grid.spans / grid.m)[:, None], (deltas.size, grid.m))
+    increments = bridge_rows(rng_path, shapes, deltas)
     sums, counts = bin_stats_matrix(increments, params0.bin_edges)
     return ChainState(
         params=params0, obs=obs, grid=grid, increments=increments,
@@ -237,37 +182,23 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     )
 
 
-def refresh_segments(state: ChainState, segment_order: Sequence[int] | None = None) -> ChainState:
+def refresh_segments(state: ChainState) -> ChainState:
     """Propose a fresh Gamma bridge per segment and accept independently.
 
     The acceptance for segment i compares the endpoint-matched path ratio to
-    ln(U_i).  Noise and uniforms are drawn in one fixed-layout block, so any
-    processing order (segment_order is for verification) gives bit-identical
-    results.
+    ln(U_i).  Noise and uniforms are drawn in one fixed-layout block, so the
+    decisions do not depend on the order in which segments are visited.
     """
     params = state.params
-    shape_col = params.beta * state.sub_spans()
-    proposal = _sample_bridge_rows(state.rng_path, shape_col, state.m, state.obs.increments)
+    shapes = np.broadcast_to(params.beta * state.sub_spans(), state.increments.shape)
+    proposal = bridge_rows(state.rng_path, shapes, state.obs.increments)
     new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
-    if params.n_bins:
-        log_ratio = -(
-            (new_sums[:, 1:] - state.seg_sums[:, 1:]) @ params.theta_slopes
-            + (new_counts[:, 1:] - state.seg_counts[:, 1:]) @ params.theta_intercepts
-        )
-    else:
-        log_ratio = np.zeros(state.n_segments)
+    log_ratio = loglik_ratio_path(new_sums, new_counts, state.seg_sums, state.seg_counts, params)
     log_u = np.log(state.rng_accept.uniform(size=state.n_segments))
     accept = log_ratio >= log_u
-    if segment_order is None:
-        state.increments[accept] = proposal[accept]
-        state.seg_sums[accept] = new_sums[accept]
-        state.seg_counts[accept] = new_counts[accept]
-    else:
-        for i in segment_order:
-            if accept[i]:
-                state.increments[i] = proposal[i]
-                state.seg_sums[i] = new_sums[i]
-                state.seg_counts[i] = new_counts[i]
+    state.increments[accept] = proposal[accept]
+    state.seg_sums[accept] = new_sums[accept]
+    state.seg_counts[accept] = new_counts[accept]
     state.segment_accepts = accept
     state.accept_path_rate = float(accept.mean())
     return state
@@ -351,7 +282,8 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     Beta thinning (beta° < beta), re-pins each transformed segment to the
     observations, and accepts jointly with the prior ratio, the Gamma
     density ratio at the observed increments, and the path log-density ratio
-    against the respective Gamma references.
+    against the respective Gamma references.  A segment that thins to zero
+    total cannot be re-pinned, so such a proposal is rejected.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
@@ -369,25 +301,14 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
 
     sub = state.sub_spans()
     if beta_new > params.beta:
-        extra = rng.gamma(shape=np.broadcast_to((beta_new - params.beta) * sub,
-                                                state.increments.shape),
-                          scale=1.0 / params.alpha)
-        transformed = state.increments + extra
+        transformed = augment_rows(rng, state.increments, sub, params.beta, beta_new, params.alpha)
     elif beta_new < params.beta:
-        mult = rng.beta(np.broadcast_to(beta_new * sub, state.increments.shape),
-                        np.broadcast_to((params.beta - beta_new) * sub,
-                                        state.increments.shape))
-        transformed = state.increments * mult
+        transformed = thin_rows(rng, state.increments, sub, params.beta, beta_new)
     else:
-        transformed = state.increments.copy()
-    # re-pin to the observations; fully collapsed rows fall back to the
-    # clamped (uniform) bridge rather than aborting the move
-    totals = transformed.sum(axis=1)
-    collapsed = totals == 0.0
-    if np.any(collapsed):
-        transformed[collapsed] = 1.0
-    clamped = np.maximum(transformed, _TINY)
-    repinned = state.obs.increments[:, None] * clamped / clamped.sum(axis=1, keepdims=True)
+        transformed = state.increments
+    repinned, collapsed = pin_rows(transformed, state.obs.increments)
+    if collapsed.any():
+        return state
     new_sums, new_counts = bin_stats_matrix(repinned, params.bin_edges)
 
     spans = state.grid.spans

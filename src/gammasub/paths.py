@@ -2,7 +2,9 @@
 
 Everything here works at increment level: a path is its values on a refined
 time grid, increments over sub-steps of span h are Gamma(beta*h, alpha), and
-the bridge / activity-change transforms act on those increments.
+the bridge / activity-change transforms act on those increments.  The
+transforms are row kernels on (rows, m) increment matrices, which the
+sampler calls directly; the GridPath functions are one-row views of them.
 """
 
 import math
@@ -21,6 +23,10 @@ __all__ = [
     "sample_gamma_bridge",
     "augment_path",
     "thin_path",
+    "pin_rows",
+    "bridge_rows",
+    "augment_rows",
+    "thin_rows",
     "write_path_csv",
 ]
 
@@ -126,6 +132,15 @@ class GridPath:
         values = np.concatenate(([start], start + np.cumsum(inc)))
         return cls(grid, values, inc)
 
+    @classmethod
+    def pinned(cls, grid: TimeGrid, x_start: float, x_end: float, increments) -> "GridPath":
+        """Path from x_start with the given increments that ends exactly on x_end."""
+        values = np.concatenate(([x_start], x_start + np.cumsum(increments)))
+        # interior points can round a hair past x_end when x_start + span does
+        np.clip(values, None, x_end, out=values)
+        values[-1] = x_end
+        return cls(grid, values, increments)
+
     @property
     def start(self) -> float:
         return float(self.values[0])
@@ -139,14 +154,75 @@ def _step_spans(grid: TimeGrid) -> np.ndarray:
     return np.repeat(grid.spans / grid.m, grid.m)
 
 
+def _check_rates(beta: float, alpha: float) -> None:
+    if not (beta > 0 and alpha > 0 and math.isfinite(beta) and math.isfinite(alpha)):
+        raise DomainError("beta and alpha must be finite and > 0")
+
+
+# Row kernels.  A row holds one path's increments, so a (rows, m) matrix is
+# many paths side by side: the sampler applies these to its segment matrix,
+# and the GridPath functions further down are their one-row views.  Step
+# spans h broadcast against the matrix ((rows, 1) per segment, or one row).
+
+def pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale each row of raw to sum to its target; returns (pinned, degenerate).
+
+    Zero increments (float underflow) are clamped to the smallest positive
+    normal before forming ratios, so pinned rows are strictly positive and
+    sum to their targets to within accumulation ulp.  A row with zero total
+    has nothing to rescale: it is flagged in the degenerate mask and pinned
+    to zeros.
+    """
+    degenerate = raw.sum(axis=1) == 0.0
+    clamped = np.maximum(raw, _TINY)
+    pinned = targets[:, None] * clamped / clamped.sum(axis=1, keepdims=True)
+    pinned[degenerate] = 0.0
+    return pinned, degenerate
+
+
+def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Gamma bridge increments with Gamma shapes `shapes`, rows summing to targets.
+
+    The bridge is scale free, so the driving increments are drawn with unit
+    scale.  Rows whose draw degenerates to zero total are redrawn, alone, up
+    to 100 times before DegeneratePathError is raised.
+    """
+    pinned, degenerate = pin_rows(rng.gamma(shape=shapes), targets)
+    for _ in range(_RESAMPLE_LIMIT):
+        if not degenerate.any():
+            return pinned
+        idx = np.flatnonzero(degenerate)
+        pinned[idx], degenerate[idx] = pin_rows(rng.gamma(shape=shapes[idx]), targets[idx])
+    if degenerate.any():
+        raise DegeneratePathError(
+            f"{int(degenerate.sum())} bridge proposals degenerate after "
+            f"{_RESAMPLE_LIMIT} resamples; increase refinement or check beta*h"
+        )
+    return pinned
+
+
+def augment_rows(rng: np.random.Generator, increments: np.ndarray, h,
+                 beta_old: float, beta_new: float, alpha: float) -> np.ndarray:
+    """Add an independent Gamma(h*(beta_new - beta_old), alpha) variate to each increment."""
+    shape = np.broadcast_to((beta_new - beta_old) * h, increments.shape)
+    return increments + rng.gamma(shape=shape, scale=1.0 / alpha)
+
+
+def thin_rows(rng: np.random.Generator, increments: np.ndarray, h,
+              beta_old: float, beta_new: float) -> np.ndarray:
+    """Multiply each increment by an independent Beta(h*beta_new, h*(beta_old - beta_new))."""
+    a = np.broadcast_to(beta_new * h, increments.shape)
+    b = np.broadcast_to((beta_old - beta_new) * h, increments.shape)
+    return increments * rng.beta(a, b)
+
+
 def sample_gamma_path(beta: float, alpha: float, grid: TimeGrid, seed) -> GridPath:
     """Sample a Gamma(beta, alpha) process path started at 0 on the grid.
 
     Increments over a sub-step of span h are independent Gamma(beta*h, alpha);
     the result is deterministic given the seed.
     """
-    if not (beta > 0 and alpha > 0 and math.isfinite(beta) and math.isfinite(alpha)):
-        raise DomainError("beta and alpha must be finite and > 0")
+    _check_rates(beta, alpha)
     rng = as_generator(seed)
     incs = rng.gamma(shape=beta * _step_spans(grid), scale=1.0 / alpha)
     return GridPath.from_increments(grid, 0.0, incs)
@@ -155,77 +231,60 @@ def sample_gamma_path(beta: float, alpha: float, grid: TimeGrid, seed) -> GridPa
 def gamma_bridge(path: GridPath, x_start: float, x_end: float) -> GridPath:
     """Pin a path to the endpoints (x_start, x_end) by multiplicative rescaling.
 
-    The output at grid time t is x_start + (x_end - x_start) * S_t / S_T where
-    S is the input path shifted to start at 0.  Endpoints are hit exactly and
-    the result is strictly increasing.  Zero increments (float underflow) are
-    clamped to the smallest positive normal before forming ratios; a path with
-    zero total increment raises DegeneratePathError.
+    The output increments are (x_end - x_start) * dS / S_T, with S the input
+    path shifted to start at 0 (one-row pin_rows, zero increments clamped);
+    endpoints are hit exactly.  A path with zero total increment raises
+    DegeneratePathError.
     """
     if not x_end > x_start:
         raise DomainError(f"need x_end > x_start, got ({x_start}, {x_end})")
-    incs = path.increments
-    total = incs.sum()
-    if total == 0.0:
+    pinned, degenerate = pin_rows(path.increments[None, :], np.array([x_end - x_start]))
+    if degenerate[0]:
         raise DegeneratePathError("path has zero total increment; resample the proposal")
-    incs = np.maximum(incs, _TINY)
-    out_incs = (x_end - x_start) * incs / incs.sum()
-    rel = np.cumsum(incs)
-    rel /= rel[-1]
-    values = np.concatenate(([x_start], x_start + (x_end - x_start) * rel))
-    # interior points can round a hair past x_end when x_start + span does
-    np.clip(values, None, x_end, out=values)
-    values[-1] = x_end
-    return GridPath(path.grid, values, out_incs)
+    return GridPath.pinned(path.grid, x_start, x_end, pinned[0])
 
 
 def sample_gamma_bridge(beta: float, alpha: float, grid: TimeGrid,
                         x_start: float, x_end: float, seed) -> GridPath:
     """Sample a Gamma(beta, alpha) bridge from x_start to x_end on the grid.
 
-    Resamples the driving path up to 100 times if it degenerates to zero
-    total increment, then fails with a diagnostic.
+    One-row bridge_rows: the driving path is redrawn up to 100 times if it
+    degenerates to zero total increment, then DegeneratePathError is raised.
     """
-    rng = as_generator(seed)
-    for _ in range(_RESAMPLE_LIMIT):
-        try:
-            return gamma_bridge(sample_gamma_path(beta, alpha, grid, rng), x_start, x_end)
-        except DegeneratePathError:
-            continue
-    raise DegeneratePathError(
-        f"bridge proposal degenerate after {_RESAMPLE_LIMIT} resamples "
-        f"(beta*h = {beta * grid.spans.min() / grid.m:.3e} may be too small)"
-    )
+    _check_rates(beta, alpha)
+    if not x_end > x_start:
+        raise DomainError(f"need x_end > x_start, got ({x_start}, {x_end})")
+    incs = bridge_rows(as_generator(seed), (beta * _step_spans(grid))[None, :],
+                       np.array([x_end - x_start]))
+    return GridPath.pinned(grid, x_start, x_end, incs[0])
 
 
 def augment_path(path: GridPath, beta_old: float, beta_new: float, alpha: float, seed) -> GridPath:
     """Superpose an independent Gamma(beta_new - beta_old, alpha) component.
 
-    Adds an independent Gamma(h*(beta_new - beta_old), alpha) variate to each
-    increment over span h, so increments become Gamma(h*beta_new, alpha)
-    marginally.  Requires beta_new > beta_old.
+    One-row augment_rows: increments over span h become Gamma(h*beta_new,
+    alpha) marginally.  Requires beta_new > beta_old.
     """
     if not beta_new > beta_old:
         raise ContractError(f"augment requires beta_new > beta_old, got ({beta_old}, {beta_new})")
     if not (beta_old > 0 and alpha > 0):
         raise DomainError("beta_old and alpha must be > 0")
-    rng = as_generator(seed)
-    extra = rng.gamma(shape=(beta_new - beta_old) * _step_spans(path.grid), scale=1.0 / alpha)
-    return GridPath.from_increments(path.grid, path.start, path.increments + extra)
+    incs = augment_rows(as_generator(seed), path.increments[None, :], _step_spans(path.grid),
+                        beta_old, beta_new, alpha)
+    return GridPath.from_increments(path.grid, path.start, incs[0])
 
 
 def thin_path(path: GridPath, beta_old: float, beta_new: float, seed) -> GridPath:
     """Thin each increment by an independent Beta multiplier.
 
-    Multiplies the increment over span h by Beta(h*beta_new, h*(beta_old -
-    beta_new)), so increments become Gamma(h*beta_new, alpha) marginally.
-    Requires 0 < beta_new < beta_old.
+    One-row thin_rows: increments over span h become Gamma(h*beta_new,
+    alpha) marginally.  Requires 0 < beta_new < beta_old.
     """
     if not 0 < beta_new < beta_old:
         raise ContractError(f"thin requires 0 < beta_new < beta_old, got ({beta_old}, {beta_new})")
-    rng = as_generator(seed)
-    h = _step_spans(path.grid)
-    mult = rng.beta(h * beta_new, h * (beta_old - beta_new))
-    return GridPath.from_increments(path.grid, path.start, path.increments * mult)
+    incs = thin_rows(as_generator(seed), path.increments[None, :], _step_spans(path.grid),
+                     beta_old, beta_new)
+    return GridPath.from_increments(path.grid, path.start, incs[0])
 
 
 def write_path_csv(path: GridPath, stream) -> None:

@@ -143,19 +143,21 @@ class TestLoglikRatioPath:
     def test_identical_stats_give_zero(self):
         p = model(slopes=(0.3,), intercepts=(0.2,))
         s = BinStats([1.0, 2.0], [5, 2], 1.0)
-        assert loglik_ratio_path(s, s, p) == 0.0
+        assert loglik_ratio_path(s.sums, s.counts, s.sums, s.counts, p) == 0.0
 
     def test_gamma_model_always_zero(self):
         p = model(slopes=(0.0,), intercepts=(0.0,))
         s1 = BinStats([1.0, 2.0], [5, 2], 1.0)
         s2 = BinStats([2.0, 1.0], [4, 3], 1.0)
-        assert loglik_ratio_path(s2, s1, p) == 0.0
+        assert loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p) == 0.0
 
     def test_alpha_irrelevant(self):
         s1 = BinStats([1.0, 2.0], [5, 2], 1.0)
         s2 = BinStats([2.2, 0.8], [4, 3], 1.0)
-        va = loglik_ratio_path(s2, s1, model(alpha=0.5, slopes=(0.3,), intercepts=(0.1,)))
-        vb = loglik_ratio_path(s2, s1, model(alpha=5.0, slopes=(0.3,), intercepts=(0.1,)))
+        va = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts,
+                               model(alpha=0.5, slopes=(0.3,), intercepts=(0.1,)))
+        vb = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts,
+                               model(alpha=5.0, slopes=(0.3,), intercepts=(0.1,)))
         assert va == vb
 
     def test_endpoint_mismatch_rejected(self):
@@ -163,7 +165,7 @@ class TestLoglikRatioPath:
         s1 = BinStats([1.0, 2.0], [5, 2], 1.0)
         s2 = BinStats([1.0, 2.1], [5, 2], 1.0)
         with pytest.raises(ContractError):
-            loglik_ratio_path(s2, s1, p)
+            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p)
 
     def test_literal_formula(self):
         p = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
@@ -171,7 +173,8 @@ class TestLoglikRatioPath:
         s2 = BinStats([1.3, 1.2, 1.5], [6, 1, 1], 1.0)
         expected = -(0.3 * (1.2 - 2.0) + (-0.1) * (1.5 - 1.0)
                      + 0.2 * (1 - 2) + 0.4 * (1 - 1))
-        assert loglik_ratio_path(s2, s1, p) == pytest.approx(expected, rel=1e-12)
+        assert loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_intercepts_drop_out_when_counts_match(self):
         # with matching per-bin counts the value is independent of the
@@ -181,13 +184,39 @@ class TestLoglikRatioPath:
         s2 = BinStats([1.4, 1.2, 1.4], [5, 2, 1], 1.0)
         base = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
         shifted_rho = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(-5.0, 9.9))
-        assert loglik_ratio_path(s2, s1, base) == loglik_ratio_path(s2, s1, shifted_rho)
+        assert (loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, base)
+                == loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, shifted_rho))
         c = 0.7
         shifted_theta = model(edges=(1.0, 2.0), slopes=(0.3 + c, -0.1 + c),
                               intercepts=(0.2, 0.4))
         drift = -c * ((1.2 - 2.0) + (1.4 - 1.0))
-        assert loglik_ratio_path(s2, s1, shifted_theta) == pytest.approx(
-            loglik_ratio_path(s2, s1, base) + drift, rel=1e-12)
+        assert loglik_ratio_path(
+            s2.sums, s2.counts, s1.sums, s1.counts, shifted_theta) == pytest.approx(
+            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, base) + drift, rel=1e-12)
+
+    def test_rows_match_one_row_calls(self):
+        p = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
+        old_s = np.array([[1.0, 2.0, 1.0], [0.5, 0.5, 3.0]])
+        old_c = np.array([[5, 2, 1], [3, 1, 1]])
+        new_s = np.array([[1.3, 1.2, 1.5], [2.0, 1.5, 0.5]])
+        new_c = np.array([[6, 1, 1], [4, 2, 0]])
+        rows = loglik_ratio_path(new_s, new_c, old_s, old_c, p)
+        assert rows.shape == (2,)
+        for i in range(2):
+            assert rows[i] == loglik_ratio_path(new_s[i], new_c[i], old_s[i], old_c[i], p)
+        binless = loglik_ratio_path(new_s[:, :1], new_c[:, :1], new_s[:, :1], new_c[:, :1],
+                                    ModelParams(1.0, 1.0))
+        assert np.array_equal(binless, np.zeros(2))
+
+    def test_one_mismatched_row_rejected_at_1e9(self):
+        p = model(slopes=(0.3,), intercepts=(0.2,))
+        old_s = np.array([[1.0, 3.0], [2.0, 2.0]])
+        counts = np.array([[5, 2], [4, 3]])
+        within = old_s + np.array([[0.0, 0.0], [0.0, 4e-10]])
+        assert loglik_ratio_path(within, counts, old_s, counts, p).shape == (2,)
+        beyond = old_s + np.array([[0.0, 0.0], [0.0, 4e-8]])
+        with pytest.raises(ContractError):
+            loglik_ratio_path(beyond, counts, old_s, counts, p)
 
 
 class TestPsiLog:
@@ -201,7 +230,7 @@ class TestPsiLog:
         s1 = BinStats([1.0, 2.0, 1.0], [5, 2, 1], 1.0)
         s2 = BinStats([1.3, 1.2, 1.5], [6, 1, 1], 1.0)
         assert psi_log(s2, p) - psi_log(s1, p) == pytest.approx(
-            loglik_ratio_path(s2, s1, p), rel=1e-12)
+            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p), rel=1e-12)
 
     def test_single_bin_term_by_term(self):
         p = model(alpha=1.0, beta=1.0, slopes=(0.2,), intercepts=(0.1,))
@@ -251,6 +280,6 @@ class TestBridgePathRatioIntegration:
         b2 = sample_gamma_bridge(2.0, 1.0, grid, 0.0, 3.0, 102)
         s1 = bin_stats(b1, p)
         s2 = bin_stats(b2, p)
-        val = loglik_ratio_path(s2, s1, p)
+        val = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p)
         assert math.isfinite(val)
         assert val == pytest.approx(psi_log(s2, p) - psi_log(s1, p), rel=1e-10, abs=1e-12)

@@ -83,17 +83,6 @@ class TestRefreshSegments:
         assert np.allclose(state.increments.sum(axis=1), state.obs.increments,
                            rtol=1e-14, atol=0)
 
-    def test_segment_order_is_irrelevant(self):
-        params = g.ModelParams(1.0, 1.0, [0.5], [0.6], [0.3])
-        a = basic_state(params=params, seed=5)
-        b = basic_state(params=params, seed=5)
-        rng = np.random.default_rng(0)
-        order = rng.permutation(a.n_segments)
-        g.refresh_segments(a)
-        g.refresh_segments(b, segment_order=list(order))
-        assert np.array_equal(a.increments, b.increments)
-        assert np.array_equal(a.segment_accepts, b.segment_accepts)
-
     def test_acceptance_depends_only_on_perturbed_bins(self):
         # same slopes/intercepts, different alpha: identical decisions
         pa = g.ModelParams(0.7, 1.0, [0.5], [0.6], [0.3])
@@ -213,6 +202,31 @@ class TestUpdateBeta:
             assert np.allclose(state.increments.sum(axis=1), state.obs.increments,
                            rtol=1e-14, atol=0)
         assert accepted > 0
+
+    def test_collapsed_rows_reject_the_move(self):
+        # all-zero Beta multipliers thin every segment to zero total; such a
+        # row cannot be re-pinned, so the move is rejected and nothing moves
+        class Collapse:
+            def normal(self):
+                return -1.0
+
+            def beta(self, a, b):
+                return np.zeros(np.shape(a))
+
+            def uniform(self):
+                return 1e-300
+
+        state = basic_state(seed=71)
+        params, increments = state.params, state.increments.copy()
+        sums, counts = state.seg_sums.copy(), state.seg_counts.copy()
+        state.rng_beta = Collapse()
+        g.update_beta(state, g.ProposalSpec(sigma_beta=0.5), self.prior())
+        assert state.accept_beta is False
+        assert state.logr_beta == -math.inf
+        assert state.params is params
+        assert np.array_equal(state.increments, increments)
+        assert np.array_equal(state.seg_sums, sums)
+        assert np.array_equal(state.seg_counts, counts)
 
     def test_negative_proposals_rejected(self):
         state = basic_state(seed=51)

@@ -19,7 +19,13 @@ from gammasub import (
     sample_gamma_path,
     thin_path,
 )
-from gammasub.paths import write_path_csv
+from gammasub.paths import (
+    augment_rows,
+    bridge_rows,
+    pin_rows,
+    thin_rows,
+    write_path_csv,
+)
 
 
 class TestTimeGrid:
@@ -245,6 +251,68 @@ class TestRoundTrip:
         assert stats.ks_2samp(inc, fresh).pvalue > 0.01
         se = math.sqrt(inc.var() / n + fresh.var() / n)
         assert abs(inc.mean() - fresh.mean()) < 3 * se
+
+
+class TestRowKernels:
+    def test_pin_rows_flags_zero_rows(self):
+        raw = np.array([[1.0, 3.0], [0.0, 0.0], [0.0, 2.0]])
+        pinned, degenerate = pin_rows(raw, np.array([2.0, 5.0, 1.0]))
+        assert degenerate.tolist() == [False, True, False]
+        assert pinned[0].tolist() == [0.5, 1.5]
+        assert pinned[1].tolist() == [0.0, 0.0]
+        assert np.all(pinned[2] > 0) and pinned[2].sum() == 1.0
+
+    def test_bridge_rows_redraws_only_the_degenerate_row(self):
+        class FirstDrawRowZero:
+            """Real Gamma draws, except that row 1 of the first draw is all zeros."""
+
+            def __init__(self):
+                self.rng = np.random.default_rng(5)
+                self.draws = []
+
+            def gamma(self, shape):
+                out = self.rng.gamma(shape)
+                if not self.draws:
+                    out[1] = 0.0
+                self.draws.append(out.copy())
+                return out
+
+        rng = FirstDrawRowZero()
+        targets = np.array([1.0, 2.0, 3.0])
+        out = bridge_rows(rng, np.full((3, 4), 0.5), targets)
+        assert [d.shape for d in rng.draws] == [(3, 4), (1, 4)]
+        kept, _ = pin_rows(rng.draws[0][[0, 2]], targets[[0, 2]])
+        assert np.array_equal(out[[0, 2]], kept)
+        redrawn, _ = pin_rows(rng.draws[1], targets[[1]])
+        assert np.array_equal(out[[1]], redrawn)
+        assert np.allclose(out.sum(axis=1), targets, rtol=1e-14, atol=0)
+        assert np.all(out > 0)
+
+    def test_bridge_rows_gives_up_after_100_redraws(self):
+        class AllZero:
+            calls = 0
+
+            def gamma(self, shape):
+                self.calls += 1
+                return np.zeros(np.shape(shape))
+
+        rng = AllZero()
+        with pytest.raises(DegeneratePathError):
+            bridge_rows(rng, np.full((2, 3), 0.5), np.array([1.0, 1.0]))
+        assert rng.calls == 1 + 100
+
+    def test_path_functions_are_one_row_views(self):
+        grid = TimeGrid([0.0, 1.0, 3.0], m=4)
+        path = sample_gamma_path(1.5, 2.0, grid, 3)
+        row, h = path.increments[None, :], np.repeat(grid.spans / grid.m, grid.m)
+        up = augment_rows(np.random.Generator(np.random.Philox(4)), row, h, 1.5, 2.5, 2.0)
+        assert np.array_equal(augment_path(path, 1.5, 2.5, 2.0, 4).increments, up[0])
+        down = thin_rows(np.random.Generator(np.random.Philox(5)), row, h, 1.5, 0.5)
+        assert np.array_equal(thin_path(path, 1.5, 0.5, 5).increments, down[0])
+        bridge = bridge_rows(np.random.Generator(np.random.Philox(6)), 1.5 * h[None, :],
+                             np.array([2.0]))
+        assert np.array_equal(sample_gamma_bridge(1.5, 2.0, grid, 1.0, 3.0, 6).increments,
+                              bridge[0])
 
 
 class TestCsv:
