@@ -6,8 +6,9 @@ random walk on (alpha, slopes, intercepts), and, when the activity rate is
 declared random, a transdimensional move that superposes or thins every
 segment and re-pins it to the observations.
 
-Segments are held internally as an (n_segments, m) increment matrix with
-cached per-segment bin statistics; all per-segment randomness is drawn in
+Segments are held internally as an (n_segments, m) increment matrix, which
+the row kernels of `paths` draw, pin and transform, with cached per-segment
+bin statistics; all per-segment randomness is drawn in
 fixed-layout blocks from dedicated splittable streams, so the result is
 independent of the order in which segments are processed.
 """

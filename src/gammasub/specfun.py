@@ -7,28 +7,20 @@ scalar functions, safe for unrestricted concurrent use.
 
 import math
 
-from .exceptions import DomainError
+from scipy.special import exp1
 
-# Euler-Mascheroni constant, to double precision.
-_EULER_GAMMA = 0.5772156649015328606
+from .exceptions import DomainError
 
 # exp(-z) underflows to subnormal garbage past here; bin masses this far out
 # are treated as exactly zero rather than raising.
 _UNDERFLOW_Z = 745.0
 
-_SERIES_MAX_TERMS = 100
-_SERIES_EPS = 1e-17
-_CF_MAX_ITER = 400
-_CF_EPS = 1e-15
-_TINY = 1e-300
-
 
 def exp_integral_e1(z: float) -> float:
     """Exponential integral E1(z) = integral of exp(-t)/t over t in [z, inf).
 
-    Uses the alternating power series for 0 < z <= 1 and a modified Lentz
-    continued fraction for z > 1; the switchover keeps relative error below
-    1e-12 across [1e-8, 700].  Returns exactly 0.0 once exp(-z) underflows.
+    A scalar wrapper of scipy.special.exp1 that returns exactly 0.0 once
+    exp(-z) underflows.
 
     Raises:
         DomainError: if z is not a finite positive number.
@@ -38,41 +30,7 @@ def exp_integral_e1(z: float) -> float:
         raise DomainError(f"E1 requires finite z > 0, got {z!r}")
     if z > _UNDERFLOW_Z:
         return 0.0
-    if z <= 1.0:
-        return _e1_series(z)
-    return _e1_continued_fraction(z)
-
-
-def _e1_series(z: float) -> float:
-    # E1(z) = -gamma - ln z + sum_{k>=1} (-1)^{k+1} z^k / (k * k!)
-    total = -_EULER_GAMMA - math.log(z)
-    term = 1.0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term *= -z / k
-        contrib = -term / k
-        total += contrib
-        if abs(contrib) < _SERIES_EPS * abs(total):
-            return total
-    raise DomainError(f"E1 power series failed to converge at z={z}")
-
-
-def _e1_continued_fraction(z: float) -> float:
-    # Lower continued fraction E1(z) = exp(-z) / (z + 1 - 1/(z + 3 - 4/(...)))
-    # evaluated by the modified Lentz algorithm.
-    b = z + 1.0
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_ITER + 1):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h * math.exp(-z)
-    raise DomainError(f"E1 continued fraction failed to converge at z={z}")
+    return float(exp1(z))
 
 
 def gamma_logpdf(x: float, shape: float, rate: float) -> float:
