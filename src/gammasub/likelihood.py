@@ -18,6 +18,7 @@ from .paths import GridPath
 
 __all__ = [
     "BinStats",
+    "bin_masses",
     "bin_stats",
     "loglik_ratio_params",
     "loglik_ratio_path",
@@ -72,16 +73,24 @@ class BinStats:
 
 
 def bin_classify(increments: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
-    """Half-open bin index of each increment (0 for B_0, edges go right)."""
-    return np.searchsorted(bin_edges, increments, side="right")
+    """Half-open bin index of each increment (0 for B_0, edges go right).
+
+    The index is the number of edges at or below the increment, the value
+    searchsorted(bin_edges, increments, side="right") gives; with a handful
+    of edges one comparison pass per edge is cheaper than the search.
+    """
+    idx = np.zeros(increments.shape, dtype=np.intp)
+    for edge in bin_edges:
+        idx += increments >= edge
+    return idx
 
 
 def bin_stats_matrix(increments: np.ndarray, bin_edges: np.ndarray):
     """Per-row bin sums and counts for a (rows, steps) increment matrix."""
     rows = increments.shape[0]
     k = bin_edges.size + 1
-    idx = bin_classify(increments, bin_edges)
-    flat = idx + (np.arange(rows) * k)[:, None]
+    flat = bin_classify(increments, bin_edges)
+    flat += (np.arange(rows) * k)[:, None]
     counts = np.bincount(flat.ravel(), minlength=rows * k).reshape(rows, k)
     sums = np.bincount(flat.ravel(), weights=increments.ravel(),
                        minlength=rows * k).reshape(rows, k)
@@ -104,11 +113,19 @@ def _check_stats_match(stats: BinStats, params: ModelParams) -> None:
         )
 
 
-def compensator_diff(old: ModelParams, new: ModelParams) -> float:
+def bin_masses(params: ModelParams) -> tuple[float, ...]:
+    """Jump-measure masses nu(B_k) of bins k = 1..N, one nu_bin_mass call each."""
+    return tuple(nu_bin_mass(params, k) for k in range(1, params.n_bins + 1))
+
+
+def compensator_diff(old: ModelParams, new: ModelParams,
+                     old_masses=None, new_masses=None) -> float:
     """Total jump-measure difference sum_k (nu_new - nu_old)(B_k), k = 0..N.
 
     Both parameter vectors must share beta and bin edges.  For the binless
     model the whole difference collapses to the log limit beta*ln(a/a°).
+    old_masses / new_masses are the bin_masses of old / new when the caller
+    already has them; the sum is the same either way.
     """
     if new.beta != old.beta:
         raise ContractError(f"beta must match, got {old.beta} and {new.beta}")
@@ -116,13 +133,18 @@ def compensator_diff(old: ModelParams, new: ModelParams) -> float:
         raise ContractError("bin edges must match")
     if old.n_bins == 0:
         return old.beta * math.log(old.alpha / new.alpha)
+    if old_masses is None:
+        old_masses = bin_masses(old)
+    if new_masses is None:
+        new_masses = bin_masses(new)
     total = nu_diff_bin0(new.alpha, old.alpha, old.beta, float(old.bin_edges[0]))
-    for k in range(1, old.n_bins + 1):
-        total += nu_bin_mass(new, k) - nu_bin_mass(old, k)
+    for mass_new, mass_old in zip(new_masses, old_masses):
+        total += mass_new - mass_old
     return total
 
 
-def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams) -> float:
+def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams,
+                        old_masses=None, new_masses=None) -> float:
     """Log-likelihood ratio of two parameter vectors on one augmented path.
 
     Evaluates
@@ -132,7 +154,8 @@ def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams) -> 
         - sum_k (rho°_k - rho_k) * C_k
         - T * sum_{k=0..N} (nu° - nu)(B_k)
 
-    with S_k, C_k the per-bin increment sums and counts.
+    with S_k, C_k the per-bin increment sums and counts.  old_masses /
+    new_masses are passed on to compensator_diff.
     """
     _check_stats_match(stats, old)
     _check_stats_match(stats, new)
@@ -142,7 +165,7 @@ def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams) -> 
         intercept_diff = new.theta_intercepts - old.theta_intercepts
         total -= float(slope_diff @ stats.sums[1:])
         total -= float(intercept_diff @ stats.counts[1:])
-    total -= stats.horizon * compensator_diff(old, new)
+    total -= stats.horizon * compensator_diff(old, new, old_masses, new_masses)
     return total
 
 
@@ -158,28 +181,32 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
         -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k).
 
     Raises ContractError when a row's two totals differ by more than 1e-9
-    relative (the paths do not share endpoints).
+    relative (the paths do not share endpoints), or either is NaN.
     """
     for sums in (sums_new, sums_old):
         if sums.shape[-1] != params.n_bins + 1:
             raise ContractError(
                 f"stats have {sums.shape[-1] - 1} bins but params have {params.n_bins}"
             )
-    total_new = sums_new.sum(axis=-1)
-    total_old = sums_old.sum(axis=-1)
+    # row totals as products with ones: a sum over a short last axis costs more
+    ones = np.ones(params.n_bins + 1)
+    total_new = sums_new @ ones
+    total_old = sums_old @ ones
     tol = _ENDPOINT_RTOL * np.maximum(np.abs(total_old), np.abs(total_new))
-    mismatched = np.abs(total_new - total_old) > tol
+    mismatched = ~(np.abs(total_new - total_old) <= tol)
     if np.any(mismatched):
         raise ContractError(
             f"paths do not share endpoints: totals differ in {int(np.sum(mismatched))} row(s)"
         )
     if params.n_bins == 0:
         return np.zeros(np.shape(total_new))[()]
-    return -((sums_new[..., 1:] - sums_old[..., 1:]) @ params.theta_slopes
-             + (counts_new[..., 1:] - counts_old[..., 1:]) @ params.theta_intercepts)
+    # whole-row differences are contiguous passes; bin 0 is then sliced off
+    d_sums = sums_new - sums_old
+    d_counts = counts_new - counts_old
+    return -(d_sums[..., 1:] @ params.theta_slopes + d_counts[..., 1:] @ params.theta_intercepts)
 
 
-def psi_log(stats: BinStats, params: ModelParams) -> float:
+def psi_log(stats: BinStats, params: ModelParams, masses=None) -> float:
     """Log-density of the model's path law against its Gamma reference.
 
     The reference shares (beta, alpha) and has all slopes and intercepts
@@ -187,15 +214,16 @@ def psi_log(stats: BinStats, params: ModelParams) -> float:
 
         psi = -sum_k th_k * S_k - sum_k rho_k * C_k
               - T * sum_{k=1..N} (nu - nu_ref)(B_k).
+
+    masses are the bin_masses of params when the caller already has them.
     """
     _check_stats_match(stats, params)
     if params.n_bins == 0:
         return 0.0
+    if masses is None:
+        masses = bin_masses(params)
     reference = params.gamma_reference()
-    comp = sum(
-        nu_bin_mass(params, k) - nu_bin_mass(reference, k)
-        for k in range(1, params.n_bins + 1)
-    )
+    comp = sum(mass - nu_bin_mass(reference, k) for k, mass in enumerate(masses, start=1))
     return -float(
         params.theta_slopes @ stats.sums[1:]
         + params.theta_intercepts @ stats.counts[1:]

@@ -23,7 +23,8 @@ from scipy.special import gammaln
 
 from .data import Observations
 from .exceptions import ConfigError, ContractError, DomainError
-from .likelihood import BinStats, bin_stats_matrix, loglik_ratio_params, loglik_ratio_path, psi_log
+from .likelihood import (BinStats, bin_masses, bin_stats_matrix, loglik_ratio_params,
+                         loglik_ratio_path, psi_log)
 from .model import ModelParams, PriorSpec, prior_logpdf
 from .paths import GridPath, TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
 
@@ -31,6 +32,7 @@ __all__ = [
     "ProposalSpec",
     "ChainState",
     "ChainRecord",
+    "ParamTerms",
     "init_chain",
     "refresh_segments",
     "update_params",
@@ -99,6 +101,21 @@ class ChainRecord:
                            np.asarray(self.theta), np.asarray(self.rho))
 
 
+@dataclass(frozen=True)
+class ParamTerms:
+    """Log prior and bin masses of one parameter vector under one prior.
+
+    The sampler keeps these for its current parameters, so that a move
+    evaluates them only for its candidate; an accepted move hands over the
+    candidate's terms.
+    """
+
+    params: ModelParams
+    prior: PriorSpec
+    log_prior: float
+    masses: tuple[float, ...]
+
+
 @dataclass
 class ChainState:
     """Mutable sampler state: parameters plus the augmented segments."""
@@ -120,6 +137,7 @@ class ChainState:
     logr_params: float = math.nan
     logr_beta: float = math.nan
     segment_accepts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
+    terms: ParamTerms | None = None     # of params; filled by the first move that needs it
 
     @property
     def n_segments(self) -> int:
@@ -171,8 +189,8 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
         raise DomainError("observations must start at time 0")
     rng_path, rng_accept, rng_params, rng_beta = _make_rngs(seed)
     deltas = obs.increments
-    shapes = np.broadcast_to(params0.beta * (grid.spans / grid.m)[:, None], (deltas.size, grid.m))
-    increments = bridge_rows(rng_path, shapes, deltas)
+    shapes = params0.beta * (grid.spans / grid.m)[:, None]
+    increments = bridge_rows(rng_path, shapes, deltas, grid.m)
     sums, counts = bin_stats_matrix(increments, params0.bin_edges)
     return ChainState(
         params=params0, obs=obs, grid=grid, increments=increments,
@@ -189,17 +207,22 @@ def refresh_segments(state: ChainState) -> ChainState:
     The acceptance for segment i compares the endpoint-matched path ratio to
     ln(U_i).  Noise and uniforms are drawn in one fixed-layout block, so the
     decisions do not depend on the order in which segments are visited.
+    Nearly every proposal is accepted, so the proposal arrays become the
+    state after the few rejected rows are copied back into them.
     """
     params = state.params
-    shapes = np.broadcast_to(params.beta * state.sub_spans(), state.increments.shape)
-    proposal = bridge_rows(state.rng_path, shapes, state.obs.increments)
+    proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans(),
+                           state.obs.increments, state.m)
     new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
     log_ratio = loglik_ratio_path(new_sums, new_counts, state.seg_sums, state.seg_counts, params)
     log_u = np.log(state.rng_accept.uniform(size=state.n_segments))
     accept = log_ratio >= log_u
-    state.increments[accept] = proposal[accept]
-    state.seg_sums[accept] = new_sums[accept]
-    state.seg_counts[accept] = new_counts[accept]
+    reject = ~accept
+    if reject.any():
+        proposal[reject] = state.increments[reject]
+        new_sums[reject] = state.seg_sums[reject]
+        new_counts[reject] = state.seg_counts[reject]
+    state.increments, state.seg_sums, state.seg_counts = proposal, new_sums, new_counts
     state.segment_accepts = accept
     state.accept_path_rate = float(accept.mean())
     return state
@@ -249,13 +272,23 @@ def _propose_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> 
                                theta_intercepts=rho_new)
 
 
+def _current_terms(state: ChainState, prior: PriorSpec) -> ParamTerms:
+    """The state's ParamTerms, evaluated if params or prior changed since."""
+    terms = state.terms
+    if terms is None or terms.params is not state.params or terms.prior is not prior:
+        terms = state.terms = ParamTerms(state.params, prior, prior_logpdf(prior, state.params),
+                                         bin_masses(state.params))
+    return terms
+
+
 def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> ChainState:
     """Joint Metropolis update of alpha and the per-bin slopes/intercepts.
 
     The proposal is a symmetric Gaussian walk (with the correlated alpha
     shift), so acceptance uses the parameter likelihood ratio plus the prior
     log ratio only.  Out-of-support proposals are rejected through the -inf
-    prior; candidates with a non-integrable tail are rejected outright.
+    prior; candidates with a non-integrable tail are rejected outright.  A
+    NaN log ratio raises ContractError.
     """
     state.accept_params = False
     state.logr_params = -math.inf
@@ -265,12 +298,17 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
     lp_new = prior_logpdf(prior, candidate)
     if lp_new == -math.inf:
         return state
-    lp_old = prior_logpdf(prior, state.params)
+    current = _current_terms(state, prior)
+    masses = bin_masses(candidate)
     stats = state.total_stats()
-    log_ratio = float(loglik_ratio_params(stats, state.params, candidate) + lp_new - lp_old)
+    log_ratio = float(loglik_ratio_params(stats, state.params, candidate, current.masses, masses)
+                      + lp_new - current.log_prior)
     state.logr_params = log_ratio
+    if math.isnan(log_ratio):       # a numerical fault, not a rejection; -inf rejects
+        raise ContractError(f"parameter move gave a NaN log ratio at sweep {state.iteration}")
     if log_ratio >= math.log(state.rng_params.uniform()):
         state.params = candidate
+        state.terms = ParamTerms(candidate, prior, lp_new, masses)
         state.accept_params = True
     return state
 
@@ -284,7 +322,8 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     observations, and accepts jointly with the prior ratio, the Gamma
     density ratio at the observed increments, and the path log-density ratio
     against the respective Gamma references.  A segment that thins to zero
-    total cannot be re-pinned, so such a proposal is rejected.
+    total cannot be re-pinned, so such a proposal is rejected.  A NaN log
+    ratio raises ContractError.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
@@ -296,7 +335,9 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     if beta_new <= 0:
         return state
     candidate = params.with_updates(beta=beta_new)
-    lp_diff = prior_logpdf(prior, candidate) - prior_logpdf(prior, params)
+    lp_new = prior_logpdf(prior, candidate)
+    current = _current_terms(state, prior)
+    lp_diff = lp_new - current.log_prior
     if lp_diff == -math.inf:
         return state
 
@@ -320,15 +361,19 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         np.sum((shape_new - shape_old) * (math.log(params.alpha) + np.log(deltas)))
         - np.sum(gammaln(shape_new) - gammaln(shape_old))
     )
+    masses = bin_masses(candidate)
     psi_diff = (
         psi_log(BinStats(new_sums.sum(axis=0), new_counts.sum(axis=0), state.grid.horizon),
-                candidate)
-        - psi_log(state.total_stats(), params)
+                candidate, masses)
+        - psi_log(state.total_stats(), params, current.masses)
     )
     log_ratio = float(lp_diff + ptilde_diff + psi_diff)
     state.logr_beta = log_ratio
+    if math.isnan(log_ratio):
+        raise ContractError(f"beta move gave a NaN log ratio at sweep {state.iteration}")
     if log_ratio >= math.log(rng.uniform()):
         state.params = candidate
+        state.terms = ParamTerms(candidate, prior, lp_new, masses)
         state.increments = repinned
         state.seg_sums = new_sums
         state.seg_counts = new_counts

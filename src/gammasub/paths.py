@@ -71,7 +71,7 @@ class TimeGrid:
     @property
     def spans(self) -> np.ndarray:
         """Lengths of the inter-observation intervals."""
-        return np.diff(self.times)
+        return self.times[1:] - self.times[:-1]
 
     @property
     def horizon(self) -> float:
@@ -107,21 +107,23 @@ class GridPath:
     increments: np.ndarray = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).reshape(-1).copy()
+        arr = np.array(self.values, dtype=float).reshape(-1)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         expected = self.grid.n_segments * self.grid.m + 1
         if arr.size != expected:
             raise DomainError(f"path needs {expected} values for this grid, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("path values must be finite")
-        if np.any(np.diff(arr) < 0):
+        # one-row functions build a path per call: one copy, and one pass per check
+        steps = arr[1:] - arr[:-1]
+        if (steps < 0).any():
             raise DomainError("path values must be non-decreasing")
-        inc = np.diff(arr) if self.increments is None else (
-            np.asarray(self.increments, dtype=float).reshape(-1).copy())
+        inc = steps if self.increments is None else (
+            np.array(self.increments, dtype=float).reshape(-1))
         if inc.size != arr.size - 1:
             raise DomainError(f"path needs {arr.size - 1} increments, got {inc.size}")
-        if not np.all(np.isfinite(inc)) or np.any(inc < 0):
+        if not np.isfinite(inc).all() or (inc < 0).any():
             raise DomainError("increments must be finite and non-negative")
         inc.flags.writeable = False
         object.__setattr__(self, "increments", inc)
@@ -163,6 +165,24 @@ def _check_rates(beta: float, alpha: float) -> None:
 # many paths side by side: the sampler applies these to its segment matrix,
 # and the GridPath functions further down are their one-row views.  Step
 # spans h broadcast against the matrix ((rows, 1) per segment, or one row).
+#
+# The kernels sit on the sampler's hot path, and every rewrite of them must
+# give the same floats from the same draws, bit for bit, so that chains do
+# not move: same operations in the same order, same Generator calls.
+
+def _one_value(p):
+    """p's value as a scalar when every entry is equal, else p unchanged.
+
+    numpy draws from a scalar parameter plus `size` with the same variates,
+    in the same order, as from an array of that value, but skips the
+    per-entry broadcast; on a uniform observation grid every Gamma shape of
+    a kernel is one value.
+    """
+    p = np.asarray(p)
+    if p.size and (p == p.flat[0]).all():
+        return p.flat[0]
+    return p
+
 
 def pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale each row of raw to sum to its target; returns (pinned, degenerate).
@@ -171,28 +191,36 @@ def pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarr
     normal before forming ratios, so pinned rows are strictly positive and
     sum to their targets to within accumulation ulp.  A row with zero total
     has nothing to rescale: it is flagged in the degenerate mask and pinned
-    to zeros.
+    to zeros.  raw is not modified.
     """
     degenerate = raw.sum(axis=1) == 0.0
-    clamped = np.maximum(raw, _TINY)
-    pinned = targets[:, None] * clamped / clamped.sum(axis=1, keepdims=True)
+    pinned = np.maximum(raw, _TINY)
+    total = pinned.sum(axis=1, keepdims=True)
+    # targets * clamped / total, evaluated in place
+    pinned *= targets[:, None]
+    pinned /= total
     pinned[degenerate] = 0.0
     return pinned, degenerate
 
 
-def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Gamma bridge increments with Gamma shapes `shapes`, rows summing to targets.
+def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarray,
+                m: int) -> np.ndarray:
+    """Gamma bridge increments, (rows, m), with Gamma shapes `shapes`, rows summing to targets.
 
-    The bridge is scale free, so the driving increments are drawn with unit
-    scale.  Rows whose draw degenerates to zero total are redrawn, alone, up
-    to 100 times before DegeneratePathError is raised.
+    shapes broadcasts against the output: (rows, 1) for one shape per row,
+    or (rows, m).  The bridge is scale free, so the driving increments are
+    drawn with unit scale.  Rows whose draw degenerates to zero total are
+    redrawn, alone, up to 100 times before DegeneratePathError is raised.
     """
-    pinned, degenerate = pin_rows(rng.gamma(shape=shapes), targets)
+    shapes = _one_value(shapes)
+    pinned, degenerate = pin_rows(rng.gamma(shape=shapes, size=(targets.size, m)), targets)
     for _ in range(_RESAMPLE_LIMIT):
         if not degenerate.any():
             return pinned
         idx = np.flatnonzero(degenerate)
-        pinned[idx], degenerate[idx] = pin_rows(rng.gamma(shape=shapes[idx]), targets[idx])
+        redraw = rng.gamma(shape=shapes if np.ndim(shapes) == 0 else shapes[idx],
+                           size=(idx.size, m))
+        pinned[idx], degenerate[idx] = pin_rows(redraw, targets[idx])
     if degenerate.any():
         raise DegeneratePathError(
             f"{int(degenerate.sum())} bridge proposals degenerate after "
@@ -204,16 +232,16 @@ def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarra
 def augment_rows(rng: np.random.Generator, increments: np.ndarray, h,
                  beta_old: float, beta_new: float, alpha: float) -> np.ndarray:
     """Add an independent Gamma(h*(beta_new - beta_old), alpha) variate to each increment."""
-    shape = np.broadcast_to((beta_new - beta_old) * h, increments.shape)
-    return increments + rng.gamma(shape=shape, scale=1.0 / alpha)
+    shape = _one_value((beta_new - beta_old) * h)
+    return increments + rng.gamma(shape=shape, scale=1.0 / alpha, size=increments.shape)
 
 
 def thin_rows(rng: np.random.Generator, increments: np.ndarray, h,
               beta_old: float, beta_new: float) -> np.ndarray:
     """Multiply each increment by an independent Beta(h*beta_new, h*(beta_old - beta_new))."""
-    a = np.broadcast_to(beta_new * h, increments.shape)
-    b = np.broadcast_to((beta_old - beta_new) * h, increments.shape)
-    return increments * rng.beta(a, b)
+    a = _one_value(beta_new * h)
+    b = _one_value((beta_old - beta_new) * h)
+    return increments * rng.beta(a, b, size=increments.shape)
 
 
 def sample_gamma_path(beta: float, alpha: float, grid: TimeGrid, seed) -> GridPath:
@@ -224,7 +252,8 @@ def sample_gamma_path(beta: float, alpha: float, grid: TimeGrid, seed) -> GridPa
     """
     _check_rates(beta, alpha)
     rng = as_generator(seed)
-    incs = rng.gamma(shape=beta * _step_spans(grid), scale=1.0 / alpha)
+    h = _step_spans(grid)
+    incs = rng.gamma(shape=_one_value(beta * h), scale=1.0 / alpha, size=h.size)
     return GridPath.from_increments(grid, 0.0, incs)
 
 
@@ -254,8 +283,8 @@ def sample_gamma_bridge(beta: float, alpha: float, grid: TimeGrid,
     _check_rates(beta, alpha)
     if not x_end > x_start:
         raise DomainError(f"need x_end > x_start, got ({x_start}, {x_end})")
-    incs = bridge_rows(as_generator(seed), (beta * _step_spans(grid))[None, :],
-                       np.array([x_end - x_start]))
+    h = _step_spans(grid)
+    incs = bridge_rows(as_generator(seed), beta * h[None, :], np.array([x_end - x_start]), h.size)
     return GridPath.pinned(grid, x_start, x_end, incs[0])
 
 

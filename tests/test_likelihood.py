@@ -15,12 +15,23 @@ from gammasub import (
     levy_density,
     loglik_ratio_params,
     loglik_ratio_path,
+    nu_bin_mass,
     psi_log,
     sample_gamma_bridge,
     sample_gamma_path,
 )
-from gammasub.likelihood import bin_stats_matrix
+from gammasub.likelihood import bin_classify, bin_masses, bin_stats_matrix, compensator_diff
 from gammasub.paths import GridPath
+
+
+def searchsorted_stats(increments, bin_edges):
+    """Reference bin statistics: searchsorted indices, then bincount."""
+    rows, k = increments.shape[0], bin_edges.size + 1
+    flat = np.searchsorted(bin_edges, increments, side="right") + (np.arange(rows) * k)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=rows * k).reshape(rows, k)
+    sums = np.bincount(flat.ravel(), weights=increments.ravel(),
+                       minlength=rows * k).reshape(rows, k)
+    return sums, counts
 
 
 def model(alpha=1.0, beta=1.0, edges=(1.0,), slopes=(0.0,), intercepts=(0.0,)):
@@ -57,6 +68,25 @@ class TestBinStats:
         assert s.total == pytest.approx(path.end - path.start, rel=1e-12)
         assert s.counts.sum() == path.increments.size
         assert s.horizon == 2.0
+
+    def test_matrix_equals_searchsorted_reference(self):
+        # counting the edges at or below each value is searchsorted(side="right"),
+        # and the sums accumulate in the same order: equal bit for bit
+        edges = np.array([1e-310, 0.5, 1.0, 2.0])
+        inc = np.random.default_rng(17).gamma(0.3, size=(40, 9))
+        inc[0, :5] = [1e-310, 0.5, 1.0, 2.0, 0.5]                   # exactly on the edges
+        inc[1, :4] = 0.0
+        inc[2, :4] = [5e-324, 5e-311, np.nextafter(1e-310, 0), np.finfo(float).tiny]
+        inc[3, :2] = [np.nextafter(0.5, 0), np.nextafter(2.0, 3)]
+        for bin_edges in (edges, edges[1:], edges[2:3], np.empty(0)):
+            assert np.array_equal(bin_classify(inc, bin_edges),
+                                  np.searchsorted(bin_edges, inc, side="right"))
+            sums, counts = bin_stats_matrix(inc, bin_edges)
+            ref_sums, ref_counts = searchsorted_stats(inc, bin_edges)
+            assert np.array_equal(sums, ref_sums)
+            assert np.array_equal(counts, ref_counts)
+        binless_sums, binless_counts = bin_stats_matrix(inc, np.empty(0))
+        assert binless_counts.tolist() == [[9]] * 40
 
     def test_merge(self):
         a = BinStats([1.0, 2.0], [1, 2], 1.0)
@@ -123,6 +153,17 @@ class TestLoglikRatioParams:
         new = ModelParams(1.7, 2.0)
         expected = -(1.7 - 1.0) * 4.2 + 3.0 * 2.0 * math.log(1.7 / 1.0)
         assert loglik_ratio_params(s, old, new) == pytest.approx(expected, rel=1e-12)
+
+    def test_passed_masses_give_the_same_floats(self):
+        s = self.stats()
+        old = model(edges=(1.0, 2.0), slopes=(0.1, 0.2), intercepts=(0.0, -0.1))
+        new = model(alpha=1.3, edges=(1.0, 2.0), slopes=(-0.2, 0.4), intercepts=(0.5, -0.1))
+        assert bin_masses(old) == tuple(nu_bin_mass(old, k) for k in (1, 2))
+        assert (compensator_diff(old, new, bin_masses(old), bin_masses(new))
+                == compensator_diff(old, new))
+        assert (loglik_ratio_params(s, old, new, bin_masses(old), bin_masses(new))
+                == loglik_ratio_params(s, old, new))
+        assert psi_log(s, new, bin_masses(new)) == psi_log(s, new)
 
     def test_beta_mismatch_rejected(self):
         s = self.stats()
@@ -217,6 +258,22 @@ class TestLoglikRatioPath:
         beyond = old_s + np.array([[0.0, 0.0], [0.0, 4e-8]])
         with pytest.raises(ContractError):
             loglik_ratio_path(beyond, counts, old_s, counts, p)
+
+
+    def test_nan_row_total_rejected(self):
+        # NaN compares False against the tolerance; it must still count as a mismatch
+        p = model(slopes=(0.3,), intercepts=(0.2,))
+        sums = np.array([[1.0, 3.0], [2.0, 2.0]])
+        counts = np.array([[5, 2], [4, 3]])
+        nan_row = sums.copy()
+        nan_row[1, 0] = np.nan
+        with pytest.raises(ContractError):
+            loglik_ratio_path(nan_row, counts, sums, counts, p)
+        with pytest.raises(ContractError):
+            loglik_ratio_path(sums, counts, nan_row, counts, p)
+        with pytest.raises(ContractError):
+            loglik_ratio_path(nan_row[:, :1], counts[:, :1], sums[:, :1], counts[:, :1],
+                              ModelParams(1.0, 1.0))
 
 
 class TestPsiLog:

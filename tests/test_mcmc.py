@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import gammasub as g
+from gammasub import mcmc
+from gammasub.likelihood import bin_stats_matrix
 from gammasub.mcmc import (
     chain_csv_header,
     read_chain_csv,
@@ -15,6 +17,7 @@ from gammasub.mcmc import (
     write_chain_csv,
     write_meta_json,
 )
+from gammasub.paths import bridge_rows
 
 
 def gamma_obs(n=20, dt=1.0, beta=1.0, alpha=2.0, seed=7):
@@ -76,12 +79,34 @@ class TestRefreshSegments:
         state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]))
         for _ in range(5):
             g.refresh_segments(state)
-        from gammasub.likelihood import bin_stats_matrix
         sums, counts = bin_stats_matrix(state.increments, state.params.bin_edges)
         assert np.allclose(sums, state.seg_sums)
         assert np.array_equal(counts, state.seg_counts)
         assert np.allclose(state.increments.sum(axis=1), state.obs.increments,
                            rtol=1e-14, atol=0)
+
+    def test_rejected_rows_keep_their_path_and_stats(self):
+        class RejectEveryThird:
+            def uniform(self, size):
+                return np.where(np.arange(size) % 3 == 0, np.inf, 1e-300)
+
+        params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
+        state = basic_state(params=params, seed=13)
+        twin = basic_state(params=params, seed=13)
+        old_inc, old_sums, old_counts = (
+            state.increments.copy(), state.seg_sums.copy(), state.seg_counts.copy())
+        proposal = bridge_rows(twin.rng_path, params.beta * twin.sub_spans(),
+                               twin.obs.increments, twin.m)
+        new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
+        state.rng_accept = RejectEveryThird()
+        g.refresh_segments(state)
+        rejected = np.arange(state.n_segments) % 3 == 0
+        assert np.array_equal(state.segment_accepts, ~rejected)
+        for got, old, new in ((state.increments, old_inc, proposal),
+                              (state.seg_sums, old_sums, new_sums),
+                              (state.seg_counts, old_counts, new_counts)):
+            assert np.array_equal(got[rejected], old[rejected])
+            assert np.array_equal(got[~rejected], new[~rejected])
 
     def test_acceptance_depends_only_on_perturbed_bins(self):
         # same slopes/intercepts, different alpha: identical decisions
@@ -210,8 +235,8 @@ class TestUpdateBeta:
             def normal(self):
                 return -1.0
 
-            def beta(self, a, b):
-                return np.zeros(np.shape(a))
+            def beta(self, a, b, size):
+                return np.zeros(size)
 
             def uniform(self):
                 return 1e-300
@@ -239,6 +264,69 @@ class TestUpdateBeta:
                 assert state.params.beta == before
                 rejections += 1
         assert rejections > 0
+
+
+class TestParamTerms:
+    def test_cache_matches_fresh_evaluation_every_sweep(self, monkeypatch):
+        params = g.ModelParams(1.0, 1.0, [0.3, 1.0], [0.0, 0.0], [0.0, 0.0])
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
+                            beta=g.Prior("uniform", 0.05, 50.0),
+                            theta=(g.Prior("normal", 0, 1.0),) * 2,
+                            rho=(g.Prior("normal", 0, 1.5),) * 2)
+        prop = g.ProposalSpec(sigma_beta=0.1)
+        state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17)
+        proposed = []
+        propose = mcmc._propose_params
+
+        def recording(*args):
+            proposed.append(propose(*args))
+            return proposed[-1]
+
+        monkeypatch.setattr(mcmc, "_propose_params", recording)
+        checked = accepted_params = accepted_beta = 0
+        for _ in range(300):
+            g.refresh_segments(state)
+            before, stats = state.params, state.total_stats()
+            g.update_params(state, prop, prior)
+            accepted_params += state.accept_params
+            if math.isfinite(state.logr_params):
+                cand = proposed[-1]
+                # the from-scratch formula of test_logged_ratio_matches_manual_recompute
+                expected = (g.loglik_ratio_params(stats, before, cand)
+                            + g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, before))
+                assert state.logr_params == expected
+                checked += 1
+            g.update_beta(state, prop, prior)
+            accepted_beta += state.accept_beta
+            terms = state.terms
+            assert terms.params is state.params and terms.prior is prior
+            assert terms.masses == (g.nu_bin_mass(state.params, 1), g.nu_bin_mass(state.params, 2))
+            assert terms.log_prior == g.prior_logpdf(prior, state.params)
+        assert checked > 250
+        assert 0 < accepted_params < 300 and 0 < accepted_beta < 300
+
+
+class TestNonFiniteRatios:
+    prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0))
+
+    def test_nan_parameter_ratio_raises(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "loglik_ratio_params", lambda *args: math.nan)
+        with pytest.raises(g.ContractError, match="NaN"):
+            g.update_params(basic_state(), g.ProposalSpec(), self.prior)
+
+    def test_nan_beta_ratio_raises(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "psi_log", lambda *args: math.nan)
+        with pytest.raises(g.ContractError, match="NaN"):
+            g.update_beta(basic_state(), g.ProposalSpec(), self.prior)
+
+    def test_minus_inf_ratio_is_a_rejection(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "loglik_ratio_params", lambda *args: -math.inf)
+        state = basic_state()
+        params = state.params
+        g.update_params(state, g.ProposalSpec(), self.prior)
+        assert state.accept_params is False
+        assert state.logr_params == -math.inf
+        assert state.params is params
 
 
 class TestReparam:

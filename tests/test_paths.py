@@ -262,6 +262,50 @@ class TestRowKernels:
         assert pinned[1].tolist() == [0.0, 0.0]
         assert np.all(pinned[2] > 0) and pinned[2].sum() == 1.0
 
+    def test_pin_rows_matches_three_temporary_formula(self):
+        rng = np.random.default_rng(8)
+        raw = rng.gamma(0.05, size=(50, 7))
+        raw[3] = 0.0
+        raw[4, :3] = 0.0
+        raw[5, :2] = [5e-324, 1e-310]
+        targets = rng.uniform(0.1, 5.0, size=50)
+        before = raw.copy()
+        pinned, degenerate = pin_rows(raw, targets)
+        clamped = np.maximum(raw, np.finfo(float).tiny)
+        expected = targets[:, None] * clamped / clamped.sum(axis=1, keepdims=True)
+        expected[3] = 0.0
+        assert np.array_equal(pinned, expected)
+        assert np.flatnonzero(degenerate).tolist() == [3]
+        assert np.array_equal(raw, before)
+
+    def test_scalar_and_array_parameters_draw_the_same_variates(self):
+        def gen():
+            return np.random.Generator(np.random.Philox(12))
+
+        size = (30, 6)
+        assert np.array_equal(gen().gamma(0.3, size=size), gen().gamma(np.full(size, 0.3)))
+        assert np.array_equal(gen().gamma(0.3, scale=0.5, size=size),
+                              gen().gamma(np.full(size, 0.3), scale=0.5))
+        assert np.array_equal(gen().beta(0.4, 1.7, size=size),
+                              gen().beta(np.full(size, 0.4), np.full(size, 1.7)))
+
+    def test_kernels_draw_the_per_entry_variates(self):
+        # equal spans collapse to one scalar parameter, distinct spans do not;
+        # either way the kernels equal draws from the full per-entry arrays
+        def gen():
+            return np.random.Generator(np.random.Philox(21))
+
+        inc = np.random.default_rng(9).gamma(0.5, size=(20, 5))
+        targets = inc.sum(axis=1)
+        for h in (np.full((20, 1), 0.25), np.linspace(0.1, 0.5, 20)[:, None]):
+            full = np.broadcast_to(h, inc.shape)
+            bridge, _ = pin_rows(gen().gamma(0.7 * full), targets)
+            assert np.array_equal(bridge_rows(gen(), 0.7 * h, targets, 5), bridge)
+            up = inc + gen().gamma((1.6 - 1.0) * full, scale=1.0 / 2.0)
+            assert np.array_equal(augment_rows(gen(), inc, h, 1.0, 1.6, 2.0), up)
+            down = inc * gen().beta(0.4 * full, (1.0 - 0.4) * full)
+            assert np.array_equal(thin_rows(gen(), inc, h, 1.0, 0.4), down)
+
     def test_bridge_rows_redraws_only_the_degenerate_row(self):
         class FirstDrawRowZero:
             """Real Gamma draws, except that row 1 of the first draw is all zeros."""
@@ -270,8 +314,8 @@ class TestRowKernels:
                 self.rng = np.random.default_rng(5)
                 self.draws = []
 
-            def gamma(self, shape):
-                out = self.rng.gamma(shape)
+            def gamma(self, shape, size):
+                out = self.rng.gamma(shape, size=size)
                 if not self.draws:
                     out[1] = 0.0
                 self.draws.append(out.copy())
@@ -279,7 +323,7 @@ class TestRowKernels:
 
         rng = FirstDrawRowZero()
         targets = np.array([1.0, 2.0, 3.0])
-        out = bridge_rows(rng, np.full((3, 4), 0.5), targets)
+        out = bridge_rows(rng, np.full((3, 4), 0.5), targets, 4)
         assert [d.shape for d in rng.draws] == [(3, 4), (1, 4)]
         kept, _ = pin_rows(rng.draws[0][[0, 2]], targets[[0, 2]])
         assert np.array_equal(out[[0, 2]], kept)
@@ -292,13 +336,13 @@ class TestRowKernels:
         class AllZero:
             calls = 0
 
-            def gamma(self, shape):
+            def gamma(self, shape, size):
                 self.calls += 1
-                return np.zeros(np.shape(shape))
+                return np.zeros(size)
 
         rng = AllZero()
         with pytest.raises(DegeneratePathError):
-            bridge_rows(rng, np.full((2, 3), 0.5), np.array([1.0, 1.0]))
+            bridge_rows(rng, np.full((2, 3), 0.5), np.array([1.0, 1.0]), 3)
         assert rng.calls == 1 + 100
 
     def test_path_functions_are_one_row_views(self):
@@ -310,7 +354,7 @@ class TestRowKernels:
         down = thin_rows(np.random.Generator(np.random.Philox(5)), row, h, 1.5, 0.5)
         assert np.array_equal(thin_path(path, 1.5, 0.5, 5).increments, down[0])
         bridge = bridge_rows(np.random.Generator(np.random.Philox(6)), 1.5 * h[None, :],
-                             np.array([2.0]))
+                             np.array([2.0]), h.size)
         assert np.array_equal(sample_gamma_bridge(1.5, 2.0, grid, 1.0, 3.0, 6).increments,
                               bridge[0])
 
