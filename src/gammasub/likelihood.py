@@ -42,8 +42,8 @@ class BinStats:
     horizon: float
 
     def __post_init__(self):
-        sums = np.asarray(self.sums, dtype=float).reshape(-1).copy()
-        counts = np.asarray(self.counts, dtype=np.int64).reshape(-1).copy()
+        sums = np.asarray(self.sums, dtype=float).flatten()
+        counts = np.asarray(self.counts, dtype=np.int64).flatten()
         sums.flags.writeable = False
         counts.flags.writeable = False
         object.__setattr__(self, "sums", sums)
@@ -51,7 +51,7 @@ class BinStats:
         object.__setattr__(self, "horizon", float(self.horizon))
         if sums.size != counts.size or sums.size == 0:
             raise DomainError("sums and counts must be equal-length, non-empty")
-        if np.any(sums < 0) or np.any(counts < 0):
+        if (sums < 0).any() or (counts < 0).any():
             raise DomainError("sums and counts must be non-negative")
         if not self.horizon > 0:
             raise DomainError(f"horizon must be > 0, got {self.horizon}")

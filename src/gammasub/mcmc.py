@@ -8,9 +8,18 @@ segment and re-pins it to the observations.
 
 Segments are held internally as an (n_segments, m) increment matrix, which
 the row kernels of `paths` draw, pin and transform, with cached per-segment
-bin statistics; all per-segment randomness is drawn in
-fixed-layout blocks from dedicated splittable streams, so the result is
-independent of the order in which segments are processed.
+bin statistics and their totals over all segments; all per-segment
+randomness is drawn in fixed-layout blocks from dedicated splittable
+streams, so the result is independent of the order in which segments are
+processed.
+
+On a binless model (theta identically 0) the refresh is skipped: every
+bridge's path log ratio is exactly 0, so every proposal would be accepted,
+and nothing downstream reads the fresh bridges.  The parameter move reads
+only the total displacement S_0, which the data fix, and the beta move's
+psi term is identically 0.  The refresh is an exact draw from the path's
+conditional there, so leaving it out keeps every other move's target, and
+the parameter chain's law, unchanged.
 """
 
 import json
@@ -138,6 +147,7 @@ class ChainState:
     logr_beta: float = math.nan
     segment_accepts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     terms: ParamTerms | None = None     # of params; filled by the first move that needs it
+    totals: tuple | None = None         # (seg_sums, seg_counts, BinStats of their totals)
 
     @property
     def n_segments(self) -> int:
@@ -152,8 +162,17 @@ class ChainState:
         return (self.grid.spans / self.grid.m)[:, None]
 
     def total_stats(self) -> BinStats:
-        return BinStats(self.seg_sums.sum(axis=0), self.seg_counts.sum(axis=0),
-                        self.grid.horizon)
+        """Bin sums and counts over all segments, reduced once per pair of segment arrays.
+
+        The cache is keyed on the identity of seg_sums and seg_counts: every
+        change of the segment statistics assigns new arrays.
+        """
+        totals = self.totals
+        if totals is None or totals[0] is not self.seg_sums or totals[1] is not self.seg_counts:
+            totals = self.totals = (self.seg_sums, self.seg_counts,
+                                    BinStats(self.seg_sums.sum(axis=0),
+                                             self.seg_counts.sum(axis=0), self.grid.horizon))
+        return totals[2]
 
     def segment_paths(self) -> list[GridPath]:
         """Materialize the segments as GridPath objects (diagnostic view)."""
@@ -209,8 +228,19 @@ def refresh_segments(state: ChainState) -> ChainState:
     decisions do not depend on the order in which segments are visited.
     Nearly every proposal is accepted, so the proposal arrays become the
     state after the few rejected rows are copied back into them.
+
+    On a binless model the refresh is an exact no-op and draws nothing: the
+    path ratio is identically 0, which is >= ln(U) for every U in (0, 1), so
+    every segment is reported accepted, as the full refresh would report.
+    The fresh bridges would never be read: the parameter move sees only the
+    data-fixed total S_0, and psi is 0.  The increments and their cached
+    statistics are left as they are.
     """
     params = state.params
+    if params.n_bins == 0:
+        state.segment_accepts = np.ones(state.n_segments, dtype=bool)
+        state.accept_path_rate = 1.0
+        return state
     proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans(),
                            state.obs.increments, state.m)
     new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
@@ -362,11 +392,9 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         - np.sum(gammaln(shape_new) - gammaln(shape_old))
     )
     masses = bin_masses(candidate)
-    psi_diff = (
-        psi_log(BinStats(new_sums.sum(axis=0), new_counts.sum(axis=0), state.grid.horizon),
-                candidate, masses)
-        - psi_log(state.total_stats(), params, current.masses)
-    )
+    new_stats = BinStats(new_sums.sum(axis=0), new_counts.sum(axis=0), state.grid.horizon)
+    psi_diff = (psi_log(new_stats, candidate, masses)
+                - psi_log(state.total_stats(), params, current.masses))
     log_ratio = float(lp_diff + ptilde_diff + psi_diff)
     state.logr_beta = log_ratio
     if math.isnan(log_ratio):
@@ -377,6 +405,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         state.increments = repinned
         state.seg_sums = new_sums
         state.seg_counts = new_counts
+        state.totals = (new_sums, new_counts, new_stats)
         state.accept_beta = True
     return state
 
@@ -409,7 +438,8 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
              grid: TimeGrid | None = None) -> Iterator[ChainRecord]:
     """Run the sampler and yield one ChainRecord per retained iteration.
 
-    Every sweep refreshes all segments, then runs the scheduled block update;
+    Every sweep refreshes all segments (a no-op on a binless model, see
+    refresh_segments), then runs the scheduled block update;
     when no explicit beta stage is scheduled and beta is random, the beta
     move additionally fires every beta_move_period-th sweep.  burn_in
     defaults to 10 percent of iterations; records are emitted post burn-in

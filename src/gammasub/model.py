@@ -32,7 +32,7 @@ __all__ = [
 
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).reshape(-1).copy()
+    arr = np.asarray(values, dtype=dtype).flatten()
     arr.flags.writeable = False
     return arr
 
@@ -68,7 +68,7 @@ class ModelParams:
             raise DomainError(f"beta must be finite and > 0, got {self.beta}")
         edges = self.bin_edges
         if edges.size:
-            if not np.all(np.isfinite(edges)) or edges[0] <= 0 or np.any(np.diff(edges) <= 0):
+            if not np.isfinite(edges).all() or edges[0] <= 0 or (edges[1:] <= edges[:-1]).any():
                 raise DomainError("bin_edges must be strictly increasing positive reals")
         n = edges.size
         if self.theta_slopes.size != n or self.theta_intercepts.size != n:
@@ -76,7 +76,7 @@ class ModelParams:
                 f"need {n} slopes and intercepts for {n} bin edges, got "
                 f"{self.theta_slopes.size} and {self.theta_intercepts.size}"
             )
-        if not (np.all(np.isfinite(self.theta_slopes)) and np.all(np.isfinite(self.theta_intercepts))):
+        if not (np.isfinite(self.theta_slopes).all() and np.isfinite(self.theta_intercepts).all()):
             raise DomainError("theta slopes and intercepts must be finite")
 
     @property

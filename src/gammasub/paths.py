@@ -193,7 +193,9 @@ def pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarr
     has nothing to rescale: it is flagged in the degenerate mask and pinned
     to zeros.  raw is not modified.
     """
-    degenerate = raw.sum(axis=1) == 0.0
+    # a row of non-negative floats sums to zero, in any order, only when every
+    # entry is zero, so a product with ones is an exact (and cheaper) test
+    degenerate = raw @ np.ones(raw.shape[1]) == 0.0
     pinned = np.maximum(raw, _TINY)
     total = pinned.sum(axis=1, keepdims=True)
     # targets * clamped / total, evaluated in place

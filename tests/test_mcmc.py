@@ -8,7 +8,7 @@ import pytest
 
 import gammasub as g
 from gammasub import mcmc
-from gammasub.likelihood import bin_stats_matrix
+from gammasub.likelihood import bin_stats_matrix, loglik_ratio_path
 from gammasub.mcmc import (
     chain_csv_header,
     read_chain_csv,
@@ -117,6 +117,71 @@ class TestRefreshSegments:
         g.refresh_segments(a)
         g.refresh_segments(b)
         assert np.array_equal(a.segment_accepts, b.segment_accepts)
+
+
+class NoDraws:
+    """A stream that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} from a stream the refresh must not use")
+
+
+class TestBinlessRefresh:
+    prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0))
+
+    def test_draws_nothing_and_accepts_every_segment(self):
+        state = basic_state(obs=gamma_obs(n=30, seed=5), seed=19)
+        state.rng_path = state.rng_accept = NoDraws()
+        arrays = (state.increments, state.seg_sums, state.seg_counts)
+        copies = tuple(a.copy() for a in arrays)
+        assert not state.segment_accepts.any()
+        g.refresh_segments(state)
+        for got, same, copy in zip((state.increments, state.seg_sums, state.seg_counts),
+                                   arrays, copies):
+            assert got is same
+            assert np.array_equal(got, copy)
+        assert state.accept_path_rate == 1.0
+        assert state.segment_accepts.shape == (state.n_segments,)
+        assert state.segment_accepts.dtype == bool and state.segment_accepts.all()
+
+    def test_binned_refresh_still_draws(self):
+        # a bin with zero theta still needs fresh bridges: its S_k and C_k move
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.0], [0.0]))
+        state.rng_path = state.rng_accept = NoDraws()
+        with pytest.raises(AssertionError, match="drew"):
+            g.refresh_segments(state)
+
+    def test_totals_are_reduced_once_per_chain(self):
+        state = basic_state(seed=3)
+        totals = state.total_stats()
+        for _ in range(20):
+            g.refresh_segments(state)
+            g.update_params(state, g.ProposalSpec(), self.prior)
+        assert state.total_stats() is totals
+
+    def test_run_matches_the_full_refresh(self):
+        obs = gamma_obs(n=200, seed=29)
+        params0 = g.ModelParams(1.0, 1.0)
+        prop = g.ProposalSpec(sigma_alpha=0.1)
+        recs = list(g.run_mcmc(obs, params0, self.prior, prop, iterations=300, burn_in=0,
+                               seed=37, m=4))
+        state = g.init_chain(obs, params0, g.TimeGrid(obs.times, 4), 37)
+        for r in recs:
+            # the refresh as it ran before the binless shortcut
+            params = state.params
+            proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans(),
+                                   state.obs.increments, state.m)
+            sums, counts = bin_stats_matrix(proposal, params.bin_edges)
+            log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
+            accept = log_ratio >= np.log(state.rng_accept.uniform(size=state.n_segments))
+            state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
+            g.update_params(state, prop, self.prior)
+            assert r.alpha == state.params.alpha
+            assert r.accept_params == state.accept_params
+            assert r.accept_path_rate == float(accept.mean()) == 1.0
+            assert r.logr_params == pytest.approx(state.logr_params, rel=0, abs=1e-9)
+        assert len(recs) == 300
+        assert 0 < sum(r.accept_params for r in recs) < 300
 
 
 class TestUpdateParams:
@@ -304,6 +369,30 @@ class TestParamTerms:
             assert terms.log_prior == g.prior_logpdf(prior, state.params)
         assert checked > 250
         assert 0 < accepted_params < 300 and 0 < accepted_beta < 300
+
+
+class TestSegmentTotals:
+    def test_cache_matches_fresh_reduction_every_sweep(self):
+        params = g.ModelParams(1.0, 1.0, [0.3, 1.0], [0.0, 0.0], [0.0, 0.0])
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
+                            beta=g.Prior("uniform", 0.05, 50.0),
+                            theta=(g.Prior("normal", 0, 1.0),) * 2,
+                            rho=(g.Prior("normal", 0, 1.5),) * 2)
+        prop = g.ProposalSpec(sigma_beta=0.1)
+        state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17)
+        accepted_beta = 0
+        for _ in range(300):
+            g.refresh_segments(state)
+            g.update_params(state, prop, prior)
+            g.update_beta(state, prop, prior)
+            if state.accept_beta:
+                # the move hands over the totals it computed for psi_log
+                assert state.totals[0] is state.seg_sums and state.totals[1] is state.seg_counts
+                accepted_beta += 1
+            stats = state.total_stats()
+            assert np.array_equal(stats.sums, state.seg_sums.sum(axis=0))
+            assert np.array_equal(stats.counts, state.seg_counts.sum(axis=0))
+        assert 0 < accepted_beta < 300
 
 
 class TestNonFiniteRatios:
