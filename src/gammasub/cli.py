@@ -24,7 +24,7 @@ from .data import (
     write_observations_csv,
 )
 from .exceptions import GammasubError
-from .mcmc import read_chain_csv, run_mcmc, write_chain_csv, write_meta_json
+from .mcmc import active_segments, read_chain_csv, run_mcmc, write_chain_csv, write_meta_json
 
 
 def _add_simulate(sub):
@@ -119,9 +119,12 @@ def cmd_fit(args) -> int:
         "thinning": str(args.thinning),
         "seed": str(args.seed),
     })
+    # how many segments a sweep redraws; the others are inert (see refresh_segments)
+    segments = {"total": obs.n_increments,
+                "refreshed": int(active_segments(obs.increments, cfg.params0.bin_edges).size)}
     with open(out_dir / "meta.json", "w") as fh:
         write_meta_json(fh, config_echo=echo, records=records,
-                        extra={"runtime_seconds": round(elapsed, 3)})
+                        extra={"runtime_seconds": round(elapsed, 3), "segments": segments})
     print(f"wrote {out_dir / 'chain.csv'} ({len(records)} records, {elapsed:.1f}s) "
           f"and {out_dir / 'meta.json'}")
     return 0

@@ -206,7 +206,7 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
     return -(d_sums[..., 1:] @ params.theta_slopes + d_counts[..., 1:] @ params.theta_intercepts)
 
 
-def psi_log(stats: BinStats, params: ModelParams, masses=None) -> float:
+def psi_log(stats: BinStats, params: ModelParams, masses=None, ref_masses=None) -> float:
     """Log-density of the model's path law against its Gamma reference.
 
     The reference shares (beta, alpha) and has all slopes and intercepts
@@ -215,15 +215,17 @@ def psi_log(stats: BinStats, params: ModelParams, masses=None) -> float:
         psi = -sum_k th_k * S_k - sum_k rho_k * C_k
               - T * sum_{k=1..N} (nu - nu_ref)(B_k).
 
-    masses are the bin_masses of params when the caller already has them.
+    masses and ref_masses are the bin_masses of params and of its reference
+    when the caller already has them.
     """
     _check_stats_match(stats, params)
     if params.n_bins == 0:
         return 0.0
     if masses is None:
         masses = bin_masses(params)
-    reference = params.gamma_reference()
-    comp = sum(mass - nu_bin_mass(reference, k) for k, mass in enumerate(masses, start=1))
+    if ref_masses is None:
+        ref_masses = bin_masses(params.gamma_reference())
+    comp = sum(mass - ref for mass, ref in zip(masses, ref_masses))
     return -float(
         params.theta_slopes @ stats.sums[1:]
         + params.theta_intercepts @ stats.counts[1:]

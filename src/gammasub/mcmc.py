@@ -13,18 +13,21 @@ randomness is drawn in fixed-layout blocks from dedicated splittable
 streams, so the result is independent of the order in which segments are
 processed.
 
-On a binless model (theta identically 0) the refresh is skipped: every
-bridge's path log ratio is exactly 0, so every proposal would be accepted,
-and nothing downstream reads the fresh bridges.  The parameter move reads
-only the total displacement S_0, which the data fix, and the beta move's
-psi term is identically 0.  The refresh is an exact draw from the path's
-conditional there, so leaving it out keeps every other move's target, and
-the parameter chain's law, unchanged.
+A segment whose observed increment is below the first bin edge b_1 is
+inert: every sub-step of its bridge lies in B_0, where theta is 0, so its
+path log ratio is exactly 0 and a fresh bridge would always be accepted.
+Nothing downstream reads that bridge.  The parameter move reads only the
+segment's share of the total displacement S_0, which the data fix, and the
+beta move's psi term reads only bins k >= 1, which augmenting or thinning
+and re-pinning the segment cannot reach.  The refresh is an exact draw from
+the path's conditional, so redrawing only the active segments keeps every
+move's target, and the parameter chain's law, unchanged.  On a binless
+model every segment is inert and the refresh draws nothing.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -42,6 +45,7 @@ __all__ = [
     "ChainState",
     "ChainRecord",
     "ParamTerms",
+    "active_segments",
     "init_chain",
     "refresh_segments",
     "update_params",
@@ -55,6 +59,10 @@ __all__ = [
 ]
 
 _STAGES = ("params", "beta")
+
+# pin_rows can put a sub-step a few ulps above its row target, so a segment
+# is active from this far (relative) below the first bin edge
+_PIN_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,13 +124,15 @@ class ParamTerms:
 
     The sampler keeps these for its current parameters, so that a move
     evaluates them only for its candidate; an accepted move hands over the
-    candidate's terms.
+    candidate's terms.  ref_masses, the bin masses of the Gamma reference
+    that psi_log subtracts, are needed only by the beta move.
     """
 
     params: ModelParams
     prior: PriorSpec
     log_prior: float
     masses: tuple[float, ...]
+    ref_masses: tuple[float, ...] | None = None   # of the Gamma reference; filled by a beta move
 
 
 @dataclass
@@ -139,6 +149,7 @@ class ChainState:
     rng_accept: np.random.Generator
     rng_params: np.random.Generator
     rng_beta: np.random.Generator
+    active: np.ndarray                  # indices of the segments the refresh redraws
     iteration: int = 0
     accept_path_rate: float = math.nan
     accept_params: bool | None = None
@@ -164,8 +175,9 @@ class ChainState:
     def total_stats(self) -> BinStats:
         """Bin sums and counts over all segments, reduced once per pair of segment arrays.
 
-        The cache is keyed on the identity of seg_sums and seg_counts: every
-        change of the segment statistics assigns new arrays.
+        The cache is keyed on the identity of seg_sums and seg_counts: a
+        change of the segment statistics assigns new arrays, or, in the
+        refresh, writes rows in place and clears the cache.
         """
         totals = self.totals
         if totals is None or totals[0] is not self.seg_sums or totals[1] is not self.seg_counts:
@@ -200,6 +212,19 @@ def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.Philox(s)) for s in root.spawn(4))
 
 
+def active_segments(deltas: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
+    """Indices of the segments whose observed increment can reach a bin k >= 1.
+
+    A segment is active when its increment is at least the first bin edge
+    b_1, less a relative margin of 1e-12 for pin rounding.  Every sub-step of
+    the other, inert, segments lies in B_0 whatever the bridge; a binless
+    model has no active segment.
+    """
+    if bin_edges.size == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(deltas >= bin_edges[0] * (1.0 - _PIN_MARGIN))
+
+
 def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) -> ChainState:
     """Build the starting state: Gamma bridges connecting the observations."""
     if not np.array_equal(grid.times, obs.times):
@@ -216,45 +241,52 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
         seg_sums=sums, seg_counts=counts,
         rng_path=rng_path, rng_accept=rng_accept,
         rng_params=rng_params, rng_beta=rng_beta,
+        active=active_segments(deltas, params0.bin_edges),
         segment_accepts=np.zeros(deltas.size, dtype=bool),
     )
 
 
 def refresh_segments(state: ChainState) -> ChainState:
-    """Propose a fresh Gamma bridge per segment and accept independently.
+    """Propose a fresh Gamma bridge per active segment and accept independently.
 
     The acceptance for segment i compares the endpoint-matched path ratio to
-    ln(U_i).  Noise and uniforms are drawn in one fixed-layout block, so the
-    decisions do not depend on the order in which segments are visited.
-    Nearly every proposal is accepted, so the proposal arrays become the
-    state after the few rejected rows are copied back into them.
+    ln(U_i).  Noise and uniforms are drawn in one fixed-layout block over the
+    active segments, so the decisions do not depend on the order in which
+    segments are visited.  Accepted rows are written into the state's
+    arrays in place.
 
-    On a binless model the refresh is an exact no-op and draws nothing: the
-    path ratio is identically 0, which is >= ln(U) for every U in (0, 1), so
-    every segment is reported accepted, as the full refresh would report.
-    The fresh bridges would never be read: the parameter move sees only the
-    data-fixed total S_0, and psi is 0.  The increments and their cached
-    statistics are left as they are.
+    An inert segment (see active_segments) is not redrawn and is reported
+    accepted, as the full refresh would report: its sub-steps all lie in
+    B_0, where theta is 0, so its path ratio is exactly 0, which is >= ln(U)
+    for every U in (0, 1).  Its fresh bridge would never be read: the
+    parameter move sees only its share of the data-fixed total S_0, and psi
+    reads only bins k >= 1, which the segment stays out of through every
+    beta move's augment/thin and re-pin.  A binless model has no active
+    segment, so its refresh draws nothing.
     """
-    params = state.params
-    if params.n_bins == 0:
-        state.segment_accepts = np.ones(state.n_segments, dtype=bool)
-        state.accept_path_rate = 1.0
-        return state
-    proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans(),
-                           state.obs.increments, state.m)
-    new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
-    log_ratio = loglik_ratio_path(new_sums, new_counts, state.seg_sums, state.seg_counts, params)
-    log_u = np.log(state.rng_accept.uniform(size=state.n_segments))
-    accept = log_ratio >= log_u
-    reject = ~accept
-    if reject.any():
-        proposal[reject] = state.increments[reject]
-        new_sums[reject] = state.seg_sums[reject]
-        new_counts[reject] = state.seg_counts[reject]
-    state.increments, state.seg_sums, state.seg_counts = proposal, new_sums, new_counts
+    active = state.active
+    accept = np.ones(state.n_segments, dtype=bool)
+    n_rejected = 0
+    if active.size:
+        params = state.params
+        proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans()[active],
+                               state.obs.increments[active], state.m)
+        new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
+        log_ratio = loglik_ratio_path(new_sums, new_counts, state.seg_sums[active],
+                                      state.seg_counts[active], params)
+        accepted = log_ratio >= np.log(state.rng_accept.uniform(size=active.size))
+        n_rejected = active.size - int(np.count_nonzero(accepted))
+        if n_rejected < active.size:
+            rows = active[accepted]
+            state.increments[rows] = proposal[accepted]
+            state.seg_sums[rows] = new_sums[accepted]
+            state.seg_counts[rows] = new_counts[accepted]
+            state.totals = None
+        accept[active] = accepted
     state.segment_accepts = accept
-    state.accept_path_rate = float(accept.mean())
+    # accept.mean() bit for bit (a quotient of exact counts), without reducing
+    # the whole mask: a binless sweep takes tens of µs
+    state.accept_path_rate = (accept.size - n_rejected) / accept.size
     return state
 
 
@@ -309,6 +341,11 @@ def _current_terms(state: ChainState, prior: PriorSpec) -> ParamTerms:
         terms = state.terms = ParamTerms(state.params, prior, prior_logpdf(prior, state.params),
                                          bin_masses(state.params))
     return terms
+
+
+def _reference_masses(params: ModelParams) -> tuple[float, ...]:
+    """bin_masses of params' Gamma reference, which psi_log subtracts."""
+    return bin_masses(params.gamma_reference()) if params.n_bins else ()
 
 
 def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> ChainState:
@@ -391,17 +428,20 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         np.sum((shape_new - shape_old) * (math.log(params.alpha) + np.log(deltas)))
         - np.sum(gammaln(shape_new) - gammaln(shape_old))
     )
+    if current.ref_masses is None:
+        current = state.terms = replace(current, ref_masses=_reference_masses(params))
     masses = bin_masses(candidate)
+    ref_masses = _reference_masses(candidate)
     new_stats = BinStats(new_sums.sum(axis=0), new_counts.sum(axis=0), state.grid.horizon)
-    psi_diff = (psi_log(new_stats, candidate, masses)
-                - psi_log(state.total_stats(), params, current.masses))
+    psi_diff = (psi_log(new_stats, candidate, masses, ref_masses)
+                - psi_log(state.total_stats(), params, current.masses, current.ref_masses))
     log_ratio = float(lp_diff + ptilde_diff + psi_diff)
     state.logr_beta = log_ratio
     if math.isnan(log_ratio):
         raise ContractError(f"beta move gave a NaN log ratio at sweep {state.iteration}")
     if log_ratio >= math.log(rng.uniform()):
         state.params = candidate
-        state.terms = ParamTerms(candidate, prior, lp_new, masses)
+        state.terms = ParamTerms(candidate, prior, lp_new, masses, ref_masses)
         state.increments = repinned
         state.seg_sums = new_sums
         state.seg_counts = new_counts
@@ -438,7 +478,7 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
              grid: TimeGrid | None = None) -> Iterator[ChainRecord]:
     """Run the sampler and yield one ChainRecord per retained iteration.
 
-    Every sweep refreshes all segments (a no-op on a binless model, see
+    Every sweep refreshes the active segments (none on a binless model, see
     refresh_segments), then runs the scheduled block update;
     when no explicit beta stage is scheduled and beta is random, the beta
     move additionally fires every beta_move_period-th sweep.  burn_in

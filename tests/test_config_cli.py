@@ -108,6 +108,8 @@ class TestCliRoundTrip:
         meta = json.loads((out_dir / "meta.json").read_text())
         assert meta["n_records"] == 150
         assert meta["config"]["seed"] == "11"
+        # a binless model has no segment that a sweep redraws
+        assert meta["segments"] == {"total": 50, "refreshed": 0}
 
         fig_dir = tmp_path / "figs"
         rc = main(["diagnose", "--chain", str(out_dir / "chain.csv"),
@@ -132,6 +134,23 @@ class TestCliRoundTrip:
                   "--iterations", "100", "--seed", "7", "--out-dir", str(out)])
             chains.append((out / "chain.csv").read_bytes())
         assert chains[0] == chains[1]
+
+    def test_fit_reports_refreshed_segments(self, tmp_path):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "40", "--n", "100", "--seed", "5",
+              "--out", str(obs_csv)])
+        cfg = tmp_path / "binned.cfg"
+        cfg.write_text(BINNED_CONFIG)
+        out = tmp_path / "run"
+        rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                   "--iterations", "20", "--seed", "7", "--out-dir", str(out)])
+        assert rc == 0
+        from gammasub.data import read_observations_csv
+        deltas = read_observations_csv(obs_csv).increments
+        meta = json.loads((out / "meta.json").read_text())
+        # the segments whose increment reaches the first bin edge, 1
+        assert meta["segments"] == {"total": 100, "refreshed": int((deltas >= 1.0).sum())}
+        assert 0 < meta["segments"]["refreshed"] < 100
 
     def test_diagnose_rerun_byte_identical(self, tmp_path):
         obs_csv = tmp_path / "obs.csv"

@@ -93,20 +93,25 @@ class TestRefreshSegments:
         params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
         state = basic_state(params=params, seed=13)
         twin = basic_state(params=params, seed=13)
+        active = state.active
+        assert 3 < active.size < state.n_segments
         old_inc, old_sums, old_counts = (
             state.increments.copy(), state.seg_sums.copy(), state.seg_counts.copy())
-        proposal = bridge_rows(twin.rng_path, params.beta * twin.sub_spans(),
-                               twin.obs.increments, twin.m)
+        # the twin stream draws the same block: the active segments' bridges
+        proposal = bridge_rows(twin.rng_path, params.beta * twin.sub_spans()[active],
+                               twin.obs.increments[active], twin.m)
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
         state.rng_accept = RejectEveryThird()
         g.refresh_segments(state)
-        rejected = np.arange(state.n_segments) % 3 == 0
-        assert np.array_equal(state.segment_accepts, ~rejected)
+        rejected = np.arange(active.size) % 3 == 0
+        expected = np.ones(state.n_segments, dtype=bool)
+        expected[active[rejected]] = False
+        assert np.array_equal(state.segment_accepts, expected)
         for got, old, new in ((state.increments, old_inc, proposal),
                               (state.seg_sums, old_sums, new_sums),
                               (state.seg_counts, old_counts, new_counts)):
-            assert np.array_equal(got[rejected], old[rejected])
-            assert np.array_equal(got[~rejected], new[~rejected])
+            assert np.array_equal(got[active[rejected]], old[active[rejected]])
+            assert np.array_equal(got[active[~rejected]], new[~rejected])
 
     def test_acceptance_depends_only_on_perturbed_bins(self):
         # same slopes/intercepts, different alpha: identical decisions
@@ -124,6 +129,81 @@ class NoDraws:
 
     def __getattr__(self, name):
         raise AssertionError(f"drew {name} from a stream the refresh must not use")
+
+
+class Recording:
+    """Delegates to a Generator and records the method and size of every draw."""
+
+    def __init__(self, gen):
+        self.gen, self.draws = gen, []
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def draw(*args, size=None, **kwargs):
+            self.draws.append((name, size))
+            return method(*args, size=size, **kwargs)
+        return draw
+
+
+def run_with(refresh, obs, params0, prior, prop, iterations, seed, m):
+    """run_mcmc's loop, with burn_in 0 and thinning 1, around another refresh."""
+    state = g.init_chain(obs, params0, g.TimeGrid(obs.times, m), seed)
+    periodic_beta = prior.beta_is_random and "beta" not in prop.update_schedule
+    for t in range(1, iterations + 1):
+        state.iteration = t
+        state.accept_params = state.accept_beta = None
+        state.logr_params = state.logr_beta = math.nan
+        refresh(state)
+        stage = prop.update_schedule[(t - 1) % len(prop.update_schedule)]
+        (g.update_params if stage == "params" else g.update_beta)(state, prop, prior)
+        if periodic_beta and t % prop.beta_move_period == 0:
+            g.update_beta(state, prop, prior)
+        yield state.record()
+
+
+def full_refresh(state):
+    """The refresh as it ran before inert segments were skipped: one block of every row."""
+    params = state.params
+    proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans(),
+                           state.obs.increments, state.m)
+    sums, counts = bin_stats_matrix(proposal, params.bin_edges)
+    log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
+    accept = log_ratio >= np.log(state.rng_accept.uniform(size=state.n_segments))
+    reject = ~accept
+    proposal[reject] = state.increments[reject]
+    sums[reject] = state.seg_sums[reject]
+    counts[reject] = state.seg_counts[reject]
+    state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
+    state.segment_accepts = accept
+    state.accept_path_rate = float(accept.mean())
+
+
+def refresh_all_from(rng_inert):
+    """A full refresh whose active rows use the sampler's streams and inert rows rng_inert."""
+    def refresh(state):
+        params = state.params
+        active = mcmc.active_segments(state.obs.increments, params.bin_edges)
+        inert = np.setdiff1d(np.arange(state.n_segments), active)
+        shapes, deltas = params.beta * state.sub_spans(), state.obs.increments
+        proposal = np.empty_like(state.increments)
+        proposal[active] = bridge_rows(state.rng_path, shapes[active], deltas[active], state.m)
+        proposal[inert] = bridge_rows(rng_inert, shapes[inert], deltas[inert], state.m)
+        sums, counts = bin_stats_matrix(proposal, params.bin_edges)
+        log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
+        log_u = np.empty(state.n_segments)
+        log_u[active] = np.log(state.rng_accept.uniform(size=active.size))
+        log_u[inert] = np.log(rng_inert.uniform(size=inert.size))
+        accept = log_ratio >= log_u
+        assert (log_ratio[inert] == 0.0).all() and accept[inert].all()
+        reject = ~accept
+        proposal[reject] = state.increments[reject]
+        sums[reject] = state.seg_sums[reject]
+        counts[reject] = state.seg_counts[reject]
+        state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
+        state.segment_accepts = accept
+        state.accept_path_rate = float(accept.mean())
+    return refresh
 
 
 class TestBinlessRefresh:
@@ -167,21 +247,123 @@ class TestBinlessRefresh:
                                seed=37, m=4))
         state = g.init_chain(obs, params0, g.TimeGrid(obs.times, 4), 37)
         for r in recs:
-            # the refresh as it ran before the binless shortcut
-            params = state.params
+            full_refresh(state)
+            g.update_params(state, prop, self.prior)
+            assert r.alpha == state.params.alpha
+            assert r.accept_params == state.accept_params
+            assert r.accept_path_rate == state.accept_path_rate == 1.0
+            assert r.logr_params == pytest.approx(state.logr_params, rel=0, abs=1e-9)
+        assert len(recs) == 300
+        assert 0 < sum(r.accept_params for r in recs) < 300
+
+
+class TestActiveSegments:
+    b1 = 0.9
+    below = float(np.nextafter(0.9, 0.0))
+    # prevfloat(b_1) three times, b_1, a large increment, then inert ones: just
+    # under the margin, half of b_1 and far below it
+    deltas = np.array([below, below, below, b1, 3.0,
+                       np.nextafter(b1 * (1 - 1e-12), 0.0), 0.5 * b1, 1e-3 * b1])
+    n_active = 5
+
+    def state(self, seed=41):
+        obs = g.Observations.from_increments(np.arange(self.deltas.size + 1.0), self.deltas)
+        # Gamma shape beta*h/m = 0.005: one sub-step often takes almost the whole row
+        params = g.ModelParams(2.0, 0.02, [self.b1, 2.0], [0.3, -0.2], [0.4, 0.1])
+        return g.init_chain(obs, params, g.TimeGrid(obs.times, 4), seed)
+
+    def test_inert_rows_never_leave_bin_zero(self):
+        state = self.state()
+        params = state.params
+        assert np.array_equal(state.active, np.arange(self.n_active))
+        inert = np.arange(self.n_active, self.deltas.size)
+        reached = np.zeros(state.n_segments, dtype=bool)
+        for _ in range(300):
+            # the full refresh's proposal for every segment
             proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans(),
                                    state.obs.increments, state.m)
             sums, counts = bin_stats_matrix(proposal, params.bin_edges)
             log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
-            accept = log_ratio >= np.log(state.rng_accept.uniform(size=state.n_segments))
-            state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
-            g.update_params(state, prop, self.prior)
-            assert r.alpha == state.params.alpha
-            assert r.accept_params == state.accept_params
-            assert r.accept_path_rate == float(accept.mean()) == 1.0
-            assert r.logr_params == pytest.approx(state.logr_params, rel=0, abs=1e-9)
-        assert len(recs) == 300
-        assert 0 < sum(r.accept_params for r in recs) < 300
+            assert (counts[inert] == [state.m, 0, 0]).all()
+            assert (log_ratio[inert] == 0.0).all()
+            reached |= counts[:, 1:].any(axis=1)
+        # the margin is needed: pinning can put a sub-step of a row one ulp
+        # below b_1 onto b_1
+        assert reached[:3].any()
+        assert reached[3:5].all()
+
+    def test_refresh_draws_the_active_block_only(self):
+        state = self.state()
+        state.rng_path, state.rng_accept = Recording(state.rng_path), Recording(state.rng_accept)
+        inert = np.arange(self.n_active, self.deltas.size)
+        copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
+        moved = 0
+        for _ in range(20):
+            g.refresh_segments(state)
+            assert state.rng_path.draws == [("gamma", (self.n_active, state.m))]
+            assert state.rng_accept.draws == [("uniform", self.n_active)]
+            state.rng_path.draws.clear()
+            state.rng_accept.draws.clear()
+            assert state.segment_accepts[inert].all()
+            for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
+                assert np.array_equal(got[inert], copy[inert])
+            moved += not np.array_equal(state.increments[:self.n_active],
+                                        copies[0][:self.n_active])
+            sums, counts = bin_stats_matrix(state.increments, state.params.bin_edges)
+            assert np.array_equal(sums, state.seg_sums) and np.array_equal(counts, state.seg_counts)
+            assert np.array_equal(state.total_stats().sums, state.seg_sums.sum(axis=0))
+        assert moved == 20
+
+    @pytest.mark.parametrize("random_beta", [False, True])
+    def test_run_matches_a_refresh_of_every_segment(self, random_beta):
+        obs = gamma_obs(n=60, seed=23)
+        params0 = g.ModelParams(2.0, 1.0, [0.5, 1.0], [0.3, -0.2], [0.2, 0.1])
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
+                            beta=g.Prior("uniform", 0.05, 50.0) if random_beta else None,
+                            theta=(g.Prior("normal", 0, 1.0),) * 2,
+                            rho=(g.Prior("normal", 0, 1.5),) * 2)
+        prop = g.ProposalSpec(sigma_beta=0.05,
+                              update_schedule=("beta", "params") if random_beta else ("params",))
+        recs = list(g.run_mcmc(obs, params0, prior, prop, iterations=400, burn_in=0,
+                               seed=31, m=5))
+        oracle = list(run_with(refresh_all_from(np.random.default_rng(5)),
+                               obs, params0, prior, prop, 400, 31, 5))
+        active = mcmc.active_segments(obs.increments, params0.bin_edges)
+        assert 10 < active.size < 50
+        for r, o in zip(recs, oracle, strict=True):
+            assert (r.alpha, r.beta, r.theta, r.rho) == (o.alpha, o.beta, o.theta, o.rho)
+            assert (r.accept_params, r.accept_beta) == (o.accept_params, o.accept_beta)
+            assert r.accept_path_rate == o.accept_path_rate
+            for a, b in ((r.logr_params, o.logr_params), (r.logr_beta, o.logr_beta)):
+                assert a == b or abs(a - b) <= 1e-9 or (math.isnan(a) and math.isnan(b))
+        assert min(r.accept_path_rate for r in recs) < 1.0
+        assert 0 < sum(bool(r.accept_params) for r in recs) < 400
+        if random_beta:
+            assert 0 < sum(bool(r.accept_beta) for r in recs) < 200
+
+    def test_every_segment_active_gives_the_full_refresh_chain(self):
+        obs = gamma_obs(n=40, seed=9)
+        b1 = 0.9 * float(obs.increments.min())
+        params0 = g.ModelParams(2.0, 1.0, [b1, 0.5], [0.3, -0.2], [0.2, 0.1])
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
+                            beta=g.Prior("uniform", 0.05, 50.0),
+                            theta=(g.Prior("normal", 0, 1.0),) * 2,
+                            rho=(g.Prior("normal", 0, 1.5),) * 2)
+        prop = g.ProposalSpec(sigma_beta=0.05, update_schedule=("params", "beta"))
+        assert mcmc.active_segments(obs.increments, params0.bin_edges).size == 40
+        recs = list(g.run_mcmc(obs, params0, prior, prop, iterations=300, burn_in=0,
+                               seed=3, m=5))
+        oracle = list(run_with(full_refresh, obs, params0, prior, prop, 300, 3, 5))
+        chains = []
+        for records in (recs, oracle):
+            out = io.StringIO()
+            write_chain_csv(records, out, 2)
+            chains.append(out.getvalue().splitlines())
+        assert len(chains[0]) == len(chains[1]) == 301
+        for line, expected in zip(*chains):     # line by line: a diff of the whole text is slow
+            assert line == expected
+        assert min(r.accept_path_rate for r in recs) < 1.0
+        assert 0 < sum(bool(r.accept_beta) for r in recs) < 150
 
 
 class TestUpdateParams:
@@ -348,7 +530,7 @@ class TestParamTerms:
             return proposed[-1]
 
         monkeypatch.setattr(mcmc, "_propose_params", recording)
-        checked = accepted_params = accepted_beta = 0
+        checked = accepted_params = accepted_beta = with_ref = 0
         for _ in range(300):
             g.refresh_segments(state)
             before, stats = state.params, state.total_stats()
@@ -367,7 +549,12 @@ class TestParamTerms:
             assert terms.params is state.params and terms.prior is prior
             assert terms.masses == (g.nu_bin_mass(state.params, 1), g.nu_bin_mass(state.params, 2))
             assert terms.log_prior == g.prior_logpdf(prior, state.params)
-        assert checked > 250
+            if terms.ref_masses is not None:
+                # the Gamma reference's masses, kept from the beta move that last needed them
+                ref = state.params.gamma_reference()
+                assert terms.ref_masses == (g.nu_bin_mass(ref, 1), g.nu_bin_mass(ref, 2))
+                with_ref += 1
+        assert checked > 250 and with_ref > 50
         assert 0 < accepted_params < 300 and 0 < accepted_beta < 300
 
 
