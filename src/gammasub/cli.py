@@ -119,9 +119,13 @@ def cmd_fit(args) -> int:
         "thinning": str(args.thinning),
         "seed": str(args.seed),
     })
-    # how many segments a sweep redraws; the others are inert (see refresh_segments)
-    segments = {"total": obs.n_increments,
-                "refreshed": int(active_segments(obs.increments, cfg.params0.bin_edges).size)}
+    # how many segments a sweep redraws, and their path acceptance; the others
+    # are inert and always accepted (see refresh_segments)
+    n, n_active = obs.n_increments, int(active_segments(obs.increments, cfg.params0.bin_edges).size)
+    rates = [(n_active - n + round(r.accept_path_rate * n)) / n_active
+             for r in records] if n_active else []
+    segments = {"total": n, "refreshed": n_active,
+                "refreshed_accept_rate": float(np.mean(rates)) if rates else None}
     with open(out_dir / "meta.json", "w") as fh:
         write_meta_json(fh, config_echo=echo, records=records,
                         extra={"runtime_seconds": round(elapsed, 3), "segments": segments})

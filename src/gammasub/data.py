@@ -23,6 +23,7 @@ __all__ = [
     "synth_two_gamma",
     "IngestReport",
     "ingest_losses",
+    "ingest_losses_with_report",
     "aggregate_losses",
     "read_observations_csv",
     "write_observations_csv",
@@ -263,7 +264,7 @@ def _parse_loss_rows(stream):
 def ingest_losses(csv_path, aggregation: str = "weekly") -> Observations:
     """Read a (date, loss) CSV and aggregate it into Observations.
 
-    See aggregate_losses for the windowing rules; use that function directly
+    See aggregate_losses for the windowing rules; use ingest_losses_with_report
     when the ingestion report is needed.
     """
     obs, _ = ingest_losses_with_report(csv_path, aggregation)
@@ -271,6 +272,7 @@ def ingest_losses(csv_path, aggregation: str = "weekly") -> Observations:
 
 
 def ingest_losses_with_report(csv_path, aggregation: str = "weekly"):
+    """Read a (date, loss) CSV; return aggregate_losses' (Observations, IngestReport)."""
     with open(csv_path, "r", newline="") as fh:
         rows = _parse_loss_rows(fh)
     return aggregate_losses(rows, aggregation)

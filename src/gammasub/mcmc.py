@@ -3,8 +3,8 @@
 Each sweep refreshes the latent path segments with Gamma bridge proposals,
 then applies the scheduled parameter block updates: a joint correlated
 random walk on (alpha, slopes, intercepts), and, when the activity rate is
-declared random, a transdimensional move that superposes or thins every
-segment and re-pins it to the observations.
+declared random, a transdimensional move that superposes or thins the
+active segments and re-pins them to the observations.
 
 Segments are held internally as an (n_segments, m) increment matrix, which
 the row kernels of `paths` draw, pin and transform, with cached per-segment
@@ -14,15 +14,15 @@ streams, so the result is independent of the order in which segments are
 processed.
 
 A segment whose observed increment is below the first bin edge b_1 is
-inert: every sub-step of its bridge lies in B_0, where theta is 0, so its
-path log ratio is exactly 0 and a fresh bridge would always be accepted.
-Nothing downstream reads that bridge.  The parameter move reads only the
-segment's share of the total displacement S_0, which the data fix, and the
-beta move's psi term reads only bins k >= 1, which augmenting or thinning
-and re-pinning the segment cannot reach.  The refresh is an exact draw from
-the path's conditional, so redrawing only the active segments keeps every
-move's target, and the parameter chain's law, unchanged.  On a binless
-model every segment is inert and the refresh draws nothing.
+inert: every sub-step of its bridge lies in B_0, where theta is 0, so it
+adds only constants to every acceptance ratio, its increment to S_0 and m
+to C_0.  Its path log ratio is exactly 0, and the beta move's psi term
+reads only bins k >= 1, which augmenting or thinning and re-pinning it
+cannot reach.  init_chain draws every segment once and keeps the inert
+ones' bin sums and counts as constants; after that only the active
+segments move, which keeps every move's target, and the parameter chain's
+law, unchanged.  On a binless model every segment is inert: the refresh
+draws nothing and the beta move is its prior and Gamma-density ratio.
 """
 
 import json
@@ -38,7 +38,7 @@ from .exceptions import ConfigError, ContractError, DomainError
 from .likelihood import (BinStats, bin_masses, bin_stats_matrix, loglik_ratio_params,
                          loglik_ratio_path, psi_log)
 from .model import ModelParams, PriorSpec, prior_logpdf
-from .paths import GridPath, TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
+from .paths import TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
 
 __all__ = [
     "ProposalSpec",
@@ -149,7 +149,9 @@ class ChainState:
     rng_accept: np.random.Generator
     rng_params: np.random.Generator
     rng_beta: np.random.Generator
-    active: np.ndarray                  # indices of the segments the refresh redraws
+    active: np.ndarray                  # indices of the active segments, the only rows moved
+    inert_sums: np.ndarray              # (N+1,) bin sums of the inert segments, fixed for the chain
+    inert_counts: np.ndarray            # (N+1,) bin counts of the inert segments
     iteration: int = 0
     accept_path_rate: float = math.nan
     accept_params: bool | None = None
@@ -158,7 +160,10 @@ class ChainState:
     logr_beta: float = math.nan
     segment_accepts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     terms: ParamTerms | None = None     # of params; filled by the first move that needs it
-    totals: tuple | None = None         # (seg_sums, seg_counts, BinStats of their totals)
+    totals: BinStats = field(init=False)   # over all segments; write_rows keeps it current
+
+    def __post_init__(self):
+        self.totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
 
     @property
     def n_segments(self) -> int:
@@ -172,25 +177,18 @@ class ChainState:
         """Per-segment sub-step span h_i / m, shape (n_segments, 1)."""
         return (self.grid.spans / self.grid.m)[:, None]
 
-    def total_stats(self) -> BinStats:
-        """Bin sums and counts over all segments, reduced once per pair of segment arrays.
+    def block_totals(self, sums: np.ndarray, counts: np.ndarray) -> BinStats:
+        """Totals over all segments, given the active block's (n_active, N+1) statistics."""
+        return BinStats(self.inert_sums + sums.sum(axis=0),
+                        self.inert_counts + counts.sum(axis=0), self.grid.horizon)
 
-        The cache is keyed on the identity of seg_sums and seg_counts: a
-        change of the segment statistics assigns new arrays, or, in the
-        refresh, writes rows in place and clears the cache.
-        """
-        totals = self.totals
-        if totals is None or totals[0] is not self.seg_sums or totals[1] is not self.seg_counts:
-            totals = self.totals = (self.seg_sums, self.seg_counts,
-                                    BinStats(self.seg_sums.sum(axis=0),
-                                             self.seg_counts.sum(axis=0), self.grid.horizon))
-        return totals[2]
-
-    def segment_paths(self) -> list[GridPath]:
-        """Materialize the segments as GridPath objects (diagnostic view)."""
-        v = self.obs.values
-        return [GridPath.pinned(self.grid.segment_grid(i), v[i], v[i + 1], self.increments[i])
-                for i in range(self.n_segments)]
+    def write_rows(self, rows: np.ndarray, increments: np.ndarray, sums: np.ndarray,
+                   counts: np.ndarray) -> None:
+        """Write active segment rows and their bin statistics; bring totals up to date."""
+        self.increments[rows] = increments
+        self.seg_sums[rows] = sums
+        self.seg_counts[rows] = counts
+        self.totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
 
     def record(self) -> ChainRecord:
         return ChainRecord(
@@ -226,7 +224,7 @@ def active_segments(deltas: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
 
 
 def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) -> ChainState:
-    """Build the starting state: Gamma bridges connecting the observations."""
+    """Build the starting state: Gamma bridges for every segment, and the inert constants."""
     if not np.array_equal(grid.times, obs.times):
         raise ContractError("grid observation times must equal the data times")
     if obs.times[0] != 0.0:
@@ -236,12 +234,15 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     shapes = params0.beta * (grid.spans / grid.m)[:, None]
     increments = bridge_rows(rng_path, shapes, deltas, grid.m)
     sums, counts = bin_stats_matrix(increments, params0.bin_edges)
+    active = active_segments(deltas, params0.bin_edges)
+    inert = np.ones(deltas.size, dtype=bool)
+    inert[active] = False
     return ChainState(
         params=params0, obs=obs, grid=grid, increments=increments,
         seg_sums=sums, seg_counts=counts,
         rng_path=rng_path, rng_accept=rng_accept,
         rng_params=rng_params, rng_beta=rng_beta,
-        active=active_segments(deltas, params0.bin_edges),
+        active=active, inert_sums=sums[inert].sum(axis=0), inert_counts=counts[inert].sum(axis=0),
         segment_accepts=np.zeros(deltas.size, dtype=bool),
     )
 
@@ -253,16 +254,12 @@ def refresh_segments(state: ChainState) -> ChainState:
     ln(U_i).  Noise and uniforms are drawn in one fixed-layout block over the
     active segments, so the decisions do not depend on the order in which
     segments are visited.  Accepted rows are written into the state's
-    arrays in place.
+    arrays in place (ChainState.write_rows).
 
-    An inert segment (see active_segments) is not redrawn and is reported
-    accepted, as the full refresh would report: its sub-steps all lie in
-    B_0, where theta is 0, so its path ratio is exactly 0, which is >= ln(U)
-    for every U in (0, 1).  Its fresh bridge would never be read: the
-    parameter move sees only its share of the data-fixed total S_0, and psi
-    reads only bins k >= 1, which the segment stays out of through every
-    beta move's augment/thin and re-pin.  A binless model has no active
-    segment, so its refresh draws nothing.
+    An inert segment (see the module docstring) is not redrawn and is
+    reported accepted, as the full refresh would report: its path ratio is
+    exactly 0, which is >= ln(U) for every U in (0, 1).  A binless model
+    has no active segment, so its refresh draws nothing.
     """
     active = state.active
     accept = np.ones(state.n_segments, dtype=bool)
@@ -277,11 +274,8 @@ def refresh_segments(state: ChainState) -> ChainState:
         accepted = log_ratio >= np.log(state.rng_accept.uniform(size=active.size))
         n_rejected = active.size - int(np.count_nonzero(accepted))
         if n_rejected < active.size:
-            rows = active[accepted]
-            state.increments[rows] = proposal[accepted]
-            state.seg_sums[rows] = new_sums[accepted]
-            state.seg_counts[rows] = new_counts[accepted]
-            state.totals = None
+            state.write_rows(active[accepted], proposal[accepted], new_sums[accepted],
+                             new_counts[accepted])
         accept[active] = accepted
     state.segment_accepts = accept
     # accept.mean() bit for bit (a quotient of exact counts), without reducing
@@ -367,8 +361,8 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
         return state
     current = _current_terms(state, prior)
     masses = bin_masses(candidate)
-    stats = state.total_stats()
-    log_ratio = float(loglik_ratio_params(stats, state.params, candidate, current.masses, masses)
+    log_ratio = float(loglik_ratio_params(state.totals, state.params, candidate,
+                                          current.masses, masses)
                       + lp_new - current.log_prior)
     state.logr_params = log_ratio
     if math.isnan(log_ratio):       # a numerical fault, not a rejection; -inf rejects
@@ -383,14 +377,16 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
 def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> ChainState:
     """Transdimensional activity-rate move with segment transform and re-pin.
 
-    Proposes beta° from a symmetric walk; raises every segment's activity by
-    superposing an independent Gamma component (beta° > beta) or lowers it by
-    Beta thinning (beta° < beta), re-pins each transformed segment to the
+    Proposes beta° from a symmetric walk; raises each active segment's
+    activity by superposing an independent Gamma component (beta° > beta)
+    or lowers it by Beta thinning (beta° < beta), re-pins it to the
     observations, and accepts jointly with the prior ratio, the Gamma
-    density ratio at the observed increments, and the path log-density ratio
-    against the respective Gamma references.  A segment that thins to zero
-    total cannot be re-pinned, so such a proposal is rejected.  A NaN log
-    ratio raises ContractError.
+    density ratio at the observed increments, and the path log-density
+    ratio against the respective Gamma references.  Inert segments are not
+    transformed (see the module docstring), so with no active segment the
+    move draws only beta° and its uniform.  An active segment that thins to
+    zero total cannot be re-pinned, so such a proposal is rejected.  A NaN
+    log ratio raises ContractError.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
@@ -408,17 +404,20 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     if lp_diff == -math.inf:
         return state
 
-    sub = state.sub_spans()
-    if beta_new > params.beta:
-        transformed = augment_rows(rng, state.increments, sub, params.beta, beta_new, params.alpha)
-    elif beta_new < params.beta:
-        transformed = thin_rows(rng, state.increments, sub, params.beta, beta_new)
-    else:
-        transformed = state.increments
-    repinned, collapsed = pin_rows(transformed, state.obs.increments)
-    if collapsed.any():
-        return state
-    new_sums, new_counts = bin_stats_matrix(repinned, params.bin_edges)
+    active = state.active
+    new_stats = state.totals
+    if active.size:
+        block = state.increments[active]
+        sub = state.sub_spans()[active]
+        if beta_new > params.beta:
+            block = augment_rows(rng, block, sub, params.beta, beta_new, params.alpha)
+        elif beta_new < params.beta:
+            block = thin_rows(rng, block, sub, params.beta, beta_new)
+        block, collapsed = pin_rows(block, state.obs.increments[active])
+        if collapsed.any():
+            return state
+        new_sums, new_counts = bin_stats_matrix(block, params.bin_edges)
+        new_stats = state.block_totals(new_sums, new_counts)
 
     spans = state.grid.spans
     deltas = state.obs.increments
@@ -432,9 +431,8 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         current = state.terms = replace(current, ref_masses=_reference_masses(params))
     masses = bin_masses(candidate)
     ref_masses = _reference_masses(candidate)
-    new_stats = BinStats(new_sums.sum(axis=0), new_counts.sum(axis=0), state.grid.horizon)
     psi_diff = (psi_log(new_stats, candidate, masses, ref_masses)
-                - psi_log(state.total_stats(), params, current.masses, current.ref_masses))
+                - psi_log(state.totals, params, current.masses, current.ref_masses))
     log_ratio = float(lp_diff + ptilde_diff + psi_diff)
     state.logr_beta = log_ratio
     if math.isnan(log_ratio):
@@ -442,10 +440,8 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     if log_ratio >= math.log(rng.uniform()):
         state.params = candidate
         state.terms = ParamTerms(candidate, prior, lp_new, masses, ref_masses)
-        state.increments = repinned
-        state.seg_sums = new_sums
-        state.seg_counts = new_counts
-        state.totals = (new_sums, new_counts, new_stats)
+        if active.size:
+            state.write_rows(active, block, new_sums, new_counts)
         state.accept_beta = True
     return state
 

@@ -86,10 +86,6 @@ class TimeGrid:
         out[self.m :: self.m] = t[1:]
         return out
 
-    def segment_grid(self, i: int) -> "TimeGrid":
-        """The single-interval grid covering segment i."""
-        return TimeGrid(self.times[i : i + 2], self.m)
-
 
 @dataclass(frozen=True)
 class GridPath:

@@ -108,8 +108,8 @@ class TestCliRoundTrip:
         meta = json.loads((out_dir / "meta.json").read_text())
         assert meta["n_records"] == 150
         assert meta["config"]["seed"] == "11"
-        # a binless model has no segment that a sweep redraws
-        assert meta["segments"] == {"total": 50, "refreshed": 0}
+        # a binless model has no segment that a sweep redraws, so no rate over them
+        assert meta["segments"] == {"total": 50, "refreshed": 0, "refreshed_accept_rate": None}
 
         fig_dir = tmp_path / "figs"
         rc = main(["diagnose", "--chain", str(out_dir / "chain.csv"),
@@ -143,14 +143,24 @@ class TestCliRoundTrip:
         cfg.write_text(BINNED_CONFIG)
         out = tmp_path / "run"
         rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
-                   "--iterations", "20", "--seed", "7", "--out-dir", str(out)])
+                   "--iterations", "200", "--seed", "7", "--out-dir", str(out)])
         assert rc == 0
         from gammasub.data import read_observations_csv
+        from gammasub.mcmc import read_chain_csv
         deltas = read_observations_csv(obs_csv).increments
         meta = json.loads((out / "meta.json").read_text())
+        segments = meta["segments"]
         # the segments whose increment reaches the first bin edge, 1
-        assert meta["segments"] == {"total": 100, "refreshed": int((deltas >= 1.0).sum())}
-        assert 0 < meta["segments"]["refreshed"] < 100
+        assert (segments["total"], segments["refreshed"]) == (100, int((deltas >= 1.0).sum()))
+        n_active = segments["refreshed"]
+        assert 0 < n_active < 100
+        # inert segments are always accepted: count the rejections among the refreshed ones
+        with open(out / "chain.csv") as fh:
+            records = read_chain_csv(fh)
+        rates = [(n_active - (100 - round(r.accept_path_rate * 100))) / n_active for r in records]
+        rate = segments["refreshed_accept_rate"]
+        assert rate == pytest.approx(sum(rates) / len(rates), rel=1e-12)
+        assert 0.0 <= rate < meta["acceptance"]["path_refresh_mean_rate"] <= 1.0
 
     def test_diagnose_rerun_byte_identical(self, tmp_path):
         obs_csv = tmp_path / "obs.csv"

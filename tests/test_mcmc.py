@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import gamma as gamma_dist
 
 import gammasub as g
 from gammasub import mcmc
@@ -17,7 +18,7 @@ from gammasub.mcmc import (
     write_chain_csv,
     write_meta_json,
 )
-from gammasub.paths import bridge_rows
+from gammasub.paths import augment_rows, bridge_rows, pin_rows, thin_rows
 
 
 def gamma_obs(n=20, dt=1.0, beta=1.0, alpha=2.0, seed=7):
@@ -38,9 +39,13 @@ class TestInitChain:
     def test_two_point_segment(self):
         obs = g.Observations([0.0, 1.0], [0.0, 1.0])
         state = g.init_chain(obs, g.ModelParams(1.0, 1.0), g.TimeGrid(obs.times, 4), 1)
-        paths = state.segment_paths()
-        assert len(paths) == 1
-        assert paths[0].start == 0.0 and paths[0].end == 1.0
+        assert state.increments.shape == (1, 4) and state.n_segments == 1
+        assert np.array_equal(state.obs.increments, [1.0])
+        assert state.increments.sum() == pytest.approx(1.0, rel=1e-14, abs=0)
+        # the one segment is inert on a binless model: the totals are its constants
+        assert state.active.size == 0
+        assert np.array_equal(state.totals.sums, state.seg_sums[0])
+        assert np.array_equal(state.totals.counts, [4])
 
     def test_segments_monotone_and_pinned(self):
         state = basic_state()
@@ -146,8 +151,8 @@ class Recording:
         return draw
 
 
-def run_with(refresh, obs, params0, prior, prop, iterations, seed, m):
-    """run_mcmc's loop, with burn_in 0 and thinning 1, around another refresh."""
+def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=g.update_beta):
+    """run_mcmc's loop, with burn_in 0 and thinning 1, around another refresh and beta move."""
     state = g.init_chain(obs, params0, g.TimeGrid(obs.times, m), seed)
     periodic_beta = prior.beta_is_random and "beta" not in prop.update_schedule
     for t in range(1, iterations + 1):
@@ -156,10 +161,27 @@ def run_with(refresh, obs, params0, prior, prop, iterations, seed, m):
         state.logr_params = state.logr_beta = math.nan
         refresh(state)
         stage = prop.update_schedule[(t - 1) % len(prop.update_schedule)]
-        (g.update_params if stage == "params" else g.update_beta)(state, prop, prior)
+        (g.update_params if stage == "params" else beta_move)(state, prop, prior)
         if periodic_beta and t % prop.beta_move_period == 0:
-            g.update_beta(state, prop, prior)
+            beta_move(state, prop, prior)
         yield state.record()
+
+
+def full_totals(state):
+    """The bin totals as a reduction over every segment row."""
+    return g.BinStats(state.seg_sums.sum(axis=0), state.seg_counts.sum(axis=0),
+                      state.grid.horizon)
+
+
+def assert_totals_current(state):
+    """totals are the inert constants plus the active block's reduction, exactly, and
+    the reduction over every row within 1e-12 relative (counts exactly)."""
+    active, totals = state.active, state.totals
+    assert np.array_equal(totals.sums, state.inert_sums + state.seg_sums[active].sum(axis=0))
+    assert np.array_equal(totals.counts, state.inert_counts + state.seg_counts[active].sum(axis=0))
+    full = full_totals(state)
+    assert np.allclose(totals.sums, full.sums, rtol=1e-12, atol=0)
+    assert np.array_equal(totals.counts, full.counts)
 
 
 def full_refresh(state):
@@ -175,6 +197,7 @@ def full_refresh(state):
     sums[reject] = state.seg_sums[reject]
     counts[reject] = state.seg_counts[reject]
     state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
+    state.totals = full_totals(state)
     state.segment_accepts = accept
     state.accept_path_rate = float(accept.mean())
 
@@ -201,9 +224,68 @@ def refresh_all_from(rng_inert):
         sums[reject] = state.seg_sums[reject]
         counts[reject] = state.seg_counts[reject]
         state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
+        state.totals = full_totals(state)
         state.segment_accepts = accept
         state.accept_path_rate = float(accept.mean())
     return refresh
+
+
+def beta_all_from(rng_inert):
+    """The beta move over every row: active rows use rng_beta, inert rows rng_inert.
+
+    This is the move as it ran before inert segments were left out of it:
+    each row is augmented or thinned and re-pinned, and the bin totals and
+    the ratio's terms are evaluated afresh over all rows.
+    """
+    def move(state, prop, prior):
+        state.accept_beta, state.logr_beta = False, -math.inf
+        params, rng = state.params, state.rng_beta
+        beta_new = params.beta + prop.sigma_beta * rng.normal()
+        if beta_new <= 0:
+            return
+        candidate = params.with_updates(beta=beta_new)
+        lp_diff = g.prior_logpdf(prior, candidate) - g.prior_logpdf(prior, params)
+        if lp_diff == -math.inf:
+            return
+        active = mcmc.active_segments(state.obs.increments, params.bin_edges)
+        inert = np.setdiff1d(np.arange(state.n_segments), active)
+        sub = state.sub_spans()
+        block = state.increments.copy()
+        for rows, stream in ((active, rng), (inert, rng_inert)):
+            if rows.size and beta_new > params.beta:
+                block[rows] = augment_rows(stream, block[rows], sub[rows], params.beta,
+                                           beta_new, params.alpha)
+            elif rows.size and beta_new < params.beta:
+                block[rows] = thin_rows(stream, block[rows], sub[rows], params.beta, beta_new)
+        block, collapsed = pin_rows(block, state.obs.increments)
+        assert not collapsed[inert].any()
+        if collapsed.any():
+            return
+        sums, counts = bin_stats_matrix(block, params.bin_edges)
+        new_stats = g.BinStats(sums.sum(axis=0), counts.sum(axis=0), state.grid.horizon)
+        deltas, spans = state.obs.increments, state.grid.spans
+        density_diff = np.sum(gamma_dist.logpdf(deltas, beta_new * spans, scale=1 / params.alpha)
+                              - gamma_dist.logpdf(deltas, params.beta * spans,
+                                                  scale=1 / params.alpha))
+        log_ratio = float(lp_diff + density_diff + g.psi_log(new_stats, candidate)
+                          - g.psi_log(full_totals(state), params))
+        state.logr_beta = log_ratio
+        if log_ratio >= math.log(rng.uniform()):
+            state.params = candidate
+            state.increments, state.seg_sums, state.seg_counts = block, sums, counts
+            state.totals = new_stats
+            state.accept_beta = True
+    return move
+
+
+def assert_same_chain(recs, oracle):
+    """Equal parameters, flags and path rates; log ratios within 1e-9."""
+    for r, o in zip(recs, oracle, strict=True):
+        assert (r.alpha, r.beta, r.theta, r.rho) == (o.alpha, o.beta, o.theta, o.rho)
+        assert (r.accept_params, r.accept_beta) == (o.accept_params, o.accept_beta)
+        assert r.accept_path_rate == o.accept_path_rate
+        for a, b in ((r.logr_params, o.logr_params), (r.logr_beta, o.logr_beta)):
+            assert a == b or abs(a - b) <= 1e-9 or (math.isnan(a) and math.isnan(b))
 
 
 class TestBinlessRefresh:
@@ -233,11 +315,12 @@ class TestBinlessRefresh:
 
     def test_totals_are_reduced_once_per_chain(self):
         state = basic_state(seed=3)
-        totals = state.total_stats()
+        totals = state.totals
+        assert_totals_current(state)
         for _ in range(20):
             g.refresh_segments(state)
             g.update_params(state, g.ProposalSpec(), self.prior)
-        assert state.total_stats() is totals
+        assert state.totals is totals
 
     def test_run_matches_the_full_refresh(self):
         obs = gamma_obs(n=200, seed=29)
@@ -311,7 +394,7 @@ class TestActiveSegments:
                                         copies[0][:self.n_active])
             sums, counts = bin_stats_matrix(state.increments, state.params.bin_edges)
             assert np.array_equal(sums, state.seg_sums) and np.array_equal(counts, state.seg_counts)
-            assert np.array_equal(state.total_stats().sums, state.seg_sums.sum(axis=0))
+            assert_totals_current(state)
         assert moved == 20
 
     @pytest.mark.parametrize("random_beta", [False, True])
@@ -326,20 +409,33 @@ class TestActiveSegments:
                               update_schedule=("beta", "params") if random_beta else ("params",))
         recs = list(g.run_mcmc(obs, params0, prior, prop, iterations=400, burn_in=0,
                                seed=31, m=5))
-        oracle = list(run_with(refresh_all_from(np.random.default_rng(5)),
-                               obs, params0, prior, prop, 400, 31, 5))
+        rng_inert = np.random.default_rng(5)
+        oracle = list(run_with(refresh_all_from(rng_inert), obs, params0, prior, prop, 400, 31,
+                               5, beta_move=beta_all_from(rng_inert)))
         active = mcmc.active_segments(obs.increments, params0.bin_edges)
         assert 10 < active.size < 50
-        for r, o in zip(recs, oracle, strict=True):
-            assert (r.alpha, r.beta, r.theta, r.rho) == (o.alpha, o.beta, o.theta, o.rho)
-            assert (r.accept_params, r.accept_beta) == (o.accept_params, o.accept_beta)
-            assert r.accept_path_rate == o.accept_path_rate
-            for a, b in ((r.logr_params, o.logr_params), (r.logr_beta, o.logr_beta)):
-                assert a == b or abs(a - b) <= 1e-9 or (math.isnan(a) and math.isnan(b))
+        assert_same_chain(recs, oracle)
         assert min(r.accept_path_rate for r in recs) < 1.0
         assert 0 < sum(bool(r.accept_params) for r in recs) < 400
         if random_beta:
             assert 0 < sum(bool(r.accept_beta) for r in recs) < 200
+
+    def test_binless_run_matches_a_transform_of_every_segment(self):
+        # every segment is inert: the sampler's beta move transforms none of
+        # them, the oracle's transforms all of them from its own stream
+        obs = gamma_obs(n=60, seed=23)
+        params0 = g.ModelParams(2.0, 1.0)
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0))
+        prop = g.ProposalSpec(sigma_alpha=0.1, sigma_beta=0.1, update_schedule=("beta", "params"))
+        recs = list(g.run_mcmc(obs, params0, prior, prop, iterations=400, burn_in=0,
+                               seed=31, m=5))
+        rng_inert = np.random.default_rng(5)
+        oracle = list(run_with(refresh_all_from(rng_inert), obs, params0, prior, prop, 400, 31,
+                               5, beta_move=beta_all_from(rng_inert)))
+        assert_same_chain(recs, oracle)
+        assert len({r.beta for r in recs}) > 20
+        assert 0 < sum(bool(r.accept_beta) for r in recs) < 200
+        assert 0 < sum(bool(r.accept_params) for r in recs) < 200
 
     def test_every_segment_active_gives_the_full_refresh_chain(self):
         obs = gamma_obs(n=40, seed=9)
@@ -432,7 +528,8 @@ class TestUpdateParams:
             theta_slopes=params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha),
             theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho,
         )
-        expected = (g.loglik_ratio_params(b.total_stats(), params, cand)
+        assert_totals_current(b)
+        expected = (g.loglik_ratio_params(b.totals, params, cand)
                     + g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, params))
         assert a.logr_params == pytest.approx(expected, rel=1e-12)
 
@@ -476,29 +573,67 @@ class TestUpdateBeta:
         assert accepted > 0
 
     def test_collapsed_rows_reject_the_move(self):
-        # all-zero Beta multipliers thin every segment to zero total; such a
-        # row cannot be re-pinned, so the move is rejected and nothing moves
+        # all-zero Beta multipliers thin every active segment to zero total;
+        # such a row cannot be re-pinned, so the move is rejected and nothing moves
         class Collapse:
+            sizes = []
+
             def normal(self):
                 return -1.0
 
             def beta(self, a, b, size):
+                self.sizes.append(size)
                 return np.zeros(size)
 
             def uniform(self):
                 return 1e-300
 
-        state = basic_state(seed=71)
-        params, increments = state.params, state.increments.copy()
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
+                            theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.5),))
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71)
+        assert 0 < state.active.size < state.n_segments
+        params, totals, increments = state.params, state.totals, state.increments.copy()
         sums, counts = state.seg_sums.copy(), state.seg_counts.copy()
         state.rng_beta = Collapse()
-        g.update_beta(state, g.ProposalSpec(sigma_beta=0.5), self.prior())
+        g.update_beta(state, g.ProposalSpec(sigma_beta=0.5), prior)
+        assert Collapse.sizes == [(state.active.size, state.m)]     # the active block only
         assert state.accept_beta is False
         assert state.logr_beta == -math.inf
-        assert state.params is params
+        assert state.params is params and state.totals is totals
         assert np.array_equal(state.increments, increments)
         assert np.array_equal(state.seg_sums, sums)
         assert np.array_equal(state.seg_counts, counts)
+
+    def test_binless_move_draws_only_its_proposal_and_uniform(self):
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0))
+        prop = g.ProposalSpec(sigma_beta=0.3)
+        state, twin = basic_state(seed=31), basic_state(seed=31)
+        arrays = (state.increments, state.seg_sums, state.seg_counts)
+        copies = tuple(a.copy() for a in arrays)
+        state.rng_beta = Recording(state.rng_beta)
+        accepted = 0
+        for _ in range(40):
+            before = state.params
+            g.update_beta(state, prop, prior)
+            assert state.rng_beta.draws == [("normal", None), ("uniform", None)]
+            state.rng_beta.draws.clear()
+            for got, same, copy in zip((state.increments, state.seg_sums, state.seg_counts),
+                                       arrays, copies):
+                assert got is same
+                assert np.array_equal(got, copy)
+            # the twin replays the proposal; the ratio is the prior's times the
+            # Gamma densities of the observed increments
+            beta_new = before.beta + prop.sigma_beta * twin.rng_beta.normal()
+            twin.rng_beta.uniform()
+            cand = before.with_updates(beta=beta_new)
+            expected = g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, before) + sum(
+                g.gamma_logpdf(d, beta_new * h, before.alpha)
+                - g.gamma_logpdf(d, before.beta * h, before.alpha)
+                for d, h in zip(state.obs.increments, state.grid.spans))
+            assert state.logr_beta == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert state.params.beta == (beta_new if state.accept_beta else before.beta)
+            accepted += state.accept_beta
+        assert 0 < accepted < 40
 
     def test_negative_proposals_rejected(self):
         state = basic_state(seed=51)
@@ -533,7 +668,7 @@ class TestParamTerms:
         checked = accepted_params = accepted_beta = with_ref = 0
         for _ in range(300):
             g.refresh_segments(state)
-            before, stats = state.params, state.total_stats()
+            before, stats = state.params, state.totals
             g.update_params(state, prop, prior)
             accepted_params += state.accept_params
             if math.isfinite(state.logr_params):
@@ -567,18 +702,20 @@ class TestSegmentTotals:
                             rho=(g.Prior("normal", 0, 1.5),) * 2)
         prop = g.ProposalSpec(sigma_beta=0.1)
         state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17)
+        assert 0 < state.active.size < state.n_segments
+        inert = np.setdiff1d(np.arange(state.n_segments), state.active)
+        inert_rows = state.increments[inert].copy()
+        assert_totals_current(state)
         accepted_beta = 0
         for _ in range(300):
             g.refresh_segments(state)
+            assert_totals_current(state)
             g.update_params(state, prop, prior)
             g.update_beta(state, prop, prior)
-            if state.accept_beta:
-                # the move hands over the totals it computed for psi_log
-                assert state.totals[0] is state.seg_sums and state.totals[1] is state.seg_counts
-                accepted_beta += 1
-            stats = state.total_stats()
-            assert np.array_equal(stats.sums, state.seg_sums.sum(axis=0))
-            assert np.array_equal(stats.counts, state.seg_counts.sum(axis=0))
+            accepted_beta += state.accept_beta
+            assert_totals_current(state)
+            # no move writes an inert row
+            assert np.array_equal(state.increments[inert], inert_rows)
         assert 0 < accepted_beta < 300
 
 
