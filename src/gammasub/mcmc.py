@@ -23,21 +23,33 @@ ones' bin sums and counts as constants; after that only the active
 segments move, which keeps every move's target, and the parameter chain's
 law, unchanged.  On a binless model every segment is inert: the refresh
 draws nothing and the beta move is its prior and Gamma-density ratio.
+
+Both parameter moves share one kernel on Python floats (ParamTerms): a
+candidate is checked for its domain, scored by the prior compiled once from
+the PriorSpec, and given its bin masses, E1(alpha b_1) and, with random
+beta, the Gamma reference's masses from one scipy.special.exp1 call (a beta
+move needs none: its candidate shares alpha and the slopes).  Its ratio is
+read from the totals, and only an accepted move builds a ModelParams.  The
+scalar loglik_ratio_params, psi_log, prior_logpdf and nu_bin_mass are the
+reference these terms equal.  The beta move's Gamma density ratio reads the
+data only through per-chain constants (ChainState).
 """
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
 from .data import Observations
 from .exceptions import ConfigError, ContractError, DomainError
-from .likelihood import (BinStats, bin_masses, bin_stats_matrix, loglik_ratio_params,
+# loglik_ratio_params and psi_log, the scalar reference of the moves' ratios,
+# stay names of this module, where bench/tracer.py rebinds them
+from .likelihood import (BinStats, bin_stats_matrix, loglik_ratio_params,  # noqa: F401
                          loglik_ratio_path, psi_log)
-from .model import ModelParams, PriorSpec, prior_logpdf
+from .model import ModelParams, PriorSpec, compile_prior, mass_factors, prior_logpdf
 from .paths import TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
 
 __all__ = [
@@ -118,21 +130,48 @@ class ChainRecord:
                            np.asarray(self.theta), np.asarray(self.rho))
 
 
-@dataclass(frozen=True)
-class ParamTerms:
-    """Log prior and bin masses of one parameter vector under one prior.
+class ParamTerms(NamedTuple):
+    """One parameter vector as Python floats, with every term a move's ratio reads.
 
-    The sampler keeps these for its current parameters, so that a move
-    evaluates them only for its candidate; an accepted move hands over the
-    candidate's terms.  ref_masses, the bin masses of the Gamma reference
-    that psi_log subtracts, are needed only by the beta move.
+    The state keeps these for its current parameters; a move builds its
+    candidate's from floats, and an accepted move hands them over with the
+    one ModelParams it builds (params).  log_prior is log_prior_of, the
+    prior compiled once by compile_prior, at the floats.  e1_b1, units and
+    ref_units are model.mass_factors's (ref_units None unless beta is
+    random), and masses[k-1] = beta * exp(-rho_k) * units[k-1] is
+    nu_bin_mass's nu(B_k) bit for bit; the Gamma reference's masses, which
+    psi_log subtracts, are beta * ref_units.
     """
 
-    params: ModelParams
+    params: ModelParams | None      # the validated parameters; None for a candidate
     prior: PriorSpec
+    log_prior_of: Callable
+    edges: tuple[float, ...]
+    alpha: float
+    beta: float
+    slopes: tuple[float, ...]
+    intercepts: tuple[float, ...]
     log_prior: float
+    e1_b1: float
+    units: tuple[float, ...]
+    ref_units: tuple[float, ...] | None
     masses: tuple[float, ...]
-    ref_masses: tuple[float, ...] | None = None   # of the Gamma reference; filled by a beta move
+
+    @classmethod
+    def of(cls, params: ModelParams, prior: PriorSpec) -> "ParamTerms":
+        """The terms of a validated parameter vector under prior."""
+        log_prior_of = compile_prior(prior)
+        edges = tuple(params.bin_edges.tolist())
+        slopes = tuple(params.theta_slopes.tolist())
+        intercepts = tuple(params.theta_intercepts.tolist())
+        factors = mass_factors(params.alpha, slopes, edges, prior.beta_is_random)
+        return cls(params, prior, log_prior_of, edges, params.alpha, params.beta, slopes,
+                   intercepts, log_prior_of(params.alpha, params.beta, slopes, intercepts),
+                   *factors, _masses(params.beta, intercepts, factors[1]))
+
+
+def _masses(beta: float, intercepts, units) -> tuple[float, ...]:
+    return tuple([beta * math.exp(-rho) * unit for rho, unit in zip(intercepts, units)])
 
 
 @dataclass
@@ -161,9 +200,20 @@ class ChainState:
     segment_accepts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     terms: ParamTerms | None = None     # of params; filled by the first move that needs it
     totals: BinStats = field(init=False)   # over all segments; write_rows keeps it current
+    # The data-only parts of the beta move's Gamma density ratio, fixed for the
+    # chain: sum_i h_i log(delta_i), sum_i h_i, and the distinct spans h with
+    # their counts, so that gammaln runs once per distinct span.
+    span_log_deltas: float = field(init=False)
+    span_total: float = field(init=False)
+    distinct_spans: np.ndarray = field(init=False)
+    span_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
+        spans = self.grid.spans
+        self.span_log_deltas = float(spans @ np.log(self.obs.increments))
+        self.span_total = float(spans.sum())
+        self.distinct_spans, self.span_counts = np.unique(spans, return_counts=True)
 
     @property
     def n_segments(self) -> int:
@@ -183,12 +233,25 @@ class ChainState:
                         self.inert_counts + counts.sum(axis=0), self.grid.horizon)
 
     def write_rows(self, rows: np.ndarray, increments: np.ndarray, sums: np.ndarray,
-                   counts: np.ndarray) -> None:
-        """Write active segment rows and their bin statistics; bring totals up to date."""
+                   counts: np.ndarray, totals: BinStats | None = None) -> None:
+        """Write active segment rows and their bin statistics; bring totals up to date.
+
+        totals, when given, must be block_totals of the active block after
+        the write; a caller that reduced those rows already hands it over.
+        """
         self.increments[rows] = increments
         self.seg_sums[rows] = sums
         self.seg_counts[rows] = counts
-        self.totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
+        if totals is None:
+            totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
+        self.totals = totals
+
+    def param_terms(self, prior: PriorSpec) -> ParamTerms:
+        """The ParamTerms of params under prior, evaluated if either changed since."""
+        terms = self.terms
+        if terms is None or terms.params is not self.params or terms.prior is not prior:
+            terms = self.terms = ParamTerms.of(self.params, prior)
+        return terms
 
     def record(self) -> ChainRecord:
         return ChainRecord(
@@ -303,43 +366,74 @@ def reparam_invert(alpha: float, beta: float, alpha1: float, beta1: float,
                        np.array([math.log(beta) - math.log(beta1)]))
 
 
-def _propose_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> ModelParams | None:
-    """Draw the joint correlated proposal; None when outside the model domain."""
-    params = state.params
-    rng = state.rng_params
-    n = params.n_bins
-    z_alpha = rng.normal()
-    z_theta = rng.normal(size=n)
-    z_rho = rng.normal(size=n)
-    alpha_new = params.alpha + prop.sigma_alpha * z_alpha
-    if alpha_new <= 0:
+def _candidate(cur: ParamTerms, alpha: float, beta: float, slopes, intercepts,
+               factors=None) -> ParamTerms | None:
+    """The float terms of a candidate; None outside the model's domain or the prior's support.
+
+    The domain is alpha and beta finite and > 0, finite slopes and
+    intercepts, and a tail slope > -alpha.  factors are the candidate's
+    mass_factors when the caller has them.
+    """
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
         return None
-    if prior.reparam:
-        _, _, alpha1, beta1 = reparam_view(params)
-        alpha1_new = alpha1 + prop.sigma_theta * z_theta[0]
-        beta1_new = beta1 + prop.sigma_rho * z_rho[0]
-        if beta1_new <= 0:
-            return None
-        return reparam_invert(alpha_new, params.beta, alpha1_new, beta1_new, params.bin_edges)
-    # slopes shift against the alpha move so slope_k + alpha is preserved
-    theta_new = params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha)
-    rho_new = params.theta_intercepts + prop.sigma_rho * z_rho
-    return params.with_updates(alpha=alpha_new, theta_slopes=theta_new,
-                               theta_intercepts=rho_new)
+    if slopes and (slopes[-1] <= -alpha or not all(map(math.isfinite, slopes + intercepts))):
+        return None
+    log_prior = cur.log_prior_of(alpha, beta, slopes, intercepts)
+    if log_prior == -math.inf:
+        return None
+    if factors is None:
+        factors = mass_factors(alpha, slopes, cur.edges, cur.ref_units is not None)
+    return ParamTerms(None, cur.prior, cur.log_prior_of, cur.edges, alpha, beta, slopes,
+                      intercepts, log_prior, *factors, _masses(beta, intercepts, factors[1]))
 
 
-def _current_terms(state: ChainState, prior: PriorSpec) -> ParamTerms:
-    """The state's ParamTerms, evaluated if params or prior changed since."""
-    terms = state.terms
-    if terms is None or terms.params is not state.params or terms.prior is not prior:
-        terms = state.terms = ParamTerms(state.params, prior, prior_logpdf(prior, state.params),
-                                         bin_masses(state.params))
-    return terms
+def _accept(state: ChainState, rng, cand: ParamTerms, log_ratio: float, move: str) -> bool:
+    """Metropolis test of log_ratio against ln(U) from rng; an accepted candidate
+    becomes the state's params, as one validated ModelParams, and its terms.
+    A NaN log ratio raises ContractError: a numerical fault, not a rejection."""
+    if math.isnan(log_ratio):
+        raise ContractError(f"{move} move gave a NaN log ratio at sweep {state.iteration}")
+    if not log_ratio >= math.log(rng.uniform()):
+        return False
+    params = ModelParams(cand.alpha, cand.beta, state.params.bin_edges, cand.slopes,
+                         cand.intercepts)
+    state.params = params
+    state.terms = ParamTerms(params, *cand[1:])
+    return True
 
 
-def _reference_masses(params: ModelParams) -> tuple[float, ...]:
-    """bin_masses of params' Gamma reference, which psi_log subtracts."""
-    return bin_masses(params.gamma_reference()) if params.n_bins else ()
+def _loglik_ratio(totals: BinStats, old: ParamTerms, new: ParamTerms) -> float:
+    """loglik_ratio_params(totals, old, new) on the float terms (same beta)."""
+    sums, counts = totals.sums.tolist(), totals.counts.tolist()
+    total = -(new.alpha - old.alpha) * sums[0]
+    if not old.edges:
+        return total - totals.horizon * (old.beta * math.log(old.alpha / new.alpha))
+    slope_part = intercept_part = 0.0
+    for slope_new, slope_old, rho_new, rho_old, s, c in zip(
+            new.slopes, old.slopes, new.intercepts, old.intercepts, sums[1:], counts[1:]):
+        slope_part += ((slope_new + new.alpha) - (slope_old + old.alpha)) * s
+        intercept_part += (rho_new - rho_old) * c
+    total -= slope_part
+    total -= intercept_part
+    # nu_diff_bin0, then the bins' mass differences: compensator_diff's order
+    comp = 0.0 if new.alpha == old.alpha else old.beta * (
+        math.log(old.alpha / new.alpha) - (new.e1_b1 - old.e1_b1))
+    for mass_new, mass_old in zip(new.masses, old.masses):
+        comp += mass_new - mass_old
+    return total - totals.horizon * comp
+
+
+def _psi(sums: list, counts: list, horizon: float, terms: ParamTerms) -> float:
+    """psi_log at the bin totals (sums, counts) on the float terms."""
+    if not terms.edges:
+        return 0.0
+    slope_part = intercept_part = comp = 0.0
+    for k, (slope, intercept, mass, unit) in enumerate(
+            zip(terms.slopes, terms.intercepts, terms.masses, terms.ref_units)):
+        slope_part += slope * sums[k + 1]
+        intercept_part += intercept * counts[k + 1]
+        comp += mass - terms.beta * unit
+    return -(slope_part + intercept_part + horizon * comp)
 
 
 def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> ChainState:
@@ -347,30 +441,37 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
 
     The proposal is a symmetric Gaussian walk (with the correlated alpha
     shift), so acceptance uses the parameter likelihood ratio plus the prior
-    log ratio only.  Out-of-support proposals are rejected through the -inf
-    prior; candidates with a non-integrable tail are rejected outright.  A
-    NaN log ratio raises ContractError.
+    log ratio only.  The innovations for alpha, the slopes and the
+    intercepts come from one normal draw of size 2N + 1.  A candidate
+    outside the model's domain or the prior's support is rejected before a
+    ratio is formed, and logs -inf.  A NaN log ratio raises ContractError.
     """
     state.accept_params = False
     state.logr_params = -math.inf
-    candidate = _propose_params(state, prop, prior)
-    if candidate is None or not candidate.tail_integrable:
+    cur = state.param_terms(prior)
+    n = len(cur.edges)
+    rng = state.rng_params
+    z = rng.normal(size=2 * n + 1).tolist()
+    alpha = cur.alpha + prop.sigma_alpha * z[0]
+    if prior.reparam:
+        # the walk is on (alpha, alpha + slope_1, beta * exp(-rho_1)); see reparam_view
+        alpha1 = cur.alpha + cur.slopes[0] + prop.sigma_theta * z[1]
+        beta1 = cur.beta * math.exp(-cur.intercepts[0]) + prop.sigma_rho * z[2]
+        if not beta1 > 0:
+            return state
+        slopes = (alpha1 - alpha,)
+        intercepts = (math.log(cur.beta) - math.log(beta1),)
+    else:
+        # slopes shift against the alpha move so slope_k + alpha is preserved
+        shift = alpha - cur.alpha
+        slopes = tuple([s + prop.sigma_theta * dz - shift for s, dz in zip(cur.slopes, z[1:n + 1])])
+        intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
+    cand = _candidate(cur, alpha, cur.beta, slopes, intercepts)
+    if cand is None:
         return state
-    lp_new = prior_logpdf(prior, candidate)
-    if lp_new == -math.inf:
-        return state
-    current = _current_terms(state, prior)
-    masses = bin_masses(candidate)
-    log_ratio = float(loglik_ratio_params(state.totals, state.params, candidate,
-                                          current.masses, masses)
-                      + lp_new - current.log_prior)
+    log_ratio = _loglik_ratio(state.totals, cur, cand) + cand.log_prior - cur.log_prior
     state.logr_params = log_ratio
-    if math.isnan(log_ratio):       # a numerical fault, not a rejection; -inf rejects
-        raise ContractError(f"parameter move gave a NaN log ratio at sweep {state.iteration}")
-    if log_ratio >= math.log(state.rng_params.uniform()):
-        state.params = candidate
-        state.terms = ParamTerms(candidate, prior, lp_new, masses)
-        state.accept_params = True
+    state.accept_params = _accept(state, rng, cand, log_ratio, "parameter")
     return state
 
 
@@ -387,62 +488,57 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     move draws only beta° and its uniform.  An active segment that thins to
     zero total cannot be re-pinned, so such a proposal is rejected.  A NaN
     log ratio raises ContractError.
+
+    The candidate differs from the current parameters in beta alone, so it
+    reuses their mass factors: the move calls no E1.  The Gamma density
+    ratio is (beta° - beta) (ln(alpha) sum_i h_i + sum_i h_i ln(delta_i))
+    less the lnGamma differences, each distinct span once, all from the
+    chain's constants (ChainState).  An accepted move hands the
+    transformed block's totals, which psi read, to write_rows.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
     state.accept_beta = False
     state.logr_beta = -math.inf
-    params = state.params
+    cur = state.param_terms(prior)
     rng = state.rng_beta
-    beta_new = params.beta + prop.sigma_beta * rng.normal()
-    if beta_new <= 0:
-        return state
-    candidate = params.with_updates(beta=beta_new)
-    lp_new = prior_logpdf(prior, candidate)
-    current = _current_terms(state, prior)
-    lp_diff = lp_new - current.log_prior
-    if lp_diff == -math.inf:
+    beta_new = cur.beta + prop.sigma_beta * rng.normal()
+    cand = _candidate(cur, cur.alpha, beta_new, cur.slopes, cur.intercepts,
+                      (cur.e1_b1, cur.units, cur.ref_units))
+    if cand is None:
         return state
 
     active = state.active
-    new_stats = state.totals
+    totals = state.totals
+    sums, counts = totals.sums.tolist(), totals.counts.tolist()
+    psi_old = _psi(sums, counts, totals.horizon, cur)
     if active.size:
         block = state.increments[active]
         sub = state.sub_spans()[active]
-        if beta_new > params.beta:
-            block = augment_rows(rng, block, sub, params.beta, beta_new, params.alpha)
-        elif beta_new < params.beta:
-            block = thin_rows(rng, block, sub, params.beta, beta_new)
+        if beta_new > cur.beta:
+            block = augment_rows(rng, block, sub, cur.beta, beta_new, cur.alpha)
+        elif beta_new < cur.beta:
+            block = thin_rows(rng, block, sub, cur.beta, beta_new)
         block, collapsed = pin_rows(block, state.obs.increments[active])
         if collapsed.any():
             return state
-        new_sums, new_counts = bin_stats_matrix(block, params.bin_edges)
-        new_stats = state.block_totals(new_sums, new_counts)
+        block_sums, block_counts = bin_stats_matrix(block, state.params.bin_edges)
+        new_sums = state.inert_sums + block_sums.sum(axis=0)
+        new_counts = state.inert_counts + block_counts.sum(axis=0)
+        psi_new = _psi(new_sums.tolist(), new_counts.tolist(), totals.horizon, cand)
+    else:
+        psi_new = _psi(sums, counts, totals.horizon, cand)
 
-    spans = state.grid.spans
-    deltas = state.obs.increments
-    shape_old = params.beta * spans
-    shape_new = beta_new * spans
-    ptilde_diff = float(
-        np.sum((shape_new - shape_old) * (math.log(params.alpha) + np.log(deltas)))
-        - np.sum(gammaln(shape_new) - gammaln(shape_old))
-    )
-    if current.ref_masses is None:
-        current = state.terms = replace(current, ref_masses=_reference_masses(params))
-    masses = bin_masses(candidate)
-    ref_masses = _reference_masses(candidate)
-    psi_diff = (psi_log(new_stats, candidate, masses, ref_masses)
-                - psi_log(state.totals, params, current.masses, current.ref_masses))
-    log_ratio = float(lp_diff + ptilde_diff + psi_diff)
+    density_diff = (
+        (beta_new - cur.beta) * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
+        - float(state.span_counts @ (gammaln(beta_new * state.distinct_spans)
+                                     - gammaln(cur.beta * state.distinct_spans))))
+    log_ratio = (cand.log_prior - cur.log_prior) + density_diff + (psi_new - psi_old)
     state.logr_beta = log_ratio
-    if math.isnan(log_ratio):
-        raise ContractError(f"beta move gave a NaN log ratio at sweep {state.iteration}")
-    if log_ratio >= math.log(rng.uniform()):
-        state.params = candidate
-        state.terms = ParamTerms(candidate, prior, lp_new, masses, ref_masses)
-        if active.size:
-            state.write_rows(active, block, new_sums, new_counts)
-        state.accept_beta = True
+    state.accept_beta = _accept(state, rng, cand, log_ratio, "beta")
+    if state.accept_beta and active.size:
+        state.write_rows(active, block, block_sums, block_counts,
+                         BinStats(new_sums, new_counts, totals.horizon))
     return state
 
 
@@ -564,10 +660,19 @@ def read_chain_csv(stream) -> list[ChainRecord]:
 
 def write_meta_json(stream, *, config_echo: dict, records: list[ChainRecord],
                     extra: dict | None = None) -> None:
-    """Write the run manifest: config echo plus acceptance-rate summaries."""
+    """Write the run manifest: config echo plus acceptance-rate summaries.
+
+    params_domain_rejects and beta_domain_rejects count the records whose
+    move was attempted and logged a ratio of -inf: rejected before a ratio
+    was formed (outside the model's domain or the prior's support, or, for
+    the beta move, a collapsed segment).
+    """
     def _rate(flags):
         attempted = [f for f in flags if f is not None]
         return float(np.mean([bool(f) for f in attempted])) if attempted else None
+
+    def _domain_rejects(pairs):
+        return sum(flag is not None and logr == -math.inf for flag, logr in pairs)
 
     meta = {
         "config": config_echo,
@@ -577,6 +682,9 @@ def write_meta_json(stream, *, config_echo: dict, records: list[ChainRecord],
             if records else None,
             "params_rate": _rate([r.accept_params for r in records]),
             "beta_rate": _rate([r.accept_beta for r in records]),
+            "params_domain_rejects": _domain_rejects(
+                (r.accept_params, r.logr_params) for r in records),
+            "beta_domain_rejects": _domain_rejects((r.accept_beta, r.logr_beta) for r in records),
         },
     }
     if extra:

@@ -10,13 +10,14 @@ nu(B_k) are available in closed form through the exponential integral.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, special
 
 from .exceptions import ConfigError, DomainError
-from .specfun import exp_integral_e1
+from .specfun import exp_integral_e1, exp_integral_e1_values
 
 __all__ = [
     "ModelParams",
@@ -26,15 +27,34 @@ __all__ = [
     "levy_density",
     "nu_bin_mass",
     "nu_diff_bin0",
+    "mass_factors",
     "gamma_drift",
     "prior_logpdf",
+    "compile_prior",
 ]
 
 
-def _as_readonly(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).flatten()
-    arr.flags.writeable = False
+_FLOAT = np.dtype(float)
+
+
+def _as_readonly(values) -> np.ndarray:
+    """A read-only 1-D float copy of values; a read-only 1-D float array that
+    owns its data, as this returns, is shared instead of copied."""
+    if (type(values) is np.ndarray and values.dtype is _FLOAT and values.ndim == 1
+            and values.base is None and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=float, ndmin=1)
+    if arr.ndim != 1:
+        arr = arr.flatten()
+    arr.setflags(write=False)
     return arr
+
+
+_NONE = _as_readonly(())     # the binless model's edges, slopes and intercepts
+
+
+def _all_finite(values) -> bool:
+    return all(map(math.isfinite, values))
 
 
 @dataclass(frozen=True)
@@ -52,31 +72,33 @@ class ModelParams:
 
     alpha: float
     beta: float
-    bin_edges: np.ndarray = field(default_factory=lambda: np.empty(0))
-    theta_slopes: np.ndarray = field(default_factory=lambda: np.empty(0))
-    theta_intercepts: np.ndarray = field(default_factory=lambda: np.empty(0))
+    bin_edges: np.ndarray = field(default_factory=lambda: _NONE)
+    theta_slopes: np.ndarray = field(default_factory=lambda: _NONE)
+    theta_intercepts: np.ndarray = field(default_factory=lambda: _NONE)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "bin_edges", _as_readonly(self.bin_edges))
-        object.__setattr__(self, "theta_slopes", _as_readonly(self.theta_slopes))
-        object.__setattr__(self, "theta_intercepts", _as_readonly(self.theta_intercepts))
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise DomainError(f"beta must be finite and > 0, got {self.beta}")
-        edges = self.bin_edges
-        if edges.size:
-            if not np.isfinite(edges).all() or edges[0] <= 0 or (edges[1:] <= edges[:-1]).any():
-                raise DomainError("bin_edges must be strictly increasing positive reals")
-        n = edges.size
-        if self.theta_slopes.size != n or self.theta_intercepts.size != n:
+        alpha, beta = float(self.alpha), float(self.beta)
+        edges, slopes, intercepts = (_as_readonly(self.bin_edges), _as_readonly(self.theta_slopes),
+                                     _as_readonly(self.theta_intercepts))
+        # one write past the frozen __setattr__
+        self.__dict__.update(alpha=alpha, beta=beta, bin_edges=edges, theta_slopes=slopes,
+                             theta_intercepts=intercepts)
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise DomainError(f"alpha must be finite and > 0, got {alpha}")
+        if not (math.isfinite(beta) and beta > 0):
+            raise DomainError(f"beta must be finite and > 0, got {beta}")
+        # checked on float lists: numpy reductions cost more at these sizes
+        edges = edges.tolist()
+        if edges and (not _all_finite(edges) or edges[0] <= 0
+                      or not all(map(operator.lt, edges, edges[1:]))):
+            raise DomainError("bin_edges must be strictly increasing positive reals")
+        n = len(edges)
+        if slopes.size != n or intercepts.size != n:
             raise DomainError(
                 f"need {n} slopes and intercepts for {n} bin edges, got "
-                f"{self.theta_slopes.size} and {self.theta_intercepts.size}"
+                f"{slopes.size} and {intercepts.size}"
             )
-        if not (np.isfinite(self.theta_slopes).all() and np.isfinite(self.theta_intercepts).all()):
+        if not (_all_finite(slopes.tolist()) and _all_finite(intercepts.tolist())):
             raise DomainError("theta slopes and intercepts must be finite")
 
     @property
@@ -174,6 +196,52 @@ def nu_bin_mass(params: ModelParams, k: int) -> float:
     return scale * float(special.expi(-c * hi) - special.expi(-c * lo))
 
 
+def mass_factors(alpha: float, slopes, edges, reference: bool = False):
+    """The E1 factors of the bin masses at float parameters, from one exp1 call.
+
+    Returns (e1_b1, units, ref_units) for alpha, the slopes and the edges
+    b_1 < ... < b_N as floats:
+
+    - e1_b1 = E1(alpha * b_1), the B_0 term nu_diff_bin0 reads;
+    - units[k-1] such that nu(B_k) = (beta * exp(-rho_k)) * units[k-1], which
+      is nu_bin_mass's value bit for bit; interior bins with slope + alpha
+      <= 0 take its log / Ei branch;
+    - ref_units[k-1] = nu_ref(B_k) / beta for the Gamma reference (theta
+      zero), or None unless reference is true.
+
+    Neither beta nor the intercepts enter, so a move that changes only those
+    reuses the factors.  A binless model (N = 0) has e1_b1 nan and empty
+    tuples.  Raises DomainError when the tail bin has slope + alpha <= 0.
+    """
+    n = len(edges)
+    if n == 0:
+        return math.nan, (), () if reference else None
+    n_ref = n if reference else 1
+    zs = [alpha * b for b in edges[:n_ref]]
+    rates = [s + alpha for s in slopes]
+    for k, c in enumerate(rates):
+        if c > 0:
+            zs.append(c * edges[k])
+            if k + 1 < n:
+                zs.append(c * edges[k + 1])
+        elif k + 1 == n:
+            raise DomainError(f"tail bin requires slope + alpha > 0, got {c}")
+    e1 = exp_integral_e1_values(zs)
+    bins = iter(e1[n_ref:])
+    units = []
+    for k, c in enumerate(rates):
+        if c > 0:
+            units.append(next(bins) - next(bins) if k + 1 < n else next(bins))
+        elif c == 0:
+            units.append(math.log(edges[k + 1] / edges[k]))
+        else:
+            units.append(float(special.expi(-c * edges[k + 1]) - special.expi(-c * edges[k])))
+    ref_units = None
+    if reference:
+        ref_units = tuple(e1[k] - e1[k + 1] for k in range(n - 1)) + (e1[n - 1],)
+    return e1[0], tuple(units), ref_units
+
+
 def nu_diff_bin0(alpha_new: float, alpha_old: float, beta: float, b1: float) -> float:
     """Difference of jump-measure masses on B_0 = (0, b_1) between two tilt rates.
 
@@ -241,6 +309,25 @@ class Prior:
         # normal(mean, sd)
         z = (x - self.a) / self.b
         return -0.5 * z * z - math.log(self.b) - 0.5 * math.log(2 * math.pi)
+
+    def compiled(self):
+        """logpdf as a function of a float: equal bit for bit, constants hoisted."""
+        a, b, log, isfinite = self.a, self.b, math.log, math.isfinite
+        if self.kind == "uniform":
+            density = -math.log(b - a)
+            return lambda x: density if a <= x <= b else -math.inf
+        if self.kind == "gamma":
+            head, power, tail = a * math.log(b), a - 1, math.lgamma(a)
+            return lambda x: (head + power * log(x) - b * x - tail
+                              if 0 < x < math.inf else -math.inf)
+        log_sd, log_root = math.log(b), 0.5 * math.log(2 * math.pi)
+
+        def normal(x):
+            if not isfinite(x):
+                return -math.inf
+            z = (x - a) / b
+            return -0.5 * z * z - log_sd - log_root
+        return normal
 
     @staticmethod
     def from_mean_variance(mean: float, variance: float) -> "Prior":
@@ -314,3 +401,33 @@ def prior_logpdf(spec: PriorSpec, params: ModelParams) -> float:
         total += spec.theta[k].logpdf(params.theta_slopes[k])
         total += spec.rho[k].logpdf(params.theta_intercepts[k])
     return total
+
+
+def compile_prior(spec: PriorSpec):
+    """prior_logpdf as a function of floats (alpha, beta, slopes, intercepts).
+
+    The slopes and intercepts are sequences of N floats.  The function sums
+    the components' compiled log-densities in prior_logpdf's order, so its
+    value equals prior_logpdf's at the same parameters bit for bit.
+    """
+    alpha_lp = spec.alpha.compiled()
+    beta_lp = spec.beta.compiled() if spec.beta is not None else None
+    components = tuple(zip((p.compiled() for p in spec.theta), (p.compiled() for p in spec.rho)))
+    tail, n = spec.tail_constraint, spec.n_bins
+
+    def logpdf(alpha: float, beta: float, slopes, intercepts) -> float:
+        if tail and n and slopes[-1] <= -alpha:
+            return -math.inf
+        total = alpha_lp(alpha)
+        if beta_lp is not None:
+            total += beta_lp(beta)
+        if spec.reparam:
+            slope_lp, intercept_lp = components[0]
+            total += slope_lp(alpha + slopes[0])
+            total += intercept_lp(beta * math.exp(-intercepts[0]))
+            return total
+        for (slope_lp, intercept_lp), slope, intercept in zip(components, slopes, intercepts):
+            total += slope_lp(slope)
+            total += intercept_lp(intercept)
+        return total
+    return logpdf

@@ -1,8 +1,9 @@
 """Special functions backing the bin-mass and acceptance-ratio formulas.
 
-Two numeric primitives live here: the exponential integral E1 and the
-log-density of the Gamma distribution in shape/rate form.  Both are pure
-scalar functions, safe for unrestricted concurrent use.
+Two numeric primitives live here: the exponential integral E1, at one point
+or at many from one scipy.special.exp1 call, and the log-density of the Gamma
+distribution in shape/rate form.  All are pure functions, safe for
+unrestricted concurrent use.
 """
 
 import math
@@ -31,6 +32,24 @@ def exp_integral_e1(z: float) -> float:
     if z > _UNDERFLOW_Z:
         return 0.0
     return float(exp1(z))
+
+
+def exp_integral_e1_values(zs) -> list[float]:
+    """E1 at each z of a sequence, from one scipy.special.exp1 call, as floats.
+
+    Each value equals exp_integral_e1(z) bit for bit, exactly 0.0 once z
+    exceeds 745; an infinite z gives that limit, 0.0, too.
+
+    Raises:
+        DomainError: if some z is not a positive number.
+    """
+    values = exp1(zs).tolist()
+    # exp1 gives nan below 0 and at nan, inf at 0, and finite values elsewhere
+    if not math.isfinite(sum(values)):
+        raise DomainError(f"E1 requires z > 0, got {list(zs)!r}")
+    if values and max(zs) > _UNDERFLOW_Z:
+        values = [0.0 if z > _UNDERFLOW_Z else e for z, e in zip(zs, values)]
+    return values
 
 
 def gamma_logpdf(x: float, shape: float, rate: float) -> float:

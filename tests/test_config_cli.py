@@ -162,6 +162,37 @@ class TestCliRoundTrip:
         assert rate == pytest.approx(sum(rates) / len(rates), rel=1e-12)
         assert 0.0 <= rate < meta["acceptance"]["path_refresh_mean_rate"] <= 1.0
 
+    def test_fit_reports_domain_rejects(self, tmp_path):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "40", "--n", "100", "--seed", "5",
+              "--out", str(obs_csv)])
+        # tight uniform priors and wide steps: many candidates leave the support
+        text = (BINNED_CONFIG.replace("alpha_prior = gamma 2 1", "alpha_prior = uniform 0.9 1.1")
+                .replace("beta_prior = uniform 0.1 1000", "beta_prior = uniform 0.4 0.5")
+                .replace("sigma_alpha = 0.025", "sigma_alpha = 0.1")
+                .replace("sigma_beta = 0.01", "sigma_beta = 0.05")
+                .replace("update_schedule = params", "update_schedule = beta params"))
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                   "--iterations", "300", "--burn-in", "0", "--seed", "3",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        from gammasub.mcmc import read_chain_csv
+        with open(out / "chain.csv") as fh:
+            records = read_chain_csv(fh)
+        acceptance = json.loads((out / "meta.json").read_text())["acceptance"]
+        # attempted moves that logged -inf: rejected before a ratio was formed
+        for move in ("params", "beta"):
+            pairs = [(getattr(r, f"accept_{move}"), getattr(r, f"logr_{move}")) for r in records]
+            attempted = [logr for flag, logr in pairs if flag is not None]
+            rejects = sum(logr == -math.inf for logr in attempted)
+            assert acceptance[f"{move}_domain_rejects"] == rejects
+            assert 0 < rejects < len(attempted) == 150
+            # a move that was not attempted logs nan, never -inf
+            assert all(math.isnan(logr) for flag, logr in pairs if flag is None)
+
     def test_diagnose_rerun_byte_identical(self, tmp_path):
         obs_csv = tmp_path / "obs.csv"
         main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",

@@ -151,8 +151,9 @@ class Recording:
         return draw
 
 
-def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=g.update_beta):
-    """run_mcmc's loop, with burn_in 0 and thinning 1, around another refresh and beta move."""
+def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=g.update_beta,
+             params_move=g.update_params):
+    """run_mcmc's loop, with burn_in 0 and thinning 1, around other moves."""
     state = g.init_chain(obs, params0, g.TimeGrid(obs.times, m), seed)
     periodic_beta = prior.beta_is_random and "beta" not in prop.update_schedule
     for t in range(1, iterations + 1):
@@ -161,7 +162,7 @@ def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=
         state.logr_params = state.logr_beta = math.nan
         refresh(state)
         stage = prop.update_schedule[(t - 1) % len(prop.update_schedule)]
-        (g.update_params if stage == "params" else beta_move)(state, prop, prior)
+        (params_move if stage == "params" else beta_move)(state, prop, prior)
         if periodic_beta and t % prop.beta_move_period == 0:
             beta_move(state, prop, prior)
         yield state.record()
@@ -604,6 +605,33 @@ class TestUpdateBeta:
         assert np.array_equal(state.seg_sums, sums)
         assert np.array_equal(state.seg_counts, counts)
 
+    def test_accepted_move_hands_over_its_totals(self, monkeypatch):
+        # the totals psi read are stored: no second reduction of the active block
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
+                            theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.5),))
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71)
+        block_totals, reductions = g.ChainState.block_totals, []
+
+        def counted(self, sums, counts):
+            reductions.append(sums.shape)
+            return block_totals(self, sums, counts)
+
+        monkeypatch.setattr(g.ChainState, "block_totals", counted)
+        accepted = 0
+        for _ in range(60):
+            g.refresh_segments(state)
+            reductions.clear()
+            g.update_beta(state, g.ProposalSpec(sigma_beta=0.2), prior)
+            assert reductions == []
+            if state.accept_beta:
+                active = state.active
+                expected = block_totals(state, state.seg_sums[active], state.seg_counts[active])
+                assert np.array_equal(state.totals.sums, expected.sums)
+                assert np.array_equal(state.totals.counts, expected.counts)
+                assert state.totals.horizon == expected.horizon
+                accepted += 1
+        assert 5 < accepted < 60
+
     def test_binless_move_draws_only_its_proposal_and_uniform(self):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0))
         prop = g.ProposalSpec(sigma_beta=0.3)
@@ -648,8 +676,22 @@ class TestUpdateBeta:
         assert rejections > 0
 
 
+class Replay:
+    """Delegates to a Generator and keeps the values of every normal draw."""
+
+    def __init__(self, gen):
+        self.gen, self.normals = gen, []
+
+    def normal(self, *args, **kwargs):
+        self.normals.append(self.gen.normal(*args, **kwargs))
+        return self.normals[-1]
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
 class TestParamTerms:
-    def test_cache_matches_fresh_evaluation_every_sweep(self, monkeypatch):
+    def test_cache_matches_fresh_evaluation_every_sweep(self):
         params = g.ModelParams(1.0, 1.0, [0.3, 1.0], [0.0, 0.0], [0.0, 0.0])
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
                             beta=g.Prior("uniform", 0.05, 50.0),
@@ -657,40 +699,195 @@ class TestParamTerms:
                             rho=(g.Prior("normal", 0, 1.5),) * 2)
         prop = g.ProposalSpec(sigma_beta=0.1)
         state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17)
-        proposed = []
-        propose = mcmc._propose_params
-
-        def recording(*args):
-            proposed.append(propose(*args))
-            return proposed[-1]
-
-        monkeypatch.setattr(mcmc, "_propose_params", recording)
-        checked = accepted_params = accepted_beta = with_ref = 0
+        state.rng_params = Replay(state.rng_params)
+        checked = accepted_params = accepted_beta = 0
         for _ in range(300):
             g.refresh_segments(state)
             before, stats = state.params, state.totals
             g.update_params(state, prop, prior)
             accepted_params += state.accept_params
             if math.isfinite(state.logr_params):
-                cand = proposed[-1]
-                # the from-scratch formula of test_logged_ratio_matches_manual_recompute
+                # the candidate from the same innovations, on ModelParams
+                z = state.rng_params.normals[-1]
+                alpha = before.alpha + prop.sigma_alpha * z[0]
+                cand = before.with_updates(
+                    alpha=alpha,
+                    theta_slopes=before.theta_slopes + prop.sigma_theta * z[1:3] - (alpha - before.alpha),
+                    theta_intercepts=before.theta_intercepts + prop.sigma_rho * z[3:])
+                # the from-scratch formula of test_logged_ratio_matches_manual_recompute;
+                # the kernel sums the same terms in another order
                 expected = (g.loglik_ratio_params(stats, before, cand)
                             + g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, before))
-                assert state.logr_params == expected
+                assert state.logr_params == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                if state.accept_params:
+                    assert state.params.alpha == cand.alpha
+                    assert np.array_equal(state.params.theta_slopes, cand.theta_slopes)
+                    assert np.array_equal(state.params.theta_intercepts, cand.theta_intercepts)
                 checked += 1
             g.update_beta(state, prop, prior)
             accepted_beta += state.accept_beta
             terms = state.terms
             assert terms.params is state.params and terms.prior is prior
+            assert (terms.alpha, terms.beta) == (state.params.alpha, state.params.beta)
+            assert terms.slopes == tuple(state.params.theta_slopes)
+            assert terms.intercepts == tuple(state.params.theta_intercepts)
             assert terms.masses == (g.nu_bin_mass(state.params, 1), g.nu_bin_mass(state.params, 2))
             assert terms.log_prior == g.prior_logpdf(prior, state.params)
-            if terms.ref_masses is not None:
-                # the Gamma reference's masses, kept from the beta move that last needed them
-                ref = state.params.gamma_reference()
-                assert terms.ref_masses == (g.nu_bin_mass(ref, 1), g.nu_bin_mass(ref, 2))
-                with_ref += 1
-        assert checked > 250 and with_ref > 50
+            assert terms.e1_b1 == g.exp_integral_e1(state.params.alpha * 0.3)
+            # the Gamma reference's masses, which psi_log subtracts
+            ref = state.params.gamma_reference()
+            assert tuple(terms.beta * u for u in terms.ref_units) == (
+                g.nu_bin_mass(ref, 1), g.nu_bin_mass(ref, 2))
+        assert checked > 250
         assert 0 < accepted_params < 300 and 0 < accepted_beta < 300
+
+
+def reference_update_params(state, prop, prior):
+    """update_params as it ran on ModelParams, loglik_ratio_params and prior_logpdf."""
+    state.accept_params, state.logr_params = False, -math.inf
+    params, rng = state.params, state.rng_params
+    z_alpha = rng.normal()
+    z_theta = rng.normal(size=params.n_bins)
+    z_rho = rng.normal(size=params.n_bins)
+    alpha_new = params.alpha + prop.sigma_alpha * z_alpha
+    if alpha_new <= 0:
+        return
+    if prior.reparam:
+        _, _, alpha1, beta1 = reparam_view(params)
+        beta1_new = beta1 + prop.sigma_rho * z_rho[0]
+        if beta1_new <= 0:
+            return
+        cand = reparam_invert(alpha_new, params.beta, alpha1 + prop.sigma_theta * z_theta[0],
+                              beta1_new, params.bin_edges)
+    else:
+        cand = params.with_updates(
+            alpha=alpha_new,
+            theta_slopes=params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha),
+            theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho)
+    if not cand.tail_integrable:
+        return
+    lp_new = g.prior_logpdf(prior, cand)
+    if lp_new == -math.inf:
+        return
+    log_ratio = float(g.loglik_ratio_params(state.totals, params, cand)
+                      + lp_new - g.prior_logpdf(prior, params))
+    state.logr_params = log_ratio
+    if log_ratio >= math.log(rng.uniform()):
+        state.params, state.accept_params = cand, True
+
+
+def reference_update_beta(state, prop, prior):
+    """update_beta as it ran on ModelParams, prior_logpdf, psi_log and the scalar
+    Gamma densities of the observed increments."""
+    state.accept_beta, state.logr_beta = False, -math.inf
+    params, rng = state.params, state.rng_beta
+    beta_new = params.beta + prop.sigma_beta * rng.normal()
+    if beta_new <= 0:
+        return
+    cand = params.with_updates(beta=beta_new)
+    lp_diff = g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, params)
+    if lp_diff == -math.inf:
+        return
+    active, new_stats = state.active, state.totals
+    if active.size:
+        block, sub = state.increments[active], state.sub_spans()[active]
+        if beta_new > params.beta:
+            block = augment_rows(rng, block, sub, params.beta, beta_new, params.alpha)
+        elif beta_new < params.beta:
+            block = thin_rows(rng, block, sub, params.beta, beta_new)
+        block, collapsed = pin_rows(block, state.obs.increments[active])
+        if collapsed.any():
+            return
+        sums, counts = bin_stats_matrix(block, params.bin_edges)
+        new_stats = state.block_totals(sums, counts)
+    density_diff = sum(g.gamma_logpdf(d, beta_new * h, params.alpha)
+                       - g.gamma_logpdf(d, params.beta * h, params.alpha)
+                       for d, h in zip(state.obs.increments, state.grid.spans))
+    log_ratio = float(lp_diff + density_diff
+                      + (g.psi_log(new_stats, cand) - g.psi_log(state.totals, params)))
+    state.logr_beta = log_ratio
+    if log_ratio >= math.log(rng.uniform()):
+        state.params, state.accept_beta = cand, True
+        if active.size:
+            state.write_rows(active, block, sums, counts)
+
+
+def normal_priors(n, sd_theta=1.0, sd_rho=1.5):
+    return (tuple(g.Prior("normal", 0, sd_theta) for _ in range(n)),
+            tuple(g.Prior("normal", 0, sd_rho) for _ in range(n)))
+
+
+def kernel_model(name):
+    """(obs, params0, prior, prop) of one of the oracle's models."""
+    gamma_alpha = g.Prior("gamma", 2.0, 1.0)
+    # a tight uniform beta prior: many beta candidates leave its support
+    tight_beta = g.Prior("uniform", 0.8, 1.25)
+    if name == "binned fixed beta":
+        theta, rho = normal_priors(2)
+        return (gamma_obs(n=40, seed=3), g.ModelParams(1.0, 1.0, [0.5, 1.5], [0.2, -0.1], [0.1, 0.0]),
+                g.PriorSpec(alpha=gamma_alpha, theta=theta, rho=rho),
+                g.ProposalSpec(sigma_alpha=0.1, sigma_theta=0.2, sigma_rho=0.3))
+    if name == "binned random beta":
+        theta, rho = normal_priors(2)
+        return (gamma_obs(n=40, seed=4), g.ModelParams(1.0, 1.0, [0.5, 1.5], [0.0, 0.0], [0.0, 0.0]),
+                g.PriorSpec(alpha=gamma_alpha, beta=tight_beta, theta=theta, rho=rho),
+                g.ProposalSpec(sigma_alpha=0.1, sigma_theta=0.2, sigma_rho=0.3, sigma_beta=0.15,
+                               update_schedule=("beta", "params")))
+    if name == "binless":
+        return (gamma_obs(n=40, seed=5), g.ModelParams(1.0, 1.0),
+                g.PriorSpec(alpha=g.Prior("uniform", 0.5, 3.0), beta=tight_beta),
+                g.ProposalSpec(sigma_alpha=0.3, sigma_beta=0.15, update_schedule=("beta", "params")))
+    if name == "reparam":
+        return (gamma_obs(n=30, seed=13), g.ModelParams(1.0, 1.0, [0.8], [0.0], [0.0]),
+                g.PriorSpec(alpha=g.Prior.from_mean_variance(0.75, 0.36), beta=tight_beta,
+                            theta=(g.Prior.from_mean_variance(0.75, 0.36),),
+                            rho=(g.Prior.from_mean_variance(1.0, 1.0),), reparam=True),
+                g.ProposalSpec(sigma_alpha=0.1, sigma_theta=0.2, sigma_rho=0.3, sigma_beta=0.1,
+                               update_schedule=("beta", "params", "params")))
+    # slope_1 + alpha starts at exactly 0 and walks on both sides of it
+    theta, rho = normal_priors(3, sd_theta=3.0)
+    return (gamma_obs(n=30, seed=6),
+            g.ModelParams(1.0, 1.0, [0.5, 1.0, 2.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+            g.PriorSpec(alpha=gamma_alpha, beta=tight_beta, theta=theta, rho=rho),
+            g.ProposalSpec(sigma_alpha=0.05, sigma_theta=0.4, sigma_rho=0.3, sigma_beta=0.15,
+                           update_schedule=("beta", "params")))
+
+
+KERNEL_MODELS = ("binned fixed beta", "binned random beta", "binless", "reparam",
+                 "interior rate <= 0")
+
+
+class TestKernelOracle:
+    """The float kernel against the moves as they ran on ModelParams and the
+    scalar likelihood functions, side by side on twin streams."""
+
+    @pytest.mark.parametrize("name", KERNEL_MODELS)
+    def test_run_matches_the_scalar_moves(self, name):
+        obs, params0, prior, prop = kernel_model(name)
+        recs = list(g.run_mcmc(obs, params0, prior, prop, iterations=400, burn_in=0,
+                               seed=5, m=4))
+        oracle = list(run_with(g.refresh_segments, obs, params0, prior, prop, 400, 5, 4,
+                               beta_move=reference_update_beta,
+                               params_move=reference_update_params))
+        for r, o in zip(recs, oracle, strict=True):
+            assert (r.alpha, r.beta, r.theta, r.rho) == (o.alpha, o.beta, o.theta, o.rho)
+            assert (r.accept_params, r.accept_beta) == (o.accept_params, o.accept_beta)
+            assert r.accept_path_rate == o.accept_path_rate
+            for a, b in ((r.logr_params, o.logr_params), (r.logr_beta, o.logr_beta)):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12) or (
+                    math.isnan(a) and math.isnan(b))
+        for move in ("params", "beta"):
+            flags = [getattr(r, f"accept_{move}") for r in recs]
+            logrs = [getattr(r, f"logr_{move}") for r in recs]
+            attempted = sum(f is not None for f in flags)
+            if attempted:
+                # both accepted and rejected candidates, and some outside the support
+                assert 0 < sum(bool(f) for f in flags) < attempted
+        if prior.beta_is_random:
+            assert any(r.logr_beta == -math.inf for r in recs)
+        if name == "interior rate <= 0":
+            rates = [r.theta[0] + r.alpha for r in recs]
+            assert min(rates) < 0 < max(rates)
 
 
 class TestSegmentTotals:
@@ -720,21 +917,41 @@ class TestSegmentTotals:
 
 
 class TestNonFiniteRatios:
+    """Faults are injected through the bin totals, which both ratios read."""
+
     prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0))
 
-    def test_nan_parameter_ratio_raises(self, monkeypatch):
-        monkeypatch.setattr(mcmc, "loglik_ratio_params", lambda *args: math.nan)
-        with pytest.raises(g.ContractError, match="NaN"):
-            g.update_params(basic_state(), g.ProposalSpec(), self.prior)
+    @staticmethod
+    def with_total(state, k, value):
+        sums = state.totals.sums.copy()
+        sums[k] = value
+        state.totals = g.BinStats(sums, state.totals.counts, state.totals.horizon)
+        return state
 
-    def test_nan_beta_ratio_raises(self, monkeypatch):
-        monkeypatch.setattr(mcmc, "psi_log", lambda *args: math.nan)
+    def test_nan_parameter_ratio_raises(self):
+        state = self.with_total(basic_state(), 0, math.nan)
         with pytest.raises(g.ContractError, match="NaN"):
-            g.update_beta(basic_state(), g.ProposalSpec(), self.prior)
+            g.update_params(state, g.ProposalSpec(), self.prior)
 
-    def test_minus_inf_ratio_is_a_rejection(self, monkeypatch):
-        monkeypatch.setattr(mcmc, "loglik_ratio_params", lambda *args: -math.inf)
-        state = basic_state()
+    def test_nan_beta_ratio_raises(self):
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
+                            theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.5),))
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71)
+        self.with_total(state, 1, math.nan)
+        with pytest.raises(g.ContractError, match="NaN"):
+            g.update_beta(state, g.ProposalSpec(), prior)
+
+    def test_minus_inf_ratio_is_a_rejection(self):
+        class Upward:
+            def normal(self, size):
+                return np.ones(size)
+
+            def uniform(self):
+                return 0.5
+
+        # an alpha step up against an infinite S_0 gives a ratio of -inf
+        state = self.with_total(basic_state(), 0, math.inf)
+        state.rng_params = Upward()
         params = state.params
         g.update_params(state, g.ProposalSpec(), self.prior)
         assert state.accept_params is False

@@ -12,6 +12,7 @@ from gammasub import (
     ModelParams,
     Prior,
     PriorSpec,
+    exp_integral_e1,
     gamma_drift,
     levy_density,
     nu_bin_mass,
@@ -19,6 +20,7 @@ from gammasub import (
     prior_logpdf,
     theta_at,
 )
+from gammasub.model import compile_prior, mass_factors
 
 E1_AT_1 = 0.21938393439552028
 E1_AT_2 = 0.04890051070806112
@@ -187,6 +189,55 @@ class TestNuBinMass:
         assert total == pytest.approx(head + tail, rel=1e-8)
 
 
+class TestMassFactors:
+    """The float bin masses equal nu_bin_mass bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(p):
+        edges = tuple(p.bin_edges.tolist())
+        slopes, rhos = p.theta_slopes.tolist(), p.theta_intercepts.tolist()
+        e1_b1, units, ref_units = mass_factors(p.alpha, slopes, edges, reference=True)
+        assert e1_b1 == exp_integral_e1(p.alpha * edges[0])
+        for k in range(1, p.n_bins + 1):
+            assert p.beta * math.exp(-rhos[k - 1]) * units[k - 1] == nu_bin_mass(p, k)
+            assert p.beta * ref_units[k - 1] == nu_bin_mass(p.gamma_reference(), k)
+        # the reference's masses are optional; the others do not depend on them
+        assert mass_factors(p.alpha, slopes, edges) == (e1_b1, units, None)
+        return units
+
+    def test_every_kind_of_bin(self):
+        # interior rates slope + alpha > 0, = 0 exactly and < 0, then the tail
+        p = ModelParams(0.75, 1.3, [0.5, 1.0, 2.5, 4.0], [0.4, -0.75, -1.25, 0.1],
+                        [0.3, -0.2, 0.7, -1.1])
+        assert [s + p.alpha for s in p.theta_slopes.tolist()] == [1.15, 0.0, -0.5, 0.85]
+        units = self.assert_bitwise(p)
+        assert units[1] == math.log(2.5)
+
+    def test_underflow_beyond_745(self):
+        # c * b beyond 745 gives E1 exactly 0: the tail and the upper edge of bin 1
+        p = ModelParams(400.0, 2.0, [1.0, 2.0], [0.0, 0.0], [0.5, 0.0])
+        units = self.assert_bitwise(p)
+        assert units[1] == 0.0 and nu_bin_mass(p, 2) == 0.0
+        assert units[0] == exp_integral_e1(400.0)
+
+    def test_randomized(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            edges = np.sort(rng.uniform(0.1, 8.0, size=n))
+            if np.any(np.diff(edges) <= 0):
+                continue
+            alpha = rng.uniform(0.05, 5.0)
+            slopes = rng.normal(0.0, 2.0, size=n)
+            slopes[-1] = abs(slopes[-1]) - 0.9 * alpha      # tail rate stays positive
+            self.assert_bitwise(ModelParams(alpha, rng.uniform(0.1, 9.0), edges, slopes,
+                                            rng.normal(0.0, 1.0, size=n)))
+
+    def test_tail_requires_positive_rate(self):
+        with pytest.raises(DomainError):
+            mass_factors(1.0, (0.0, -1.0), (1.0, 2.0))
+
+
 class TestNuDiffBin0:
     def test_equal_rates_give_zero(self):
         assert nu_diff_bin0(1.3, 1.3, 2.0, 1.0) == 0.0
@@ -324,3 +375,68 @@ class TestPriorLogpdf:
             PriorSpec(alpha=Prior("gamma", 2, 1), beta=Prior("gamma", 2, 1),
                       theta=(Prior("gamma", 2, 1),) * 2,
                       rho=(Prior("gamma", 2, 1),) * 2, reparam=True)
+
+
+class TestCompilePrior:
+    """The compiled prior equals prior_logpdf (and Prior.logpdf) bit for bit."""
+
+    KINDS = (Prior("uniform", -0.5, 2.0), Prior("gamma", 2.5, 1.5), Prior("gamma", 0.7, 3.0),
+             Prior("normal", 0.3, 2.0))
+
+    @pytest.mark.parametrize("prior", KINDS, ids=lambda p: f"{p.kind}-{p.a}")
+    def test_component_matches_logpdf(self, prior):
+        compiled = prior.compiled()
+        # support edges: uniform endpoints are inside, a gamma at 0 is outside
+        xs = [prior.a, prior.b, -0.5, 0.0, 5e-324, 1e-300, 0.4, 1.7, 2.0, 2.0000000000000004,
+              -3.0, 40.0, math.nan, math.inf, -math.inf]
+        for x in xs:
+            want = prior.logpdf(x)
+            got = compiled(x)
+            assert got == want or (math.isnan(got) and math.isnan(want)), x
+        assert compiled(math.nan) == compiled(math.inf) == compiled(-math.inf) == -math.inf
+        if prior.kind == "uniform":
+            assert compiled(prior.a) == compiled(prior.b) == -math.log(2.5)
+            assert compiled(math.nextafter(prior.b, math.inf)) == -math.inf
+        if prior.kind == "gamma":
+            assert compiled(0.0) == -math.inf < compiled(5e-324)
+
+    @pytest.mark.parametrize("tail", [True, False])
+    @pytest.mark.parametrize("beta", [None, Prior("uniform", 0.5, 2.0)])
+    def test_spec_matches_prior_logpdf(self, tail, beta):
+        rng = np.random.default_rng(99)
+        for n in range(4):
+            spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), beta=beta,
+                             theta=(Prior("normal", 0.0, 3.0), Prior("uniform", -1.0, 1.0),
+                                    Prior("gamma", 2.0, 2.0))[:n],
+                             rho=(Prior("uniform", -2.0, 2.0), Prior("normal", 0.0, 7.0),
+                                  Prior("normal", 1.0, 0.5))[:n],
+                             tail_constraint=tail)
+            logpdf = compile_prior(spec)
+            for _ in range(100):
+                p = ModelParams(rng.uniform(0.1, 3.0), rng.uniform(0.1, 2.5),
+                                np.arange(1.0, n + 1.0), rng.normal(0.0, 1.5, size=n),
+                                rng.normal(0.0, 2.0, size=n))
+                want = prior_logpdf(spec, p)
+                assert logpdf(p.alpha, p.beta, tuple(p.theta_slopes.tolist()),
+                              tuple(p.theta_intercepts.tolist())) == want
+
+    @pytest.mark.parametrize("tail", [True, False])
+    def test_tail_constraint(self, tail):
+        spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), theta=(Prior("normal", 0.0, 3.0),) * 3,
+                         rho=(Prior("normal", 0.0, 7.0),) * 3, tail_constraint=tail)
+        for last in (-1.5, -1.0, -0.5):
+            bad = binned_model(slopes=(0.0, 0.0, last))
+            got = compile_prior(spec)(1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0))
+            assert got == prior_logpdf(spec, bad)
+            assert (got == -math.inf) == (tail and last <= -1.0)
+
+    def test_reparam(self):
+        spec = PriorSpec(alpha=Prior("gamma", 1.5625, 2.0833333333333335),
+                         beta=Prior("uniform", 60.0, 120.0),
+                         theta=(Prior("gamma", 1.5625, 2.0833333333333335),),
+                         rho=(Prior.from_mean_variance(90.0, 2500.0),), reparam=True)
+        logpdf = compile_prior(spec)
+        for alpha, beta, slope, rho in ((0.8, 85.0, 0.1, 0.2), (0.8, 85.0, -0.8, 0.2),
+                                        (0.5, 130.0, 0.3, -0.1), (2.0, 60.0, -0.5, 0.0)):
+            p = ModelParams(alpha, beta, [2.0], [slope], [rho])
+            assert logpdf(alpha, beta, (slope,), (rho,)) == prior_logpdf(spec, p)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from gammasub import DomainError, exp_integral_e1, gamma_logpdf
+from gammasub.specfun import exp_integral_e1_values
 
 # Frozen reference values, computed once by adaptive quadrature of
 # exp(-t)/t (split at t=1, epsrel 1e-14) and cross-checked at 30 digits.
@@ -62,6 +63,21 @@ class TestExpIntegral:
         vals = np.array([exp_integral_e1(float(z)) for z in zs])
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
+
+
+class TestExpIntegralValues:
+    def test_equals_the_scalar_bit_for_bit(self):
+        zs = [1e-8, 0.3, 1.0, 2.0, 17.5, 700.0, 744.9, 745.0, 745.1, 746.0, 5000.0, math.inf]
+        got = exp_integral_e1_values(zs)
+        assert got == [exp_integral_e1(z) if z < math.inf else 0.0 for z in zs]
+        # exactly zero once exp(-z) underflows
+        assert got[-4:] == [0.0] * 4
+        assert exp_integral_e1_values([]) == []
+
+    def test_domain_errors(self):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                exp_integral_e1_values([1.0, bad])
 
 
 class TestGammaLogpdf:
