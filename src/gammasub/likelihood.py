@@ -1,28 +1,42 @@
 """Sufficient statistics over paths and the closed-form log-likelihood ratios.
 
-All Metropolis-Hastings acceptances in the sampler reduce to two quantities
+All Metropolis-Hastings acceptances in the sampler reduce to quantities
 computed here from per-bin increment sums and counts: the ratio between two
-parameter vectors on a fixed path, and the ratio between two endpoint-matched
-paths under fixed parameters.  Everything is computed and consumed in log
-space; acceptance compares a log ratio to ln(U).
+parameter vectors on a fixed path, the ratio between two endpoint-matched
+paths under fixed parameters, and psi, a path's log-density against its
+Gamma reference.  Everything is computed and consumed in log space;
+acceptance compares a log ratio to ln(U).
+
+The parameter ratio and psi have one implementation each, on Python floats
+(ParamTerms): param_log_ratio with its compensator, compensator_terms, and
+psi_terms, which the sampler's moves call.  loglik_ratio_params,
+compensator_diff and psi_log are their views on ModelParams and BinStats,
+which check that the arguments fit together.
 """
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import ContractError, DomainError
-from .model import ModelParams, nu_bin_mass, nu_diff_bin0
+# nu_bin_mass and nu_diff_bin0 stay names of this module, where bench/tracer.py rebinds them
+from .model import (ModelParams, bin0_mass_diff, bin_mass_values, mass_factors,  # noqa: F401
+                    nu_bin_mass, nu_diff_bin0)
 from .paths import GridPath
 
 __all__ = [
     "BinStats",
+    "ParamTerms",
     "bin_masses",
     "bin_stats",
+    "compensator_diff",
+    "compensator_terms",
     "loglik_ratio_params",
     "loglik_ratio_path",
+    "param_log_ratio",
     "psi_log",
+    "psi_terms",
 ]
 
 _ENDPOINT_RTOL = 1e-9
@@ -106,46 +120,51 @@ def bin_stats(path: GridPath, params: ModelParams) -> BinStats:
     return BinStats(sums[0], counts[0], path.grid.horizon)
 
 
-def _check_stats_match(stats: BinStats, params: ModelParams) -> None:
-    if stats.n_bins != params.n_bins:
-        raise ContractError(
-            f"stats have {stats.n_bins} bins but params have {params.n_bins}"
-        )
+class ParamTerms(NamedTuple):
+    """One parameter vector as Python floats, with the bin-mass terms the ratios read.
 
-
-def bin_masses(params: ModelParams) -> tuple[float, ...]:
-    """Jump-measure masses nu(B_k) of bins k = 1..N, one nu_bin_mass call each."""
-    return tuple(nu_bin_mass(params, k) for k in range(1, params.n_bins + 1))
-
-
-def compensator_diff(old: ModelParams, new: ModelParams,
-                     old_masses=None, new_masses=None) -> float:
-    """Total jump-measure difference sum_k (nu_new - nu_old)(B_k), k = 0..N.
-
-    Both parameter vectors must share beta and bin edges.  For the binless
-    model the whole difference collapses to the log limit beta*ln(a/a°).
-    old_masses / new_masses are the bin_masses of old / new when the caller
-    already has them; the sum is the same either way.
+    e1_b1, units and ref_units are model.mass_factors's (ref_units None
+    unless built with reference), masses are model.bin_mass_values's
+    nu(B_1), ..., nu(B_N), and the Gamma reference's masses, which psi
+    subtracts, are beta * ref_units.
     """
-    if new.beta != old.beta:
-        raise ContractError(f"beta must match, got {old.beta} and {new.beta}")
-    if old.n_bins != new.n_bins or not np.array_equal(old.bin_edges, new.bin_edges):
-        raise ContractError("bin edges must match")
-    if old.n_bins == 0:
-        return old.beta * math.log(old.alpha / new.alpha)
-    if old_masses is None:
-        old_masses = bin_masses(old)
-    if new_masses is None:
-        new_masses = bin_masses(new)
-    total = nu_diff_bin0(new.alpha, old.alpha, old.beta, float(old.bin_edges[0]))
-    for mass_new, mass_old in zip(new_masses, old_masses):
+
+    edges: tuple[float, ...]
+    alpha: float
+    beta: float
+    slopes: tuple[float, ...]
+    intercepts: tuple[float, ...]
+    e1_b1: float
+    units: tuple[float, ...]
+    ref_units: tuple[float, ...] | None
+    masses: tuple[float, ...]
+
+    @classmethod
+    def at(cls, edges, alpha: float, beta: float, slopes, intercepts, factors) -> "ParamTerms":
+        """The terms at floats, given their mass_factors(alpha, slopes, edges)."""
+        return cls(edges, alpha, beta, slopes, intercepts, *factors,
+                   bin_mass_values(beta, intercepts, factors[1]))
+
+    @classmethod
+    def of(cls, params: ModelParams, reference: bool = False) -> "ParamTerms":
+        """The terms of a ModelParams, with the Gamma reference's factors if reference."""
+        edges = tuple(params.bin_edges.tolist())
+        slopes = tuple(params.theta_slopes.tolist())
+        return cls.at(edges, params.alpha, params.beta, slopes,
+                      tuple(params.theta_intercepts.tolist()),
+                      mass_factors(params.alpha, slopes, edges, reference))
+
+
+def compensator_terms(old: ParamTerms, new: ParamTerms) -> float:
+    """Total jump-measure difference sum_{k=0..N} (nu_new - nu_old)(B_k) at one beta."""
+    total = bin0_mass_diff(old.beta, new.alpha, old.alpha, new.e1_b1, old.e1_b1)
+    for mass_new, mass_old in zip(new.masses, old.masses):
         total += mass_new - mass_old
     return total
 
 
-def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams,
-                        old_masses=None, new_masses=None) -> float:
-    """Log-likelihood ratio of two parameter vectors on one augmented path.
+def param_log_ratio(totals: BinStats, old: ParamTerms, new: ParamTerms) -> float:
+    """Log-likelihood ratio of two parameter vectors (one beta) on one augmented path.
 
     Evaluates
 
@@ -154,19 +173,74 @@ def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams,
         - sum_k (rho°_k - rho_k) * C_k
         - T * sum_{k=0..N} (nu° - nu)(B_k)
 
-    with S_k, C_k the per-bin increment sums and counts.  old_masses /
-    new_masses are passed on to compensator_diff.
+    with S_k, C_k the per-bin increment sums and counts of totals.
     """
+    sums, counts = totals.sums.tolist(), totals.counts.tolist()
+    total = -(new.alpha - old.alpha) * sums[0]
+    slope_part = intercept_part = 0.0
+    for slope_new, slope_old, rho_new, rho_old, s, c in zip(
+            new.slopes, old.slopes, new.intercepts, old.intercepts, sums[1:], counts[1:]):
+        slope_part += ((slope_new + new.alpha) - (slope_old + old.alpha)) * s
+        intercept_part += (rho_new - rho_old) * c
+    total -= slope_part
+    total -= intercept_part
+    return total - totals.horizon * compensator_terms(old, new)
+
+
+def psi_terms(sums, counts, horizon: float, terms: ParamTerms) -> float:
+    """Log-density of the model's path law against its Gamma reference.
+
+    sums and counts are the per-bin totals S_0..S_N and C_0..C_N as
+    sequences of floats; terms need ref_units.  The reference shares (beta,
+    alpha) and has all slopes and intercepts zero, so
+
+        psi = -sum_k th_k * S_k - sum_k rho_k * C_k
+              - T * sum_{k=1..N} (nu - nu_ref)(B_k).
+    """
+    slope_part = intercept_part = comp = 0.0
+    for slope, intercept, mass, unit, s, c in zip(terms.slopes, terms.intercepts, terms.masses,
+                                                  terms.ref_units, sums[1:], counts[1:]):
+        slope_part += slope * s
+        intercept_part += intercept * c
+        comp += mass - terms.beta * unit
+    return -(slope_part + intercept_part + horizon * comp)
+
+
+def _check_stats_match(stats: BinStats, params: ModelParams) -> None:
+    if stats.n_bins != params.n_bins:
+        raise ContractError(
+            f"stats have {stats.n_bins} bins but params have {params.n_bins}"
+        )
+
+
+def bin_masses(params: ModelParams) -> tuple[float, ...]:
+    """Jump-measure masses nu(B_k) of bins k = 1..N."""
+    return ParamTerms.of(params).masses
+
+
+def _check_same_beta_and_edges(old: ModelParams, new: ModelParams) -> None:
+    if new.beta != old.beta:
+        raise ContractError(f"beta must match, got {old.beta} and {new.beta}")
+    if old.n_bins != new.n_bins or not np.array_equal(old.bin_edges, new.bin_edges):
+        raise ContractError("bin edges must match")
+
+
+def compensator_diff(old: ModelParams, new: ModelParams) -> float:
+    """compensator_terms of two parameter vectors, which must share beta and bin edges.
+
+    For the binless model the difference is the log limit beta*ln(a/a°).
+    """
+    _check_same_beta_and_edges(old, new)
+    return compensator_terms(ParamTerms.of(old), ParamTerms.of(new))
+
+
+def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams) -> float:
+    """param_log_ratio of two parameter vectors, which must share beta and bin
+    edges, on the bin statistics stats."""
     _check_stats_match(stats, old)
     _check_stats_match(stats, new)
-    total = -(new.alpha - old.alpha) * stats.sums[0]
-    if old.n_bins:
-        slope_diff = (new.theta_slopes + new.alpha) - (old.theta_slopes + old.alpha)
-        intercept_diff = new.theta_intercepts - old.theta_intercepts
-        total -= float(slope_diff @ stats.sums[1:])
-        total -= float(intercept_diff @ stats.counts[1:])
-    total -= stats.horizon * compensator_diff(old, new, old_masses, new_masses)
-    return total
+    _check_same_beta_and_edges(old, new)
+    return param_log_ratio(stats, ParamTerms.of(old), ParamTerms.of(new))
 
 
 def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
@@ -206,28 +280,8 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
     return -(d_sums[..., 1:] @ params.theta_slopes + d_counts[..., 1:] @ params.theta_intercepts)
 
 
-def psi_log(stats: BinStats, params: ModelParams, masses=None, ref_masses=None) -> float:
-    """Log-density of the model's path law against its Gamma reference.
-
-    The reference shares (beta, alpha) and has all slopes and intercepts
-    zero, so
-
-        psi = -sum_k th_k * S_k - sum_k rho_k * C_k
-              - T * sum_{k=1..N} (nu - nu_ref)(B_k).
-
-    masses and ref_masses are the bin_masses of params and of its reference
-    when the caller already has them.
-    """
+def psi_log(stats: BinStats, params: ModelParams) -> float:
+    """psi_terms at the bin statistics stats and the parameters params."""
     _check_stats_match(stats, params)
-    if params.n_bins == 0:
-        return 0.0
-    if masses is None:
-        masses = bin_masses(params)
-    if ref_masses is None:
-        ref_masses = bin_masses(params.gamma_reference())
-    comp = sum(mass - ref for mass, ref in zip(masses, ref_masses))
-    return -float(
-        params.theta_slopes @ stats.sums[1:]
-        + params.theta_intercepts @ stats.counts[1:]
-        + stats.horizon * comp
-    )
+    return psi_terms(stats.sums.tolist(), stats.counts.tolist(), stats.horizon,
+                     ParamTerms.of(params, reference=True))

@@ -24,39 +24,40 @@ segments move, which keeps every move's target, and the parameter chain's
 law, unchanged.  On a binless model every segment is inert: the refresh
 draws nothing and the beta move is its prior and Gamma-density ratio.
 
-Both parameter moves share one kernel on Python floats (ParamTerms): a
-candidate is checked for its domain, scored by the prior compiled once from
-the PriorSpec, and given its bin masses, E1(alpha b_1) and, with random
-beta, the Gamma reference's masses from one scipy.special.exp1 call (a beta
-move needs none: its candidate shares alpha and the slopes).  Its ratio is
-read from the totals, and only an accepted move builds a ModelParams.  The
-scalar loglik_ratio_params, psi_log, prior_logpdf and nu_bin_mass are the
-reference these terms equal.  The beta move's Gamma density ratio reads the
-data only through per-chain constants (ChainState).
+Both parameter moves draw a candidate as Python floats, check it for the
+model's domain and score it by PriorSpec.logpdf.  Its bin-mass terms
+(likelihood.ParamTerms: the masses, E1(alpha b_1) and, with random beta, the
+Gamma reference's factors) come from one scipy.special.exp1 call in
+model.mass_factors; a beta move needs none, as its candidate shares alpha
+and the slopes.  The ratios are likelihood's param_log_ratio and psi_terms
+at the bin totals, and only an accepted move builds a ModelParams.  The beta
+move's Gamma density ratio reads the data only through per-chain constants
+(ChainState).
 """
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
 
 from .data import Observations
 from .exceptions import ConfigError, ContractError, DomainError
-# loglik_ratio_params and psi_log, the scalar reference of the moves' ratios,
+# loglik_ratio_params and psi_log, the ModelParams views of the moves' ratios,
 # stay names of this module, where bench/tracer.py rebinds them
-from .likelihood import (BinStats, bin_stats_matrix, loglik_ratio_params,  # noqa: F401
-                         loglik_ratio_path, psi_log)
-from .model import ModelParams, PriorSpec, compile_prior, mass_factors, prior_logpdf
+from .likelihood import (BinStats, ParamTerms, bin_stats_matrix,  # noqa: F401
+                         loglik_ratio_params, loglik_ratio_path, param_log_ratio, psi_log,
+                         psi_terms)
+from .model import ModelParams, PriorSpec, mass_factors, prior_logpdf
 from .paths import TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
 
 __all__ = [
     "ProposalSpec",
     "ChainState",
     "ChainRecord",
-    "ParamTerms",
+    "ScoredParams",
     "active_segments",
     "init_chain",
     "refresh_segments",
@@ -130,48 +131,18 @@ class ChainRecord:
                            np.asarray(self.theta), np.asarray(self.rho))
 
 
-class ParamTerms(NamedTuple):
-    """One parameter vector as Python floats, with every term a move's ratio reads.
+class ScoredParams(NamedTuple):
+    """A parameter vector as the moves read it: its float terms and its log prior.
 
-    The state keeps these for its current parameters; a move builds its
-    candidate's from floats, and an accepted move hands them over with the
-    one ModelParams it builds (params).  log_prior is log_prior_of, the
-    prior compiled once by compile_prior, at the floats.  e1_b1, units and
-    ref_units are model.mass_factors's (ref_units None unless beta is
-    random), and masses[k-1] = beta * exp(-rho_k) * units[k-1] is
-    nu_bin_mass's nu(B_k) bit for bit; the Gamma reference's masses, which
-    psi_log subtracts, are beta * ref_units.
+    The state keeps one for its current parameters; a move builds its
+    candidate's from floats, and an accepted move hands it over with the one
+    ModelParams it builds (params).
     """
 
     params: ModelParams | None      # the validated parameters; None for a candidate
     prior: PriorSpec
-    log_prior_of: Callable
-    edges: tuple[float, ...]
-    alpha: float
-    beta: float
-    slopes: tuple[float, ...]
-    intercepts: tuple[float, ...]
+    terms: ParamTerms
     log_prior: float
-    e1_b1: float
-    units: tuple[float, ...]
-    ref_units: tuple[float, ...] | None
-    masses: tuple[float, ...]
-
-    @classmethod
-    def of(cls, params: ModelParams, prior: PriorSpec) -> "ParamTerms":
-        """The terms of a validated parameter vector under prior."""
-        log_prior_of = compile_prior(prior)
-        edges = tuple(params.bin_edges.tolist())
-        slopes = tuple(params.theta_slopes.tolist())
-        intercepts = tuple(params.theta_intercepts.tolist())
-        factors = mass_factors(params.alpha, slopes, edges, prior.beta_is_random)
-        return cls(params, prior, log_prior_of, edges, params.alpha, params.beta, slopes,
-                   intercepts, log_prior_of(params.alpha, params.beta, slopes, intercepts),
-                   *factors, _masses(params.beta, intercepts, factors[1]))
-
-
-def _masses(beta: float, intercepts, units) -> tuple[float, ...]:
-    return tuple([beta * math.exp(-rho) * unit for rho, unit in zip(intercepts, units)])
 
 
 @dataclass
@@ -198,7 +169,7 @@ class ChainState:
     logr_params: float = math.nan
     logr_beta: float = math.nan
     segment_accepts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    terms: ParamTerms | None = None     # of params; filled by the first move that needs it
+    scored: ScoredParams | None = None   # of params; filled by the first move that needs it
     totals: BinStats = field(init=False)   # over all segments; write_rows keeps it current
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
     # chain: sum_i h_i log(delta_i), sum_i h_i, and the distinct spans h with
@@ -207,6 +178,7 @@ class ChainState:
     span_total: float = field(init=False)
     distinct_spans: np.ndarray = field(init=False)
     span_counts: np.ndarray = field(init=False)
+    active_sub_spans: np.ndarray = field(init=False)    # (n_active, 1) sub-step spans h_i / m
 
     def __post_init__(self):
         self.totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
@@ -214,6 +186,7 @@ class ChainState:
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
         self.distinct_spans, self.span_counts = np.unique(spans, return_counts=True)
+        self.active_sub_spans = (spans[self.active] / self.grid.m)[:, None]
 
     @property
     def n_segments(self) -> int:
@@ -222,10 +195,6 @@ class ChainState:
     @property
     def m(self) -> int:
         return self.increments.shape[1]
-
-    def sub_spans(self) -> np.ndarray:
-        """Per-segment sub-step span h_i / m, shape (n_segments, 1)."""
-        return (self.grid.spans / self.grid.m)[:, None]
 
     def block_totals(self, sums: np.ndarray, counts: np.ndarray) -> BinStats:
         """Totals over all segments, given the active block's (n_active, N+1) statistics."""
@@ -246,12 +215,15 @@ class ChainState:
             totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
         self.totals = totals
 
-    def param_terms(self, prior: PriorSpec) -> ParamTerms:
-        """The ParamTerms of params under prior, evaluated if either changed since."""
-        terms = self.terms
-        if terms is None or terms.params is not self.params or terms.prior is not prior:
-            terms = self.terms = ParamTerms.of(self.params, prior)
-        return terms
+    def scored_params(self, prior: PriorSpec) -> ScoredParams:
+        """params scored under prior, with the reference's factors when beta is
+        random; evaluated if params or prior changed since."""
+        scored = self.scored
+        if scored is None or scored.params is not self.params or scored.prior is not prior:
+            terms = ParamTerms.of(self.params, prior.beta_is_random)
+            scored = self.scored = ScoredParams(self.params, prior, terms, prior.logpdf(
+                terms.alpha, terms.beta, terms.slopes, terms.intercepts))
+        return scored
 
     def record(self) -> ChainRecord:
         return ChainRecord(
@@ -329,7 +301,7 @@ def refresh_segments(state: ChainState) -> ChainState:
     n_rejected = 0
     if active.size:
         params = state.params
-        proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans()[active],
+        proposal = bridge_rows(state.rng_path, params.beta * state.active_sub_spans,
                                state.obs.increments[active], state.m)
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
         log_ratio = loglik_ratio_path(new_sums, new_counts, state.seg_sums[active],
@@ -366,9 +338,9 @@ def reparam_invert(alpha: float, beta: float, alpha1: float, beta1: float,
                        np.array([math.log(beta) - math.log(beta1)]))
 
 
-def _candidate(cur: ParamTerms, alpha: float, beta: float, slopes, intercepts,
-               factors=None) -> ParamTerms | None:
-    """The float terms of a candidate; None outside the model's domain or the prior's support.
+def _candidate(cur: ScoredParams, alpha: float, beta: float, slopes, intercepts,
+               factors=None) -> ScoredParams | None:
+    """A candidate scored under cur's prior; None outside the model's domain or the prior's support.
 
     The domain is alpha and beta finite and > 0, finite slopes and
     intercepts, and a tail slope > -alpha.  factors are the candidate's
@@ -378,62 +350,30 @@ def _candidate(cur: ParamTerms, alpha: float, beta: float, slopes, intercepts,
         return None
     if slopes and (slopes[-1] <= -alpha or not all(map(math.isfinite, slopes + intercepts))):
         return None
-    log_prior = cur.log_prior_of(alpha, beta, slopes, intercepts)
+    log_prior = cur.prior.logpdf(alpha, beta, slopes, intercepts)
     if log_prior == -math.inf:
         return None
+    edges = cur.terms.edges
     if factors is None:
-        factors = mass_factors(alpha, slopes, cur.edges, cur.ref_units is not None)
-    return ParamTerms(None, cur.prior, cur.log_prior_of, cur.edges, alpha, beta, slopes,
-                      intercepts, log_prior, *factors, _masses(beta, intercepts, factors[1]))
+        factors = mass_factors(alpha, slopes, edges, cur.prior.beta_is_random)
+    terms = ParamTerms.at(edges, alpha, beta, slopes, intercepts, factors)
+    return ScoredParams(None, cur.prior, terms, log_prior)
 
 
-def _accept(state: ChainState, rng, cand: ParamTerms, log_ratio: float, move: str) -> bool:
+def _accept(state: ChainState, rng, cand: ScoredParams, log_ratio: float, move: str) -> bool:
     """Metropolis test of log_ratio against ln(U) from rng; an accepted candidate
-    becomes the state's params, as one validated ModelParams, and its terms.
+    becomes the state's params, as one validated ModelParams, and its scores.
     A NaN log ratio raises ContractError: a numerical fault, not a rejection."""
     if math.isnan(log_ratio):
         raise ContractError(f"{move} move gave a NaN log ratio at sweep {state.iteration}")
-    if not log_ratio >= math.log(rng.uniform()):
+    if not log_ratio >= math.log(rng.random()):
         return False
-    params = ModelParams(cand.alpha, cand.beta, state.params.bin_edges, cand.slopes,
-                         cand.intercepts)
+    terms = cand.terms
+    params = ModelParams(terms.alpha, terms.beta, state.params.bin_edges, terms.slopes,
+                         terms.intercepts)
     state.params = params
-    state.terms = ParamTerms(params, *cand[1:])
+    state.scored = ScoredParams(params, *cand[1:])
     return True
-
-
-def _loglik_ratio(totals: BinStats, old: ParamTerms, new: ParamTerms) -> float:
-    """loglik_ratio_params(totals, old, new) on the float terms (same beta)."""
-    sums, counts = totals.sums.tolist(), totals.counts.tolist()
-    total = -(new.alpha - old.alpha) * sums[0]
-    if not old.edges:
-        return total - totals.horizon * (old.beta * math.log(old.alpha / new.alpha))
-    slope_part = intercept_part = 0.0
-    for slope_new, slope_old, rho_new, rho_old, s, c in zip(
-            new.slopes, old.slopes, new.intercepts, old.intercepts, sums[1:], counts[1:]):
-        slope_part += ((slope_new + new.alpha) - (slope_old + old.alpha)) * s
-        intercept_part += (rho_new - rho_old) * c
-    total -= slope_part
-    total -= intercept_part
-    # nu_diff_bin0, then the bins' mass differences: compensator_diff's order
-    comp = 0.0 if new.alpha == old.alpha else old.beta * (
-        math.log(old.alpha / new.alpha) - (new.e1_b1 - old.e1_b1))
-    for mass_new, mass_old in zip(new.masses, old.masses):
-        comp += mass_new - mass_old
-    return total - totals.horizon * comp
-
-
-def _psi(sums: list, counts: list, horizon: float, terms: ParamTerms) -> float:
-    """psi_log at the bin totals (sums, counts) on the float terms."""
-    if not terms.edges:
-        return 0.0
-    slope_part = intercept_part = comp = 0.0
-    for k, (slope, intercept, mass, unit) in enumerate(
-            zip(terms.slopes, terms.intercepts, terms.masses, terms.ref_units)):
-        slope_part += slope * sums[k + 1]
-        intercept_part += intercept * counts[k + 1]
-        comp += mass - terms.beta * unit
-    return -(slope_part + intercept_part + horizon * comp)
 
 
 def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> ChainState:
@@ -448,7 +388,8 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
     """
     state.accept_params = False
     state.logr_params = -math.inf
-    cur = state.param_terms(prior)
+    current = state.scored_params(prior)
+    cur = current.terms
     n = len(cur.edges)
     rng = state.rng_params
     z = rng.normal(size=2 * n + 1).tolist()
@@ -466,10 +407,10 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
         shift = alpha - cur.alpha
         slopes = tuple([s + prop.sigma_theta * dz - shift for s, dz in zip(cur.slopes, z[1:n + 1])])
         intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
-    cand = _candidate(cur, alpha, cur.beta, slopes, intercepts)
+    cand = _candidate(current, alpha, cur.beta, slopes, intercepts)
     if cand is None:
         return state
-    log_ratio = _loglik_ratio(state.totals, cur, cand) + cand.log_prior - cur.log_prior
+    log_ratio = param_log_ratio(state.totals, cur, cand.terms) + cand.log_prior - current.log_prior
     state.logr_params = log_ratio
     state.accept_params = _accept(state, rng, cand, log_ratio, "parameter")
     return state
@@ -500,10 +441,11 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
     state.accept_beta = False
     state.logr_beta = -math.inf
-    cur = state.param_terms(prior)
+    current = state.scored_params(prior)
+    cur = current.terms
     rng = state.rng_beta
     beta_new = cur.beta + prop.sigma_beta * rng.normal()
-    cand = _candidate(cur, cur.alpha, beta_new, cur.slopes, cur.intercepts,
+    cand = _candidate(current, cur.alpha, beta_new, cur.slopes, cur.intercepts,
                       (cur.e1_b1, cur.units, cur.ref_units))
     if cand is None:
         return state
@@ -511,10 +453,10 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     active = state.active
     totals = state.totals
     sums, counts = totals.sums.tolist(), totals.counts.tolist()
-    psi_old = _psi(sums, counts, totals.horizon, cur)
+    psi_old = psi_terms(sums, counts, totals.horizon, cur)
     if active.size:
         block = state.increments[active]
-        sub = state.sub_spans()[active]
+        sub = state.active_sub_spans
         if beta_new > cur.beta:
             block = augment_rows(rng, block, sub, cur.beta, beta_new, cur.alpha)
         elif beta_new < cur.beta:
@@ -525,15 +467,15 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         block_sums, block_counts = bin_stats_matrix(block, state.params.bin_edges)
         new_sums = state.inert_sums + block_sums.sum(axis=0)
         new_counts = state.inert_counts + block_counts.sum(axis=0)
-        psi_new = _psi(new_sums.tolist(), new_counts.tolist(), totals.horizon, cand)
+        psi_new = psi_terms(new_sums.tolist(), new_counts.tolist(), totals.horizon, cand.terms)
     else:
-        psi_new = _psi(sums, counts, totals.horizon, cand)
+        psi_new = psi_terms(sums, counts, totals.horizon, cand.terms)
 
     density_diff = (
         (beta_new - cur.beta) * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
         - float(state.span_counts @ (gammaln(beta_new * state.distinct_spans)
                                      - gammaln(cur.beta * state.distinct_spans))))
-    log_ratio = (cand.log_prior - cur.log_prior) + density_diff + (psi_new - psi_old)
+    log_ratio = (cand.log_prior - current.log_prior) + density_diff + (psi_new - psi_old)
     state.logr_beta = log_ratio
     state.accept_beta = _accept(state, rng, cand, log_ratio, "beta")
     if state.accept_beta and active.size:

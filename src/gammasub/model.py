@@ -12,6 +12,7 @@ nu(B_k) are available in closed form through the exponential integral.
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
@@ -27,10 +28,11 @@ __all__ = [
     "levy_density",
     "nu_bin_mass",
     "nu_diff_bin0",
+    "bin0_mass_diff",
     "mass_factors",
+    "bin_mass_values",
     "gamma_drift",
     "prior_logpdf",
-    "compile_prior",
 ]
 
 
@@ -172,28 +174,17 @@ def levy_density(params: ModelParams, x):
 def nu_bin_mass(params: ModelParams, k: int) -> float:
     """Mass of the jump measure on bin B_k = [b_k, b_{k+1}), for k in 1..N.
 
-    Closed form beta * exp(-rho_k) * {E1(c*b_k) - E1(c*b_{k+1})} with
-    c = slope_k + alpha; the last bin uses the single-term tail formula.
-    Interior bins stay finite for any c and fall back to Ei / log limits
-    when c <= 0; the tail bin requires c > 0.
+    beta * exp(-rho_k) * {E1(c*b_k) - E1(c*b_{k+1})} with c = slope_k + alpha,
+    from mass_factors and bin_mass_values; the last bin has the single-term
+    tail formula.  Raises DomainError for k outside 1..N, and when the tail
+    bin has slope + alpha <= 0 (its mass is infinite).
     """
     n = params.n_bins
     if not 1 <= k <= n:
         raise DomainError(f"bin index must be in 1..{n}, got {k}")
-    c = params.theta_slopes[k - 1] + params.alpha
-    scale = params.beta * math.exp(-params.theta_intercepts[k - 1])
-    lo = params.bin_edges[k - 1]
-    if k == n:
-        if c <= 0:
-            raise DomainError(f"tail bin requires slope + alpha > 0, got {c}")
-        return scale * exp_integral_e1(c * lo)
-    hi = params.bin_edges[k]
-    if c > 0:
-        return scale * (exp_integral_e1(c * lo) - exp_integral_e1(c * hi))
-    if c == 0:
-        return scale * math.log(hi / lo)
-    # c < 0: integral of exp(-c x)/x over [lo, hi) via Ei, still finite.
-    return scale * float(special.expi(-c * hi) - special.expi(-c * lo))
+    _, units, _ = mass_factors(params.alpha, params.theta_slopes.tolist(),
+                               params.bin_edges.tolist())
+    return bin_mass_values(params.beta, params.theta_intercepts.tolist(), units)[k - 1]
 
 
 def mass_factors(alpha: float, slopes, edges, reference: bool = False):
@@ -202,20 +193,22 @@ def mass_factors(alpha: float, slopes, edges, reference: bool = False):
     Returns (e1_b1, units, ref_units) for alpha, the slopes and the edges
     b_1 < ... < b_N as floats:
 
-    - e1_b1 = E1(alpha * b_1), the B_0 term nu_diff_bin0 reads;
-    - units[k-1] such that nu(B_k) = (beta * exp(-rho_k)) * units[k-1], which
-      is nu_bin_mass's value bit for bit; interior bins with slope + alpha
-      <= 0 take its log / Ei branch;
+    - e1_b1 = E1(alpha * b_1), the B_0 term of bin0_mass_diff; 0.0 for a
+      binless model, whose B_0 reaches b_1 = inf;
+    - units[k-1] = nu(B_k) / (beta * exp(-rho_k)), the integral of
+      exp(-c x) / x over B_k with c = slope_k + alpha: E1(c b_k) - E1(c b_{k+1}),
+      E1(c b_N) for the tail bin, and for an interior bin with c <= 0 its
+      finite limit, ln(b_{k+1} / b_k) at c = 0 and an Ei difference below;
     - ref_units[k-1] = nu_ref(B_k) / beta for the Gamma reference (theta
       zero), or None unless reference is true.
 
     Neither beta nor the intercepts enter, so a move that changes only those
-    reuses the factors.  A binless model (N = 0) has e1_b1 nan and empty
-    tuples.  Raises DomainError when the tail bin has slope + alpha <= 0.
+    reuses the factors.  Raises DomainError when the tail bin has
+    slope + alpha <= 0.
     """
     n = len(edges)
     if n == 0:
-        return math.nan, (), () if reference else None
+        return 0.0, (), () if reference else None
     n_ref = n if reference else 1
     zs = [alpha * b for b in edges[:n_ref]]
     rates = [s + alpha for s in slopes]
@@ -242,21 +235,35 @@ def mass_factors(alpha: float, slopes, edges, reference: bool = False):
     return e1[0], tuple(units), ref_units
 
 
+def bin_mass_values(beta: float, intercepts, units) -> tuple[float, ...]:
+    """The bin masses nu(B_k) = beta * exp(-rho_k) * units[k-1], k = 1..N, from
+    mass_factors's units."""
+    return tuple([beta * math.exp(-rho) * unit for rho, unit in zip(intercepts, units)])
+
+
+def bin0_mass_diff(beta: float, alpha_new: float, alpha_old: float, e1_new: float,
+                   e1_old: float) -> float:
+    """(nu_new - nu_old)(B_0) between two tilt rates, from e1 = E1(alpha * b_1) at each.
+
+    Equals beta*ln(alpha_old/alpha_new) - beta*(e1_new - e1_old), exactly 0.0
+    for equal rates; the log term is the limiting value of the E1 difference
+    at the origin.  A binless model passes e1 = 0.0 (b_1 = inf).
+    """
+    if alpha_new == alpha_old:
+        return 0.0
+    return beta * (math.log(alpha_old / alpha_new) - (e1_new - e1_old))
+
+
 def nu_diff_bin0(alpha_new: float, alpha_old: float, beta: float, b1: float) -> float:
     """Difference of jump-measure masses on B_0 = (0, b_1) between two tilt rates.
 
-    Equals beta*ln(alpha_old/alpha_new) - beta*{E1(alpha_new*b1) - E1(alpha_old*b1)};
-    the log term is the limiting value of the E1 difference at the origin.
+    bin0_mass_diff with E1(alpha * b1) at both rates.
     """
     for name, v in (("alpha_new", alpha_new), ("alpha_old", alpha_old), ("beta", beta), ("b1", b1)):
         if not (math.isfinite(v) and v > 0):
             raise DomainError(f"nu_diff_bin0 requires finite {name} > 0, got {v!r}")
-    if alpha_new == alpha_old:
-        return 0.0
-    return beta * (
-        math.log(alpha_old / alpha_new)
-        - (exp_integral_e1(alpha_new * b1) - exp_integral_e1(alpha_old * b1))
-    )
+    return bin0_mass_diff(beta, alpha_new, alpha_old, exp_integral_e1(alpha_new * b1),
+                          exp_integral_e1(alpha_old * b1))
 
 
 def gamma_drift(params: ModelParams) -> float:
@@ -274,13 +281,37 @@ def gamma_drift(params: ModelParams) -> float:
     return val
 
 
+def _log_density(kind: str, a: float, b: float) -> Callable[[float], float]:
+    """The log-density of a Prior as a function of a float, constants hoisted."""
+    log, isfinite = math.log, math.isfinite
+    if kind == "uniform":
+        density = -math.log(b - a)
+        return lambda x: density if a <= x <= b else -math.inf
+    if kind == "gamma":
+        head, power, tail = a * math.log(b), a - 1, math.lgamma(a)
+        return lambda x: head + power * log(x) - b * x - tail if 0 < x < math.inf else -math.inf
+    log_sd, log_root = math.log(b), 0.5 * math.log(2 * math.pi)
+
+    def normal(x):
+        if not isfinite(x):
+            return -math.inf
+        z = (x - a) / b
+        return -0.5 * z * z - log_sd - log_root
+    return normal
+
+
 @dataclass(frozen=True)
 class Prior:
-    """One-dimensional prior: uniform(lo, hi), gamma(shape, rate), or normal(mean, sd)."""
+    """One-dimensional prior: uniform(lo, hi), gamma(shape, rate), or normal(mean, sd).
+
+    logpdf(x) is the log-density at a float x, -inf outside the support and
+    at non-finite x; it is built once per prior.
+    """
 
     kind: str
     a: float
     b: float
+    logpdf: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("uniform", "gamma", "normal"):
@@ -293,41 +324,11 @@ class Prior:
             raise ConfigError(f"{self.kind} prior needs positive scale parameter, got {self.b}")
         if self.kind == "gamma" and self.a <= 0:
             raise ConfigError(f"gamma prior needs positive shape, got {self.a}")
+        object.__setattr__(self, "logpdf", _log_density(self.kind, self.a, self.b))
 
-    def logpdf(self, x: float) -> float:
-        """Log-density at x; -inf outside the support."""
-        if not math.isfinite(x):
-            return -math.inf
-        if self.kind == "uniform":
-            if self.a <= x <= self.b:
-                return -math.log(self.b - self.a)
-            return -math.inf
-        if self.kind == "gamma":
-            if x <= 0:
-                return -math.inf
-            return self.a * math.log(self.b) + (self.a - 1) * math.log(x) - self.b * x - math.lgamma(self.a)
-        # normal(mean, sd)
-        z = (x - self.a) / self.b
-        return -0.5 * z * z - math.log(self.b) - 0.5 * math.log(2 * math.pi)
-
-    def compiled(self):
-        """logpdf as a function of a float: equal bit for bit, constants hoisted."""
-        a, b, log, isfinite = self.a, self.b, math.log, math.isfinite
-        if self.kind == "uniform":
-            density = -math.log(b - a)
-            return lambda x: density if a <= x <= b else -math.inf
-        if self.kind == "gamma":
-            head, power, tail = a * math.log(b), a - 1, math.lgamma(a)
-            return lambda x: (head + power * log(x) - b * x - tail
-                              if 0 < x < math.inf else -math.inf)
-        log_sd, log_root = math.log(b), 0.5 * math.log(2 * math.pi)
-
-        def normal(x):
-            if not isfinite(x):
-                return -math.inf
-            z = (x - a) / b
-            return -0.5 * z * z - log_sd - log_root
-        return normal
+    def __reduce__(self):
+        # logpdf is a closure, which pickle cannot store; it is rebuilt from the fields
+        return Prior, (self.kind, self.a, self.b)
 
     @staticmethod
     def from_mean_variance(mean: float, variance: float) -> "Prior":
@@ -376,58 +377,34 @@ class PriorSpec:
     def beta_is_random(self) -> bool:
         return self.beta is not None
 
+    def logpdf(self, alpha: float, beta: float, slopes, intercepts) -> float:
+        """Sum of component prior log-densities at float parameters.
+
+        The slopes and intercepts are sequences of N floats.  Returns -inf
+        when any parameter leaves its support or when the tail constraint
+        slope_N > -alpha is requested and violated.
+        """
+        if self.tail_constraint and slopes and slopes[-1] <= -alpha:
+            return -math.inf
+        total = self.alpha.logpdf(alpha)
+        if self.beta is not None:
+            total += self.beta.logpdf(beta)
+        if self.reparam:
+            total += self.theta[0].logpdf(alpha + slopes[0])
+            total += self.rho[0].logpdf(beta * math.exp(-intercepts[0]))
+            return total
+        for slope_prior, intercept_prior, slope, intercept in zip(self.theta, self.rho, slopes,
+                                                                  intercepts):
+            total += slope_prior.logpdf(slope)
+            total += intercept_prior.logpdf(intercept)
+        return total
+
 
 def prior_logpdf(spec: PriorSpec, params: ModelParams) -> float:
-    """Sum of component prior log-densities at the given parameters.
-
-    Returns -inf when any parameter leaves its support or when the tail
-    constraint slope_N > -alpha is requested and violated.
-    """
+    """spec.logpdf at the given parameters; ConfigError when their bins differ from the spec's."""
     if spec.n_bins != params.n_bins:
         raise ConfigError(
             f"prior covers {spec.n_bins} bins but params have {params.n_bins}"
         )
-    n = params.n_bins
-    if spec.tail_constraint and n and params.theta_slopes[-1] <= -params.alpha:
-        return -math.inf
-    total = spec.alpha.logpdf(params.alpha)
-    if spec.beta is not None:
-        total += spec.beta.logpdf(params.beta)
-    if spec.reparam:
-        total += spec.theta[0].logpdf(params.alpha + params.theta_slopes[0])
-        total += spec.rho[0].logpdf(params.beta * math.exp(-params.theta_intercepts[0]))
-        return total
-    for k in range(n):
-        total += spec.theta[k].logpdf(params.theta_slopes[k])
-        total += spec.rho[k].logpdf(params.theta_intercepts[k])
-    return total
-
-
-def compile_prior(spec: PriorSpec):
-    """prior_logpdf as a function of floats (alpha, beta, slopes, intercepts).
-
-    The slopes and intercepts are sequences of N floats.  The function sums
-    the components' compiled log-densities in prior_logpdf's order, so its
-    value equals prior_logpdf's at the same parameters bit for bit.
-    """
-    alpha_lp = spec.alpha.compiled()
-    beta_lp = spec.beta.compiled() if spec.beta is not None else None
-    components = tuple(zip((p.compiled() for p in spec.theta), (p.compiled() for p in spec.rho)))
-    tail, n = spec.tail_constraint, spec.n_bins
-
-    def logpdf(alpha: float, beta: float, slopes, intercepts) -> float:
-        if tail and n and slopes[-1] <= -alpha:
-            return -math.inf
-        total = alpha_lp(alpha)
-        if beta_lp is not None:
-            total += beta_lp(beta)
-        if spec.reparam:
-            slope_lp, intercept_lp = components[0]
-            total += slope_lp(alpha + slopes[0])
-            total += intercept_lp(beta * math.exp(-intercepts[0]))
-            return total
-        for (slope_lp, intercept_lp), slope, intercept in zip(components, slopes, intercepts):
-            total += slope_lp(slope)
-            total += intercept_lp(intercept)
-        return total
-    return logpdf
+    return spec.logpdf(params.alpha, params.beta, params.theta_slopes.tolist(),
+                       params.theta_intercepts.tolist())

@@ -15,7 +15,6 @@ from gammasub import (
     levy_density,
     loglik_ratio_params,
     loglik_ratio_path,
-    nu_bin_mass,
     psi_log,
     sample_gamma_bridge,
     sample_gamma_path,
@@ -154,16 +153,37 @@ class TestLoglikRatioParams:
         expected = -(1.7 - 1.0) * 4.2 + 3.0 * 2.0 * math.log(1.7 / 1.0)
         assert loglik_ratio_params(s, old, new) == pytest.approx(expected, rel=1e-12)
 
-    def test_passed_masses_give_the_same_floats(self):
-        s = self.stats()
-        old = model(edges=(1.0, 2.0), slopes=(0.1, 0.2), intercepts=(0.0, -0.1))
-        new = model(alpha=1.3, edges=(1.0, 2.0), slopes=(-0.2, 0.4), intercepts=(0.5, -0.1))
-        assert bin_masses(old) == tuple(nu_bin_mass(old, k) for k in (1, 2))
-        assert (compensator_diff(old, new, bin_masses(old), bin_masses(new))
-                == compensator_diff(old, new))
-        assert (loglik_ratio_params(s, old, new, bin_masses(old), bin_masses(new))
-                == loglik_ratio_params(s, old, new))
-        assert psi_log(s, new, bin_masses(new)) == psi_log(s, new)
+    def test_multi_bin_move_matches_quadrature(self):
+        # alpha, every slope and every intercept change at once.  The expected
+        # ratio is the sum over increments of the log jump-density ratio, less
+        # T times the compensator, which quadrature of levy_density gives bin by
+        # bin over B_0 ... B_N.
+        edges = (0.5, 1.2, 2.5)
+        old = model(alpha=1.1, beta=1.7, edges=edges, slopes=(0.3, -0.4, 0.2),
+                    intercepts=(0.1, -0.3, 0.5))
+        new = model(alpha=1.45, beta=1.7, edges=edges, slopes=(-0.2, -0.9, 0.05),
+                    intercepts=(-0.4, 0.2, 0.1))
+        increments = np.random.default_rng(41).gamma(0.4, 2.0, size=(1, 60))
+        sums, counts = bin_stats_matrix(increments, old.bin_edges)
+        assert (counts[0] > 0).all()
+        T = 3.0
+        stats = BinStats(sums[0], counts[0], T)
+
+        def diff(x):
+            return levy_density(new, x) - levy_density(old, x)
+
+        bounds = (0.0,) + edges + (np.inf,)
+        comp = sum(integrate.quad(diff, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+                   for lo, hi in zip(bounds[:-1], bounds[1:]))
+        jumps = np.sum(np.log(levy_density(new, increments[0]))
+                       - np.log(levy_density(old, increments[0])))
+        assert compensator_diff(old, new) == pytest.approx(comp, rel=1e-9)
+        assert loglik_ratio_params(stats, old, new) == pytest.approx(jumps - T * comp, rel=1e-9)
+        # the bin masses alone, B_1 ... B_N
+        for k, mass in enumerate(bin_masses(new)):
+            ref, _ = integrate.quad(lambda x: levy_density(new, x), bounds[k + 1],
+                                    bounds[k + 2], epsabs=0, epsrel=1e-12, limit=400)
+            assert mass == pytest.approx(ref, rel=1e-9)
 
     def test_beta_mismatch_rejected(self):
         s = self.stats()

@@ -35,6 +35,11 @@ def basic_state(obs=None, params=None, m=5, seed=0):
     return g.init_chain(obs, params, grid, seed)
 
 
+def sub_spans(state):
+    """Every segment's sub-step span h_i / m, shape (n_segments, 1)."""
+    return (state.grid.spans / state.grid.m)[:, None]
+
+
 class TestInitChain:
     def test_two_point_segment(self):
         obs = g.Observations([0.0, 1.0], [0.0, 1.0])
@@ -103,7 +108,7 @@ class TestRefreshSegments:
         old_inc, old_sums, old_counts = (
             state.increments.copy(), state.seg_sums.copy(), state.seg_counts.copy())
         # the twin stream draws the same block: the active segments' bridges
-        proposal = bridge_rows(twin.rng_path, params.beta * twin.sub_spans()[active],
+        proposal = bridge_rows(twin.rng_path, params.beta * twin.active_sub_spans,
                                twin.obs.increments[active], twin.m)
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
         state.rng_accept = RejectEveryThird()
@@ -188,7 +193,7 @@ def assert_totals_current(state):
 def full_refresh(state):
     """The refresh as it ran before inert segments were skipped: one block of every row."""
     params = state.params
-    proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans(),
+    proposal = bridge_rows(state.rng_path, params.beta * sub_spans(state),
                            state.obs.increments, state.m)
     sums, counts = bin_stats_matrix(proposal, params.bin_edges)
     log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
@@ -209,7 +214,7 @@ def refresh_all_from(rng_inert):
         params = state.params
         active = mcmc.active_segments(state.obs.increments, params.bin_edges)
         inert = np.setdiff1d(np.arange(state.n_segments), active)
-        shapes, deltas = params.beta * state.sub_spans(), state.obs.increments
+        shapes, deltas = params.beta * sub_spans(state), state.obs.increments
         proposal = np.empty_like(state.increments)
         proposal[active] = bridge_rows(state.rng_path, shapes[active], deltas[active], state.m)
         proposal[inert] = bridge_rows(rng_inert, shapes[inert], deltas[inert], state.m)
@@ -250,7 +255,7 @@ def beta_all_from(rng_inert):
             return
         active = mcmc.active_segments(state.obs.increments, params.bin_edges)
         inert = np.setdiff1d(np.arange(state.n_segments), active)
-        sub = state.sub_spans()
+        sub = sub_spans(state)
         block = state.increments.copy()
         for rows, stream in ((active, rng), (inert, rng_inert)):
             if rows.size and beta_new > params.beta:
@@ -364,7 +369,7 @@ class TestActiveSegments:
         reached = np.zeros(state.n_segments, dtype=bool)
         for _ in range(300):
             # the full refresh's proposal for every segment
-            proposal = bridge_rows(state.rng_path, params.beta * state.sub_spans(),
+            proposal = bridge_rows(state.rng_path, params.beta * sub_spans(state),
                                    state.obs.increments, state.m)
             sums, counts = bin_stats_matrix(proposal, params.bin_edges)
             log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
@@ -586,7 +591,7 @@ class TestUpdateBeta:
                 self.sizes.append(size)
                 return np.zeros(size)
 
-            def uniform(self):
+            def random(self):
                 return 1e-300
 
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
@@ -643,7 +648,7 @@ class TestUpdateBeta:
         for _ in range(40):
             before = state.params
             g.update_beta(state, prop, prior)
-            assert state.rng_beta.draws == [("normal", None), ("uniform", None)]
+            assert state.rng_beta.draws == [("normal", None), ("random", None)]
             state.rng_beta.draws.clear()
             for got, same, copy in zip((state.increments, state.seg_sums, state.seg_counts),
                                        arrays, copies):
@@ -652,7 +657,7 @@ class TestUpdateBeta:
             # the twin replays the proposal; the ratio is the prior's times the
             # Gamma densities of the observed increments
             beta_new = before.beta + prop.sigma_beta * twin.rng_beta.normal()
-            twin.rng_beta.uniform()
+            twin.rng_beta.random()
             cand = before.with_updates(beta=beta_new)
             expected = g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, before) + sum(
                 g.gamma_logpdf(d, beta_new * h, before.alpha)
@@ -726,13 +731,13 @@ class TestParamTerms:
                 checked += 1
             g.update_beta(state, prop, prior)
             accepted_beta += state.accept_beta
-            terms = state.terms
-            assert terms.params is state.params and terms.prior is prior
+            params, cached_prior, terms, log_prior = state.scored
+            assert params is state.params and cached_prior is prior
             assert (terms.alpha, terms.beta) == (state.params.alpha, state.params.beta)
             assert terms.slopes == tuple(state.params.theta_slopes)
             assert terms.intercepts == tuple(state.params.theta_intercepts)
             assert terms.masses == (g.nu_bin_mass(state.params, 1), g.nu_bin_mass(state.params, 2))
-            assert terms.log_prior == g.prior_logpdf(prior, state.params)
+            assert log_prior == g.prior_logpdf(prior, state.params)
             assert terms.e1_b1 == g.exp_integral_e1(state.params.alpha * 0.3)
             # the Gamma reference's masses, which psi_log subtracts
             ref = state.params.gamma_reference()
@@ -790,7 +795,7 @@ def reference_update_beta(state, prop, prior):
         return
     active, new_stats = state.active, state.totals
     if active.size:
-        block, sub = state.increments[active], state.sub_spans()[active]
+        block, sub = state.increments[active], state.active_sub_spans
         if beta_new > params.beta:
             block = augment_rows(rng, block, sub, params.beta, beta_new, params.alpha)
         elif beta_new < params.beta:
@@ -946,7 +951,7 @@ class TestNonFiniteRatios:
             def normal(self, size):
                 return np.ones(size)
 
-            def uniform(self):
+            def random(self):
                 return 0.5
 
         # an alpha step up against an infinite S_0 gives a ratio of -inf

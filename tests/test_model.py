@@ -1,10 +1,12 @@
 """Model parameters, Levy density, bin masses, and priors."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import norm
 
 from gammasub import (
     ConfigError,
@@ -14,13 +16,14 @@ from gammasub import (
     PriorSpec,
     exp_integral_e1,
     gamma_drift,
+    gamma_logpdf,
     levy_density,
     nu_bin_mass,
     nu_diff_bin0,
     prior_logpdf,
     theta_at,
 )
-from gammasub.model import compile_prior, mass_factors
+from gammasub.model import bin_mass_values, mass_factors
 
 E1_AT_1 = 0.21938393439552028
 E1_AT_2 = 0.04890051070806112
@@ -189,19 +192,38 @@ class TestNuBinMass:
         assert total == pytest.approx(head + tail, rel=1e-8)
 
 
+def quadrature_mass(p, k):
+    """nu(B_k) as the integral of levy_density over the bin."""
+    lo = float(p.bin_edges[k - 1])
+    hi = np.inf if k == p.n_bins else float(p.bin_edges[k])
+    val, _ = integrate.quad(lambda x: levy_density(p, x), lo, hi, epsabs=0, epsrel=1e-11,
+                            limit=400)
+    return val
+
+
+def e1_series(z, terms=5):
+    """E1(z) from its asymptotic series e^-z / z * sum_j (-1)^j j! / z^j, for large z."""
+    return math.exp(-z) / z * sum((-1) ** j * math.factorial(j) / z ** j for j in range(terms))
+
+
 class TestMassFactors:
-    """The float bin masses equal nu_bin_mass bit for bit."""
+    """The float bin masses, the Gamma reference's and E1(alpha b_1) against
+    quadrature of the jump density and closed forms."""
 
     @staticmethod
-    def assert_bitwise(p):
+    def assert_matches_quadrature(p, rel=1e-8):
         edges = tuple(p.bin_edges.tolist())
         slopes, rhos = p.theta_slopes.tolist(), p.theta_intercepts.tolist()
         e1_b1, units, ref_units = mass_factors(p.alpha, slopes, edges, reference=True)
-        assert e1_b1 == exp_integral_e1(p.alpha * edges[0])
+        masses = bin_mass_values(p.beta, rhos, units)
+        ref = p.gamma_reference()
         for k in range(1, p.n_bins + 1):
-            assert p.beta * math.exp(-rhos[k - 1]) * units[k - 1] == nu_bin_mass(p, k)
-            assert p.beta * ref_units[k - 1] == nu_bin_mass(p.gamma_reference(), k)
-        # the reference's masses are optional; the others do not depend on them
+            assert masses[k - 1] == pytest.approx(quadrature_mass(p, k), rel=rel)
+            assert p.beta * ref_units[k - 1] == pytest.approx(quadrature_mass(ref, k), rel=rel)
+        e1, _ = integrate.quad(lambda x: math.exp(-p.alpha * x) / x, edges[0], np.inf,
+                               epsabs=0, epsrel=1e-11, limit=400)
+        assert e1_b1 == pytest.approx(e1, rel=rel)
+        # the reference's factors are optional; the others do not depend on them
         assert mass_factors(p.alpha, slopes, edges) == (e1_b1, units, None)
         return units
 
@@ -210,15 +232,20 @@ class TestMassFactors:
         p = ModelParams(0.75, 1.3, [0.5, 1.0, 2.5, 4.0], [0.4, -0.75, -1.25, 0.1],
                         [0.3, -0.2, 0.7, -1.1])
         assert [s + p.alpha for s in p.theta_slopes.tolist()] == [1.15, 0.0, -0.5, 0.85]
-        units = self.assert_bitwise(p)
-        assert units[1] == math.log(2.5)
+        units = self.assert_matches_quadrature(p)
+        assert units[1] == math.log(2.5)    # the integral of 1/x over [1, 2.5)
 
     def test_underflow_beyond_745(self):
         # c * b beyond 745 gives E1 exactly 0: the tail and the upper edge of bin 1
         p = ModelParams(400.0, 2.0, [1.0, 2.0], [0.0, 0.0], [0.5, 0.0])
-        units = self.assert_bitwise(p)
+        _, units, ref_units = mass_factors(400.0, [0.0, 0.0], (1.0, 2.0), reference=True)
+        assert units == ref_units
+        assert units[0] == pytest.approx(e1_series(400.0), rel=1e-10)
+        # E1(800) < exp(-800) / 800, below the smallest subnormal double
+        assert math.exp(-800.0) == 0.0
         assert units[1] == 0.0 and nu_bin_mass(p, 2) == 0.0
-        assert units[0] == exp_integral_e1(400.0)
+        assert nu_bin_mass(p, 1) == pytest.approx(2.0 * math.exp(-0.5) * e1_series(400.0),
+                                                  rel=1e-10)
 
     def test_randomized(self):
         rng = np.random.default_rng(2718)
@@ -230,8 +257,8 @@ class TestMassFactors:
             alpha = rng.uniform(0.05, 5.0)
             slopes = rng.normal(0.0, 2.0, size=n)
             slopes[-1] = abs(slopes[-1]) - 0.9 * alpha      # tail rate stays positive
-            self.assert_bitwise(ModelParams(alpha, rng.uniform(0.1, 9.0), edges, slopes,
-                                            rng.normal(0.0, 1.0, size=n)))
+            self.assert_matches_quadrature(ModelParams(alpha, rng.uniform(0.1, 9.0), edges,
+                                                       slopes, rng.normal(0.0, 1.0, size=n)))
 
     def test_tail_requires_positive_rate(self):
         with pytest.raises(DomainError):
@@ -308,6 +335,11 @@ class TestPriors:
         expected = -0.5 * ((0.0 - 1.0) / 2.0) ** 2 - math.log(2.0) - 0.5 * math.log(2 * math.pi)
         assert pr.logpdf(0.0) == pytest.approx(expected, rel=1e-14)
 
+    def test_pickle_round_trip(self):
+        for pr in (Prior("uniform", 0.0, 2.0), Prior("gamma", 2.0, 1.0), Prior("normal", 1.0, 2.0)):
+            copy = pickle.loads(pickle.dumps(pr))
+            assert copy == pr and copy.logpdf(0.7) == pr.logpdf(0.7)
+
     def test_moment_matched_gamma(self):
         pr = Prior.from_mean_variance(0.75, 0.36)
         assert pr.kind == "gamma"
@@ -377,28 +409,56 @@ class TestPriorLogpdf:
                       rho=(Prior("gamma", 2, 1),) * 2, reparam=True)
 
 
+def closed_form_logpdf(prior, x):
+    """A prior's log-density at x: -log(hi - lo) on [lo, hi], gamma_logpdf on
+    (0, inf), scipy's normal; -inf outside the support and at non-finite x."""
+    if not math.isfinite(x):
+        return -math.inf
+    if prior.kind == "uniform":
+        return -math.log(prior.b - prior.a) if prior.a <= x <= prior.b else -math.inf
+    if prior.kind == "gamma":
+        return gamma_logpdf(x, prior.a, prior.b) if x > 0 else -math.inf
+    return float(norm.logpdf(x, prior.a, prior.b))
+
+
+def closed_form_spec_logpdf(spec, alpha, beta, slopes, intercepts):
+    """The joint prior as a sum of closed-form component log-densities."""
+    if spec.tail_constraint and slopes and slopes[-1] <= -alpha:
+        return -math.inf
+    total = closed_form_logpdf(spec.alpha, alpha)
+    if spec.beta is not None:
+        total += closed_form_logpdf(spec.beta, beta)
+    if spec.reparam:
+        return (total + closed_form_logpdf(spec.theta[0], alpha + slopes[0])
+                + closed_form_logpdf(spec.rho[0], beta * math.exp(-intercepts[0])))
+    for k in range(len(slopes)):
+        total += closed_form_logpdf(spec.theta[k], slopes[k])
+        total += closed_form_logpdf(spec.rho[k], intercepts[k])
+    return total
+
+
 class TestCompilePrior:
-    """The compiled prior equals prior_logpdf (and Prior.logpdf) bit for bit."""
+    """The priors' log-densities, built once per Prior, and the joint PriorSpec.logpdf
+    (which prior_logpdf calls) against closed forms."""
 
     KINDS = (Prior("uniform", -0.5, 2.0), Prior("gamma", 2.5, 1.5), Prior("gamma", 0.7, 3.0),
              Prior("normal", 0.3, 2.0))
 
     @pytest.mark.parametrize("prior", KINDS, ids=lambda p: f"{p.kind}-{p.a}")
     def test_component_matches_logpdf(self, prior):
-        compiled = prior.compiled()
         # support edges: uniform endpoints are inside, a gamma at 0 is outside
         xs = [prior.a, prior.b, -0.5, 0.0, 5e-324, 1e-300, 0.4, 1.7, 2.0, 2.0000000000000004,
               -3.0, 40.0, math.nan, math.inf, -math.inf]
         for x in xs:
-            want = prior.logpdf(x)
-            got = compiled(x)
-            assert got == want or (math.isnan(got) and math.isnan(want)), x
-        assert compiled(math.nan) == compiled(math.inf) == compiled(-math.inf) == -math.inf
+            assert prior.logpdf(x) == pytest.approx(closed_form_logpdf(prior, x), rel=1e-13), x
+        for x in (math.nan, math.inf, -math.inf):
+            assert prior.logpdf(x) == -math.inf
         if prior.kind == "uniform":
-            assert compiled(prior.a) == compiled(prior.b) == -math.log(2.5)
-            assert compiled(math.nextafter(prior.b, math.inf)) == -math.inf
+            assert prior.logpdf(prior.a) == prior.logpdf(prior.b) == -math.log(2.5)
+            assert prior.logpdf(math.nextafter(prior.b, math.inf)) == -math.inf
+            assert prior.logpdf(math.nextafter(prior.a, -math.inf)) == -math.inf
         if prior.kind == "gamma":
-            assert compiled(0.0) == -math.inf < compiled(5e-324)
+            assert prior.logpdf(0.0) == -math.inf < prior.logpdf(5e-324)
 
     @pytest.mark.parametrize("tail", [True, False])
     @pytest.mark.parametrize("beta", [None, Prior("uniform", 0.5, 2.0)])
@@ -411,14 +471,15 @@ class TestCompilePrior:
                              rho=(Prior("uniform", -2.0, 2.0), Prior("normal", 0.0, 7.0),
                                   Prior("normal", 1.0, 0.5))[:n],
                              tail_constraint=tail)
-            logpdf = compile_prior(spec)
             for _ in range(100):
                 p = ModelParams(rng.uniform(0.1, 3.0), rng.uniform(0.1, 2.5),
                                 np.arange(1.0, n + 1.0), rng.normal(0.0, 1.5, size=n),
                                 rng.normal(0.0, 2.0, size=n))
-                want = prior_logpdf(spec, p)
-                assert logpdf(p.alpha, p.beta, tuple(p.theta_slopes.tolist()),
-                              tuple(p.theta_intercepts.tolist())) == want
+                slopes, intercepts = p.theta_slopes.tolist(), p.theta_intercepts.tolist()
+                want = closed_form_spec_logpdf(spec, p.alpha, p.beta, slopes, intercepts)
+                got = spec.logpdf(p.alpha, p.beta, tuple(slopes), tuple(intercepts))
+                assert got == pytest.approx(want, rel=1e-12)
+                assert prior_logpdf(spec, p) == got
 
     @pytest.mark.parametrize("tail", [True, False])
     def test_tail_constraint(self, tail):
@@ -426,8 +487,10 @@ class TestCompilePrior:
                          rho=(Prior("normal", 0.0, 7.0),) * 3, tail_constraint=tail)
         for last in (-1.5, -1.0, -0.5):
             bad = binned_model(slopes=(0.0, 0.0, last))
-            got = compile_prior(spec)(1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0))
+            got = spec.logpdf(1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0))
             assert got == prior_logpdf(spec, bad)
+            assert got == pytest.approx(closed_form_spec_logpdf(
+                spec, 1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0)), rel=1e-12)
             assert (got == -math.inf) == (tail and last <= -1.0)
 
     def test_reparam(self):
@@ -435,8 +498,13 @@ class TestCompilePrior:
                          beta=Prior("uniform", 60.0, 120.0),
                          theta=(Prior("gamma", 1.5625, 2.0833333333333335),),
                          rho=(Prior.from_mean_variance(90.0, 2500.0),), reparam=True)
-        logpdf = compile_prior(spec)
         for alpha, beta, slope, rho in ((0.8, 85.0, 0.1, 0.2), (0.8, 85.0, -0.8, 0.2),
                                         (0.5, 130.0, 0.3, -0.1), (2.0, 60.0, -0.5, 0.0)):
             p = ModelParams(alpha, beta, [2.0], [slope], [rho])
-            assert logpdf(alpha, beta, (slope,), (rho,)) == prior_logpdf(spec, p)
+            got = spec.logpdf(alpha, beta, (slope,), (rho,))
+            assert got == prior_logpdf(spec, p)
+            assert got == pytest.approx(closed_form_spec_logpdf(spec, alpha, beta, (slope,),
+                                                                (rho,)), rel=1e-12)
+        # outside the support: a slope of -alpha, and beta above the uniform's bound
+        assert spec.logpdf(0.8, 85.0, (-0.8,), (0.2,)) == -math.inf
+        assert spec.logpdf(0.5, 130.0, (0.3,), (-0.1,)) == -math.inf
