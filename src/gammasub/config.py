@@ -14,7 +14,6 @@ a comment.  Recognized keys:
     beta_prior      = uniform 0.1 1000   | normal MEAN SD; omit beta_prior to
     theta_prior     = normal 0 3.2       fix beta (disables the beta move)
     rho_prior       = normal 0 7.1   theta/rho priors broadcast over bins
-    tail_constraint = true
     reparam         = false          single-bin transformed coordinates;
                                      theta_prior/rho_prior then cover
                                      alpha + slope_1 and beta*exp(-rho_1)
@@ -23,8 +22,10 @@ a comment.  Recognized keys:
     sigma_theta     = 0.025
     sigma_rho       = 0.15
     sigma_beta      = 0.01
-    beta_move_period = 5
-    update_schedule = params         stages cycled per sweep
+    update_schedule = params         stages cycled per sweep, params | beta;
+                                     a beta stage is required exactly when
+                                     beta_prior is set, e.g.
+                                     beta params params params params
     refinement      = 10             imputed points per observation interval
 """
 
@@ -99,9 +100,8 @@ def parse_config(text: str) -> RunConfig:
     known = {
         "bin_edges", "alpha_init", "beta_init", "theta_init", "rho_init",
         "alpha_prior", "beta_prior", "theta_prior", "rho_prior",
-        "tail_constraint", "reparam", "sigma_alpha", "sigma_theta",
-        "sigma_rho", "sigma_beta", "beta_move_period", "update_schedule",
-        "refinement",
+        "reparam", "sigma_alpha", "sigma_theta", "sigma_rho", "sigma_beta",
+        "update_schedule", "refinement",
     }
     unknown = set(pairs) - known
     if unknown:
@@ -147,7 +147,6 @@ def parse_config(text: str) -> RunConfig:
         beta=beta_prior,
         theta=theta_priors,
         rho=rho_priors,
-        tail_constraint=_bool(pairs.get("tail_constraint", "true"), "tail_constraint"),
         reparam=_bool(pairs.get("reparam", "false"), "reparam"),
     )
 
@@ -156,7 +155,6 @@ def parse_config(text: str) -> RunConfig:
         sigma_theta=float(pairs.get("sigma_theta", "0.025")),
         sigma_rho=float(pairs.get("sigma_rho", "0.15")),
         sigma_beta=float(pairs.get("sigma_beta", "0.01")),
-        beta_move_period=int(pairs.get("beta_move_period", "5")),
         update_schedule=tuple(pairs.get("update_schedule", "params").split()),
     )
 

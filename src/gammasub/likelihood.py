@@ -8,10 +8,11 @@ Gamma reference.  Everything is computed and consumed in log space;
 acceptance compares a log ratio to ln(U).
 
 The parameter ratio and psi have one implementation each, on Python floats
-(ParamTerms): param_log_ratio with its compensator, compensator_terms, and
-psi_terms, which the sampler's moves call.  loglik_ratio_params,
-compensator_diff and psi_log are their views on ModelParams and BinStats,
-which check that the arguments fit together.
+(ParamTerms, and the bin totals as float and int sequences):
+param_log_ratio with its compensator, compensator_terms, and psi_terms,
+which the sampler's moves call.  loglik_ratio_params, compensator_diff and
+psi_log are their views on ModelParams and BinStats, which check that the
+arguments fit together.
 """
 
 from dataclasses import dataclass
@@ -140,19 +141,21 @@ class ParamTerms(NamedTuple):
     masses: tuple[float, ...]
 
     @classmethod
-    def at(cls, edges, alpha: float, beta: float, slopes, intercepts, factors) -> "ParamTerms":
-        """The terms at floats, given their mass_factors(alpha, slopes, edges)."""
+    def at(cls, edges, alpha: float, beta: float, slopes, intercepts, factors=None,
+           reference: bool = False) -> "ParamTerms":
+        """The terms at floats; factors are their mass_factors(alpha, slopes,
+        edges, reference), evaluated unless given."""
+        if factors is None:
+            factors = mass_factors(alpha, slopes, edges, reference)
         return cls(edges, alpha, beta, slopes, intercepts, *factors,
                    bin_mass_values(beta, intercepts, factors[1]))
 
     @classmethod
     def of(cls, params: ModelParams, reference: bool = False) -> "ParamTerms":
         """The terms of a ModelParams, with the Gamma reference's factors if reference."""
-        edges = tuple(params.bin_edges.tolist())
-        slopes = tuple(params.theta_slopes.tolist())
-        return cls.at(edges, params.alpha, params.beta, slopes,
-                      tuple(params.theta_intercepts.tolist()),
-                      mass_factors(params.alpha, slopes, edges, reference))
+        return cls.at(tuple(params.bin_edges.tolist()), params.alpha, params.beta,
+                      tuple(params.theta_slopes.tolist()),
+                      tuple(params.theta_intercepts.tolist()), reference=reference)
 
 
 def compensator_terms(old: ParamTerms, new: ParamTerms) -> float:
@@ -163,19 +166,18 @@ def compensator_terms(old: ParamTerms, new: ParamTerms) -> float:
     return total
 
 
-def param_log_ratio(totals: BinStats, old: ParamTerms, new: ParamTerms) -> float:
+def param_log_ratio(sums, counts, horizon: float, old: ParamTerms, new: ParamTerms) -> float:
     """Log-likelihood ratio of two parameter vectors (one beta) on one augmented path.
 
+    sums and counts are the per-bin totals S_0..S_N and C_0..C_N as
+    sequences of floats, as psi_terms reads them, and horizon is T.
     Evaluates
 
         -(a° - a) * S_0
         - sum_k (th°_k + a° - th_k - a) * S_k
         - sum_k (rho°_k - rho_k) * C_k
-        - T * sum_{k=0..N} (nu° - nu)(B_k)
-
-    with S_k, C_k the per-bin increment sums and counts of totals.
+        - T * sum_{k=0..N} (nu° - nu)(B_k).
     """
-    sums, counts = totals.sums.tolist(), totals.counts.tolist()
     total = -(new.alpha - old.alpha) * sums[0]
     slope_part = intercept_part = 0.0
     for slope_new, slope_old, rho_new, rho_old, s, c in zip(
@@ -184,7 +186,7 @@ def param_log_ratio(totals: BinStats, old: ParamTerms, new: ParamTerms) -> float
         intercept_part += (rho_new - rho_old) * c
     total -= slope_part
     total -= intercept_part
-    return total - totals.horizon * compensator_terms(old, new)
+    return total - horizon * compensator_terms(old, new)
 
 
 def psi_terms(sums, counts, horizon: float, terms: ParamTerms) -> float:
@@ -240,30 +242,33 @@ def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams) -> 
     _check_stats_match(stats, old)
     _check_stats_match(stats, new)
     _check_same_beta_and_edges(old, new)
-    return param_log_ratio(stats, ParamTerms.of(old), ParamTerms.of(new))
+    return param_log_ratio(stats.sums.tolist(), stats.counts.tolist(), stats.horizon,
+                           ParamTerms.of(old), ParamTerms.of(new))
 
 
 def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
-                      sums_old: np.ndarray, counts_old: np.ndarray, params: ModelParams):
+                      sums_old: np.ndarray, counts_old: np.ndarray, slopes, intercepts):
     """Log-likelihood ratio of endpoint-matched paths under one model, row-wise.
 
     Takes per-bin sums and counts of shape (N+1,) for one path or (rows, N+1)
-    for many, and returns a float or one value per row.  Only the bins with
-    nonzero slope or intercept contribute; the value is independent of alpha
-    and of the compensator entirely:
+    for many, and the model's N slopes and intercepts as float sequences, and
+    returns a float or one value per row.  Only the bins with nonzero slope
+    or intercept contribute; the value is independent of alpha, beta and of
+    the compensator entirely:
 
         -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k).
 
     Raises ContractError when a row's two totals differ by more than 1e-9
     relative (the paths do not share endpoints), or either is NaN.
     """
+    n_bins = len(slopes)
     for sums in (sums_new, sums_old):
-        if sums.shape[-1] != params.n_bins + 1:
+        if sums.shape[-1] != n_bins + 1:
             raise ContractError(
-                f"stats have {sums.shape[-1] - 1} bins but params have {params.n_bins}"
+                f"stats have {sums.shape[-1] - 1} bins but params have {n_bins}"
             )
     # row totals as products with ones: a sum over a short last axis costs more
-    ones = np.ones(params.n_bins + 1)
+    ones = np.ones(n_bins + 1)
     total_new = sums_new @ ones
     total_old = sums_old @ ones
     tol = _ENDPOINT_RTOL * np.maximum(np.abs(total_old), np.abs(total_new))
@@ -272,12 +277,12 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
         raise ContractError(
             f"paths do not share endpoints: totals differ in {int(np.sum(mismatched))} row(s)"
         )
-    if params.n_bins == 0:
+    if n_bins == 0:
         return np.zeros(np.shape(total_new))[()]
     # whole-row differences are contiguous passes; bin 0 is then sliced off
     d_sums = sums_new - sums_old
     d_counts = counts_new - counts_old
-    return -(d_sums[..., 1:] @ params.theta_slopes + d_counts[..., 1:] @ params.theta_intercepts)
+    return -(d_sums[..., 1:] @ slopes + d_counts[..., 1:] @ intercepts)
 
 
 def psi_log(stats: BinStats, params: ModelParams) -> float:

@@ -1,8 +1,8 @@
 """Metropolis-within-Gibbs sampler with bridge data augmentation.
 
 Each sweep refreshes the latent path segments with Gamma bridge proposals,
-then applies the scheduled parameter block updates: a joint correlated
-random walk on (alpha, slopes, intercepts), and, when the activity rate is
+then applies the scheduled parameter block update: a joint correlated
+random walk on (alpha, slopes, intercepts), or, when the activity rate is
 declared random, a transdimensional move that superposes or thins the
 active segments and re-pins them to the observations.
 
@@ -24,21 +24,24 @@ segments move, which keeps every move's target, and the parameter chain's
 law, unchanged.  On a binless model every segment is inert: the refresh
 draws nothing and the beta move is its prior and Gamma-density ratio.
 
-Both parameter moves draw a candidate as Python floats, check it for the
-model's domain and score it by PriorSpec.logpdf.  Its bin-mass terms
-(likelihood.ParamTerms: the masses, E1(alpha b_1) and, with random beta, the
+The state (ChainState) holds each fact once: the current parameters as the
+floats of a likelihood.ParamTerms with their log prior, and the bin totals
+as float and int lists.  Both parameter moves draw a candidate as Python
+floats, check it for the model's domain and score it by PriorSpec.logpdf.
+Its bin-mass terms (the masses, E1(alpha b_1) and, with random beta, the
 Gamma reference's factors) come from one scipy.special.exp1 call in
 model.mass_factors; a beta move needs none, as its candidate shares alpha
 and the slopes.  The ratios are likelihood's param_log_ratio and psi_terms
-at the bin totals, and only an accepted move builds a ModelParams.  The beta
-move's Gamma density ratio reads the data only through per-chain constants
-(ChainState).
+at the bin totals, and an accepted candidate's terms become the state's.
+No sweep builds a ModelParams or a BinStats: those are the types of the
+API edge, and ChainState.params builds the former on each read.  The beta
+move's Gamma density ratio reads the data only through per-chain constants.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 from scipy.special import gammaln
@@ -47,17 +50,15 @@ from .data import Observations
 from .exceptions import ConfigError, ContractError, DomainError
 # loglik_ratio_params and psi_log, the ModelParams views of the moves' ratios,
 # stay names of this module, where bench/tracer.py rebinds them
-from .likelihood import (BinStats, ParamTerms, bin_stats_matrix,  # noqa: F401
-                         loglik_ratio_params, loglik_ratio_path, param_log_ratio, psi_log,
-                         psi_terms)
-from .model import ModelParams, PriorSpec, mass_factors, prior_logpdf
+from .likelihood import (ParamTerms, bin_stats_matrix, loglik_ratio_params,  # noqa: F401
+                         loglik_ratio_path, param_log_ratio, psi_log, psi_terms)
+from .model import ModelParams, PriorSpec, prior_logpdf
 from .paths import TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
 
 __all__ = [
     "ProposalSpec",
     "ChainState",
     "ChainRecord",
-    "ScoredParams",
     "active_segments",
     "init_chain",
     "refresh_segments",
@@ -83,16 +84,15 @@ class ProposalSpec:
     """Random-walk proposal scales and the per-sweep update schedule.
 
     update_schedule lists the block updated on each sweep, cycled; "params"
-    is the joint correlated move, "beta" the transdimensional move.  When the
-    schedule contains no explicit "beta" stage and beta is random, the beta
-    move additionally runs every beta_move_period-th sweep.
+    is the joint correlated move, "beta" the transdimensional move.  A model
+    with random beta must name a "beta" stage: ("beta", "params", "params",
+    "params", "params") runs one beta move per five sweeps.
     """
 
     sigma_alpha: float = 0.025
     sigma_theta: float = 0.025
     sigma_rho: float = 0.15
     sigma_beta: float = 0.01
-    beta_move_period: int = 5
     update_schedule: tuple[str, ...] = ("params",)
 
     def __post_init__(self):
@@ -101,9 +101,6 @@ class ProposalSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
-        if int(self.beta_move_period) < 1:
-            raise ConfigError(f"beta_move_period must be >= 1, got {self.beta_move_period}")
-        object.__setattr__(self, "beta_move_period", int(self.beta_move_period))
         if not self.update_schedule:
             raise ConfigError("update_schedule must name at least one stage")
         for stage in self.update_schedule:
@@ -131,25 +128,20 @@ class ChainRecord:
                            np.asarray(self.theta), np.asarray(self.rho))
 
 
-class ScoredParams(NamedTuple):
-    """A parameter vector as the moves read it: its float terms and its log prior.
-
-    The state keeps one for its current parameters; a move builds its
-    candidate's from floats, and an accepted move hands it over with the one
-    ModelParams it builds (params).
-    """
-
-    params: ModelParams | None      # the validated parameters; None for a candidate
-    prior: PriorSpec
-    terms: ParamTerms
-    log_prior: float
-
-
 @dataclass
 class ChainState:
-    """Mutable sampler state: parameters plus the augmented segments."""
+    """Mutable sampler state: parameters plus the augmented segments.
 
-    params: ModelParams
+    terms are the current parameters as the moves read them, and log_prior
+    their log prior under prior, the PriorSpec the last move was handed; a
+    move handed another PriorSpec object rescores them (score).  params
+    builds a validated ModelParams from terms on each read.  total_sums and
+    total_counts are the bin totals S_0..S_N and C_0..C_N over all segments,
+    which write_rows keeps current.
+    """
+
+    terms: ParamTerms
+    bin_edges: np.ndarray               # b_1 < ... < b_N, fixed for the chain
     obs: Observations
     grid: TimeGrid
     increments: np.ndarray              # (n_segments, m), rows sum to obs increments
@@ -168,9 +160,10 @@ class ChainState:
     accept_beta: bool | None = None
     logr_params: float = math.nan
     logr_beta: float = math.nan
-    segment_accepts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    scored: ScoredParams | None = None   # of params; filled by the first move that needs it
-    totals: BinStats = field(init=False)   # over all segments; write_rows keeps it current
+    prior: PriorSpec | None = None      # what terms and log_prior were scored under
+    log_prior: float = math.nan
+    total_sums: list = field(init=False)
+    total_counts: list = field(init=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
     # chain: sum_i h_i log(delta_i), sum_i h_i, and the distinct spans h with
     # their counts, so that gammaln runs once per distinct span.
@@ -181,7 +174,8 @@ class ChainState:
     active_sub_spans: np.ndarray = field(init=False)    # (n_active, 1) sub-step spans h_i / m
 
     def __post_init__(self):
-        self.totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
+        self.total_sums, self.total_counts = self.block_totals(self.seg_sums[self.active],
+                                                               self.seg_counts[self.active])
         spans = self.grid.spans
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
@@ -196,14 +190,21 @@ class ChainState:
     def m(self) -> int:
         return self.increments.shape[1]
 
-    def block_totals(self, sums: np.ndarray, counts: np.ndarray) -> BinStats:
-        """Totals over all segments, given the active block's (n_active, N+1) statistics."""
-        return BinStats(self.inert_sums + sums.sum(axis=0),
-                        self.inert_counts + counts.sum(axis=0), self.grid.horizon)
+    @property
+    def params(self) -> ModelParams:
+        """The current parameters as a validated ModelParams, built on each read."""
+        t = self.terms
+        return ModelParams(t.alpha, t.beta, self.bin_edges, t.slopes, t.intercepts)
+
+    def block_totals(self, sums: np.ndarray, counts: np.ndarray) -> tuple[list, list]:
+        """Totals over all segments as float and int lists, given the active
+        block's (n_active, N+1) statistics."""
+        return ((self.inert_sums + sums.sum(axis=0)).tolist(),
+                (self.inert_counts + counts.sum(axis=0)).tolist())
 
     def write_rows(self, rows: np.ndarray, increments: np.ndarray, sums: np.ndarray,
-                   counts: np.ndarray, totals: BinStats | None = None) -> None:
-        """Write active segment rows and their bin statistics; bring totals up to date.
+                   counts: np.ndarray, totals: tuple[list, list] | None = None) -> None:
+        """Write active segment rows and their bin statistics; bring the totals up to date.
 
         totals, when given, must be block_totals of the active block after
         the write; a caller that reduced those rows already hands it over.
@@ -213,25 +214,28 @@ class ChainState:
         self.seg_counts[rows] = counts
         if totals is None:
             totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
-        self.totals = totals
+        self.total_sums, self.total_counts = totals
 
-    def scored_params(self, prior: PriorSpec) -> ScoredParams:
-        """params scored under prior, with the reference's factors when beta is
-        random; evaluated if params or prior changed since."""
-        scored = self.scored
-        if scored is None or scored.params is not self.params or scored.prior is not prior:
-            terms = ParamTerms.of(self.params, prior.beta_is_random)
-            scored = self.scored = ScoredParams(self.params, prior, terms, prior.logpdf(
-                terms.alpha, terms.beta, terms.slopes, terms.intercepts))
-        return scored
+    def score(self, prior: PriorSpec) -> ParamTerms:
+        """terms, rescored with their log prior, and the Gamma reference's
+        factors when beta is random, if prior is not the object they were
+        scored under."""
+        if self.prior is not prior:
+            t = self.terms
+            # t[:5] are the edges, alpha, beta, slopes and intercepts
+            self.terms = ParamTerms.at(*t[:5], reference=prior.beta_is_random)
+            self.log_prior = prior.logpdf(t.alpha, t.beta, t.slopes, t.intercepts)
+            self.prior = prior
+        return self.terms
 
     def record(self) -> ChainRecord:
+        t = self.terms
         return ChainRecord(
             iteration=self.iteration,
-            alpha=self.params.alpha,
-            beta=self.params.beta,
-            theta=tuple(float(v) for v in self.params.theta_slopes),
-            rho=tuple(float(v) for v in self.params.theta_intercepts),
+            alpha=t.alpha,
+            beta=t.beta,
+            theta=t.slopes,
+            rho=t.intercepts,
             accept_path_rate=self.accept_path_rate,
             accept_params=self.accept_params,
             accept_beta=self.accept_beta,
@@ -273,49 +277,46 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     inert = np.ones(deltas.size, dtype=bool)
     inert[active] = False
     return ChainState(
-        params=params0, obs=obs, grid=grid, increments=increments,
-        seg_sums=sums, seg_counts=counts,
+        terms=ParamTerms.of(params0), bin_edges=params0.bin_edges, obs=obs, grid=grid,
+        increments=increments, seg_sums=sums, seg_counts=counts,
         rng_path=rng_path, rng_accept=rng_accept,
         rng_params=rng_params, rng_beta=rng_beta,
         active=active, inert_sums=sums[inert].sum(axis=0), inert_counts=counts[inert].sum(axis=0),
-        segment_accepts=np.zeros(deltas.size, dtype=bool),
     )
 
 
 def refresh_segments(state: ChainState) -> ChainState:
     """Propose a fresh Gamma bridge per active segment and accept independently.
 
-    The acceptance for segment i compares the endpoint-matched path ratio to
-    ln(U_i).  Noise and uniforms are drawn in one fixed-layout block over the
-    active segments, so the decisions do not depend on the order in which
-    segments are visited.  Accepted rows are written into the state's
-    arrays in place (ChainState.write_rows).
+    The proposal reads beta from state.terms, the path ratio its slopes and
+    intercepts, and both the chain's bin edges.  The acceptance for segment
+    i compares the endpoint-matched path ratio to ln(U_i).  Noise and uniforms
+    are drawn in one fixed-layout block over the active segments, so the
+    decisions do not depend on the order in which segments are visited.
+    Accepted rows are written into the state's arrays in place
+    (ChainState.write_rows).
 
-    An inert segment (see the module docstring) is not redrawn and is
-    reported accepted, as the full refresh would report: its path ratio is
-    exactly 0, which is >= ln(U) for every U in (0, 1).  A binless model
-    has no active segment, so its refresh draws nothing.
+    An inert segment (see the module docstring) is not redrawn and counts as
+    accepted in accept_path_rate, as the full refresh would count it: its
+    path ratio is exactly 0, which is >= ln(U) for every U in (0, 1).  A
+    binless model has no active segment, so its refresh draws nothing.
     """
     active = state.active
-    accept = np.ones(state.n_segments, dtype=bool)
     n_rejected = 0
     if active.size:
-        params = state.params
-        proposal = bridge_rows(state.rng_path, params.beta * state.active_sub_spans,
+        t = state.terms
+        proposal = bridge_rows(state.rng_path, t.beta * state.active_sub_spans,
                                state.obs.increments[active], state.m)
-        new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
+        new_sums, new_counts = bin_stats_matrix(proposal, state.bin_edges)
         log_ratio = loglik_ratio_path(new_sums, new_counts, state.seg_sums[active],
-                                      state.seg_counts[active], params)
+                                      state.seg_counts[active], t.slopes, t.intercepts)
         accepted = log_ratio >= np.log(state.rng_accept.uniform(size=active.size))
         n_rejected = active.size - int(np.count_nonzero(accepted))
         if n_rejected < active.size:
             state.write_rows(active[accepted], proposal[accepted], new_sums[accepted],
                              new_counts[accepted])
-        accept[active] = accepted
-    state.segment_accepts = accept
-    # accept.mean() bit for bit (a quotient of exact counts), without reducing
-    # the whole mask: a binless sweep takes tens of µs
-    state.accept_path_rate = (accept.size - n_rejected) / accept.size
+    # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
+    state.accept_path_rate = (state.n_segments - n_rejected) / state.n_segments
     return state
 
 
@@ -338,9 +339,10 @@ def reparam_invert(alpha: float, beta: float, alpha1: float, beta1: float,
                        np.array([math.log(beta) - math.log(beta1)]))
 
 
-def _candidate(cur: ScoredParams, alpha: float, beta: float, slopes, intercepts,
-               factors=None) -> ScoredParams | None:
-    """A candidate scored under cur's prior; None outside the model's domain or the prior's support.
+def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, intercepts,
+               factors=None) -> tuple[ParamTerms, float] | None:
+    """A candidate's terms and log prior under prior; None outside the model's
+    domain or the prior's support.
 
     The domain is alpha and beta finite and > 0, finite slopes and
     intercepts, and a tail slope > -alpha.  factors are the candidate's
@@ -350,29 +352,23 @@ def _candidate(cur: ScoredParams, alpha: float, beta: float, slopes, intercepts,
         return None
     if slopes and (slopes[-1] <= -alpha or not all(map(math.isfinite, slopes + intercepts))):
         return None
-    log_prior = cur.prior.logpdf(alpha, beta, slopes, intercepts)
+    log_prior = prior.logpdf(alpha, beta, slopes, intercepts)
     if log_prior == -math.inf:
         return None
-    edges = cur.terms.edges
-    if factors is None:
-        factors = mass_factors(alpha, slopes, edges, cur.prior.beta_is_random)
-    terms = ParamTerms.at(edges, alpha, beta, slopes, intercepts, factors)
-    return ScoredParams(None, cur.prior, terms, log_prior)
+    return (ParamTerms.at(edges, alpha, beta, slopes, intercepts, factors, prior.beta_is_random),
+            log_prior)
 
 
-def _accept(state: ChainState, rng, cand: ScoredParams, log_ratio: float, move: str) -> bool:
-    """Metropolis test of log_ratio against ln(U) from rng; an accepted candidate
-    becomes the state's params, as one validated ModelParams, and its scores.
-    A NaN log ratio raises ContractError: a numerical fault, not a rejection."""
+def _accept(state: ChainState, rng, cand: tuple[ParamTerms, float], log_ratio: float,
+            move: str) -> bool:
+    """Metropolis test of log_ratio against ln(U) from rng; an accepted
+    candidate's terms and log prior become the state's.  A NaN log ratio
+    raises ContractError: a numerical fault, not a rejection."""
     if math.isnan(log_ratio):
         raise ContractError(f"{move} move gave a NaN log ratio at sweep {state.iteration}")
     if not log_ratio >= math.log(rng.random()):
         return False
-    terms = cand.terms
-    params = ModelParams(terms.alpha, terms.beta, state.params.bin_edges, terms.slopes,
-                         terms.intercepts)
-    state.params = params
-    state.scored = ScoredParams(params, *cand[1:])
+    state.terms, state.log_prior = cand
     return True
 
 
@@ -388,8 +384,7 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
     """
     state.accept_params = False
     state.logr_params = -math.inf
-    current = state.scored_params(prior)
-    cur = current.terms
+    cur = state.score(prior)
     n = len(cur.edges)
     rng = state.rng_params
     z = rng.normal(size=2 * n + 1).tolist()
@@ -407,10 +402,12 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
         shift = alpha - cur.alpha
         slopes = tuple([s + prop.sigma_theta * dz - shift for s, dz in zip(cur.slopes, z[1:n + 1])])
         intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
-    cand = _candidate(current, alpha, cur.beta, slopes, intercepts)
+    cand = _candidate(prior, cur.edges, alpha, cur.beta, slopes, intercepts)
     if cand is None:
         return state
-    log_ratio = param_log_ratio(state.totals, cur, cand.terms) + cand.log_prior - current.log_prior
+    new, log_prior = cand
+    log_ratio = (param_log_ratio(state.total_sums, state.total_counts, state.grid.horizon, cur,
+                                 new) + log_prior - state.log_prior)
     state.logr_params = log_ratio
     state.accept_params = _accept(state, rng, cand, log_ratio, "parameter")
     return state
@@ -434,26 +431,29 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     reuses their mass factors: the move calls no E1.  The Gamma density
     ratio is (beta° - beta) (ln(alpha) sum_i h_i + sum_i h_i ln(delta_i))
     less the lnGamma differences, each distinct span once, all from the
-    chain's constants (ChainState).  An accepted move hands the
+    chain's constants (ChainState).  In reparameterised mode the prior is a
+    density on (alpha, beta, alpha + slope_1, beta exp(-rho_1)), and the walk
+    moves beta at fixed rho_1, so beta exp(-rho_1) moves with it: the ratio
+    has the Jacobian term ln(beta° / beta).  An accepted move hands the
     transformed block's totals, which psi read, to write_rows.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
     state.accept_beta = False
     state.logr_beta = -math.inf
-    current = state.scored_params(prior)
-    cur = current.terms
+    cur = state.score(prior)
     rng = state.rng_beta
     beta_new = cur.beta + prop.sigma_beta * rng.normal()
-    cand = _candidate(current, cur.alpha, beta_new, cur.slopes, cur.intercepts,
+    cand = _candidate(prior, cur.edges, cur.alpha, beta_new, cur.slopes, cur.intercepts,
                       (cur.e1_b1, cur.units, cur.ref_units))
     if cand is None:
         return state
+    new, log_prior = cand
 
     active = state.active
-    totals = state.totals
-    sums, counts = totals.sums.tolist(), totals.counts.tolist()
-    psi_old = psi_terms(sums, counts, totals.horizon, cur)
+    horizon = state.grid.horizon
+    totals = (state.total_sums, state.total_counts)
+    psi_old = psi_terms(*totals, horizon, cur)
     if active.size:
         block = state.increments[active]
         sub = state.active_sub_spans
@@ -464,23 +464,21 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         block, collapsed = pin_rows(block, state.obs.increments[active])
         if collapsed.any():
             return state
-        block_sums, block_counts = bin_stats_matrix(block, state.params.bin_edges)
-        new_sums = state.inert_sums + block_sums.sum(axis=0)
-        new_counts = state.inert_counts + block_counts.sum(axis=0)
-        psi_new = psi_terms(new_sums.tolist(), new_counts.tolist(), totals.horizon, cand.terms)
-    else:
-        psi_new = psi_terms(sums, counts, totals.horizon, cand.terms)
+        block_sums, block_counts = bin_stats_matrix(block, state.bin_edges)
+        totals = state.block_totals(block_sums, block_counts)
+    psi_new = psi_terms(*totals, horizon, new)
 
     density_diff = (
         (beta_new - cur.beta) * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
         - float(state.span_counts @ (gammaln(beta_new * state.distinct_spans)
                                      - gammaln(cur.beta * state.distinct_spans))))
-    log_ratio = (cand.log_prior - current.log_prior) + density_diff + (psi_new - psi_old)
+    log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
+    if prior.reparam:
+        log_ratio += math.log(beta_new / cur.beta)
     state.logr_beta = log_ratio
     state.accept_beta = _accept(state, rng, cand, log_ratio, "beta")
     if state.accept_beta and active.size:
-        state.write_rows(active, block, block_sums, block_counts,
-                         BinStats(new_sums, new_counts, totals.horizon))
+        state.write_rows(active, block, block_sums, block_counts, totals)
     return state
 
 
@@ -494,6 +492,8 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
         raise ConfigError("reparameterised mode requires exactly one bin")
     if "beta" in prop.update_schedule and not prior.beta_is_random:
         raise ConfigError("schedule contains a beta stage but the prior fixes beta")
+    if prior.beta_is_random and "beta" not in prop.update_schedule:
+        raise ConfigError("the prior leaves beta random but the schedule has no beta stage")
     if iterations < 0 or burn_in < 0 or iterations < burn_in:
         raise ConfigError(
             f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})"
@@ -513,11 +513,10 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     """Run the sampler and yield one ChainRecord per retained iteration.
 
     Every sweep refreshes the active segments (none on a binless model, see
-    refresh_segments), then runs the scheduled block update;
-    when no explicit beta stage is scheduled and beta is random, the beta
-    move additionally fires every beta_move_period-th sweep.  burn_in
-    defaults to 10 percent of iterations; records are emitted post burn-in
-    at the thinning stride.  Fully deterministic given the seed.
+    refresh_segments), then runs the next block update of the schedule,
+    which names a beta stage exactly when beta is random.  burn_in defaults
+    to 10 percent of iterations; records are emitted post burn-in at the
+    thinning stride.  Fully deterministic given the seed.
     """
     if burn_in is None:
         burn_in = iterations // 10
@@ -525,7 +524,6 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     if grid is None:
         grid = TimeGrid(obs.times, m)
     state = init_chain(obs, params0, grid, seed)
-    periodic_beta = prior.beta_is_random and "beta" not in prop.update_schedule
     n_stages = len(prop.update_schedule)
     for t in range(1, iterations + 1):
         state.iteration = t
@@ -538,8 +536,6 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
         if stage == "params":
             update_params(state, prop, prior)
         else:
-            update_beta(state, prop, prior)
-        if periodic_beta and t % prop.beta_move_period == 0:
             update_beta(state, prop, prior)
         if t > burn_in and (t - burn_in) % thinning == 0:
             yield state.record()

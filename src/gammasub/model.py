@@ -355,7 +355,6 @@ class PriorSpec:
     beta: Prior | None = None
     theta: tuple[Prior, ...] = ()
     rho: tuple[Prior, ...] = ()
-    tail_constraint: bool = True
     reparam: bool = False
 
     def __post_init__(self):
@@ -381,10 +380,10 @@ class PriorSpec:
         """Sum of component prior log-densities at float parameters.
 
         The slopes and intercepts are sequences of N floats.  Returns -inf
-        when any parameter leaves its support or when the tail constraint
-        slope_N > -alpha is requested and violated.
+        when any parameter leaves its support or the tail bin has infinite
+        mass (slope_N <= -alpha).
         """
-        if self.tail_constraint and slopes and slopes[-1] <= -alpha:
+        if slopes and slopes[-1] <= -alpha:
             return -math.inf
         total = self.alpha.logpdf(alpha)
         if self.beta is not None:

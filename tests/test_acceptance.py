@@ -296,7 +296,8 @@ def test_10_fit_determinism(tmp_path):
         "alpha_prior = gamma 2 1\nbeta_prior = uniform 0.05 100\n"
         "theta_prior = normal 0 1\nrho_prior = normal 0 1.5\n"
         "sigma_alpha = 0.05\nsigma_theta = 0.05\nsigma_rho = 0.15\n"
-        "sigma_beta = 0.05\nbeta_move_period = 5\nrefinement = 4\n"
+        "sigma_beta = 0.05\nupdate_schedule = beta params params params params\n"
+        "refinement = 4\n"
     )
     blobs = []
     for name in ("run_a", "run_b"):

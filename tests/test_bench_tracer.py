@@ -8,8 +8,10 @@ such a name breaks the traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gammasub as g
 from gammasub import mcmc, paths
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -38,3 +40,41 @@ def test_path_function_resolves(name):
 
 def test_init_chain_resolves():
     assert callable(mcmc.__dict__.get("init_chain"))
+
+
+class RecordingGates:
+    """The gates' interface: each failed check is kept."""
+
+    def __init__(self):
+        self.failures = []
+
+    def check(self, ok, message):
+        if not ok:
+            self.failures.append(message)
+
+
+def test_final_state_gate_passes_on_fresh_and_swept_states():
+    rng = np.random.default_rng(3)
+    obs = g.Observations.from_increments(np.arange(41.0), rng.gamma(1.0, 0.5, size=40))
+    params0 = g.ModelParams(2.0, 1.0, [0.5, 1.0], [0.3, -0.2], [0.2, 0.1])
+    prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
+                        theta=(g.Prior("normal", 0, 1.0),) * 2,
+                        rho=(g.Prior("normal", 0, 1.5),) * 2)
+    prop = g.ProposalSpec(sigma_beta=0.05)
+    state = mcmc.init_chain(obs, params0, g.TimeGrid(obs.times, 4), 7)
+    gates = RecordingGates()
+    tracer.check_final_state(state, gates, 0)
+    accepted = 0
+    for _ in range(100):
+        mcmc.refresh_segments(state)
+        mcmc.update_params(state, prop, prior)
+        mcmc.update_beta(state, prop, prior)
+        accepted += state.accept_beta
+    assert 0 < accepted < 100
+    tracer.check_final_state(state, gates, 1)
+    assert gates.failures == []
+    # the gate sees a stale cache
+    state.seg_sums[state.active[0], 1] += 1.0
+    tracer.check_final_state(state, gates, 2)
+    assert gates.failures == ["traced chain 2: cached seg_sums/seg_counts differ from "
+                              "bin_stats_matrix"]

@@ -29,13 +29,11 @@ alpha_prior = gamma 2 1
 beta_prior = uniform 0.1 1000
 theta_prior = normal 0 3.1622776601683795
 rho_prior = normal 0 7.0710678118654755
-tail_constraint = true
 sigma_alpha = 0.025
 sigma_theta = 0.025
 sigma_rho = 0.15
 sigma_beta = 0.01
-beta_move_period = 5
-update_schedule = params
+update_schedule = beta params params params params
 refinement = 10
 """
 
@@ -54,7 +52,7 @@ class TestParseConfig:
         assert cfg.prior.beta is not None
         assert len(cfg.prior.theta) == 3
         assert cfg.proposal.sigma_rho == 0.15
-        assert cfg.proposal.update_schedule == ("params",)
+        assert cfg.proposal.update_schedule == ("beta", "params", "params", "params", "params")
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -171,7 +169,8 @@ class TestCliRoundTrip:
                 .replace("beta_prior = uniform 0.1 1000", "beta_prior = uniform 0.4 0.5")
                 .replace("sigma_alpha = 0.025", "sigma_alpha = 0.1")
                 .replace("sigma_beta = 0.01", "sigma_beta = 0.05")
-                .replace("update_schedule = params", "update_schedule = beta params"))
+                .replace("update_schedule = beta params params params params",
+                         "update_schedule = beta params"))
         cfg = tmp_path / "tight.cfg"
         cfg.write_text(text)
         out = tmp_path / "run"

@@ -38,6 +38,11 @@ def model(alpha=1.0, beta=1.0, edges=(1.0,), slopes=(0.0,), intercepts=(0.0,)):
                        np.asarray(intercepts))
 
 
+def theta(params):
+    """The slopes and intercepts as float tuples, as the path ratio takes them."""
+    return tuple(params.theta_slopes.tolist()), tuple(params.theta_intercepts.tolist())
+
+
 class TestBinStats:
     def test_single_increment_classification(self):
         grid = TimeGrid([0.0, 1.0], m=1)
@@ -204,29 +209,29 @@ class TestLoglikRatioPath:
     def test_identical_stats_give_zero(self):
         p = model(slopes=(0.3,), intercepts=(0.2,))
         s = BinStats([1.0, 2.0], [5, 2], 1.0)
-        assert loglik_ratio_path(s.sums, s.counts, s.sums, s.counts, p) == 0.0
+        assert loglik_ratio_path(s.sums, s.counts, s.sums, s.counts, *theta(p)) == 0.0
 
     def test_gamma_model_always_zero(self):
         p = model(slopes=(0.0,), intercepts=(0.0,))
         s1 = BinStats([1.0, 2.0], [5, 2], 1.0)
         s2 = BinStats([2.0, 1.0], [4, 3], 1.0)
-        assert loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p) == 0.0
+        assert loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p)) == 0.0
 
     def test_alpha_irrelevant(self):
+        # the ratio takes no alpha: psi's differences at two alphas both equal it
         s1 = BinStats([1.0, 2.0], [5, 2], 1.0)
         s2 = BinStats([2.2, 0.8], [4, 3], 1.0)
-        va = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts,
-                               model(alpha=0.5, slopes=(0.3,), intercepts=(0.1,)))
-        vb = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts,
-                               model(alpha=5.0, slopes=(0.3,), intercepts=(0.1,)))
-        assert va == vb
+        value = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, (0.3,), (0.1,))
+        for alpha in (0.5, 5.0):
+            p = model(alpha=alpha, slopes=(0.3,), intercepts=(0.1,))
+            assert psi_log(s2, p) - psi_log(s1, p) == pytest.approx(value, rel=1e-12)
 
     def test_endpoint_mismatch_rejected(self):
         p = model(slopes=(0.3,), intercepts=(0.2,))
         s1 = BinStats([1.0, 2.0], [5, 2], 1.0)
         s2 = BinStats([1.0, 2.1], [5, 2], 1.0)
         with pytest.raises(ContractError):
-            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p)
+            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p))
 
     def test_literal_formula(self):
         p = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
@@ -234,8 +239,8 @@ class TestLoglikRatioPath:
         s2 = BinStats([1.3, 1.2, 1.5], [6, 1, 1], 1.0)
         expected = -(0.3 * (1.2 - 2.0) + (-0.1) * (1.5 - 1.0)
                      + 0.2 * (1 - 2) + 0.4 * (1 - 1))
-        assert loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p) == pytest.approx(
-            expected, rel=1e-12)
+        assert loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts,
+                                 *theta(p)) == pytest.approx(expected, rel=1e-12)
 
     def test_intercepts_drop_out_when_counts_match(self):
         # with matching per-bin counts the value is independent of the
@@ -245,15 +250,16 @@ class TestLoglikRatioPath:
         s2 = BinStats([1.4, 1.2, 1.4], [5, 2, 1], 1.0)
         base = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
         shifted_rho = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(-5.0, 9.9))
-        assert (loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, base)
-                == loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, shifted_rho))
+        assert (loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(base))
+                == loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(shifted_rho)))
         c = 0.7
         shifted_theta = model(edges=(1.0, 2.0), slopes=(0.3 + c, -0.1 + c),
                               intercepts=(0.2, 0.4))
         drift = -c * ((1.2 - 2.0) + (1.4 - 1.0))
         assert loglik_ratio_path(
-            s2.sums, s2.counts, s1.sums, s1.counts, shifted_theta) == pytest.approx(
-            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, base) + drift, rel=1e-12)
+            s2.sums, s2.counts, s1.sums, s1.counts, *theta(shifted_theta)) == pytest.approx(
+            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(base)) + drift,
+            rel=1e-12)
 
     def test_rows_match_one_row_calls(self):
         p = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
@@ -261,12 +267,12 @@ class TestLoglikRatioPath:
         old_c = np.array([[5, 2, 1], [3, 1, 1]])
         new_s = np.array([[1.3, 1.2, 1.5], [2.0, 1.5, 0.5]])
         new_c = np.array([[6, 1, 1], [4, 2, 0]])
-        rows = loglik_ratio_path(new_s, new_c, old_s, old_c, p)
+        rows = loglik_ratio_path(new_s, new_c, old_s, old_c, *theta(p))
         assert rows.shape == (2,)
         for i in range(2):
-            assert rows[i] == loglik_ratio_path(new_s[i], new_c[i], old_s[i], old_c[i], p)
+            assert rows[i] == loglik_ratio_path(new_s[i], new_c[i], old_s[i], old_c[i], *theta(p))
         binless = loglik_ratio_path(new_s[:, :1], new_c[:, :1], new_s[:, :1], new_c[:, :1],
-                                    ModelParams(1.0, 1.0))
+                                    (), ())
         assert np.array_equal(binless, np.zeros(2))
 
     def test_one_mismatched_row_rejected_at_1e9(self):
@@ -274,10 +280,10 @@ class TestLoglikRatioPath:
         old_s = np.array([[1.0, 3.0], [2.0, 2.0]])
         counts = np.array([[5, 2], [4, 3]])
         within = old_s + np.array([[0.0, 0.0], [0.0, 4e-10]])
-        assert loglik_ratio_path(within, counts, old_s, counts, p).shape == (2,)
+        assert loglik_ratio_path(within, counts, old_s, counts, *theta(p)).shape == (2,)
         beyond = old_s + np.array([[0.0, 0.0], [0.0, 4e-8]])
         with pytest.raises(ContractError):
-            loglik_ratio_path(beyond, counts, old_s, counts, p)
+            loglik_ratio_path(beyond, counts, old_s, counts, *theta(p))
 
 
     def test_nan_row_total_rejected(self):
@@ -288,12 +294,12 @@ class TestLoglikRatioPath:
         nan_row = sums.copy()
         nan_row[1, 0] = np.nan
         with pytest.raises(ContractError):
-            loglik_ratio_path(nan_row, counts, sums, counts, p)
+            loglik_ratio_path(nan_row, counts, sums, counts, *theta(p))
         with pytest.raises(ContractError):
-            loglik_ratio_path(sums, counts, nan_row, counts, p)
+            loglik_ratio_path(sums, counts, nan_row, counts, *theta(p))
         with pytest.raises(ContractError):
             loglik_ratio_path(nan_row[:, :1], counts[:, :1], sums[:, :1], counts[:, :1],
-                              ModelParams(1.0, 1.0))
+                              (), ())
 
 
 class TestPsiLog:
@@ -307,7 +313,7 @@ class TestPsiLog:
         s1 = BinStats([1.0, 2.0, 1.0], [5, 2, 1], 1.0)
         s2 = BinStats([1.3, 1.2, 1.5], [6, 1, 1], 1.0)
         assert psi_log(s2, p) - psi_log(s1, p) == pytest.approx(
-            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p), rel=1e-12)
+            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p)), rel=1e-12)
 
     def test_single_bin_term_by_term(self):
         p = model(alpha=1.0, beta=1.0, slopes=(0.2,), intercepts=(0.1,))
@@ -357,6 +363,6 @@ class TestBridgePathRatioIntegration:
         b2 = sample_gamma_bridge(2.0, 1.0, grid, 0.0, 3.0, 102)
         s1 = bin_stats(b1, p)
         s2 = bin_stats(b2, p)
-        val = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, p)
+        val = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p))
         assert math.isfinite(val)
         assert val == pytest.approx(psi_log(s2, p) - psi_log(s1, p), rel=1e-10, abs=1e-12)

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 from scipy.stats import gamma as gamma_dist
 
 import gammasub as g
 from gammasub import mcmc
-from gammasub.likelihood import bin_stats_matrix, loglik_ratio_path
+from gammasub.likelihood import ParamTerms, bin_stats_matrix, loglik_ratio_path
 from gammasub.mcmc import (
     chain_csv_header,
     read_chain_csv,
@@ -40,6 +41,16 @@ def sub_spans(state):
     return (state.grid.spans / state.grid.m)[:, None]
 
 
+def set_params(state, params):
+    """Make params the state's current parameters; the next move rescores them."""
+    state.terms, state.prior = ParamTerms.of(params), None
+
+
+def totals(state):
+    """The state's bin totals as a BinStats."""
+    return g.BinStats(state.total_sums, state.total_counts, state.grid.horizon)
+
+
 class TestInitChain:
     def test_two_point_segment(self):
         obs = g.Observations([0.0, 1.0], [0.0, 1.0])
@@ -49,8 +60,8 @@ class TestInitChain:
         assert state.increments.sum() == pytest.approx(1.0, rel=1e-14, abs=0)
         # the one segment is inert on a binless model: the totals are its constants
         assert state.active.size == 0
-        assert np.array_equal(state.totals.sums, state.seg_sums[0])
-        assert np.array_equal(state.totals.counts, [4])
+        assert state.total_sums == state.seg_sums[0].tolist()
+        assert state.total_counts == [4]
 
     def test_segments_monotone_and_pinned(self):
         state = basic_state()
@@ -114,9 +125,8 @@ class TestRefreshSegments:
         state.rng_accept = RejectEveryThird()
         g.refresh_segments(state)
         rejected = np.arange(active.size) % 3 == 0
-        expected = np.ones(state.n_segments, dtype=bool)
-        expected[active[rejected]] = False
-        assert np.array_equal(state.segment_accepts, expected)
+        n_rejected = int(rejected.sum())
+        assert state.accept_path_rate == (state.n_segments - n_rejected) / state.n_segments
         for got, old, new in ((state.increments, old_inc, proposal),
                               (state.seg_sums, old_sums, new_sums),
                               (state.seg_counts, old_counts, new_counts)):
@@ -131,7 +141,8 @@ class TestRefreshSegments:
         b = basic_state(params=pb, seed=11)
         g.refresh_segments(a)
         g.refresh_segments(b)
-        assert np.array_equal(a.segment_accepts, b.segment_accepts)
+        assert a.accept_path_rate == b.accept_path_rate < 1.0
+        assert np.array_equal(a.increments, b.increments)
 
 
 class NoDraws:
@@ -160,7 +171,6 @@ def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=
              params_move=g.update_params):
     """run_mcmc's loop, with burn_in 0 and thinning 1, around other moves."""
     state = g.init_chain(obs, params0, g.TimeGrid(obs.times, m), seed)
-    periodic_beta = prior.beta_is_random and "beta" not in prop.update_schedule
     for t in range(1, iterations + 1):
         state.iteration = t
         state.accept_params = state.accept_beta = None
@@ -168,26 +178,24 @@ def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=
         refresh(state)
         stage = prop.update_schedule[(t - 1) % len(prop.update_schedule)]
         (params_move if stage == "params" else beta_move)(state, prop, prior)
-        if periodic_beta and t % prop.beta_move_period == 0:
-            beta_move(state, prop, prior)
         yield state.record()
 
 
 def full_totals(state):
-    """The bin totals as a reduction over every segment row."""
-    return g.BinStats(state.seg_sums.sum(axis=0), state.seg_counts.sum(axis=0),
-                      state.grid.horizon)
+    """The bin sums and counts as lists, reduced over every segment row."""
+    return state.seg_sums.sum(axis=0).tolist(), state.seg_counts.sum(axis=0).tolist()
 
 
 def assert_totals_current(state):
-    """totals are the inert constants plus the active block's reduction, exactly, and
-    the reduction over every row within 1e-12 relative (counts exactly)."""
-    active, totals = state.active, state.totals
-    assert np.array_equal(totals.sums, state.inert_sums + state.seg_sums[active].sum(axis=0))
-    assert np.array_equal(totals.counts, state.inert_counts + state.seg_counts[active].sum(axis=0))
-    full = full_totals(state)
-    assert np.allclose(totals.sums, full.sums, rtol=1e-12, atol=0)
-    assert np.array_equal(totals.counts, full.counts)
+    """The totals are the inert constants plus the active block's reduction, exactly,
+    and the reduction over every row within 1e-12 relative (counts exactly)."""
+    active = state.active
+    assert state.total_sums == (state.inert_sums + state.seg_sums[active].sum(axis=0)).tolist()
+    assert state.total_counts == (
+        state.inert_counts + state.seg_counts[active].sum(axis=0)).tolist()
+    full_sums, full_counts = full_totals(state)
+    assert np.allclose(state.total_sums, full_sums, rtol=1e-12, atol=0)
+    assert state.total_counts == full_counts
 
 
 def full_refresh(state):
@@ -196,15 +204,15 @@ def full_refresh(state):
     proposal = bridge_rows(state.rng_path, params.beta * sub_spans(state),
                            state.obs.increments, state.m)
     sums, counts = bin_stats_matrix(proposal, params.bin_edges)
-    log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
+    log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts,
+                                  params.theta_slopes, params.theta_intercepts)
     accept = log_ratio >= np.log(state.rng_accept.uniform(size=state.n_segments))
     reject = ~accept
     proposal[reject] = state.increments[reject]
     sums[reject] = state.seg_sums[reject]
     counts[reject] = state.seg_counts[reject]
     state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
-    state.totals = full_totals(state)
-    state.segment_accepts = accept
+    state.total_sums, state.total_counts = full_totals(state)
     state.accept_path_rate = float(accept.mean())
 
 
@@ -219,7 +227,8 @@ def refresh_all_from(rng_inert):
         proposal[active] = bridge_rows(state.rng_path, shapes[active], deltas[active], state.m)
         proposal[inert] = bridge_rows(rng_inert, shapes[inert], deltas[inert], state.m)
         sums, counts = bin_stats_matrix(proposal, params.bin_edges)
-        log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
+        log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts,
+                                      params.theta_slopes, params.theta_intercepts)
         log_u = np.empty(state.n_segments)
         log_u[active] = np.log(state.rng_accept.uniform(size=active.size))
         log_u[inert] = np.log(rng_inert.uniform(size=inert.size))
@@ -230,8 +239,7 @@ def refresh_all_from(rng_inert):
         sums[reject] = state.seg_sums[reject]
         counts[reject] = state.seg_counts[reject]
         state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
-        state.totals = full_totals(state)
-        state.segment_accepts = accept
+        state.total_sums, state.total_counts = full_totals(state)
         state.accept_path_rate = float(accept.mean())
     return refresh
 
@@ -273,13 +281,15 @@ def beta_all_from(rng_inert):
         density_diff = np.sum(gamma_dist.logpdf(deltas, beta_new * spans, scale=1 / params.alpha)
                               - gamma_dist.logpdf(deltas, params.beta * spans,
                                                   scale=1 / params.alpha))
+        old_stats = g.BinStats(*full_totals(state), state.grid.horizon)
         log_ratio = float(lp_diff + density_diff + g.psi_log(new_stats, candidate)
-                          - g.psi_log(full_totals(state), params))
+                          - g.psi_log(old_stats, params))
         state.logr_beta = log_ratio
         if log_ratio >= math.log(rng.uniform()):
-            state.params = candidate
+            set_params(state, candidate)
             state.increments, state.seg_sums, state.seg_counts = block, sums, counts
-            state.totals = new_stats
+            state.total_sums = new_stats.sums.tolist()
+            state.total_counts = new_stats.counts.tolist()
             state.accept_beta = True
     return move
 
@@ -302,15 +312,12 @@ class TestBinlessRefresh:
         state.rng_path = state.rng_accept = NoDraws()
         arrays = (state.increments, state.seg_sums, state.seg_counts)
         copies = tuple(a.copy() for a in arrays)
-        assert not state.segment_accepts.any()
         g.refresh_segments(state)
         for got, same, copy in zip((state.increments, state.seg_sums, state.seg_counts),
                                    arrays, copies):
             assert got is same
             assert np.array_equal(got, copy)
         assert state.accept_path_rate == 1.0
-        assert state.segment_accepts.shape == (state.n_segments,)
-        assert state.segment_accepts.dtype == bool and state.segment_accepts.all()
 
     def test_binned_refresh_still_draws(self):
         # a bin with zero theta still needs fresh bridges: its S_k and C_k move
@@ -321,12 +328,12 @@ class TestBinlessRefresh:
 
     def test_totals_are_reduced_once_per_chain(self):
         state = basic_state(seed=3)
-        totals = state.totals
+        sums, counts = state.total_sums, state.total_counts
         assert_totals_current(state)
         for _ in range(20):
             g.refresh_segments(state)
             g.update_params(state, g.ProposalSpec(), self.prior)
-        assert state.totals is totals
+        assert state.total_sums is sums and state.total_counts is counts
 
     def test_run_matches_the_full_refresh(self):
         obs = gamma_obs(n=200, seed=29)
@@ -372,7 +379,8 @@ class TestActiveSegments:
             proposal = bridge_rows(state.rng_path, params.beta * sub_spans(state),
                                    state.obs.increments, state.m)
             sums, counts = bin_stats_matrix(proposal, params.bin_edges)
-            log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts, params)
+            log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts,
+                                          params.theta_slopes, params.theta_intercepts)
             assert (counts[inert] == [state.m, 0, 0]).all()
             assert (log_ratio[inert] == 0.0).all()
             reached |= counts[:, 1:].any(axis=1)
@@ -393,7 +401,6 @@ class TestActiveSegments:
             assert state.rng_accept.draws == [("uniform", self.n_active)]
             state.rng_path.draws.clear()
             state.rng_accept.draws.clear()
-            assert state.segment_accepts[inert].all()
             for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
                 assert np.array_equal(got[inert], copy[inert])
             moved += not np.array_equal(state.increments[:self.n_active],
@@ -535,7 +542,7 @@ class TestUpdateParams:
             theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho,
         )
         assert_totals_current(b)
-        expected = (g.loglik_ratio_params(b.totals, params, cand)
+        expected = (g.loglik_ratio_params(totals(b), params, cand)
                     + g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, params))
         assert a.logr_params == pytest.approx(expected, rel=1e-12)
 
@@ -598,20 +605,23 @@ class TestUpdateBeta:
                             theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.5),))
         state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71)
         assert 0 < state.active.size < state.n_segments
-        params, totals, increments = state.params, state.totals, state.increments.copy()
+        terms = state.score(prior)
+        total_sums, total_counts = state.total_sums, state.total_counts
+        increments = state.increments.copy()
         sums, counts = state.seg_sums.copy(), state.seg_counts.copy()
         state.rng_beta = Collapse()
         g.update_beta(state, g.ProposalSpec(sigma_beta=0.5), prior)
         assert Collapse.sizes == [(state.active.size, state.m)]     # the active block only
         assert state.accept_beta is False
         assert state.logr_beta == -math.inf
-        assert state.params is params and state.totals is totals
+        assert state.terms is terms
+        assert state.total_sums is total_sums and state.total_counts is total_counts
         assert np.array_equal(state.increments, increments)
         assert np.array_equal(state.seg_sums, sums)
         assert np.array_equal(state.seg_counts, counts)
 
     def test_accepted_move_hands_over_its_totals(self, monkeypatch):
-        # the totals psi read are stored: no second reduction of the active block
+        # the totals psi read are stored: one reduction of the active block per move
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
                             theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.5),))
         state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71)
@@ -627,13 +637,12 @@ class TestUpdateBeta:
             g.refresh_segments(state)
             reductions.clear()
             g.update_beta(state, g.ProposalSpec(sigma_beta=0.2), prior)
-            assert reductions == []
+            assert len(reductions) <= 1
             if state.accept_beta:
                 active = state.active
+                assert reductions == [(active.size, 2)]
                 expected = block_totals(state, state.seg_sums[active], state.seg_counts[active])
-                assert np.array_equal(state.totals.sums, expected.sums)
-                assert np.array_equal(state.totals.counts, expected.counts)
-                assert state.totals.horizon == expected.horizon
+                assert (state.total_sums, state.total_counts) == expected
                 accepted += 1
         assert 5 < accepted < 60
 
@@ -708,7 +717,7 @@ class TestParamTerms:
         checked = accepted_params = accepted_beta = 0
         for _ in range(300):
             g.refresh_segments(state)
-            before, stats = state.params, state.totals
+            before, stats = state.params, totals(state)
             g.update_params(state, prop, prior)
             accepted_params += state.accept_params
             if math.isfinite(state.logr_params):
@@ -731,8 +740,8 @@ class TestParamTerms:
                 checked += 1
             g.update_beta(state, prop, prior)
             accepted_beta += state.accept_beta
-            params, cached_prior, terms, log_prior = state.scored
-            assert params is state.params and cached_prior is prior
+            terms, log_prior = state.terms, state.log_prior
+            assert state.prior is prior
             assert (terms.alpha, terms.beta) == (state.params.alpha, state.params.beta)
             assert terms.slopes == tuple(state.params.theta_slopes)
             assert terms.intercepts == tuple(state.params.theta_intercepts)
@@ -774,16 +783,18 @@ def reference_update_params(state, prop, prior):
     lp_new = g.prior_logpdf(prior, cand)
     if lp_new == -math.inf:
         return
-    log_ratio = float(g.loglik_ratio_params(state.totals, params, cand)
+    log_ratio = float(g.loglik_ratio_params(totals(state), params, cand)
                       + lp_new - g.prior_logpdf(prior, params))
     state.logr_params = log_ratio
     if log_ratio >= math.log(rng.uniform()):
-        state.params, state.accept_params = cand, True
+        set_params(state, cand)
+        state.accept_params = True
 
 
 def reference_update_beta(state, prop, prior):
     """update_beta as it ran on ModelParams, prior_logpdf, psi_log and the scalar
-    Gamma densities of the observed increments."""
+    Gamma densities of the observed increments, with the reparameterised
+    prior's Jacobian ln(beta°/beta)."""
     state.accept_beta, state.logr_beta = False, -math.inf
     params, rng = state.params, state.rng_beta
     beta_new = params.beta + prop.sigma_beta * rng.normal()
@@ -793,7 +804,7 @@ def reference_update_beta(state, prop, prior):
     lp_diff = g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, params)
     if lp_diff == -math.inf:
         return
-    active, new_stats = state.active, state.totals
+    active, new_stats = state.active, totals(state)
     if active.size:
         block, sub = state.increments[active], state.active_sub_spans
         if beta_new > params.beta:
@@ -804,15 +815,18 @@ def reference_update_beta(state, prop, prior):
         if collapsed.any():
             return
         sums, counts = bin_stats_matrix(block, params.bin_edges)
-        new_stats = state.block_totals(sums, counts)
+        new_stats = g.BinStats(*state.block_totals(sums, counts), state.grid.horizon)
     density_diff = sum(g.gamma_logpdf(d, beta_new * h, params.alpha)
                        - g.gamma_logpdf(d, params.beta * h, params.alpha)
                        for d, h in zip(state.obs.increments, state.grid.spans))
     log_ratio = float(lp_diff + density_diff
-                      + (g.psi_log(new_stats, cand) - g.psi_log(state.totals, params)))
+                      + (g.psi_log(new_stats, cand) - g.psi_log(totals(state), params)))
+    if prior.reparam:
+        log_ratio += math.log(beta_new / params.beta)
     state.logr_beta = log_ratio
     if log_ratio >= math.log(rng.uniform()):
-        state.params, state.accept_beta = cand, True
+        set_params(state, cand)
+        state.accept_beta = True
         if active.size:
             state.write_rows(active, block, sums, counts)
 
@@ -921,6 +935,32 @@ class TestSegmentTotals:
         assert 0 < accepted_beta < 300
 
 
+class TestSweepTypes:
+    def test_run_builds_no_model_params_or_bin_stats(self, monkeypatch):
+        obs, params0, prior, prop = kernel_model("binned random beta")
+        built = []
+        for cls in (g.ModelParams, g.BinStats):
+            def counted(self, post_init=cls.__post_init__):
+                built.append(type(self).__name__)
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        init_chain = mcmc.init_chain
+
+        def init_then_count(*args):
+            state = init_chain(*args)
+            built.clear()
+            return state
+
+        monkeypatch.setattr(mcmc, "init_chain", init_then_count)
+        recs = list(g.run_mcmc(obs, params0, prior, prop, iterations=300, burn_in=0,
+                               seed=5, m=4))
+        assert built == []
+        assert any(r.accept_params for r in recs) and any(r.accept_beta for r in recs)
+        # the counter sees the API edge
+        recs[-1].to_params(params0.bin_edges)
+        assert built == ["ModelParams"]
+
+
 class TestNonFiniteRatios:
     """Faults are injected through the bin totals, which both ratios read."""
 
@@ -928,9 +968,9 @@ class TestNonFiniteRatios:
 
     @staticmethod
     def with_total(state, k, value):
-        sums = state.totals.sums.copy()
+        sums = list(state.total_sums)
         sums[k] = value
-        state.totals = g.BinStats(sums, state.totals.counts, state.totals.horizon)
+        state.total_sums = sums
         return state
 
     def test_nan_parameter_ratio_raises(self):
@@ -957,11 +997,11 @@ class TestNonFiniteRatios:
         # an alpha step up against an infinite S_0 gives a ratio of -inf
         state = self.with_total(basic_state(), 0, math.inf)
         state.rng_params = Upward()
-        params = state.params
+        terms = state.score(self.prior)
         g.update_params(state, g.ProposalSpec(), self.prior)
         assert state.accept_params is False
         assert state.logr_params == -math.inf
-        assert state.params is params
+        assert state.terms is terms
 
 
 class TestReparam:
@@ -996,6 +1036,49 @@ class TestReparam:
         assert len(recs) == 300
         assert any(r.accept_params for r in recs if r.accept_params is not None)
         assert all(math.isfinite(r.alpha) for r in recs)
+
+    def test_beta_move_targets_the_documented_law(self):
+        # One bin with b_1 above every increment: each segment is inert, so psi
+        # is only its compensator term, -T beta (exp(-rho) E1(c b_1) - E1(alpha b_1))
+        # with c = alpha + slope.  With alpha, slope and rho fixed, beta's
+        # conditional is its uniform prior, the rho prior's gamma(3, 2) density at
+        # beta exp(-rho), the Jacobian beta of that coordinate at fixed rho, the
+        # Gamma densities of the increments and exp(psi).
+        deltas = np.array([0.42, 1.35, 0.18, 0.77])
+        obs = g.Observations.from_increments(np.arange(5.0), deltas)
+        alpha, slope, rho, b1, horizon = 1.0, 0.3, 0.5, 2 * deltas.max(), 4.0
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 6.0),
+                            theta=(g.Prior("gamma", 2.0, 1.0),),
+                            rho=(g.Prior("gamma", 3.0, 2.0),), reparam=True)
+        comp = (math.exp(-rho) * special.exp1((alpha + slope) * b1)
+                - special.exp1(alpha * b1))
+
+        def mean_of(jacobian):
+            def log_density(beta):
+                return (gamma_dist.logpdf(beta * math.exp(-rho), 3.0, scale=0.5)
+                        + jacobian * math.log(beta)
+                        + gamma_dist.logpdf(deltas, beta, scale=1 / alpha).sum()
+                        - horizon * beta * comp)
+
+            def moment(k):
+                return integrate.quad(lambda b: b ** k * math.exp(log_density(b)), 0.05, 6.0,
+                                      epsabs=0, epsrel=1e-12, limit=200)[0]
+            return moment(1) / moment(0)
+
+        target = mean_of(jacobian=1)
+        recs = list(g.run_mcmc(obs, g.ModelParams(alpha, 0.6, [b1], [slope], [rho]), prior,
+                               g.ProposalSpec(sigma_beta=0.8, update_schedule=("beta",)),
+                               iterations=80_000, burn_in=1_000, seed=3, m=3))
+        assert {(r.alpha, r.theta, r.rho) for r in recs} == {(alpha, (slope,), (rho,))}
+        chain = np.array([r.beta for r in recs])
+        batches = chain[: 20 * (chain.size // 20)].reshape(20, -1).mean(axis=1)
+        se = batches.std(ddof=1) / math.sqrt(batches.size)
+        assert abs(chain.mean() - target) < 4 * se
+        # the law without the Jacobian is far out of reach
+        assert abs(mean_of(jacobian=0) - target) > 20 * se
+
+
+FIVE_SWEEP_BETA = ("beta", "params", "params", "params", "params")
 
 
 class TestRunMcmc:
@@ -1039,14 +1122,18 @@ class TestRunMcmc:
             list(g.run_mcmc(obs, p0, bad_prior, g.ProposalSpec(), iterations=5,
                             burn_in=0, seed=0))
 
-    def test_periodic_beta_updates(self):
+    def test_random_beta_needs_a_beta_stage(self):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
                             beta=g.Prior("uniform", 0.05, 50.0))
+        with pytest.raises(g.ConfigError, match="beta stage"):
+            list(g.run_mcmc(gamma_obs(), g.ModelParams(1.0, 1.0), prior, g.ProposalSpec(),
+                            iterations=20, burn_in=0, seed=2, m=3))
+        # one beta move per five sweeps, named in the schedule
         recs = list(g.run_mcmc(gamma_obs(), g.ModelParams(1.0, 1.0), prior,
-                               g.ProposalSpec(beta_move_period=5), iterations=20,
-                               burn_in=0, seed=2, m=3))
-        attempted = [r.iteration for r in recs if r.accept_beta is not None]
-        assert attempted == [5, 10, 15, 20]
+                               g.ProposalSpec(update_schedule=FIVE_SWEEP_BETA),
+                               iterations=20, burn_in=0, seed=2, m=3))
+        assert [r.iteration for r in recs if r.accept_beta is not None] == [1, 6, 11, 16]
+        assert all((r.accept_params is None) == (r.accept_beta is not None) for r in recs)
 
     def test_retained_states_respect_support(self):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
@@ -1055,7 +1142,8 @@ class TestRunMcmc:
                             rho=(g.Prior("normal", 0, 7.0),))
         params0 = g.ModelParams(1.0, 1.0, [0.5], [0.0], [0.0])
         recs = list(g.run_mcmc(gamma_obs(n=10), params0, prior,
-                               g.ProposalSpec(sigma_theta=0.5, sigma_rho=0.5),
+                               g.ProposalSpec(sigma_theta=0.5, sigma_rho=0.5,
+                                              update_schedule=FIVE_SWEEP_BETA),
                                iterations=200, burn_in=0, seed=4, m=3))
         for r in recs:
             assert r.alpha > 0 and r.beta > 0
@@ -1067,7 +1155,8 @@ class TestChainIo:
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
                             beta=g.Prior("uniform", 0.05, 50.0))
         return list(g.run_mcmc(gamma_obs(n=6), g.ModelParams(1.0, 1.0), prior,
-                               g.ProposalSpec(), iterations=25, burn_in=5, seed=9, m=3))
+                               g.ProposalSpec(update_schedule=FIVE_SWEEP_BETA),
+                               iterations=25, burn_in=5, seed=9, m=3))
 
     def test_round_trip(self):
         recs = self.make_records()

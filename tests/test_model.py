@@ -358,13 +358,12 @@ class TestPriors:
 
 
 class TestPriorLogpdf:
-    def spec(self, n=3, tail=True, beta=None):
+    def spec(self, n=3, beta=None):
         return PriorSpec(
             alpha=Prior("gamma", 2.0, 1.0),
             beta=beta,
             theta=tuple(Prior("normal", 0.0, 3.0) for _ in range(n)),
             rho=tuple(Prior("normal", 0.0, 7.0) for _ in range(n)),
-            tail_constraint=tail,
         )
 
     def test_sum_of_components(self):
@@ -423,7 +422,7 @@ def closed_form_logpdf(prior, x):
 
 def closed_form_spec_logpdf(spec, alpha, beta, slopes, intercepts):
     """The joint prior as a sum of closed-form component log-densities."""
-    if spec.tail_constraint and slopes and slopes[-1] <= -alpha:
+    if slopes and slopes[-1] <= -alpha:
         return -math.inf
     total = closed_form_logpdf(spec.alpha, alpha)
     if spec.beta is not None:
@@ -460,17 +459,15 @@ class TestCompilePrior:
         if prior.kind == "gamma":
             assert prior.logpdf(0.0) == -math.inf < prior.logpdf(5e-324)
 
-    @pytest.mark.parametrize("tail", [True, False])
     @pytest.mark.parametrize("beta", [None, Prior("uniform", 0.5, 2.0)])
-    def test_spec_matches_prior_logpdf(self, tail, beta):
+    def test_spec_matches_prior_logpdf(self, beta):
         rng = np.random.default_rng(99)
         for n in range(4):
             spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), beta=beta,
                              theta=(Prior("normal", 0.0, 3.0), Prior("uniform", -1.0, 1.0),
                                     Prior("gamma", 2.0, 2.0))[:n],
                              rho=(Prior("uniform", -2.0, 2.0), Prior("normal", 0.0, 7.0),
-                                  Prior("normal", 1.0, 0.5))[:n],
-                             tail_constraint=tail)
+                                  Prior("normal", 1.0, 0.5))[:n])
             for _ in range(100):
                 p = ModelParams(rng.uniform(0.1, 3.0), rng.uniform(0.1, 2.5),
                                 np.arange(1.0, n + 1.0), rng.normal(0.0, 1.5, size=n),
@@ -481,17 +478,16 @@ class TestCompilePrior:
                 assert got == pytest.approx(want, rel=1e-12)
                 assert prior_logpdf(spec, p) == got
 
-    @pytest.mark.parametrize("tail", [True, False])
-    def test_tail_constraint(self, tail):
+    def test_tail_constraint(self):
         spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), theta=(Prior("normal", 0.0, 3.0),) * 3,
-                         rho=(Prior("normal", 0.0, 7.0),) * 3, tail_constraint=tail)
+                         rho=(Prior("normal", 0.0, 7.0),) * 3)
         for last in (-1.5, -1.0, -0.5):
             bad = binned_model(slopes=(0.0, 0.0, last))
             got = spec.logpdf(1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0))
             assert got == prior_logpdf(spec, bad)
             assert got == pytest.approx(closed_form_spec_logpdf(
                 spec, 1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0)), rel=1e-12)
-            assert (got == -math.inf) == (tail and last <= -1.0)
+            assert (got == -math.inf) == (last <= -1.0)
 
     def test_reparam(self):
         spec = PriorSpec(alpha=Prior("gamma", 1.5625, 2.0833333333333335),
