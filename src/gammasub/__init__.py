@@ -32,7 +32,6 @@ from .model import (
     ModelParams,
     Prior,
     PriorSpec,
-    gamma_drift,
     levy_density,
     nu_bin_mass,
     nu_diff_bin0,
@@ -60,7 +59,7 @@ __all__ = [
     "BinStats", "bin_stats", "loglik_ratio_params", "loglik_ratio_path", "psi_log",
     "ChainRecord", "ChainState", "ProposalSpec", "init_chain",
     "refresh_segments", "run_mcmc", "update_beta", "update_params",
-    "ModelParams", "Prior", "PriorSpec", "gamma_drift", "levy_density",
+    "ModelParams", "Prior", "PriorSpec", "levy_density",
     "nu_bin_mass", "nu_diff_bin0", "prior_logpdf", "theta_at",
     "GridPath", "TimeGrid", "augment_path", "gamma_bridge",
     "sample_gamma_bridge", "sample_gamma_path", "thin_path",

@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnostics
 from .config import load_config
 from .data import (
-    ingest_losses_with_report,
+    ingest_losses,
     read_observations_csv,
     synth_two_gamma,
     write_observations_csv,
@@ -73,7 +73,7 @@ def _add_ingest(sub):
 
 
 def cmd_ingest(args) -> int:
-    obs, report = ingest_losses_with_report(args.losses, args.aggregation)
+    obs, report = ingest_losses(args.losses, args.aggregation)
     with open(args.out, "w") as fh:
         write_observations_csv(obs, fh)
     print(f"wrote {args.out}: {report.n_windows} windows from {report.n_rows} rows "

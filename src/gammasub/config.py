@@ -69,8 +69,17 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _floats(value: str) -> list[float]:
-    return [float(v) for v in value.replace(",", " ").split()]
+def _number(value: str, key: str, kind=float):
+    """value as a kind (float or int); ConfigError naming key when it is not one."""
+    try:
+        return kind(value)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
+
+
+def _floats(value: str, key: str) -> list[float]:
+    return [_number(v, key) for v in value.replace(",", " ").split()]
 
 
 def _bool(value: str, key: str) -> bool:
@@ -107,13 +116,16 @@ def parse_config(text: str) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    edges = np.asarray(_floats(pairs.get("bin_edges", "")), dtype=float)
+    edges = np.asarray(_floats(pairs.get("bin_edges", ""), "bin_edges"), dtype=float)
     n = edges.size
+
+    def _scalar(key: str, default: str, kind=float):
+        return _number(pairs.get(key, default), key, kind)
 
     def _vector(key: str) -> np.ndarray:
         if key not in pairs:
             return np.zeros(n)
-        vec = np.asarray(_floats(pairs[key]), dtype=float)
+        vec = np.asarray(_floats(pairs[key], key), dtype=float)
         if vec.size == 1 and n > 1:
             vec = np.full(n, vec[0])
         if vec.size != n:
@@ -123,8 +135,8 @@ def parse_config(text: str) -> RunConfig:
     if "alpha_init" not in pairs:
         raise ConfigError("config must set alpha_init")
     params0 = ModelParams(
-        alpha=float(pairs["alpha_init"]),
-        beta=float(pairs.get("beta_init", "1.0")),
+        alpha=_number(pairs["alpha_init"], "alpha_init"),
+        beta=_scalar("beta_init", "1.0"),
         bin_edges=edges,
         theta_slopes=_vector("theta_init"),
         theta_intercepts=_vector("rho_init"),
@@ -151,14 +163,14 @@ def parse_config(text: str) -> RunConfig:
     )
 
     proposal = ProposalSpec(
-        sigma_alpha=float(pairs.get("sigma_alpha", "0.025")),
-        sigma_theta=float(pairs.get("sigma_theta", "0.025")),
-        sigma_rho=float(pairs.get("sigma_rho", "0.15")),
-        sigma_beta=float(pairs.get("sigma_beta", "0.01")),
+        sigma_alpha=_scalar("sigma_alpha", "0.025"),
+        sigma_theta=_scalar("sigma_theta", "0.025"),
+        sigma_rho=_scalar("sigma_rho", "0.15"),
+        sigma_beta=_scalar("sigma_beta", "0.01"),
         update_schedule=tuple(pairs.get("update_schedule", "params").split()),
     )
 
-    refinement = int(pairs.get("refinement", "10"))
+    refinement = _scalar("refinement", "10", int)
     if refinement < 1:
         raise ConfigError(f"refinement must be >= 1, got {refinement}")
     return RunConfig(params0=params0, prior=prior, proposal=proposal,

@@ -23,7 +23,6 @@ __all__ = [
     "synth_two_gamma",
     "IngestReport",
     "ingest_losses",
-    "ingest_losses_with_report",
     "aggregate_losses",
     "read_observations_csv",
     "write_observations_csv",
@@ -261,18 +260,12 @@ def _parse_loss_rows(stream):
     return rows
 
 
-def ingest_losses(csv_path, aggregation: str = "weekly") -> Observations:
+def ingest_losses(csv_path, aggregation: str = "weekly") -> tuple[Observations, IngestReport]:
     """Read a (date, loss) CSV and aggregate it into Observations.
 
-    See aggregate_losses for the windowing rules; use ingest_losses_with_report
-    when the ingestion report is needed.
+    Returns aggregate_losses's (Observations, IngestReport) pair; see
+    aggregate_losses for the windowing rules.
     """
-    obs, _ = ingest_losses_with_report(csv_path, aggregation)
-    return obs
-
-
-def ingest_losses_with_report(csv_path, aggregation: str = "weekly"):
-    """Read a (date, loss) CSV; return aggregate_losses' (Observations, IngestReport)."""
     with open(csv_path, "r", newline="") as fh:
         rows = _parse_loss_rows(fh)
     return aggregate_losses(rows, aggregation)

@@ -104,11 +104,8 @@ def write_series_csv(stream, columns: dict) -> None:
         stream.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def write_band_csv(stream, x, lo, hi, truth=None) -> None:
-    cols = {"x": x, "lo": lo, "hi": hi}
-    if truth is not None:
-        cols["truth"] = truth
-    write_series_csv(stream, cols)
+def write_band_csv(stream, x, lo, hi) -> None:
+    write_series_csv(stream, {"x": x, "lo": lo, "hi": hi})
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .paths import GridPath
 __all__ = [
     "BinStats",
     "ParamTerms",
-    "bin_masses",
     "bin_stats",
     "compensator_diff",
     "compensator_terms",
@@ -79,12 +78,6 @@ class BinStats:
     def total(self) -> float:
         """Total displacement X_T - X_0 accounted for by the bins."""
         return float(self.sums.sum())
-
-    def __add__(self, other: "BinStats") -> "BinStats":
-        if self.n_bins != other.n_bins:
-            raise ContractError("cannot merge stats with different bin counts")
-        return BinStats(self.sums + other.sums, self.counts + other.counts,
-                        self.horizon + other.horizon)
 
 
 def bin_classify(increments: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
@@ -213,11 +206,6 @@ def _check_stats_match(stats: BinStats, params: ModelParams) -> None:
         raise ContractError(
             f"stats have {stats.n_bins} bins but params have {params.n_bins}"
         )
-
-
-def bin_masses(params: ModelParams) -> tuple[float, ...]:
-    """Jump-measure masses nu(B_k) of bins k = 1..N."""
-    return ParamTerms.of(params).masses
 
 
 def _check_same_beta_and_edges(old: ModelParams, new: ModelParams) -> None:

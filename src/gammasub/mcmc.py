@@ -47,7 +47,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import Observations
-from .exceptions import ConfigError, ContractError, DomainError
+from .exceptions import ConfigError, ContractError, DataError, DomainError
 # loglik_ratio_params and psi_log, the ModelParams views of the moves' ratios,
 # stay names of this module, where bench/tracer.py rebinds them
 from .likelihood import (ParamTerms, bin_stats_matrix, loglik_ratio_params,  # noqa: F401
@@ -266,8 +266,6 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     """Build the starting state: Gamma bridges for every segment, and the inert constants."""
     if not np.array_equal(grid.times, obs.times):
         raise ContractError("grid observation times must equal the data times")
-    if obs.times[0] != 0.0:
-        raise DomainError("observations must start at time 0")
     rng_path, rng_accept, rng_params, rng_beta = _make_rngs(seed)
     deltas = obs.increments
     shapes = params0.beta * (grid.spans / grid.m)[:, None]
@@ -488,8 +486,6 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
         raise ConfigError(
             f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}"
         )
-    if prior.reparam and params0.n_bins != 1:
-        raise ConfigError("reparameterised mode requires exactly one bin")
     if "beta" in prop.update_schedule and not prior.beta_is_random:
         raise ConfigError("schedule contains a beta stage but the prior fixes beta")
     if prior.beta_is_random and "beta" not in prop.update_schedule:
@@ -508,22 +504,21 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
 
 def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
              prop: ProposalSpec, iterations: int, burn_in: int | None = None,
-             thinning: int = 1, seed=0, m: int = 10,
-             grid: TimeGrid | None = None) -> Iterator[ChainRecord]:
+             thinning: int = 1, seed=0, m: int = 10) -> Iterator[ChainRecord]:
     """Run the sampler and yield one ChainRecord per retained iteration.
 
-    Every sweep refreshes the active segments (none on a binless model, see
-    refresh_segments), then runs the next block update of the schedule,
-    which names a beta stage exactly when beta is random.  burn_in defaults
-    to 10 percent of iterations; records are emitted post burn-in at the
-    thinning stride.  Fully deterministic given the seed.
+    The segments are imputed on TimeGrid(obs.times, m), m sub-steps per
+    observation interval.  Every sweep refreshes the active segments (none
+    on a binless model, see refresh_segments), then runs the next block
+    update of the schedule, which names a beta stage exactly when beta is
+    random.  burn_in defaults to 10 percent of iterations; records are
+    emitted post burn-in at the thinning stride.  Fully deterministic given
+    the seed.
     """
     if burn_in is None:
         burn_in = iterations // 10
     _validate_run(params0, prior, prop, iterations, burn_in, thinning)
-    if grid is None:
-        grid = TimeGrid(obs.times, m)
-    state = init_chain(obs, params0, grid, seed)
+    state = init_chain(obs, params0, TimeGrid(obs.times, m), seed)
     n_stages = len(prop.update_schedule)
     for t in range(1, iterations + 1):
         state.iteration = t
@@ -572,27 +567,37 @@ def write_chain_csv(records, stream, n_bins: int) -> None:
 
 
 def read_chain_csv(stream) -> list[ChainRecord]:
+    """Parse write_chain_csv's output.  Raises DataError for a header that
+    write_chain_csv does not write, and, naming the line, for a row with the
+    wrong number of fields or a malformed value."""
     header = stream.readline().strip().split(",")
     n_bins = sum(1 for c in header if c.startswith("theta_"))
+    expected = chain_csv_header(n_bins)
+    if header != expected.split(","):
+        raise DataError(f"chain file must start with the header {expected!r}")
     records = []
-    for line in stream:
+    for line_no, line in enumerate(stream, start=2):
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
-        it = int(parts[0])
-        alpha, beta = float(parts[1]), float(parts[2])
-        theta = tuple(float(v) for v in parts[3:3 + n_bins])
-        rho = tuple(float(v) for v in parts[3 + n_bins:3 + 2 * n_bins])
+        if len(parts) != len(header):
+            raise DataError(f"chain line {line_no}: expected {len(header)} fields, "
+                            f"got {len(parts)}")
         tail = parts[3 + 2 * n_bins:]
-        records.append(ChainRecord(
-            iteration=it, alpha=alpha, beta=beta, theta=theta, rho=rho,
-            accept_path_rate=float(tail[0]),
-            accept_params=None if tail[1] == "" else bool(int(tail[1])),
-            accept_beta=None if tail[2] == "" else bool(int(tail[2])),
-            logr_params=math.nan if tail[3] == "" else float(tail[3]),
-            logr_beta=math.nan if tail[4] == "" else float(tail[4]),
-        ))
+        try:
+            records.append(ChainRecord(
+                iteration=int(parts[0]), alpha=float(parts[1]), beta=float(parts[2]),
+                theta=tuple(float(v) for v in parts[3:3 + n_bins]),
+                rho=tuple(float(v) for v in parts[3 + n_bins:3 + 2 * n_bins]),
+                accept_path_rate=float(tail[0]),
+                accept_params=None if tail[1] == "" else bool(int(tail[1])),
+                accept_beta=None if tail[2] == "" else bool(int(tail[2])),
+                logr_params=math.nan if tail[3] == "" else float(tail[3]),
+                logr_beta=math.nan if tail[4] == "" else float(tail[4]),
+            ))
+        except ValueError as exc:
+            raise DataError(f"chain line {line_no}: {exc}") from None
     return records
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .exceptions import ConfigError, DomainError
 from .specfun import exp_integral_e1, exp_integral_e1_values
@@ -31,23 +31,13 @@ __all__ = [
     "bin0_mass_diff",
     "mass_factors",
     "bin_mass_values",
-    "gamma_drift",
     "prior_logpdf",
 ]
 
 
-_FLOAT = np.dtype(float)
-
-
 def _as_readonly(values) -> np.ndarray:
-    """A read-only 1-D float copy of values; a read-only 1-D float array that
-    owns its data, as this returns, is shared instead of copied."""
-    if (type(values) is np.ndarray and values.dtype is _FLOAT and values.ndim == 1
-            and values.base is None and not values.flags.writeable):
-        return values
-    arr = np.array(values, dtype=float, ndmin=1)
-    if arr.ndim != 1:
-        arr = arr.flatten()
+    """A read-only 1-D float copy of values."""
+    arr = np.array(values, dtype=float).reshape(-1)
     arr.setflags(write=False)
     return arr
 
@@ -264,21 +254,6 @@ def nu_diff_bin0(alpha_new: float, alpha_old: float, beta: float, b1: float) -> 
             raise DomainError(f"nu_diff_bin0 requires finite {name} > 0, got {v!r}")
     return bin0_mass_diff(beta, alpha_new, alpha_old, exp_integral_e1(alpha_new * b1),
                           exp_integral_e1(alpha_old * b1))
-
-
-def gamma_drift(params: ModelParams) -> float:
-    """Numerical drift diagnostic: integral of x * v(x) over (0, 1].
-
-    The sampler never needs this; it is exposed for model checking only.
-    """
-    # x * v(x) = beta*exp(-alpha*x - theta(x)) is bounded, with kinks at edges.
-    def integrand(x):
-        return params.beta * math.exp(-params.alpha * x - theta_at(params, x))
-
-    interior = [float(b) for b in params.bin_edges if 0.0 < b < 1.0]
-    val, _ = integrate.quad(integrand, 0.0, 1.0, points=interior or None,
-                            epsrel=1e-10, epsabs=0, limit=200)
-    return val
 
 
 def _log_density(kind: str, a: float, b: float) -> Callable[[float], float]:

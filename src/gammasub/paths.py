@@ -27,7 +27,6 @@ __all__ = [
     "bridge_rows",
     "augment_rows",
     "thin_rows",
-    "write_path_csv",
 ]
 
 _RESAMPLE_LIMIT = 100
@@ -76,15 +75,6 @@ class TimeGrid:
     @property
     def horizon(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-    def all_times(self) -> np.ndarray:
-        """Every refined grid point, observation points included once."""
-        t = self.times
-        steps = (t[:-1, None] + np.arange(1, self.m + 1) / self.m * np.diff(t)[:, None]).ravel()
-        out = np.concatenate(([t[0]], steps))
-        # land exactly on the observation times
-        out[self.m :: self.m] = t[1:]
-        return out
 
 
 @dataclass(frozen=True)
@@ -313,9 +303,3 @@ def thin_path(path: GridPath, beta_old: float, beta_new: float, seed) -> GridPat
                      beta_old, beta_new)
     return GridPath.from_increments(path.grid, path.start, incs[0])
 
-
-def write_path_csv(path: GridPath, stream) -> None:
-    """Write (time, value) rows at full double precision for debugging."""
-    stream.write("time,value\n")
-    for t, v in zip(path.grid.all_times(), path.values):
-        stream.write(f"{float(t)!r},{float(v)!r}\n")

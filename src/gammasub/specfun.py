@@ -20,8 +20,7 @@ _UNDERFLOW_Z = 745.0
 def exp_integral_e1(z: float) -> float:
     """Exponential integral E1(z) = integral of exp(-t)/t over t in [z, inf).
 
-    A scalar wrapper of scipy.special.exp1 that returns exactly 0.0 once
-    exp(-z) underflows.
+    One-point exp_integral_e1_values: exactly 0.0 once exp(-z) underflows.
 
     Raises:
         DomainError: if z is not a finite positive number.
@@ -29,16 +28,14 @@ def exp_integral_e1(z: float) -> float:
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"E1 requires finite z > 0, got {z!r}")
-    if z > _UNDERFLOW_Z:
-        return 0.0
-    return float(exp1(z))
+    return exp_integral_e1_values([z])[0]
 
 
 def exp_integral_e1_values(zs) -> list[float]:
     """E1 at each z of a sequence, from one scipy.special.exp1 call, as floats.
 
-    Each value equals exp_integral_e1(z) bit for bit, exactly 0.0 once z
-    exceeds 745; an infinite z gives that limit, 0.0, too.
+    Each value is exactly 0.0 once z exceeds 745, where exp(-z) underflows;
+    an infinite z gives that limit, 0.0, too.
 
     Raises:
         DomainError: if some z is not a positive number.

@@ -38,6 +38,12 @@ refinement = 10
 """
 
 
+def with_value(config: str, key: str, value: str) -> str:
+    """config with the line of key set to value."""
+    return "\n".join(f"{key} = {value}" if line.split("=")[0].strip() == key else line
+                     for line in config.splitlines())
+
+
 class TestParseConfig:
     def test_basic(self):
         cfg = parse_config(BASIC_CONFIG)
@@ -73,6 +79,20 @@ class TestParseConfig:
     def test_bad_prior_spec(self):
         with pytest.raises(ConfigError):
             parse_config("alpha_init = 1\nalpha_prior = gamma 2\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_init", "abc"),
+        ("beta_init", "1..0"),
+        ("refinement", "2.5"),
+        ("sigma_alpha", "x"),
+        ("sigma_beta", ""),
+        ("bin_edges", "1 x 4"),
+        ("theta_init", "0 0 zero"),
+    ])
+    def test_malformed_number_names_the_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_value(BINNED_CONFIG, key, value))
+        assert str(err.value).startswith(f"{key}: expected ")
 
     def test_comments_and_echo(self):
         cfg = parse_config(BASIC_CONFIG)
@@ -230,3 +250,30 @@ class TestCliRoundTrip:
                    "--iterations", "10", "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_config_value_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_value(BASIC_CONFIG, "alpha_init", "abc"))
+        rc = main(["fit", "--config", str(cfg), "--observations", "x.csv",
+                   "--iterations", "10", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: alpha_init: expected a number, got 'abc'\n"
+
+    def test_truncated_chain_row_is_an_error(self, tmp_path, capsys):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
+              "--out", str(obs_csv)])
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+              "--iterations", "20", "--seed", "7", "--out-dir", str(out)])
+        chain = out / "chain.csv"
+        lines = chain.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 3)[0]
+        chain.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["diagnose", "--chain", str(chain), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "figs")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: chain line {len(lines)}: expected 8 fields, "
+                                           "got 5\n")

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from gammasub import DataError, Observations, TwoGammaTruth, synth_two_gamma
 from gammasub.data import (
     aggregate_losses,
-    ingest_losses_with_report,
+    ingest_losses,
     read_observations_csv,
     write_observations_csv,
 )
@@ -57,6 +58,14 @@ class TestTwoGammaTruth:
             assert lhs == pytest.approx(rhs, rel=1e-12)
             assert truth.levy_density(x) == pytest.approx(rhs, rel=1e-12)
 
+    def test_two_exponential_mixture(self):
+        # closed form for the sum of two Gamma components
+        a1, b1, a2, b2 = 2.0, 0.4, 0.2, 0.04
+        expected = b1 / a1 * (1 - math.exp(-a1)) + b2 / a2 * (1 - math.exp(-a2))
+        truth = TwoGammaTruth(a1, b1, a2, b2)
+        ref, _ = integrate.quad(lambda x: x * truth.levy_density(x), 0, 1)
+        assert ref == pytest.approx(expected, rel=1e-10)
+
 
 class TestSynthTwoGamma:
     def test_shapes_and_grid(self):
@@ -93,7 +102,7 @@ def ingest_text(text: str, aggregation="weekly"):
         fh.write(text)
         name = fh.name
     try:
-        return ingest_losses_with_report(name, aggregation)
+        return ingest_losses(name, aggregation)
     finally:
         os.unlink(name)
 

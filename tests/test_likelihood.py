@@ -15,11 +15,12 @@ from gammasub import (
     levy_density,
     loglik_ratio_params,
     loglik_ratio_path,
+    nu_bin_mass,
     psi_log,
     sample_gamma_bridge,
     sample_gamma_path,
 )
-from gammasub.likelihood import bin_classify, bin_masses, bin_stats_matrix, compensator_diff
+from gammasub.likelihood import bin_classify, bin_stats_matrix, compensator_diff
 from gammasub.paths import GridPath
 
 
@@ -91,14 +92,6 @@ class TestBinStats:
             assert np.array_equal(counts, ref_counts)
         binless_sums, binless_counts = bin_stats_matrix(inc, np.empty(0))
         assert binless_counts.tolist() == [[9]] * 40
-
-    def test_merge(self):
-        a = BinStats([1.0, 2.0], [1, 2], 1.0)
-        b = BinStats([0.5, 0.0], [3, 0], 2.0)
-        c = a + b
-        assert c.sums == pytest.approx([1.5, 2.0])
-        assert list(c.counts) == [4, 2]
-        assert c.horizon == 3.0
 
 
 class TestLoglikRatioParams:
@@ -185,10 +178,10 @@ class TestLoglikRatioParams:
         assert compensator_diff(old, new) == pytest.approx(comp, rel=1e-9)
         assert loglik_ratio_params(stats, old, new) == pytest.approx(jumps - T * comp, rel=1e-9)
         # the bin masses alone, B_1 ... B_N
-        for k, mass in enumerate(bin_masses(new)):
-            ref, _ = integrate.quad(lambda x: levy_density(new, x), bounds[k + 1],
-                                    bounds[k + 2], epsabs=0, epsrel=1e-12, limit=400)
-            assert mass == pytest.approx(ref, rel=1e-9)
+        for k in range(1, new.n_bins + 1):
+            ref, _ = integrate.quad(lambda x: levy_density(new, x), bounds[k],
+                                    bounds[k + 1], epsabs=0, epsrel=1e-12, limit=400)
+            assert nu_bin_mass(new, k) == pytest.approx(ref, rel=1e-9)
 
     def test_beta_mismatch_rejected(self):
         s = self.stats()

@@ -1166,6 +1166,25 @@ class TestChainIo:
         back = read_chain_csv(buf)
         assert back == recs
 
+    @pytest.mark.parametrize("row, detail", [
+        ("3,1.0,2.0,0.5,1", "expected 8 fields, got 5"),          # truncated
+        ("3,1.0,2.0,0.5,1,,0.1,,,", "expected 8 fields, got 10"),
+        ("3,abc,2.0,0.5,1,,0.1,", "'abc'"),
+        ("3.5,1.0,2.0,0.5,1,,0.1,", "'3.5'"),
+        ("3,1.0,2.0,0.5,yes,,0.1,", "'yes'"),
+    ])
+    def test_malformed_row_names_its_line(self, row, detail):
+        good = "2,1.0,2.0,0.5,1,,0.1,"
+        buf = io.StringIO(chain_csv_header(0) + "\n" + good + "\n" + row + "\n")
+        with pytest.raises(g.DataError) as err:
+            read_chain_csv(buf)
+        assert str(err.value).startswith("chain line 3: ")
+        assert detail in str(err.value)
+
+    def test_foreign_header_rejected(self):
+        with pytest.raises(g.DataError, match="header"):
+            read_chain_csv(io.StringIO("time,value\n0.0,0.0\n"))
+
     def test_header(self):
         assert chain_csv_header(2) == (
             "iteration,alpha,beta,theta_1,theta_2,rho_1,rho_2,"

@@ -15,7 +15,6 @@ from gammasub import (
     Prior,
     PriorSpec,
     exp_integral_e1,
-    gamma_drift,
     gamma_logpdf,
     levy_density,
     nu_bin_mass,
@@ -293,29 +292,6 @@ class TestNuDiffBin0:
             nu_diff_bin0(0.0, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             nu_diff_bin0(1.0, 1.0, 1.0, -1.0)
-
-
-class TestGammaDrift:
-    def test_gamma_closed_form(self):
-        assert gamma_drift(gamma_model()) == pytest.approx(1 - math.exp(-1), rel=1e-9)
-
-    def test_linear_in_beta(self):
-        p1 = binned_model(beta=1.0, slopes=(0.2, 0.1, 0.3), intercepts=(0.5, 0.0, -0.2))
-        p2 = p1.with_updates(beta=2.0)
-        assert gamma_drift(p2) == pytest.approx(2 * gamma_drift(p1), rel=1e-9)
-
-    def test_two_exponential_mixture(self):
-        # closed form for the sum of two Gamma components
-        a1, b1, a2, b2 = 2.0, 0.4, 0.2, 0.04
-        expected = b1 / a1 * (1 - math.exp(-a1)) + b2 / a2 * (1 - math.exp(-a2))
-        from gammasub import TwoGammaTruth
-        truth = TwoGammaTruth(a1, b1, a2, b2)
-        edges = np.array([1.0])
-        p = ModelParams(truth.alpha_bar, truth.beta_bar, edges,
-                        [0.0], [0.0])
-        # integrate the exact mixture density instead of the binned model
-        ref, _ = integrate.quad(lambda x: x * truth.levy_density(x), 0, 1)
-        assert ref == pytest.approx(expected, rel=1e-10)
 
 
 class TestPriors:
