@@ -165,7 +165,7 @@ def cmd_diagnose(args) -> int:
     iterations = np.array([r.iteration for r in records], dtype=float)
 
     series = {"alpha": np.array([r.alpha for r in records])}
-    if any(r.accept_beta is not None for r in records):
+    if cfg.prior.beta_is_random:
         series["beta"] = np.array([r.beta for r in records])
     for k in range(n_bins):
         series[f"theta_{k + 1}"] = np.array([r.theta[k] for r in records])

@@ -18,9 +18,9 @@ a comment.  Recognized keys:
                                      theta_prior/rho_prior then cover
                                      alpha + slope_1 and beta*exp(-rho_1)
 
-    sigma_alpha     = 0.025          proposal scales
-    sigma_theta     = 0.025
-    sigma_rho       = 0.15
+    sigma_alpha     = 0.025          proposal scales; these values and the
+    sigma_theta     = 0.025          schedule below are mcmc.ProposalSpec's
+    sigma_rho       = 0.15           defaults
     sigma_beta      = 0.01
     update_schedule = params         stages cycled per sweep, params | beta;
                                      a beta stage is required exactly when
@@ -38,6 +38,8 @@ from .mcmc import ProposalSpec
 from .model import ModelParams, Prior, PriorSpec
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
+
+_SIGMAS = ("sigma_alpha", "sigma_theta", "sigma_rho", "sigma_beta")
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,7 @@ def parse_config(text: str) -> RunConfig:
     known = {
         "bin_edges", "alpha_init", "beta_init", "theta_init", "rho_init",
         "alpha_prior", "beta_prior", "theta_prior", "rho_prior",
-        "reparam", "sigma_alpha", "sigma_theta", "sigma_rho", "sigma_beta",
-        "update_schedule", "refinement",
+        "reparam", *_SIGMAS, "update_schedule", "refinement",
     }
     unknown = set(pairs) - known
     if unknown:
@@ -162,13 +163,11 @@ def parse_config(text: str) -> RunConfig:
         reparam=_bool(pairs.get("reparam", "false"), "reparam"),
     )
 
-    proposal = ProposalSpec(
-        sigma_alpha=_scalar("sigma_alpha", "0.025"),
-        sigma_theta=_scalar("sigma_theta", "0.025"),
-        sigma_rho=_scalar("sigma_rho", "0.15"),
-        sigma_beta=_scalar("sigma_beta", "0.01"),
-        update_schedule=tuple(pairs.get("update_schedule", "params").split()),
-    )
+    # only the keys the file sets: ProposalSpec holds the defaults
+    proposal_keys = {key: _number(pairs[key], key) for key in _SIGMAS if key in pairs}
+    if "update_schedule" in pairs:
+        proposal_keys["update_schedule"] = tuple(pairs["update_schedule"].split())
+    proposal = ProposalSpec(**proposal_keys)
 
     refinement = _scalar("refinement", "10", int)
     if refinement < 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .model import ModelParams, theta_at
+from .model import theta_rows
 
 __all__ = [
     "BandSpec",
@@ -43,8 +43,8 @@ class BandSpec:
         grid = np.asarray(self.x_grid, dtype=float).reshape(-1).copy()
         grid.flags.writeable = False
         object.__setattr__(self, "x_grid", grid)
-        if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise DomainError("x_grid must be positive and strictly increasing")
+        if not (grid.size and np.all(np.isfinite(grid) & (grid > 0)) and np.all(np.diff(grid) > 0)):
+            raise DomainError("x_grid must be finite, positive and strictly increasing")
         if not 0.0 < self.level < 1.0:
             raise DomainError(f"level must be in (0, 1), got {self.level}")
         if self.functional not in FUNCTIONALS:
@@ -59,25 +59,27 @@ def running_average(series) -> np.ndarray:
     return np.cumsum(arr) / np.arange(1, arr.size + 1)
 
 
-def evaluate_functional(params: ModelParams, spec: BandSpec) -> np.ndarray:
-    x = spec.x_grid
-    base = theta_at(params, x) + params.alpha * x
-    if spec.functional == "neg_log_levy_x":
-        return base - math.log(params.beta)
-    return base
-
-
 def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise empirical quantile envelope of the functional over samples.
 
-    samples is a sequence of ModelParams; at each grid point the band is the
+    samples is a sequence of ModelParams sharing their bin edges (else
+    DomainError); the functional is evaluated once for all of them on their
+    stacked floats (model.theta_rows).  At each grid point the band is the
     ((1-level)/2, 1-(1-level)/2) quantile pair of the functional values,
     using the inverse empirical CDF with linear interpolation.
     """
     samples = list(samples)
     if len(samples) < 2:
         raise DomainError("need at least two samples for a band")
-    values = np.stack([evaluate_functional(p, spec) for p in samples])
+    edges = samples[0].bin_edges.tolist()
+    if any(p.bin_edges.tolist() != edges for p in samples):
+        raise DomainError("samples must share their bin edges")
+    x = spec.x_grid
+    values = theta_rows(edges, np.array([p.theta_slopes for p in samples]),
+                        np.array([p.theta_intercepts for p in samples]), x)
+    values += np.array([p.alpha for p in samples])[:, None] * x
+    if spec.functional == "neg_log_levy_x":
+        values -= np.array([math.log(p.beta) for p in samples])[:, None]
     tail = (1.0 - spec.level) / 2.0
     lo = np.quantile(values, tail, axis=0)
     hi = np.quantile(values, 1.0 - tail, axis=0)

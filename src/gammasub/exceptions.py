@@ -22,4 +22,4 @@ class DataError(GammasubError, ValueError):
 
 
 class DegeneratePathError(GammasubError, RuntimeError):
-    """A sampled path collapsed to zero total increment (float underflow)."""
+    """A sampled path's total increment underflowed too far to pin it."""

@@ -80,7 +80,7 @@ class BinStats:
         return float(self.sums.sum())
 
 
-def bin_classify(increments: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
+def bin_classify(increments: np.ndarray, bin_edges) -> np.ndarray:
     """Half-open bin index of each increment (0 for B_0, edges go right).
 
     The index is the number of edges at or below the increment, the value
@@ -93,10 +93,10 @@ def bin_classify(increments: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
     return idx
 
 
-def bin_stats_matrix(increments: np.ndarray, bin_edges: np.ndarray):
-    """Per-row bin sums and counts for a (rows, steps) increment matrix."""
+def bin_stats_matrix(increments: np.ndarray, bin_edges):
+    """Per-row bin sums and counts for a (rows, steps) increment matrix; any float edges."""
     rows = increments.shape[0]
-    k = bin_edges.size + 1
+    k = len(bin_edges) + 1
     flat = bin_classify(increments, bin_edges)
     flat += (np.arange(rows) * k)[:, None]
     counts = np.bincount(flat.ravel(), minlength=rows * k).reshape(rows, k)
@@ -117,10 +117,9 @@ def bin_stats(path: GridPath, params: ModelParams) -> BinStats:
 class ParamTerms(NamedTuple):
     """One parameter vector as Python floats, with the bin-mass terms the ratios read.
 
-    e1_b1, units and ref_units are model.mass_factors's (ref_units None
-    unless built with reference), masses are model.bin_mass_values's
-    nu(B_1), ..., nu(B_N), and the Gamma reference's masses, which psi
-    subtracts, are beta * ref_units.
+    e1_b1, units and ref_units are model.mass_factors's, masses are
+    model.bin_mass_values's nu(B_1), ..., nu(B_N), and the Gamma
+    reference's masses, which psi subtracts, are beta * ref_units.
     """
 
     edges: tuple[float, ...]
@@ -130,25 +129,25 @@ class ParamTerms(NamedTuple):
     intercepts: tuple[float, ...]
     e1_b1: float
     units: tuple[float, ...]
-    ref_units: tuple[float, ...] | None
+    ref_units: tuple[float, ...]
     masses: tuple[float, ...]
 
     @classmethod
-    def at(cls, edges, alpha: float, beta: float, slopes, intercepts, factors=None,
-           reference: bool = False) -> "ParamTerms":
+    def at(cls, edges, alpha: float, beta: float, slopes, intercepts,
+           factors=None) -> "ParamTerms":
         """The terms at floats; factors are their mass_factors(alpha, slopes,
-        edges, reference), evaluated unless given."""
+        edges), evaluated unless given."""
         if factors is None:
-            factors = mass_factors(alpha, slopes, edges, reference)
+            factors = mass_factors(alpha, slopes, edges)
         return cls(edges, alpha, beta, slopes, intercepts, *factors,
                    bin_mass_values(beta, intercepts, factors[1]))
 
     @classmethod
-    def of(cls, params: ModelParams, reference: bool = False) -> "ParamTerms":
-        """The terms of a ModelParams, with the Gamma reference's factors if reference."""
+    def of(cls, params: ModelParams) -> "ParamTerms":
+        """The terms of a ModelParams."""
         return cls.at(tuple(params.bin_edges.tolist()), params.alpha, params.beta,
                       tuple(params.theta_slopes.tolist()),
-                      tuple(params.theta_intercepts.tolist()), reference=reference)
+                      tuple(params.theta_intercepts.tolist()))
 
 
 def compensator_terms(old: ParamTerms, new: ParamTerms) -> float:
@@ -186,8 +185,8 @@ def psi_terms(sums, counts, horizon: float, terms: ParamTerms) -> float:
     """Log-density of the model's path law against its Gamma reference.
 
     sums and counts are the per-bin totals S_0..S_N and C_0..C_N as
-    sequences of floats; terms need ref_units.  The reference shares (beta,
-    alpha) and has all slopes and intercepts zero, so
+    sequences of floats.  The reference shares (beta, alpha) and has all
+    slopes and intercepts zero, so
 
         psi = -sum_k th_k * S_k - sum_k rho_k * C_k
               - T * sum_{k=1..N} (nu - nu_ref)(B_k).
@@ -247,7 +246,8 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
         -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k).
 
     Raises ContractError when a row's two totals differ by more than 1e-9
-    relative (the paths do not share endpoints), or either is NaN.
+    relative (the paths do not share endpoints), or either is NaN.  With no
+    bins the products are empty and the value is zero (as -0.0).
     """
     n_bins = len(slopes)
     for sums in (sums_new, sums_old):
@@ -265,8 +265,6 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
         raise ContractError(
             f"paths do not share endpoints: totals differ in {int(np.sum(mismatched))} row(s)"
         )
-    if n_bins == 0:
-        return np.zeros(np.shape(total_new))[()]
     # whole-row differences are contiguous passes; bin 0 is then sliced off
     d_sums = sums_new - sums_old
     d_counts = counts_new - counts_old
@@ -277,4 +275,4 @@ def psi_log(stats: BinStats, params: ModelParams) -> float:
     """psi_terms at the bin statistics stats and the parameters params."""
     _check_stats_match(stats, params)
     return psi_terms(stats.sums.tolist(), stats.counts.tolist(), stats.horizon,
-                     ParamTerms.of(params, reference=True))
+                     ParamTerms.of(params))

@@ -28,14 +28,14 @@ The state (ChainState) holds each fact once: the current parameters as the
 floats of a likelihood.ParamTerms with their log prior, and the bin totals
 as float and int lists.  Both parameter moves draw a candidate as Python
 floats, check it for the model's domain and score it by PriorSpec.logpdf.
-Its bin-mass terms (the masses, E1(alpha b_1) and, with random beta, the
-Gamma reference's factors) come from one scipy.special.exp1 call in
-model.mass_factors; a beta move needs none, as its candidate shares alpha
-and the slopes.  The ratios are likelihood's param_log_ratio and psi_terms
-at the bin totals, and an accepted candidate's terms become the state's.
-No sweep builds a ModelParams or a BinStats: those are the types of the
-API edge, and ChainState.params builds the former on each read.  The beta
-move's Gamma density ratio reads the data only through per-chain constants.
+Its bin-mass terms (the masses, E1(alpha b_1) and the Gamma reference's
+factors) come from one scipy.special.exp1 call in model.mass_factors; a
+beta move needs none, as its candidate shares alpha and the slopes.  The
+ratios are likelihood's param_log_ratio and psi_terms at the bin totals,
+and an accepted candidate's terms become the state's.  No sweep builds
+a ModelParams or a BinStats: those are the types of the API edge, and
+ChainState.params builds the former on each read.  The beta move's Gamma
+density ratio reads the data only through per-chain constants.
 """
 
 import json
@@ -132,16 +132,16 @@ class ChainRecord:
 class ChainState:
     """Mutable sampler state: parameters plus the augmented segments.
 
-    terms are the current parameters as the moves read them, and log_prior
-    their log prior under prior, the PriorSpec the last move was handed; a
-    move handed another PriorSpec object rescores them (score).  params
-    builds a validated ModelParams from terms on each read.  total_sums and
-    total_counts are the bin totals S_0..S_N and C_0..C_N over all segments,
-    which write_rows keeps current.
+    terms are the current parameters as the moves read them, the chain's
+    bin edges among them, and log_prior their log prior under prior, the
+    PriorSpec the last move was handed; a move handed another PriorSpec
+    object rescores log_prior (score).  params builds a validated
+    ModelParams from terms on each read.  total_sums and total_counts are
+    the bin totals S_0..S_N and C_0..C_N over all segments, which
+    write_rows keeps current.
     """
 
     terms: ParamTerms
-    bin_edges: np.ndarray               # b_1 < ... < b_N, fixed for the chain
     obs: Observations
     grid: TimeGrid
     increments: np.ndarray              # (n_segments, m), rows sum to obs increments
@@ -194,7 +194,7 @@ class ChainState:
     def params(self) -> ModelParams:
         """The current parameters as a validated ModelParams, built on each read."""
         t = self.terms
-        return ModelParams(t.alpha, t.beta, self.bin_edges, t.slopes, t.intercepts)
+        return ModelParams(t.alpha, t.beta, t.edges, t.slopes, t.intercepts)
 
     def block_totals(self, sums: np.ndarray, counts: np.ndarray) -> tuple[list, list]:
         """Totals over all segments as float and int lists, given the active
@@ -217,16 +217,13 @@ class ChainState:
         self.total_sums, self.total_counts = totals
 
     def score(self, prior: PriorSpec) -> ParamTerms:
-        """terms, rescored with their log prior, and the Gamma reference's
-        factors when beta is random, if prior is not the object they were
-        scored under."""
+        """terms, with log_prior rescored under prior if prior is not the
+        object it was scored under."""
+        t = self.terms
         if self.prior is not prior:
-            t = self.terms
-            # t[:5] are the edges, alpha, beta, slopes and intercepts
-            self.terms = ParamTerms.at(*t[:5], reference=prior.beta_is_random)
             self.log_prior = prior.logpdf(t.alpha, t.beta, t.slopes, t.intercepts)
             self.prior = prior
-        return self.terms
+        return t
 
     def record(self) -> ChainRecord:
         t = self.terms
@@ -249,7 +246,7 @@ def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.Philox(s)) for s in root.spawn(4))
 
 
-def active_segments(deltas: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
+def active_segments(deltas: np.ndarray, bin_edges) -> np.ndarray:
     """Indices of the segments whose observed increment can reach a bin k >= 1.
 
     A segment is active when its increment is at least the first bin edge
@@ -257,7 +254,7 @@ def active_segments(deltas: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
     the other, inert, segments lies in B_0 whatever the bridge; a binless
     model has no active segment.
     """
-    if bin_edges.size == 0:
+    if not len(bin_edges):
         return np.empty(0, dtype=np.intp)
     return np.flatnonzero(deltas >= bin_edges[0] * (1.0 - _PIN_MARGIN))
 
@@ -275,7 +272,7 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     inert = np.ones(deltas.size, dtype=bool)
     inert[active] = False
     return ChainState(
-        terms=ParamTerms.of(params0), bin_edges=params0.bin_edges, obs=obs, grid=grid,
+        terms=ParamTerms.of(params0), obs=obs, grid=grid,
         increments=increments, seg_sums=sums, seg_counts=counts,
         rng_path=rng_path, rng_accept=rng_accept,
         rng_params=rng_params, rng_beta=rng_beta,
@@ -305,7 +302,7 @@ def refresh_segments(state: ChainState) -> ChainState:
         t = state.terms
         proposal = bridge_rows(state.rng_path, t.beta * state.active_sub_spans,
                                state.obs.increments[active], state.m)
-        new_sums, new_counts = bin_stats_matrix(proposal, state.bin_edges)
+        new_sums, new_counts = bin_stats_matrix(proposal, t.edges)
         log_ratio = loglik_ratio_path(new_sums, new_counts, state.seg_sums[active],
                                       state.seg_counts[active], t.slopes, t.intercepts)
         accepted = log_ratio >= np.log(state.rng_accept.uniform(size=active.size))
@@ -353,8 +350,7 @@ def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, inter
     log_prior = prior.logpdf(alpha, beta, slopes, intercepts)
     if log_prior == -math.inf:
         return None
-    return (ParamTerms.at(edges, alpha, beta, slopes, intercepts, factors, prior.beta_is_random),
-            log_prior)
+    return ParamTerms.at(edges, alpha, beta, slopes, intercepts, factors), log_prior
 
 
 def _accept(state: ChainState, rng, cand: tuple[ParamTerms, float], log_ratio: float,
@@ -421,9 +417,9 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     density ratio at the observed increments, and the path log-density
     ratio against the respective Gamma references.  Inert segments are not
     transformed (see the module docstring), so with no active segment the
-    move draws only beta° and its uniform.  An active segment that thins to
-    zero total cannot be re-pinned, so such a proposal is rejected.  A NaN
-    log ratio raises ContractError.
+    move draws only beta° and its uniform.  A proposal that thins an active
+    segment too far to re-pin (pin_rows' degenerate mask) is rejected.  A
+    NaN log ratio raises ContractError.
 
     The candidate differs from the current parameters in beta alone, so it
     reuses their mass factors: the move calls no E1.  The Gamma density
@@ -462,7 +458,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         block, collapsed = pin_rows(block, state.obs.increments[active])
         if collapsed.any():
             return state
-        block_sums, block_counts = bin_stats_matrix(block, state.bin_edges)
+        block_sums, block_counts = bin_stats_matrix(block, cur.edges)
         totals = state.block_totals(block_sums, block_counts)
     psi_new = psi_terms(*totals, horizon, new)
 

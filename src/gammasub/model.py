@@ -25,6 +25,7 @@ __all__ = [
     "Prior",
     "PriorSpec",
     "theta_at",
+    "theta_rows",
     "levy_density",
     "nu_bin_mass",
     "nu_diff_bin0",
@@ -125,29 +126,37 @@ class ModelParams:
 
 
 def _check_positive_x(x: np.ndarray) -> None:
-    if x.size == 0:
-        return
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
         raise DomainError("x must be finite and > 0")
+
+
+def theta_rows(edges, slopes: np.ndarray, intercepts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """theta at the points x for S parameter samples that share the edges.
+
+    slopes and intercepts are (S, N); returns (S,) + x.shape, one row per
+    sample.  x is not checked: theta_at is the checked one-sample view.
+    """
+    idx = np.searchsorted(edges, x, side="right")
+    # bin B_0 has slope and intercept 0
+    pad = np.zeros((len(slopes), 1))
+    slopes = np.concatenate((pad, slopes), axis=1)
+    intercepts = np.concatenate((pad, intercepts), axis=1)
+    return intercepts[:, idx] + slopes[:, idx] * x
 
 
 def theta_at(params: ModelParams, x):
     """Evaluate the piecewise-linear perturbation theta at x (scalar or array).
 
     theta is 0 below the first edge; on [b_k, b_{k+1}) it equals
-    intercept_k + slope_k * x, with edges assigned to the right bin.
+    intercept_k + slope_k * x, with edges assigned to the right bin.  One
+    sample of theta_rows, with x checked finite and > 0.
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     _check_positive_x(x_arr)
-    if params.n_bins == 0:
-        out = np.zeros_like(x_arr)
-    else:
-        idx = np.searchsorted(params.bin_edges, x_arr, side="right")
-        slopes = np.concatenate(([0.0], params.theta_slopes))
-        intercepts = np.concatenate(([0.0], params.theta_intercepts))
-        out = intercepts[idx] + slopes[idx] * x_arr
+    out = theta_rows(params.bin_edges, params.theta_slopes[None, :],
+                     params.theta_intercepts[None, :], x_arr)[0]
     return float(out[0]) if scalar else out
 
 
@@ -177,7 +186,7 @@ def nu_bin_mass(params: ModelParams, k: int) -> float:
     return bin_mass_values(params.beta, params.theta_intercepts.tolist(), units)[k - 1]
 
 
-def mass_factors(alpha: float, slopes, edges, reference: bool = False):
+def mass_factors(alpha: float, slopes, edges):
     """The E1 factors of the bin masses at float parameters, from one exp1 call.
 
     Returns (e1_b1, units, ref_units) for alpha, the slopes and the edges
@@ -190,7 +199,7 @@ def mass_factors(alpha: float, slopes, edges, reference: bool = False):
       E1(c b_N) for the tail bin, and for an interior bin with c <= 0 its
       finite limit, ln(b_{k+1} / b_k) at c = 0 and an Ei difference below;
     - ref_units[k-1] = nu_ref(B_k) / beta for the Gamma reference (theta
-      zero), or None unless reference is true.
+      zero), which psi reads; always computed.
 
     Neither beta nor the intercepts enter, so a move that changes only those
     reuses the factors.  Raises DomainError when the tail bin has
@@ -198,9 +207,8 @@ def mass_factors(alpha: float, slopes, edges, reference: bool = False):
     """
     n = len(edges)
     if n == 0:
-        return 0.0, (), () if reference else None
-    n_ref = n if reference else 1
-    zs = [alpha * b for b in edges[:n_ref]]
+        return 0.0, (), ()
+    zs = [alpha * b for b in edges]
     rates = [s + alpha for s in slopes]
     for k, c in enumerate(rates):
         if c > 0:
@@ -210,7 +218,7 @@ def mass_factors(alpha: float, slopes, edges, reference: bool = False):
         elif k + 1 == n:
             raise DomainError(f"tail bin requires slope + alpha > 0, got {c}")
     e1 = exp_integral_e1_values(zs)
-    bins = iter(e1[n_ref:])
+    bins = iter(e1[n:])
     units = []
     for k, c in enumerate(rates):
         if c > 0:
@@ -219,9 +227,7 @@ def mass_factors(alpha: float, slopes, edges, reference: bool = False):
             units.append(math.log(edges[k + 1] / edges[k]))
         else:
             units.append(float(special.expi(-c * edges[k + 1]) - special.expi(-c * edges[k])))
-    ref_units = None
-    if reference:
-        ref_units = tuple(e1[k] - e1[k + 1] for k in range(n - 1)) + (e1[n - 1],)
+    ref_units = tuple(e1[k] - e1[k + 1] for k in range(n - 1)) + (e1[n - 1],)
     return e1[0], tuple(units), ref_units
 
 
@@ -235,12 +241,11 @@ def bin0_mass_diff(beta: float, alpha_new: float, alpha_old: float, e1_new: floa
                    e1_old: float) -> float:
     """(nu_new - nu_old)(B_0) between two tilt rates, from e1 = E1(alpha * b_1) at each.
 
-    Equals beta*ln(alpha_old/alpha_new) - beta*(e1_new - e1_old), exactly 0.0
-    for equal rates; the log term is the limiting value of the E1 difference
-    at the origin.  A binless model passes e1 = 0.0 (b_1 = inf).
+    Equals beta*ln(alpha_old/alpha_new) - beta*(e1_new - e1_old); the log
+    term is the limiting value of the E1 difference at the origin.  Equal
+    rates with equal e1 give exactly 0.0, as ln(1.0) and e1 - e1 are 0.0.  A
+    binless model passes e1 = 0.0 (b_1 = inf).
     """
-    if alpha_new == alpha_old:
-        return 0.0
     return beta * (math.log(alpha_old / alpha_new) - (e1_new - e1_old))
 
 

@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 _RESAMPLE_LIMIT = 100
-_TINY = np.finfo(float).tiny
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -173,21 +172,19 @@ def _one_value(p):
 def pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale each row of raw to sum to its target; returns (pinned, degenerate).
 
-    Zero increments (float underflow) are clamped to the smallest positive
-    normal before forming ratios, so pinned rows are strictly positive and
-    sum to their targets to within accumulation ulp.  A row with zero total
-    has nothing to rescale: it is flagged in the degenerate mask and pinned
-    to zeros.  raw is not modified.
+    A pinned row is exactly raw * target / total, so zero and subnormal
+    entries stay as small as the draw made them, and the row sums to its
+    target to within accumulation ulp while total * target is a normal float
+    (a subnormal product is then off by 2**-1075, a relative 2**-53 of the
+    sum).  A row below that, a zero row among them, is divided by 1 instead
+    and flagged in the degenerate mask, to be redrawn or rejected.  raw is
+    not modified.
     """
-    # a row of non-negative floats sums to zero, in any order, only when every
-    # entry is zero, so a product with ones is an exact (and cheaper) test
-    degenerate = raw @ np.ones(raw.shape[1]) == 0.0
-    pinned = np.maximum(raw, _TINY)
-    total = pinned.sum(axis=1, keepdims=True)
-    # targets * clamped / total, evaluated in place
-    pinned *= targets[:, None]
+    total = raw.sum(axis=1, keepdims=True)
+    degenerate = total[:, 0] * targets < np.finfo(float).tiny
+    total[degenerate] = 1.0
+    pinned = raw * targets[:, None]
     pinned /= total
-    pinned[degenerate] = 0.0
     return pinned, degenerate
 
 
@@ -197,8 +194,8 @@ def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarra
 
     shapes broadcasts against the output: (rows, 1) for one shape per row,
     or (rows, m).  The bridge is scale free, so the driving increments are
-    drawn with unit scale.  Rows whose draw degenerates to zero total are
-    redrawn, alone, up to 100 times before DegeneratePathError is raised.
+    drawn with unit scale.  Rows pin_rows flags as degenerate are redrawn,
+    alone, up to 100 times before DegeneratePathError is raised.
     """
     shapes = _one_value(shapes)
     pinned, degenerate = pin_rows(rng.gamma(shape=shapes, size=(targets.size, m)), targets)
@@ -249,15 +246,14 @@ def gamma_bridge(path: GridPath, x_start: float, x_end: float) -> GridPath:
     """Pin a path to the endpoints (x_start, x_end) by multiplicative rescaling.
 
     The output increments are (x_end - x_start) * dS / S_T, with S the input
-    path shifted to start at 0 (one-row pin_rows, zero increments clamped);
-    endpoints are hit exactly.  A path with zero total increment raises
-    DegeneratePathError.
+    path shifted to start at 0 (one-row pin_rows); endpoints are hit
+    exactly.  A path pin_rows flags as degenerate raises DegeneratePathError.
     """
     if not x_end > x_start:
         raise DomainError(f"need x_end > x_start, got ({x_start}, {x_end})")
     pinned, degenerate = pin_rows(path.increments[None, :], np.array([x_end - x_start]))
     if degenerate[0]:
-        raise DegeneratePathError("path has zero total increment; resample the proposal")
+        raise DegeneratePathError("path total increment too small to pin; resample the proposal")
     return GridPath.pinned(path.grid, x_start, x_end, pinned[0])
 
 
@@ -266,7 +262,7 @@ def sample_gamma_bridge(beta: float, alpha: float, grid: TimeGrid,
     """Sample a Gamma(beta, alpha) bridge from x_start to x_end on the grid.
 
     One-row bridge_rows: the driving path is redrawn up to 100 times if it
-    degenerates to zero total increment, then DegeneratePathError is raised.
+    degenerates (a total too small to pin), then DegeneratePathError is raised.
     """
     _check_rates(beta, alpha)
     if not x_end > x_start:

@@ -12,15 +12,11 @@ from scipy.special import exp1
 
 from .exceptions import DomainError
 
-# exp(-z) underflows to subnormal garbage past here; bin masses this far out
-# are treated as exactly zero rather than raising.
-_UNDERFLOW_Z = 745.0
-
 
 def exp_integral_e1(z: float) -> float:
     """Exponential integral E1(z) = integral of exp(-t)/t over t in [z, inf).
 
-    One-point exp_integral_e1_values: exactly 0.0 once exp(-z) underflows.
+    One-point exp_integral_e1_values: exactly 0.0 once E1 underflows.
 
     Raises:
         DomainError: if z is not a finite positive number.
@@ -34,8 +30,8 @@ def exp_integral_e1(z: float) -> float:
 def exp_integral_e1_values(zs) -> list[float]:
     """E1 at each z of a sequence, from one scipy.special.exp1 call, as floats.
 
-    Each value is exactly 0.0 once z exceeds 745, where exp(-z) underflows;
-    an infinite z gives that limit, 0.0, too.
+    scipy's exp1 gives exactly 0.0 where E1 underflows (from about z = 740
+    up) and at an infinite z, the limit, so its values are used as they are.
 
     Raises:
         DomainError: if some z is not a positive number.
@@ -44,8 +40,6 @@ def exp_integral_e1_values(zs) -> list[float]:
     # exp1 gives nan below 0 and at nan, inf at 0, and finite values elsewhere
     if not math.isfinite(sum(values)):
         raise DomainError(f"E1 requires z > 0, got {list(zs)!r}")
-    if values and max(zs) > _UNDERFLOW_Z:
-        values = [0.0 if z > _UNDERFLOW_Z else e for z, e in zip(zs, values)]
     return values
 
 

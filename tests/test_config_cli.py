@@ -94,6 +94,10 @@ class TestParseConfig:
             parse_config(with_value(BINNED_CONFIG, key, value))
         assert str(err.value).startswith(f"{key}: expected ")
 
+    def test_proposal_defaults_are_proposal_specs(self):
+        from gammasub.mcmc import ProposalSpec
+        assert parse_config(BASIC_CONFIG).proposal == ProposalSpec(sigma_alpha=0.1)
+
     def test_comments_and_echo(self):
         cfg = parse_config(BASIC_CONFIG)
         assert cfg.echo()["alpha_prior"] == "gamma 2 1"
@@ -139,6 +143,12 @@ class TestCliRoundTrip:
         assert (fig_dir / "hist_alpha.csv").exists()
         assert (fig_dir / "band.csv").exists()
         assert (fig_dir / "band.svg").exists()
+        for bound in ("--x-min", "--x-max"):
+            rc = main(["diagnose", "--chain", str(out_dir / "chain.csv"),
+                       "--config", str(cfg), "--out-dir", str(tmp_path / bound),
+                       "--figures", "band", bound, "nan"])
+            assert rc == 2
+            assert not (tmp_path / bound / "band.csv").exists()
 
     def test_fit_determinism(self, tmp_path):
         obs_csv = tmp_path / "obs.csv"
@@ -227,6 +237,29 @@ class TestCliRoundTrip:
                   str(cfg), "--out-dir", str(fig), "--x-points", "6"])
             blobs.append({p.name: p.read_bytes() for p in sorted(fig.iterdir())})
         assert blobs[0] == blobs[1]
+
+    def test_diagnose_plots_beta_under_thinning(self, tmp_path):
+        # with thinning 5 over a five-stage schedule every retained record ran a
+        # params move, yet beta varies along the chain: the prior makes it random
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "40", "--n", "100", "--seed", "5",
+              "--out", str(obs_csv)])
+        cfg = tmp_path / "binned.cfg"
+        cfg.write_text(BINNED_CONFIG)
+        out = tmp_path / "run"
+        main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+              "--iterations", "100", "--burn-in", "0", "--thinning", "5", "--seed", "7",
+              "--out-dir", str(out)])
+        from gammasub.mcmc import read_chain_csv
+        with open(out / "chain.csv") as fh:
+            records = read_chain_csv(fh)
+        assert all(r.accept_beta is None for r in records)
+        assert len({r.beta for r in records}) > 1
+        fig = tmp_path / "figs"
+        rc = main(["diagnose", "--chain", str(out / "chain.csv"), "--config", str(cfg),
+                   "--out-dir", str(fig), "--figures", "trace,hist"])
+        assert rc == 0
+        assert (fig / "trace_beta.csv").exists() and (fig / "hist_beta.csv").exists()
 
     def test_ingest_cli(self, tmp_path):
         losses = tmp_path / "losses.csv"

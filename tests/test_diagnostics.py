@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from gammasub import BandSpec, DomainError, ModelParams, credible_band, histogram, running_average
-from gammasub.diagnostics import evaluate_functional, write_line_svg, write_series_csv
+from gammasub.diagnostics import write_line_svg, write_series_csv
+
+
+def functional(p, spec):
+    """The band functional of one sample: the band of two copies of it."""
+    lo, hi = credible_band([p, p], spec)
+    assert np.array_equal(lo, hi)
+    return lo
 
 
 class TestRunningAverage:
@@ -32,6 +39,9 @@ class TestBandSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
             BandSpec(x_grid=[1.0, 0.5])
+        for grid in ([0.5, math.nan], [math.nan], [0.5, math.inf], [-math.inf, 1.0]):
+            with pytest.raises(DomainError):
+                BandSpec(x_grid=grid)
         with pytest.raises(DomainError):
             BandSpec(x_grid=[0.5, 1.0], level=1.0)
         with pytest.raises(DomainError):
@@ -50,8 +60,8 @@ class TestCredibleBand:
     def test_extreme_level_spans_both_samples(self):
         spec = BandSpec(x_grid=np.array([2.0]), level=0.9999)
         lo, hi = credible_band(self.samples([1.0, 2.0]), spec)
-        f1 = evaluate_functional(self.samples([1.0])[0], spec)[0]
-        f2 = evaluate_functional(self.samples([2.0])[0], spec)[0]
+        f1 = functional(self.samples([1.0])[0], spec)[0]
+        f2 = functional(self.samples([2.0])[0], spec)[0]
         assert lo[0] == pytest.approx(f1, rel=1e-3)
         assert hi[0] == pytest.approx(f2, rel=1e-3)
 
@@ -79,10 +89,16 @@ class TestCredibleBand:
     def test_neg_log_levy_functional(self):
         p = ModelParams(1.5, 2.0, [1.0], [0.3], [-0.2])
         spec = BandSpec(x_grid=np.array([0.5, 2.0]), functional="neg_log_levy_x")
-        vals = evaluate_functional(p, spec)
+        vals = functional(p, spec)
         from gammasub import levy_density
         expected = [-math.log(x * levy_density(p, x)) for x in (0.5, 2.0)]
         assert vals == pytest.approx(expected, rel=1e-12)
+
+    def test_samples_must_share_edges(self):
+        spec = BandSpec(x_grid=np.array([1.0]))
+        for other in (ModelParams(1.0, 1.0, [2.0], [0.1], [0.2]), ModelParams(1.0, 1.0)):
+            with pytest.raises(DomainError):
+                credible_band(self.samples([1.0, 2.0]) + [other], spec)
 
     def test_needs_two_samples(self):
         spec = BandSpec(x_grid=np.array([1.0]))

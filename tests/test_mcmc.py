@@ -71,6 +71,43 @@ class TestInitChain:
         assert np.allclose(state.increments.sum(axis=1), state.obs.increments,
                            rtol=1e-14, atol=0)
 
+    def test_mixture_scale_rows_pin_unclamped(self):
+        # the mixture benchmark's shapes: beta * h / m = 0.44 * 0.2 / 10, about 0.009,
+        # where some Gamma draws underflow to exactly 0 and stay 0 once pinned
+        obs, truth = g.synth_two_gamma(2.0, 0.4, 0.2, 0.04, T=200.0, n=1000, seed=7)
+        params = g.ModelParams(2.0, truth.beta_bar, [1.0, 2.0, 4.0], [0.0] * 3, [0.0] * 3)
+        state = g.init_chain(obs, params, g.TimeGrid(obs.times, 10), [7, 1])
+        assert (state.increments == 0.0).any()
+        for _ in range(20):
+            g.refresh_segments(state)
+        deltas = state.obs.increments
+        assert np.all(np.abs(state.increments.sum(axis=1) - deltas) <= 1e-9 * deltas)
+        sums, counts = bin_stats_matrix(state.increments, params.bin_edges)
+        assert np.array_equal(sums, state.seg_sums)
+        assert np.array_equal(counts, state.seg_counts)
+
+    def test_tiny_shape_rows_stay_pinned_through_refresh_and_beta_moves(self):
+        # segment shapes beta * span = 0.005: a few bridge and thinned rows in a
+        # thousand sum to a subnormal, which pin_rows cannot scale to its target
+        # and flags, so the bridge redraws them and the beta move rejects them
+        deltas = np.random.default_rng(3).uniform(0.6, 3.0, size=200)
+        obs = g.Observations.from_increments(np.arange(201.0), deltas)
+        params = g.ModelParams(1.0, 0.005, [0.5], [0.0], [0.0])
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 1.0, 1.0),
+                            theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.0),))
+        prop = g.ProposalSpec(sigma_beta=0.002, update_schedule=("beta",))
+        state = g.init_chain(obs, params, g.TimeGrid(obs.times, 10), [5, 2])
+        accepted = 0
+        for _ in range(30):
+            g.refresh_segments(state)
+            g.update_beta(state, prop, prior)
+            accepted += state.accept_beta
+            assert np.all(np.abs(state.increments.sum(axis=1) - deltas) <= 1e-9 * deltas)
+        assert 0 < accepted < 30
+        sums, counts = bin_stats_matrix(state.increments, params.bin_edges)
+        assert np.array_equal(sums, state.seg_sums)
+        assert np.array_equal(counts, state.seg_counts)
+
     def test_identical_seed_identical_state(self):
         a = basic_state(seed=33)
         b = basic_state(seed=33)

@@ -213,7 +213,7 @@ class TestMassFactors:
     def assert_matches_quadrature(p, rel=1e-8):
         edges = tuple(p.bin_edges.tolist())
         slopes, rhos = p.theta_slopes.tolist(), p.theta_intercepts.tolist()
-        e1_b1, units, ref_units = mass_factors(p.alpha, slopes, edges, reference=True)
+        e1_b1, units, ref_units = mass_factors(p.alpha, slopes, edges)
         masses = bin_mass_values(p.beta, rhos, units)
         ref = p.gamma_reference()
         for k in range(1, p.n_bins + 1):
@@ -222,8 +222,7 @@ class TestMassFactors:
         e1, _ = integrate.quad(lambda x: math.exp(-p.alpha * x) / x, edges[0], np.inf,
                                epsabs=0, epsrel=1e-11, limit=400)
         assert e1_b1 == pytest.approx(e1, rel=rel)
-        # the reference's factors are optional; the others do not depend on them
-        assert mass_factors(p.alpha, slopes, edges) == (e1_b1, units, None)
+        assert len(units) == len(ref_units) == p.n_bins
         return units
 
     def test_every_kind_of_bin(self):
@@ -233,11 +232,13 @@ class TestMassFactors:
         assert [s + p.alpha for s in p.theta_slopes.tolist()] == [1.15, 0.0, -0.5, 0.85]
         units = self.assert_matches_quadrature(p)
         assert units[1] == math.log(2.5)    # the integral of 1/x over [1, 2.5)
+        # binless: no bins, and E1(alpha b_1) is 0.0 at b_1 = inf
+        assert mass_factors(0.75, (), ()) == (0.0, (), ())
 
     def test_underflow_beyond_745(self):
         # c * b beyond 745 gives E1 exactly 0: the tail and the upper edge of bin 1
         p = ModelParams(400.0, 2.0, [1.0, 2.0], [0.0, 0.0], [0.5, 0.0])
-        _, units, ref_units = mass_factors(400.0, [0.0, 0.0], (1.0, 2.0), reference=True)
+        _, units, ref_units = mass_factors(400.0, [0.0, 0.0], (1.0, 2.0))
         assert units == ref_units
         assert units[0] == pytest.approx(e1_series(400.0), rel=1e-10)
         # E1(800) < exp(-800) / 800, below the smallest subnormal double

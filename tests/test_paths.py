@@ -1,6 +1,7 @@
 """Gamma path sampling, bridges, and the activity-change transforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,12 +115,12 @@ class TestGammaBridge:
         with pytest.raises(DegeneratePathError):
             gamma_bridge(flat, 0.0, 1.0)
 
-    def test_zero_increment_clamped(self):
+    def test_zero_increment_stays_zero(self):
         grid = TimeGrid([0.0, 1.0], m=3)
         stalled = GridPath(grid, np.array([0.0, 0.5, 0.5, 1.0]))
         b = gamma_bridge(stalled, 0.0, 2.0)
-        assert np.all(b.increments > 0)
-        assert np.all(np.diff(b.values) >= 0)
+        assert b.increments.tolist() == [1.0, 0.0, 1.0]
+        assert np.all(np.diff(b.values) >= 0) and b.end == 2.0
 
     def test_midpoint_beta_law(self):
         # bridge value at T/2 of a 0->1 Gamma(beta, alpha) bridge is
@@ -252,9 +253,9 @@ class TestRowKernels:
         assert degenerate.tolist() == [False, True, False]
         assert pinned[0].tolist() == [0.5, 1.5]
         assert pinned[1].tolist() == [0.0, 0.0]
-        assert np.all(pinned[2] > 0) and pinned[2].sum() == 1.0
+        assert pinned[2].tolist() == [0.0, 1.0]
 
-    def test_pin_rows_matches_three_temporary_formula(self):
+    def test_pin_rows_is_exactly_raw_times_target_over_total(self):
         rng = np.random.default_rng(8)
         raw = rng.gamma(0.05, size=(50, 7))
         raw[3] = 0.0
@@ -262,13 +263,30 @@ class TestRowKernels:
         raw[5, :2] = [5e-324, 1e-310]
         targets = rng.uniform(0.1, 5.0, size=50)
         before = raw.copy()
-        pinned, degenerate = pin_rows(raw, targets)
-        clamped = np.maximum(raw, np.finfo(float).tiny)
-        expected = targets[:, None] * clamped / clamped.sum(axis=1, keepdims=True)
-        expected[3] = 0.0
-        assert np.array_equal(pinned, expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the zero row divides by 1, not 0
+            pinned, degenerate = pin_rows(raw, targets)
+        live = np.arange(50) != 3
+        expected = raw[live] * targets[live, None] / raw[live].sum(axis=1, keepdims=True)
+        assert np.array_equal(pinned[live], expected)
+        assert pinned[3].tolist() == [0.0] * 7
+        assert np.array_equal(pinned == 0.0, raw == 0.0)     # zeros stay zeros, and only they
+        assert 0.0 < pinned[5, 0] < pinned[5, 1] < np.finfo(float).tiny
         assert np.flatnonzero(degenerate).tolist() == [3]
         assert np.array_equal(raw, before)
+
+    def test_pin_rows_flags_rows_too_small_to_pin(self):
+        # raw * target of an all-subnormal row rounds to multiples of 5e-324, so
+        # the pinned row would miss its target by about 1e-4 relative; a normal
+        # total with a small target has the same subnormal products
+        tiny = np.finfo(float).tiny
+        raw = np.array([[1e-320, 0.0, 3e-321], [4 * tiny, 0.0, 4 * tiny],
+                        [4 * tiny, 0.0, 4 * tiny], [1e-300, 2e-300, 0.0]])
+        targets = np.array([2.7, 0.1, 0.2, 2.7])
+        pinned, degenerate = pin_rows(raw, targets)
+        assert degenerate.tolist() == [True, True, False, False]
+        assert np.array_equal(pinned[:2], raw[:2] * targets[:2, None])
+        assert np.all(np.abs(pinned[2:].sum(axis=1) - targets[2:]) <= 1e-15 * targets[2:])
 
     def test_scalar_and_array_parameters_draw_the_same_variates(self):
         def gen():
