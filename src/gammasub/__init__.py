@@ -17,7 +17,7 @@ from .exceptions import (
     DomainError,
     GammasubError,
 )
-from .likelihood import BinStats, bin_stats, loglik_ratio_params, loglik_ratio_path, psi_log
+from .likelihood import BinStats, loglik_ratio_params, loglik_ratio_path, psi_log
 from .mcmc import (
     ChainRecord,
     ChainState,
@@ -38,15 +38,7 @@ from .model import (
     prior_logpdf,
     theta_at,
 )
-from .paths import (
-    GridPath,
-    TimeGrid,
-    augment_path,
-    gamma_bridge,
-    sample_gamma_bridge,
-    sample_gamma_path,
-    thin_path,
-)
+from .paths import TimeGrid, augment_path, gamma_bridge, sample_gamma_bridge, thin_path
 from .specfun import exp_integral_e1, gamma_logpdf
 
 __version__ = "0.1.0"
@@ -56,13 +48,12 @@ __all__ = [
     "BandSpec", "credible_band", "histogram", "running_average",
     "GammasubError", "DomainError", "ContractError", "ConfigError",
     "DataError", "DegeneratePathError",
-    "BinStats", "bin_stats", "loglik_ratio_params", "loglik_ratio_path", "psi_log",
+    "BinStats", "loglik_ratio_params", "loglik_ratio_path", "psi_log",
     "ChainRecord", "ChainState", "ProposalSpec", "init_chain",
     "refresh_segments", "run_mcmc", "update_beta", "update_params",
     "ModelParams", "Prior", "PriorSpec", "levy_density",
     "nu_bin_mass", "nu_diff_bin0", "prior_logpdf", "theta_at",
-    "GridPath", "TimeGrid", "augment_path", "gamma_bridge",
-    "sample_gamma_bridge", "sample_gamma_path", "thin_path",
+    "TimeGrid", "augment_path", "gamma_bridge", "sample_gamma_bridge", "thin_path",
     "exp_integral_e1", "gamma_logpdf",
     "__version__",
 ]

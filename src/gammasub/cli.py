@@ -23,7 +23,7 @@ from .data import (
     synth_two_gamma,
     write_observations_csv,
 )
-from .exceptions import GammasubError
+from .exceptions import ConfigError, GammasubError
 from .mcmc import active_segments, read_chain_csv, run_mcmc, write_chain_csv, write_meta_json
 
 
@@ -100,14 +100,13 @@ def _add_fit(sub):
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     obs = read_observations_csv(args.observations)
+    sweeps = run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal,
+                      iterations=args.iterations, burn_in=args.burn_in,
+                      thinning=args.thinning, seed=args.seed, m=cfg.refinement)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    records = list(run_mcmc(
-        obs, cfg.params0, cfg.prior, cfg.proposal,
-        iterations=args.iterations, burn_in=args.burn_in,
-        thinning=args.thinning, seed=args.seed, m=cfg.refinement,
-    ))
+    records = list(sweeps)
     elapsed = time.perf_counter() - t0
     with open(out_dir / "chain.csv", "w") as fh:
         write_chain_csv(records, fh, cfg.params0.n_bins)
@@ -152,6 +151,10 @@ def _add_diagnose(sub):
 
 
 def cmd_diagnose(args) -> int:
+    figures = {f.strip() for f in args.figures.split(",") if f.strip()}
+    unknown = sorted(figures - {"trace", "hist", "band"})
+    if unknown:
+        raise ConfigError(f"unknown figure(s) {', '.join(unknown)}; choose from trace, hist, band")
     cfg = load_config(args.config)
     with open(args.chain) as fh:
         records = read_chain_csv(fh)
@@ -160,7 +163,6 @@ def cmd_diagnose(args) -> int:
         return 1
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    figures = {f.strip() for f in args.figures.split(",") if f.strip()}
     n_bins = len(records[0].theta)
     iterations = np.array([r.iteration for r in records], dtype=float)
 

@@ -1,11 +1,12 @@
 """Sufficient statistics over paths and the closed-form log-likelihood ratios.
 
 All Metropolis-Hastings acceptances in the sampler reduce to quantities
-computed here from per-bin increment sums and counts: the ratio between two
-parameter vectors on a fixed path, the ratio between two endpoint-matched
-paths under fixed parameters, and psi, a path's log-density against its
-Gamma reference.  Everything is computed and consumed in log space;
-acceptance compares a log ratio to ln(U).
+computed here from per-bin increment sums and counts, which
+bin_stats_matrix takes row by row from a (rows, m) increment matrix: the
+ratio between two parameter vectors on a fixed path, the ratio between two
+endpoint-matched paths under fixed parameters, and psi, a path's
+log-density against its Gamma reference.  Everything is computed and
+consumed in log space; acceptance compares a log ratio to ln(U).
 
 The parameter ratio and psi have one implementation each, on Python floats
 (ParamTerms, and the bin totals as float and int sequences):
@@ -24,12 +25,10 @@ from .exceptions import ContractError, DomainError
 # nu_bin_mass and nu_diff_bin0 stay names of this module, where bench/tracer.py rebinds them
 from .model import (ModelParams, bin0_mass_diff, bin_mass_values, mass_factors,  # noqa: F401
                     nu_bin_mass, nu_diff_bin0)
-from .paths import GridPath
 
 __all__ = [
     "BinStats",
     "ParamTerms",
-    "bin_stats",
     "compensator_diff",
     "compensator_terms",
     "loglik_ratio_params",
@@ -74,11 +73,6 @@ class BinStats:
     def n_bins(self) -> int:
         return self.sums.size - 1
 
-    @property
-    def total(self) -> float:
-        """Total displacement X_T - X_0 accounted for by the bins."""
-        return float(self.sums.sum())
-
 
 def bin_classify(increments: np.ndarray, bin_edges) -> np.ndarray:
     """Half-open bin index of each increment (0 for B_0, edges go right).
@@ -103,15 +97,6 @@ def bin_stats_matrix(increments: np.ndarray, bin_edges):
     sums = np.bincount(flat.ravel(), weights=increments.ravel(),
                        minlength=rows * k).reshape(rows, k)
     return sums, counts
-
-
-def bin_stats(path: GridPath, params: ModelParams) -> BinStats:
-    """Classify every grid increment of a path into its size bin.
-
-    Bin edges come from the parameters; the horizon is the grid span.
-    """
-    sums, counts = bin_stats_matrix(path.increments[None, :], params.bin_edges)
-    return BinStats(sums[0], counts[0], path.grid.horizon)
 
 
 class ParamTerms(NamedTuple):

@@ -509,11 +509,15 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     update of the schedule, which names a beta stage exactly when beta is
     random.  burn_in defaults to 10 percent of iterations; records are
     emitted post burn-in at the thinning stride.  Fully deterministic given
-    the seed.
+    the seed.  The arguments are checked at the call, the sweeps run on next().
     """
     if burn_in is None:
         burn_in = iterations // 10
     _validate_run(params0, prior, prop, iterations, burn_in, thinning)
+    return _sweeps(obs, params0, prior, prop, iterations, burn_in, thinning, seed, m)
+
+
+def _sweeps(obs, params0, prior, prop, iterations, burn_in, thinning, seed, m):
     state = init_chain(obs, params0, TimeGrid(obs.times, m), seed)
     n_stages = len(prop.update_schedule)
     for t in range(1, iterations + 1):
@@ -534,6 +538,12 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
 
 def _fmt_opt_bool(v: bool | None) -> str:
     return "" if v is None else str(int(v))
+
+
+def _parse_opt_bool(text: str) -> bool | None:
+    if text not in ("", "0", "1"):
+        raise ValueError(f"accept flag must be empty, 0 or 1, got {text!r}")
+    return None if text == "" else text == "1"
 
 
 def _fmt_opt_float(v: float) -> str:
@@ -587,8 +597,8 @@ def read_chain_csv(stream) -> list[ChainRecord]:
                 theta=tuple(float(v) for v in parts[3:3 + n_bins]),
                 rho=tuple(float(v) for v in parts[3 + n_bins:3 + 2 * n_bins]),
                 accept_path_rate=float(tail[0]),
-                accept_params=None if tail[1] == "" else bool(int(tail[1])),
-                accept_beta=None if tail[2] == "" else bool(int(tail[2])),
+                accept_params=_parse_opt_bool(tail[1]),
+                accept_beta=_parse_opt_bool(tail[2]),
                 logr_params=math.nan if tail[3] == "" else float(tail[3]),
                 logr_beta=math.nan if tail[4] == "" else float(tail[4]),
             ))

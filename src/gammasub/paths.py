@@ -1,10 +1,11 @@
-"""Discrete-grid Gamma process simulation and path transforms.
+"""Discrete-grid Gamma bridges and the activity-change path transforms.
 
-Everything here works at increment level: a path is its values on a refined
-time grid, increments over sub-steps of span h are Gamma(beta*h, alpha), and
-the bridge / activity-change transforms act on those increments.  The
-transforms are row kernels on (rows, m) increment matrices, which the
-sampler calls directly; the GridPath functions are one-row views of them.
+A path is its increment vector on a refined time grid: increments over
+sub-steps of span h are Gamma(beta*h, alpha), and the bridge and
+activity-change transforms act on those increments.  The transforms are
+row kernels on (rows, m) increment matrices, which the sampler calls on
+its segment matrix; gamma_bridge, sample_gamma_bridge, augment_path and
+thin_path are their checked one-row views on a 1-D increment vector.
 """
 
 import math
@@ -16,9 +17,7 @@ from .exceptions import ContractError, DegeneratePathError, DomainError
 
 __all__ = [
     "TimeGrid",
-    "GridPath",
     "as_generator",
-    "sample_gamma_path",
     "gamma_bridge",
     "sample_gamma_bridge",
     "augment_path",
@@ -63,10 +62,6 @@ class TimeGrid:
             raise DomainError(f"refinement count must be >= 1, got {self.m}")
 
     @property
-    def n_segments(self) -> int:
-        return self.times.size - 1
-
-    @property
     def spans(self) -> np.ndarray:
         """Lengths of the inter-observation intervals."""
         return self.times[1:] - self.times[:-1]
@@ -76,79 +71,13 @@ class TimeGrid:
         return float(self.times[-1] - self.times[0])
 
 
-@dataclass(frozen=True)
-class GridPath:
-    """A non-decreasing process path on an explicit grid.
-
-    The step increments are the authoritative state: statistics read them
-    directly, so steps far below the running value are not absorbed by the
-    cumulative-sum rendering in ``values``.  Paths built from a value array
-    get their increments by differencing; paths built by the samplers and
-    transforms here carry the exact increments they were constructed from.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    increments: np.ndarray = None
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float).reshape(-1)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        expected = self.grid.n_segments * self.grid.m + 1
-        if arr.size != expected:
-            raise DomainError(f"path needs {expected} values for this grid, got {arr.size}")
-        if not np.isfinite(arr).all():
-            raise DomainError("path values must be finite")
-        # one-row functions build a path per call: one copy, and one pass per check
-        steps = arr[1:] - arr[:-1]
-        if (steps < 0).any():
-            raise DomainError("path values must be non-decreasing")
-        inc = steps if self.increments is None else (
-            np.array(self.increments, dtype=float).reshape(-1))
-        if inc.size != arr.size - 1:
-            raise DomainError(f"path needs {arr.size - 1} increments, got {inc.size}")
-        if not np.isfinite(inc).all() or (inc < 0).any():
-            raise DomainError("increments must be finite and non-negative")
-        inc.flags.writeable = False
-        object.__setattr__(self, "increments", inc)
-
-    @classmethod
-    def from_increments(cls, grid: TimeGrid, start: float, increments) -> "GridPath":
-        inc = np.asarray(increments, dtype=float).reshape(-1)
-        values = np.concatenate(([start], start + np.cumsum(inc)))
-        return cls(grid, values, inc)
-
-    @classmethod
-    def pinned(cls, grid: TimeGrid, x_start: float, x_end: float, increments) -> "GridPath":
-        """Path from x_start with the given increments that ends exactly on x_end."""
-        values = np.concatenate(([x_start], x_start + np.cumsum(increments)))
-        # interior points can round a hair past x_end when x_start + span does
-        np.clip(values, None, x_end, out=values)
-        values[-1] = x_end
-        return cls(grid, values, increments)
-
-    @property
-    def start(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def end(self) -> float:
-        return float(self.values[-1])
-
-
 def _step_spans(grid: TimeGrid) -> np.ndarray:
     return np.repeat(grid.spans / grid.m, grid.m)
 
 
-def _check_rates(beta: float, alpha: float) -> None:
-    if not (beta > 0 and alpha > 0 and math.isfinite(beta) and math.isfinite(alpha)):
-        raise DomainError("beta and alpha must be finite and > 0")
-
-
 # Row kernels.  A row holds one path's increments, so a (rows, m) matrix is
 # many paths side by side: the sampler applies these to its segment matrix,
-# and the GridPath functions further down are their one-row views.  Step
+# and the path functions further down are their one-row views.  Step
 # spans h broadcast against the matrix ((rows, 1) per segment, or one row).
 #
 # The kernels sit on the sampler's hot path, and every rewrite of them must
@@ -229,73 +158,73 @@ def thin_rows(rng: np.random.Generator, increments: np.ndarray, h,
     return increments * rng.beta(a, b, size=increments.shape)
 
 
-def sample_gamma_path(beta: float, alpha: float, grid: TimeGrid, seed) -> GridPath:
-    """Sample a Gamma(beta, alpha) process path started at 0 on the grid.
+def _one_row(increments, size: int | None = None) -> np.ndarray:
+    """A view's increments as a (1, m) row: 1-D, finite, non-negative (and size long)."""
+    inc = np.asarray(increments, dtype=float)
+    if inc.ndim != 1:
+        raise DomainError(f"increments must be 1-D, got shape {inc.shape}")
+    if size is not None and inc.size != size:
+        raise DomainError(f"need {size} increments for this grid, got {inc.size}")
+    if not np.isfinite(inc).all() or (inc < 0).any():
+        raise DomainError("increments must be finite and non-negative")
+    return inc[None, :]
 
-    Increments over a sub-step of span h are independent Gamma(beta*h, alpha);
-    the result is deterministic given the seed.
+
+def _check_total(total: float) -> np.ndarray:
+    if not (total > 0 and math.isfinite(total)):
+        raise DomainError(f"need a finite total > 0, got {total}")
+    return np.array([float(total)])
+
+
+def gamma_bridge(increments, total: float) -> np.ndarray:
+    """Rescale an increment vector to sum to total (one-row pin_rows).
+
+    The output is increments * total / sum(increments); a vector pin_rows
+    flags as degenerate raises DegeneratePathError.
     """
-    _check_rates(beta, alpha)
-    rng = as_generator(seed)
-    h = _step_spans(grid)
-    incs = rng.gamma(shape=_one_value(beta * h), scale=1.0 / alpha, size=h.size)
-    return GridPath.from_increments(grid, 0.0, incs)
-
-
-def gamma_bridge(path: GridPath, x_start: float, x_end: float) -> GridPath:
-    """Pin a path to the endpoints (x_start, x_end) by multiplicative rescaling.
-
-    The output increments are (x_end - x_start) * dS / S_T, with S the input
-    path shifted to start at 0 (one-row pin_rows); endpoints are hit
-    exactly.  A path pin_rows flags as degenerate raises DegeneratePathError.
-    """
-    if not x_end > x_start:
-        raise DomainError(f"need x_end > x_start, got ({x_start}, {x_end})")
-    pinned, degenerate = pin_rows(path.increments[None, :], np.array([x_end - x_start]))
+    pinned, degenerate = pin_rows(_one_row(increments), _check_total(total))
     if degenerate[0]:
         raise DegeneratePathError("path total increment too small to pin; resample the proposal")
-    return GridPath.pinned(path.grid, x_start, x_end, pinned[0])
+    return pinned[0]
 
 
-def sample_gamma_bridge(beta: float, alpha: float, grid: TimeGrid,
-                        x_start: float, x_end: float, seed) -> GridPath:
-    """Sample a Gamma(beta, alpha) bridge from x_start to x_end on the grid.
+def sample_gamma_bridge(beta: float, alpha: float, grid: TimeGrid, total: float,
+                        seed) -> np.ndarray:
+    """Increments of a Gamma(beta, alpha) bridge on the grid that sum to total.
 
     One-row bridge_rows: the driving path is redrawn up to 100 times if it
     degenerates (a total too small to pin), then DegeneratePathError is raised.
     """
-    _check_rates(beta, alpha)
-    if not x_end > x_start:
-        raise DomainError(f"need x_end > x_start, got ({x_start}, {x_end})")
+    if not (beta > 0 and alpha > 0 and math.isfinite(beta) and math.isfinite(alpha)):
+        raise DomainError("beta and alpha must be finite and > 0")
+    targets = _check_total(total)
     h = _step_spans(grid)
-    incs = bridge_rows(as_generator(seed), beta * h[None, :], np.array([x_end - x_start]), h.size)
-    return GridPath.pinned(grid, x_start, x_end, incs[0])
+    return bridge_rows(as_generator(seed), beta * h[None, :], targets, h.size)[0]
 
 
-def augment_path(path: GridPath, beta_old: float, beta_new: float, alpha: float, seed) -> GridPath:
+def augment_path(increments, grid: TimeGrid, beta_old: float, beta_new: float,
+                 alpha: float, seed) -> np.ndarray:
     """Superpose an independent Gamma(beta_new - beta_old, alpha) component.
 
-    One-row augment_rows: increments over span h become Gamma(h*beta_new,
-    alpha) marginally.  Requires beta_new > beta_old.
+    One-row augment_rows on the grid's steps: increments over span h become
+    Gamma(h*beta_new, alpha) marginally.  Requires beta_new > beta_old.
     """
     if not beta_new > beta_old:
         raise ContractError(f"augment requires beta_new > beta_old, got ({beta_old}, {beta_new})")
     if not (beta_old > 0 and alpha > 0):
         raise DomainError("beta_old and alpha must be > 0")
-    incs = augment_rows(as_generator(seed), path.increments[None, :], _step_spans(path.grid),
-                        beta_old, beta_new, alpha)
-    return GridPath.from_increments(path.grid, path.start, incs[0])
+    h = _step_spans(grid)
+    return augment_rows(as_generator(seed), _one_row(increments, h.size), h,
+                        beta_old, beta_new, alpha)[0]
 
 
-def thin_path(path: GridPath, beta_old: float, beta_new: float, seed) -> GridPath:
+def thin_path(increments, grid: TimeGrid, beta_old: float, beta_new: float, seed) -> np.ndarray:
     """Thin each increment by an independent Beta multiplier.
 
-    One-row thin_rows: increments over span h become Gamma(h*beta_new,
-    alpha) marginally.  Requires 0 < beta_new < beta_old.
+    One-row thin_rows on the grid's steps: increments over span h become
+    Gamma(h*beta_new, alpha) marginally.  Requires 0 < beta_new < beta_old.
     """
     if not 0 < beta_new < beta_old:
         raise ContractError(f"thin requires 0 < beta_new < beta_old, got ({beta_old}, {beta_new})")
-    incs = thin_rows(as_generator(seed), path.increments[None, :], _step_spans(path.grid),
-                     beta_old, beta_new)
-    return GridPath.from_increments(path.grid, path.start, incs[0])
-
+    h = _step_spans(grid)
+    return thin_rows(as_generator(seed), _one_row(increments, h.size), h, beta_old, beta_new)[0]

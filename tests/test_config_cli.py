@@ -261,6 +261,36 @@ class TestCliRoundTrip:
         assert rc == 0
         assert (fig / "trace_beta.csv").exists() and (fig / "hist_beta.csv").exists()
 
+    def test_diagnose_rejects_unknown_figures(self, tmp_path, capsys):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
+              "--out", str(obs_csv)])
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+              "--iterations", "20", "--seed", "7", "--out-dir", str(out)])
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        rc = main(["diagnose", "--chain", str(out / "chain.csv"), "--config", str(cfg),
+                   "--out-dir", str(fig), "--figures", "bnad,trcae"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: unknown figure(s) bnad, trcae; "
+                                           "choose from trace, hist, band\n")
+        assert not fig.exists()
+
+    def test_invalid_run_leaves_no_out_dir(self, tmp_path, capsys):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
+              "--out", str(obs_csv)])
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                   "--iterations", "20", "--thinning", "0", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: thinning must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_ingest_cli(self, tmp_path):
         losses = tmp_path / "losses.csv"
         losses.write_text(

@@ -11,17 +11,14 @@ from gammasub import (
     ContractError,
     ModelParams,
     TimeGrid,
-    bin_stats,
     levy_density,
     loglik_ratio_params,
     loglik_ratio_path,
     nu_bin_mass,
     psi_log,
     sample_gamma_bridge,
-    sample_gamma_path,
 )
 from gammasub.likelihood import bin_classify, bin_stats_matrix, compensator_diff
-from gammasub.paths import GridPath
 
 
 def searchsorted_stats(increments, bin_edges):
@@ -46,12 +43,10 @@ def theta(params):
 
 class TestBinStats:
     def test_single_increment_classification(self):
-        grid = TimeGrid([0.0, 1.0], m=1)
         p = ModelParams(1.0, 1.0, [1.0, 2.0, 4.0], [0.0] * 3, [0.0] * 3)
-        path = GridPath(grid, np.array([0.0, 1.5]))
-        s = bin_stats(path, p)
-        assert s.sums == pytest.approx([0.0, 1.5, 0.0, 0.0])
-        assert list(s.counts) == [0, 1, 0, 0]
+        sums, counts = bin_stats_matrix(np.array([[1.5]]), p.bin_edges)
+        assert sums[0] == pytest.approx([0.0, 1.5, 0.0, 0.0])
+        assert list(counts[0]) == [0, 1, 0, 0]
 
     def test_edge_goes_right(self):
         p = ModelParams(1.0, 1.0, [1.0, 2.0], [0.0] * 2, [0.0] * 2)
@@ -66,13 +61,11 @@ class TestBinStats:
         assert sums[0].sum() == 0.0
 
     def test_partition_of_total(self):
-        grid = TimeGrid([0.0, 1.0, 2.0], m=20)
         p = ModelParams(1.0, 5.0, [0.1, 0.5], [0.0] * 2, [0.0] * 2)
-        path = sample_gamma_path(5.0, 1.0, grid, 13)
-        s = bin_stats(path, p)
-        assert s.total == pytest.approx(path.end - path.start, rel=1e-12)
-        assert s.counts.sum() == path.increments.size
-        assert s.horizon == 2.0
+        inc = np.random.default_rng(13).gamma(5.0 * 0.05, size=(3, 40))
+        sums, counts = bin_stats_matrix(inc, p.bin_edges)
+        assert sums.sum(axis=1) == pytest.approx(inc.sum(axis=1), rel=1e-12)
+        assert counts.sum(axis=1).tolist() == [40] * 3
 
     def test_matrix_equals_searchsorted_reference(self):
         # counting the edges at or below each value is searchsorted(side="right"),
@@ -352,10 +345,11 @@ class TestBridgePathRatioIntegration:
     def test_two_bridges_share_endpoints(self):
         grid = TimeGrid([0.0, 1.0], m=25)
         p = model(alpha=1.0, beta=2.0, slopes=(0.4,), intercepts=(-0.2,))
-        b1 = sample_gamma_bridge(2.0, 1.0, grid, 0.0, 3.0, 101)
-        b2 = sample_gamma_bridge(2.0, 1.0, grid, 0.0, 3.0, 102)
-        s1 = bin_stats(b1, p)
-        s2 = bin_stats(b2, p)
+        b1 = sample_gamma_bridge(2.0, 1.0, grid, 3.0, 101)
+        b2 = sample_gamma_bridge(2.0, 1.0, grid, 3.0, 102)
+        sums, counts = bin_stats_matrix(np.stack([b1, b2]), p.bin_edges)
+        s1 = BinStats(sums[0], counts[0], grid.horizon)
+        s2 = BinStats(sums[1], counts[1], grid.horizon)
         val = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p))
         assert math.isfinite(val)
         assert val == pytest.approx(psi_log(s2, p) - psi_log(s1, p), rel=1e-10, abs=1e-12)

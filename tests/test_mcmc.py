@@ -1209,6 +1209,7 @@ class TestChainIo:
         ("3,abc,2.0,0.5,1,,0.1,", "'abc'"),
         ("3.5,1.0,2.0,0.5,1,,0.1,", "'3.5'"),
         ("3,1.0,2.0,0.5,yes,,0.1,", "'yes'"),
+        ("3,1.0,2.0,0.5,1,7,0.1,", "accept flag must be empty, 0 or 1, got '7'"),
     ])
     def test_malformed_row_names_its_line(self, row, detail):
         good = "2,1.0,2.0,0.5,1,,0.1,"

@@ -1,4 +1,4 @@
-"""Gamma path sampling, bridges, and the activity-change transforms."""
+"""Gamma bridges and the activity-change transforms: the row kernels and their one-row views."""
 
 import math
 import warnings
@@ -11,15 +11,14 @@ from gammasub import (
     ContractError,
     DegeneratePathError,
     DomainError,
-    GridPath,
     TimeGrid,
     augment_path,
     gamma_bridge,
     sample_gamma_bridge,
-    sample_gamma_path,
     thin_path,
 )
 from gammasub.paths import (
+    as_generator,
     augment_rows,
     bridge_rows,
     pin_rows,
@@ -30,7 +29,6 @@ from gammasub.paths import (
 class TestTimeGrid:
     def test_refined_points(self):
         grid = TimeGrid([0.0, 1.0, 3.0], m=2)
-        assert grid.n_segments == 2
         assert grid.spans == pytest.approx([1.0, 2.0])
         assert grid.horizon == 3.0
 
@@ -43,94 +41,46 @@ class TestTimeGrid:
             TimeGrid([0.0], m=1)
 
 
-class TestGridPath:
-    def test_validation(self):
-        grid = TimeGrid([0.0, 1.0], m=2)
-        with pytest.raises(DomainError):
-            GridPath(grid, [0.0, 1.0])                 # wrong length
-        with pytest.raises(DomainError):
-            GridPath(grid, [0.0, 2.0, 1.0])            # decreasing
-        with pytest.raises(DomainError):
-            GridPath(grid, [0.0, math.nan, 1.0])
-
-
-class TestSampleGammaPath:
-    def test_moments_of_endpoint(self):
-        # E X_T = beta*T/alpha, Var X_T = beta*T/alpha^2
-        grid = TimeGrid([0.0, 1.0], m=4)
-        rng = np.random.default_rng(100)
-        ends = np.array([sample_gamma_path(1.0, 1.0, grid, rng).end for _ in range(100_000)])
-        se_mean = ends.std() / math.sqrt(ends.size)
-        assert abs(ends.mean() - 1.0) < 3 * se_mean
-        v = ends.var()
-        se_var = math.sqrt((np.mean((ends - ends.mean()) ** 4) - v * v) / ends.size)
-        assert abs(v - 1.0) < 3 * se_var
-
-    def test_increments_positive_and_start_zero(self):
-        grid = TimeGrid([0.0, 2.0, 5.0], m=3)
-        path = sample_gamma_path(0.7, 1.3, grid, 5)
-        assert path.start == 0.0
-        assert np.all(path.increments > 0)
-
-    def test_deterministic_given_seed(self):
-        grid = TimeGrid([0.0, 1.0], m=8)
-        a = sample_gamma_path(1.0, 2.0, grid, 123)
-        b = sample_gamma_path(1.0, 2.0, grid, 123)
-        assert np.array_equal(a.values, b.values)
-
-    def test_bad_parameters(self):
-        grid = TimeGrid([0.0, 1.0], m=2)
-        with pytest.raises(DomainError):
-            sample_gamma_path(0.0, 1.0, grid, 0)
-        with pytest.raises(DomainError):
-            sample_gamma_path(1.0, -1.0, grid, 0)
+def gamma_row(beta, alpha, h, n, seed):
+    """One row of n independent Gamma(beta*h, alpha) increments."""
+    return as_generator(seed).gamma(beta * h, 1.0 / alpha, size=(1, n))
 
 
 class TestGammaBridge:
     def test_endpoints_exact(self):
-        grid = TimeGrid([0.0, 1.0], m=5)
-        path = sample_gamma_path(1.0, 1.0, grid, 7)
-        b = gamma_bridge(path, 0.25, 3.5)
-        assert b.values[0] == 0.25
-        assert b.values[-1] == 3.5
-        assert np.all(np.diff(b.values) >= 0)
+        # the end point of a path from 0 is its row sum: pinned to rounding
+        inc = gamma_row(1.0, 1.0, 0.2, 5, 7)[0]
+        b = gamma_bridge(inc, 3.25)
+        assert np.array_equal(b, inc * 3.25 / inc.sum())
+        assert abs(b.sum() - 3.25) <= 1e-13 * 3.25
+        assert np.all(b >= 0)
 
     def test_scaling_invariance(self):
-        grid = TimeGrid([0.0, 1.0], m=6)
-        path = sample_gamma_path(1.0, 1.0, grid, 11)
-        scaled = GridPath(grid, path.values * 17.0)
-        a = gamma_bridge(path, 0.0, 1.0)
-        b = gamma_bridge(scaled, 0.0, 1.0)
-        assert a.values == pytest.approx(b.values, rel=1e-12)
+        inc = gamma_row(1.0, 1.0, 1 / 6, 6, 11)[0]
+        a = gamma_bridge(inc, 1.0)
+        b = gamma_bridge(inc * 17.0, 1.0)
+        assert a == pytest.approx(b, rel=1e-12)
 
     def test_requires_increasing_endpoints(self):
-        grid = TimeGrid([0.0, 1.0], m=2)
-        path = sample_gamma_path(1.0, 1.0, grid, 3)
-        with pytest.raises(DomainError):
-            gamma_bridge(path, 1.0, 1.0)
+        inc = gamma_row(1.0, 1.0, 0.5, 2, 3)[0]
+        for total in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                gamma_bridge(inc, total)
 
     def test_degenerate_raises(self):
-        grid = TimeGrid([0.0, 1.0], m=3)
-        flat = GridPath(grid, np.zeros(4))
         with pytest.raises(DegeneratePathError):
-            gamma_bridge(flat, 0.0, 1.0)
+            gamma_bridge(np.zeros(3), 1.0)
 
     def test_zero_increment_stays_zero(self):
-        grid = TimeGrid([0.0, 1.0], m=3)
-        stalled = GridPath(grid, np.array([0.0, 0.5, 0.5, 1.0]))
-        b = gamma_bridge(stalled, 0.0, 2.0)
-        assert b.increments.tolist() == [1.0, 0.0, 1.0]
-        assert np.all(np.diff(b.values) >= 0) and b.end == 2.0
+        b = gamma_bridge(np.array([0.5, 0.0, 0.5]), 2.0)
+        assert b.tolist() == [1.0, 0.0, 1.0]
 
     def test_midpoint_beta_law(self):
         # bridge value at T/2 of a 0->1 Gamma(beta, alpha) bridge is
         # Beta(beta*T/2, beta*T/2): mean 1/2, variance 1/(4*(beta*T+1))
         beta, T, reps = 2.0, 1.0, 20_000
-        grid = TimeGrid([0.0, T], m=2)
-        rng = np.random.default_rng(42)
-        mids = np.empty(reps)
-        for i in range(reps):
-            mids[i] = gamma_bridge(sample_gamma_path(beta, 1.0, grid, rng), 0.0, 1.0).values[1]
+        mids = bridge_rows(np.random.default_rng(42), np.array([[beta * T / 2]]),
+                           np.ones(reps), 2)[:, 0]
         mean_se = mids.std() / math.sqrt(reps)
         assert abs(mids.mean() - 0.5) < 3 * mean_se
         target_var = 1.0 / (4.0 * (beta * T + 1.0))
@@ -140,23 +90,32 @@ class TestGammaBridge:
 
     def test_sample_gamma_bridge_wrapper(self):
         grid = TimeGrid([0.0, 2.0], m=4)
-        b = sample_gamma_bridge(1.5, 2.0, grid, 1.0, 4.0, 99)
-        assert b.values[0] == 1.0 and b.values[-1] == 4.0
+        b = sample_gamma_bridge(1.5, 2.0, grid, 3.0, 99)
+        assert b.shape == (4,) and np.all(b >= 0)
+        assert abs(b.sum() - 3.0) <= 1e-13 * 3.0
+        assert np.array_equal(b, sample_gamma_bridge(1.5, 2.0, grid, 3.0, 99))
+
+    def test_sample_gamma_bridge_bad_parameters(self):
+        grid = TimeGrid([0.0, 1.0], m=2)
+        with pytest.raises(DomainError):
+            sample_gamma_bridge(0.0, 1.0, grid, 1.0, 0)
+        with pytest.raises(DomainError):
+            sample_gamma_bridge(1.0, -1.0, grid, 1.0, 0)
+        with pytest.raises(DomainError):
+            sample_gamma_bridge(1.0, 1.0, grid, 0.0, 0)
 
 
 class TestAugment:
     def test_requires_larger_target(self):
         grid = TimeGrid([0.0, 1.0], m=2)
-        path = sample_gamma_path(1.0, 1.0, grid, 0)
+        inc = gamma_row(1.0, 1.0, 0.5, 2, 0)[0]
         with pytest.raises(ContractError):
-            augment_path(path, 2.0, 1.0, 1.0, 0)
+            augment_path(inc, grid, 2.0, 1.0, 1.0, 0)
 
     def test_moments_match_direct_gamma(self):
         beta, beta_new, alpha, h = 1.0, 2.0, 1.5, 0.5
-        grid = TimeGrid([0.0, 50_000 * h], m=50_000)
-        path = sample_gamma_path(beta, alpha, grid, 21)
-        out = augment_path(path, beta, beta_new, alpha, 22)
-        inc = out.increments
+        base = gamma_row(beta, alpha, h, 50_000, 21)
+        inc = augment_rows(as_generator(22), base, h, beta, beta_new, alpha)[0]
         target_mean = h * beta_new / alpha
         target_var = h * beta_new / alpha ** 2
         assert abs(inc.mean() - target_mean) < 3 * inc.std() / math.sqrt(inc.size)
@@ -165,22 +124,20 @@ class TestAugment:
         assert abs(v - target_var) < 3 * se_var
 
     def test_vanishing_addition(self):
-        beta, alpha = 1.0, 1.0
-        grid = TimeGrid([0.0, 100.0], m=1000)
-        path = sample_gamma_path(beta, alpha, grid, 3)
-        out = augment_path(path, beta, beta + 1e-6, alpha, 4)
-        added = out.increments - path.increments
+        beta, alpha, h = 1.0, 1.0, 0.1
+        base = gamma_row(beta, alpha, h, 1000, 3)
+        out = augment_rows(as_generator(4), base, h, beta, beta + 1e-6, alpha)
+        added = out - base
         assert np.all(added >= 0)
         assert added.mean() < 1e-5
 
     def test_composition_matches_single_jump(self):
         # augment in two steps vs one step: same first two moments
         alpha, h, n = 1.0, 0.2, 200_000
-        grid = TimeGrid([0.0, n * h], m=n)
-        base = sample_gamma_path(1.0, alpha, grid, 31)
-        two_step = augment_path(augment_path(base, 1.0, 1.5, alpha, 32), 1.5, 3.0, alpha, 33)
-        one_step = augment_path(base, 1.0, 3.0, alpha, 34)
-        a, b = two_step.increments, one_step.increments
+        base = gamma_row(1.0, alpha, h, n, 31)
+        half = augment_rows(as_generator(32), base, h, 1.0, 1.5, alpha)
+        a = augment_rows(as_generator(33), half, h, 1.5, 3.0, alpha)[0]
+        b = augment_rows(as_generator(34), base, h, 1.0, 3.0, alpha)[0]
         se = math.sqrt(a.var() / a.size + b.var() / b.size)
         assert abs(a.mean() - b.mean()) < 3 * se
         va, vb = a.var(), b.var()
@@ -193,53 +150,47 @@ class TestAugment:
 class TestThin:
     def test_requires_smaller_target(self):
         grid = TimeGrid([0.0, 1.0], m=2)
-        path = sample_gamma_path(1.0, 1.0, grid, 0)
+        inc = gamma_row(1.0, 1.0, 0.5, 2, 0)[0]
         with pytest.raises(ContractError):
-            thin_path(path, 1.0, 2.0, 0)
+            thin_path(inc, grid, 1.0, 2.0, 0)
         with pytest.raises(ContractError):
-            thin_path(path, 1.0, -0.5, 0)
+            thin_path(inc, grid, 1.0, -0.5, 0)
 
     def test_pointwise_below_input(self):
-        grid = TimeGrid([0.0, 10.0], m=100)
-        path = sample_gamma_path(2.0, 1.0, grid, 8)
-        out = thin_path(path, 2.0, 0.5, 9)
-        assert np.all(out.increments <= path.increments)
-        assert np.all(np.diff(out.values) >= 0)
+        base = gamma_row(2.0, 1.0, 0.1, 100, 8)
+        out = thin_rows(as_generator(9), base, 0.1, 2.0, 0.5)
+        assert np.all(out <= base) and np.all(out >= 0)
 
     def test_mean_ratio(self):
         beta, beta_new, h, n = 2.0, 0.5, 1.0, 100_000
-        grid = TimeGrid([0.0, n * h], m=n)
-        path = sample_gamma_path(beta, 1.0, grid, 51)
-        out = thin_path(path, beta, beta_new, 52)
-        ratio = out.increments.mean() / path.increments.mean()
-        se = out.increments.std() / math.sqrt(n) / path.increments.mean()
+        base = gamma_row(beta, 1.0, h, n, 51)
+        out = thin_rows(as_generator(52), base, h, beta, beta_new)
+        ratio = out.mean() / base.mean()
+        se = out.std() / math.sqrt(n) / base.mean()
         assert abs(ratio - beta_new / beta) < 4 * se
 
     def test_marginal_matches_direct_gamma(self):
         alpha, beta, beta_new = 1.5, 2.0, 0.5
         for h in (0.1, 1.0):
             n = 10_000
-            grid = TimeGrid([0.0, n * h], m=n)
-            path = sample_gamma_path(beta, alpha, grid, 61)
-            out = thin_path(path, beta, beta_new, 62)
+            base = gamma_row(beta, alpha, h, n, 61)
+            out = thin_rows(as_generator(62), base, h, beta, beta_new)[0]
             direct = np.random.default_rng(63).gamma(h * beta_new, 1 / alpha, size=n)
-            res = stats.ks_2samp(out.increments, direct)
+            res = stats.ks_2samp(out, direct)
             assert res.pvalue > 0.01
 
     def test_near_identity_limit(self):
-        grid = TimeGrid([0.0, 100.0], m=100)
-        path = sample_gamma_path(2.0, 1.0, grid, 71)
-        out = thin_path(path, 2.0, 2.0 - 1e-9, 72)
-        assert out.increments == pytest.approx(path.increments, rel=1e-4)
+        base = gamma_row(2.0, 1.0, 1.0, 100, 71)
+        out = thin_rows(as_generator(72), base, 1.0, 2.0, 2.0 - 1e-9)
+        assert out == pytest.approx(base, rel=1e-4)
 
 
 class TestRoundTrip:
     def test_thin_of_augment_restores_marginal(self):
         alpha, beta, beta_up, h, n = 1.0, 1.0, 2.5, 0.5, 10_000
-        grid = TimeGrid([0.0, n * h], m=n)
-        base = sample_gamma_path(beta, alpha, grid, 81)
-        round_trip = thin_path(augment_path(base, beta, beta_up, alpha, 82), beta_up, beta, 83)
-        inc = round_trip.increments
+        base = gamma_row(beta, alpha, h, n, 81)
+        up = augment_rows(as_generator(82), base, h, beta, beta_up, alpha)
+        inc = thin_rows(as_generator(83), up, h, beta_up, beta)[0]
         fresh = np.random.default_rng(84).gamma(h * beta, 1 / alpha, size=n)
         assert stats.ks_2samp(inc, fresh).pvalue > 0.01
         se = math.sqrt(inc.var() / n + fresh.var() / n)
@@ -357,14 +308,30 @@ class TestRowKernels:
 
     def test_path_functions_are_one_row_views(self):
         grid = TimeGrid([0.0, 1.0, 3.0], m=4)
-        path = sample_gamma_path(1.5, 2.0, grid, 3)
-        row, h = path.increments[None, :], np.repeat(grid.spans / grid.m, grid.m)
-        up = augment_rows(np.random.Generator(np.random.Philox(4)), row, h, 1.5, 2.5, 2.0)
-        assert np.array_equal(augment_path(path, 1.5, 2.5, 2.0, 4).increments, up[0])
-        down = thin_rows(np.random.Generator(np.random.Philox(5)), row, h, 1.5, 0.5)
-        assert np.array_equal(thin_path(path, 1.5, 0.5, 5).increments, down[0])
-        bridge = bridge_rows(np.random.Generator(np.random.Philox(6)), 1.5 * h[None, :],
-                             np.array([2.0]), h.size)
-        assert np.array_equal(sample_gamma_bridge(1.5, 2.0, grid, 1.0, 3.0, 6).increments,
-                              bridge[0])
+        h = np.repeat(grid.spans / grid.m, grid.m)
+        inc = as_generator(3).gamma(1.5 * h, 0.5)
+        row = inc[None, :]
+        up = augment_rows(as_generator(4), row, h, 1.5, 2.5, 2.0)
+        assert np.array_equal(augment_path(inc, grid, 1.5, 2.5, 2.0, 4), up[0])
+        down = thin_rows(as_generator(5), row, h, 1.5, 0.5)
+        assert np.array_equal(thin_path(inc, grid, 1.5, 0.5, 5), down[0])
+        bridge = bridge_rows(as_generator(6), 1.5 * h[None, :], np.array([2.0]), h.size)
+        assert np.array_equal(sample_gamma_bridge(1.5, 2.0, grid, 2.0, 6), bridge[0])
+        pinned, _ = pin_rows(row, np.array([2.0]))
+        assert np.array_equal(gamma_bridge(inc, 2.0), pinned[0])
 
+    def test_path_functions_check_their_increments(self):
+        grid = TimeGrid([0.0, 1.0], m=3)
+        for bad in (np.ones((1, 3)), [0.5, math.nan, 0.5], [0.5, -0.1, 0.5],
+                    [0.5, math.inf, 0.5]):
+            with pytest.raises(DomainError):
+                gamma_bridge(bad, 1.0)
+            with pytest.raises(DomainError):
+                augment_path(bad, grid, 1.0, 2.0, 1.0, 0)
+            with pytest.raises(DomainError):
+                thin_path(bad, grid, 2.0, 1.0, 0)
+        for wrong_length in ([0.5, 0.5], np.ones(4)):
+            with pytest.raises(DomainError):
+                augment_path(wrong_length, grid, 1.0, 2.0, 1.0, 0)
+            with pytest.raises(DomainError):
+                thin_path(wrong_length, grid, 2.0, 1.0, 0)
