@@ -93,7 +93,12 @@ class TestGammaBridge:
         b = sample_gamma_bridge(1.5, 2.0, grid, 3.0, 99)
         assert b.shape == (4,) and np.all(b >= 0)
         assert abs(b.sum() - 3.0) <= 1e-13 * 3.0
-        assert np.array_equal(b, sample_gamma_bridge(1.5, 2.0, grid, 3.0, 99))
+
+    def test_sample_gamma_bridge_deterministic_given_seed(self):
+        grid = TimeGrid([0.0, 1.0], m=8)
+        a = sample_gamma_bridge(1.0, 2.0, grid, 1.5, 123)
+        b = sample_gamma_bridge(1.0, 2.0, grid, 1.5, 123)
+        assert np.array_equal(a, b)
 
     def test_sample_gamma_bridge_bad_parameters(self):
         grid = TimeGrid([0.0, 1.0], m=2)
