@@ -24,7 +24,8 @@ from .data import (
     write_observations_csv,
 )
 from .exceptions import ConfigError, GammasubError
-from .mcmc import active_segments, read_chain_csv, run_mcmc, write_chain_csv, write_meta_json
+from .mcmc import (MoveTally, active_segments, read_chain_csv, run_mcmc, write_chain_csv,
+                   write_meta_json)
 
 
 def _add_simulate(sub):
@@ -100,13 +101,21 @@ def _add_fit(sub):
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     obs = read_observations_csv(args.observations)
-    sweeps = run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal,
-                      iterations=args.iterations, burn_in=args.burn_in,
-                      thinning=args.thinning, seed=args.seed, m=cfg.refinement)
+    burn_in = args.burn_in if args.burn_in is not None else args.iterations // 10
+    if args.thinning < 1:
+        raise ConfigError(f"thinning must be >= 1, got {args.thinning}")
+    # every sweep after burn-in, so that the acceptance summaries count the
+    # thinned-out moves too; thinning here keeps run_mcmc's retained records
+    sweeps = run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=args.iterations,
+                      burn_in=burn_in, seed=args.seed, m=cfg.refinement)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    records = list(sweeps)
+    records, tally = [], MoveTally()
+    for r in sweeps:
+        tally.add(r)
+        if (r.iteration - burn_in) % args.thinning == 0:
+            records.append(r)
     elapsed = time.perf_counter() - t0
     with open(out_dir / "chain.csv", "w") as fh:
         write_chain_csv(records, fh, cfg.params0.n_bins)
@@ -114,19 +123,19 @@ def cmd_fit(args) -> int:
     echo.update({
         "observations": args.observations,
         "iterations": str(args.iterations),
-        "burn_in": str(args.burn_in if args.burn_in is not None else args.iterations // 10),
+        "burn_in": str(burn_in),
         "thinning": str(args.thinning),
         "seed": str(args.seed),
     })
-    # how many segments a sweep redraws, and their path acceptance; the others
-    # are inert and always accepted (see refresh_segments)
+    # how many segments a sweep redraws, and their path acceptance: the inert
+    # others are always accepted (see refresh_segments), so a sweep's rejected
+    # segments, n (1 - accept_path_rate), are all refreshed ones
     n, n_active = obs.n_increments, int(active_segments(obs.increments, cfg.params0.bin_edges).size)
-    rates = [(n_active - n + round(r.accept_path_rate * n)) / n_active
-             for r in records] if n_active else []
-    segments = {"total": n, "refreshed": n_active,
-                "refreshed_accept_rate": float(np.mean(rates)) if rates else None}
+    refreshed_rate = (1.0 - n * (1.0 - tally.path_mean_rate) / n_active
+                      if n_active and tally.sweeps else None)
+    segments = {"total": n, "refreshed": n_active, "refreshed_accept_rate": refreshed_rate}
     with open(out_dir / "meta.json", "w") as fh:
-        write_meta_json(fh, config_echo=echo, records=records,
+        write_meta_json(fh, config_echo=echo, records=records, tally=tally,
                         extra={"runtime_seconds": round(elapsed, 3), "segments": segments})
     print(f"wrote {out_dir / 'chain.csv'} ({len(records)} records, {elapsed:.1f}s) "
           f"and {out_dir / 'meta.json'}")

@@ -29,13 +29,15 @@ floats of a likelihood.ParamTerms with their log prior, and the bin totals
 as float and int lists.  Both parameter moves draw a candidate as Python
 floats, check it for the model's domain and score it by PriorSpec.logpdf.
 Its bin-mass terms (the masses, E1(alpha b_1) and the Gamma reference's
-factors) come from one scipy.special.exp1 call in model.mass_factors; a
-beta move needs none, as its candidate shares alpha and the slopes.  The
-ratios are likelihood's param_log_ratio and psi_terms at the bin totals,
-and an accepted candidate's terms become the state's.  No sweep builds
-a ModelParams or a BinStats: those are the types of the API edge, and
-ChainState.params builds the former on each read.  The beta move's Gamma
-density ratio reads the data only through per-chain constants.
+factors) come from model.mass_factors, one E1 evaluation of many points
+in specfun (none on a binless model); a beta move needs none, as its
+candidate shares alpha and the slopes.  The ratios are likelihood's
+param_log_ratio and psi_terms at the bin totals, and an accepted
+candidate's terms become the state's.  No sweep builds a ModelParams or a
+BinStats: those are the types of the API edge, and ChainState.params
+builds the former on each read.  The beta move's Gamma density ratio reads
+the data only through per-chain constants and specfun's lnGamma, so a
+binless chain with random beta loads scipy.special at its first beta move.
 """
 
 import json
@@ -44,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Observations
 from .exceptions import ConfigError, ContractError, DataError, DomainError
@@ -54,6 +55,7 @@ from .likelihood import (ParamTerms, bin_stats_matrix, loglik_ratio_params,  # n
                          loglik_ratio_path, param_log_ratio, psi_log, psi_terms)
 from .model import ModelParams, PriorSpec, prior_logpdf
 from .paths import TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
+from .specfun import log_gamma_values
 
 __all__ = [
     "ProposalSpec",
@@ -69,6 +71,7 @@ __all__ = [
     "reparam_invert",
     "write_chain_csv",
     "read_chain_csv",
+    "MoveTally",
     "write_meta_json",
 ]
 
@@ -166,7 +169,7 @@ class ChainState:
     total_counts: list = field(init=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
     # chain: sum_i h_i log(delta_i), sum_i h_i, and the distinct spans h with
-    # their counts, so that gammaln runs once per distinct span.
+    # their counts, so that lnGamma runs once per distinct span.
     span_log_deltas: float = field(init=False)
     span_total: float = field(init=False)
     distinct_spans: np.ndarray = field(init=False)
@@ -464,8 +467,8 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
 
     density_diff = (
         (beta_new - cur.beta) * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
-        - float(state.span_counts @ (gammaln(beta_new * state.distinct_spans)
-                                     - gammaln(cur.beta * state.distinct_spans))))
+        - float(state.span_counts @ (log_gamma_values(beta_new * state.distinct_spans)
+                                     - log_gamma_values(cur.beta * state.distinct_spans))))
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
     if prior.reparam:
         log_ratio += math.log(beta_new / cur.beta)
@@ -607,35 +610,59 @@ def read_chain_csv(stream) -> list[ChainRecord]:
     return records
 
 
+@dataclass
+class MoveTally:
+    """Move outcomes summed over sweeps: what meta.json's acceptance reports.
+
+    params and beta count, for their move, the sweeps that attempted it,
+    those that accepted, and those whose ratio was -inf: rejected before a
+    ratio was formed (outside the model's domain or the prior's support,
+    or, for the beta move, a collapsed segment).  add reads the accept and
+    logr fields a ChainRecord has.
+    """
+
+    sweeps: int = 0
+    path_rate_sum: float = 0.0
+    params: list = field(default_factory=lambda: [0, 0, 0])  # attempted, accepted, -inf
+    beta: list = field(default_factory=lambda: [0, 0, 0])
+
+    def add(self, r: ChainRecord) -> None:
+        self.sweeps += 1
+        self.path_rate_sum += r.accept_path_rate
+        for counts, flag, logr in ((self.params, r.accept_params, r.logr_params),
+                                   (self.beta, r.accept_beta, r.logr_beta)):
+            if flag is not None:
+                counts[0] += 1
+                counts[1] += flag
+                counts[2] += logr == -math.inf
+
+    @property
+    def path_mean_rate(self) -> float | None:
+        return self.path_rate_sum / self.sweeps if self.sweeps else None
+
+    def acceptance(self) -> dict:
+        def rate(counts):
+            return counts[1] / counts[0] if counts[0] else None
+
+        return {"path_refresh_mean_rate": self.path_mean_rate,
+                "params_rate": rate(self.params), "beta_rate": rate(self.beta),
+                "params_domain_rejects": self.params[2], "beta_domain_rejects": self.beta[2]}
+
+
 def write_meta_json(stream, *, config_echo: dict, records: list[ChainRecord],
-                    extra: dict | None = None) -> None:
+                    tally: MoveTally | None = None, extra: dict | None = None) -> None:
     """Write the run manifest: config echo plus acceptance-rate summaries.
 
-    params_domain_rejects and beta_domain_rejects count the records whose
-    move was attempted and logged a ratio of -inf: rejected before a ratio
-    was formed (outside the model's domain or the prior's support, or, for
-    the beta move, a collapsed segment).
+    The rates and domain-reject counts are tally's (see MoveTally): `gammasub
+    fit` tallies every sweep after burn-in, so that thinning drops no move.
+    Without a tally they are the retained records' own, which are those
+    sweeps when nothing was thinned out.
     """
-    def _rate(flags):
-        attempted = [f for f in flags if f is not None]
-        return float(np.mean([bool(f) for f in attempted])) if attempted else None
-
-    def _domain_rejects(pairs):
-        return sum(flag is not None and logr == -math.inf for flag, logr in pairs)
-
-    meta = {
-        "config": config_echo,
-        "n_records": len(records),
-        "acceptance": {
-            "path_refresh_mean_rate": float(np.mean([r.accept_path_rate for r in records]))
-            if records else None,
-            "params_rate": _rate([r.accept_params for r in records]),
-            "beta_rate": _rate([r.accept_beta for r in records]),
-            "params_domain_rejects": _domain_rejects(
-                (r.accept_params, r.logr_params) for r in records),
-            "beta_domain_rejects": _domain_rejects((r.accept_beta, r.logr_beta) for r in records),
-        },
-    }
+    if tally is None:
+        tally = MoveTally()
+        for r in records:
+            tally.add(r)
+    meta = {"config": config_echo, "n_records": len(records), "acceptance": tally.acceptance()}
     if extra:
         meta.update(extra)
     json.dump(meta, stream, indent=2, sort_keys=True)

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .exceptions import ConfigError, DomainError
-from .specfun import exp_integral_e1, exp_integral_e1_values
+from .specfun import exp_integral_e1, exp_integral_e1_values, exp_integral_ei_values
 
 __all__ = [
     "ModelParams",
@@ -226,7 +225,8 @@ def mass_factors(alpha: float, slopes, edges):
         elif c == 0:
             units.append(math.log(edges[k + 1] / edges[k]))
         else:
-            units.append(float(special.expi(-c * edges[k + 1]) - special.expi(-c * edges[k])))
+            ei = exp_integral_ei_values([-c * edges[k + 1], -c * edges[k]])
+            units.append(float(ei[0] - ei[1]))
     ref_units = tuple(e1[k] - e1[k + 1] for k in range(n - 1)) + (e1[n - 1],)
     return e1[0], tuple(units), ref_units
 

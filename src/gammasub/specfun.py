@@ -1,14 +1,15 @@
 """Special functions backing the bin-mass and acceptance-ratio formulas.
 
-Two numeric primitives live here: the exponential integral E1, at one point
-or at many from one scipy.special.exp1 call, and the log-density of the Gamma
-distribution in shape/rate form.  All are pure functions, safe for
-unrestricted concurrent use.
+The exponential integrals E1 and Ei give the bin masses of a binned Levy
+density, lnGamma the Gamma density ratio of the beta move, and the Gamma
+log-density in shape/rate form the Gamma priors.  This is the one module
+of the package that calls scipy: the E1, Ei and lnGamma wrappers import
+scipy.special at their call, so a run that evaluates none of them (a
+binless fit with fixed beta; simulate, ingest and diagnose) never loads it.
+All are pure functions, safe for unrestricted concurrent use.
 """
 
 import math
-
-from scipy.special import exp1
 
 from .exceptions import DomainError
 
@@ -36,11 +37,28 @@ def exp_integral_e1_values(zs) -> list[float]:
     Raises:
         DomainError: if some z is not a positive number.
     """
+    from scipy.special import exp1
+
     values = exp1(zs).tolist()
     # exp1 gives nan below 0 and at nan, inf at 0, and finite values elsewhere
     if not math.isfinite(sum(values)):
         raise DomainError(f"E1 requires z > 0, got {list(zs)!r}")
     return values
+
+
+def exp_integral_ei_values(xs):
+    """Ei(x), the principal value of the integral of exp(t)/t over t < x, at
+    each x of a sequence: scipy.special.expi's own array."""
+    from scipy.special import expi
+
+    return expi(xs)
+
+
+def log_gamma_values(xs):
+    """lnGamma(x) at each x of an array: scipy.special.gammaln's own array."""
+    from scipy.special import gammaln
+
+    return gammaln(xs)
 
 
 def gamma_logpdf(x: float, shape: float, rate: float) -> float:

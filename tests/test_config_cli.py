@@ -222,6 +222,45 @@ class TestCliRoundTrip:
             # a move that was not attempted logs nan, never -inf
             assert all(math.isnan(logr) for flag, logr in pairs if flag is None)
 
+    def test_fit_meta_counts_thinned_out_moves(self, tmp_path):
+        # thinning 5 over a five-stage schedule retains only params sweeps; the
+        # acceptance summaries still count every sweep after burn-in
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "40", "--n", "100", "--seed", "5",
+              "--out", str(obs_csv)])
+        cfg = tmp_path / "binned.cfg"
+        cfg.write_text(BINNED_CONFIG)
+        runs = {}
+        for thinning in ("5", "1"):
+            out = tmp_path / f"thin{thinning}"
+            rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                       "--iterations", "500", "--burn-in", "0", "--thinning", thinning,
+                       "--seed", "7", "--out-dir", str(out)])
+            assert rc == 0
+            runs[thinning] = ((out / "chain.csv").read_text().splitlines(),
+                              json.loads((out / "meta.json").read_text()))
+        (thinned, meta), (full, full_meta) = runs["5"], runs["1"]
+        # the thinned chain is every fifth row of the full one, byte for byte
+        assert thinned == full[:1] + full[5::5]
+        assert meta["n_records"] == 100 and full_meta["n_records"] == 500
+        from gammasub.mcmc import read_chain_csv
+        with open(tmp_path / "thin1" / "chain.csv") as fh:
+            records = read_chain_csv(fh)
+        acceptance = meta["acceptance"]
+        for move, attempts in (("params", 400), ("beta", 100)):
+            flags = [getattr(r, f"accept_{move}") for r in records]
+            flags = [f for f in flags if f is not None]
+            assert len(flags) == attempts
+            assert acceptance[f"{move}_rate"] == sum(flags) / attempts
+            assert acceptance[f"{move}_domain_rejects"] == full_meta["acceptance"][
+                f"{move}_domain_rejects"]
+        assert 0.0 < acceptance["beta_rate"] < 1.0
+        assert acceptance == full_meta["acceptance"]
+        n_active = meta["segments"]["refreshed"]
+        rates = [(n_active - (100 - round(r.accept_path_rate * 100))) / n_active for r in records]
+        assert meta["segments"]["refreshed_accept_rate"] == pytest.approx(
+            sum(rates) / len(rates), rel=1e-12)
+
     def test_diagnose_rerun_byte_identical(self, tmp_path):
         obs_csv = tmp_path / "obs.csv"
         main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",

@@ -1,13 +1,18 @@
-"""Exponential integral and Gamma log-density against independent oracles."""
+"""Exponential integral and Gamma log-density against independent oracles;
+the scipy wrappers against scipy itself."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+import gammasub
 from gammasub import DomainError, exp_integral_e1, gamma_logpdf
-from gammasub.specfun import exp_integral_e1_values
+from gammasub.model import mass_factors
+from gammasub.specfun import exp_integral_e1_values, exp_integral_ei_values, log_gamma_values
 
 # Frozen reference values, computed once by adaptive quadrature of
 # exp(-t)/t (split at t=1, epsrel 1e-14) and cross-checked at 30 digits.
@@ -106,3 +111,54 @@ class TestGammaLogpdf:
         dens = 2.0 * u * np.exp([gamma_logpdf(float(v), shape, rate) for v in x])
         total = np.trapezoid(dens, u)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+class TestScipyWrappers:
+    """The Ei and lnGamma wrappers give scipy's own values, bit for bit."""
+
+    # -c * b for the interior bins mass_factors integrates with Ei (c = slope
+    # + alpha < 0), and beta * h for the beta move's lnGamma at the spans h
+    EI_GRID = np.concatenate([np.logspace(-9, 2.5, 400), [1e-300, 0.5, 1.0, 2.0, 700.0]])
+    GAMMALN_GRID = np.outer(np.logspace(-3, 2.5, 60), [0.02, 0.1, 0.25, 1.0, 4.0]).ravel()
+
+    def test_ei_equals_scipy_expi(self):
+        got = exp_integral_ei_values(self.EI_GRID)
+        assert got.tobytes() == special.expi(self.EI_GRID).tobytes()
+        # mass_factors passes a pair of floats; each equals the scalar call
+        for lo, hi in zip(self.EI_GRID[:-1], self.EI_GRID[1:]):
+            pair = exp_integral_ei_values([float(hi), float(lo)])
+            assert (pair[0], pair[1]) == (special.expi(float(hi)), special.expi(float(lo)))
+
+    def test_mass_factors_ei_branch_equals_scipy(self):
+        # interior bins with slope + alpha < 0, = 0 and > 0, then a tail bin
+        alpha, slopes, edges = 0.5, [-0.9, -0.5, -0.7, 0.3], [0.4, 1.1, 2.5, 6.0]
+        _, units, _ = mass_factors(alpha, slopes, edges)
+        for k in (0, 2):
+            c = slopes[k] + alpha
+            assert c < 0
+            assert units[k] == float(special.expi(-c * edges[k + 1]) - special.expi(-c * edges[k]))
+        assert units[1] == math.log(edges[2] / edges[1])
+
+    def test_log_gamma_equals_scipy_gammaln(self):
+        got = log_gamma_values(self.GAMMALN_GRID)
+        assert got.tobytes() == special.gammaln(self.GAMMALN_GRID).tobytes()
+        spans = np.array([0.25, 0.5, 1.0])
+        for beta in (0.05, 0.44, 1.0, 37.0):
+            assert (log_gamma_values(beta * spans).tobytes()
+                    == special.gammaln(beta * spans).tobytes())
+
+
+def test_only_specfun_imports_scipy():
+    package = Path(gammasub.__file__).resolve().parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.name)
+    assert set(importers) == {"specfun.py"}
