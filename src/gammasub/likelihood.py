@@ -87,12 +87,21 @@ def bin_classify(increments: np.ndarray, bin_edges) -> np.ndarray:
     return idx
 
 
-def bin_stats_matrix(increments: np.ndarray, bin_edges):
-    """Per-row bin sums and counts for a (rows, steps) increment matrix; any float edges."""
+def row_offsets(rows: int, bin_edges) -> np.ndarray:
+    """(rows, 1) offsets that give each row of a matrix its own N+1 bins of one bincount."""
+    return (np.arange(rows) * (len(bin_edges) + 1))[:, None]
+
+
+def bin_stats_matrix(increments: np.ndarray, bin_edges, offsets: np.ndarray | None = None):
+    """Per-row bin sums and counts for a (rows, steps) increment matrix; any float edges.
+
+    offsets, when given, must be row_offsets(rows, bin_edges), which a
+    caller with a fixed number of rows computes once.
+    """
     rows = increments.shape[0]
     k = len(bin_edges) + 1
     flat = bin_classify(increments, bin_edges)
-    flat += (np.arange(rows) * k)[:, None]
+    flat += row_offsets(rows, bin_edges) if offsets is None else offsets
     counts = np.bincount(flat.ravel(), minlength=rows * k).reshape(rows, k)
     sums = np.bincount(flat.ravel(), weights=increments.ravel(),
                        minlength=rows * k).reshape(rows, k)

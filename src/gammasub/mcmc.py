@@ -6,13 +6,6 @@ random walk on (alpha, slopes, intercepts), or, when the activity rate is
 declared random, a transdimensional move that superposes or thins the
 active segments and re-pins them to the observations.
 
-Segments are held internally as an (n_segments, m) increment matrix, which
-the row kernels of `paths` draw, pin and transform, with cached per-segment
-bin statistics and their totals over all segments; all per-segment
-randomness is drawn in fixed-layout blocks from dedicated splittable
-streams, so the result is independent of the order in which segments are
-processed.
-
 A segment whose observed increment is below the first bin edge b_1 is
 inert: every sub-step of its bridge lies in B_0, where theta is 0, so it
 adds only constants to every acceptance ratio, its increment to S_0 and m
@@ -23,6 +16,17 @@ ones' bin sums and counts as constants; after that only the active
 segments move, which keeps every move's target, and the parameter chain's
 law, unchanged.  On a binless model every segment is inert: the refresh
 draws nothing and the beta move is its prior and Gamma-density ratio.
+
+The path state is therefore the active block: the active segments'
+increments as one contiguous (n_active, m) matrix, rows in the order of
+ChainState.active, with their (n_active, N+1) bin sums and counts.  The
+refresh and the beta move run the row kernels of `paths` on the block and
+write it in place or replace it, so no sweep gathers or scatters rows of a
+full-width array.  The full-width increments, seg_sums and seg_counts are
+read-only arrays assembled on each read from the block and init_chain's
+inert rows.  All per-segment randomness is drawn in fixed-layout blocks
+from dedicated splittable streams, so the result is independent of the
+order in which segments are processed.
 
 The state (ChainState) holds each fact once: the current parameters as the
 floats of a likelihood.ParamTerms with their log prior, and the bin totals
@@ -52,9 +56,9 @@ from .exceptions import ConfigError, ContractError, DataError, DomainError
 # loglik_ratio_params and psi_log, the ModelParams views of the moves' ratios,
 # stay names of this module, where bench/tracer.py rebinds them
 from .likelihood import (ParamTerms, bin_stats_matrix, loglik_ratio_params,  # noqa: F401
-                         loglik_ratio_path, param_log_ratio, psi_log, psi_terms)
+                         loglik_ratio_path, param_log_ratio, psi_log, psi_terms, row_offsets)
 from .model import ModelParams, PriorSpec, prior_logpdf
-from .paths import TimeGrid, augment_rows, bridge_rows, pin_rows, thin_rows
+from .paths import TimeGrid, _one_value, augment_rows, bridge_rows, pin_rows, thin_rows
 from .specfun import log_gamma_values
 
 __all__ = [
@@ -139,24 +143,29 @@ class ChainState:
     bin edges among them, and log_prior their log prior under prior, the
     PriorSpec the last move was handed; a move handed another PriorSpec
     object rescores log_prior (score).  params builds a validated
-    ModelParams from terms on each read.  total_sums and total_counts are
-    the bin totals S_0..S_N and C_0..C_N over all segments, which
-    write_rows keeps current.
+    ModelParams from terms on each read.
+
+    block, block_sums and block_counts are the active block (see the module
+    docstring): the increments and bin statistics of the segments in
+    active, rows in that order, which write_rows writes.  start_increments,
+    start_sums and start_counts are init_chain's rows of every segment; the
+    inert ones among them are the chain's for good, the active ones are
+    superseded by the block.  total_sums and total_counts are the bin totals
+    S_0..S_N and C_0..C_N over all segments, which write_rows keeps current.
+    The rest are per-chain constants.
     """
 
     terms: ParamTerms
     obs: Observations
     grid: TimeGrid
-    increments: np.ndarray              # (n_segments, m), rows sum to obs increments
-    seg_sums: np.ndarray                # (n_segments, N+1) cached bin sums
-    seg_counts: np.ndarray              # (n_segments, N+1) cached bin counts
+    start_increments: np.ndarray        # (n_segments, m), rows sum to obs increments
+    start_sums: np.ndarray              # (n_segments, N+1) their bin sums
+    start_counts: np.ndarray            # (n_segments, N+1) their bin counts
     rng_path: np.random.Generator
     rng_accept: np.random.Generator
     rng_params: np.random.Generator
     rng_beta: np.random.Generator
     active: np.ndarray                  # indices of the active segments, the only rows moved
-    inert_sums: np.ndarray              # (N+1,) bin sums of the inert segments, fixed for the chain
-    inert_counts: np.ndarray            # (N+1,) bin counts of the inert segments
     iteration: int = 0
     accept_path_rate: float = math.nan
     accept_params: bool | None = None
@@ -165,8 +174,17 @@ class ChainState:
     logr_beta: float = math.nan
     prior: PriorSpec | None = None      # what terms and log_prior were scored under
     log_prior: float = math.nan
+    block: np.ndarray = field(init=False)           # (n_active, m) active increments
+    block_sums: np.ndarray = field(init=False)      # (n_active, N+1) their bin sums
+    block_counts: np.ndarray = field(init=False)    # (n_active, N+1) their bin counts
     total_sums: list = field(init=False)
     total_counts: list = field(init=False)
+    inert_sums: np.ndarray = field(init=False)      # (N+1,) bin sums of the inert segments
+    inert_counts: np.ndarray = field(init=False)    # (N+1,) bin counts of the inert segments
+    block_targets: np.ndarray = field(init=False)   # (n_active,) the block's observed increments
+    # the block's sub-step spans h_i / m: (n_active, 1), or one float when all are equal
+    block_sub_spans: np.ndarray | float = field(init=False)
+    block_offsets: np.ndarray = field(init=False)   # bin_stats_matrix's offsets for the block
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
     # chain: sum_i h_i log(delta_i), sum_i h_i, and the distinct spans h with
     # their counts, so that lnGamma runs once per distinct span.
@@ -174,24 +192,54 @@ class ChainState:
     span_total: float = field(init=False)
     distinct_spans: np.ndarray = field(init=False)
     span_counts: np.ndarray = field(init=False)
-    active_sub_spans: np.ndarray = field(init=False)    # (n_active, 1) sub-step spans h_i / m
 
     def __post_init__(self):
-        self.total_sums, self.total_counts = self.block_totals(self.seg_sums[self.active],
-                                                               self.seg_counts[self.active])
+        active = self.active
+        inert = np.ones(self.n_segments, dtype=bool)
+        inert[active] = False
+        self.inert_sums = self.start_sums[inert].sum(axis=0)
+        self.inert_counts = self.start_counts[inert].sum(axis=0)
+        self.block = self.start_increments[active]
+        self.block_sums = self.start_sums[active]
+        self.block_counts = self.start_counts[active]
+        self.total_sums, self.total_counts = self.block_totals(self.block_sums, self.block_counts)
         spans = self.grid.spans
+        self.block_targets = self.obs.increments[active]
+        self.block_sub_spans = _one_value((spans[active] / self.grid.m)[:, None])
+        self.block_offsets = row_offsets(active.size, self.terms.edges)
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
         self.distinct_spans, self.span_counts = np.unique(spans, return_counts=True)
-        self.active_sub_spans = (spans[self.active] / self.grid.m)[:, None]
 
     @property
     def n_segments(self) -> int:
-        return self.increments.shape[0]
+        return self.obs.increments.size
 
     @property
     def m(self) -> int:
-        return self.increments.shape[1]
+        return self.grid.m
+
+    def _full_width(self, start: np.ndarray, block: np.ndarray) -> np.ndarray:
+        full = start.copy()
+        full[self.active] = block
+        full.flags.writeable = False
+        return full
+
+    @property
+    def increments(self) -> np.ndarray:
+        """(n_segments, m) increments of every segment, rows summing to the
+        observations; a read-only array assembled on each read."""
+        return self._full_width(self.start_increments, self.block)
+
+    @property
+    def seg_sums(self) -> np.ndarray:
+        """(n_segments, N+1) bin sums of every segment; read-only, assembled on each read."""
+        return self._full_width(self.start_sums, self.block_sums)
+
+    @property
+    def seg_counts(self) -> np.ndarray:
+        """(n_segments, N+1) bin counts of every segment; read-only, assembled on each read."""
+        return self._full_width(self.start_counts, self.block_counts)
 
     @property
     def params(self) -> ModelParams:
@@ -205,18 +253,26 @@ class ChainState:
         return ((self.inert_sums + sums.sum(axis=0)).tolist(),
                 (self.inert_counts + counts.sum(axis=0)).tolist())
 
-    def write_rows(self, rows: np.ndarray, increments: np.ndarray, sums: np.ndarray,
-                   counts: np.ndarray, totals: tuple[list, list] | None = None) -> None:
-        """Write active segment rows and their bin statistics; bring the totals up to date.
+    def write_rows(self, increments: np.ndarray, sums: np.ndarray, counts: np.ndarray,
+                   where: np.ndarray | None = None,
+                   totals: tuple[list, list] | None = None) -> None:
+        """Write the active block and its bin statistics; bring the totals up to date.
 
-        totals, when given, must be block_totals of the active block after
-        the write; a caller that reduced those rows already hands it over.
+        The arguments are (n_active, m) and (n_active, N+1) arrays in block
+        order.  With where, an (n_active,) mask, the rows it selects are
+        copied into the block in place; without, they become the block.
+        totals, when given, must be block_totals of the block after the
+        write; a caller that reduced those rows already hands it over.
         """
-        self.increments[rows] = increments
-        self.seg_sums[rows] = sums
-        self.seg_counts[rows] = counts
+        if where is None:
+            self.block, self.block_sums, self.block_counts = increments, sums, counts
+        else:
+            rows = where[:, None]
+            np.copyto(self.block, increments, where=rows)
+            np.copyto(self.block_sums, sums, where=rows)
+            np.copyto(self.block_counts, counts, where=rows)
         if totals is None:
-            totals = self.block_totals(self.seg_sums[self.active], self.seg_counts[self.active])
+            totals = self.block_totals(self.block_sums, self.block_counts)
         self.total_sums, self.total_counts = totals
 
     def score(self, prior: PriorSpec) -> ParamTerms:
@@ -271,15 +327,12 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     shapes = params0.beta * (grid.spans / grid.m)[:, None]
     increments = bridge_rows(rng_path, shapes, deltas, grid.m)
     sums, counts = bin_stats_matrix(increments, params0.bin_edges)
-    active = active_segments(deltas, params0.bin_edges)
-    inert = np.ones(deltas.size, dtype=bool)
-    inert[active] = False
     return ChainState(
         terms=ParamTerms.of(params0), obs=obs, grid=grid,
-        increments=increments, seg_sums=sums, seg_counts=counts,
+        start_increments=increments, start_sums=sums, start_counts=counts,
         rng_path=rng_path, rng_accept=rng_accept,
         rng_params=rng_params, rng_beta=rng_beta,
-        active=active, inert_sums=sums[inert].sum(axis=0), inert_counts=counts[inert].sum(axis=0),
+        active=active_segments(deltas, params0.bin_edges),
     )
 
 
@@ -291,28 +344,27 @@ def refresh_segments(state: ChainState) -> ChainState:
     i compares the endpoint-matched path ratio to ln(U_i).  Noise and uniforms
     are drawn in one fixed-layout block over the active segments, so the
     decisions do not depend on the order in which segments are visited.
-    Accepted rows are written into the state's arrays in place
-    (ChainState.write_rows).
+    The proposal is drawn, scored and written on the active block, whose
+    accepted rows are overwritten in place (ChainState.write_rows).
 
     An inert segment (see the module docstring) is not redrawn and counts as
     accepted in accept_path_rate, as the full refresh would count it: its
     path ratio is exactly 0, which is >= ln(U) for every U in (0, 1).  A
     binless model has no active segment, so its refresh draws nothing.
     """
-    active = state.active
+    n_active = state.active.size
     n_rejected = 0
-    if active.size:
+    if n_active:
         t = state.terms
-        proposal = bridge_rows(state.rng_path, t.beta * state.active_sub_spans,
-                               state.obs.increments[active], state.m)
-        new_sums, new_counts = bin_stats_matrix(proposal, t.edges)
-        log_ratio = loglik_ratio_path(new_sums, new_counts, state.seg_sums[active],
-                                      state.seg_counts[active], t.slopes, t.intercepts)
-        accepted = log_ratio >= np.log(state.rng_accept.uniform(size=active.size))
-        n_rejected = active.size - int(np.count_nonzero(accepted))
-        if n_rejected < active.size:
-            state.write_rows(active[accepted], proposal[accepted], new_sums[accepted],
-                             new_counts[accepted])
+        proposal = bridge_rows(state.rng_path, t.beta * state.block_sub_spans,
+                               state.block_targets, state.m)
+        new_sums, new_counts = bin_stats_matrix(proposal, t.edges, state.block_offsets)
+        log_ratio = loglik_ratio_path(new_sums, new_counts, state.block_sums,
+                                      state.block_counts, t.slopes, t.intercepts)
+        accepted = log_ratio >= np.log(state.rng_accept.uniform(size=n_active))
+        n_rejected = n_active - int(np.count_nonzero(accepted))
+        if n_rejected < n_active:
+            state.write_rows(proposal, new_sums, new_counts, where=accepted)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
     state.accept_path_rate = (state.n_segments - n_rejected) / state.n_segments
     return state
@@ -431,8 +483,9 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     chain's constants (ChainState).  In reparameterised mode the prior is a
     density on (alpha, beta, alpha + slope_1, beta exp(-rho_1)), and the walk
     moves beta at fixed rho_1, so beta exp(-rho_1) moves with it: the ratio
-    has the Jacobian term ln(beta° / beta).  An accepted move hands the
-    transformed block's totals, which psi read, to write_rows.
+    has the Jacobian term ln(beta° / beta).  The move transforms the active
+    block as it is stored; an accepted move makes the transformed block the
+    state's and hands write_rows its totals, which psi read.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
@@ -447,21 +500,20 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         return state
     new, log_prior = cand
 
-    active = state.active
     horizon = state.grid.horizon
     totals = (state.total_sums, state.total_counts)
     psi_old = psi_terms(*totals, horizon, cur)
-    if active.size:
-        block = state.increments[active]
-        sub = state.active_sub_spans
+    n_active = state.active.size
+    if n_active:
+        block, sub = state.block, state.block_sub_spans
         if beta_new > cur.beta:
             block = augment_rows(rng, block, sub, cur.beta, beta_new, cur.alpha)
         elif beta_new < cur.beta:
             block = thin_rows(rng, block, sub, cur.beta, beta_new)
-        block, collapsed = pin_rows(block, state.obs.increments[active])
+        block, collapsed = pin_rows(block, state.block_targets)
         if collapsed.any():
             return state
-        block_sums, block_counts = bin_stats_matrix(block, cur.edges)
+        block_sums, block_counts = bin_stats_matrix(block, cur.edges, state.block_offsets)
         totals = state.block_totals(block_sums, block_counts)
     psi_new = psi_terms(*totals, horizon, new)
 
@@ -474,8 +526,8 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
         log_ratio += math.log(beta_new / cur.beta)
     state.logr_beta = log_ratio
     state.accept_beta = _accept(state, rng, cand, log_ratio, "beta")
-    if state.accept_beta and active.size:
-        state.write_rows(active, block, block_sums, block_counts, totals)
+    if state.accept_beta and n_active:
+        state.write_rows(block, block_sums, block_counts, totals=totals)
     return state
 
 

@@ -90,8 +90,11 @@ def _one_value(p):
     numpy draws from a scalar parameter plus `size` with the same variates,
     in the same order, as from an array of that value, but skips the
     per-entry broadcast; on a uniform observation grid every Gamma shape of
-    a kernel is one value.
+    a kernel is one value, and the sampler hands it over as a scalar, which
+    is returned as it is.
     """
+    if np.ndim(p) == 0:
+        return p
     p = np.asarray(p)
     if p.size and (p == p.flat[0]).all():
         return p.flat[0]

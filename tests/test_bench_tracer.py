@@ -73,8 +73,9 @@ def test_final_state_gate_passes_on_fresh_and_swept_states():
     assert 0 < accepted < 100
     tracer.check_final_state(state, gates, 1)
     assert gates.failures == []
-    # the gate sees a stale cache
-    state.seg_sums[state.active[0], 1] += 1.0
+    # the gate sees a stale cache: the bin sums of the first active row, which
+    # the active block holds
+    state.block_sums[0, 1] += 1.0
     tracer.check_final_state(state, gates, 2)
     assert gates.failures == ["traced chain 2: cached seg_sums/seg_counts differ from "
                               "bin_stats_matrix"]

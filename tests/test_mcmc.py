@@ -156,7 +156,7 @@ class TestRefreshSegments:
         old_inc, old_sums, old_counts = (
             state.increments.copy(), state.seg_sums.copy(), state.seg_counts.copy())
         # the twin stream draws the same block: the active segments' bridges
-        proposal = bridge_rows(twin.rng_path, params.beta * twin.active_sub_spans,
+        proposal = bridge_rows(twin.rng_path, params.beta * sub_spans(twin)[active],
                                twin.obs.increments[active], twin.m)
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
         state.rng_accept = RejectEveryThird()
@@ -218,6 +218,15 @@ def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=
         yield state.record()
 
 
+def assign_rows(state, increments, sums, counts):
+    """Make (n_segments, ...) arrays every segment's rows and bin statistics,
+    inert ones included, as an oracle that moves every segment writes them."""
+    active = state.active
+    state.start_increments, state.start_sums, state.start_counts = increments, sums, counts
+    state.block, state.block_sums, state.block_counts = (
+        increments[active], sums[active], counts[active])
+
+
 def full_totals(state):
     """The bin sums and counts as lists, reduced over every segment row."""
     return state.seg_sums.sum(axis=0).tolist(), state.seg_counts.sum(axis=0).tolist()
@@ -248,7 +257,7 @@ def full_refresh(state):
     proposal[reject] = state.increments[reject]
     sums[reject] = state.seg_sums[reject]
     counts[reject] = state.seg_counts[reject]
-    state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
+    assign_rows(state, proposal, sums, counts)
     state.total_sums, state.total_counts = full_totals(state)
     state.accept_path_rate = float(accept.mean())
 
@@ -275,7 +284,7 @@ def refresh_all_from(rng_inert):
         proposal[reject] = state.increments[reject]
         sums[reject] = state.seg_sums[reject]
         counts[reject] = state.seg_counts[reject]
-        state.increments, state.seg_sums, state.seg_counts = proposal, sums, counts
+        assign_rows(state, proposal, sums, counts)
         state.total_sums, state.total_counts = full_totals(state)
         state.accept_path_rate = float(accept.mean())
     return refresh
@@ -324,7 +333,7 @@ def beta_all_from(rng_inert):
         state.logr_beta = log_ratio
         if log_ratio >= math.log(rng.uniform()):
             set_params(state, candidate)
-            state.increments, state.seg_sums, state.seg_counts = block, sums, counts
+            assign_rows(state, block, sums, counts)
             state.total_sums = new_stats.sums.tolist()
             state.total_counts = new_stats.counts.tolist()
             state.accept_beta = True
@@ -347,12 +356,12 @@ class TestBinlessRefresh:
     def test_draws_nothing_and_accepts_every_segment(self):
         state = basic_state(obs=gamma_obs(n=30, seed=5), seed=19)
         state.rng_path = state.rng_accept = NoDraws()
-        arrays = (state.increments, state.seg_sums, state.seg_counts)
-        copies = tuple(a.copy() for a in arrays)
+        blocks = (state.block, state.block_sums, state.block_counts)
+        copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
         g.refresh_segments(state)
-        for got, same, copy in zip((state.increments, state.seg_sums, state.seg_counts),
-                                   arrays, copies):
-            assert got is same
+        for got, same in zip((state.block, state.block_sums, state.block_counts), blocks):
+            assert got is same and got.size == 0
+        for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
             assert np.array_equal(got, copy)
         assert state.accept_path_rate == 1.0
 
@@ -687,8 +696,8 @@ class TestUpdateBeta:
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0))
         prop = g.ProposalSpec(sigma_beta=0.3)
         state, twin = basic_state(seed=31), basic_state(seed=31)
-        arrays = (state.increments, state.seg_sums, state.seg_counts)
-        copies = tuple(a.copy() for a in arrays)
+        blocks = (state.block, state.block_sums, state.block_counts)
+        copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
         state.rng_beta = Recording(state.rng_beta)
         accepted = 0
         for _ in range(40):
@@ -696,9 +705,9 @@ class TestUpdateBeta:
             g.update_beta(state, prop, prior)
             assert state.rng_beta.draws == [("normal", None), ("random", None)]
             state.rng_beta.draws.clear()
-            for got, same, copy in zip((state.increments, state.seg_sums, state.seg_counts),
-                                       arrays, copies):
-                assert got is same
+            for got, same in zip((state.block, state.block_sums, state.block_counts), blocks):
+                assert got is same and got.size == 0
+            for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
                 assert np.array_equal(got, copy)
             # the twin replays the proposal; the ratio is the prior's times the
             # Gamma densities of the observed increments
@@ -843,7 +852,7 @@ def reference_update_beta(state, prop, prior):
         return
     active, new_stats = state.active, totals(state)
     if active.size:
-        block, sub = state.increments[active], state.active_sub_spans
+        block, sub = state.increments[active], sub_spans(state)[active]
         if beta_new > params.beta:
             block = augment_rows(rng, block, sub, params.beta, beta_new, params.alpha)
         elif beta_new < params.beta:
@@ -865,7 +874,7 @@ def reference_update_beta(state, prop, prior):
         set_params(state, cand)
         state.accept_beta = True
         if active.size:
-            state.write_rows(active, block, sums, counts)
+            state.write_rows(block, sums, counts)
 
 
 def normal_priors(n, sd_theta=1.0, sd_rho=1.5):
@@ -970,6 +979,66 @@ class TestSegmentTotals:
             # no move writes an inert row
             assert np.array_equal(state.increments[inert], inert_rows)
         assert 0 < accepted_beta < 300
+
+
+class TestActiveBlock:
+    """The full-width views after every move of the active block."""
+
+    prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
+                        theta=(g.Prior("normal", 0, 1.0),) * 2,
+                        rho=(g.Prior("normal", 0, 1.5),) * 2)
+
+    def chain(self, name):
+        obs = gamma_obs(n=30, seed=9)
+        if name == "binless":
+            return basic_state(obs=obs, m=4, seed=11), g.PriorSpec(
+                alpha=self.prior.alpha, beta=self.prior.beta)
+        # the first edge below every increment, or inside their range
+        b1 = 0.9 * float(obs.increments.min()) if name == "every row active" else 0.5
+        params = g.ModelParams(1.0, 1.0, [b1, 0.8], [0.3, -0.2], [0.2, 0.1])
+        return basic_state(obs=obs, params=params, m=4, seed=11), self.prior
+
+    @pytest.mark.parametrize("name", ["binless", "every row active", "mixed"])
+    def test_views_after_refresh_params_and_beta_moves(self, name):
+        state, prior = self.chain(name)
+        n_active = state.active.size
+        assert n_active == {"binless": 0, "every row active": 30}.get(name, n_active)
+        assert name != "mixed" or 0 < n_active < 30
+        inert = np.setdiff1d(np.arange(state.n_segments), state.active)
+        start = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
+        deltas = state.obs.increments
+
+        def check_views():
+            views = increments, sums, counts = state.increments, state.seg_sums, state.seg_counts
+            assert np.all(np.abs(increments.sum(axis=1) - deltas) <= 1e-9 * deltas)
+            fresh_sums, fresh_counts = bin_stats_matrix(increments, state.params.bin_edges)
+            assert np.array_equal(fresh_sums, sums) and np.array_equal(fresh_counts, counts)
+            for got, first, block in zip(views, start,
+                                         (state.block, state.block_sums, state.block_counts)):
+                assert got[inert].tobytes() == first[inert].tobytes()
+                assert np.array_equal(got[state.active], block)
+
+        prop = g.ProposalSpec(sigma_beta=0.1)
+        accepted = 0
+        for _ in range(200):
+            g.refresh_segments(state)
+            check_views()
+            g.update_params(state, prop, prior)
+            g.update_beta(state, prop, prior)
+            accepted += state.accept_beta
+            check_views()
+        assert 0 < accepted < 200
+        if n_active:
+            assert not np.array_equal(state.increments[state.active], start[0][state.active])
+
+    @pytest.mark.parametrize("attr", ["increments", "seg_sums", "seg_counts"])
+    def test_writing_into_a_view_raises(self, attr):
+        state, _ = self.chain("mixed")
+        view = getattr(state, attr)
+        with pytest.raises(ValueError, match="read-only"):
+            view[state.active[0]] = 0
+        assert np.array_equal(getattr(state, attr), view)
+        assert getattr(state, attr) is not view
 
 
 class TestSweepTypes:

@@ -18,6 +18,7 @@ from gammasub import (
     thin_path,
 )
 from gammasub.paths import (
+    _one_value,
     as_generator,
     augment_rows,
     bridge_rows,
@@ -255,15 +256,34 @@ class TestRowKernels:
         assert np.array_equal(gen().beta(0.4, 1.7, size=size),
                               gen().beta(np.full(size, 0.4), np.full(size, 1.7)))
 
+    def test_scalar_and_column_parameters_draw_the_same_bits(self):
+        # the sampler hands the kernels one scalar shape on a uniform grid,
+        # where _one_value returns it as it is, in place of a (rows, 1) column
+        def gen():
+            return np.random.Generator(np.random.Philox(17))
+
+        shape = np.float64(0.3) * np.float64(0.1)
+        assert _one_value(shape) is shape
+        column = np.full((25, 1), shape)
+        size = (25, 8)
+        for scalar_draw, column_draw in (
+                (gen().gamma(shape, size=size), gen().gamma(column, size=size)),
+                (gen().gamma(shape, scale=0.5, size=size),
+                 gen().gamma(column, scale=0.5, size=size)),
+                (gen().beta(shape, 2 * shape, size=size),
+                 gen().beta(column, 2 * column, size=size))):
+            assert scalar_draw.tobytes() == column_draw.tobytes()
+
     def test_kernels_draw_the_per_entry_variates(self):
-        # equal spans collapse to one scalar parameter, distinct spans do not;
-        # either way the kernels equal draws from the full per-entry arrays
+        # a scalar span and equal spans give one scalar parameter, distinct
+        # spans do not; either way the kernels equal draws from the full
+        # per-entry arrays
         def gen():
             return np.random.Generator(np.random.Philox(21))
 
         inc = np.random.default_rng(9).gamma(0.5, size=(20, 5))
         targets = inc.sum(axis=1)
-        for h in (np.full((20, 1), 0.25), np.linspace(0.1, 0.5, 20)[:, None]):
+        for h in (np.float64(0.25), np.full((20, 1), 0.25), np.linspace(0.1, 0.5, 20)[:, None]):
             full = np.broadcast_to(h, inc.shape)
             bridge, _ = pin_rows(gen().gamma(0.7 * full), targets)
             assert np.array_equal(bridge_rows(gen(), 0.7 * h, targets, 5), bridge)
