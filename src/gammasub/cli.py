@@ -23,7 +23,7 @@ from .data import (
     synth_two_gamma,
     write_observations_csv,
 )
-from .exceptions import ConfigError, GammasubError
+from .exceptions import ConfigError, DataError, GammasubError
 from .mcmc import (MoveTally, active_segments, read_chain_csv, run_mcmc, write_chain_csv,
                    write_meta_json)
 
@@ -104,8 +104,8 @@ def cmd_fit(args) -> int:
     burn_in = args.burn_in if args.burn_in is not None else args.iterations // 10
     if args.thinning < 1:
         raise ConfigError(f"thinning must be >= 1, got {args.thinning}")
-    # every sweep after burn-in, so that the acceptance summaries count the
-    # thinned-out moves too; thinning here keeps run_mcmc's retained records
+    # run_mcmc yields every sweep after burn-in: the tally counts them all,
+    # thinned-out moves too, and this loop alone thins what chain.csv keeps
     sweeps = run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=args.iterations,
                       burn_in=burn_in, seed=args.seed, m=cfg.refinement)
     out_dir = Path(args.out_dir)
@@ -170,9 +170,9 @@ def cmd_diagnose(args) -> int:
     if not records:
         print("chain file holds no records", file=sys.stderr)
         return 1
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_bins = len(records[0].theta)
+    if n_bins != cfg.params0.n_bins:
+        raise DataError(f"the chain has {n_bins} bins but the config has {cfg.params0.n_bins}")
     iterations = np.array([r.iteration for r in records], dtype=float)
 
     series = {"alpha": np.array([r.alpha for r in records])}
@@ -182,47 +182,42 @@ def cmd_diagnose(args) -> int:
         series[f"theta_{k + 1}"] = np.array([r.theta[k] for r in records])
         series[f"rho_{k + 1}"] = np.array([r.rho[k] for r in records])
 
-    written = []
+    # every figure is computed, and so every input checked, before the output
+    # directory is made: name -> (CSV columns, SVG x, SVG lines, SVG labels)
+    plots = {}
     if "trace" in figures:
         for name, values in series.items():
             avg = diagnostics.running_average(values)
-            with open(out_dir / f"trace_{name}.csv", "w") as fh:
-                diagnostics.write_series_csv(
-                    fh, {"iteration": iterations, name: values, "running_average": avg})
-            with open(out_dir / f"trace_{name}.svg", "w") as fh:
-                diagnostics.write_line_svg(fh, iterations,
-                                           {name: values, "running avg": avg},
-                                           title=f"trace of {name}",
-                                           xlabel="iteration", ylabel=name)
-            written.append(f"trace_{name}")
+            plots[f"trace_{name}"] = (
+                {"iteration": iterations, name: values, "running_average": avg},
+                iterations, {name: values, "running avg": avg},
+                {"title": f"trace of {name}", "xlabel": "iteration", "ylabel": name})
     if "hist" in figures:
         for name, values in series.items():
             edges, counts = diagnostics.histogram(values, args.hist_bins)
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            with open(out_dir / f"hist_{name}.csv", "w") as fh:
-                diagnostics.write_series_csv(
-                    fh, {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts})
-            with open(out_dir / f"hist_{name}.svg", "w") as fh:
-                diagnostics.write_line_svg(fh, centers, {"count": counts.astype(float)},
-                                           title=f"posterior of {name}",
-                                           xlabel=name, ylabel="count")
-            written.append(f"hist_{name}")
+            plots[f"hist_{name}"] = (
+                {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts},
+                0.5 * (edges[:-1] + edges[1:]), {"count": counts.astype(float)},
+                {"title": f"posterior of {name}", "xlabel": name, "ylabel": "count"})
     if "band" in figures:
         spec = diagnostics.BandSpec(
             x_grid=np.linspace(args.x_min, args.x_max, args.x_points),
             level=args.band_level, functional=args.band_functional)
         edges = cfg.params0.bin_edges
-        samples = [r.to_params(edges) for r in records]
-        lo, hi = diagnostics.credible_band(samples, spec)
-        with open(out_dir / "band.csv", "w") as fh:
-            diagnostics.write_band_csv(fh, spec.x_grid, lo, hi)
-        with open(out_dir / "band.svg", "w") as fh:
-            diagnostics.write_line_svg(fh, spec.x_grid, {"lo": lo, "hi": hi},
-                                       title=f"{int(args.band_level * 100)}% band, "
-                                             f"{args.band_functional}",
-                                       xlabel="x", ylabel="value")
-        written.append("band")
-    print(f"wrote {len(written)} figure(s) to {out_dir}: {', '.join(written)}")
+        lo, hi = diagnostics.credible_band([r.to_params(edges) for r in records], spec)
+        plots["band"] = (
+            {"x": spec.x_grid, "lo": lo, "hi": hi}, spec.x_grid, {"lo": lo, "hi": hi},
+            {"title": f"{int(args.band_level * 100)}% band, {args.band_functional}",
+             "xlabel": "x", "ylabel": "value"})
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (columns, x, lines, labels) in plots.items():
+        with open(out_dir / f"{name}.csv", "w") as fh:
+            diagnostics.write_series_csv(fh, columns)
+        with open(out_dir / f"{name}.svg", "w") as fh:
+            diagnostics.write_line_svg(fh, x, lines, **labels)
+    print(f"wrote {len(plots)} figure(s) to {out_dir}: {', '.join(plots)}")
     return 0
 
 

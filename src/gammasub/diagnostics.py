@@ -19,7 +19,6 @@ __all__ = [
     "credible_band",
     "histogram",
     "write_series_csv",
-    "write_band_csv",
     "write_line_svg",
 ]
 
@@ -104,10 +103,6 @@ def write_series_csv(stream, columns: dict) -> None:
     stream.write(",".join(names) + "\n")
     for row in zip(*arrays):
         stream.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def write_band_csv(stream, x, lo, hi) -> None:
-    write_series_csv(stream, {"x": x, "lo": lo, "hi": hi})
 
 
 # ---------------------------------------------------------------------------

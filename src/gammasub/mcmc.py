@@ -28,9 +28,13 @@ inert rows.  All per-segment randomness is drawn in fixed-layout blocks
 from dedicated splittable streams, so the result is independent of the
 order in which segments are processed.
 
-The state (ChainState) holds each fact once: the current parameters as the
-floats of a likelihood.ParamTerms with their log prior, and the bin totals
-as float and int lists.  Both parameter moves draw a candidate as Python
+The state (ChainState) holds each fact of the chain once and nothing of the
+sweep: the current parameters as the floats of a likelihood.ParamTerms with
+their log prior, and the bin totals as float and int lists.  The refresh
+returns its path acceptance rate and each parameter move its (accepted, log
+ratio); run_mcmc builds each sweep's ChainRecord from the terms and those
+outcomes and yields one per sweep after burn-in, and `gammasub fit
+--thinning` alone thins.  Both parameter moves draw a candidate as Python
 floats, check it for the model's domain and score it by PriorSpec.logpdf.
 Its bin-mass terms (the masses, E1(alpha b_1) and the Gamma reference's
 factors) come from model.mass_factors, one E1 evaluation of many points
@@ -117,7 +121,8 @@ class ProposalSpec:
 
 @dataclass
 class ChainRecord:
-    """One retained posterior sample with acceptance bookkeeping."""
+    """One sweep's parameters, its refresh's path acceptance rate and the accept
+    flag and log ratio its move returned; the stage not run has None and NaN."""
 
     iteration: int
     alpha: float
@@ -152,7 +157,7 @@ class ChainState:
     inert ones among them are the chain's for good, the active ones are
     superseded by the block.  total_sums and total_counts are the bin totals
     S_0..S_N and C_0..C_N over all segments, which write_rows keeps current.
-    The rest are per-chain constants.
+    The rest are the random streams and per-chain constants.
     """
 
     terms: ParamTerms
@@ -166,12 +171,7 @@ class ChainState:
     rng_params: np.random.Generator
     rng_beta: np.random.Generator
     active: np.ndarray                  # indices of the active segments, the only rows moved
-    iteration: int = 0
-    accept_path_rate: float = math.nan
-    accept_params: bool | None = None
-    accept_beta: bool | None = None
-    logr_params: float = math.nan
-    logr_beta: float = math.nan
+    iteration: int = 0                  # the sweep under way, which _accept's errors name
     prior: PriorSpec | None = None      # what terms and log_prior were scored under
     log_prior: float = math.nan
     block: np.ndarray = field(init=False)           # (n_active, m) active increments
@@ -284,21 +284,6 @@ class ChainState:
             self.prior = prior
         return t
 
-    def record(self) -> ChainRecord:
-        t = self.terms
-        return ChainRecord(
-            iteration=self.iteration,
-            alpha=t.alpha,
-            beta=t.beta,
-            theta=t.slopes,
-            rho=t.intercepts,
-            accept_path_rate=self.accept_path_rate,
-            accept_params=self.accept_params,
-            accept_beta=self.accept_beta,
-            logr_params=self.logr_params,
-            logr_beta=self.logr_beta,
-        )
-
 
 def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -336,8 +321,9 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     )
 
 
-def refresh_segments(state: ChainState) -> ChainState:
-    """Propose a fresh Gamma bridge per active segment and accept independently.
+def refresh_segments(state: ChainState) -> float:
+    """Propose a fresh Gamma bridge per active segment and accept independently;
+    returns the path acceptance rate over every segment.
 
     The proposal reads beta from state.terms, the path ratio its slopes and
     intercepts, and both the chain's bin edges.  The acceptance for segment
@@ -348,7 +334,7 @@ def refresh_segments(state: ChainState) -> ChainState:
     accepted rows are overwritten in place (ChainState.write_rows).
 
     An inert segment (see the module docstring) is not redrawn and counts as
-    accepted in accept_path_rate, as the full refresh would count it: its
+    accepted in the rate, as the full refresh would count it: its
     path ratio is exactly 0, which is >= ln(U) for every U in (0, 1).  A
     binless model has no active segment, so its refresh draws nothing.
     """
@@ -366,8 +352,7 @@ def refresh_segments(state: ChainState) -> ChainState:
         if n_rejected < n_active:
             state.write_rows(proposal, new_sums, new_counts, where=accepted)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
-    state.accept_path_rate = (state.n_segments - n_rejected) / state.n_segments
-    return state
+    return (state.n_segments - n_rejected) / state.n_segments
 
 
 def reparam_view(params: ModelParams) -> tuple[float, float, float, float]:
@@ -394,13 +379,12 @@ def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, inter
     """A candidate's terms and log prior under prior; None outside the model's
     domain or the prior's support.
 
-    The domain is alpha and beta finite and > 0, finite slopes and
-    intercepts, and a tail slope > -alpha.  factors are the candidate's
-    mass_factors when the caller has them.
+    The domain is alpha and beta finite and > 0 and finite slopes and
+    intercepts; PriorSpec.logpdf is -inf for a tail slope <= -alpha.
+    factors are the candidate's mass_factors when the caller has them.
     """
-    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
-        return None
-    if slopes and (slopes[-1] <= -alpha or not all(map(math.isfinite, slopes + intercepts))):
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf
+            and all(map(math.isfinite, slopes + intercepts))):
         return None
     log_prior = prior.logpdf(alpha, beta, slopes, intercepts)
     if log_prior == -math.inf:
@@ -421,18 +405,18 @@ def _accept(state: ChainState, rng, cand: tuple[ParamTerms, float], log_ratio: f
     return True
 
 
-def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> ChainState:
-    """Joint Metropolis update of alpha and the per-bin slopes/intercepts.
+def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tuple[bool, float]:
+    """Joint Metropolis update of alpha and the per-bin slopes/intercepts;
+    returns (accepted, log ratio).
 
     The proposal is a symmetric Gaussian walk (with the correlated alpha
     shift), so acceptance uses the parameter likelihood ratio plus the prior
     log ratio only.  The innovations for alpha, the slopes and the
     intercepts come from one normal draw of size 2N + 1.  A candidate
     outside the model's domain or the prior's support is rejected before a
-    ratio is formed, and logs -inf.  A NaN log ratio raises ContractError.
+    ratio is formed, and returns (False, -inf).  A NaN log ratio raises
+    ContractError.
     """
-    state.accept_params = False
-    state.logr_params = -math.inf
     cur = state.score(prior)
     n = len(cur.edges)
     rng = state.rng_params
@@ -443,7 +427,7 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
         alpha1 = cur.alpha + cur.slopes[0] + prop.sigma_theta * z[1]
         beta1 = cur.beta * math.exp(-cur.intercepts[0]) + prop.sigma_rho * z[2]
         if not beta1 > 0:
-            return state
+            return False, -math.inf
         slopes = (alpha1 - alpha,)
         intercepts = (math.log(cur.beta) - math.log(beta1),)
     else:
@@ -453,17 +437,16 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Ch
         intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
     cand = _candidate(prior, cur.edges, alpha, cur.beta, slopes, intercepts)
     if cand is None:
-        return state
+        return False, -math.inf
     new, log_prior = cand
     log_ratio = (param_log_ratio(state.total_sums, state.total_counts, state.grid.horizon, cur,
                                  new) + log_prior - state.log_prior)
-    state.logr_params = log_ratio
-    state.accept_params = _accept(state, rng, cand, log_ratio, "parameter")
-    return state
+    return _accept(state, rng, cand, log_ratio, "parameter"), log_ratio
 
 
-def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> ChainState:
-    """Transdimensional activity-rate move with segment transform and re-pin.
+def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tuple[bool, float]:
+    """Transdimensional activity-rate move with segment transform and re-pin;
+    returns (accepted, log ratio).
 
     Proposes beta° from a symmetric walk; raises each active segment's
     activity by superposing an independent Gamma component (beta° > beta)
@@ -472,9 +455,10 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     density ratio at the observed increments, and the path log-density
     ratio against the respective Gamma references.  Inert segments are not
     transformed (see the module docstring), so with no active segment the
-    move draws only beta° and its uniform.  A proposal that thins an active
-    segment too far to re-pin (pin_rows' degenerate mask) is rejected.  A
-    NaN log ratio raises ContractError.
+    move draws only beta° and its uniform.  A candidate outside the model's
+    domain or the prior's support, or one that thins an active segment too
+    far to re-pin (pin_rows' degenerate mask), is rejected before a ratio is
+    formed and returns (False, -inf).  A NaN log ratio raises ContractError.
 
     The candidate differs from the current parameters in beta alone, so it
     reuses their mass factors: the move calls no E1.  The Gamma density
@@ -489,15 +473,13 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
-    state.accept_beta = False
-    state.logr_beta = -math.inf
     cur = state.score(prior)
     rng = state.rng_beta
     beta_new = cur.beta + prop.sigma_beta * rng.normal()
     cand = _candidate(prior, cur.edges, cur.alpha, beta_new, cur.slopes, cur.intercepts,
                       (cur.e1_b1, cur.units, cur.ref_units))
     if cand is None:
-        return state
+        return False, -math.inf
     new, log_prior = cand
 
     horizon = state.grid.horizon
@@ -512,7 +494,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
             block = thin_rows(rng, block, sub, cur.beta, beta_new)
         block, collapsed = pin_rows(block, state.block_targets)
         if collapsed.any():
-            return state
+            return False, -math.inf
         block_sums, block_counts = bin_stats_matrix(block, cur.edges, state.block_offsets)
         totals = state.block_totals(block_sums, block_counts)
     psi_new = psi_terms(*totals, horizon, new)
@@ -524,15 +506,14 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> Chai
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
     if prior.reparam:
         log_ratio += math.log(beta_new / cur.beta)
-    state.logr_beta = log_ratio
-    state.accept_beta = _accept(state, rng, cand, log_ratio, "beta")
-    if state.accept_beta and n_active:
+    accepted = _accept(state, rng, cand, log_ratio, "beta")
+    if accepted and n_active:
         state.write_rows(block, block_sums, block_counts, totals=totals)
-    return state
+    return accepted, log_ratio
 
 
 def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
-                  iterations: int, burn_in: int, thinning: int) -> None:
+                  iterations: int, burn_in: int) -> None:
     if prior.n_bins != params0.n_bins:
         raise ConfigError(
             f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}"
@@ -545,8 +526,6 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
         raise ConfigError(
             f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})"
         )
-    if thinning < 1:
-        raise ConfigError(f"thinning must be >= 1, got {thinning}")
     if not params0.tail_integrable:
         raise ConfigError("initial parameters violate the tail constraint")
     if prior_logpdf(prior, params0) == -math.inf:
@@ -555,40 +534,40 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
 
 def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
              prop: ProposalSpec, iterations: int, burn_in: int | None = None,
-             thinning: int = 1, seed=0, m: int = 10) -> Iterator[ChainRecord]:
-    """Run the sampler and yield one ChainRecord per retained iteration.
+             seed=0, m: int = 10) -> Iterator[ChainRecord]:
+    """Run the sampler and yield one ChainRecord per sweep after burn-in.
 
     The segments are imputed on TimeGrid(obs.times, m), m sub-steps per
     observation interval.  Every sweep refreshes the active segments (none
     on a binless model, see refresh_segments), then runs the next block
     update of the schedule, which names a beta stage exactly when beta is
-    random.  burn_in defaults to 10 percent of iterations; records are
-    emitted post burn-in at the thinning stride.  Fully deterministic given
-    the seed.  The arguments are checked at the call, the sweeps run on next().
+    random.  burn_in defaults to 10 percent of iterations.  Nothing is thinned
+    here: `gammasub fit --thinning` keeps every k-th record.  Fully
+    deterministic given the seed.  The arguments are checked at the call, the
+    sweeps run on next().
     """
     if burn_in is None:
         burn_in = iterations // 10
-    _validate_run(params0, prior, prop, iterations, burn_in, thinning)
-    return _sweeps(obs, params0, prior, prop, iterations, burn_in, thinning, seed, m)
+    _validate_run(params0, prior, prop, iterations, burn_in)
+    return _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, m)
 
 
-def _sweeps(obs, params0, prior, prop, iterations, burn_in, thinning, seed, m):
+def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, m):
     state = init_chain(obs, params0, TimeGrid(obs.times, m), seed)
     n_stages = len(prop.update_schedule)
     for t in range(1, iterations + 1):
         state.iteration = t
-        state.accept_params = None
-        state.accept_beta = None
-        state.logr_params = math.nan
-        state.logr_beta = math.nan
-        refresh_segments(state)
-        stage = prop.update_schedule[(t - 1) % n_stages]
-        if stage == "params":
-            update_params(state, prop, prior)
+        path_rate = refresh_segments(state)
+        if prop.update_schedule[(t - 1) % n_stages] == "params":
+            accepted, log_ratio = update_params(state, prop, prior)
+            outcome = {"accept_params": accepted, "logr_params": log_ratio}
         else:
-            update_beta(state, prop, prior)
-        if t > burn_in and (t - burn_in) % thinning == 0:
-            yield state.record()
+            accepted, log_ratio = update_beta(state, prop, prior)
+            outcome = {"accept_beta": accepted, "logr_beta": log_ratio}
+        if t > burn_in:
+            terms = state.terms
+            yield ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
+                              path_rate, **outcome)
 
 
 def _fmt_opt_bool(v: bool | None) -> str:

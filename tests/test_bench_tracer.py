@@ -68,8 +68,7 @@ def test_final_state_gate_passes_on_fresh_and_swept_states():
     for _ in range(100):
         mcmc.refresh_segments(state)
         mcmc.update_params(state, prop, prior)
-        mcmc.update_beta(state, prop, prior)
-        accepted += state.accept_beta
+        accepted += mcmc.update_beta(state, prop, prior)[0]
     assert 0 < accepted < 100
     tracer.check_final_state(state, gates, 1)
     assert gates.failures == []

@@ -317,6 +317,58 @@ class TestCliRoundTrip:
                                            "choose from trace, hist, band\n")
         assert not fig.exists()
 
+    def fit_chain(self, tmp_path, config, *options):
+        """Fit config on a small simulated series; the path of its chain.csv."""
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
+              "--out", str(obs_csv)])
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "run"
+        rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                   "--seed", "7", "--out-dir", str(out), *options])
+        assert rc == 0
+        return out / "chain.csv"
+
+    @pytest.mark.parametrize("chain_config, diagnose_config, options, message", [
+        (BASIC_CONFIG, BASIC_CONFIG, ["--band-level", "1.5"], "level must be in (0, 1), got 1.5"),
+        (BASIC_CONFIG, BASIC_CONFIG, ["--hist-bins", "0"], "bins must be >= 1, got 0"),
+        (BINNED_CONFIG.replace("1 2 4", "1 2").replace("0 0 0", "0 0"), BINNED_CONFIG, [],
+         "the chain has 2 bins but the config has 3"),
+    ], ids=["band level", "hist bins", "bin count"])
+    def test_diagnose_checks_its_inputs_first(self, tmp_path, capsys, chain_config,
+                                             diagnose_config, options, message):
+        chain = self.fit_chain(tmp_path, chain_config, "--iterations", "20")
+        cfg = tmp_path / "diagnose.cfg"
+        cfg.write_text(diagnose_config)
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        rc = main(["diagnose", "--chain", str(chain), "--config", str(cfg),
+                   "--out-dir", str(fig), *options])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not fig.exists()
+
+    def test_diagnose_band_needs_two_records(self, tmp_path, capsys):
+        chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "1", "--burn-in", "0")
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        rc = main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
+                   "--out-dir", str(fig)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need at least two samples for a band\n"
+        assert not fig.exists()
+        # without the band one record is enough
+        assert main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
+                     "--out-dir", str(fig), "--figures", "trace,hist"]) == 0
+
+    def test_fit_thinning_stride_and_iterations(self, tmp_path):
+        chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "30", "--burn-in", "10",
+                               "--thinning", "4")
+        from gammasub.mcmc import read_chain_csv
+        with open(chain) as fh:
+            assert [r.iteration for r in read_chain_csv(fh)] == [14, 18, 22, 26, 30]
+
     def test_invalid_run_leaves_no_out_dir(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"
         main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",

@@ -100,8 +100,7 @@ class TestInitChain:
         accepted = 0
         for _ in range(30):
             g.refresh_segments(state)
-            g.update_beta(state, prop, prior)
-            accepted += state.accept_beta
+            accepted += g.update_beta(state, prop, prior)[0]
             assert np.all(np.abs(state.increments.sum(axis=1) - deltas) <= 1e-9 * deltas)
         assert 0 < accepted < 30
         sums, counts = bin_stats_matrix(state.increments, params.bin_edges)
@@ -129,8 +128,7 @@ class TestRefreshSegments:
     def test_gamma_model_accepts_everything(self):
         state = basic_state()
         for _ in range(3):
-            g.refresh_segments(state)
-            assert state.accept_path_rate == 1.0
+            assert g.refresh_segments(state) == 1.0
             assert np.all(state.increments >= 0)
 
     def test_stats_stay_consistent(self):
@@ -160,10 +158,10 @@ class TestRefreshSegments:
                                twin.obs.increments[active], twin.m)
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
         state.rng_accept = RejectEveryThird()
-        g.refresh_segments(state)
+        rate = g.refresh_segments(state)
         rejected = np.arange(active.size) % 3 == 0
         n_rejected = int(rejected.sum())
-        assert state.accept_path_rate == (state.n_segments - n_rejected) / state.n_segments
+        assert rate == (state.n_segments - n_rejected) / state.n_segments
         for got, old, new in ((state.increments, old_inc, proposal),
                               (state.seg_sums, old_sums, new_sums),
                               (state.seg_counts, old_counts, new_counts)):
@@ -176,9 +174,7 @@ class TestRefreshSegments:
         pb = g.ModelParams(2.9, 1.0, [0.5], [0.6], [0.3])
         a = basic_state(params=pa, seed=11)
         b = basic_state(params=pb, seed=11)
-        g.refresh_segments(a)
-        g.refresh_segments(b)
-        assert a.accept_path_rate == b.accept_path_rate < 1.0
+        assert g.refresh_segments(a) == g.refresh_segments(b) < 1.0
         assert np.array_equal(a.increments, b.increments)
 
 
@@ -206,16 +202,17 @@ class Recording:
 
 def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=g.update_beta,
              params_move=g.update_params):
-    """run_mcmc's loop, with burn_in 0 and thinning 1, around other moves."""
+    """run_mcmc's loop, with burn_in 0, around other moves that return their outcomes."""
     state = g.init_chain(obs, params0, g.TimeGrid(obs.times, m), seed)
     for t in range(1, iterations + 1):
         state.iteration = t
-        state.accept_params = state.accept_beta = None
-        state.logr_params = state.logr_beta = math.nan
-        refresh(state)
+        path_rate = refresh(state)
         stage = prop.update_schedule[(t - 1) % len(prop.update_schedule)]
-        (params_move if stage == "params" else beta_move)(state, prop, prior)
-        yield state.record()
+        accepted, log_ratio = (params_move if stage == "params" else beta_move)(state, prop, prior)
+        terms = state.terms
+        yield mcmc.ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
+                               path_rate, **{f"accept_{stage}": accepted,
+                                             f"logr_{stage}": log_ratio})
 
 
 def assign_rows(state, increments, sums, counts):
@@ -259,7 +256,7 @@ def full_refresh(state):
     counts[reject] = state.seg_counts[reject]
     assign_rows(state, proposal, sums, counts)
     state.total_sums, state.total_counts = full_totals(state)
-    state.accept_path_rate = float(accept.mean())
+    return float(accept.mean())
 
 
 def refresh_all_from(rng_inert):
@@ -286,7 +283,7 @@ def refresh_all_from(rng_inert):
         counts[reject] = state.seg_counts[reject]
         assign_rows(state, proposal, sums, counts)
         state.total_sums, state.total_counts = full_totals(state)
-        state.accept_path_rate = float(accept.mean())
+        return float(accept.mean())
     return refresh
 
 
@@ -298,15 +295,14 @@ def beta_all_from(rng_inert):
     the ratio's terms are evaluated afresh over all rows.
     """
     def move(state, prop, prior):
-        state.accept_beta, state.logr_beta = False, -math.inf
         params, rng = state.params, state.rng_beta
         beta_new = params.beta + prop.sigma_beta * rng.normal()
         if beta_new <= 0:
-            return
+            return False, -math.inf
         candidate = params.with_updates(beta=beta_new)
         lp_diff = g.prior_logpdf(prior, candidate) - g.prior_logpdf(prior, params)
         if lp_diff == -math.inf:
-            return
+            return False, -math.inf
         active = mcmc.active_segments(state.obs.increments, params.bin_edges)
         inert = np.setdiff1d(np.arange(state.n_segments), active)
         sub = sub_spans(state)
@@ -320,7 +316,7 @@ def beta_all_from(rng_inert):
         block, collapsed = pin_rows(block, state.obs.increments)
         assert not collapsed[inert].any()
         if collapsed.any():
-            return
+            return False, -math.inf
         sums, counts = bin_stats_matrix(block, params.bin_edges)
         new_stats = g.BinStats(sums.sum(axis=0), counts.sum(axis=0), state.grid.horizon)
         deltas, spans = state.obs.increments, state.grid.spans
@@ -330,13 +326,13 @@ def beta_all_from(rng_inert):
         old_stats = g.BinStats(*full_totals(state), state.grid.horizon)
         log_ratio = float(lp_diff + density_diff + g.psi_log(new_stats, candidate)
                           - g.psi_log(old_stats, params))
-        state.logr_beta = log_ratio
-        if log_ratio >= math.log(rng.uniform()):
-            set_params(state, candidate)
-            assign_rows(state, block, sums, counts)
-            state.total_sums = new_stats.sums.tolist()
-            state.total_counts = new_stats.counts.tolist()
-            state.accept_beta = True
+        if not log_ratio >= math.log(rng.uniform()):
+            return False, log_ratio
+        set_params(state, candidate)
+        assign_rows(state, block, sums, counts)
+        state.total_sums = new_stats.sums.tolist()
+        state.total_counts = new_stats.counts.tolist()
+        return True, log_ratio
     return move
 
 
@@ -358,12 +354,11 @@ class TestBinlessRefresh:
         state.rng_path = state.rng_accept = NoDraws()
         blocks = (state.block, state.block_sums, state.block_counts)
         copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
-        g.refresh_segments(state)
+        assert g.refresh_segments(state) == 1.0
         for got, same in zip((state.block, state.block_sums, state.block_counts), blocks):
             assert got is same and got.size == 0
         for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
             assert np.array_equal(got, copy)
-        assert state.accept_path_rate == 1.0
 
     def test_binned_refresh_still_draws(self):
         # a bin with zero theta still needs fresh bridges: its S_k and C_k move
@@ -389,12 +384,12 @@ class TestBinlessRefresh:
                                seed=37, m=4))
         state = g.init_chain(obs, params0, g.TimeGrid(obs.times, 4), 37)
         for r in recs:
-            full_refresh(state)
-            g.update_params(state, prop, self.prior)
+            path_rate = full_refresh(state)
+            accepted, log_ratio = g.update_params(state, prop, self.prior)
             assert r.alpha == state.params.alpha
-            assert r.accept_params == state.accept_params
-            assert r.accept_path_rate == state.accept_path_rate == 1.0
-            assert r.logr_params == pytest.approx(state.logr_params, rel=0, abs=1e-9)
+            assert r.accept_params == accepted
+            assert r.accept_path_rate == path_rate == 1.0
+            assert r.logr_params == pytest.approx(log_ratio, rel=0, abs=1e-9)
         assert len(recs) == 300
         assert 0 < sum(r.accept_params for r in recs) < 300
 
@@ -537,22 +532,20 @@ class TestUpdateParams:
         accepted = 0
         for _ in range(400):
             g.refresh_segments(state)
-            g.update_params(state, prop, tight)
-            accepted += state.accept_params
+            accepted += g.update_params(state, prop, tight)[0]
         assert 0.1 < accepted / 400 < 0.9
 
     def test_rejection_keeps_params(self):
         state = basic_state()
         prior = g.PriorSpec(alpha=g.Prior("uniform", 0.999, 1.001))
         prop = g.ProposalSpec(sigma_alpha=50.0)  # nearly always out of support
-        before = state.params.alpha
         rejected = 0
         for _ in range(50):
-            g.update_params(state, prop, prior)
-            if not state.accept_params:
+            before = state.params.alpha
+            if not g.update_params(state, prop, prior)[0]:
+                assert state.params.alpha == before
                 rejected += 1
         assert rejected > 0
-        assert state.params.alpha == before or state.accept_params in (True, False)
 
     def test_tail_violations_rejected(self):
         params = g.ModelParams(1.0, 1.0, [1.0], [-0.9], [0.0])
@@ -576,7 +569,7 @@ class TestUpdateParams:
         prop = g.ProposalSpec()
         a = basic_state(params=params, seed=21)
         b = basic_state(params=params, seed=21)
-        g.update_params(a, prop, prior)
+        _, log_ratio = g.update_params(a, prop, prior)
         # replay the same innovations on the twin state
         z_alpha = b.rng_params.normal()
         z_theta = b.rng_params.normal(size=1)
@@ -590,7 +583,7 @@ class TestUpdateParams:
         assert_totals_current(b)
         expected = (g.loglik_ratio_params(totals(b), params, cand)
                     + g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, params))
-        assert a.logr_params == pytest.approx(expected, rel=1e-12)
+        assert log_ratio == pytest.approx(expected, rel=1e-12)
 
 
 class TestUpdateBeta:
@@ -608,7 +601,7 @@ class TestUpdateBeta:
         prop = g.ProposalSpec(sigma_beta=0.3)
         a = basic_state(seed=31)
         b = basic_state(seed=31)
-        g.update_beta(a, prop, self.prior())
+        _, log_ratio = g.update_beta(a, prop, self.prior())
         beta_new = b.params.beta + prop.sigma_beta * b.rng_beta.normal()
         spans = b.grid.spans
         expected = sum(
@@ -617,7 +610,7 @@ class TestUpdateBeta:
             for d, h in zip(b.obs.increments, spans)
         )
         # uniform prior contributes zero inside its support
-        assert a.logr_beta == pytest.approx(expected, rel=1e-9)
+        assert log_ratio == pytest.approx(expected, rel=1e-9)
 
     def test_endpoints_preserved_after_accepted_moves(self):
         state = basic_state(seed=41)
@@ -625,8 +618,7 @@ class TestUpdateBeta:
         accepted = 0
         for _ in range(100):
             g.refresh_segments(state)
-            g.update_beta(state, prop, self.prior())
-            accepted += state.accept_beta
+            accepted += g.update_beta(state, prop, self.prior())[0]
             assert np.allclose(state.increments.sum(axis=1), state.obs.increments,
                            rtol=1e-14, atol=0)
         assert accepted > 0
@@ -656,10 +648,9 @@ class TestUpdateBeta:
         increments = state.increments.copy()
         sums, counts = state.seg_sums.copy(), state.seg_counts.copy()
         state.rng_beta = Collapse()
-        g.update_beta(state, g.ProposalSpec(sigma_beta=0.5), prior)
+        outcome = g.update_beta(state, g.ProposalSpec(sigma_beta=0.5), prior)
         assert Collapse.sizes == [(state.active.size, state.m)]     # the active block only
-        assert state.accept_beta is False
-        assert state.logr_beta == -math.inf
+        assert outcome == (False, -math.inf)
         assert state.terms is terms
         assert state.total_sums is total_sums and state.total_counts is total_counts
         assert np.array_equal(state.increments, increments)
@@ -682,9 +673,9 @@ class TestUpdateBeta:
         for _ in range(60):
             g.refresh_segments(state)
             reductions.clear()
-            g.update_beta(state, g.ProposalSpec(sigma_beta=0.2), prior)
+            accepted_now, _ = g.update_beta(state, g.ProposalSpec(sigma_beta=0.2), prior)
             assert len(reductions) <= 1
-            if state.accept_beta:
+            if accepted_now:
                 active = state.active
                 assert reductions == [(active.size, 2)]
                 expected = block_totals(state, state.seg_sums[active], state.seg_counts[active])
@@ -702,7 +693,7 @@ class TestUpdateBeta:
         accepted = 0
         for _ in range(40):
             before = state.params
-            g.update_beta(state, prop, prior)
+            accepted_now, log_ratio = g.update_beta(state, prop, prior)
             assert state.rng_beta.draws == [("normal", None), ("random", None)]
             state.rng_beta.draws.clear()
             for got, same in zip((state.block, state.block_sums, state.block_counts), blocks):
@@ -718,9 +709,9 @@ class TestUpdateBeta:
                 g.gamma_logpdf(d, beta_new * h, before.alpha)
                 - g.gamma_logpdf(d, before.beta * h, before.alpha)
                 for d, h in zip(state.obs.increments, state.grid.spans))
-            assert state.logr_beta == pytest.approx(expected, rel=1e-9, abs=1e-12)
-            assert state.params.beta == (beta_new if state.accept_beta else before.beta)
-            accepted += state.accept_beta
+            assert log_ratio == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert state.params.beta == (beta_new if accepted_now else before.beta)
+            accepted += accepted_now
         assert 0 < accepted < 40
 
     def test_negative_proposals_rejected(self):
@@ -729,8 +720,7 @@ class TestUpdateBeta:
         rejections = 0
         for _ in range(50):
             before = state.params.beta
-            g.update_beta(state, prop, self.prior())
-            if not state.accept_beta:
+            if not g.update_beta(state, prop, self.prior())[0]:
                 assert state.params.beta == before
                 rejections += 1
         assert rejections > 0
@@ -764,9 +754,9 @@ class TestParamTerms:
         for _ in range(300):
             g.refresh_segments(state)
             before, stats = state.params, totals(state)
-            g.update_params(state, prop, prior)
-            accepted_params += state.accept_params
-            if math.isfinite(state.logr_params):
+            accepted, log_ratio = g.update_params(state, prop, prior)
+            accepted_params += accepted
+            if math.isfinite(log_ratio):
                 # the candidate from the same innovations, on ModelParams
                 z = state.rng_params.normals[-1]
                 alpha = before.alpha + prop.sigma_alpha * z[0]
@@ -778,14 +768,13 @@ class TestParamTerms:
                 # the kernel sums the same terms in another order
                 expected = (g.loglik_ratio_params(stats, before, cand)
                             + g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, before))
-                assert state.logr_params == pytest.approx(expected, rel=1e-12, abs=1e-12)
-                if state.accept_params:
+                assert log_ratio == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                if accepted:
                     assert state.params.alpha == cand.alpha
                     assert np.array_equal(state.params.theta_slopes, cand.theta_slopes)
                     assert np.array_equal(state.params.theta_intercepts, cand.theta_intercepts)
                 checked += 1
-            g.update_beta(state, prop, prior)
-            accepted_beta += state.accept_beta
+            accepted_beta += g.update_beta(state, prop, prior)[0]
             terms, log_prior = state.terms, state.log_prior
             assert state.prior is prior
             assert (terms.alpha, terms.beta) == (state.params.alpha, state.params.beta)
@@ -804,19 +793,18 @@ class TestParamTerms:
 
 def reference_update_params(state, prop, prior):
     """update_params as it ran on ModelParams, loglik_ratio_params and prior_logpdf."""
-    state.accept_params, state.logr_params = False, -math.inf
     params, rng = state.params, state.rng_params
     z_alpha = rng.normal()
     z_theta = rng.normal(size=params.n_bins)
     z_rho = rng.normal(size=params.n_bins)
     alpha_new = params.alpha + prop.sigma_alpha * z_alpha
     if alpha_new <= 0:
-        return
+        return False, -math.inf
     if prior.reparam:
         _, _, alpha1, beta1 = reparam_view(params)
         beta1_new = beta1 + prop.sigma_rho * z_rho[0]
         if beta1_new <= 0:
-            return
+            return False, -math.inf
         cand = reparam_invert(alpha_new, params.beta, alpha1 + prop.sigma_theta * z_theta[0],
                               beta1_new, params.bin_edges)
     else:
@@ -825,31 +813,30 @@ def reference_update_params(state, prop, prior):
             theta_slopes=params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha),
             theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho)
     if not cand.tail_integrable:
-        return
+        return False, -math.inf
     lp_new = g.prior_logpdf(prior, cand)
     if lp_new == -math.inf:
-        return
+        return False, -math.inf
     log_ratio = float(g.loglik_ratio_params(totals(state), params, cand)
                       + lp_new - g.prior_logpdf(prior, params))
-    state.logr_params = log_ratio
-    if log_ratio >= math.log(rng.uniform()):
-        set_params(state, cand)
-        state.accept_params = True
+    if not log_ratio >= math.log(rng.uniform()):
+        return False, log_ratio
+    set_params(state, cand)
+    return True, log_ratio
 
 
 def reference_update_beta(state, prop, prior):
     """update_beta as it ran on ModelParams, prior_logpdf, psi_log and the scalar
     Gamma densities of the observed increments, with the reparameterised
     prior's Jacobian ln(beta°/beta)."""
-    state.accept_beta, state.logr_beta = False, -math.inf
     params, rng = state.params, state.rng_beta
     beta_new = params.beta + prop.sigma_beta * rng.normal()
     if beta_new <= 0:
-        return
+        return False, -math.inf
     cand = params.with_updates(beta=beta_new)
     lp_diff = g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, params)
     if lp_diff == -math.inf:
-        return
+        return False, -math.inf
     active, new_stats = state.active, totals(state)
     if active.size:
         block, sub = state.increments[active], sub_spans(state)[active]
@@ -859,7 +846,7 @@ def reference_update_beta(state, prop, prior):
             block = thin_rows(rng, block, sub, params.beta, beta_new)
         block, collapsed = pin_rows(block, state.obs.increments[active])
         if collapsed.any():
-            return
+            return False, -math.inf
         sums, counts = bin_stats_matrix(block, params.bin_edges)
         new_stats = g.BinStats(*state.block_totals(sums, counts), state.grid.horizon)
     density_diff = sum(g.gamma_logpdf(d, beta_new * h, params.alpha)
@@ -869,12 +856,12 @@ def reference_update_beta(state, prop, prior):
                       + (g.psi_log(new_stats, cand) - g.psi_log(totals(state), params)))
     if prior.reparam:
         log_ratio += math.log(beta_new / params.beta)
-    state.logr_beta = log_ratio
-    if log_ratio >= math.log(rng.uniform()):
-        set_params(state, cand)
-        state.accept_beta = True
-        if active.size:
-            state.write_rows(block, sums, counts)
+    if not log_ratio >= math.log(rng.uniform()):
+        return False, log_ratio
+    set_params(state, cand)
+    if active.size:
+        state.write_rows(block, sums, counts)
+    return True, log_ratio
 
 
 def normal_priors(n, sd_theta=1.0, sd_rho=1.5):
@@ -973,8 +960,7 @@ class TestSegmentTotals:
             g.refresh_segments(state)
             assert_totals_current(state)
             g.update_params(state, prop, prior)
-            g.update_beta(state, prop, prior)
-            accepted_beta += state.accept_beta
+            accepted_beta += g.update_beta(state, prop, prior)[0]
             assert_totals_current(state)
             # no move writes an inert row
             assert np.array_equal(state.increments[inert], inert_rows)
@@ -1024,8 +1010,7 @@ class TestActiveBlock:
             g.refresh_segments(state)
             check_views()
             g.update_params(state, prop, prior)
-            g.update_beta(state, prop, prior)
-            accepted += state.accept_beta
+            accepted += g.update_beta(state, prop, prior)[0]
             check_views()
         assert 0 < accepted < 200
         if n_active:
@@ -1104,9 +1089,7 @@ class TestNonFiniteRatios:
         state = self.with_total(basic_state(), 0, math.inf)
         state.rng_params = Upward()
         terms = state.score(self.prior)
-        g.update_params(state, g.ProposalSpec(), self.prior)
-        assert state.accept_params is False
-        assert state.logr_params == -math.inf
+        assert g.update_params(state, g.ProposalSpec(), self.prior) == (False, -math.inf)
         assert state.terms is terms
 
 
@@ -1197,18 +1180,12 @@ class TestRunMcmc:
         assert recs == []
 
     def test_same_seed_identical_streams(self):
-        kwargs = dict(iterations=60, burn_in=10, thinning=2, seed=12, m=4)
+        kwargs = dict(iterations=60, burn_in=10, seed=12, m=4)
         a = list(g.run_mcmc(gamma_obs(), g.ModelParams(1.0, 1.0), self.prior(),
                             g.ProposalSpec(), **kwargs))
         b = list(g.run_mcmc(gamma_obs(), g.ModelParams(1.0, 1.0), self.prior(),
                             g.ProposalSpec(), **kwargs))
         assert a == b
-
-    def test_thinning_stride_and_iterations(self):
-        recs = list(g.run_mcmc(gamma_obs(), g.ModelParams(1.0, 1.0), self.prior(),
-                               g.ProposalSpec(), iterations=30, burn_in=10,
-                               thinning=4, seed=1, m=3))
-        assert [r.iteration for r in recs] == [14, 18, 22, 26, 30]
 
     def test_configuration_errors_before_sampling(self):
         obs = gamma_obs()
@@ -1216,9 +1193,6 @@ class TestRunMcmc:
         with pytest.raises(g.ConfigError):
             list(g.run_mcmc(obs, p0, self.prior(), g.ProposalSpec(), iterations=5,
                             burn_in=9, seed=0))
-        with pytest.raises(g.ConfigError):
-            list(g.run_mcmc(obs, p0, self.prior(), g.ProposalSpec(), iterations=5,
-                            burn_in=0, thinning=0, seed=0))
         with pytest.raises(g.ConfigError):
             list(g.run_mcmc(obs, p0, self.prior(),
                             g.ProposalSpec(update_schedule=("beta",)),
