@@ -110,8 +110,10 @@ def cmd_fit(args) -> int:
                       burn_in=burn_in, seed=args.seed, m=cfg.refinement)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the segments a sweep redraws, whose path rate the tally reports apart
+    n, n_active = obs.n_increments, int(active_segments(obs.increments, cfg.params0.bin_edges).size)
     t0 = time.perf_counter()
-    records, tally = [], MoveTally()
+    records, tally = [], MoveTally(n_segments=n, n_active=n_active)
     for r in sweeps:
         tally.add(r)
         if (r.iteration - burn_in) % args.thinning == 0:
@@ -127,13 +129,7 @@ def cmd_fit(args) -> int:
         "thinning": str(args.thinning),
         "seed": str(args.seed),
     })
-    # how many segments a sweep redraws, and their path acceptance: the inert
-    # others are always accepted (see refresh_segments), so a sweep's rejected
-    # segments, n (1 - accept_path_rate), are all refreshed ones
-    n, n_active = obs.n_increments, int(active_segments(obs.increments, cfg.params0.bin_edges).size)
-    refreshed_rate = (1.0 - n * (1.0 - tally.path_mean_rate) / n_active
-                      if n_active and tally.sweeps else None)
-    segments = {"total": n, "refreshed": n_active, "refreshed_accept_rate": refreshed_rate}
+    segments = {"total": n, "refreshed": n_active}
     with open(out_dir / "meta.json", "w") as fh:
         write_meta_json(fh, config_echo=echo, records=records, tally=tally,
                         extra={"runtime_seconds": round(elapsed, 3), "segments": segments})
@@ -200,6 +196,8 @@ def cmd_diagnose(args) -> int:
                 0.5 * (edges[:-1] + edges[1:]), {"count": counts.astype(float)},
                 {"title": f"posterior of {name}", "xlabel": name, "ylabel": "count"})
     if "band" in figures:
+        if args.x_points < 1:
+            raise ConfigError(f"x-points must be >= 1, got {args.x_points}")
         spec = diagnostics.BandSpec(
             x_grid=np.linspace(args.x_min, args.x_max, args.x_points),
             level=args.band_level, functional=args.band_functional)

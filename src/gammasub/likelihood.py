@@ -16,6 +16,7 @@ psi_log are their views on ModelParams and BinStats, which check that the
 arguments fit together.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +32,7 @@ __all__ = [
     "ParamTerms",
     "compensator_diff",
     "compensator_terms",
+    "endpoint_tolerance",
     "loglik_ratio_params",
     "loglik_ratio_path",
     "param_log_ratio",
@@ -77,14 +79,11 @@ class BinStats:
 def bin_classify(increments: np.ndarray, bin_edges) -> np.ndarray:
     """Half-open bin index of each increment (0 for B_0, edges go right).
 
-    The index is the number of edges at or below the increment, the value
-    searchsorted(bin_edges, increments, side="right") gives; with a handful
-    of edges one comparison pass per edge is cheaper than the search.
+    The index is the number of edges at or below the increment: one
+    searchsorted(side="right"), cheaper than a comparison pass per edge even
+    for a few edges.  A NaN increment sorts above every edge, into B_N.
     """
-    idx = np.zeros(increments.shape, dtype=np.intp)
-    for edge in bin_edges:
-        idx += increments >= edge
-    return idx
+    return np.asarray(bin_edges, dtype=float).searchsorted(increments, side="right")
 
 
 def row_offsets(rows: int, bin_edges) -> np.ndarray:
@@ -100,11 +99,11 @@ def bin_stats_matrix(increments: np.ndarray, bin_edges, offsets: np.ndarray | No
     """
     rows = increments.shape[0]
     k = len(bin_edges) + 1
-    flat = bin_classify(increments, bin_edges)
-    flat += row_offsets(rows, bin_edges) if offsets is None else offsets
-    counts = np.bincount(flat.ravel(), minlength=rows * k).reshape(rows, k)
-    sums = np.bincount(flat.ravel(), weights=increments.ravel(),
-                       minlength=rows * k).reshape(rows, k)
+    idx = bin_classify(increments, bin_edges)
+    idx += row_offsets(rows, bin_edges) if offsets is None else offsets
+    flat = idx.ravel()
+    counts = np.bincount(flat, minlength=rows * k).reshape(rows, k)
+    sums = np.bincount(flat, weights=increments.ravel(), minlength=rows * k).reshape(rows, k)
     return sums, counts
 
 
@@ -227,8 +226,15 @@ def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams) -> 
                            ParamTerms.of(old), ParamTerms.of(new))
 
 
+def endpoint_tolerance(totals) -> np.ndarray:
+    """The largest change in a path's total that loglik_ratio_path takes for a
+    shared endpoint: 1e-9 relative to the total."""
+    return _ENDPOINT_RTOL * np.abs(totals)
+
+
 def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
-                      sums_old: np.ndarray, counts_old: np.ndarray, slopes, intercepts):
+                      sums_old: np.ndarray, counts_old: np.ndarray, slopes, intercepts,
+                      tolerance=None):
     """Log-likelihood ratio of endpoint-matched paths under one model, row-wise.
 
     Takes per-bin sums and counts of shape (N+1,) for one path or (rows, N+1)
@@ -239,9 +245,12 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
 
         -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k).
 
-    Raises ContractError when a row's two totals differ by more than 1e-9
-    relative (the paths do not share endpoints), or either is NaN.  With no
-    bins the products are empty and the value is zero (as -0.0).
+    Raises ContractError when a row's two totals differ by more than
+    tolerance (the paths do not share endpoints), or either is NaN.  The
+    default tolerance is endpoint_tolerance of the old totals; a caller whose
+    rows keep known endpoints passes theirs, computed once.  With no bins the
+    value is zero (as -0.0).  Arrays for slopes and intercepts save a
+    conversion per call.
     """
     n_bins = len(slopes)
     for sums in (sums_new, sums_old):
@@ -249,20 +258,29 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
             raise ContractError(
                 f"stats have {sums.shape[-1] - 1} bins but params have {n_bins}"
             )
-    # row totals as products with ones: a sum over a short last axis costs more
-    ones = np.ones(n_bins + 1)
-    total_new = sums_new @ ones
-    total_old = sums_old @ ones
-    tol = _ENDPOINT_RTOL * np.maximum(np.abs(total_old), np.abs(total_new))
-    mismatched = ~(np.abs(total_new - total_old) <= tol)
-    if np.any(mismatched):
-        raise ContractError(
-            f"paths do not share endpoints: totals differ in {int(np.sum(mismatched))} row(s)"
-        )
-    # whole-row differences are contiguous passes; bin 0 is then sliced off
+    # whole-row differences are contiguous passes; bin 0 is sliced off below.
+    # Row totals are dot products with ones: a sum over a short axis costs more.
     d_sums = sums_new - sums_old
+    ones = _ones(n_bins + 1)
+    if tolerance is None:
+        tolerance = endpoint_tolerance(sums_old.dot(ones))
+    drift = np.abs(d_sums.dot(ones))
+    # a NaN drift or total compares False, so it counts as a mismatch
+    n_matched = np.count_nonzero(drift <= tolerance)
+    if n_matched != drift.size:
+        raise ContractError(
+            f"paths do not share endpoints: totals differ in {drift.size - n_matched} row(s)"
+        )
     d_counts = counts_new - counts_old
     return -(d_sums[..., 1:] @ slopes + d_counts[..., 1:] @ intercepts)
+
+
+@functools.cache
+def _ones(size: int) -> np.ndarray:
+    """A read-only vector of size ones, made once per size."""
+    ones = np.ones(size)
+    ones.flags.writeable = False
+    return ones
 
 
 def psi_log(stats: BinStats, params: ModelParams) -> float:

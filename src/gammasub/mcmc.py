@@ -59,8 +59,9 @@ from .data import Observations
 from .exceptions import ConfigError, ContractError, DataError, DomainError
 # loglik_ratio_params and psi_log, the ModelParams views of the moves' ratios,
 # stay names of this module, where bench/tracer.py rebinds them
-from .likelihood import (ParamTerms, bin_stats_matrix, loglik_ratio_params,  # noqa: F401
-                         loglik_ratio_path, param_log_ratio, psi_log, psi_terms, row_offsets)
+from .likelihood import (ParamTerms, bin_stats_matrix, endpoint_tolerance,  # noqa: F401
+                         loglik_ratio_params, loglik_ratio_path, param_log_ratio, psi_log,
+                         psi_terms, row_offsets)
 from .model import ModelParams, PriorSpec, prior_logpdf
 from .paths import TimeGrid, _one_value, augment_rows, bridge_rows, pin_rows, thin_rows
 from .specfun import log_gamma_values
@@ -140,7 +141,9 @@ class ChainRecord:
                            np.asarray(self.theta), np.asarray(self.rho))
 
 
-@dataclass
+# slots: the state has more attributes than CPython shares keys for in an
+# instance dict (about 30), and past that every attribute read of a sweep is slower
+@dataclass(slots=True)
 class ChainState:
     """Mutable sampler state: parameters plus the augmented segments.
 
@@ -182,9 +185,15 @@ class ChainState:
     inert_sums: np.ndarray = field(init=False)      # (N+1,) bin sums of the inert segments
     inert_counts: np.ndarray = field(init=False)    # (N+1,) bin counts of the inert segments
     block_targets: np.ndarray = field(init=False)   # (n_active,) the block's observed increments
+    # endpoint_tolerance of block_targets: every row of the block and of a
+    # bridge proposal sums to its target, so this is the refresh's endpoint check
+    block_tolerance: np.ndarray = field(init=False)
     # the block's sub-step spans h_i / m: (n_active, 1), or one float when all are equal
     block_sub_spans: np.ndarray | float = field(init=False)
     block_offsets: np.ndarray = field(init=False)   # bin_stats_matrix's offsets for the block
+    edge_array: np.ndarray = field(init=False)      # terms.edges as the array bin_stats_matrix reads
+    # path_coefficients' cache: (terms, slopes array, intercepts array)
+    _coefficients: tuple = field(default=(None,), init=False, repr=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
     # chain: sum_i h_i log(delta_i), sum_i h_i, and the distinct spans h with
     # their counts, so that lnGamma runs once per distinct span.
@@ -205,8 +214,10 @@ class ChainState:
         self.total_sums, self.total_counts = self.block_totals(self.block_sums, self.block_counts)
         spans = self.grid.spans
         self.block_targets = self.obs.increments[active]
+        self.block_tolerance = endpoint_tolerance(self.block_targets)
         self.block_sub_spans = _one_value((spans[active] / self.grid.m)[:, None])
         self.block_offsets = row_offsets(active.size, self.terms.edges)
+        self.edge_array = np.array(self.terms.edges, dtype=float)
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
         self.distinct_spans, self.span_counts = np.unique(spans, return_counts=True)
@@ -247,11 +258,20 @@ class ChainState:
         t = self.terms
         return ModelParams(t.alpha, t.beta, t.edges, t.slopes, t.intercepts)
 
+    def path_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """terms' slopes and intercepts as arrays, which loglik_ratio_path
+        reads without a conversion; built again when terms is replaced."""
+        t = self.terms
+        if self._coefficients[0] is not t:
+            self._coefficients = t, np.array(t.slopes, dtype=float), np.array(t.intercepts, dtype=float)
+        return self._coefficients[1:]
+
     def block_totals(self, sums: np.ndarray, counts: np.ndarray) -> tuple[list, list]:
         """Totals over all segments as float and int lists, given the active
-        block's (n_active, N+1) statistics."""
-        return ((self.inert_sums + sums.sum(axis=0)).tolist(),
-                (self.inert_counts + counts.sum(axis=0)).tolist())
+        block's (n_active, N+1) statistics; each adds the inert segments' to
+        the block's column sums, which add the rows in order."""
+        return ((self.inert_sums + np.add.reduce(sums, 0)).tolist(),
+                (self.inert_counts + np.add.reduce(counts, 0)).tolist())
 
     def write_rows(self, increments: np.ndarray, sums: np.ndarray, counts: np.ndarray,
                    where: np.ndarray | None = None,
@@ -309,7 +329,7 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
         raise ContractError("grid observation times must equal the data times")
     rng_path, rng_accept, rng_params, rng_beta = _make_rngs(seed)
     deltas = obs.increments
-    shapes = params0.beta * (grid.spans / grid.m)[:, None]
+    shapes = _one_value(params0.beta * (grid.spans / grid.m)[:, None])
     increments = bridge_rows(rng_path, shapes, deltas, grid.m)
     sums, counts = bin_stats_matrix(increments, params0.bin_edges)
     return ChainState(
@@ -326,7 +346,8 @@ def refresh_segments(state: ChainState) -> float:
     returns the path acceptance rate over every segment.
 
     The proposal reads beta from state.terms, the path ratio its slopes and
-    intercepts, and both the chain's bin edges.  The acceptance for segment
+    intercepts (ChainState.path_coefficients), and both the chain's bin
+    edges (ChainState.edge_array).  The acceptance for segment
     i compares the endpoint-matched path ratio to ln(U_i).  Noise and uniforms
     are drawn in one fixed-layout block over the active segments, so the
     decisions do not depend on the order in which segments are visited.
@@ -343,14 +364,17 @@ def refresh_segments(state: ChainState) -> float:
     if n_active:
         t = state.terms
         proposal = bridge_rows(state.rng_path, t.beta * state.block_sub_spans,
-                               state.block_targets, state.m)
-        new_sums, new_counts = bin_stats_matrix(proposal, t.edges, state.block_offsets)
+                               state.block_targets, state.grid.m)
+        new_sums, new_counts = bin_stats_matrix(proposal, state.edge_array, state.block_offsets)
         log_ratio = loglik_ratio_path(new_sums, new_counts, state.block_sums,
-                                      state.block_counts, t.slopes, t.intercepts)
+                                      state.block_counts, *state.path_coefficients(),
+                                      state.block_tolerance)
         accepted = log_ratio >= np.log(state.rng_accept.uniform(size=n_active))
         n_rejected = n_active - int(np.count_nonzero(accepted))
         if n_rejected < n_active:
-            state.write_rows(proposal, new_sums, new_counts, where=accepted)
+            # with every row accepted the proposal becomes the block as it is
+            state.write_rows(proposal, new_sums, new_counts,
+                             where=accepted if n_rejected else None)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
     return (state.n_segments - n_rejected) / state.n_segments
 
@@ -493,9 +517,9 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
         elif beta_new < cur.beta:
             block = thin_rows(rng, block, sub, cur.beta, beta_new)
         block, collapsed = pin_rows(block, state.block_targets)
-        if collapsed.any():
+        if np.count_nonzero(collapsed):
             return False, -math.inf
-        block_sums, block_counts = bin_stats_matrix(block, cur.edges, state.block_offsets)
+        block_sums, block_counts = bin_stats_matrix(block, state.edge_array, state.block_offsets)
         totals = state.block_totals(block_sums, block_counts)
     psi_new = psi_terms(*totals, horizon, new)
 
@@ -594,13 +618,14 @@ def chain_csv_header(n_bins: int) -> str:
 
 
 def write_chain_csv(records, stream, n_bins: int) -> None:
-    """Serialize chain records; full double precision, one row per record."""
+    """Serialize chain records; full double precision, one row per record.
+    Floats are written as repr(float(v)), so a numpy scalar writes as a number."""
     stream.write(chain_csv_header(n_bins) + "\n")
     for r in records:
-        row = [str(r.iteration), repr(r.alpha), repr(r.beta)]
-        row += [repr(v) for v in r.theta]
-        row += [repr(v) for v in r.rho]
-        row += [repr(r.accept_path_rate), _fmt_opt_bool(r.accept_params),
+        row = [str(r.iteration), repr(float(r.alpha)), repr(float(r.beta))]
+        row += [repr(float(v)) for v in r.theta]
+        row += [repr(float(v)) for v in r.rho]
+        row += [repr(float(r.accept_path_rate)), _fmt_opt_bool(r.accept_params),
                 _fmt_opt_bool(r.accept_beta), _fmt_opt_float(r.logr_params),
                 _fmt_opt_float(r.logr_beta)]
         stream.write(",".join(row) + "\n")
@@ -649,9 +674,13 @@ class MoveTally:
     those that accepted, and those whose ratio was -inf: rejected before a
     ratio was formed (outside the model's domain or the prior's support,
     or, for the beta move, a collapsed segment).  add reads the accept and
-    logr fields a ChainRecord has.
+    logr fields a ChainRecord has.  n_segments and n_active, the chain's
+    segment count and active_segments' count, give the path rate of the
+    active rows alone; a tally not given them reports that rate as None.
     """
 
+    n_segments: int = 0
+    n_active: int = 0
     sweeps: int = 0
     path_rate_sum: float = 0.0
     params: list = field(default_factory=lambda: [0, 0, 0])  # attempted, accepted, -inf
@@ -671,11 +700,21 @@ class MoveTally:
     def path_mean_rate(self) -> float | None:
         return self.path_rate_sum / self.sweeps if self.sweeps else None
 
+    @property
+    def path_active_rate(self) -> float | None:
+        """Mean path acceptance of the active rows: inert rows are always
+        accepted (see refresh_segments), so a sweep's n_segments (1 - rate)
+        rejected rows are all active ones.  None without an active row."""
+        if not (self.n_active and self.sweeps):
+            return None
+        return 1.0 - self.n_segments * (1.0 - self.path_mean_rate) / self.n_active
+
     def acceptance(self) -> dict:
         def rate(counts):
             return counts[1] / counts[0] if counts[0] else None
 
         return {"path_refresh_mean_rate": self.path_mean_rate,
+                "path_refresh_active_rate": self.path_active_rate,
                 "params_rate": rate(self.params), "beta_rate": rate(self.beta),
                 "params_domain_rejects": self.params[2], "beta_domain_rejects": self.beta[2]}
 

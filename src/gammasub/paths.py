@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _RESAMPLE_LIMIT = 100
+_TINY = np.finfo(float).tiny
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -80,9 +81,17 @@ def _step_spans(grid: TimeGrid) -> np.ndarray:
 # and the path functions further down are their one-row views.  Step
 # spans h broadcast against the matrix ((rows, 1) per segment, or one row).
 #
-# The kernels sit on the sampler's hot path, and every rewrite of them must
-# give the same floats from the same draws, bit for bit, so that chains do
-# not move: same operations in the same order, same Generator calls.
+# The kernels sit on the sampler's hot path, where a sweep handles a dozen
+# rows of ten, so their cost is numpy's per-call overhead more than the
+# arithmetic: a rewrite that saves time drops calls, not work.  Every rewrite
+# must keep the chain bit for bit, which means three rules.  Same draws: the
+# same Generator methods, called in the same order with the same sizes.  Same
+# reduction order: a float total keeps its numpy reduction (pin_rows' row
+# sums, np.add.reduce(raw, 1), which is what raw.sum(axis=1) runs, and
+# bincount's accumulation), because its rounding feeds every later
+# acceptance ratio.  Python floats out: what reaches a ChainRecord is
+# a Python float or int (int(np.count_nonzero(...)), never the numpy scalar),
+# because the chain file writes repr of each value.
 
 def _one_value(p):
     """p's value as a scalar when every entry is equal, else p unchanged.
@@ -93,7 +102,7 @@ def _one_value(p):
     a kernel is one value, and the sampler hands it over as a scalar, which
     is returned as it is.
     """
-    if np.ndim(p) == 0:
+    if isinstance(p, float) or np.ndim(p) == 0:
         return p
     p = np.asarray(p)
     if p.size and (p == p.flat[0]).all():
@@ -112,9 +121,10 @@ def pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarr
     and flagged in the degenerate mask, to be redrawn or rejected.  raw is
     not modified.
     """
-    total = raw.sum(axis=1, keepdims=True)
-    degenerate = total[:, 0] * targets < np.finfo(float).tiny
-    total[degenerate] = 1.0
+    total = np.add.reduce(raw, 1, keepdims=True)    # raw.sum(axis=1), without its wrapper
+    degenerate = total[:, 0] * targets < _TINY
+    if np.count_nonzero(degenerate):
+        total[degenerate] = 1.0
     pinned = raw * targets[:, None]
     pinned /= total
     return pinned, degenerate
@@ -124,23 +134,25 @@ def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarra
                 m: int) -> np.ndarray:
     """Gamma bridge increments, (rows, m), with Gamma shapes `shapes`, rows summing to targets.
 
-    shapes broadcasts against the output: (rows, 1) for one shape per row,
-    or (rows, m).  The bridge is scale free, so the driving increments are
-    drawn with unit scale.  Rows pin_rows flags as degenerate are redrawn,
-    alone, up to 100 times before DegeneratePathError is raised.
+    shapes is a scalar or broadcasts against the output: (rows, 1) for one
+    shape per row, or (rows, m).  It is drawn from as given: a caller whose
+    shapes are all one value passes that value (_one_value), which draws the
+    same variates faster.  The bridge is scale free, so the driving
+    increments are drawn with unit scale.  Rows pin_rows flags as degenerate
+    are redrawn, alone, up to 100 times before DegeneratePathError is raised.
     """
-    shapes = _one_value(shapes)
     pinned, degenerate = pin_rows(rng.gamma(shape=shapes, size=(targets.size, m)), targets)
     for _ in range(_RESAMPLE_LIMIT):
-        if not degenerate.any():
+        if not np.count_nonzero(degenerate):
             return pinned
         idx = np.flatnonzero(degenerate)
         redraw = rng.gamma(shape=shapes if np.ndim(shapes) == 0 else shapes[idx],
                            size=(idx.size, m))
         pinned[idx], degenerate[idx] = pin_rows(redraw, targets[idx])
-    if degenerate.any():
+    n_degenerate = int(np.count_nonzero(degenerate))
+    if n_degenerate:
         raise DegeneratePathError(
-            f"{int(degenerate.sum())} bridge proposals degenerate after "
+            f"{n_degenerate} bridge proposals degenerate after "
             f"{_RESAMPLE_LIMIT} resamples; increase refinement or check beta*h"
         )
     return pinned

@@ -131,7 +131,9 @@ class TestCliRoundTrip:
         assert meta["n_records"] == 150
         assert meta["config"]["seed"] == "11"
         # a binless model has no segment that a sweep redraws, so no rate over them
-        assert meta["segments"] == {"total": 50, "refreshed": 0, "refreshed_accept_rate": None}
+        assert meta["segments"] == {"total": 50, "refreshed": 0}
+        assert meta["acceptance"]["path_refresh_active_rate"] is None
+        assert meta["acceptance"]["path_refresh_mean_rate"] == 1.0
 
         fig_dir = tmp_path / "figs"
         rc = main(["diagnose", "--chain", str(out_dir / "chain.csv"),
@@ -186,7 +188,7 @@ class TestCliRoundTrip:
         with open(out / "chain.csv") as fh:
             records = read_chain_csv(fh)
         rates = [(n_active - (100 - round(r.accept_path_rate * 100))) / n_active for r in records]
-        rate = segments["refreshed_accept_rate"]
+        rate = meta["acceptance"]["path_refresh_active_rate"]
         assert rate == pytest.approx(sum(rates) / len(rates), rel=1e-12)
         assert 0.0 <= rate < meta["acceptance"]["path_refresh_mean_rate"] <= 1.0
 
@@ -258,7 +260,7 @@ class TestCliRoundTrip:
         assert acceptance == full_meta["acceptance"]
         n_active = meta["segments"]["refreshed"]
         rates = [(n_active - (100 - round(r.accept_path_rate * 100))) / n_active for r in records]
-        assert meta["segments"]["refreshed_accept_rate"] == pytest.approx(
+        assert acceptance["path_refresh_active_rate"] == pytest.approx(
             sum(rates) / len(rates), rel=1e-12)
 
     def test_diagnose_rerun_byte_identical(self, tmp_path):
@@ -333,9 +335,11 @@ class TestCliRoundTrip:
     @pytest.mark.parametrize("chain_config, diagnose_config, options, message", [
         (BASIC_CONFIG, BASIC_CONFIG, ["--band-level", "1.5"], "level must be in (0, 1), got 1.5"),
         (BASIC_CONFIG, BASIC_CONFIG, ["--hist-bins", "0"], "bins must be >= 1, got 0"),
+        (BASIC_CONFIG, BASIC_CONFIG, ["--x-points", "-1"], "x-points must be >= 1, got -1"),
+        (BASIC_CONFIG, BASIC_CONFIG, ["--x-points", "0"], "x-points must be >= 1, got 0"),
         (BINNED_CONFIG.replace("1 2 4", "1 2").replace("0 0 0", "0 0"), BINNED_CONFIG, [],
          "the chain has 2 bins but the config has 3"),
-    ], ids=["band level", "hist bins", "bin count"])
+    ], ids=["band level", "hist bins", "x points -1", "x points 0", "bin count"])
     def test_diagnose_checks_its_inputs_first(self, tmp_path, capsys, chain_config,
                                              diagnose_config, options, message):
         chain = self.fit_chain(tmp_path, chain_config, "--iterations", "20")

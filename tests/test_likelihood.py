@@ -18,7 +18,8 @@ from gammasub import (
     psi_log,
     sample_gamma_bridge,
 )
-from gammasub.likelihood import bin_classify, bin_stats_matrix, compensator_diff
+from gammasub.likelihood import (bin_classify, bin_stats_matrix, compensator_diff,
+                                  endpoint_tolerance)
 
 
 def searchsorted_stats(increments, bin_edges):
@@ -29,6 +30,15 @@ def searchsorted_stats(increments, bin_edges):
     sums = np.bincount(flat.ravel(), weights=increments.ravel(),
                        minlength=rows * k).reshape(rows, k)
     return sums, counts
+
+
+def loop_classify(increments, bin_edges):
+    """Reference bin indices: one comparison pass per edge, counting the edges
+    at or below each increment."""
+    idx = np.zeros(increments.shape, dtype=np.intp)
+    for edge in bin_edges:
+        idx += increments >= edge
+    return idx
 
 
 def model(alpha=1.0, beta=1.0, edges=(1.0,), slopes=(0.0,), intercepts=(0.0,)):
@@ -68,8 +78,9 @@ class TestBinStats:
         assert counts.sum(axis=1).tolist() == [40] * 3
 
     def test_matrix_equals_searchsorted_reference(self):
-        # counting the edges at or below each value is searchsorted(side="right"),
-        # and the sums accumulate in the same order: equal bit for bit
+        # counting the edges at or below each value, by search or by one pass
+        # per edge, gives the same indices, and the sums accumulate in the
+        # same order: equal bit for bit
         edges = np.array([1e-310, 0.5, 1.0, 2.0])
         inc = np.random.default_rng(17).gamma(0.3, size=(40, 9))
         inc[0, :5] = [1e-310, 0.5, 1.0, 2.0, 0.5]                   # exactly on the edges
@@ -77,8 +88,9 @@ class TestBinStats:
         inc[2, :4] = [5e-324, 5e-311, np.nextafter(1e-310, 0), np.finfo(float).tiny]
         inc[3, :2] = [np.nextafter(0.5, 0), np.nextafter(2.0, 3)]
         for bin_edges in (edges, edges[1:], edges[2:3], np.empty(0)):
-            assert np.array_equal(bin_classify(inc, bin_edges),
-                                  np.searchsorted(bin_edges, inc, side="right"))
+            assert np.array_equal(bin_classify(inc, bin_edges), loop_classify(inc, bin_edges))
+            assert np.array_equal(bin_classify(inc, tuple(bin_edges.tolist())),
+                                  loop_classify(inc, bin_edges))
             sums, counts = bin_stats_matrix(inc, bin_edges)
             ref_sums, ref_counts = searchsorted_stats(inc, bin_edges)
             assert np.array_equal(sums, ref_sums)
@@ -286,6 +298,32 @@ class TestLoglikRatioPath:
         with pytest.raises(ContractError):
             loglik_ratio_path(nan_row[:, :1], counts[:, :1], sums[:, :1], counts[:, :1],
                               (), ())
+
+    def test_given_tolerance_bounds_each_row(self):
+        # a caller with known endpoints passes their tolerance instead
+        p = model(slopes=(0.3,), intercepts=(0.2,))
+        old_s = np.array([[1.0, 3.0], [2.0, 2.0]])
+        counts = np.array([[5, 2], [4, 3]])
+        shifted = old_s + np.array([[0.0, 0.0], [0.0, 4e-8]])
+        with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
+            loglik_ratio_path(shifted, counts, old_s, counts, *theta(p),
+                              endpoint_tolerance(np.array([4.0, 4.0])))
+        assert loglik_ratio_path(shifted, counts, old_s, counts, *theta(p),
+                                 np.array([0.0, 1e-7])).shape == (2,)
+
+    def test_nan_increment_ends_in_the_endpoint_check(self):
+        # searchsorted sorts a NaN increment above every edge, into the last
+        # bin; its row's sums and total are NaN, which the check rejects
+        edges = np.array([1.0, 2.0])
+        old = np.array([[0.5, 1.5, 2.5], [0.2, 0.3, 0.4]])
+        new = old.copy()
+        new[1, 1] = np.nan
+        assert bin_classify(new, edges)[1].tolist() == [0, 2, 0]
+        s_old, c_old = bin_stats_matrix(old, edges)
+        s_new, c_new = bin_stats_matrix(new, edges)
+        with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
+            loglik_ratio_path(s_new, c_new, s_old, c_old, np.array([0.3, 0.1]),
+                              np.array([0.2, 0.0]))
 
 
 class TestPsiLog:

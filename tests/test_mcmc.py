@@ -1,15 +1,18 @@
 """Sampler mechanics: initialization, refreshes, parameter and activity moves."""
 
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+import scipy
 from scipy import integrate, special
 from scipy.stats import gamma as gamma_dist
 
 import gammasub as g
 from gammasub import mcmc
+from gammasub.config import parse_config
 from gammasub.likelihood import ParamTerms, bin_stats_matrix, loglik_ratio_path
 from gammasub.mcmc import (
     chain_csv_header,
@@ -167,6 +170,31 @@ class TestRefreshSegments:
                               (state.seg_counts, old_counts, new_counts)):
             assert np.array_equal(got[active[rejected]], old[active[rejected]])
             assert np.array_equal(got[active[~rejected]], new[~rejected])
+
+    def test_nan_proposal_is_a_contract_error(self):
+        class NanRow:
+            """Real Gamma draws, except that row 1 holds a NaN."""
+
+            def __init__(self, gen):
+                self.gen = gen
+
+            def gamma(self, shape, size):
+                out = self.gen.gamma(shape, size=size)
+                out[1, 0] = np.nan
+                return out
+
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=13)
+        state.rng_path = NanRow(state.rng_path)
+        with pytest.raises(g.ContractError, match="do not share endpoints"):
+            g.refresh_segments(state)
+
+    def test_path_coefficients_follow_the_terms(self):
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5, 1.0], [0.4, 0.1], [0.2, -0.3]))
+        slopes, intercepts = state.path_coefficients()
+        assert slopes.tolist() == [0.4, 0.1] and intercepts.tolist() == [0.2, -0.3]
+        assert state.path_coefficients()[0] is slopes
+        set_params(state, g.ModelParams(1.0, 1.0, [0.5, 1.0], [0.7, 0.0], [0.0, 0.5]))
+        assert [c.tolist() for c in state.path_coefficients()] == [[0.7, 0.0], [0.0, 0.5]]
 
     def test_acceptance_depends_only_on_perturbed_bins(self):
         # same slopes/intercepts, different alpha: identical decisions
@@ -1266,6 +1294,22 @@ class TestChainIo:
         with pytest.raises(g.DataError, match="header"):
             read_chain_csv(io.StringIO("time,value\n0.0,0.0\n"))
 
+    def test_numpy_scalars_round_trip(self):
+        # a record holding numpy scalars writes the text of the Python floats
+        # (repr would write 'np.float64(2.0)', which read_chain_csv rejects)
+        mixed = mcmc.ChainRecord(3, np.float64(2.0), 0.5, (np.float64(0.25),), (np.float64(-1.5),),
+                                 np.float64(0.9), accept_params=True,
+                                 logr_params=np.float64(-0.125))
+        plain = mcmc.ChainRecord(3, 2.0, 0.5, (0.25,), (-1.5,), 0.9, accept_params=True,
+                                 logr_params=-0.125)
+        texts = []
+        for rec in (mixed, plain):
+            buf = io.StringIO()
+            write_chain_csv([rec], buf, 1)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+        assert read_chain_csv(io.StringIO(texts[0])) == [plain]
+
     def test_header(self):
         assert chain_csv_header(2) == (
             "iteration,alpha,beta,theta_1,theta_2,rho_1,rho_2,"
@@ -1280,6 +1324,18 @@ class TestChainIo:
         assert meta["config"]["alpha_init"] == "1.0"
         assert meta["n_records"] == len(recs)
         assert 0.0 <= meta["acceptance"]["path_refresh_mean_rate"] <= 1.0
+        # a tally not given the segment counts has no active-row rate
+        assert meta["acceptance"]["path_refresh_active_rate"] is None
+
+    def test_active_rate_counts_every_rejection_against_the_active_rows(self):
+        # 10 segments, 4 active: sweeps with 0, 1 and 3 rejected rows
+        tally = mcmc.MoveTally(n_segments=10, n_active=4)
+        for rejected in (0, 1, 3):
+            tally.add(mcmc.ChainRecord(1, 1.0, 1.0, (), (), (10 - rejected) / 10))
+        assert tally.path_mean_rate == pytest.approx(1 - 4 / 30, rel=1e-15)
+        assert tally.path_active_rate == pytest.approx(1 - 4 / 12, rel=1e-14)
+        assert mcmc.MoveTally(n_segments=10, n_active=0).path_active_rate is None
+        assert mcmc.MoveTally(n_segments=10, n_active=4).path_active_rate is None
 
 
 class TestGammaExactness:
@@ -1304,3 +1360,69 @@ class TestGammaExactness:
         batches = chain[: 20 * (chain.size // 20)].reshape(20, -1).mean(axis=1)
         se = batches.std(ddof=1) / math.sqrt(batches.size)
         assert abs(chain.mean() - target) < 3 * se
+
+
+# The benchmark's workload inputs (bench/workloads.py), rebuilt from gammasub.data
+_PIN_MIXTURE = """\
+bin_edges = {edges}
+alpha_init = 2.0
+beta_init = {beta!r}
+alpha_prior = gamma 2 1
+theta_prior = normal 0 1
+rho_prior = normal 0 1.5
+sigma_alpha = 0.025
+sigma_theta = 0.025
+sigma_rho = 0.15
+refinement = 10
+"""
+
+_PIN_BINLESS = """\
+alpha_init = 1.0
+beta_init = 1.0
+alpha_prior = gamma 2 1
+sigma_alpha = 0.1
+refinement = 4
+"""
+
+
+def pin_inputs(workload, seed):
+    """(Observations, RunConfig) of a benchmark workload at a data seed."""
+    if workload == "binless":
+        rng = np.random.Generator(np.random.Philox(seed))
+        times, increments = np.arange(2001, dtype=float), rng.gamma(1.0, 0.5, size=2000)
+        text = _PIN_BINLESS
+    else:
+        n, edges, extra = (1000, "1 2 4", "") if workload == "mixture" else (
+            200, "1 2", "beta_prior = uniform 0.05 100\nupdate_schedule = beta params\n")
+        data, truth = g.synth_two_gamma(2.0, 0.4, 0.2, 0.04, T=200.0, n=n, seed=seed)
+        times, increments = data.times, data.increments
+        text = _PIN_MIXTURE.format(edges=edges, beta=truth.beta_bar) + extra
+    return g.Observations.from_increments(times, increments), parse_config(text)
+
+
+def pinned_chain_digest(workload, seed, iterations=300):
+    """sha256 of write_chain_csv's output for the workload's first chain."""
+    obs, cfg = pin_inputs(workload, seed)
+    recs = g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=iterations,
+                      burn_in=0, seed=[seed, 1], m=cfg.refinement)
+    buf = io.StringIO()
+    write_chain_csv(recs, buf, cfg.params0.n_bins)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != _PINNED_VERSIONS,
+    reason="chain bytes are pinned for numpy 2.4.6 and scipy 1.17.1, the versions CI "
+           "installs; numpy's Gamma and Beta algorithms may differ elsewhere")
+@pytest.mark.parametrize("workload, seed, digest", [
+    ("mixture", 7, "54bf0b891cba7fe6a6905ecb86f55cb2d10f83506de530437a9c0f1e827d568e"),
+    ("mixture", 23, "06a7c78058b27e18b7c8ca5163e0e9e8b3724e89ddd29d33c7f45d9e9fc46bb9"),
+    ("binless", 7, "1abdc787ab0bb93823ff0184435a7a0d664f9f173439c8f5860dcdff3bbcc07f"),
+    ("beta_binned", 7, "ed2e4833154d8cbd3f6756aeb3626d8d707ac0158e2bb89ecd6c845e9636a796"),
+])
+def test_chain_bytes_pinned(workload, seed, digest):
+    # a kernel rewrite must leave every chain byte where it was
+    assert pinned_chain_digest(workload, seed) == digest
