@@ -17,7 +17,7 @@ from .exceptions import (
     DomainError,
     GammasubError,
 )
-from .likelihood import BinStats, loglik_ratio_params, loglik_ratio_path, psi_log
+from .likelihood import ParamTerms, loglik_ratio_params, loglik_ratio_path, psi_log
 from .mcmc import (
     ChainRecord,
     ChainState,
@@ -48,7 +48,7 @@ __all__ = [
     "BandSpec", "credible_band", "histogram", "running_average",
     "GammasubError", "DomainError", "ContractError", "ConfigError",
     "DataError", "DegeneratePathError",
-    "BinStats", "loglik_ratio_params", "loglik_ratio_path", "psi_log",
+    "ParamTerms", "loglik_ratio_params", "loglik_ratio_path", "psi_log",
     "ChainRecord", "ChainState", "ProposalSpec", "init_chain",
     "refresh_segments", "run_mcmc", "update_beta", "update_params",
     "ModelParams", "Prior", "PriorSpec", "levy_density",

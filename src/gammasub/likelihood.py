@@ -3,77 +3,40 @@
 All Metropolis-Hastings acceptances in the sampler reduce to quantities
 computed here from per-bin increment sums and counts, which
 bin_stats_matrix takes row by row from a (rows, m) increment matrix: the
-ratio between two parameter vectors on a fixed path, the ratio between two
-endpoint-matched paths under fixed parameters, and psi, a path's
-log-density against its Gamma reference.  Everything is computed and
-consumed in log space; acceptance compares a log ratio to ln(U).
+ratio between two parameter vectors on a fixed path (loglik_ratio_params,
+with its compensator compensator_diff), the ratio between two
+endpoint-matched paths under fixed parameters (loglik_ratio_path, row-wise)
+and psi_log, a path's log-density against its Gamma reference.  Everything
+is computed and consumed in log space; acceptance compares a log ratio to
+ln(U).
 
-The parameter ratio and psi have one implementation each, on Python floats
-(ParamTerms, and the bin totals as float and int sequences):
-param_log_ratio with its compensator, compensator_terms, and psi_terms,
-which the sampler's moves call.  loglik_ratio_params, compensator_diff and
-psi_log are their views on ModelParams and BinStats, which check that the
-arguments fit together.
+loglik_ratio_params and psi_log read the bin totals S_0..S_N and C_0..C_N
+as sequences of floats and ints and a parameter vector as a ParamTerms: its
+Python floats with the bin-mass terms of model.mass_factors and
+model.nu_bin_mass.  Each formula is this one function, which the sampler's
+moves call by name through mcmc's globals, as compensator_diff calls
+model.nu_diff_bin0 and ParamTerms.at model.nu_bin_mass through this
+module's.
 """
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ContractError, DomainError
-# nu_bin_mass and nu_diff_bin0 stay names of this module, where bench/tracer.py rebinds them
-from .model import (ModelParams, bin0_mass_diff, bin_mass_values, mass_factors,  # noqa: F401
-                    nu_bin_mass, nu_diff_bin0)
+from .exceptions import ContractError
+from .model import ModelParams, mass_factors, nu_bin_mass, nu_diff_bin0
 
 __all__ = [
-    "BinStats",
     "ParamTerms",
     "compensator_diff",
-    "compensator_terms",
     "endpoint_tolerance",
     "loglik_ratio_params",
     "loglik_ratio_path",
-    "param_log_ratio",
     "psi_log",
-    "psi_terms",
 ]
 
 _ENDPOINT_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BinStats:
-    """Per-bin increment sums and counts over a horizon.
-
-    Index k runs over bins B_0, ..., B_N; sums[k] accumulates the increments
-    whose size falls in B_k and counts[k] how many there were.  The sums
-    partition the total displacement exactly.
-    """
-
-    sums: np.ndarray
-    counts: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        sums = np.asarray(self.sums, dtype=float).flatten()
-        counts = np.asarray(self.counts, dtype=np.int64).flatten()
-        sums.flags.writeable = False
-        counts.flags.writeable = False
-        object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "horizon", float(self.horizon))
-        if sums.size != counts.size or sums.size == 0:
-            raise DomainError("sums and counts must be equal-length, non-empty")
-        if (sums < 0).any() or (counts < 0).any():
-            raise DomainError("sums and counts must be non-negative")
-        if not self.horizon > 0:
-            raise DomainError(f"horizon must be > 0, got {self.horizon}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.sums.size - 1
 
 
 def bin_classify(increments: np.ndarray, bin_edges) -> np.ndarray:
@@ -111,7 +74,7 @@ class ParamTerms(NamedTuple):
     """One parameter vector as Python floats, with the bin-mass terms the ratios read.
 
     e1_b1, units and ref_units are model.mass_factors's, masses are
-    model.bin_mass_values's nu(B_1), ..., nu(B_N), and the Gamma
+    model.nu_bin_mass's nu(B_1), ..., nu(B_N), and the Gamma
     reference's masses, which psi subtracts, are beta * ref_units.
     """
 
@@ -133,7 +96,7 @@ class ParamTerms(NamedTuple):
         if factors is None:
             factors = mass_factors(alpha, slopes, edges)
         return cls(edges, alpha, beta, slopes, intercepts, *factors,
-                   bin_mass_values(beta, intercepts, factors[1]))
+                   nu_bin_mass(beta, intercepts, factors[1]))
 
     @classmethod
     def of(cls, params: ModelParams) -> "ParamTerms":
@@ -143,19 +106,23 @@ class ParamTerms(NamedTuple):
                       tuple(params.theta_intercepts.tolist()))
 
 
-def compensator_terms(old: ParamTerms, new: ParamTerms) -> float:
-    """Total jump-measure difference sum_{k=0..N} (nu_new - nu_old)(B_k) at one beta."""
-    total = bin0_mass_diff(old.beta, new.alpha, old.alpha, new.e1_b1, old.e1_b1)
+def compensator_diff(old: ParamTerms, new: ParamTerms) -> float:
+    """Total jump-measure difference sum_{k=0..N} (nu_new - nu_old)(B_k) at one beta.
+
+    The terms must share beta and the bin edges.  For the binless model the
+    difference is the log limit beta*ln(a/a°).
+    """
+    total = nu_diff_bin0(old.beta, new.alpha, old.alpha, new.e1_b1, old.e1_b1)
     for mass_new, mass_old in zip(new.masses, old.masses):
         total += mass_new - mass_old
     return total
 
 
-def param_log_ratio(sums, counts, horizon: float, old: ParamTerms, new: ParamTerms) -> float:
+def loglik_ratio_params(sums, counts, horizon: float, old: ParamTerms, new: ParamTerms) -> float:
     """Log-likelihood ratio of two parameter vectors (one beta) on one augmented path.
 
     sums and counts are the per-bin totals S_0..S_N and C_0..C_N as
-    sequences of floats, as psi_terms reads them, and horizon is T.
+    sequences of floats, as psi_log reads them, and horizon is T.
     Evaluates
 
         -(a° - a) * S_0
@@ -171,10 +138,10 @@ def param_log_ratio(sums, counts, horizon: float, old: ParamTerms, new: ParamTer
         intercept_part += (rho_new - rho_old) * c
     total -= slope_part
     total -= intercept_part
-    return total - horizon * compensator_terms(old, new)
+    return total - horizon * compensator_diff(old, new)
 
 
-def psi_terms(sums, counts, horizon: float, terms: ParamTerms) -> float:
+def psi_log(sums, counts, horizon: float, terms: ParamTerms) -> float:
     """Log-density of the model's path law against its Gamma reference.
 
     sums and counts are the per-bin totals S_0..S_N and C_0..C_N as
@@ -191,39 +158,6 @@ def psi_terms(sums, counts, horizon: float, terms: ParamTerms) -> float:
         intercept_part += intercept * c
         comp += mass - terms.beta * unit
     return -(slope_part + intercept_part + horizon * comp)
-
-
-def _check_stats_match(stats: BinStats, params: ModelParams) -> None:
-    if stats.n_bins != params.n_bins:
-        raise ContractError(
-            f"stats have {stats.n_bins} bins but params have {params.n_bins}"
-        )
-
-
-def _check_same_beta_and_edges(old: ModelParams, new: ModelParams) -> None:
-    if new.beta != old.beta:
-        raise ContractError(f"beta must match, got {old.beta} and {new.beta}")
-    if old.n_bins != new.n_bins or not np.array_equal(old.bin_edges, new.bin_edges):
-        raise ContractError("bin edges must match")
-
-
-def compensator_diff(old: ModelParams, new: ModelParams) -> float:
-    """compensator_terms of two parameter vectors, which must share beta and bin edges.
-
-    For the binless model the difference is the log limit beta*ln(a/a°).
-    """
-    _check_same_beta_and_edges(old, new)
-    return compensator_terms(ParamTerms.of(old), ParamTerms.of(new))
-
-
-def loglik_ratio_params(stats: BinStats, old: ModelParams, new: ModelParams) -> float:
-    """param_log_ratio of two parameter vectors, which must share beta and bin
-    edges, on the bin statistics stats."""
-    _check_stats_match(stats, old)
-    _check_stats_match(stats, new)
-    _check_same_beta_and_edges(old, new)
-    return param_log_ratio(stats.sums.tolist(), stats.counts.tolist(), stats.horizon,
-                           ParamTerms.of(old), ParamTerms.of(new))
 
 
 def endpoint_tolerance(totals) -> np.ndarray:
@@ -282,9 +216,3 @@ def _ones(size: int) -> np.ndarray:
     ones.flags.writeable = False
     return ones
 
-
-def psi_log(stats: BinStats, params: ModelParams) -> float:
-    """psi_terms at the bin statistics stats and the parameters params."""
-    _check_stats_match(stats, params)
-    return psi_terms(stats.sums.tolist(), stats.counts.tolist(), stats.horizon,
-                     ParamTerms.of(params))

@@ -29,39 +29,41 @@ from dedicated splittable streams, so the result is independent of the
 order in which segments are processed.
 
 The state (ChainState) holds each fact of the chain once and nothing of the
-sweep: the current parameters as the floats of a likelihood.ParamTerms with
-their log prior, and the bin totals as float and int lists.  The refresh
-returns its path acceptance rate and each parameter move its (accepted, log
-ratio); run_mcmc builds each sweep's ChainRecord from the terms and those
-outcomes and yields one per sweep after burn-in, and `gammasub fit
---thinning` alone thins.  Both parameter moves draw a candidate as Python
-floats, check it for the model's domain and score it by PriorSpec.logpdf.
-Its bin-mass terms (the masses, E1(alpha b_1) and the Gamma reference's
-factors) come from model.mass_factors, one E1 evaluation of many points
-in specfun (none on a binless model); a beta move needs none, as its
-candidate shares alpha and the slopes.  The ratios are likelihood's
-param_log_ratio and psi_terms at the bin totals, and an accepted
-candidate's terms become the state's.  No sweep builds a ModelParams or a
-BinStats: those are the types of the API edge, and ChainState.params
-builds the former on each read.  The beta move's Gamma density ratio reads
-the data only through per-chain constants and specfun's lnGamma, so a
-binless chain with random beta loads scipy.special at its first beta move.
+sweep: the current parameters as a likelihood.ParamTerms of Python floats
+with their log prior, and the bin totals as float and int lists.  The
+refresh returns its path acceptance rate and each parameter move its
+(accepted, log ratio); run_mcmc builds each sweep's ChainRecord from the
+terms and those outcomes and yields one per sweep after burn-in, and
+`gammasub fit --thinning` alone thins.
+
+Both parameter moves draw a candidate as Python floats, check it for the
+model's domain and score it by model.prior_logpdf.  Its bin-mass terms (the
+masses, E1(alpha b_1) and the Gamma reference's factors) come from
+model.mass_factors, one specfun.exp_integral_e1 call for many points (none
+on a binless model); a beta move needs none, as its candidate shares alpha
+and the slopes.  The ratios are likelihood.loglik_ratio_params and
+likelihood.psi_log at the bin totals, and an accepted candidate's terms
+become the state's.  The moves call prior_logpdf, loglik_ratio_params,
+psi_log, bin_stats_matrix and the moves themselves by their names in this
+module, so a profiler that rebinds those names sees every call.  No sweep
+builds a ModelParams: it is the type of the API edge, and ChainState.params
+builds one on each read.  The beta move's Gamma density ratio reads the
+data only through per-chain constants and specfun's lnGamma, so a binless
+chain with random beta loads scipy.special at its first beta move.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .data import Observations
-from .exceptions import ConfigError, ContractError, DataError, DomainError
-# loglik_ratio_params and psi_log, the ModelParams views of the moves' ratios,
-# stay names of this module, where bench/tracer.py rebinds them
-from .likelihood import (ParamTerms, bin_stats_matrix, endpoint_tolerance,  # noqa: F401
-                         loglik_ratio_params, loglik_ratio_path, param_log_ratio, psi_log,
-                         psi_terms, row_offsets)
+from .exceptions import ConfigError, ContractError, DataError
+from .likelihood import (ParamTerms, bin_stats_matrix, endpoint_tolerance, loglik_ratio_params,
+                         loglik_ratio_path, psi_log, row_offsets)
 from .model import ModelParams, PriorSpec, prior_logpdf
 from .paths import TimeGrid, _one_value, augment_rows, bridge_rows, pin_rows, thin_rows
 from .specfun import log_gamma_values
@@ -76,8 +78,6 @@ __all__ = [
     "update_params",
     "update_beta",
     "run_mcmc",
-    "reparam_view",
-    "reparam_invert",
     "write_chain_csv",
     "read_chain_csv",
     "MoveTally",
@@ -300,14 +300,24 @@ class ChainState:
         object it was scored under."""
         t = self.terms
         if self.prior is not prior:
-            self.log_prior = prior.logpdf(t.alpha, t.beta, t.slopes, t.intercepts)
+            self.log_prior = prior_logpdf(prior, t.alpha, t.beta, t.slopes, t.intercepts)
             self.prior = prior
         return t
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """The SeedSequence a chain's streams spawn from: seed itself if it is one."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"seed must be a non-negative integer or a sequence of them, got {seed!r}") from None
+
+
 def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return tuple(np.random.Generator(np.random.Philox(s)) for s in root.spawn(4))
+    return tuple(np.random.Generator(np.random.Philox(s)) for s in _seed_sequence(seed).spawn(4))
 
 
 def active_segments(deltas: np.ndarray, bin_edges) -> np.ndarray:
@@ -379,38 +389,19 @@ def refresh_segments(state: ChainState) -> float:
     return (state.n_segments - n_rejected) / state.n_segments
 
 
-def reparam_view(params: ModelParams) -> tuple[float, float, float, float]:
-    """Single-bin bijection to (alpha, beta, alpha + slope_1, beta*exp(-rho_1))."""
-    if params.n_bins != 1:
-        raise ContractError("reparameterised view requires exactly one bin")
-    return (params.alpha, params.beta,
-            params.alpha + float(params.theta_slopes[0]),
-            params.beta * math.exp(-float(params.theta_intercepts[0])))
-
-
-def reparam_invert(alpha: float, beta: float, alpha1: float, beta1: float,
-                   bin_edges) -> ModelParams:
-    """Inverse of reparam_view; beta1 must be positive."""
-    if beta1 <= 0:
-        raise DomainError(f"beta1 must be > 0, got {beta1}")
-    return ModelParams(alpha, beta, bin_edges,
-                       np.array([alpha1 - alpha]),
-                       np.array([math.log(beta) - math.log(beta1)]))
-
-
 def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, intercepts,
                factors=None) -> tuple[ParamTerms, float] | None:
     """A candidate's terms and log prior under prior; None outside the model's
     domain or the prior's support.
 
     The domain is alpha and beta finite and > 0 and finite slopes and
-    intercepts; PriorSpec.logpdf is -inf for a tail slope <= -alpha.
+    intercepts; prior_logpdf is -inf for a tail slope <= -alpha.
     factors are the candidate's mass_factors when the caller has them.
     """
     if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf
             and all(map(math.isfinite, slopes + intercepts))):
         return None
-    log_prior = prior.logpdf(alpha, beta, slopes, intercepts)
+    log_prior = prior_logpdf(prior, alpha, beta, slopes, intercepts)
     if log_prior == -math.inf:
         return None
     return ParamTerms.at(edges, alpha, beta, slopes, intercepts, factors), log_prior
@@ -447,7 +438,7 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tu
     z = rng.normal(size=2 * n + 1).tolist()
     alpha = cur.alpha + prop.sigma_alpha * z[0]
     if prior.reparam:
-        # the walk is on (alpha, alpha + slope_1, beta * exp(-rho_1)); see reparam_view
+        # the walk is on (alpha, alpha + slope_1, beta * exp(-rho_1))
         alpha1 = cur.alpha + cur.slopes[0] + prop.sigma_theta * z[1]
         beta1 = cur.beta * math.exp(-cur.intercepts[0]) + prop.sigma_rho * z[2]
         if not beta1 > 0:
@@ -463,8 +454,8 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tu
     if cand is None:
         return False, -math.inf
     new, log_prior = cand
-    log_ratio = (param_log_ratio(state.total_sums, state.total_counts, state.grid.horizon, cur,
-                                 new) + log_prior - state.log_prior)
+    log_ratio = (loglik_ratio_params(state.total_sums, state.total_counts, state.grid.horizon,
+                                     cur, new) + log_prior - state.log_prior)
     return _accept(state, rng, cand, log_ratio, "parameter"), log_ratio
 
 
@@ -508,7 +499,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
 
     horizon = state.grid.horizon
     totals = (state.total_sums, state.total_counts)
-    psi_old = psi_terms(*totals, horizon, cur)
+    psi_old = psi_log(*totals, horizon, cur)
     n_active = state.active.size
     if n_active:
         block, sub = state.block, state.block_sub_spans
@@ -521,7 +512,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
             return False, -math.inf
         block_sums, block_counts = bin_stats_matrix(block, state.edge_array, state.block_offsets)
         totals = state.block_totals(block_sums, block_counts)
-    psi_new = psi_terms(*totals, horizon, new)
+    psi_new = psi_log(*totals, horizon, new)
 
     density_diff = (
         (beta_new - cur.beta) * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
@@ -537,7 +528,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
 
 
 def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
-                  iterations: int, burn_in: int) -> None:
+                  iterations: int, burn_in: int, m) -> None:
     if prior.n_bins != params0.n_bins:
         raise ConfigError(
             f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}"
@@ -552,7 +543,10 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
         )
     if not params0.tail_integrable:
         raise ConfigError("initial parameters violate the tail constraint")
-    if prior_logpdf(prior, params0) == -math.inf:
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ConfigError(f"m must be an integer >= 1, got {m!r}")
+    if prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes.tolist(),
+                    params0.theta_intercepts.tolist()) == -math.inf:
         raise ConfigError("initial parameters have zero prior density")
 
 
@@ -567,13 +561,13 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     update of the schedule, which names a beta stage exactly when beta is
     random.  burn_in defaults to 10 percent of iterations.  Nothing is thinned
     here: `gammasub fit --thinning` keeps every k-th record.  Fully
-    deterministic given the seed.  The arguments are checked at the call, the
-    sweeps run on next().
+    deterministic given the seed.  The arguments, the seed and m among them,
+    are checked at the call (ConfigError), the sweeps run on next().
     """
     if burn_in is None:
         burn_in = iterations // 10
-    _validate_run(params0, prior, prop, iterations, burn_in)
-    return _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, m)
+    _validate_run(params0, prior, prop, iterations, burn_in, m)
+    return _sweeps(obs, params0, prior, prop, iterations, burn_in, _seed_sequence(seed), m)
 
 
 def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, m):

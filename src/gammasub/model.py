@@ -7,6 +7,16 @@ The jump intensity of the process has density
 where theta is piecewise linear on half-open size bins B_k = [b_k, b_{k+1})
 with b_0 = 0 and b_{N+1} = inf, and identically zero on B_0.  Bin masses
 nu(B_k) are available in closed form through the exponential integral.
+
+Each formula the sampler's ratios read is one function on Python floats:
+mass_factors takes a parameter vector's E1 factors from one
+specfun.exp_integral_e1 call, nu_bin_mass turns them into the masses
+nu(B_1), ..., nu(B_N), nu_diff_bin0 gives the B_0 mass difference between
+two tilt rates, and prior_logpdf a PriorSpec's joint log prior.  The
+sampler calls them by these names, through this module's globals and
+likelihood's.  ModelParams is the validated parameter type of the API edge
+(run_mcmc's start, ChainRecord.to_params, the credible bands), which
+theta_at and levy_density evaluate at points.
 """
 
 import math
@@ -17,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, DomainError
-from .specfun import exp_integral_e1, exp_integral_e1_values, exp_integral_ei_values
+from .specfun import exp_integral_e1, exp_integral_ei_values
 
 __all__ = [
     "ModelParams",
@@ -28,9 +38,7 @@ __all__ = [
     "levy_density",
     "nu_bin_mass",
     "nu_diff_bin0",
-    "bin0_mass_diff",
     "mass_factors",
-    "bin_mass_values",
     "prior_logpdf",
 ]
 
@@ -118,11 +126,6 @@ class ModelParams:
         fields.update(changes)
         return ModelParams(**fields)
 
-    def gamma_reference(self) -> "ModelParams":
-        """The pure Gamma model sharing (beta, alpha) and bins, theta zeroed."""
-        n = self.n_bins
-        return self.with_updates(theta_slopes=np.zeros(n), theta_intercepts=np.zeros(n))
-
 
 def _check_positive_x(x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
@@ -169,29 +172,13 @@ def levy_density(params: ModelParams, x):
     return float(out[0]) if scalar else out
 
 
-def nu_bin_mass(params: ModelParams, k: int) -> float:
-    """Mass of the jump measure on bin B_k = [b_k, b_{k+1}), for k in 1..N.
-
-    beta * exp(-rho_k) * {E1(c*b_k) - E1(c*b_{k+1})} with c = slope_k + alpha,
-    from mass_factors and bin_mass_values; the last bin has the single-term
-    tail formula.  Raises DomainError for k outside 1..N, and when the tail
-    bin has slope + alpha <= 0 (its mass is infinite).
-    """
-    n = params.n_bins
-    if not 1 <= k <= n:
-        raise DomainError(f"bin index must be in 1..{n}, got {k}")
-    _, units, _ = mass_factors(params.alpha, params.theta_slopes.tolist(),
-                               params.bin_edges.tolist())
-    return bin_mass_values(params.beta, params.theta_intercepts.tolist(), units)[k - 1]
-
-
 def mass_factors(alpha: float, slopes, edges):
     """The E1 factors of the bin masses at float parameters, from one exp1 call.
 
     Returns (e1_b1, units, ref_units) for alpha, the slopes and the edges
     b_1 < ... < b_N as floats:
 
-    - e1_b1 = E1(alpha * b_1), the B_0 term of bin0_mass_diff; 0.0 for a
+    - e1_b1 = E1(alpha * b_1), the B_0 term of nu_diff_bin0; 0.0 for a
       binless model, whose B_0 reaches b_1 = inf;
     - units[k-1] = nu(B_k) / (beta * exp(-rho_k)), the integral of
       exp(-c x) / x over B_k with c = slope_k + alpha: E1(c b_k) - E1(c b_{k+1}),
@@ -216,7 +203,7 @@ def mass_factors(alpha: float, slopes, edges):
                 zs.append(c * edges[k + 1])
         elif k + 1 == n:
             raise DomainError(f"tail bin requires slope + alpha > 0, got {c}")
-    e1 = exp_integral_e1_values(zs)
+    e1 = exp_integral_e1(zs)
     bins = iter(e1[n:])
     units = []
     for k, c in enumerate(rates):
@@ -231,14 +218,14 @@ def mass_factors(alpha: float, slopes, edges):
     return e1[0], tuple(units), ref_units
 
 
-def bin_mass_values(beta: float, intercepts, units) -> tuple[float, ...]:
+def nu_bin_mass(beta: float, intercepts, units) -> tuple[float, ...]:
     """The bin masses nu(B_k) = beta * exp(-rho_k) * units[k-1], k = 1..N, from
     mass_factors's units."""
     return tuple([beta * math.exp(-rho) * unit for rho, unit in zip(intercepts, units)])
 
 
-def bin0_mass_diff(beta: float, alpha_new: float, alpha_old: float, e1_new: float,
-                   e1_old: float) -> float:
+def nu_diff_bin0(beta: float, alpha_new: float, alpha_old: float, e1_new: float,
+                 e1_old: float) -> float:
     """(nu_new - nu_old)(B_0) between two tilt rates, from e1 = E1(alpha * b_1) at each.
 
     Equals beta*ln(alpha_old/alpha_new) - beta*(e1_new - e1_old); the log
@@ -247,18 +234,6 @@ def bin0_mass_diff(beta: float, alpha_new: float, alpha_old: float, e1_new: floa
     binless model passes e1 = 0.0 (b_1 = inf).
     """
     return beta * (math.log(alpha_old / alpha_new) - (e1_new - e1_old))
-
-
-def nu_diff_bin0(alpha_new: float, alpha_old: float, beta: float, b1: float) -> float:
-    """Difference of jump-measure masses on B_0 = (0, b_1) between two tilt rates.
-
-    bin0_mass_diff with E1(alpha * b1) at both rates.
-    """
-    for name, v in (("alpha_new", alpha_new), ("alpha_old", alpha_old), ("beta", beta), ("b1", b1)):
-        if not (math.isfinite(v) and v > 0):
-            raise DomainError(f"nu_diff_bin0 requires finite {name} > 0, got {v!r}")
-    return bin0_mass_diff(beta, alpha_new, alpha_old, exp_integral_e1(alpha_new * b1),
-                          exp_integral_e1(alpha_old * b1))
 
 
 def _log_density(kind: str, a: float, b: float) -> Callable[[float], float]:
@@ -310,13 +285,6 @@ class Prior:
         # logpdf is a closure, which pickle cannot store; it is rebuilt from the fields
         return Prior, (self.kind, self.a, self.b)
 
-    @staticmethod
-    def from_mean_variance(mean: float, variance: float) -> "Prior":
-        """Gamma prior with the given mean and variance (moment matching)."""
-        if mean <= 0 or variance <= 0:
-            raise ConfigError("mean and variance must be positive")
-        return Prior("gamma", mean * mean / variance, mean / variance)
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -356,34 +324,25 @@ class PriorSpec:
     def beta_is_random(self) -> bool:
         return self.beta is not None
 
-    def logpdf(self, alpha: float, beta: float, slopes, intercepts) -> float:
-        """Sum of component prior log-densities at float parameters.
 
-        The slopes and intercepts are sequences of N floats.  Returns -inf
-        when any parameter leaves its support or the tail bin has infinite
-        mass (slope_N <= -alpha).
-        """
-        if slopes and slopes[-1] <= -alpha:
-            return -math.inf
-        total = self.alpha.logpdf(alpha)
-        if self.beta is not None:
-            total += self.beta.logpdf(beta)
-        if self.reparam:
-            total += self.theta[0].logpdf(alpha + slopes[0])
-            total += self.rho[0].logpdf(beta * math.exp(-intercepts[0]))
-            return total
-        for slope_prior, intercept_prior, slope, intercept in zip(self.theta, self.rho, slopes,
-                                                                  intercepts):
-            total += slope_prior.logpdf(slope)
-            total += intercept_prior.logpdf(intercept)
+def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts) -> float:
+    """Sum of spec's component prior log-densities at float parameters.
+
+    The slopes and intercepts are sequences of N floats, N = spec.n_bins.
+    Returns -inf when any parameter leaves its support or the tail bin has
+    infinite mass (slope_N <= -alpha).
+    """
+    if slopes and slopes[-1] <= -alpha:
+        return -math.inf
+    total = spec.alpha.logpdf(alpha)
+    if spec.beta is not None:
+        total += spec.beta.logpdf(beta)
+    if spec.reparam:
+        total += spec.theta[0].logpdf(alpha + slopes[0])
+        total += spec.rho[0].logpdf(beta * math.exp(-intercepts[0]))
         return total
-
-
-def prior_logpdf(spec: PriorSpec, params: ModelParams) -> float:
-    """spec.logpdf at the given parameters; ConfigError when their bins differ from the spec's."""
-    if spec.n_bins != params.n_bins:
-        raise ConfigError(
-            f"prior covers {spec.n_bins} bins but params have {params.n_bins}"
-        )
-    return spec.logpdf(params.alpha, params.beta, params.theta_slopes.tolist(),
-                       params.theta_intercepts.tolist())
+    for slope_prior, intercept_prior, slope, intercept in zip(spec.theta, spec.rho, slopes,
+                                                              intercepts):
+        total += slope_prior.logpdf(slope)
+        total += intercept_prior.logpdf(intercept)
+    return total

@@ -9,6 +9,7 @@ thin_path are their checked one-row views on a 1-D increment vector.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +55,13 @@ class TimeGrid:
         arr = np.asarray(self.times, dtype=float).reshape(-1).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "times", arr)
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise DomainError(f"refinement count must be an integer >= 1, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
         if arr.size < 2:
             raise DomainError("grid needs at least two observation times")
         if not np.all(np.isfinite(arr)) or arr[0] < 0 or np.any(np.diff(arr) <= 0):
             raise DomainError("observation times must be finite, non-negative, strictly increasing")
-        if self.m < 1:
-            raise DomainError(f"refinement count must be >= 1, got {self.m}")
 
     @property
     def spans(self) -> np.ndarray:

@@ -1,12 +1,16 @@
 """Special functions backing the bin-mass and acceptance-ratio formulas.
 
-The exponential integrals E1 and Ei give the bin masses of a binned Levy
-density, lnGamma the Gamma density ratio of the beta move, and the Gamma
-log-density in shape/rate form the Gamma priors.  This is the one module
-of the package that calls scipy: the E1, Ei and lnGamma wrappers import
-scipy.special at their call, so a run that evaluates none of them (a
-binless fit with fixed beta; simulate, ingest and diagnose) never loads it.
-All are pure functions, safe for unrestricted concurrent use.
+exp_integral_e1 gives E1 at a sequence of points from one scipy call:
+model.mass_factors reads every bin mass of a parameter vector from it,
+and E1(alpha b_1), the B_0 term.  exp_integral_ei_values gives the Ei
+difference of an interior bin whose slope + alpha is negative, and
+log_gamma_values the lnGamma terms of the beta move's Gamma density ratio.
+gamma_logpdf is the Gamma log-density in shape/rate form.
+
+This is the one module of the package that calls scipy: the E1, Ei and
+lnGamma wrappers import scipy.special at their call, so a run that
+evaluates none of them (a binless fit with fixed beta; simulate, ingest
+and diagnose) never loads it.  All are pure functions.
 """
 
 import math
@@ -14,22 +18,9 @@ import math
 from .exceptions import DomainError
 
 
-def exp_integral_e1(z: float) -> float:
-    """Exponential integral E1(z) = integral of exp(-t)/t over t in [z, inf).
-
-    One-point exp_integral_e1_values: exactly 0.0 once E1 underflows.
-
-    Raises:
-        DomainError: if z is not a finite positive number.
-    """
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"E1 requires finite z > 0, got {z!r}")
-    return exp_integral_e1_values([z])[0]
-
-
-def exp_integral_e1_values(zs) -> list[float]:
-    """E1 at each z of a sequence, from one scipy.special.exp1 call, as floats.
+def exp_integral_e1(zs) -> list[float]:
+    """E1(z) = integral of exp(-t)/t over t in [z, inf) at each z of a
+    sequence, from one scipy.special.exp1 call, as floats.
 
     scipy's exp1 gives exactly 0.0 where E1 underflows (from about z = 740
     up) and at an infinite z, the limit, so its values are used as they are.

@@ -386,6 +386,20 @@ class TestCliRoundTrip:
         assert capsys.readouterr().err == "error: thinning must be >= 1, got 0\n"
         assert not out.exists()
 
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
+              "--out", str(obs_csv)])
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                   "--iterations", "20", "--seed", "-1", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer or a sequence of them, got -1\n")
+        assert not out.exists()
+
     def test_ingest_cli(self, tmp_path):
         losses = tmp_path / "losses.csv"
         losses.write_text(

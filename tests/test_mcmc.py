@@ -17,8 +17,6 @@ from gammasub.likelihood import ParamTerms, bin_stats_matrix, loglik_ratio_path
 from gammasub.mcmc import (
     chain_csv_header,
     read_chain_csv,
-    reparam_invert,
-    reparam_view,
     write_chain_csv,
     write_meta_json,
 )
@@ -49,9 +47,31 @@ def set_params(state, params):
     state.terms, state.prior = ParamTerms.of(params), None
 
 
+def bin_totals(sums, counts, horizon):
+    """Per-bin sums and counts as the float and int lists the ratios read, and T."""
+    return (np.asarray(sums, dtype=float).tolist(), np.asarray(counts, dtype=np.int64).tolist(),
+            float(horizon))
+
+
 def totals(state):
-    """The state's bin totals as a BinStats."""
-    return g.BinStats(state.total_sums, state.total_counts, state.grid.horizon)
+    """The state's bin totals and horizon, as bin_totals gives them."""
+    return bin_totals(state.total_sums, state.total_counts, state.grid.horizon)
+
+
+def param_ratio(stats, old, new):
+    """loglik_ratio_params at bin_totals stats, from old to new, two ModelParams."""
+    return g.loglik_ratio_params(*stats, ParamTerms.of(old), ParamTerms.of(new))
+
+
+def psi(stats, params):
+    """psi_log at bin_totals stats and the ModelParams params."""
+    return g.psi_log(*stats, ParamTerms.of(params))
+
+
+def prior_at(prior, params):
+    """prior_logpdf at the floats of the ModelParams params."""
+    return g.prior_logpdf(prior, params.alpha, params.beta, params.theta_slopes.tolist(),
+                          params.theta_intercepts.tolist())
 
 
 class TestInitChain:
@@ -328,7 +348,7 @@ def beta_all_from(rng_inert):
         if beta_new <= 0:
             return False, -math.inf
         candidate = params.with_updates(beta=beta_new)
-        lp_diff = g.prior_logpdf(prior, candidate) - g.prior_logpdf(prior, params)
+        lp_diff = prior_at(prior, candidate) - prior_at(prior, params)
         if lp_diff == -math.inf:
             return False, -math.inf
         active = mcmc.active_segments(state.obs.increments, params.bin_edges)
@@ -346,20 +366,19 @@ def beta_all_from(rng_inert):
         if collapsed.any():
             return False, -math.inf
         sums, counts = bin_stats_matrix(block, params.bin_edges)
-        new_stats = g.BinStats(sums.sum(axis=0), counts.sum(axis=0), state.grid.horizon)
+        new_stats = bin_totals(sums.sum(axis=0), counts.sum(axis=0), state.grid.horizon)
         deltas, spans = state.obs.increments, state.grid.spans
         density_diff = np.sum(gamma_dist.logpdf(deltas, beta_new * spans, scale=1 / params.alpha)
                               - gamma_dist.logpdf(deltas, params.beta * spans,
                                                   scale=1 / params.alpha))
-        old_stats = g.BinStats(*full_totals(state), state.grid.horizon)
-        log_ratio = float(lp_diff + density_diff + g.psi_log(new_stats, candidate)
-                          - g.psi_log(old_stats, params))
+        old_stats = bin_totals(*full_totals(state), state.grid.horizon)
+        log_ratio = float(lp_diff + density_diff + psi(new_stats, candidate)
+                          - psi(old_stats, params))
         if not log_ratio >= math.log(rng.uniform()):
             return False, log_ratio
         set_params(state, candidate)
         assign_rows(state, block, sums, counts)
-        state.total_sums = new_stats.sums.tolist()
-        state.total_counts = new_stats.counts.tolist()
+        state.total_sums, state.total_counts, _ = new_stats
         return True, log_ratio
     return move
 
@@ -609,8 +628,8 @@ class TestUpdateParams:
             theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho,
         )
         assert_totals_current(b)
-        expected = (g.loglik_ratio_params(totals(b), params, cand)
-                    + g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, params))
+        expected = (param_ratio(totals(b), params, cand)
+                    + prior_at(prior, cand) - prior_at(prior, params))
         assert log_ratio == pytest.approx(expected, rel=1e-12)
 
 
@@ -733,7 +752,7 @@ class TestUpdateBeta:
             beta_new = before.beta + prop.sigma_beta * twin.rng_beta.normal()
             twin.rng_beta.random()
             cand = before.with_updates(beta=beta_new)
-            expected = g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, before) + sum(
+            expected = prior_at(prior, cand) - prior_at(prior, before) + sum(
                 g.gamma_logpdf(d, beta_new * h, before.alpha)
                 - g.gamma_logpdf(d, before.beta * h, before.alpha)
                 for d, h in zip(state.obs.increments, state.grid.spans))
@@ -794,8 +813,8 @@ class TestParamTerms:
                     theta_intercepts=before.theta_intercepts + prop.sigma_rho * z[3:])
                 # the from-scratch formula of test_logged_ratio_matches_manual_recompute;
                 # the kernel sums the same terms in another order
-                expected = (g.loglik_ratio_params(stats, before, cand)
-                            + g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, before))
+                expected = (param_ratio(stats, before, cand)
+                            + prior_at(prior, cand) - prior_at(prior, before))
                 assert log_ratio == pytest.approx(expected, rel=1e-12, abs=1e-12)
                 if accepted:
                     assert state.params.alpha == cand.alpha
@@ -808,19 +827,19 @@ class TestParamTerms:
             assert (terms.alpha, terms.beta) == (state.params.alpha, state.params.beta)
             assert terms.slopes == tuple(state.params.theta_slopes)
             assert terms.intercepts == tuple(state.params.theta_intercepts)
-            assert terms.masses == (g.nu_bin_mass(state.params, 1), g.nu_bin_mass(state.params, 2))
-            assert log_prior == g.prior_logpdf(prior, state.params)
-            assert terms.e1_b1 == g.exp_integral_e1(state.params.alpha * 0.3)
+            assert terms == ParamTerms.of(state.params)
+            assert log_prior == prior_at(prior, state.params)
+            assert terms.e1_b1 == g.exp_integral_e1([state.params.alpha * 0.3])[0]
             # the Gamma reference's masses, which psi_log subtracts
-            ref = state.params.gamma_reference()
-            assert tuple(terms.beta * u for u in terms.ref_units) == (
-                g.nu_bin_mass(ref, 1), g.nu_bin_mass(ref, 2))
+            ref = state.params.with_updates(theta_slopes=[0.0, 0.0], theta_intercepts=[0.0, 0.0])
+            assert tuple(terms.beta * u for u in terms.ref_units) == ParamTerms.of(ref).masses
         assert checked > 250
         assert 0 < accepted_params < 300 and 0 < accepted_beta < 300
 
 
 def reference_update_params(state, prop, prior):
-    """update_params as it ran on ModelParams, loglik_ratio_params and prior_logpdf."""
+    """update_params on ModelParams, with the candidate built as ModelParams and
+    loglik_ratio_params and prior_logpdf evaluated afresh from it."""
     params, rng = state.params, state.rng_params
     z_alpha = rng.normal()
     z_theta = rng.normal(size=params.n_bins)
@@ -829,12 +848,16 @@ def reference_update_params(state, prop, prior):
     if alpha_new <= 0:
         return False, -math.inf
     if prior.reparam:
-        _, _, alpha1, beta1 = reparam_view(params)
+        # the walk on alpha + slope_1 and beta * exp(-rho_1), mapped back
+        alpha1 = params.alpha + float(params.theta_slopes[0])
+        beta1 = params.beta * math.exp(-float(params.theta_intercepts[0]))
         beta1_new = beta1 + prop.sigma_rho * z_rho[0]
         if beta1_new <= 0:
             return False, -math.inf
-        cand = reparam_invert(alpha_new, params.beta, alpha1 + prop.sigma_theta * z_theta[0],
-                              beta1_new, params.bin_edges)
+        cand = params.with_updates(
+            alpha=alpha_new,
+            theta_slopes=[alpha1 + prop.sigma_theta * z_theta[0] - alpha_new],
+            theta_intercepts=[math.log(params.beta) - math.log(beta1_new)])
     else:
         cand = params.with_updates(
             alpha=alpha_new,
@@ -842,11 +865,11 @@ def reference_update_params(state, prop, prior):
             theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho)
     if not cand.tail_integrable:
         return False, -math.inf
-    lp_new = g.prior_logpdf(prior, cand)
+    lp_new = prior_at(prior, cand)
     if lp_new == -math.inf:
         return False, -math.inf
-    log_ratio = float(g.loglik_ratio_params(totals(state), params, cand)
-                      + lp_new - g.prior_logpdf(prior, params))
+    log_ratio = float(param_ratio(totals(state), params, cand)
+                      + lp_new - prior_at(prior, params))
     if not log_ratio >= math.log(rng.uniform()):
         return False, log_ratio
     set_params(state, cand)
@@ -854,15 +877,15 @@ def reference_update_params(state, prop, prior):
 
 
 def reference_update_beta(state, prop, prior):
-    """update_beta as it ran on ModelParams, prior_logpdf, psi_log and the scalar
-    Gamma densities of the observed increments, with the reparameterised
-    prior's Jacobian ln(beta°/beta)."""
+    """update_beta on ModelParams, with prior_logpdf and psi_log evaluated afresh
+    and the Gamma densities of the observed increments one by one, with the
+    reparameterised prior's Jacobian ln(beta°/beta)."""
     params, rng = state.params, state.rng_beta
     beta_new = params.beta + prop.sigma_beta * rng.normal()
     if beta_new <= 0:
         return False, -math.inf
     cand = params.with_updates(beta=beta_new)
-    lp_diff = g.prior_logpdf(prior, cand) - g.prior_logpdf(prior, params)
+    lp_diff = prior_at(prior, cand) - prior_at(prior, params)
     if lp_diff == -math.inf:
         return False, -math.inf
     active, new_stats = state.active, totals(state)
@@ -876,12 +899,12 @@ def reference_update_beta(state, prop, prior):
         if collapsed.any():
             return False, -math.inf
         sums, counts = bin_stats_matrix(block, params.bin_edges)
-        new_stats = g.BinStats(*state.block_totals(sums, counts), state.grid.horizon)
+        new_stats = bin_totals(*state.block_totals(sums, counts), state.grid.horizon)
     density_diff = sum(g.gamma_logpdf(d, beta_new * h, params.alpha)
                        - g.gamma_logpdf(d, params.beta * h, params.alpha)
                        for d, h in zip(state.obs.increments, state.grid.spans))
     log_ratio = float(lp_diff + density_diff
-                      + (g.psi_log(new_stats, cand) - g.psi_log(totals(state), params)))
+                      + (psi(new_stats, cand) - psi(totals(state), params)))
     if prior.reparam:
         log_ratio += math.log(beta_new / params.beta)
     if not log_ratio >= math.log(rng.uniform()):
@@ -895,6 +918,11 @@ def reference_update_beta(state, prop, prior):
 def normal_priors(n, sd_theta=1.0, sd_rho=1.5):
     return (tuple(g.Prior("normal", 0, sd_theta) for _ in range(n)),
             tuple(g.Prior("normal", 0, sd_rho) for _ in range(n)))
+
+
+def moment_gamma(mean, var):
+    """The gamma prior with the given mean and variance."""
+    return g.Prior("gamma", mean * mean / var, mean / var)
 
 
 def kernel_model(name):
@@ -919,9 +947,9 @@ def kernel_model(name):
                 g.ProposalSpec(sigma_alpha=0.3, sigma_beta=0.15, update_schedule=("beta", "params")))
     if name == "reparam":
         return (gamma_obs(n=30, seed=13), g.ModelParams(1.0, 1.0, [0.8], [0.0], [0.0]),
-                g.PriorSpec(alpha=g.Prior.from_mean_variance(0.75, 0.36), beta=tight_beta,
-                            theta=(g.Prior.from_mean_variance(0.75, 0.36),),
-                            rho=(g.Prior.from_mean_variance(1.0, 1.0),), reparam=True),
+                g.PriorSpec(alpha=moment_gamma(0.75, 0.36), beta=tight_beta,
+                            theta=(moment_gamma(0.75, 0.36),), rho=(moment_gamma(1.0, 1.0),),
+                            reparam=True),
                 g.ProposalSpec(sigma_alpha=0.1, sigma_theta=0.2, sigma_rho=0.3, sigma_beta=0.1,
                                update_schedule=("beta", "params", "params")))
     # slope_1 + alpha starts at exactly 0 and walks on both sides of it
@@ -1058,7 +1086,7 @@ class TestSweepTypes:
     def test_run_builds_no_model_params_or_bin_stats(self, monkeypatch):
         obs, params0, prior, prop = kernel_model("binned random beta")
         built = []
-        for cls in (g.ModelParams, g.BinStats):
+        for cls in (g.ModelParams,):
             def counted(self, post_init=cls.__post_init__):
                 built.append(type(self).__name__)
                 post_init(self)
@@ -1123,28 +1151,43 @@ class TestNonFiniteRatios:
 
 class TestReparam:
     def test_round_trip(self):
-        p = g.ModelParams(0.8, 90.0, [2.0], [0.15], [0.4])
-        alpha, beta, alpha1, beta1 = reparam_view(p)
-        assert alpha1 == pytest.approx(0.95)
-        assert beta1 == pytest.approx(90.0 * math.exp(-0.4))
-        back = reparam_invert(alpha, beta, alpha1, beta1, p.bin_edges)
-        assert back.theta_slopes[0] == pytest.approx(p.theta_slopes[0], rel=1e-12)
-        assert back.theta_intercepts[0] == pytest.approx(p.theta_intercepts[0], rel=1e-12)
+        # the walk moves alpha + slope_1 and beta * exp(-rho_1) by its own
+        # innovations, and the candidate maps them back to a slope and an intercept
+        params = g.ModelParams(0.8, 90.0, [2.0], [0.15], [0.4])
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 1.0, 200.0),
+                            theta=(g.Prior("gamma", 2.0, 1.0),),
+                            rho=(g.Prior("uniform", 1.0, 200.0),), reparam=True)
+        prop = g.ProposalSpec(sigma_alpha=0.05, sigma_theta=0.05, sigma_rho=2.0,
+                              update_schedule=("beta", "params"))
+        state = basic_state(params=params, seed=3)
+        state.rng_params = Replay(state.rng_params)
+        moved = 0
+        for _ in range(20):
+            before = state.terms
+            accepted, _ = g.update_params(state, prop, prior)
+            if not accepted:
+                continue
+            z = state.rng_params.normals[-1]
+            after = state.terms
+            assert after.alpha == before.alpha + prop.sigma_alpha * z[0]
+            assert after.alpha + after.slopes[0] == pytest.approx(
+                before.alpha + before.slopes[0] + prop.sigma_theta * z[1], rel=1e-14)
+            assert after.beta * math.exp(-after.intercepts[0]) == pytest.approx(
+                before.beta * math.exp(-before.intercepts[0]) + prop.sigma_rho * z[2], rel=1e-14)
+            moved += 1
+        assert moved > 5
 
     def test_requires_single_bin(self):
-        with pytest.raises(g.ContractError):
-            reparam_view(g.ModelParams(1.0, 1.0))
+        with pytest.raises(g.ConfigError, match="exactly one bin"):
+            g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0),
+                        reparam=True)
 
     def test_reparam_sampler_smoke(self):
         obs = gamma_obs(n=30, seed=13)
         params0 = g.ModelParams(1.0, 1.0, [2.0], [0.0], [0.0])
-        prior = g.PriorSpec(
-            alpha=g.Prior.from_mean_variance(0.75, 0.36),
-            beta=g.Prior.from_mean_variance(1.0, 1.0),
-            theta=(g.Prior.from_mean_variance(0.75, 0.36),),
-            rho=(g.Prior.from_mean_variance(1.0, 1.0),),
-            reparam=True,
-        )
+        prior = g.PriorSpec(alpha=moment_gamma(0.75, 0.36), beta=moment_gamma(1.0, 1.0),
+                            theta=(moment_gamma(0.75, 0.36),), rho=(moment_gamma(1.0, 1.0),),
+                            reparam=True)
         prop = g.ProposalSpec(sigma_alpha=0.05, sigma_theta=0.05, sigma_rho=0.1,
                               sigma_beta=0.05,
                               update_schedule=("beta", "beta", "params", "params", "params"))
@@ -1229,6 +1272,18 @@ class TestRunMcmc:
         with pytest.raises(g.ConfigError):
             list(g.run_mcmc(obs, p0, bad_prior, g.ProposalSpec(), iterations=5,
                             burn_in=0, seed=0))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(m=0), "m must be an integer >= 1, got 0"),
+        (dict(m=2.5), "m must be an integer >= 1, got 2.5"),
+        (dict(seed=-1), "seed must be a non-negative integer or a sequence of them, got -1"),
+        (dict(seed=[3, -1]), "got \\[3, -1\\]"),
+    ], ids=["m=0", "m=2.5", "seed=-1", "seed=[3, -1]"])
+    def test_seed_and_m_checked_at_the_call(self, kwargs, message):
+        # the call raises, before any next() draws a sweep
+        with pytest.raises(g.ConfigError, match=message):
+            g.run_mcmc(gamma_obs(), g.ModelParams(1.0, 1.0), self.prior(), g.ProposalSpec(),
+                       iterations=5, **kwargs)
 
     def test_random_beta_needs_a_beta_stage(self):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
@@ -1385,8 +1440,30 @@ refinement = 4
 """
 
 
+# CI's reparameterised random-beta fit, a chain the benchmark never runs
+_PIN_REPARAM = """\
+bin_edges = 1.5
+alpha_init = 1.0
+beta_init = 0.5
+theta_init = 0.5
+rho_init = 0.0
+alpha_prior = gamma 2 1
+beta_prior = uniform 0.05 20
+theta_prior = gamma 2 1
+rho_prior = gamma 2 4
+reparam = true
+update_schedule = beta params params
+refinement = 6
+"""
+
+
 def pin_inputs(workload, seed):
-    """(Observations, RunConfig) of a benchmark workload at a data seed."""
+    """(Observations, RunConfig) of a benchmark workload, or of CI's reparam fit,
+    at a data seed."""
+    if workload == "reparam":
+        # `gammasub simulate --n 400 --horizon 400 --seed 5`, as fit reads its CSV back
+        data, _ = g.synth_two_gamma(2.0, 0.4, 0.2, 0.04, T=400.0, n=400, seed=seed)
+        return g.Observations(data.times, data.values), parse_config(_PIN_REPARAM)
     if workload == "binless":
         rng = np.random.Generator(np.random.Philox(seed))
         times, increments = np.arange(2001, dtype=float), rng.gamma(1.0, 0.5, size=2000)
@@ -1401,12 +1478,18 @@ def pin_inputs(workload, seed):
 
 
 def pinned_chain_digest(workload, seed, iterations=300):
-    """sha256 of write_chain_csv's output for the workload's first chain."""
+    """sha256 of write_chain_csv's output for the workload's first chain; for
+    reparam, of `gammasub fit --seed 11 --thinning 3` with its default burn-in."""
     obs, cfg = pin_inputs(workload, seed)
+    if workload == "reparam":
+        burn_in, run_seed, thinning = iterations // 10, 11, 3
+    else:
+        burn_in, run_seed, thinning = 0, [seed, 1], 1
     recs = g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=iterations,
-                      burn_in=0, seed=[seed, 1], m=cfg.refinement)
+                      burn_in=burn_in, seed=run_seed, m=cfg.refinement)
     buf = io.StringIO()
-    write_chain_csv(recs, buf, cfg.params0.n_bins)
+    write_chain_csv([r for r in recs if (r.iteration - burn_in) % thinning == 0], buf,
+                    cfg.params0.n_bins)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
@@ -1422,6 +1505,8 @@ _PINNED_VERSIONS = ("2.4.6", "1.17.1")
     ("mixture", 23, "06a7c78058b27e18b7c8ca5163e0e9e8b3724e89ddd29d33c7f45d9e9fc46bb9"),
     ("binless", 7, "1abdc787ab0bb93823ff0184435a7a0d664f9f173439c8f5860dcdff3bbcc07f"),
     ("beta_binned", 7, "ed2e4833154d8cbd3f6756aeb3626d8d707ac0158e2bb89ecd6c845e9636a796"),
+    # its 600-sweep form gives CI's d119b65f... chain.csv
+    ("reparam", 5, "07fa1e1acff9efb345a26a79860c9a8ae454b2b2a0755aee3a106e2bf5e919e9"),
 ])
 def test_chain_bytes_pinned(workload, seed, digest):
     # a kernel rewrite must leave every chain byte where it was

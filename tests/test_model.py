@@ -12,17 +12,20 @@ from gammasub import (
     ConfigError,
     DomainError,
     ModelParams,
+    Observations,
     Prior,
     PriorSpec,
+    ProposalSpec,
     exp_integral_e1,
     gamma_logpdf,
     levy_density,
     nu_bin_mass,
     nu_diff_bin0,
     prior_logpdf,
+    run_mcmc,
     theta_at,
 )
-from gammasub.model import bin_mass_values, mass_factors
+from gammasub.model import mass_factors
 
 E1_AT_1 = 0.21938393439552028
 E1_AT_2 = 0.04890051070806112
@@ -36,6 +39,24 @@ def binned_model(alpha=1.0, beta=1.0, edges=(1.0, 2.0, 4.0),
                  slopes=(0.0, 0.0, 0.0), intercepts=(0.0, 0.0, 0.0)):
     return ModelParams(alpha, beta, np.asarray(edges), np.asarray(slopes),
                        np.asarray(intercepts))
+
+
+def bin_mass(p, k):
+    """nu(B_k) of the ModelParams p, from mass_factors and nu_bin_mass."""
+    _, units, _ = mass_factors(p.alpha, p.theta_slopes.tolist(), p.bin_edges.tolist())
+    return nu_bin_mass(p.beta, p.theta_intercepts.tolist(), units)[k - 1]
+
+
+def diff_bin0(alpha_new, alpha_old, beta, b1):
+    """(nu_new - nu_old)(B_0) with B_0 = (0, b1), from E1(alpha * b1) at both rates."""
+    e1_new, e1_old = exp_integral_e1([alpha_new * b1, alpha_old * b1])
+    return nu_diff_bin0(beta, alpha_new, alpha_old, e1_new, e1_old)
+
+
+def prior_at(spec, p):
+    """prior_logpdf at the floats of the ModelParams p."""
+    return prior_logpdf(spec, p.alpha, p.beta, p.theta_slopes.tolist(),
+                        p.theta_intercepts.tolist())
 
 
 class TestModelParams:
@@ -127,29 +148,22 @@ class TestLevyDensity:
 class TestNuBinMass:
     def test_known_value_single_bin(self):
         p = binned_model()
-        assert nu_bin_mass(p, 1) == pytest.approx(E1_AT_1 - E1_AT_2, rel=1e-12)
+        assert bin_mass(p, 1) == pytest.approx(E1_AT_1 - E1_AT_2, rel=1e-12)
 
     def test_intercept_scales_mass(self):
         p0 = binned_model()
         p1 = binned_model(intercepts=(math.log(2.0), 0.0, 0.0))
-        assert nu_bin_mass(p1, 1) == pytest.approx(0.5 * nu_bin_mass(p0, 1), rel=1e-12)
+        assert bin_mass(p1, 1) == pytest.approx(0.5 * bin_mass(p0, 1), rel=1e-12)
 
     def test_telescoping_sum(self):
         p = binned_model(alpha=1.3, beta=2.5)
-        total = sum(nu_bin_mass(p, k) for k in (1, 2, 3))
-        from gammasub import exp_integral_e1
-        assert total == pytest.approx(2.5 * exp_integral_e1(1.3 * 1.0), rel=1e-12)
-
-    def test_bad_index(self):
-        p = binned_model()
-        for k in (0, 4, -1):
-            with pytest.raises(DomainError):
-                nu_bin_mass(p, k)
+        total = sum(bin_mass(p, k) for k in (1, 2, 3))
+        assert total == pytest.approx(2.5 * exp_integral_e1([1.3 * 1.0])[0], rel=1e-12)
 
     def test_tail_requires_positive_rate(self):
         p = binned_model(slopes=(0.0, 0.0, -1.5))
         with pytest.raises(DomainError):
-            nu_bin_mass(p, 3)
+            bin_mass(p, 3)
 
     def test_matches_quadrature_randomized(self):
         rng = np.random.default_rng(314)
@@ -167,23 +181,23 @@ class TestNuBinMass:
                 hi = np.inf if k == n else edges[k]
                 ref, _ = integrate.quad(lambda x: levy_density(p, x), edges[k - 1], hi,
                                         epsabs=0, epsrel=1e-11, limit=400)
-                assert nu_bin_mass(p, k) == pytest.approx(ref, rel=1e-8)
+                assert bin_mass(p, k) == pytest.approx(ref, rel=1e-8)
 
     def test_non_positive_interior_rate_matches_quadrature(self):
         # interior bin with slope + alpha <= 0 stays finite
         p = ModelParams(0.5, 1.0, [1.0, 3.0], [-1.5, 0.2], [0.1, -0.2])
         ref, _ = integrate.quad(lambda x: levy_density(p, x), 1.0, 3.0,
                                 epsabs=0, epsrel=1e-11)
-        assert nu_bin_mass(p, 1) == pytest.approx(ref, rel=1e-9)
+        assert bin_mass(p, 1) == pytest.approx(ref, rel=1e-9)
         p0 = ModelParams(0.5, 1.0, [1.0, 3.0], [-0.5, 0.2], [0.0, 0.0])
         ref0, _ = integrate.quad(lambda x: levy_density(p0, x), 1.0, 3.0,
                                  epsabs=0, epsrel=1e-11)
-        assert nu_bin_mass(p0, 1) == pytest.approx(ref0, rel=1e-9)
+        assert bin_mass(p0, 1) == pytest.approx(ref0, rel=1e-9)
 
     def test_total_tail_mass_finite_matches_quadrature(self):
         p = binned_model(alpha=0.8, beta=1.7, slopes=(0.3, -0.2, -0.5),
                          intercepts=(0.2, 0.4, -0.3))
-        total = sum(nu_bin_mass(p, k) for k in (1, 2, 3))
+        total = sum(bin_mass(p, k) for k in (1, 2, 3))
         head, _ = integrate.quad(lambda x: levy_density(p, x), 1.0, 4.0,
                                  points=[2.0], epsabs=0, epsrel=1e-11, limit=400)
         tail, _ = integrate.quad(lambda x: levy_density(p, x), 4.0, np.inf,
@@ -214,8 +228,9 @@ class TestMassFactors:
         edges = tuple(p.bin_edges.tolist())
         slopes, rhos = p.theta_slopes.tolist(), p.theta_intercepts.tolist()
         e1_b1, units, ref_units = mass_factors(p.alpha, slopes, edges)
-        masses = bin_mass_values(p.beta, rhos, units)
-        ref = p.gamma_reference()
+        masses = nu_bin_mass(p.beta, rhos, units)
+        # the Gamma reference: the same (beta, alpha) and bins, theta zero
+        ref = p.with_updates(theta_slopes=np.zeros(p.n_bins), theta_intercepts=np.zeros(p.n_bins))
         for k in range(1, p.n_bins + 1):
             assert masses[k - 1] == pytest.approx(quadrature_mass(p, k), rel=rel)
             assert p.beta * ref_units[k - 1] == pytest.approx(quadrature_mass(ref, k), rel=rel)
@@ -243,8 +258,8 @@ class TestMassFactors:
         assert units[0] == pytest.approx(e1_series(400.0), rel=1e-10)
         # E1(800) < exp(-800) / 800, below the smallest subnormal double
         assert math.exp(-800.0) == 0.0
-        assert units[1] == 0.0 and nu_bin_mass(p, 2) == 0.0
-        assert nu_bin_mass(p, 1) == pytest.approx(2.0 * math.exp(-0.5) * e1_series(400.0),
+        assert units[1] == 0.0 and bin_mass(p, 2) == 0.0
+        assert bin_mass(p, 1) == pytest.approx(2.0 * math.exp(-0.5) * e1_series(400.0),
                                                   rel=1e-10)
 
     def test_randomized(self):
@@ -267,18 +282,18 @@ class TestMassFactors:
 
 class TestNuDiffBin0:
     def test_equal_rates_give_zero(self):
-        assert nu_diff_bin0(1.3, 1.3, 2.0, 1.0) == 0.0
+        assert diff_bin0(1.3, 1.3, 2.0, 1.0) == 0.0
 
     def test_known_value(self):
         expected = math.log(0.5) - (E1_AT_2 - E1_AT_1)
-        assert nu_diff_bin0(2.0, 1.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert diff_bin0(2.0, 1.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             a, ap, b, b1 = rng.uniform(0.2, 5.0, size=4)
-            assert nu_diff_bin0(a, ap, b, b1) == pytest.approx(
-                -nu_diff_bin0(ap, a, b, b1), rel=1e-12, abs=1e-15)
+            assert diff_bin0(a, ap, b, b1) == pytest.approx(
+                -diff_bin0(ap, a, b, b1), rel=1e-12, abs=1e-15)
 
     def test_matches_quadrature(self):
         # direct integral of the density difference over (0, b1)
@@ -286,13 +301,14 @@ class TestNuDiffBin0:
         ref, _ = integrate.quad(
             lambda x: beta / x * (math.exp(-a_new * x) - math.exp(-a_old * x)),
             0.0, b1, epsabs=1e-13, epsrel=1e-12)
-        assert nu_diff_bin0(a_new, a_old, beta, b1) == pytest.approx(ref, rel=1e-9)
+        assert diff_bin0(a_new, a_old, beta, b1) == pytest.approx(ref, rel=1e-9)
 
     def test_domain_errors(self):
+        # a rate or edge <= 0 puts alpha * b1 outside E1's domain
         with pytest.raises(DomainError):
-            nu_diff_bin0(0.0, 1.0, 1.0, 1.0)
+            diff_bin0(0.0, 1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            nu_diff_bin0(1.0, 1.0, 1.0, -1.0)
+            diff_bin0(1.0, 1.0, 1.0, -1.0)
 
 
 class TestPriors:
@@ -318,10 +334,16 @@ class TestPriors:
             assert copy == pr and copy.logpdf(0.7) == pr.logpdf(0.7)
 
     def test_moment_matched_gamma(self):
-        pr = Prior.from_mean_variance(0.75, 0.36)
-        assert pr.kind == "gamma"
-        assert pr.a == pytest.approx(1.5625)
-        assert pr.b == pytest.approx(2.0833333333333335)
+        # gamma(shape, rate) with shape m^2/v and rate m/v has mean m and variance v
+        mean, var = 0.75, 0.36
+        pr = Prior("gamma", mean * mean / var, mean / var)
+
+        def moment(k):
+            return integrate.quad(lambda x: x ** k * math.exp(pr.logpdf(x)), 0.0, np.inf,
+                                  epsabs=0, epsrel=1e-12, limit=200)[0]
+        assert moment(0) == pytest.approx(1.0, rel=1e-10)
+        assert moment(1) == pytest.approx(mean, rel=1e-10)
+        assert moment(2) - moment(1) ** 2 == pytest.approx(var, rel=1e-9)
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ConfigError):
@@ -349,34 +371,36 @@ class TestPriorLogpdf:
         expected = spec.alpha.logpdf(1.0)
         expected += sum(spec.theta[k].logpdf(p.theta_slopes[k]) for k in range(3))
         expected += sum(spec.rho[k].logpdf(p.theta_intercepts[k]) for k in range(3))
-        assert prior_logpdf(spec, p) == pytest.approx(expected, rel=1e-14)
+        assert prior_at(spec, p) == pytest.approx(expected, rel=1e-14)
 
     def test_tail_constraint(self):
         spec = self.spec()
         bad = binned_model(slopes=(0.0, 0.0, -1.5))
-        assert prior_logpdf(spec, bad) == -math.inf
+        assert prior_at(spec, bad) == -math.inf
 
     def test_out_of_support(self):
         spec = PriorSpec(alpha=Prior("uniform", 0.5, 1.5))
-        assert prior_logpdf(spec, gamma_model(alpha=2.0)) == -math.inf
+        assert prior_at(spec, gamma_model(alpha=2.0)) == -math.inf
 
     def test_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            prior_logpdf(self.spec(n=2), binned_model())
+        # a prior over 2 bins for a 3-bin model, refused when the run is made
+        obs = Observations([0.0, 1.0, 2.0], [0.0, 0.5, 1.5])
+        with pytest.raises(ConfigError, match="prior covers 2 bins but the model has 3"):
+            run_mcmc(obs, binned_model(), self.spec(n=2), ProposalSpec(), iterations=1)
 
     def test_reparam_mode(self):
         spec = PriorSpec(
             alpha=Prior("gamma", 1.5625, 2.0833333333333335),
-            beta=Prior.from_mean_variance(90.0, 2500.0),
+            beta=Prior("gamma", 90.0 ** 2 / 2500.0, 90.0 / 2500.0),
             theta=(Prior("gamma", 1.5625, 2.0833333333333335),),
-            rho=(Prior.from_mean_variance(90.0, 2500.0),),
+            rho=(Prior("gamma", 90.0 ** 2 / 2500.0, 90.0 / 2500.0),),
             reparam=True,
         )
         p = ModelParams(0.8, 85.0, [2.0], [0.1], [0.2])
         expected = (spec.alpha.logpdf(0.8) + spec.beta.logpdf(85.0)
                     + spec.theta[0].logpdf(0.8 + 0.1)
                     + spec.rho[0].logpdf(85.0 * math.exp(-0.2)))
-        assert prior_logpdf(spec, p) == pytest.approx(expected, rel=1e-14)
+        assert prior_at(spec, p) == pytest.approx(expected, rel=1e-14)
 
     def test_reparam_requires_single_bin(self):
         with pytest.raises(ConfigError):
@@ -414,8 +438,8 @@ def closed_form_spec_logpdf(spec, alpha, beta, slopes, intercepts):
 
 
 class TestCompilePrior:
-    """The priors' log-densities, built once per Prior, and the joint PriorSpec.logpdf
-    (which prior_logpdf calls) against closed forms."""
+    """The priors' log-densities, built once per Prior, and the joint prior_logpdf
+    against closed forms."""
 
     KINDS = (Prior("uniform", -0.5, 2.0), Prior("gamma", 2.5, 1.5), Prior("gamma", 0.7, 3.0),
              Prior("normal", 0.3, 2.0))
@@ -451,17 +475,17 @@ class TestCompilePrior:
                                 rng.normal(0.0, 2.0, size=n))
                 slopes, intercepts = p.theta_slopes.tolist(), p.theta_intercepts.tolist()
                 want = closed_form_spec_logpdf(spec, p.alpha, p.beta, slopes, intercepts)
-                got = spec.logpdf(p.alpha, p.beta, tuple(slopes), tuple(intercepts))
+                got = prior_logpdf(spec, p.alpha, p.beta, tuple(slopes), tuple(intercepts))
                 assert got == pytest.approx(want, rel=1e-12)
-                assert prior_logpdf(spec, p) == got
+                assert prior_logpdf(spec, p.alpha, p.beta, slopes, intercepts) == got
 
     def test_tail_constraint(self):
         spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), theta=(Prior("normal", 0.0, 3.0),) * 3,
                          rho=(Prior("normal", 0.0, 7.0),) * 3)
         for last in (-1.5, -1.0, -0.5):
             bad = binned_model(slopes=(0.0, 0.0, last))
-            got = spec.logpdf(1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0))
-            assert got == prior_logpdf(spec, bad)
+            got = prior_logpdf(spec, 1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0))
+            assert got == prior_at(spec, bad)
             assert got == pytest.approx(closed_form_spec_logpdf(
                 spec, 1.0, 1.0, (0.0, 0.0, last), (0.0, 0.0, 0.0)), rel=1e-12)
             assert (got == -math.inf) == (last <= -1.0)
@@ -470,14 +494,14 @@ class TestCompilePrior:
         spec = PriorSpec(alpha=Prior("gamma", 1.5625, 2.0833333333333335),
                          beta=Prior("uniform", 60.0, 120.0),
                          theta=(Prior("gamma", 1.5625, 2.0833333333333335),),
-                         rho=(Prior.from_mean_variance(90.0, 2500.0),), reparam=True)
+                         rho=(Prior("gamma", 90.0 ** 2 / 2500.0, 90.0 / 2500.0),), reparam=True)
         for alpha, beta, slope, rho in ((0.8, 85.0, 0.1, 0.2), (0.8, 85.0, -0.8, 0.2),
                                         (0.5, 130.0, 0.3, -0.1), (2.0, 60.0, -0.5, 0.0)):
             p = ModelParams(alpha, beta, [2.0], [slope], [rho])
-            got = spec.logpdf(alpha, beta, (slope,), (rho,))
-            assert got == prior_logpdf(spec, p)
+            got = prior_logpdf(spec, alpha, beta, (slope,), (rho,))
+            assert got == prior_at(spec, p)
             assert got == pytest.approx(closed_form_spec_logpdf(spec, alpha, beta, (slope,),
                                                                 (rho,)), rel=1e-12)
         # outside the support: a slope of -alpha, and beta above the uniform's bound
-        assert spec.logpdf(0.8, 85.0, (-0.8,), (0.2,)) == -math.inf
-        assert spec.logpdf(0.5, 130.0, (0.3,), (-0.1,)) == -math.inf
+        assert prior_logpdf(spec, 0.8, 85.0, (-0.8,), (0.2,)) == -math.inf
+        assert prior_logpdf(spec, 0.5, 130.0, (0.3,), (-0.1,)) == -math.inf

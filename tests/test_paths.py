@@ -41,6 +41,14 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             TimeGrid([0.0], m=1)
 
+    def test_non_integer_refinement_rejected(self):
+        # 2.5 was truncated to 2 sub-steps; an integral numpy count is kept as an int
+        for m in (2.5, 2.0, "3"):
+            with pytest.raises(DomainError, match="must be an integer >= 1"):
+                TimeGrid([0.0, 1.0], m=m)
+        grid = TimeGrid([0.0, 1.0], m=np.int64(3))
+        assert grid.m == 3 and type(grid.m) is int
+
 
 def gamma_row(beta, alpha, h, n, seed):
     """One row of n independent Gamma(beta*h, alpha) increments."""
