@@ -157,6 +157,8 @@ def _add_diagnose(sub):
 
 def cmd_diagnose(args) -> int:
     figures = {f.strip() for f in args.figures.split(",") if f.strip()}
+    if not figures:
+        raise ConfigError("--figures names no figure")
     unknown = sorted(figures - {"trace", "hist", "band"})
     if unknown:
         raise ConfigError(f"unknown figure(s) {', '.join(unknown)}; choose from trace, hist, band")

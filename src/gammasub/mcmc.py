@@ -28,6 +28,11 @@ inert rows.  All per-segment randomness is drawn in fixed-layout blocks
 from dedicated splittable streams, so the result is independent of the
 order in which segments are processed.
 
+A refresh's proposals and uniforms read only beta and per-chain constants,
+from streams that serve the refresh alone, so run_mcmc's refreshes draw
+those of every sweep up to the next beta stage at once, in the order single
+refreshes would draw them: the chain is the same to the byte.
+
 The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
 with their log prior, and the bin totals as float and int lists.  The
@@ -89,6 +94,10 @@ _STAGES = ("params", "beta")
 # pin_rows can put a sub-step a few ulps above its row target, so a segment
 # is active from this far (relative) below the first bin edge
 _PIN_MARGIN = 1e-12
+
+# the most sub-steps the refresh draws ahead at once (_draw_ahead): 34 sweeps
+# of a 12-row block of m = 10, and one sweep at a time past 2,048 per sweep
+_AHEAD_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -192,6 +201,12 @@ class ChainState:
     block_sub_spans: np.ndarray | float = field(init=False)
     block_offsets: np.ndarray = field(init=False)   # bin_stats_matrix's offsets for the block
     edge_array: np.ndarray = field(init=False)      # terms.edges as the array bin_stats_matrix reads
+    # proposals drawn ahead (refresh_segments): one (beta, proposal, sums,
+    # counts, ln U) tuple per coming refresh, the next one last
+    drawn: list = field(default_factory=list, init=False)
+    # the most refreshes the next draw-ahead serves: after a batch that a
+    # degenerate row cut, as many as it served; twice as many after any other
+    ahead: int = field(default=_AHEAD_STEPS, init=False)
     # path_coefficients' cache: (terms, slopes array, intercepts array)
     _coefficients: tuple = field(default=(None,), init=False, repr=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
@@ -351,7 +366,7 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     )
 
 
-def refresh_segments(state: ChainState) -> float:
+def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     """Propose a fresh Gamma bridge per active segment and accept independently;
     returns the path acceptance rate over every segment.
 
@@ -364,6 +379,13 @@ def refresh_segments(state: ChainState) -> float:
     The proposal is drawn, scored and written on the active block, whose
     accepted rows are overwritten in place (ChainState.write_rows).
 
+    sweeps is the number of refreshes, this one first, that share its beta.
+    Proposals and uniforms read nothing else a move changes, and rng_path
+    and rng_accept serve the refresh alone, so a refresh that finds none
+    drawn draws those of up to sweeps refreshes at once (_draw_ahead) into
+    ChainState.drawn, and each takes the next; proposals drawn at a beta
+    other than state.terms' raise ContractError.
+
     An inert segment (see the module docstring) is not redrawn and counts as
     accepted in the rate, as the full refresh would count it: its
     path ratio is exactly 0, which is >= ln(U) for every U in (0, 1).  A
@@ -372,14 +394,16 @@ def refresh_segments(state: ChainState) -> float:
     n_active = state.active.size
     n_rejected = 0
     if n_active:
-        t = state.terms
-        proposal = bridge_rows(state.rng_path, t.beta * state.block_sub_spans,
-                               state.block_targets, state.grid.m)
-        new_sums, new_counts = bin_stats_matrix(proposal, state.edge_array, state.block_offsets)
+        if not state.drawn:
+            state.drawn = _draw_ahead(state, sweeps)
+        beta, proposal, new_sums, new_counts, log_u = state.drawn.pop()
+        if beta != state.terms.beta:
+            raise ContractError(f"refresh at sweep {state.iteration} found proposals drawn at "
+                                f"beta {beta!r}, but beta is {state.terms.beta!r}")
         log_ratio = loglik_ratio_path(new_sums, new_counts, state.block_sums,
                                       state.block_counts, *state.path_coefficients(),
                                       state.block_tolerance)
-        accepted = log_ratio >= np.log(state.rng_accept.uniform(size=n_active))
+        accepted = log_ratio >= log_u
         n_rejected = n_active - int(np.count_nonzero(accepted))
         if n_rejected < n_active:
             # with every row accepted the proposal becomes the block as it is
@@ -387,6 +411,42 @@ def refresh_segments(state: ChainState) -> float:
                              where=accepted if n_rejected else None)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
     return (state.n_segments - n_rejected) / state.n_segments
+
+
+def _draw_ahead(state: ChainState, sweeps: int) -> list:
+    """ChainState.drawn for up to sweeps refreshes, drawn, pinned and binned at once.
+
+    k refreshes draw one (k, n_active, m) Gamma array and (k, n_active)
+    uniforms, which take the variates k single draws would, in their order;
+    a batch holds at most _AHEAD_STEPS sub-steps.  A single refresh draws
+    through bridge_rows, which redraws a degenerate row before the next
+    refresh's draw, so a batch ends before the first refresh that holds one:
+    rng_path is wound back and the refreshes before it drawn again.
+    """
+    beta = state.terms.beta
+    shapes, targets, m = beta * state.block_sub_spans, state.block_targets, state.grid.m
+    n, rng = targets.size, state.rng_path
+    k = min(sweeps, state.ahead, _AHEAD_STEPS // (n * m))
+    state.ahead = min(2 * state.ahead, _AHEAD_STEPS)
+    if k > 1:
+        saved = rng.bit_generator.state
+        proposals, degenerate = pin_rows(rng.gamma(shape=shapes, size=(k, n, m)).reshape(-1, m),
+                                         targets[None].repeat(k, 0).ravel())
+        if np.count_nonzero(degenerate):
+            k = int(np.argmax(degenerate)) // n
+            state.ahead = max(k, 1)
+            rng.bit_generator.state = saved
+            if k > 1:
+                rng.gamma(shape=shapes, size=(k, n, m))
+                proposals = proposals[:k * n]
+    if k < 2:
+        proposal = bridge_rows(rng, shapes, targets, m)
+        sums, counts = bin_stats_matrix(proposal, state.edge_array, state.block_offsets)
+        return [(beta, proposal, sums, counts, np.log(state.rng_accept.uniform(size=n)))]
+    log_u = np.log(state.rng_accept.uniform(size=(k, n)))
+    sums, counts = bin_stats_matrix(proposals, state.edge_array)
+    return list(zip([beta] * k, proposals.reshape(k, n, m), sums.reshape(k, n, -1),
+                    counts.reshape(k, n, -1), log_u))[::-1]
 
 
 def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, intercepts,
@@ -572,11 +632,18 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
 
 def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, m):
     state = init_chain(obs, params0, TimeGrid(obs.times, m), seed)
-    n_stages = len(prop.update_schedule)
+    schedule = prop.update_schedule
+    n_stages = len(schedule)
+    # from a sweep at schedule index i, the refreshes up to the next beta
+    # stage's, the last before beta can move: every one when beta is fixed
+    same_beta = [next((d + 1 for d in range(n_stages) if schedule[(i + d) % n_stages] == "beta"),
+                  iterations) for i in range(n_stages)] if state.active.size else None
     for t in range(1, iterations + 1):
         state.iteration = t
-        path_rate = refresh_segments(state)
-        if prop.update_schedule[(t - 1) % n_stages] == "params":
+        stage = (t - 1) % n_stages
+        path_rate = (refresh_segments(state) if same_beta is None else
+                     refresh_segments(state, min(same_beta[stage], iterations + 1 - t)))
+        if schedule[stage] == "params":
             accepted, log_ratio = update_params(state, prop, prior)
             outcome = {"accept_params": accepted, "logr_params": log_ratio}
         else:

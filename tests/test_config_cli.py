@@ -337,9 +337,12 @@ class TestCliRoundTrip:
         (BASIC_CONFIG, BASIC_CONFIG, ["--hist-bins", "0"], "bins must be >= 1, got 0"),
         (BASIC_CONFIG, BASIC_CONFIG, ["--x-points", "-1"], "x-points must be >= 1, got -1"),
         (BASIC_CONFIG, BASIC_CONFIG, ["--x-points", "0"], "x-points must be >= 1, got 0"),
+        (BASIC_CONFIG, BASIC_CONFIG, ["--figures", ""], "--figures names no figure"),
+        (BASIC_CONFIG, BASIC_CONFIG, ["--figures", ","], "--figures names no figure"),
         (BINNED_CONFIG.replace("1 2 4", "1 2").replace("0 0 0", "0 0"), BINNED_CONFIG, [],
          "the chain has 2 bins but the config has 3"),
-    ], ids=["band level", "hist bins", "x points -1", "x points 0", "bin count"])
+    ], ids=["band level", "hist bins", "x points -1", "x points 0", "no figure", "no figure ,",
+            "bin count"])
     def test_diagnose_checks_its_inputs_first(self, tmp_path, capsys, chain_config,
                                              diagnose_config, options, message):
         chain = self.fit_chain(tmp_path, chain_config, "--iterations", "20")

@@ -234,13 +234,16 @@ class NoDraws:
 
 
 class Recording:
-    """Delegates to a Generator and records the method and size of every draw."""
+    """Delegates to a Generator and records the method and size of every draw,
+    in draws, a list that several streams may share."""
 
-    def __init__(self, gen):
-        self.gen, self.draws = gen, []
+    def __init__(self, gen, draws=None):
+        self.gen, self.draws = gen, [] if draws is None else draws
 
     def __getattr__(self, name):
         method = getattr(self.gen, name)
+        if name == "bit_generator":
+            return method
 
         def draw(*args, size=None, **kwargs):
             self.draws.append((name, size))
@@ -561,6 +564,104 @@ class TestActiveSegments:
             assert line == expected
         assert min(r.accept_path_rate for r in recs) < 1.0
         assert 0 < sum(bool(r.accept_beta) for r in recs) < 150
+
+
+class TestDrawAhead:
+    """run_mcmc's refreshes draw the proposals of several sweeps at once."""
+
+    prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), theta=(g.Prior("normal", 0, 1.0),),
+                        rho=(g.Prior("normal", 0, 1.5),))
+
+    def counted_run(self, monkeypatch, obs, params0, prior, prop, iterations, m):
+        """The records of run_mcmc and its streams' (method, size) draws, as
+        bench/tracer.py sees them: init_chain wrapped, its streams swapped."""
+        draws = []
+        init_chain = mcmc.init_chain
+
+        def counted_init(*args):
+            state = init_chain(*args)
+            state.rng_path = Recording(state.rng_path, draws)
+            state.rng_accept = Recording(state.rng_accept, draws)
+            return state
+
+        monkeypatch.setattr(mcmc, "init_chain", counted_init)
+        recs = list(g.run_mcmc(obs, params0, prior, prop, iterations=iterations, burn_in=0,
+                               seed=17, m=m))
+        monkeypatch.undo()
+        return recs, draws
+
+    def test_fixed_beta_run_draws_once_per_batch(self, monkeypatch):
+        obs = gamma_obs(n=60, seed=23)
+        params0 = g.ModelParams(2.0, 1.0, [0.5], [0.3], [0.2])
+        recs, draws = self.counted_run(monkeypatch, obs, params0, self.prior, g.ProposalSpec(),
+                                       100, 5)
+        n = mcmc.active_segments(obs.increments, params0.bin_edges).size
+        assert n == 24      # so 4096 // (24 * 5) = 34 sweeps per batch
+        assert draws == [("gamma", (34, n, 5)), ("uniform", (34, n))] * 2 + [
+            ("gamma", (32, n, 5)), ("uniform", (32, n))]
+        assert recs == list(run_with(g.refresh_segments, obs, params0, self.prior,
+                                     g.ProposalSpec(), 100, 17, 5))
+        assert min(r.accept_path_rate for r in recs) < 1.0
+
+    def test_random_beta_batches_end_at_the_beta_stage(self, monkeypatch):
+        obs = gamma_obs(n=60, seed=23)
+        params0 = g.ModelParams(2.0, 1.0, [0.5], [0.3], [0.2])
+        prior = g.PriorSpec(alpha=self.prior.alpha, beta=g.Prior("uniform", 0.05, 50.0),
+                            theta=self.prior.theta, rho=self.prior.rho)
+        prop = g.ProposalSpec(sigma_beta=0.05, update_schedule=("beta", "params", "params"))
+        recs, draws = self.counted_run(monkeypatch, obs, params0, prior, prop, 11, 5)
+        n = 24
+        # sweep 1 is a beta stage; then sweeps 2-4, 5-7 and 8-10 share a beta; 11 is last
+        one, three = [("gamma", (n, 5)), ("uniform", n)], [("gamma", (3, n, 5)), ("uniform", (3, n))]
+        assert draws == one + three * 3 + one
+        assert recs == list(run_with(g.refresh_segments, obs, params0, prior, prop, 11, 17, 5))
+        assert len({r.beta for r in recs}) > 1
+
+    def test_degenerate_rows_cut_the_batches(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        obs = g.Observations.from_increments(np.arange(61.0), rng.gamma(1.0, 1.0, size=60))
+        # Gamma shape beta * h / m = 3e-3: a row of two sub-steps is often too
+        # small to pin, and bridge_rows redraws it before the next sweep's draw
+        params0 = g.ModelParams(1.0, 0.006, [0.5], [0.3], [0.2])
+        batches = []
+        pin = mcmc.pin_rows
+
+        def recorded_pin(raw, targets):
+            pinned, degenerate = pin(raw, targets)
+            batches.append(int(np.argmax(degenerate)) if degenerate.any() else None)
+            return pinned, degenerate
+
+        monkeypatch.setattr(mcmc, "pin_rows", recorded_pin)
+        recs = list(g.run_mcmc(obs, params0, self.prior, g.ProposalSpec(), iterations=300,
+                               burn_in=0, seed=17, m=2))
+        monkeypatch.undo()
+        n = mcmc.active_segments(obs.increments, params0.bin_edges).size
+        assert n > 20
+        # a degenerate row in a batch's first sweep, and one in a later sweep
+        assert any(i is not None and i < n for i in batches)
+        assert any(i is not None and i >= n for i in batches)
+        assert recs == list(run_with(g.refresh_segments, obs, params0, self.prior,
+                                     g.ProposalSpec(), 300, 17, 2))
+        assert 0 < sum(bool(r.accept_params) for r in recs) < 300
+
+    def test_refresh_after_a_beta_change_is_a_contract_error(self):
+        params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
+        state = basic_state(params=params, seed=13)
+        g.refresh_segments(state, 3)
+        assert len(state.drawn) == 2
+        g.refresh_segments(state)
+        set_params(state, g.ModelParams(1.0, 1.25, [0.5], [0.4], [0.2]))
+        with pytest.raises(g.ContractError, match="drawn at beta 1.0, but beta is 1.25"):
+            g.refresh_segments(state)
+
+    def test_large_blocks_draw_one_sweep_at_a_time(self):
+        state = basic_state(obs=gamma_obs(n=400, seed=2),
+                            params=g.ModelParams(1.0, 1.0, [0.1], [0.4], [0.2]), m=10)
+        assert state.active.size * state.m > 2048
+        state.rng_path, state.rng_accept = Recording(state.rng_path), Recording(state.rng_accept)
+        g.refresh_segments(state, 50)
+        assert state.rng_path.draws == [("gamma", (state.active.size, 10))]
+        assert state.drawn == []
 
 
 class TestUpdateParams:
