@@ -166,8 +166,7 @@ def cmd_diagnose(args) -> int:
     with open(args.chain) as fh:
         records = read_chain_csv(fh)
     if not records:
-        print("chain file holds no records", file=sys.stderr)
-        return 1
+        raise DataError("chain file holds no records")
     n_bins = len(records[0].theta)
     if n_bins != cfg.params0.n_bins:
         raise DataError(f"the chain has {n_bins} bins but the config has {cfg.params0.n_bins}")

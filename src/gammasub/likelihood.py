@@ -49,21 +49,12 @@ def bin_classify(increments: np.ndarray, bin_edges) -> np.ndarray:
     return np.asarray(bin_edges, dtype=float).searchsorted(increments, side="right")
 
 
-def row_offsets(rows: int, bin_edges) -> np.ndarray:
-    """(rows, 1) offsets that give each row of a matrix its own N+1 bins of one bincount."""
-    return (np.arange(rows) * (len(bin_edges) + 1))[:, None]
-
-
-def bin_stats_matrix(increments: np.ndarray, bin_edges, offsets: np.ndarray | None = None):
-    """Per-row bin sums and counts for a (rows, steps) increment matrix; any float edges.
-
-    offsets, when given, must be row_offsets(rows, bin_edges), which a
-    caller with a fixed number of rows computes once.
-    """
+def bin_stats_matrix(increments: np.ndarray, bin_edges):
+    """Per-row bin sums and counts for a (rows, steps) increment matrix; any float edges."""
     rows = increments.shape[0]
     k = len(bin_edges) + 1
     idx = bin_classify(increments, bin_edges)
-    idx += row_offsets(rows, bin_edges) if offsets is None else offsets
+    idx += (np.arange(rows) * k)[:, None]      # each row its own k bins of one bincount
     flat = idx.ravel()
     counts = np.bincount(flat, minlength=rows * k).reshape(rows, k)
     sums = np.bincount(flat, weights=increments.ravel(), minlength=rows * k).reshape(rows, k)

@@ -31,7 +31,10 @@ order in which segments are processed.
 A refresh's proposals and uniforms read only beta and per-chain constants,
 from streams that serve the refresh alone, so run_mcmc's refreshes draw
 those of every sweep up to the next beta stage at once, in the order single
-refreshes would draw them: the chain is the same to the byte.
+refreshes would draw them.  The chain is the same to the byte as with one
+refresh at a time unless a bridge row is too small to pin: bridge_rows
+redraws it after the whole batch, not before the next sweep's draw, which
+changes which variates serve which sweep but not the law.
 
 The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
@@ -68,9 +71,10 @@ import numpy as np
 from .data import Observations
 from .exceptions import ConfigError, ContractError, DataError
 from .likelihood import (ParamTerms, bin_stats_matrix, endpoint_tolerance, loglik_ratio_params,
-                         loglik_ratio_path, psi_log, row_offsets)
+                         loglik_ratio_path, psi_log)
 from .model import ModelParams, PriorSpec, prior_logpdf
-from .paths import TimeGrid, _one_value, augment_rows, bridge_rows, pin_rows, thin_rows
+from .paths import (TimeGrid, _one_value, _seed_sequence, augment_rows, bridge_rows, pin_rows,
+                    thin_rows)
 from .specfun import log_gamma_values
 
 __all__ = [
@@ -95,8 +99,9 @@ _STAGES = ("params", "beta")
 # is active from this far (relative) below the first bin edge
 _PIN_MARGIN = 1e-12
 
-# the most sub-steps the refresh draws ahead at once (_draw_ahead): 34 sweeps
-# of a 12-row block of m = 10, and one sweep at a time past 2,048 per sweep
+# the most sub-steps the refresh draws ahead at once (_draw_ahead), its
+# redraws aside: 34 sweeps of a 12-row block of m = 10, and one sweep at a
+# time past 2,048 per sweep
 _AHEAD_STEPS = 4096
 
 
@@ -199,14 +204,10 @@ class ChainState:
     block_tolerance: np.ndarray = field(init=False)
     # the block's sub-step spans h_i / m: (n_active, 1), or one float when all are equal
     block_sub_spans: np.ndarray | float = field(init=False)
-    block_offsets: np.ndarray = field(init=False)   # bin_stats_matrix's offsets for the block
     edge_array: np.ndarray = field(init=False)      # terms.edges as the array bin_stats_matrix reads
     # proposals drawn ahead (refresh_segments): one (beta, proposal, sums,
     # counts, ln U) tuple per coming refresh, the next one last
     drawn: list = field(default_factory=list, init=False)
-    # the most refreshes the next draw-ahead serves: after a batch that a
-    # degenerate row cut, as many as it served; twice as many after any other
-    ahead: int = field(default=_AHEAD_STEPS, init=False)
     # path_coefficients' cache: (terms, slopes array, intercepts array)
     _coefficients: tuple = field(default=(None,), init=False, repr=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
@@ -231,7 +232,6 @@ class ChainState:
         self.block_targets = self.obs.increments[active]
         self.block_tolerance = endpoint_tolerance(self.block_targets)
         self.block_sub_spans = _one_value((spans[active] / self.grid.m)[:, None])
-        self.block_offsets = row_offsets(active.size, self.terms.edges)
         self.edge_array = np.array(self.terms.edges, dtype=float)
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
@@ -320,17 +320,6 @@ class ChainState:
         return t
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    """The SeedSequence a chain's streams spawn from: seed itself if it is one."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    try:
-        return np.random.SeedSequence(seed)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"seed must be a non-negative integer or a sequence of them, got {seed!r}") from None
-
-
 def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.Philox(s)) for s in _seed_sequence(seed).spawn(4))
 
@@ -384,7 +373,9 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     and rng_accept serve the refresh alone, so a refresh that finds none
     drawn draws those of up to sweeps refreshes at once (_draw_ahead) into
     ChainState.drawn, and each takes the next; proposals drawn at a beta
-    other than state.terms' raise ContractError.
+    other than state.terms' raise ContractError.  The refreshes take the
+    variates that one at a time would take unless a bridge row needs a
+    redraw (see the module docstring).
 
     An inert segment (see the module docstring) is not redrawn and counts as
     accepted in the rate, as the full refresh would count it: its
@@ -416,33 +407,22 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
 def _draw_ahead(state: ChainState, sweeps: int) -> list:
     """ChainState.drawn for up to sweeps refreshes, drawn, pinned and binned at once.
 
-    k refreshes draw one (k, n_active, m) Gamma array and (k, n_active)
-    uniforms, which take the variates k single draws would, in their order;
-    a batch holds at most _AHEAD_STEPS sub-steps.  A single refresh draws
-    through bridge_rows, which redraws a degenerate row before the next
-    refresh's draw, so a batch ends before the first refresh that holds one:
-    rng_path is wound back and the refreshes before it drawn again.
+    k refreshes draw one bridge_rows matrix of k * n_active rows and
+    (k, n_active) uniforms, at most _AHEAD_STEPS sub-steps before redraws.
+    Without a degenerate row those are the variates, in their order, that k
+    single refreshes would draw.  bridge_rows redraws a degenerate row after
+    the whole matrix, not before the next refresh's draw as a single refresh
+    would: the law is the same, and each redrawn row is an independent draw
+    conditioned on being pinnable.
     """
-    beta = state.terms.beta
-    shapes, targets, m = beta * state.block_sub_spans, state.block_targets, state.grid.m
-    n, rng = targets.size, state.rng_path
-    k = min(sweeps, state.ahead, _AHEAD_STEPS // (n * m))
-    state.ahead = min(2 * state.ahead, _AHEAD_STEPS)
-    if k > 1:
-        saved = rng.bit_generator.state
-        proposals, degenerate = pin_rows(rng.gamma(shape=shapes, size=(k, n, m)).reshape(-1, m),
-                                         targets[None].repeat(k, 0).ravel())
-        if np.count_nonzero(degenerate):
-            k = int(np.argmax(degenerate)) // n
-            state.ahead = max(k, 1)
-            rng.bit_generator.state = saved
-            if k > 1:
-                rng.gamma(shape=shapes, size=(k, n, m))
-                proposals = proposals[:k * n]
-    if k < 2:
-        proposal = bridge_rows(rng, shapes, targets, m)
-        sums, counts = bin_stats_matrix(proposal, state.edge_array, state.block_offsets)
-        return [(beta, proposal, sums, counts, np.log(state.rng_accept.uniform(size=n)))]
+    beta, targets, m = state.terms.beta, state.block_targets, state.grid.m
+    n = targets.size
+    k = max(1, min(sweeps, _AHEAD_STEPS // (n * m)))
+    shapes = beta * state.block_sub_spans
+    if np.ndim(shapes):
+        shapes = np.concatenate([shapes] * k)
+    # k copies of the block's rows; np.tile costs several microseconds more
+    proposals = bridge_rows(state.rng_path, shapes, np.concatenate([targets] * k), m)
     log_u = np.log(state.rng_accept.uniform(size=(k, n)))
     sums, counts = bin_stats_matrix(proposals, state.edge_array)
     return list(zip([beta] * k, proposals.reshape(k, n, m), sums.reshape(k, n, -1),
@@ -570,7 +550,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
         block, collapsed = pin_rows(block, state.block_targets)
         if np.count_nonzero(collapsed):
             return False, -math.inf
-        block_sums, block_counts = bin_stats_matrix(block, state.edge_array, state.block_offsets)
+        block_sums, block_counts = bin_stats_matrix(block, state.edge_array)
         totals = state.block_totals(block_sums, block_counts)
     psi_new = psi_log(*totals, horizon, new)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContractError, DegeneratePathError, DomainError
+from .exceptions import ConfigError, ContractError, DegeneratePathError, DomainError
 
 __all__ = [
     "TimeGrid",
@@ -33,11 +33,26 @@ _RESAMPLE_LIMIT = 100
 _TINY = np.finfo(float).tiny
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """seed as a SeedSequence, seed itself if it is one; ConfigError for a
+    seed SeedSequence refuses, a negative integer among them."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"seed must be a non-negative integer or a sequence of them, got {seed!r}") from None
+
+
 def as_generator(seed) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, or Generator into a Generator."""
+    """Coerce a seed _seed_sequence takes, or a Generator, into a Generator.
+
+    Philox draws the same stream from an int seed and from its SeedSequence.
+    """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
 @dataclass(frozen=True)

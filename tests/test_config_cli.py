@@ -403,6 +403,26 @@ class TestCliRoundTrip:
             "error: seed must be a non-negative integer or a sequence of them, got -1\n")
         assert not out.exists()
 
+    def test_negative_simulate_seed_is_an_error(self, tmp_path, capsys):
+        obs_csv = tmp_path / "obs.csv"
+        rc = main(["simulate", "--horizon", "10", "--n", "20", "--seed", "-3",
+                   "--out", str(obs_csv)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer or a sequence of them, got -3\n")
+        assert not obs_csv.exists()
+
+    def test_diagnose_chain_without_records_is_an_error(self, tmp_path, capsys):
+        chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "20")
+        chain.write_text(chain.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        rc = main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
+                   "--out-dir", str(fig)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: chain file holds no records\n"
+        assert not fig.exists()
+
     def test_ingest_cli(self, tmp_path):
         losses = tmp_path / "losses.csv"
         losses.write_text(

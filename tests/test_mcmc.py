@@ -11,7 +11,7 @@ from scipy import integrate, special
 from scipy.stats import gamma as gamma_dist
 
 import gammasub as g
-from gammasub import mcmc
+from gammasub import mcmc, paths
 from gammasub.config import parse_config
 from gammasub.likelihood import ParamTerms, bin_stats_matrix, loglik_ratio_path
 from gammasub.mcmc import (
@@ -167,7 +167,8 @@ class TestRefreshSegments:
     def test_rejected_rows_keep_their_path_and_stats(self):
         class RejectEveryThird:
             def uniform(self, size):
-                return np.where(np.arange(size) % 3 == 0, np.inf, 1e-300)
+                # one refresh draws (1, n_active) uniforms
+                return np.where(np.arange(size[1]) % 3 == 0, np.inf, 1e-300)[None]
 
         params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
         state = basic_state(params=params, seed=13)
@@ -242,8 +243,6 @@ class Recording:
 
     def __getattr__(self, name):
         method = getattr(self.gen, name)
-        if name == "bit_generator":
-            return method
 
         def draw(*args, size=None, **kwargs):
             self.draws.append((name, size))
@@ -489,7 +488,7 @@ class TestActiveSegments:
         for _ in range(20):
             g.refresh_segments(state)
             assert state.rng_path.draws == [("gamma", (self.n_active, state.m))]
-            assert state.rng_accept.draws == [("uniform", self.n_active)]
+            assert state.rng_accept.draws == [("uniform", (1, self.n_active))]
             state.rng_path.draws.clear()
             state.rng_accept.draws.clear()
             for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
@@ -597,8 +596,8 @@ class TestDrawAhead:
                                        100, 5)
         n = mcmc.active_segments(obs.increments, params0.bin_edges).size
         assert n == 24      # so 4096 // (24 * 5) = 34 sweeps per batch
-        assert draws == [("gamma", (34, n, 5)), ("uniform", (34, n))] * 2 + [
-            ("gamma", (32, n, 5)), ("uniform", (32, n))]
+        assert draws == [("gamma", (34 * n, 5)), ("uniform", (34, n))] * 2 + [
+            ("gamma", (32 * n, 5)), ("uniform", (32, n))]
         assert recs == list(run_with(g.refresh_segments, obs, params0, self.prior,
                                      g.ProposalSpec(), 100, 17, 5))
         assert min(r.accept_path_rate for r in recs) < 1.0
@@ -612,37 +611,50 @@ class TestDrawAhead:
         recs, draws = self.counted_run(monkeypatch, obs, params0, prior, prop, 11, 5)
         n = 24
         # sweep 1 is a beta stage; then sweeps 2-4, 5-7 and 8-10 share a beta; 11 is last
-        one, three = [("gamma", (n, 5)), ("uniform", n)], [("gamma", (3, n, 5)), ("uniform", (3, n))]
+        one = [("gamma", (n, 5)), ("uniform", (1, n))]
+        three = [("gamma", (3 * n, 5)), ("uniform", (3, n))]
         assert draws == one + three * 3 + one
         assert recs == list(run_with(g.refresh_segments, obs, params0, prior, prop, 11, 17, 5))
         assert len({r.beta for r in recs}) > 1
 
-    def test_degenerate_rows_cut_the_batches(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        obs = g.Observations.from_increments(np.arange(61.0), rng.gamma(1.0, 1.0, size=60))
+    def test_redrawn_rows_keep_the_bridge_law(self, monkeypatch):
         # Gamma shape beta * h / m = 3e-3: a row of two sub-steps is often too
-        # small to pin, and bridge_rows redraws it before the next sweep's draw
-        params0 = g.ModelParams(1.0, 0.006, [0.5], [0.3], [0.2])
-        batches = []
-        pin = mcmc.pin_rows
+        # small to pin, and bridge_rows redraws it after the whole batch, where
+        # a single sweep's draw redraws it before the next sweep's
+        rng = np.random.default_rng(3)
+        obs = g.Observations.from_increments(np.arange(61.0), 0.5 + rng.gamma(1.0, 1.0, size=60))
+        params = g.ModelParams(1.0, 0.006, [0.5], [0.3], [0.2])
+        pins = []
+        pin = paths.pin_rows
 
-        def recorded_pin(raw, targets):
-            pinned, degenerate = pin(raw, targets)
-            batches.append(int(np.argmax(degenerate)) if degenerate.any() else None)
-            return pinned, degenerate
+        def counted_pin(raw, targets):
+            pins.append(raw.shape[0])
+            return pin(raw, targets)
 
-        monkeypatch.setattr(mcmc, "pin_rows", recorded_pin)
-        recs = list(g.run_mcmc(obs, params0, self.prior, g.ProposalSpec(), iterations=300,
-                               burn_in=0, seed=17, m=2))
+        monkeypatch.setattr(paths, "pin_rows", counted_pin)
+        fractions = []
+        for sweeps, seed in ((34, 1), (1, 2)):
+            state = g.init_chain(obs, params, g.TimeGrid(obs.times, 2), seed)
+            assert state.active.size == 60      # so 4096 // (60 * 2) = 34 sweeps per batch
+            pins.clear()
+            rows = [drawn[1] for _ in range(3400 // sweeps)
+                    for drawn in mcmc._draw_ahead(state, sweeps)]
+            if sweeps > 1:
+                # most batches redraw rows: more pin_rows calls than the 100 batches
+                assert pins.count(34 * 60) == 100 and len(pins) > 150
+            rows = np.concatenate(rows)
+            fractions.append(rows.min(axis=1) / np.tile(state.block_targets, 3400))
         monkeypatch.undo()
-        n = mcmc.active_segments(obs.increments, params0.bin_edges).size
-        assert n > 20
-        # a degenerate row in a batch's first sweep, and one in a later sweep
-        assert any(i is not None and i < n for i in batches)
-        assert any(i is not None and i >= n for i in batches)
-        assert recs == list(run_with(g.refresh_segments, obs, params0, self.prior,
-                                     g.ProposalSpec(), 300, 17, 2))
-        assert 0 < sum(bool(r.accept_params) for r in recs) < 300
+        # the pinned fraction min(x_1, x_2) / delta: a two-sample test of its
+        # distribution function, 204,000 independent rows a side
+        size = fractions[0].size
+        assert size == 204_000
+        for threshold in (1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1e-5, 1e-2, 0.1):
+            ahead, single = (np.count_nonzero(f < threshold) / size for f in fractions)
+            pooled = 0.5 * (ahead + single)
+            se = math.sqrt(pooled * (1 - pooled) * 2 / size)
+            assert 0 < pooled < 1
+            assert abs(ahead - single) < 4 * se, threshold
 
     def test_refresh_after_a_beta_change_is_a_contract_error(self):
         params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
@@ -1557,14 +1569,30 @@ update_schedule = beta params params
 refinement = 6
 """
 
+# CI's fixed-beta fit at Gamma shape beta*h/m = 3e-3, whose refresh redraws
+# bridge rows too small to pin
+_PIN_TINY_SHAPE = """\
+bin_edges = 0.5
+alpha_init = 1.0
+beta_init = 0.006
+theta_init = 0.5
+rho_init = 0.0
+alpha_prior = gamma 2 1
+theta_prior = gamma 2 1
+rho_prior = normal 0 1.5
+refinement = 2
+"""
+
+_CLI_FITS = {"reparam": (_PIN_REPARAM, 3), "tiny_shape": (_PIN_TINY_SHAPE, 1)}
+
 
 def pin_inputs(workload, seed):
-    """(Observations, RunConfig) of a benchmark workload, or of CI's reparam fit,
-    at a data seed."""
-    if workload == "reparam":
+    """(Observations, RunConfig) of a benchmark workload, or of one of CI's CLI
+    fits, at a data seed."""
+    if workload in _CLI_FITS:
         # `gammasub simulate --n 400 --horizon 400 --seed 5`, as fit reads its CSV back
         data, _ = g.synth_two_gamma(2.0, 0.4, 0.2, 0.04, T=400.0, n=400, seed=seed)
-        return g.Observations(data.times, data.values), parse_config(_PIN_REPARAM)
+        return g.Observations(data.times, data.values), parse_config(_CLI_FITS[workload][0])
     if workload == "binless":
         rng = np.random.Generator(np.random.Philox(seed))
         times, increments = np.arange(2001, dtype=float), rng.gamma(1.0, 0.5, size=2000)
@@ -1580,10 +1608,11 @@ def pin_inputs(workload, seed):
 
 def pinned_chain_digest(workload, seed, iterations=300):
     """sha256 of write_chain_csv's output for the workload's first chain; for
-    reparam, of `gammasub fit --seed 11 --thinning 3` with its default burn-in."""
+    CI's CLI fits, of `gammasub fit --seed 11` with its default burn-in and
+    their thinning."""
     obs, cfg = pin_inputs(workload, seed)
-    if workload == "reparam":
-        burn_in, run_seed, thinning = iterations // 10, 11, 3
+    if workload in _CLI_FITS:
+        burn_in, run_seed, thinning = iterations // 10, 11, _CLI_FITS[workload][1]
     else:
         burn_in, run_seed, thinning = 0, [seed, 1], 1
     recs = g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=iterations,
@@ -1608,6 +1637,8 @@ _PINNED_VERSIONS = ("2.4.6", "1.17.1")
     ("beta_binned", 7, "ed2e4833154d8cbd3f6756aeb3626d8d707ac0158e2bb89ecd6c845e9636a796"),
     # its 600-sweep form gives CI's d119b65f... chain.csv
     ("reparam", 5, "07fa1e1acff9efb345a26a79860c9a8ae454b2b2a0755aee3a106e2bf5e919e9"),
+    # its 600-sweep form gives CI's 10d60ffa... chain.csv
+    ("tiny_shape", 5, "e2978e9ad2edbaa584d9a0a1879941cb0b04934df0120adc64f85a7bf1c1eceb"),
 ])
 def test_chain_bytes_pinned(workload, seed, digest):
     # a kernel rewrite must leave every chain byte where it was
