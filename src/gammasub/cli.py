@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GammasubError as exc:
+    except (GammasubError, OSError, UnicodeDecodeError) as exc:
+        # a missing or unreadable file is bad input too, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -169,13 +169,11 @@ def parse_config(text: str) -> RunConfig:
         proposal_keys["update_schedule"] = tuple(pairs["update_schedule"].split())
     proposal = ProposalSpec(**proposal_keys)
 
-    refinement = _scalar("refinement", "10", int)
-    if refinement < 1:
-        raise ConfigError(f"refinement must be >= 1, got {refinement}")
+    # run_mcmc's TimeGrid checks that refinement is >= 1
     return RunConfig(params0=params0, prior=prior, proposal=proposal,
-                     refinement=refinement, raw=pairs)
+                     refinement=_scalar("refinement", "10", int), raw=pairs)
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r") as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ContractError
-from .model import ModelParams, mass_factors, nu_bin_mass, nu_diff_bin0
+from .model import ModelParams, bin_classify, mass_factors, nu_bin_mass, nu_diff_bin0
 
 __all__ = [
     "ParamTerms",
@@ -39,18 +39,9 @@ __all__ = [
 _ENDPOINT_RTOL = 1e-9
 
 
-def bin_classify(increments: np.ndarray, bin_edges) -> np.ndarray:
-    """Half-open bin index of each increment (0 for B_0, edges go right).
-
-    The index is the number of edges at or below the increment: one
-    searchsorted(side="right"), cheaper than a comparison pass per edge even
-    for a few edges.  A NaN increment sorts above every edge, into B_N.
-    """
-    return np.asarray(bin_edges, dtype=float).searchsorted(increments, side="right")
-
-
 def bin_stats_matrix(increments: np.ndarray, bin_edges):
-    """Per-row bin sums and counts for a (rows, steps) increment matrix; any float edges."""
+    """Per-row bin sums and counts for a (rows, steps) increment matrix; any
+    float edges, assigned by model.bin_classify."""
     rows = increments.shape[0]
     k = len(bin_edges) + 1
     idx = bin_classify(increments, bin_edges)

@@ -62,7 +62,6 @@ chain with random beta loads scipy.special at its first beta move.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -198,13 +197,11 @@ class ChainState:
     total_counts: list = field(init=False)
     inert_sums: np.ndarray = field(init=False)      # (N+1,) bin sums of the inert segments
     inert_counts: np.ndarray = field(init=False)    # (N+1,) bin counts of the inert segments
-    block_targets: np.ndarray = field(init=False)   # (n_active,) the block's observed increments
-    # endpoint_tolerance of block_targets: every row of the block and of a
-    # bridge proposal sums to its target, so this is the refresh's endpoint check
+    # endpoint_tolerance of the block's observed increments: every row of the block and
+    # of a bridge proposal sums to its target, so this is the refresh's endpoint check
     block_tolerance: np.ndarray = field(init=False)
     # the block's sub-step spans h_i / m: (n_active, 1), or one float when all are equal
     block_sub_spans: np.ndarray | float = field(init=False)
-    edge_array: np.ndarray = field(init=False)      # terms.edges as the array bin_stats_matrix reads
     # proposals drawn ahead (refresh_segments): one (beta, proposal, sums,
     # counts, ln U) tuple per coming refresh, the next one last
     drawn: list = field(default_factory=list, init=False)
@@ -229,10 +226,8 @@ class ChainState:
         self.block_counts = self.start_counts[active]
         self.total_sums, self.total_counts = self.block_totals(self.block_sums, self.block_counts)
         spans = self.grid.spans
-        self.block_targets = self.obs.increments[active]
-        self.block_tolerance = endpoint_tolerance(self.block_targets)
+        self.block_tolerance = endpoint_tolerance(self.obs.increments[active])
         self.block_sub_spans = _one_value((spans[active] / self.grid.m)[:, None])
-        self.edge_array = np.array(self.terms.edges, dtype=float)
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
         self.distinct_spans, self.span_counts = np.unique(spans, return_counts=True)
@@ -361,7 +356,7 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
 
     The proposal reads beta from state.terms, the path ratio its slopes and
     intercepts (ChainState.path_coefficients), and both the chain's bin
-    edges (ChainState.edge_array).  The acceptance for segment
+    edges (terms.edges).  The acceptance for segment
     i compares the endpoint-matched path ratio to ln(U_i).  Noise and uniforms
     are drawn in one fixed-layout block over the active segments, so the
     decisions do not depend on the order in which segments are visited.
@@ -415,7 +410,8 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     would: the law is the same, and each redrawn row is an independent draw
     conditioned on being pinnable.
     """
-    beta, targets, m = state.terms.beta, state.block_targets, state.grid.m
+    beta, edges, m = state.terms.beta, state.terms.edges, state.grid.m
+    targets = state.obs.increments[state.active]
     n = targets.size
     k = max(1, min(sweeps, _AHEAD_STEPS // (n * m)))
     shapes = beta * state.block_sub_spans
@@ -424,7 +420,7 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     # k copies of the block's rows; np.tile costs several microseconds more
     proposals = bridge_rows(state.rng_path, shapes, np.concatenate([targets] * k), m)
     log_u = np.log(state.rng_accept.uniform(size=(k, n)))
-    sums, counts = bin_stats_matrix(proposals, state.edge_array)
+    sums, counts = bin_stats_matrix(proposals, edges)
     return list(zip([beta] * k, proposals.reshape(k, n, m), sums.reshape(k, n, -1),
                     counts.reshape(k, n, -1), log_u))[::-1]
 
@@ -547,10 +543,10 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
             block = augment_rows(rng, block, sub, cur.beta, beta_new, cur.alpha)
         elif beta_new < cur.beta:
             block = thin_rows(rng, block, sub, cur.beta, beta_new)
-        block, collapsed = pin_rows(block, state.block_targets)
+        block, collapsed = pin_rows(block, state.obs.increments[state.active])
         if np.count_nonzero(collapsed):
             return False, -math.inf
-        block_sums, block_counts = bin_stats_matrix(block, state.edge_array)
+        block_sums, block_counts = bin_stats_matrix(block, cur.edges)
         totals = state.block_totals(block_sums, block_counts)
     psi_new = psi_log(*totals, horizon, new)
 
@@ -568,7 +564,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
 
 
 def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
-                  iterations: int, burn_in: int, m) -> None:
+                  iterations: int, burn_in: int) -> None:
     if prior.n_bins != params0.n_bins:
         raise ConfigError(
             f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}"
@@ -581,13 +577,11 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
         raise ConfigError(
             f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})"
         )
-    if not params0.tail_integrable:
-        raise ConfigError("initial parameters violate the tail constraint")
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise ConfigError(f"m must be an integer >= 1, got {m!r}")
     if prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes.tolist(),
                     params0.theta_intercepts.tolist()) == -math.inf:
-        raise ConfigError("initial parameters have zero prior density")
+        raise ConfigError("initial parameters have zero prior density: a value lies outside "
+                          "its prior's support, or the tail bin has infinite mass "
+                          "(theta_N <= -alpha)")
 
 
 def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
@@ -601,17 +595,19 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     update of the schedule, which names a beta stage exactly when beta is
     random.  burn_in defaults to 10 percent of iterations.  Nothing is thinned
     here: `gammasub fit --thinning` keeps every k-th record.  Fully
-    deterministic given the seed.  The arguments, the seed and m among them,
-    are checked at the call (ConfigError), the sweeps run on next().
+    deterministic given the seed.  The arguments are checked at the call,
+    the sweeps run on next(): ConfigError for the model, prior, schedule and
+    seed, and TimeGrid's DomainError for m.
     """
     if burn_in is None:
         burn_in = iterations // 10
-    _validate_run(params0, prior, prop, iterations, burn_in, m)
-    return _sweeps(obs, params0, prior, prop, iterations, burn_in, _seed_sequence(seed), m)
+    _validate_run(params0, prior, prop, iterations, burn_in)
+    return _sweeps(obs, params0, prior, prop, iterations, burn_in, _seed_sequence(seed),
+                   TimeGrid(obs.times, m))
 
 
-def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, m):
-    state = init_chain(obs, params0, TimeGrid(obs.times, m), seed)
+def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, grid):
+    state = init_chain(obs, params0, grid, seed)
     schedule = prop.update_schedule
     n_stages = len(schedule)
     # from a sweep at schedule index i, the refreshes up to the next beta
@@ -675,7 +671,8 @@ def write_chain_csv(records, stream, n_bins: int) -> None:
 def read_chain_csv(stream) -> list[ChainRecord]:
     """Parse write_chain_csv's output.  Raises DataError for a header that
     write_chain_csv does not write, and, naming the line, for a row with the
-    wrong number of fields or a malformed value."""
+    wrong number of fields or a malformed value: a parameter value or path
+    rate must be finite, as every retained state's is."""
     header = stream.readline().strip().split(",")
     n_bins = sum(1 for c in header if c.startswith("theta_"))
     expected = chain_csv_header(n_bins)
@@ -692,18 +689,22 @@ def read_chain_csv(stream) -> list[ChainRecord]:
                             f"got {len(parts)}")
         tail = parts[3 + 2 * n_bins:]
         try:
-            records.append(ChainRecord(
+            r = ChainRecord(
                 iteration=int(parts[0]), alpha=float(parts[1]), beta=float(parts[2]),
-                theta=tuple(float(v) for v in parts[3:3 + n_bins]),
-                rho=tuple(float(v) for v in parts[3 + n_bins:3 + 2 * n_bins]),
+                theta=tuple(map(float, parts[3:3 + n_bins])),
+                rho=tuple(map(float, parts[3 + n_bins:3 + 2 * n_bins])),
                 accept_path_rate=float(tail[0]),
                 accept_params=_parse_opt_bool(tail[1]),
                 accept_beta=_parse_opt_bool(tail[2]),
                 logr_params=math.nan if tail[3] == "" else float(tail[3]),
                 logr_beta=math.nan if tail[4] == "" else float(tail[4]),
-            ))
+            )
         except ValueError as exc:
             raise DataError(f"chain line {line_no}: {exc}") from None
+        if not all(map(math.isfinite, (r.alpha, r.beta, *r.theta, *r.rho, r.accept_path_rate))):
+            raise DataError(f"chain line {line_no}: alpha, beta, theta, rho and "
+                            "accept_path_rate must be finite")
+        records.append(r)
     return records
 
 

@@ -5,8 +5,11 @@ The jump intensity of the process has density
     v(x) = (beta / x) * exp(-alpha * x - theta(x)),   x > 0,
 
 where theta is piecewise linear on half-open size bins B_k = [b_k, b_{k+1})
-with b_0 = 0 and b_{N+1} = inf, and identically zero on B_0.  Bin masses
-nu(B_k) are available in closed form through the exponential integral.
+with b_0 = 0 and b_{N+1} = inf, and identically zero on B_0.  bin_classify
+assigns values to bins, an edge to the bin on its right, for the bin
+statistics of likelihood and for theta_rows alike.  Bin masses nu(B_k) are
+available in closed form through the exponential integral; the tail bin's
+is finite only for slope_N > -alpha, the rule prior_logpdf states.
 
 Each formula the sampler's ratios read is one function on Python floats:
 mass_factors takes a parameter vector's E1 factors from one
@@ -19,6 +22,7 @@ likelihood's.  ModelParams is the validated parameter type of the API edge
 theta_at and levy_density evaluate at points.
 """
 
+import dataclasses
 import math
 import operator
 from dataclasses import dataclass, field
@@ -102,34 +106,22 @@ class ModelParams:
             raise DomainError("theta slopes and intercepts must be finite")
 
     @property
-    def tail_integrable(self) -> bool:
-        """Whether the tail bin has finite mass (last slope exceeds -alpha).
-
-        Proposals violating this are representable so that the -inf prior can
-        reject them; every retained sampler state satisfies it.
-        """
-        return self.n_bins == 0 or self.theta_slopes[-1] > -self.alpha
-
-    @property
     def n_bins(self) -> int:
         return self.bin_edges.size
 
     def with_updates(self, **changes) -> "ModelParams":
-        """Return a copy with the given fields replaced."""
-        fields = {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "bin_edges": self.bin_edges,
-            "theta_slopes": self.theta_slopes,
-            "theta_intercepts": self.theta_intercepts,
-        }
-        fields.update(changes)
-        return ModelParams(**fields)
+        """Return a validated copy with the given fields replaced."""
+        return dataclasses.replace(self, **changes)
 
 
-def _check_positive_x(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
-        raise DomainError("x must be finite and > 0")
+def bin_classify(values: np.ndarray, bin_edges) -> np.ndarray:
+    """Half-open bin index of each value (0 for B_0, edges go right).
+
+    The index is the number of edges at or below the value: one
+    searchsorted(side="right"), cheaper than a comparison pass per edge even
+    for a few edges.  A NaN value sorts above every edge, into B_N.
+    """
+    return np.asarray(bin_edges, dtype=float).searchsorted(values, side="right")
 
 
 def theta_rows(edges, slopes: np.ndarray, intercepts: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -138,7 +130,7 @@ def theta_rows(edges, slopes: np.ndarray, intercepts: np.ndarray, x: np.ndarray)
     slopes and intercepts are (S, N); returns (S,) + x.shape, one row per
     sample.  x is not checked: theta_at is the checked one-sample view.
     """
-    idx = np.searchsorted(edges, x, side="right")
+    idx = bin_classify(x, edges)
     # bin B_0 has slope and intercept 0
     pad = np.zeros((len(slopes), 1))
     slopes = np.concatenate((pad, slopes), axis=1)
@@ -154,22 +146,20 @@ def theta_at(params: ModelParams, x):
     sample of theta_rows, with x checked finite and > 0.
     """
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    _check_positive_x(x_arr)
+    if not np.all(np.isfinite(x_arr)) or np.any(x_arr <= 0):
+        raise DomainError("x must be finite and > 0")
     out = theta_rows(params.bin_edges, params.theta_slopes[None, :],
-                     params.theta_intercepts[None, :], x_arr)[0]
-    return float(out[0]) if scalar else out
+                     params.theta_intercepts[None, :], np.atleast_1d(x_arr))[0]
+    return float(out[0]) if x_arr.ndim == 0 else out
 
 
 def levy_density(params: ModelParams, x):
-    """Jump intensity (beta / x) * exp(-alpha*x - theta(x)) at x (scalar or array)."""
+    """Jump intensity (beta / x) * exp(-alpha*x - theta(x)) at x (scalar or
+    array); theta_at checks x."""
+    theta = theta_at(params, x)
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    _check_positive_x(x_arr)
-    out = (params.beta / x_arr) * np.exp(-params.alpha * x_arr - theta_at(params, x_arr))
-    return float(out[0]) if scalar else out
+    out = (params.beta / x_arr) * np.exp(-params.alpha * x_arr - theta)
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def mass_factors(alpha: float, slopes, edges):

@@ -389,6 +389,54 @@ class TestCliRoundTrip:
         assert capsys.readouterr().err == "error: thinning must be >= 1, got 0\n"
         assert not out.exists()
 
+    def test_zero_refinement_is_an_error(self, tmp_path, capsys):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
+              "--out", str(obs_csv)])
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(with_value(BASIC_CONFIG, "refinement", "0"))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                   "--iterations", "20", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: refinement count must be an integer >= 1, got 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, reason", [
+        ("missing config", "No such file or directory"),
+        ("missing losses", "No such file or directory"),
+        ("missing out directory", "No such file or directory"),
+        ("out dir is a file", "File exists"),
+        ("config not UTF-8", "can't decode byte 0xff"),
+    ])
+    def test_file_error_is_an_error(self, tmp_path, capsys, case, reason):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
+              "--out", str(obs_csv)])
+        cfg = self.write_config(tmp_path)
+        if case == "config not UTF-8":
+            cfg.write_bytes(b"alpha_init = 1.0\n# \xff\n")
+        out = tmp_path / "run"
+        if case == "out dir is a file":
+            out.write_text("")
+        fit = ["fit", "--config", str(cfg), "--observations", str(obs_csv), "--iterations", "20",
+               "--out-dir", str(out)]
+        argv = {
+            "missing config": fit[:2] + [str(tmp_path / "nope.cfg")] + fit[3:],
+            "missing losses": ["ingest", str(tmp_path / "nope.csv"),
+                               "--out", str(tmp_path / "x.csv")],
+            "missing out directory": ["simulate", "--n", "20", "--out",
+                                      str(tmp_path / "no" / "x.csv")],
+        }.get(case, fit)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_negative_seed_is_an_error(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"
         main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
@@ -453,6 +501,23 @@ class TestCliRoundTrip:
                    "--iterations", "10", "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == "error: alpha_init: expected a number, got 'abc'\n"
+
+    def test_non_finite_chain_value_is_an_error(self, tmp_path, capsys):
+        chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "20")
+        lines = chain.read_text().splitlines()
+        fields = lines[-1].split(",")
+        fields[1] = "nan"                   # alpha
+        lines[-1] = ",".join(fields)
+        chain.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        rc = main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
+                   "--out-dir", str(fig), "--figures", "hist"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: chain line {len(lines)}: alpha, beta, theta, rho and accept_path_rate must "
+            "be finite\n")
+        assert not fig.exists()
 
     def test_truncated_chain_row_is_an_error(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"

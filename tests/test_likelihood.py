@@ -18,8 +18,8 @@ from gammasub import (
     psi_log,
     sample_gamma_bridge,
 )
-from gammasub.likelihood import (bin_classify, bin_stats_matrix, compensator_diff,
-                                  endpoint_tolerance)
+from gammasub.likelihood import bin_stats_matrix, compensator_diff, endpoint_tolerance
+from gammasub.model import bin_classify
 
 
 def searchsorted_stats(increments, bin_edges):

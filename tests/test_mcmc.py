@@ -643,7 +643,7 @@ class TestDrawAhead:
                 # most batches redraw rows: more pin_rows calls than the 100 batches
                 assert pins.count(34 * 60) == 100 and len(pins) > 150
             rows = np.concatenate(rows)
-            fractions.append(rows.min(axis=1) / np.tile(state.block_targets, 3400))
+            fractions.append(rows.min(axis=1) / np.tile(obs.increments[state.active], 3400))
         monkeypatch.undo()
         # the pinned fraction min(x_1, x_2) / delta: a two-sample test of its
         # distribution function, 204,000 independent rows a side
@@ -718,7 +718,7 @@ class TestUpdateParams:
         kept_integrable = True
         for _ in range(100):
             g.update_params(state, prop, prior)
-            kept_integrable &= state.params.tail_integrable
+            kept_integrable &= state.terms.slopes[-1] > -state.terms.alpha
         assert kept_integrable
 
     def test_logged_ratio_matches_manual_recompute(self):
@@ -976,7 +976,8 @@ def reference_update_params(state, prop, prior):
             alpha=alpha_new,
             theta_slopes=params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha),
             theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho)
-    if not cand.tail_integrable:
+    if cand.n_bins and not cand.theta_slopes[-1] > -cand.alpha:
+        # the tail rule, stated apart from prior_logpdf's
         return False, -math.inf
     lp_new = prior_at(prior, cand)
     if lp_new == -math.inf:
@@ -1386,17 +1387,27 @@ class TestRunMcmc:
             list(g.run_mcmc(obs, p0, bad_prior, g.ProposalSpec(), iterations=5,
                             burn_in=0, seed=0))
 
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(m=0), "m must be an integer >= 1, got 0"),
-        (dict(m=2.5), "m must be an integer >= 1, got 2.5"),
-        (dict(seed=-1), "seed must be a non-negative integer or a sequence of them, got -1"),
-        (dict(seed=[3, -1]), "got \\[3, -1\\]"),
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(m=0), g.DomainError, "refinement count must be an integer >= 1, got 0"),
+        (dict(m=2.5), g.DomainError, "refinement count must be an integer >= 1, got 2.5"),
+        (dict(seed=-1), g.ConfigError,
+         "seed must be a non-negative integer or a sequence of them, got -1"),
+        (dict(seed=[3, -1]), g.ConfigError, "got \\[3, -1\\]"),
     ], ids=["m=0", "m=2.5", "seed=-1", "seed=[3, -1]"])
-    def test_seed_and_m_checked_at_the_call(self, kwargs, message):
-        # the call raises, before any next() draws a sweep
-        with pytest.raises(g.ConfigError, match=message):
+    def test_seed_and_m_checked_at_the_call(self, kwargs, error, message):
+        # the call raises, before any next() draws a sweep: m is TimeGrid's to check
+        with pytest.raises(error, match=message):
             g.run_mcmc(gamma_obs(), g.ModelParams(1.0, 1.0), self.prior(), g.ProposalSpec(),
                        iterations=5, **kwargs)
+
+    def test_tail_rule_checked_at_the_call(self):
+        # theta_N <= -alpha gives the tail bin infinite mass, whatever the priors
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), theta=(g.Prior("normal", 0, 5.0),),
+                            rho=(g.Prior("normal", 0, 5.0),))
+        for slope in (-1.0, -1.5):
+            params0 = g.ModelParams(1.0, 1.0, [0.5], [slope], [0.0])
+            with pytest.raises(g.ConfigError, match="theta_N <= -alpha"):
+                g.run_mcmc(gamma_obs(), params0, prior, g.ProposalSpec(), iterations=5, m=3)
 
     def test_random_beta_needs_a_beta_stage(self):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
@@ -1457,6 +1468,19 @@ class TestChainIo:
             read_chain_csv(buf)
         assert str(err.value).startswith("chain line 3: ")
         assert detail in str(err.value)
+
+    @pytest.mark.parametrize("column", ["alpha", "beta", "theta_1", "rho_1",
+                                        "accept_path_rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, column, value):
+        header = chain_csv_header(1)
+        good = "2,1.0,2.0,0.5,-0.5,0.9,0,,-inf,"     # a domain reject's -inf ratio reads back
+        row = good.split(",")
+        row[header.split(",").index(column)] = value
+        buf = io.StringIO(header + "\n" + good + "\n" + ",".join(row) + "\n")
+        with pytest.raises(g.DataError, match="^chain line 3: .*accept_path_rate must be finite$"):
+            read_chain_csv(buf)
+        assert read_chain_csv(io.StringIO(header + "\n" + good + "\n"))[0].logr_params == -math.inf
 
     def test_foreign_header_rejected(self):
         with pytest.raises(g.DataError, match="header"):

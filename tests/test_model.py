@@ -76,11 +76,15 @@ class TestModelParams:
         with pytest.raises(DomainError):
             ModelParams(1.0, 1.0, [1.0, 2.0], [0.0], [0.0, 0.0])
 
-    def test_tail_integrability_flag(self):
-        ok = binned_model(slopes=(0.0, 0.0, -0.5))
-        assert ok.tail_integrable
-        bad = binned_model(slopes=(0.0, 0.0, -1.5))
-        assert not bad.tail_integrable
+    def test_with_updates_validates_and_knows_its_fields(self):
+        p = binned_model()
+        q = p.with_updates(beta=2.5)
+        assert (q.alpha, q.beta) == (1.0, 2.5)
+        assert np.array_equal(q.bin_edges, p.bin_edges)
+        with pytest.raises(DomainError):
+            p.with_updates(alpha=-1)
+        with pytest.raises(TypeError):
+            p.with_updates(gamma=1)
 
     def test_immutable(self):
         p = binned_model()
