@@ -56,8 +56,8 @@ psi_log, bin_stats_matrix and the moves themselves by their names in this
 module, so a profiler that rebinds those names sees every call.  No sweep
 builds a ModelParams: it is the type of the API edge, and ChainState.params
 builds one on each read.  The beta move's Gamma density ratio reads the
-data only through per-chain constants and specfun's lnGamma, so a binless
-chain with random beta loads scipy.special at its first beta move.
+data only through per-chain constants and math.lgamma, which runs once
+per distinct observation span.
 """
 
 import json
@@ -74,7 +74,6 @@ from .likelihood import (ParamTerms, bin_stats_matrix, endpoint_tolerance, logli
 from .model import ModelParams, PriorSpec, prior_logpdf
 from .paths import (TimeGrid, _one_value, _seed_sequence, augment_rows, bridge_rows, pin_rows,
                     thin_rows)
-from .specfun import log_gamma_values
 
 __all__ = [
     "ProposalSpec",
@@ -212,8 +211,8 @@ class ChainState:
     # their counts, so that lnGamma runs once per distinct span.
     span_log_deltas: float = field(init=False)
     span_total: float = field(init=False)
-    distinct_spans: np.ndarray = field(init=False)
-    span_counts: np.ndarray = field(init=False)
+    distinct_spans: list[float] = field(init=False)
+    span_counts: list[int] = field(init=False)
 
     def __post_init__(self):
         active = self.active
@@ -230,7 +229,8 @@ class ChainState:
         self.block_sub_spans = _one_value((spans[active] / self.grid.m)[:, None])
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
-        self.distinct_spans, self.span_counts = np.unique(spans, return_counts=True)
+        distinct, counts = np.unique(spans, return_counts=True)
+        self.distinct_spans, self.span_counts = distinct.tolist(), counts.tolist()
 
     @property
     def n_segments(self) -> int:
@@ -552,8 +552,8 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
 
     density_diff = (
         (beta_new - cur.beta) * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
-        - float(state.span_counts @ (log_gamma_values(beta_new * state.distinct_spans)
-                                     - log_gamma_values(cur.beta * state.distinct_spans))))
+        - sum([n * (math.lgamma(beta_new * h) - math.lgamma(cur.beta * h))
+               for h, n in zip(state.distinct_spans, state.span_counts)]))
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
     if prior.reparam:
         log_ratio += math.log(beta_new / cur.beta)

@@ -203,7 +203,7 @@ def mass_factors(alpha: float, slopes, edges):
             units.append(math.log(edges[k + 1] / edges[k]))
         else:
             ei = exp_integral_ei_values([-c * edges[k + 1], -c * edges[k]])
-            units.append(float(ei[0] - ei[1]))
+            units.append(ei[0] - ei[1])
     ref_units = tuple(e1[k] - e1[k + 1] for k in range(n - 1)) + (e1[n - 1],)
     return e1[0], tuple(units), ref_units
 

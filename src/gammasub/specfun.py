@@ -1,55 +1,70 @@
 """Special functions backing the bin-mass and acceptance-ratio formulas.
 
-exp_integral_e1 gives E1 at a sequence of points from one scipy call:
-model.mass_factors reads every bin mass of a parameter vector from it,
-and E1(alpha b_1), the B_0 term.  exp_integral_ei_values gives the Ei
-difference of an interior bin whose slope + alpha is negative, and
-log_gamma_values the lnGamma terms of the beta move's Gamma density ratio.
-gamma_logpdf is the Gamma log-density in shape/rate form.
-
-This is the one module of the package that calls scipy: the E1, Ei and
-lnGamma wrappers import scipy.special at their call, so a run that
-evaluates none of them (a binless fit with fixed beta; simulate, ingest
-and diagnose) never loads it.  All are pure functions.
+exp_integral_e1 gives E1 at a sequence of points: model.mass_factors reads
+every bin mass of a parameter vector from one call, and E1(alpha b_1), the
+B_0 term.  exp_integral_ei_values gives the Ei difference of an interior
+bin whose slope + alpha is negative.  gamma_logpdf is the Gamma log-density
+in shape/rate form.  All are pure functions on Python floats; the package
+loads no scipy.  E1 is a fixed-cost kernel on the coefficient table
+_e1_table (see there and tools/e1_table.py), within 4e-16 relative of
+40-digit values over [1e-10, 700].
 """
 
 import math
 
+from ._e1_table import EULER, PIECES, SERIES, TAIL, UNDERFLOW
 from .exceptions import DomainError
 
 
 def exp_integral_e1(zs) -> list[float]:
     """E1(z) = integral of exp(-t)/t over t in [z, inf) at each z of a
-    sequence, from one scipy.special.exp1 call, as floats.
-
-    scipy's exp1 gives exactly 0.0 where E1 underflows (from about z = 740
-    up) and at an infinite z, the limit, so its values are used as they are.
+    sequence, as floats; exactly 0.0 where E1 rounds to 0 (from z = UNDERFLOW,
+    about 738.53, up) and at z = inf, the limit.
 
     Raises:
         DomainError: if some z is not a positive number.
     """
-    from scipy.special import exp1
+    exp, log, pieces = math.exp, math.log, PIECES
+    out = []
+    for z in zs:
+        if 1.0 <= z < 16.0:
+            mid, (c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1, c0) = pieces[int(4.0 * z)]
+            u = z - mid
+            out.append((c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
+                c7 + u * (c8 + u * (c9 + u * (c10 + u * c11))))))))))) * exp(-z) / z)
+        elif 0.0 < z < 1.0:
+            series = 0.0
+            for c in SERIES:
+                series = series * z + c
+            out.append(z - EULER + z * z * series - log(z))
+        elif 16.0 <= z < UNDERFLOW:
+            w, g = 1.0 / z, 0.0
+            for c in TAIL:
+                g = g * w + c
+            out.append(g * w * exp(-z))
+        elif z >= UNDERFLOW:
+            out.append(0.0)
+        else:
+            # 0, a negative z and NaN, which fails every comparison above
+            raise DomainError(f"E1 requires z > 0, got {z!r} in {list(zs)!r}")
+    return out
 
-    values = exp1(zs).tolist()
-    # exp1 gives nan below 0 and at nan, inf at 0, and finite values elsewhere
-    if not math.isfinite(sum(values)):
-        raise DomainError(f"E1 requires z > 0, got {list(zs)!r}")
-    return values
 
-
-def exp_integral_ei_values(xs):
+def exp_integral_ei_values(xs) -> list[float]:
     """Ei(x), the principal value of the integral of exp(t)/t over t < x, at
-    each x of a sequence: scipy.special.expi's own array."""
-    from scipy.special import expi
-
-    return expi(xs)
-
-
-def log_gamma_values(xs):
-    """lnGamma(x) at each x of an array: scipy.special.gammaln's own array."""
-    from scipy.special import gammaln
-
-    return gammaln(xs)
+    each x > 0 of a sequence: EULER + ln x + sum_k x^k / (k k!), a sum of
+    positive terms taken until one no longer changes it."""
+    out = []
+    for x in xs:
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"Ei requires finite x > 0, got {x!r}")
+        total, last, term, k = 0.0, -1.0, 1.0, 1
+        while total != last:
+            last, term = total, term * x / k
+            total += term / k
+            k += 1
+        out.append(EULER + math.log(x) + total)
+    return out
 
 
 def gamma_logpdf(x: float, shape: float, rate: float) -> float:

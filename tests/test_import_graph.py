@@ -1,9 +1,9 @@
-"""scipy is loaded only where a special function is evaluated.
+"""No run of the package loads scipy.
 
-specfun imports scipy.special at the first E1, Ei or lnGamma call, so the
-package, the binless fixed-beta sampler, chain I/O and `gammasub diagnose`
-never load scipy, and a binned chain loads it while it is set up.  Each
-check runs in a fresh interpreter.
+specfun's E1, Ei and lnGamma are pure-Python kernels, so importing the
+package, the binless and binned samplers with fixed or random beta, chain
+I/O and `gammasub diagnose` load no scipy module.  Each check runs in a
+fresh interpreter.
 """
 
 import json
@@ -84,15 +84,28 @@ def test_diagnose_of_a_binned_chain_loads_no_scipy(tmp_path):
     assert (tmp_path / "figs" / "band.csv").exists()
 
 
-def test_binned_init_chain_loads_scipy_special_during_set_up():
-    loaded = scipy_modules_after("""
-        import sys
-        import numpy as np
-        import gammasub as g
+def test_binned_fits_beta_moves_ei_bins_and_diagnose_load_no_scipy(tmp_path):
+    obs_csv, out = tmp_path / "obs.csv", tmp_path / "random"
+    fixed_cfg, random_cfg = tmp_path / "fixed.cfg", tmp_path / "random.cfg"
+    main(["simulate", "--horizon", "20", "--n", "40", "--seed", "2", "--out", str(obs_csv)])
+    fixed_cfg.write_text(BINNED_CONFIG)
+    random_cfg.write_text(BINNED_CONFIG + "beta_prior = uniform 0.05 20\n"
+                          "update_schedule = beta params\n")
+    fit = ["fit", "--observations", str(obs_csv), "--iterations", "60", "--seed", "1"]
+    diagnose = ["diagnose", "--chain", str(out / "chain.csv"), "--config", str(random_cfg),
+                "--out-dir", str(tmp_path / "figs")]
+    assert scipy_modules_after(f"""
+        import json
+        from gammasub.cli import main
+        from gammasub.model import mass_factors
 
-        obs = g.Observations.from_increments(np.arange(11.0), np.linspace(0.2, 3.0, 10))
-        params = g.ModelParams(1.0, 0.5, [1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
-        assert "scipy.special" not in sys.modules
-        g.init_chain(obs, params, g.TimeGrid(obs.times, 4), 1)
-        """)
-    assert "scipy.special" in loaded
+        assert main({fit!r} + ["--config", {str(fixed_cfg)!r},
+                               "--out-dir", {str(tmp_path / "fixed")!r}]) == 0
+        assert main({fit!r} + ["--config", {str(random_cfg)!r}, "--out-dir", {str(out)!r}]) == 0
+        meta = json.loads(open({str(out / "meta.json")!r}).read())
+        assert meta["acceptance"]["beta_rate"] is not None
+        # an interior bin with slope + alpha < 0 takes its mass from Ei
+        assert mass_factors(1.0, (-1.5, 0.0), (1.0, 2.0))[1][0] > 0
+        assert main({diagnose!r}) == 0
+        """) == []
+    assert (tmp_path / "figs" / "band.csv").exists()

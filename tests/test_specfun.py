@@ -1,7 +1,9 @@
-"""Exponential integral and Gamma log-density against independent oracles;
-the scipy wrappers against scipy itself."""
+"""Exponential integrals, lnGamma and the Gamma log-density against
+independent oracles: quadrature, frozen values, scipy.special and 40-digit
+mpmath; and the E1 kernel's coefficient table at its seams."""
 
 import ast
+import importlib.util
 import math
 from pathlib import Path
 
@@ -11,8 +13,11 @@ from scipy import integrate, special
 
 import gammasub
 from gammasub import DomainError, exp_integral_e1, gamma_logpdf
+from gammasub._e1_table import EULER, PIECES, SERIES, TAIL, UNDERFLOW
 from gammasub.model import mass_factors
-from gammasub.specfun import exp_integral_ei_values, log_gamma_values
+from gammasub.specfun import exp_integral_ei_values
+
+REPO = Path(__file__).resolve().parent.parent
 
 # Frozen reference values, computed once by adaptive quadrature of
 # exp(-t)/t (split at t=1, epsrel 1e-14) and cross-checked at 30 digits.
@@ -50,7 +55,7 @@ class TestExpIntegral:
         assert exp_integral_e1([746.0, 5000.0, math.inf]) == [0.0] * 3
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0, -math.inf, math.nan):
+        for bad in (0.0, -0.0, -5e-324, -1.0, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 exp_integral_e1([bad])
 
@@ -116,21 +121,99 @@ class TestGammaLogpdf:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def horner(coefficients, x: float) -> float:
+    value = 0.0
+    for c in coefficients:
+        value = value * x + c
+    return value
+
+
+def e1_branches_at(b: float) -> tuple[float, float]:
+    """E1 at a seam b of the kernel from the branch below b and from the
+    branch that holds b, each evaluated by the table's formula."""
+    def piece(slot):
+        mid, coefficients = PIECES[slot]
+        return horner(coefficients, b - mid) * math.exp(-b) / b
+    below = b - EULER + b * b * horner(SERIES, b) - math.log(b) if b == 1.0 else piece(
+        int(4 * b) - 1)
+    at = horner(TAIL, 1 / b) * (1 / b) * math.exp(-b) if b == 16.0 else piece(int(4 * b))
+    return below, at
+
+
+class TestE1Kernel:
+    """The E1 kernel's seams and edges, and its accuracy against 40-digit mpmath."""
+
+    SEAMS = [2.0 ** e * (1 + q / 4) for e in range(4) for q in range(4)] + [16.0]
+
+    def test_neighbouring_branches_agree_at_every_seam(self):
+        assert self.SEAMS[:5] == [1.0, 1.25, 1.5, 1.75, 2.0]
+        for b in self.SEAMS:
+            below, at = e1_branches_at(b)
+            assert exp_integral_e1([b]) == [at]
+            assert abs(below - at) <= 2 * math.ulp(at), b
+
+    def test_strictly_decreasing_across_every_seam(self):
+        for b in self.SEAMS:
+            step = 64 * math.ulp(b)
+            zs = [b - step, math.nextafter(b, 0), b, math.nextafter(b, math.inf), b + step]
+            values = exp_integral_e1(zs)
+            assert all(map(float.__ge__, values, values[1:])), b
+            assert values[0] > values[2] > values[4], b
+
+    def test_underflow_edge(self):
+        # below UNDERFLOW, E1 rounds to the least subnormal; from it up, to 0.0
+        assert 738.0 < UNDERFLOW < 739.0
+        assert exp_integral_e1([math.nextafter(UNDERFLOW, 0)]) == [5e-324]
+        assert exp_integral_e1([UNDERFLOW, 745.0, 1e300, math.inf]) == [0.0] * 4
+
+    def test_within_1e_15_of_40_digit_values(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        zs = np.logspace(-10, math.log10(700.0), 1500).tolist()
+        zs += [b * (1 + d) for b in self.SEAMS for d in (-1e-9, 1e-9)]
+        for z, value in zip(zs, exp_integral_e1(zs), strict=True):
+            exact = mp.e1(z)
+            assert abs(value - exact) <= 1e-15 * exact, z
+
+    def test_committed_table_is_the_generator_output(self):
+        pytest.importorskip("mpmath")
+        spec = importlib.util.spec_from_file_location("e1_table", REPO / "tools" / "e1_table.py")
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        assert generator.TABLE.read_text() == generator.table_source()
+
+
 class TestScipyWrappers:
-    """The Ei and lnGamma wrappers give scipy's own values, bit for bit."""
+    """E1, Ei and the beta move's lnGamma against scipy.special, an independent oracle.
+
+    Near a zero of Ei (x = 0.3725...) or of lnGamma (x = 1, 2) neither side
+    has relative accuracy, so the lnGamma tolerance is relative to
+    max(|value|, 1).  scipy's own expi is 2.2e-14 from the 40-digit value at
+    x = 40.4, a grid point, so Ei is also checked against mpmath at 4e-15.
+    """
 
     # -c * b for the interior bins mass_factors integrates with Ei (c = slope
     # + alpha < 0), and beta * h for the beta move's lnGamma at the spans h
     EI_GRID = np.concatenate([np.logspace(-9, 2.5, 400), [1e-300, 0.5, 1.0, 2.0, 700.0]])
     GAMMALN_GRID = np.outer(np.logspace(-3, 2.5, 60), [0.02, 0.1, 0.25, 1.0, 4.0]).ravel()
 
+    def test_e1_close_to_scipy_exp1(self):
+        zs = np.concatenate([np.logspace(-10, math.log10(700.0), 2000),
+                             np.linspace(1.0, 16.0, 601)])
+        assert exp_integral_e1(zs.tolist()) == pytest.approx(special.exp1(zs), rel=4e-15)
+
     def test_ei_equals_scipy_expi(self):
-        got = exp_integral_ei_values(self.EI_GRID)
-        assert got.tobytes() == special.expi(self.EI_GRID).tobytes()
-        # mass_factors passes a pair of floats; each equals the scalar call
-        for lo, hi in zip(self.EI_GRID[:-1], self.EI_GRID[1:]):
-            pair = exp_integral_ei_values([float(hi), float(lo)])
-            assert (pair[0], pair[1]) == (special.expi(float(hi)), special.expi(float(lo)))
+        got = exp_integral_ei_values(self.EI_GRID.tolist())
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx(special.expi(self.EI_GRID), rel=2.5e-14)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for x, value in zip(self.EI_GRID.tolist(), got):
+            exact = mp.ei(x)
+            assert abs(value - exact) <= 4e-15 * abs(exact), x
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                exp_integral_ei_values([bad])
 
     def test_mass_factors_ei_branch_equals_scipy(self):
         # interior bins with slope + alpha < 0, = 0 and > 0, then a tail bin
@@ -139,19 +222,18 @@ class TestScipyWrappers:
         for k in (0, 2):
             c = slopes[k] + alpha
             assert c < 0
-            assert units[k] == float(special.expi(-c * edges[k + 1]) - special.expi(-c * edges[k]))
+            hi, lo = special.expi(-c * edges[k + 1]), special.expi(-c * edges[k])
+            assert units[k] == pytest.approx(hi - lo, rel=4e-15, abs=4e-15 * abs(lo))
         assert units[1] == math.log(edges[2] / edges[1])
 
     def test_log_gamma_equals_scipy_gammaln(self):
-        got = log_gamma_values(self.GAMMALN_GRID)
-        assert got.tobytes() == special.gammaln(self.GAMMALN_GRID).tobytes()
-        spans = np.array([0.25, 0.5, 1.0])
-        for beta in (0.05, 0.44, 1.0, 37.0):
-            assert (log_gamma_values(beta * spans).tobytes()
-                    == special.gammaln(beta * spans).tobytes())
+        # the beta move's lnGamma is math.lgamma at each beta * h
+        got = np.array([math.lgamma(x) for x in self.GAMMALN_GRID.tolist()])
+        expected = special.gammaln(self.GAMMALN_GRID)
+        assert np.all(np.abs(got - expected) <= 4e-15 * np.maximum(np.abs(expected), 1))
 
 
-def test_only_specfun_imports_scipy():
+def test_no_module_imports_scipy():
     package = Path(gammasub.__file__).resolve().parent
     importers = []
     for path in sorted(package.glob("*.py")):
@@ -164,4 +246,4 @@ def test_only_specfun_imports_scipy():
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(path.name)
-    assert set(importers) == {"specfun.py"}
+    assert importers == []
