@@ -473,19 +473,10 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tu
     rng = state.rng_params
     z = rng.normal(size=2 * n + 1).tolist()
     alpha = cur.alpha + prop.sigma_alpha * z[0]
-    if prior.reparam:
-        # the walk is on (alpha, alpha + slope_1, beta * exp(-rho_1))
-        alpha1 = cur.alpha + cur.slopes[0] + prop.sigma_theta * z[1]
-        beta1 = cur.beta * math.exp(-cur.intercepts[0]) + prop.sigma_rho * z[2]
-        if not beta1 > 0:
-            return False, -math.inf
-        slopes = (alpha1 - alpha,)
-        intercepts = (math.log(cur.beta) - math.log(beta1),)
-    else:
-        # slopes shift against the alpha move so slope_k + alpha is preserved
-        shift = alpha - cur.alpha
-        slopes = tuple([s + prop.sigma_theta * dz - shift for s, dz in zip(cur.slopes, z[1:n + 1])])
-        intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
+    # slopes shift against the alpha move so slope_k + alpha is preserved
+    shift = alpha - cur.alpha
+    slopes = tuple([s + prop.sigma_theta * dz - shift for s, dz in zip(cur.slopes, z[1:n + 1])])
+    intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
     cand = _candidate(prior, cur.edges, alpha, cur.beta, slopes, intercepts)
     if cand is None:
         return False, -math.inf
@@ -515,12 +506,11 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     reuses their mass factors: the move calls no E1.  The Gamma density
     ratio is (beta° - beta) (ln(alpha) sum_i h_i + sum_i h_i ln(delta_i))
     less the lnGamma differences, each distinct span once, all from the
-    chain's constants (ChainState).  In reparameterised mode the prior is a
-    density on (alpha, beta, alpha + slope_1, beta exp(-rho_1)), and the walk
-    moves beta at fixed rho_1, so beta exp(-rho_1) moves with it: the ratio
-    has the Jacobian term ln(beta° / beta).  The move transforms the active
-    block as it is stored; an accepted move makes the transformed block the
-    state's and hands write_rows its totals, which psi read.
+    chain's constants (ChainState).  The prior ratio is prior_logpdf's; in
+    reparam mode its Jacobian covers beta exp(-rho_1) moving with beta.
+    The move transforms the active block as it is stored; an accepted move
+    makes the transformed block the state's and hands write_rows its
+    totals, which psi read.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
@@ -555,8 +545,6 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
         - sum([n * (math.lgamma(beta_new * h) - math.lgamma(cur.beta * h))
                for h, n in zip(state.distinct_spans, state.span_counts)]))
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
-    if prior.reparam:
-        log_ratio += math.log(beta_new / cur.beta)
     accepted = _accept(state, rng, cand, log_ratio, "beta")
     if accepted and n_active:
         state.write_rows(block, block_sums, block_counts, totals=totals)
@@ -582,6 +570,9 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
         raise ConfigError("initial parameters have zero prior density: a value lies outside "
                           "its prior's support, or the tail bin has infinite mass "
                           "(theta_N <= -alpha)")
+    if not all(map(math.isfinite, ParamTerms.of(params0).masses)):
+        raise ConfigError("initial parameters give a bin an infinite mass: its slope + alpha "
+                          "is so far below 0 that its Ei overflows")
 
 
 def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,

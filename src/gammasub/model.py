@@ -173,7 +173,8 @@ def mass_factors(alpha: float, slopes, edges):
     - units[k-1] = nu(B_k) / (beta * exp(-rho_k)), the integral of
       exp(-c x) / x over B_k with c = slope_k + alpha: E1(c b_k) - E1(c b_{k+1}),
       E1(c b_N) for the tail bin, and for an interior bin with c <= 0 its
-      finite limit, ln(b_{k+1} / b_k) at c = 0 and an Ei difference below;
+      finite limit, ln(b_{k+1} / b_k) at c = 0 and an Ei difference below,
+      +inf once Ei(-c b_{k+1}) overflows (a move's ratio to it is -inf);
     - ref_units[k-1] = nu_ref(B_k) / beta for the Gamma reference (theta
       zero), which psi reads; always computed.
 
@@ -202,8 +203,8 @@ def mass_factors(alpha: float, slopes, edges):
         elif c == 0:
             units.append(math.log(edges[k + 1] / edges[k]))
         else:
-            ei = exp_integral_ei_values([-c * edges[k + 1], -c * edges[k]])
-            units.append(ei[0] - ei[1])
+            upper, lower = exp_integral_ei_values([-c * edges[k + 1], -c * edges[k]])
+            units.append(upper - lower if upper < math.inf else math.inf)
     ref_units = tuple(e1[k] - e1[k + 1] for k in range(n - 1)) + (e1[n - 1],)
     return e1[0], tuple(units), ref_units
 
@@ -285,8 +286,9 @@ class PriorSpec:
     fixed, which also disables the transdimensional beta move.
 
     With ``reparam=True`` (single-bin models only) the slope/intercept priors
-    are read as priors on the transformed coordinates alpha + slope_1 and
-    beta * exp(-intercept_1), matching a two-regime rate/activity description.
+    are read as priors on alpha + slope_1 and beta * exp(-intercept_1), a
+    two-regime rate/activity description.  This changes the prior alone
+    (prior_logpdf); the moves are those of the default mode.
     """
 
     alpha: Prior
@@ -319,8 +321,10 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
     """Sum of spec's component prior log-densities at float parameters.
 
     The slopes and intercepts are sequences of N floats, N = spec.n_bins.
-    Returns -inf when any parameter leaves its support or the tail bin has
-    infinite mass (slope_N <= -alpha).
+    In reparam mode the components are densities of (alpha, beta, alpha +
+    slope_1, beta exp(-rho_1)), and the sum gains that map's log-Jacobian
+    ln(beta) - rho_1.  Returns -inf when any parameter leaves its support
+    or the tail bin has infinite mass (slope_N <= -alpha).
     """
     if slopes and slopes[-1] <= -alpha:
         return -math.inf
@@ -330,7 +334,7 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
     if spec.reparam:
         total += spec.theta[0].logpdf(alpha + slopes[0])
         total += spec.rho[0].logpdf(beta * math.exp(-intercepts[0]))
-        return total
+        return total + math.log(beta) - intercepts[0]
     for slope_prior, intercept_prior, slope, intercept in zip(spec.theta, spec.rho, slopes,
                                                               intercepts):
         total += slope_prior.logpdf(slope)

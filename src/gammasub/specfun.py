@@ -52,8 +52,9 @@ def exp_integral_e1(zs) -> list[float]:
 
 def exp_integral_ei_values(xs) -> list[float]:
     """Ei(x), the principal value of the integral of exp(t)/t over t < x, at
-    each x > 0 of a sequence: EULER + ln x + sum_k x^k / (k k!), a sum of
-    positive terms taken until one no longer changes it."""
+    each finite x > 0 of a sequence: EULER + ln x + sum_k x^k / (k k!), a sum
+    of positive terms taken until one no longer changes it; +inf from x =
+    707.42 up, where the largest terms overflow (Ei itself near 716)."""
     out = []
     for x in xs:
         if not 0.0 < x < math.inf:

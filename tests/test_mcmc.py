@@ -959,22 +959,10 @@ def reference_update_params(state, prop, prior):
     alpha_new = params.alpha + prop.sigma_alpha * z_alpha
     if alpha_new <= 0:
         return False, -math.inf
-    if prior.reparam:
-        # the walk on alpha + slope_1 and beta * exp(-rho_1), mapped back
-        alpha1 = params.alpha + float(params.theta_slopes[0])
-        beta1 = params.beta * math.exp(-float(params.theta_intercepts[0]))
-        beta1_new = beta1 + prop.sigma_rho * z_rho[0]
-        if beta1_new <= 0:
-            return False, -math.inf
-        cand = params.with_updates(
-            alpha=alpha_new,
-            theta_slopes=[alpha1 + prop.sigma_theta * z_theta[0] - alpha_new],
-            theta_intercepts=[math.log(params.beta) - math.log(beta1_new)])
-    else:
-        cand = params.with_updates(
-            alpha=alpha_new,
-            theta_slopes=params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha),
-            theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho)
+    cand = params.with_updates(
+        alpha=alpha_new,
+        theta_slopes=params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha),
+        theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho)
     if cand.n_bins and not cand.theta_slopes[-1] > -cand.alpha:
         # the tail rule, stated apart from prior_logpdf's
         return False, -math.inf
@@ -991,8 +979,7 @@ def reference_update_params(state, prop, prior):
 
 def reference_update_beta(state, prop, prior):
     """update_beta on ModelParams, with prior_logpdf and psi_log evaluated afresh
-    and the Gamma densities of the observed increments one by one, with the
-    reparameterised prior's Jacobian ln(beta°/beta)."""
+    and the Gamma densities of the observed increments one by one."""
     params, rng = state.params, state.rng_beta
     beta_new = params.beta + prop.sigma_beta * rng.normal()
     if beta_new <= 0:
@@ -1018,8 +1005,6 @@ def reference_update_beta(state, prop, prior):
                        for d, h in zip(state.obs.increments, state.grid.spans))
     log_ratio = float(lp_diff + density_diff
                       + (psi(new_stats, cand) - psi(totals(state), params)))
-    if prior.reparam:
-        log_ratio += math.log(beta_new / params.beta)
     if not log_ratio >= math.log(rng.uniform()):
         return False, log_ratio
     set_params(state, cand)
@@ -1261,16 +1246,39 @@ class TestNonFiniteRatios:
         assert g.update_params(state, g.ProposalSpec(), self.prior) == (False, -math.inf)
         assert state.terms is terms
 
+    def test_ei_overflow_is_a_domain_reject(self):
+        class SlopeDown:
+            def normal(self, size):
+                return np.array([0.0, -3.5, 0.0, 0.0, 0.0])
+
+            def random(self):
+                return 0.5
+
+        # slope_1 + alpha walks from -0.5 to -4 on [200, 300): Ei(-c b) overflows
+        # at both edges, the candidate's bin-1 mass is +inf and its ratio -inf
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), theta=normal_priors(2)[0],
+                            rho=normal_priors(2)[1])
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [200.0, 300.0], [-1.5, 0.5],
+                                                 [0.0, 0.0]))
+        state.rng_params = SlopeDown()
+        terms = state.score(prior)
+        accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_theta=1.0), prior)
+        assert (accepted, log_ratio) == (False, -math.inf)
+        assert state.terms is terms
+        tally = mcmc.MoveTally()
+        tally.add(mcmc.ChainRecord(1, *terms[1:5], 1.0, accepted, logr_params=log_ratio))
+        assert tally.acceptance()["params_domain_rejects"] == 1
+
 
 class TestReparam:
-    def test_round_trip(self):
-        # the walk moves alpha + slope_1 and beta * exp(-rho_1) by its own
-        # innovations, and the candidate maps them back to a slope and an intercept
+    def test_walk_is_the_default_modes(self):
+        # reparam changes the prior alone: alpha, slope_1 and rho_1 move by
+        # the correlated walk of the default mode, rho_1 by sigma_rho * z
         params = g.ModelParams(0.8, 90.0, [2.0], [0.15], [0.4])
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 1.0, 200.0),
                             theta=(g.Prior("gamma", 2.0, 1.0),),
                             rho=(g.Prior("uniform", 1.0, 200.0),), reparam=True)
-        prop = g.ProposalSpec(sigma_alpha=0.05, sigma_theta=0.05, sigma_rho=2.0,
+        prop = g.ProposalSpec(sigma_alpha=0.05, sigma_theta=0.05, sigma_rho=0.05,
                               update_schedule=("beta", "params"))
         state = basic_state(params=params, seed=3)
         state.rng_params = Replay(state.rng_params)
@@ -1280,15 +1288,61 @@ class TestReparam:
             accepted, _ = g.update_params(state, prop, prior)
             if not accepted:
                 continue
-            z = state.rng_params.normals[-1]
+            z = state.rng_params.normals[-1].tolist()
             after = state.terms
             assert after.alpha == before.alpha + prop.sigma_alpha * z[0]
-            assert after.alpha + after.slopes[0] == pytest.approx(
-                before.alpha + before.slopes[0] + prop.sigma_theta * z[1], rel=1e-14)
-            assert after.beta * math.exp(-after.intercepts[0]) == pytest.approx(
-                before.beta * math.exp(-before.intercepts[0]) + prop.sigma_rho * z[2], rel=1e-14)
+            shift = after.alpha - before.alpha
+            assert after.slopes == (before.slopes[0] + prop.sigma_theta * z[1] - shift,)
+            assert after.intercepts == (before.intercepts[0] + prop.sigma_rho * z[2],)
+            assert after.beta == before.beta
             moved += 1
         assert moved > 5
+
+    def test_param_move_targets_the_documented_law(self):
+        # The parameter move alone on one bin, beta fixed: the bin totals S_0,
+        # S_1 and C_1 stay as init_chain drew them.  With c = alpha + slope_1
+        # and w = beta exp(-rho_1) under the gamma(a, b) rho prior, the
+        # posterior factorises: alpha ~ p_alpha(alpha) exp(-alpha S_0 + T beta
+        # (ln alpha + E1(alpha b_1))), c ~ p_c(c) exp(-c S_1) (b + T E1(c
+        # b_1))^-(a + C_1), and w | c ~ Gamma(a + C_1, b + T E1(c b_1)).
+        b1, beta, a, b = 0.3, 1.0, 3.0, 2.0
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.5, 2.0),
+                            theta=(g.Prior("gamma", 2.0, 1.0),), rho=(g.Prior("gamma", a, b),),
+                            reparam=True)
+        prop = g.ProposalSpec(sigma_alpha=0.4, sigma_theta=0.6, sigma_rho=0.6)
+        state = basic_state(obs=gamma_obs(n=30, seed=13),
+                            params=g.ModelParams(1.0, beta, [b1], [0.0], [0.0]), seed=3)
+        (s0, s1), (c0, c1), horizon = state.total_sums, state.total_counts, state.grid.horizon
+        draws = []
+        for _ in range(42_000):
+            g.update_params(state, prop, prior)
+            t = state.terms
+            draws.append((t.alpha, t.alpha + t.slopes[0], t.beta * math.exp(-t.intercepts[0])))
+        assert (state.total_sums, state.total_counts) == ([s0, s1], [c0, c1])
+
+        def log_alpha(x):
+            return (math.log(x) - x - x * s0
+                    + horizon * beta * (math.log(x) + special.exp1(x * b1)))
+
+        def log_c(x):
+            return (math.log(x) - x - x * s1
+                    - (a + c1) * math.log(b + horizon * special.exp1(x * b1)))
+
+        def expectation(log_density, h):
+            top = max(map(log_density, np.linspace(0.01, 20.0, 2000)))
+
+            def moment(f):
+                return integrate.quad(lambda x: f(x) * math.exp(log_density(x) - top), 0, np.inf,
+                                      epsabs=0, epsrel=1e-10, limit=200)[0]
+            return moment(h) / moment(lambda x: 1.0)
+
+        targets = (expectation(log_alpha, lambda x: x), expectation(log_c, lambda x: x),
+                   expectation(log_c, lambda x: (a + c1) / (b + horizon * special.exp1(x * b1))))
+        chains = np.array(draws[2_000:]).T
+        for chain, target in zip(chains, targets):
+            batches = chain[: 20 * (chain.size // 20)].reshape(20, -1).mean(axis=1)
+            se = batches.std(ddof=1) / math.sqrt(batches.size)
+            assert abs(chain.mean() - target) < 4 * se
 
     def test_requires_single_bin(self):
         with pytest.raises(g.ConfigError, match="exactly one bin"):
@@ -1385,6 +1439,15 @@ class TestRunMcmc:
         with pytest.raises(g.ConfigError):
             list(g.run_mcmc(obs, p0, bad_prior, g.ProposalSpec(), iterations=5,
                             burn_in=0, seed=0))
+
+    def test_start_with_an_infinite_bin_mass_is_refused(self):
+        # slope_1 + alpha = -4 on [200, 300): the Ei of the bin's mass overflows
+        theta, rho = normal_priors(2, sd_theta=3.0)
+        p0 = g.ModelParams(1.0, 1.0, [200.0, 300.0], [-5.0, 0.5], [0.0, 0.0])
+        with pytest.raises(g.ConfigError, match="infinite mass"):
+            g.run_mcmc(gamma_obs(), p0, g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
+                                                    theta=theta, rho=rho),
+                       g.ProposalSpec(), iterations=5)
 
     @pytest.mark.parametrize("kwargs, error, message", [
         (dict(m=0), g.DomainError, "refinement count must be an integer >= 1, got 0"),
@@ -1655,8 +1718,8 @@ def pinned_chain_digest(workload, seed, iterations=300):
     ("mixture", 23, "92c324e5efb161686f4e15821fd73df81cbb1d1379cda62c243c1928f3129d93"),
     ("binless", 7, "1abdc787ab0bb93823ff0184435a7a0d664f9f173439c8f5860dcdff3bbcc07f"),
     ("beta_binned", 7, "e299c03392619584c9fd8b90c11f79948f2795da7bc9e9636950c4fd450b14fc"),
-    # its 600-sweep form gives CI's 1f03af07... chain.csv
-    ("reparam", 5, "92fd3138ccfa3f23e9e8410c835b5498b727e46b3cc13c4a477f032fbed5744b"),
+    # its 600-sweep form gives CI's a3d99cf2... chain.csv
+    ("reparam", 5, "770d41fc07178adb7dbbb8a27c77da806d09c65be2a64c11c1245ff768333749"),
     # its 600-sweep form gives CI's a65b1cb6... chain.csv
     ("tiny_shape", 5, "b75aa02f9f9a01e042210ca4380548b4e9d9623be0ace1703160b4bc80f5b9f8"),
 ])

@@ -26,6 +26,7 @@ from gammasub import (
     theta_at,
 )
 from gammasub.model import mass_factors
+from gammasub.specfun import exp_integral_ei_values
 
 E1_AT_1 = 0.21938393439552028
 E1_AT_2 = 0.04890051070806112
@@ -283,6 +284,19 @@ class TestMassFactors:
         with pytest.raises(DomainError):
             mass_factors(1.0, (0.0, -1.0), (1.0, 2.0))
 
+    def test_ei_overflow_gives_an_infinite_unit(self):
+        # on [200, 300) at alpha = 1: c = -4 overflows both Ei(1200) and
+        # Ei(800), c = -3 only Ei(900); the unit is +inf, not inf - inf
+        for slope in (-5.0, -4.0):
+            assert mass_factors(1.0, (slope, 0.5), (200.0, 300.0))[1][0] == math.inf
+        assert exp_integral_ei_values([707.43]) == [math.inf]
+        assert nu_bin_mass(2.0, (0.3,), (math.inf,)) == (math.inf,)
+        # below the overflow the unit is the Ei difference
+        c = -2.35
+        got = mass_factors(1.0, (c - 1.0, 0.5), (200.0, 300.0))[1][0]
+        hi, lo = exp_integral_ei_values([-c * 300.0, -c * 200.0])
+        assert math.isfinite(got) and got == hi - lo
+
 
 class TestNuDiffBin0:
     def test_equal_rates_give_zero(self):
@@ -401,9 +415,11 @@ class TestPriorLogpdf:
             reparam=True,
         )
         p = ModelParams(0.8, 85.0, [2.0], [0.1], [0.2])
+        # the components' densities at (alpha, beta, alpha + slope, beta exp(-rho)),
+        # and the Jacobian beta exp(-rho) of that map
         expected = (spec.alpha.logpdf(0.8) + spec.beta.logpdf(85.0)
                     + spec.theta[0].logpdf(0.8 + 0.1)
-                    + spec.rho[0].logpdf(85.0 * math.exp(-0.2)))
+                    + spec.rho[0].logpdf(85.0 * math.exp(-0.2)) + math.log(85.0) - 0.2)
         assert prior_at(spec, p) == pytest.approx(expected, rel=1e-14)
 
     def test_reparam_requires_single_bin(self):
@@ -426,7 +442,9 @@ def closed_form_logpdf(prior, x):
 
 
 def closed_form_spec_logpdf(spec, alpha, beta, slopes, intercepts):
-    """The joint prior as a sum of closed-form component log-densities."""
+    """The joint prior as a sum of closed-form component log-densities; in
+    reparam mode at (alpha, beta, alpha + slope_1, beta exp(-rho_1)), with that
+    map's log-Jacobian ln(beta exp(-rho_1))."""
     if slopes and slopes[-1] <= -alpha:
         return -math.inf
     total = closed_form_logpdf(spec.alpha, alpha)
@@ -434,7 +452,8 @@ def closed_form_spec_logpdf(spec, alpha, beta, slopes, intercepts):
         total += closed_form_logpdf(spec.beta, beta)
     if spec.reparam:
         return (total + closed_form_logpdf(spec.theta[0], alpha + slopes[0])
-                + closed_form_logpdf(spec.rho[0], beta * math.exp(-intercepts[0])))
+                + closed_form_logpdf(spec.rho[0], beta * math.exp(-intercepts[0]))
+                + math.log(beta * math.exp(-intercepts[0])))
     for k in range(len(slopes)):
         total += closed_form_logpdf(spec.theta[k], slopes[k])
         total += closed_form_logpdf(spec.rho[k], intercepts[k])
