@@ -15,7 +15,7 @@ cannot reach.  init_chain draws every segment once and keeps the inert
 ones' bin sums and counts as constants; after that only the active
 segments move, which keeps every move's target, and the parameter chain's
 law, unchanged.  On a binless model every segment is inert: the refresh
-draws nothing and the beta move is its prior and Gamma-density ratio.
+returns at once and the beta move is its prior and Gamma-density ratio.
 
 The path state is therefore the active block: the active segments'
 increments as one contiguous (n_active, m) matrix, rows in the order of
@@ -35,6 +35,13 @@ refreshes would draw them.  The chain is the same to the byte as with one
 refresh at a time unless a bridge row is too small to pin: bridge_rows
 redraws it after the whole batch, not before the next sweep's draw, which
 changes which variates serve which sweep but not the law.
+
+The parameter walk draws ahead as well: update_params takes each step's
+2N + 1 standard normals and its ln U from ChainState.walk, which holds those
+of the next _WALK_STEPS steps, drawn from rng_params by one normal and one
+uniform call.  That block size is a constant, so the first sweeps of a run
+are those of any longer run with the same seed; rng_path, rng_accept and
+rng_beta draw as they would one sweep at a time.
 
 The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
@@ -102,6 +109,11 @@ _PIN_MARGIN = 1e-12
 # time past 2,048 per sweep
 _AHEAD_STEPS = 4096
 
+# the parameter steps whose innovations and uniforms update_params draws at
+# once (_draw_walk); a constant, so that a run's first sweeps are those of
+# any longer run with the same seed
+_WALK_STEPS = 256
+
 
 @dataclass(frozen=True)
 class ProposalSpec:
@@ -132,7 +144,7 @@ class ProposalSpec:
                 raise ConfigError(f"unknown update stage {stage!r}; expected one of {_STAGES}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainRecord:
     """One sweep's parameters, its refresh's path acceptance rate and the accept
     flag and log ratio its move returned; the stage not run has None and NaN."""
@@ -204,6 +216,9 @@ class ChainState:
     # proposals drawn ahead (refresh_segments): one (beta, proposal, sums,
     # counts, ln U) tuple per coming refresh, the next one last
     drawn: list = field(default_factory=list, init=False)
+    # parameter steps drawn ahead (update_params): one (2N+1 standard normals,
+    # ln U) pair per coming step, the next one last
+    walk: list = field(default_factory=list, init=False)
     # path_coefficients' cache: (terms, slopes array, intercepts array)
     _coefficients: tuple = field(default=(None,), init=False, repr=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
@@ -375,26 +390,27 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     An inert segment (see the module docstring) is not redrawn and counts as
     accepted in the rate, as the full refresh would count it: its
     path ratio is exactly 0, which is >= ln(U) for every U in (0, 1).  A
-    binless model has no active segment, so its refresh draws nothing.
+    binless model has no active segment, so its refresh draws nothing and
+    returns 1.0 at once.
     """
     n_active = state.active.size
-    n_rejected = 0
-    if n_active:
-        if not state.drawn:
-            state.drawn = _draw_ahead(state, sweeps)
-        beta, proposal, new_sums, new_counts, log_u = state.drawn.pop()
-        if beta != state.terms.beta:
-            raise ContractError(f"refresh at sweep {state.iteration} found proposals drawn at "
-                                f"beta {beta!r}, but beta is {state.terms.beta!r}")
-        log_ratio = loglik_ratio_path(new_sums, new_counts, state.block_sums,
-                                      state.block_counts, *state.path_coefficients(),
-                                      state.block_tolerance)
-        accepted = log_ratio >= log_u
-        n_rejected = n_active - int(np.count_nonzero(accepted))
-        if n_rejected < n_active:
-            # with every row accepted the proposal becomes the block as it is
-            state.write_rows(proposal, new_sums, new_counts,
-                             where=accepted if n_rejected else None)
+    if not n_active:
+        return 1.0
+    if not state.drawn:
+        state.drawn = _draw_ahead(state, sweeps)
+    beta, proposal, new_sums, new_counts, log_u = state.drawn.pop()
+    if beta != state.terms.beta:
+        raise ContractError(f"refresh at sweep {state.iteration} found proposals drawn at "
+                            f"beta {beta!r}, but beta is {state.terms.beta!r}")
+    log_ratio = loglik_ratio_path(new_sums, new_counts, state.block_sums,
+                                  state.block_counts, *state.path_coefficients(),
+                                  state.block_tolerance)
+    accepted = log_ratio >= log_u
+    n_rejected = n_active - int(np.count_nonzero(accepted))
+    if n_rejected < n_active:
+        # with every row accepted the proposal becomes the block as it is
+        state.write_rows(proposal, new_sums, new_counts,
+                         where=accepted if n_rejected else None)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
     return (state.n_segments - n_rejected) / state.n_segments
 
@@ -443,14 +459,14 @@ def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, inter
     return ParamTerms.at(edges, alpha, beta, slopes, intercepts, factors), log_prior
 
 
-def _accept(state: ChainState, rng, cand: tuple[ParamTerms, float], log_ratio: float,
+def _accept(state: ChainState, log_u: float, cand: tuple[ParamTerms, float], log_ratio: float,
             move: str) -> bool:
-    """Metropolis test of log_ratio against ln(U) from rng; an accepted
-    candidate's terms and log prior become the state's.  A NaN log ratio
-    raises ContractError: a numerical fault, not a rejection."""
+    """Metropolis test of log_ratio against log_u, the move's ln(U); an
+    accepted candidate's terms and log prior become the state's.  A NaN log
+    ratio raises ContractError: a numerical fault, not a rejection."""
     if math.isnan(log_ratio):
         raise ContractError(f"{move} move gave a NaN log ratio at sweep {state.iteration}")
-    if not log_ratio >= math.log(rng.random()):
+    if not log_ratio >= log_u:
         return False
     state.terms, state.log_prior = cand
     return True
@@ -462,16 +478,19 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tu
 
     The proposal is a symmetric Gaussian walk (with the correlated alpha
     shift), so acceptance uses the parameter likelihood ratio plus the prior
-    log ratio only.  The innovations for alpha, the slopes and the
-    intercepts come from one normal draw of size 2N + 1.  A candidate
-    outside the model's domain or the prior's support is rejected before a
-    ratio is formed, and returns (False, -inf).  A NaN log ratio raises
-    ContractError.
+    log ratio only.  Each step takes 2N + 1 standard normals, the innovations
+    for alpha, the slopes and the intercepts, scaled here by prop, and its
+    ln(U) from ChainState.walk; a step that finds it empty draws those of
+    the next _WALK_STEPS steps from rng_params at once (_draw_walk).  A
+    candidate outside the model's domain or the prior's support is rejected
+    before a ratio is formed, leaves its ln(U) unused and returns (False,
+    -inf).  A NaN log ratio raises ContractError.
     """
     cur = state.score(prior)
     n = len(cur.edges)
-    rng = state.rng_params
-    z = rng.normal(size=2 * n + 1).tolist()
+    if not state.walk:
+        state.walk = _draw_walk(state.rng_params, 2 * n + 1)
+    z, log_u = state.walk.pop()
     alpha = cur.alpha + prop.sigma_alpha * z[0]
     # slopes shift against the alpha move so slope_k + alpha is preserved
     shift = alpha - cur.alpha
@@ -483,7 +502,16 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tu
     new, log_prior = cand
     log_ratio = (loglik_ratio_params(state.total_sums, state.total_counts, state.grid.horizon,
                                      cur, new) + log_prior - state.log_prior)
-    return _accept(state, rng, cand, log_ratio, "parameter"), log_ratio
+    return _accept(state, log_u, cand, log_ratio, "parameter"), log_ratio
+
+
+def _draw_walk(rng: np.random.Generator, width: int) -> list:
+    """ChainState.walk for the next _WALK_STEPS parameter steps: one
+    (_WALK_STEPS, width) normal draw, then _WALK_STEPS uniforms, row i and
+    uniform i serving the i-th step."""
+    z = rng.normal(size=(_WALK_STEPS, width)).tolist()
+    log_u = np.log(rng.random(size=_WALK_STEPS)).tolist()
+    return list(zip(z, log_u))[::-1]
 
 
 def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tuple[bool, float]:
@@ -545,7 +573,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
         - sum([n * (math.lgamma(beta_new * h) - math.lgamma(cur.beta * h))
                for h, n in zip(state.distinct_spans, state.span_counts)]))
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
-    accepted = _accept(state, rng, cand, log_ratio, "beta")
+    accepted = _accept(state, math.log(rng.random()), cand, log_ratio, "beta")
     if accepted and n_active:
         state.write_rows(block, block_sums, block_counts, totals=totals)
     return accepted, log_ratio
@@ -612,14 +640,14 @@ def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, grid):
                      refresh_segments(state, min(same_beta[stage], iterations + 1 - t)))
         if schedule[stage] == "params":
             accepted, log_ratio = update_params(state, prop, prior)
-            outcome = {"accept_params": accepted, "logr_params": log_ratio}
+            outcome = accepted, None, log_ratio, math.nan
         else:
             accepted, log_ratio = update_beta(state, prop, prior)
-            outcome = {"accept_beta": accepted, "logr_beta": log_ratio}
+            outcome = None, accepted, math.nan, log_ratio
         if t > burn_in:
             terms = state.terms
             yield ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
-                              path_rate, **outcome)
+                              path_rate, *outcome)
 
 
 def _fmt_opt_bool(v: bool | None) -> str:

@@ -15,6 +15,9 @@ import math
 from ._e1_table import EULER, PIECES, SERIES, TAIL, UNDERFLOW
 from .exceptions import DomainError
 
+# Ei switches from its power series to its asymptotic series here
+EI_ASYMPTOTIC = 40.0
+
 
 def exp_integral_e1(zs) -> list[float]:
     """E1(z) = integral of exp(-t)/t over t in [z, inf) at each z of a
@@ -52,19 +55,44 @@ def exp_integral_e1(zs) -> list[float]:
 
 def exp_integral_ei_values(xs) -> list[float]:
     """Ei(x), the principal value of the integral of exp(t)/t over t < x, at
-    each finite x > 0 of a sequence: EULER + ln x + sum_k x^k / (k k!), a sum
-    of positive terms taken until one no longer changes it; +inf from x =
-    707.42 up, where the largest terms overflow (Ei itself near 716)."""
+    each finite x > 0 of a sequence; +inf where Ei itself overflows, from
+    x ≈ 716.355 up.
+
+    Below EI_ASYMPTOTIC (40) it is EULER + ln x + sum_k x^k / (k k!), a sum
+    of positive terms taken until one no longer changes it.  From 40 to 717
+    it is the asymptotic series e^(x/2) (e^(x/2) / x) sum_k k! / x^k, cut
+    before the first term below 1e-17 or larger than the one before it, and
+    summed from the smallest term: within 5e-16 of 40-digit values, at most
+    about 40 terms.  The split exponential keeps Ei finite past the overflow
+    of e^x (709.78).  Past 717 it is +inf without a sum.
+    """
     out = []
     for x in xs:
         if not 0.0 < x < math.inf:
             raise DomainError(f"Ei requires finite x > 0, got {x!r}")
-        total, last, term, k = 0.0, -1.0, 1.0, 1
-        while total != last:
-            last, term = total, term * x / k
-            total += term / k
-            k += 1
-        out.append(EULER + math.log(x) + total)
+        if x < EI_ASYMPTOTIC:
+            total, last, term, k = 0.0, -1.0, 1.0, 1
+            while total != last:
+                last, term = total, term * x / k
+                total += term / k
+                k += 1
+            out.append(EULER + math.log(x) + total)
+        elif x <= 717.0:
+            # k! / x^k is smallest near k = x; n is the last term kept
+            term, n = 1.0, 0
+            while True:
+                next_term = term * (n + 1) / x
+                if next_term < 1e-17 or next_term > term:
+                    break
+                term, n = next_term, n + 1
+            series = 1.0
+            for k in range(n, 0, -1):
+                series = 1.0 + series * k / x
+            half = math.exp(0.5 * x)
+            out.append(half * (half / x * series))
+        else:
+            # past the overflow, before math.exp(x / 2) raises (x > 1419.6)
+            out.append(math.inf)
     return out
 
 

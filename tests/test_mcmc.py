@@ -744,6 +744,22 @@ class TestUpdateParams:
                     + prior_at(prior, cand) - prior_at(prior, params))
         assert log_ratio == pytest.approx(expected, rel=1e-12)
 
+    def test_walk_draws_one_block_per_walk_steps(self):
+        # every _WALK_STEPS steps take one (B, 2N + 1) normal block and then B
+        # uniforms, from the stream state.rng_params holds when the block is
+        # drawn; a domain reject takes its step's draws all the same
+        params = g.ModelParams(1.0, 1.0, [0.5, 1.5], [0.2, -0.1], [0.1, 0.0])
+        state = basic_state(params=params, seed=13)
+        state.rng_params = Recording(state.rng_params)
+        prop = g.ProposalSpec(sigma_alpha=0.05, sigma_theta=0.5, sigma_rho=0.3)
+        steps = mcmc._WALK_STEPS
+        block = [("normal", (steps, 5)), ("random", steps)]
+        rejects = 0
+        for step in range(2 * steps + 1):
+            rejects += g.update_params(state, prop, self.prior(2)) == (False, -math.inf)
+            assert state.rng_params.draws == block * (step // steps + 1)
+        assert rejects > 0
+
 
 class TestUpdateBeta:
     def prior(self):
@@ -898,6 +914,12 @@ class Replay:
     def __getattr__(self, name):
         return getattr(self.gen, name)
 
+    def step(self, i):
+        """The innovations of the i-th parameter step, from 0: row i % B of
+        the (i // B)-th normal block, B = _WALK_STEPS."""
+        block, row = divmod(i, mcmc._WALK_STEPS)
+        return self.normals[block][row]
+
 
 class TestParamTerms:
     def test_cache_matches_fresh_evaluation_every_sweep(self):
@@ -910,14 +932,14 @@ class TestParamTerms:
         state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17)
         state.rng_params = Replay(state.rng_params)
         checked = accepted_params = accepted_beta = 0
-        for _ in range(300):
+        for step in range(300):
             g.refresh_segments(state)
             before, stats = state.params, totals(state)
             accepted, log_ratio = g.update_params(state, prop, prior)
             accepted_params += accepted
             if math.isfinite(log_ratio):
                 # the candidate from the same innovations, on ModelParams
-                z = state.rng_params.normals[-1]
+                z = state.rng_params.step(step)
                 alpha = before.alpha + prop.sigma_alpha * z[0]
                 cand = before.with_updates(
                     alpha=alpha,
@@ -949,32 +971,47 @@ class TestParamTerms:
         assert 0 < accepted_params < 300 and 0 < accepted_beta < 300
 
 
-def reference_update_params(state, prop, prior):
+class ReferenceUpdateParams:
     """update_params on ModelParams, with the candidate built as ModelParams and
-    loglik_ratio_params and prior_logpdf evaluated afresh from it."""
-    params, rng = state.params, state.rng_params
-    z_alpha = rng.normal()
-    z_theta = rng.normal(size=params.n_bins)
-    z_rho = rng.normal(size=params.n_bins)
-    alpha_new = params.alpha + prop.sigma_alpha * z_alpha
-    if alpha_new <= 0:
-        return False, -math.inf
-    cand = params.with_updates(
-        alpha=alpha_new,
-        theta_slopes=params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha),
-        theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho)
-    if cand.n_bins and not cand.theta_slopes[-1] > -cand.alpha:
-        # the tail rule, stated apart from prior_logpdf's
-        return False, -math.inf
-    lp_new = prior_at(prior, cand)
-    if lp_new == -math.inf:
-        return False, -math.inf
-    log_ratio = float(param_ratio(totals(state), params, cand)
-                      + lp_new - prior_at(prior, params))
-    if not log_ratio >= math.log(rng.uniform()):
-        return False, log_ratio
-    set_params(state, cand)
-    return True, log_ratio
+    loglik_ratio_params and prior_logpdf evaluated afresh from it.
+
+    The documented layout of rng_params, kept apart from the sampler's: every
+    B = _WALK_STEPS steps draw a (B, 2N + 1) normal block, then B uniforms;
+    the i-th step reads row i % B and uniform i % B, and a domain reject
+    leaves its uniform unused.  One instance serves one chain.
+    """
+
+    def __init__(self):
+        self.steps, self.normals, self.uniforms = 0, None, None
+
+    def __call__(self, state, prop, prior):
+        params, rng = state.params, state.rng_params
+        n, row = params.n_bins, self.steps % mcmc._WALK_STEPS
+        if row == 0:
+            self.normals = rng.normal(size=(mcmc._WALK_STEPS, 2 * n + 1))
+            self.uniforms = rng.random(size=mcmc._WALK_STEPS)
+        self.steps += 1
+        z = self.normals[row]
+        z_alpha, z_theta, z_rho = z[0], z[1:n + 1], z[n + 1:]
+        alpha_new = params.alpha + prop.sigma_alpha * z_alpha
+        if alpha_new <= 0:
+            return False, -math.inf
+        cand = params.with_updates(
+            alpha=alpha_new,
+            theta_slopes=params.theta_slopes + prop.sigma_theta * z_theta - (alpha_new - params.alpha),
+            theta_intercepts=params.theta_intercepts + prop.sigma_rho * z_rho)
+        if cand.n_bins and not cand.theta_slopes[-1] > -cand.alpha:
+            # the tail rule, stated apart from prior_logpdf's
+            return False, -math.inf
+        lp_new = prior_at(prior, cand)
+        if lp_new == -math.inf:
+            return False, -math.inf
+        log_ratio = float(param_ratio(totals(state), params, cand)
+                          + lp_new - prior_at(prior, params))
+        if not log_ratio >= math.log(self.uniforms[row]):
+            return False, log_ratio
+        set_params(state, cand)
+        return True, log_ratio
 
 
 def reference_update_beta(state, prop, prior):
@@ -1074,7 +1111,7 @@ class TestKernelOracle:
                                seed=5, m=4))
         oracle = list(run_with(g.refresh_segments, obs, params0, prior, prop, 400, 5, 4,
                                beta_move=reference_update_beta,
-                               params_move=reference_update_params))
+                               params_move=ReferenceUpdateParams()))
         for r, o in zip(recs, oracle, strict=True):
             assert (r.alpha, r.beta, r.theta, r.rho) == (o.alpha, o.beta, o.theta, o.rho)
             assert (r.accept_params, r.accept_beta) == (o.accept_params, o.accept_beta)
@@ -1236,8 +1273,8 @@ class TestNonFiniteRatios:
             def normal(self, size):
                 return np.ones(size)
 
-            def random(self):
-                return 0.5
+            def random(self, size):
+                return np.full(size, 0.5)
 
         # an alpha step up against an infinite S_0 gives a ratio of -inf
         state = self.with_total(basic_state(), 0, math.inf)
@@ -1249,10 +1286,10 @@ class TestNonFiniteRatios:
     def test_ei_overflow_is_a_domain_reject(self):
         class SlopeDown:
             def normal(self, size):
-                return np.array([0.0, -3.5, 0.0, 0.0, 0.0])
+                return np.tile([0.0, -3.5, 0.0, 0.0, 0.0], (size[0], 1))
 
-            def random(self):
-                return 0.5
+            def random(self, size):
+                return np.full(size, 0.5)
 
         # slope_1 + alpha walks from -0.5 to -4 on [200, 300): Ei(-c b) overflows
         # at both edges, the candidate's bin-1 mass is +inf and its ratio -inf
@@ -1283,12 +1320,12 @@ class TestReparam:
         state = basic_state(params=params, seed=3)
         state.rng_params = Replay(state.rng_params)
         moved = 0
-        for _ in range(20):
+        for step in range(20):
             before = state.terms
             accepted, _ = g.update_params(state, prop, prior)
             if not accepted:
                 continue
-            z = state.rng_params.normals[-1].tolist()
+            z = state.rng_params.step(step).tolist()
             after = state.terms
             assert after.alpha == before.alpha + prop.sigma_alpha * z[0]
             shift = after.alpha - before.alpha
@@ -1692,10 +1729,10 @@ def pin_inputs(workload, seed):
     return g.Observations.from_increments(times, increments), parse_config(text)
 
 
-def pinned_chain_digest(workload, seed, iterations=300):
-    """sha256 of write_chain_csv's output for the workload's first chain; for
-    CI's CLI fits, of `gammasub fit --seed 11` with its default burn-in and
-    their thinning."""
+def pinned_chain_text(workload, seed, iterations=300):
+    """write_chain_csv's output for the workload's first chain; for CI's CLI
+    fits, of `gammasub fit --seed 11` with its default burn-in and their
+    thinning."""
     obs, cfg = pin_inputs(workload, seed)
     if workload in _CLI_FITS:
         burn_in, run_seed, thinning = iterations // 10, 11, _CLI_FITS[workload][1]
@@ -1706,7 +1743,12 @@ def pinned_chain_digest(workload, seed, iterations=300):
     buf = io.StringIO()
     write_chain_csv([r for r in recs if (r.iteration - burn_in) % thinning == 0], buf,
                     cfg.params0.n_bins)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue()
+
+
+def pinned_chain_digest(workload, seed, iterations=300):
+    """sha256 of pinned_chain_text."""
+    return hashlib.sha256(pinned_chain_text(workload, seed, iterations).encode()).hexdigest()
 
 
 @pytest.mark.skipif(
@@ -1714,15 +1756,26 @@ def pinned_chain_digest(workload, seed, iterations=300):
     reason="chain bytes are pinned for numpy 2.4.6, the version CI installs; numpy's "
            "Gamma and Beta algorithms may differ elsewhere")
 @pytest.mark.parametrize("workload, seed, digest", [
-    ("mixture", 7, "20af1965699292e85393a03712710ec83ad7b2b739d891088f2331ebd191c2d8"),
-    ("mixture", 23, "92c324e5efb161686f4e15821fd73df81cbb1d1379cda62c243c1928f3129d93"),
-    ("binless", 7, "1abdc787ab0bb93823ff0184435a7a0d664f9f173439c8f5860dcdff3bbcc07f"),
-    ("beta_binned", 7, "e299c03392619584c9fd8b90c11f79948f2795da7bc9e9636950c4fd450b14fc"),
-    # its 600-sweep form gives CI's a3d99cf2... chain.csv
-    ("reparam", 5, "770d41fc07178adb7dbbb8a27c77da806d09c65be2a64c11c1245ff768333749"),
-    # its 600-sweep form gives CI's a65b1cb6... chain.csv
-    ("tiny_shape", 5, "b75aa02f9f9a01e042210ca4380548b4e9d9623be0ace1703160b4bc80f5b9f8"),
-])
+    ("mixture", 7, "31e0b6a84d90520c29afea39b67d78ab677bf4ae615e8fb2e92ba51568f64e5f"),
+    ("mixture", 23, "a29b898fad5d202e57fa6c1f35da02a4f1d8ce41e6e6fb15adb9aa3edadec5d0"),
+    ("binless", 7, "0125e072571f9b2e1baa8d5461c47c1b5670926fdfa0b82efc4595571deea9cb"),
+    ("beta_binned", 7, "99c710a867249b2e02405f827287520d6e575d1b8624043d493059a420374f73"),
+    # its 600-sweep form gives CI's daf51ea1... chain.csv
+    ("reparam", 5, "83495205f9be55d6331ce356dbae81fda7a886e11340ed219cecb402bc72c366"),
+    # its 600-sweep form gives CI's e66ab6aa... chain.csv
+    ("tiny_shape", 5, "c706acec44cd3cad37e4906b97d8404e70b071b5e61f36e51e5202274e18fa86"),
+], ids=["mixture-7", "mixture-23", "binless-7", "beta_binned-7", "reparam-5", "tiny_shape-5"])
 def test_chain_bytes_pinned(workload, seed, digest):
     # a kernel rewrite must leave every chain byte where it was
     assert pinned_chain_digest(workload, seed) == digest
+
+
+@pytest.mark.parametrize("workload", ["mixture", "binless", "beta_binned"])
+def test_a_longer_run_extends_a_shorter_one(workload):
+    # no block of draws is sized by the sweeps left: the refresh's and the
+    # parameter walk's draws ahead serve a run's first sweeps as they serve
+    # those of any longer run with the same seed
+    short = pinned_chain_text(workload, 7, iterations=301).splitlines()
+    long = pinned_chain_text(workload, 7, iterations=1000).splitlines()
+    assert len(short) == 302 and len(long) == 1001
+    assert short == long[:302]

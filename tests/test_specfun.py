@@ -15,7 +15,7 @@ import gammasub
 from gammasub import DomainError, exp_integral_e1, gamma_logpdf
 from gammasub._e1_table import EULER, PIECES, SERIES, TAIL, UNDERFLOW
 from gammasub.model import mass_factors
-from gammasub.specfun import exp_integral_ei_values
+from gammasub.specfun import EI_ASYMPTOTIC, exp_integral_ei_values
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -181,6 +181,47 @@ class TestE1Kernel:
         generator = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(generator)
         assert generator.TABLE.read_text() == generator.table_source()
+
+
+def ei_power_series(x: float) -> float:
+    """Ei by its power series EULER + ln x + sum_k x^k / (k k!), the branch
+    exp_integral_ei_values takes below 40."""
+    total, last, term, k = 0.0, -1.0, 1.0, 1
+    while total != last:
+        last, term = total, term * x / k
+        total += term / k
+        k += 1
+    return EULER + math.log(x) + total
+
+
+class TestEiKernel:
+    """Ei's asymptotic branch from x = 40 up, its seam and its overflow."""
+
+    def test_within_4e_15_of_40_digit_values(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        xs = np.linspace(40.0, 716.0, 1500).tolist() + [math.nextafter(40.0, 0), 716.35]
+        for x, value in zip(xs, exp_integral_ei_values(xs), strict=True):
+            exact = mp.ei(x)
+            assert abs(value - exact) <= 4e-15 * exact, x
+
+    def test_branches_agree_at_the_seam(self):
+        seam = EI_ASYMPTOTIC
+        assert seam == 40.0
+        at = exp_integral_ei_values([seam])[0]
+        assert abs(ei_power_series(seam) - at) <= 2 * math.ulp(at)
+        xs = [seam - 64 * math.ulp(seam), math.nextafter(seam, 0), seam,
+              math.nextafter(seam, math.inf), seam + 64 * math.ulp(seam)]
+        values = exp_integral_ei_values(xs)
+        assert all(map(float.__lt__, values, values[1:]))
+
+    def test_infinite_only_where_ei_overflows(self):
+        # mpmath: Ei(716.355) = 1.7968e308, below the largest float, and
+        # Ei(716.356) = 1.7986e308 above it; e^x alone overflows from 709.78
+        last, first = exp_integral_ei_values([716.355, 716.356])
+        assert math.isfinite(last) and last > 1.79e308
+        assert first == math.inf
+        assert exp_integral_ei_values([717.0, 1e4, 1e300]) == [math.inf] * 3
 
 
 class TestScipyWrappers:
