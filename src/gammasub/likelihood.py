@@ -165,8 +165,7 @@ def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
     tolerance (the paths do not share endpoints), or either is NaN.  The
     default tolerance is endpoint_tolerance of the old totals; a caller whose
     rows keep known endpoints passes theirs, computed once.  With no bins the
-    value is zero (as -0.0).  Arrays for slopes and intercepts save a
-    conversion per call.
+    value is zero (as -0.0).
     """
     n_bins = len(slopes)
     for sums in (sums_new, sums_old):

@@ -219,8 +219,6 @@ class ChainState:
     # parameter steps drawn ahead (update_params): one (2N+1 standard normals,
     # ln U) pair per coming step, the next one last
     walk: list = field(default_factory=list, init=False)
-    # path_coefficients' cache: (terms, slopes array, intercepts array)
-    _coefficients: tuple = field(default=(None,), init=False, repr=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
     # chain: sum_i h_i log(delta_i), sum_i h_i, and the distinct spans h with
     # their counts, so that lnGamma runs once per distinct span.
@@ -282,14 +280,6 @@ class ChainState:
         """The current parameters as a validated ModelParams, built on each read."""
         t = self.terms
         return ModelParams(t.alpha, t.beta, t.edges, t.slopes, t.intercepts)
-
-    def path_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """terms' slopes and intercepts as arrays, which loglik_ratio_path
-        reads without a conversion; built again when terms is replaced."""
-        t = self.terms
-        if self._coefficients[0] is not t:
-            self._coefficients = t, np.array(t.slopes, dtype=float), np.array(t.intercepts, dtype=float)
-        return self._coefficients[1:]
 
     def block_totals(self, sums: np.ndarray, counts: np.ndarray) -> tuple[list, list]:
         """Totals over all segments as float and int lists, given the active
@@ -370,11 +360,11 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     returns the path acceptance rate over every segment.
 
     The proposal reads beta from state.terms, the path ratio its slopes and
-    intercepts (ChainState.path_coefficients), and both the chain's bin
-    edges (terms.edges).  The acceptance for segment
-    i compares the endpoint-matched path ratio to ln(U_i).  Noise and uniforms
-    are drawn in one fixed-layout block over the active segments, so the
-    decisions do not depend on the order in which segments are visited.
+    intercepts, and both the chain's bin edges (terms.edges).  The
+    acceptance for segment i compares the endpoint-matched path ratio to
+    ln(U_i).  Noise and uniforms are drawn in one fixed-layout block over
+    the active segments, so the decisions do not depend on the order in
+    which segments are visited.
     The proposal is drawn, scored and written on the active block, whose
     accepted rows are overwritten in place (ChainState.write_rows).
 
@@ -399,18 +389,16 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     if not state.drawn:
         state.drawn = _draw_ahead(state, sweeps)
     beta, proposal, new_sums, new_counts, log_u = state.drawn.pop()
-    if beta != state.terms.beta:
+    terms = state.terms
+    if beta != terms.beta:
         raise ContractError(f"refresh at sweep {state.iteration} found proposals drawn at "
-                            f"beta {beta!r}, but beta is {state.terms.beta!r}")
-    log_ratio = loglik_ratio_path(new_sums, new_counts, state.block_sums,
-                                  state.block_counts, *state.path_coefficients(),
-                                  state.block_tolerance)
+                            f"beta {beta!r}, but beta is {terms.beta!r}")
+    log_ratio = loglik_ratio_path(new_sums, new_counts, state.block_sums, state.block_counts,
+                                  terms.slopes, terms.intercepts, state.block_tolerance)
     accepted = log_ratio >= log_u
     n_rejected = n_active - int(np.count_nonzero(accepted))
-    if n_rejected < n_active:
-        # with every row accepted the proposal becomes the block as it is
-        state.write_rows(proposal, new_sums, new_counts,
-                         where=accepted if n_rejected else None)
+    # with every row accepted the proposal becomes the block as it is
+    state.write_rows(proposal, new_sums, new_counts, where=accepted if n_rejected else None)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
     return (state.n_segments - n_rejected) / state.n_segments
 
@@ -600,7 +588,8 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
                           "(theta_N <= -alpha)")
     if not all(map(math.isfinite, ParamTerms.of(params0).masses)):
         raise ConfigError("initial parameters give a bin an infinite mass: its slope + alpha "
-                          "is so far below 0 that its Ei overflows")
+                          "is so far below 0 that its Ei overflows, or its intercept so far "
+                          "below 0 that beta * exp(-rho) times the E1 or Ei factor overflows")
 
 
 def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,

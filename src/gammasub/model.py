@@ -25,6 +25,7 @@ theta_at and levy_density evaluate at points.
 import dataclasses
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,6 +60,10 @@ _NONE = _as_readonly(())     # the binless model's edges, slopes and intercepts
 
 def _all_finite(values) -> bool:
     return all(map(math.isfinite, values))
+
+
+# the largest x whose math.exp(x) is a float: exp(-rho) overflows for rho below -709.78
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -211,8 +216,29 @@ def mass_factors(alpha: float, slopes, edges):
 
 def nu_bin_mass(beta: float, intercepts, units) -> tuple[float, ...]:
     """The bin masses nu(B_k) = beta * exp(-rho_k) * units[k-1], k = 1..N, from
-    mass_factors's units."""
-    return tuple([beta * math.exp(-rho) * unit for rho, unit in zip(intercepts, units)])
+    mass_factors's units.
+
+    Each mass is that float product where the product is finite.  Elsewhere
+    it is +inf for an infinite unit (the product is NaN where exp(-rho_k)
+    underflows to 0, rho_k > 745), and for a finite unit it is formed from
+    logs, exp(ln beta - rho_k + ln unit), +inf past the float range: what a
+    rho_k below -709.78, where exp(-rho_k) overflows, needs.
+    """
+    masses = []
+    for rho, unit in zip(intercepts, units):
+        mass = beta * math.exp(-rho) * unit if rho >= -_LOG_MAX else math.nan
+        masses.append(mass if mass < math.inf else _mass_from_logs(beta, rho, unit))
+    return tuple(masses)
+
+
+def _mass_from_logs(beta: float, rho: float, unit: float) -> float:
+    """beta * exp(-rho) * unit where the float product is not finite (see nu_bin_mass)."""
+    if unit == math.inf:
+        return math.inf
+    if not unit:
+        return 0.0
+    log_mass = math.log(beta) - rho + math.log(unit)
+    return math.inf if log_mass > _LOG_MAX else math.exp(log_mass)
 
 
 def nu_diff_bin0(beta: float, alpha_new: float, alpha_old: float, e1_new: float,
@@ -333,7 +359,8 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
         total += spec.beta.logpdf(beta)
     if spec.reparam:
         total += spec.theta[0].logpdf(alpha + slopes[0])
-        total += spec.rho[0].logpdf(beta * math.exp(-intercepts[0]))
+        # beta exp(-rho_1) is a bin mass at unit 1, the same bits where it is finite
+        total += spec.rho[0].logpdf(nu_bin_mass(beta, intercepts, (1.0,))[0])
         return total + math.log(beta) - intercepts[0]
     for slope_prior, intercept_prior, slope, intercept in zip(spec.theta, spec.rho, slopes,
                                                               intercepts):

@@ -109,18 +109,15 @@ def _step_spans(grid: TimeGrid) -> np.ndarray:
 # a Python float or int (int(np.count_nonzero(...)), never the numpy scalar),
 # because the chain file writes repr of each value.
 
-def _one_value(p):
-    """p's value as a scalar when every entry is equal, else p unchanged.
+def _one_value(p: np.ndarray):
+    """The array p's value as a scalar when every entry is equal, else p unchanged.
 
     numpy draws from a scalar parameter plus `size` with the same variates,
     in the same order, as from an array of that value, but skips the
     per-entry broadcast; on a uniform observation grid every Gamma shape of
-    a kernel is one value, and the sampler hands it over as a scalar, which
-    is returned as it is.
+    a kernel is one value.  The sampler collapses its sub-step spans once
+    per chain and hands the kernels the result.
     """
-    if isinstance(p, float) or np.ndim(p) == 0:
-        return p
-    p = np.asarray(p)
     if p.size and (p == p.flat[0]).all():
         return p.flat[0]
     return p
@@ -177,16 +174,14 @@ def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarra
 def augment_rows(rng: np.random.Generator, increments: np.ndarray, h,
                  beta_old: float, beta_new: float, alpha: float) -> np.ndarray:
     """Add an independent Gamma(h*(beta_new - beta_old), alpha) variate to each increment."""
-    shape = _one_value((beta_new - beta_old) * h)
-    return increments + rng.gamma(shape=shape, scale=1.0 / alpha, size=increments.shape)
+    return increments + rng.gamma(shape=(beta_new - beta_old) * h, scale=1.0 / alpha,
+                                  size=increments.shape)
 
 
 def thin_rows(rng: np.random.Generator, increments: np.ndarray, h,
               beta_old: float, beta_new: float) -> np.ndarray:
     """Multiply each increment by an independent Beta(h*beta_new, h*(beta_old - beta_new))."""
-    a = _one_value(beta_new * h)
-    b = _one_value((beta_old - beta_new) * h)
-    return increments * rng.beta(a, b, size=increments.shape)
+    return increments * rng.beta(beta_new * h, (beta_old - beta_new) * h, size=increments.shape)
 
 
 def _one_row(increments, size: int | None = None) -> np.ndarray:

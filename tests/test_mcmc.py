@@ -129,6 +129,18 @@ class TestInitChain:
         assert np.array_equal(sums, state.seg_sums)
         assert np.array_equal(counts, state.seg_counts)
 
+    def test_sub_spans_collapse_once_per_chain(self):
+        # the beta move's kernels draw from a scalar shape on a uniform grid,
+        # and from a (n_active, 1) column where the spans differ
+        params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
+        uniform = basic_state(params=params, seed=13)
+        assert type(uniform.block_sub_spans) is np.float64 and uniform.block_sub_spans == 0.2
+        deltas = gamma_obs().increments
+        times = np.concatenate(([0.0], np.cumsum(np.linspace(0.5, 1.5, deltas.size))))
+        varied = basic_state(obs=g.Observations.from_increments(times, deltas), params=params)
+        spans = (np.diff(times) / 5)[varied.active, None]
+        assert np.array_equal(varied.block_sub_spans, spans)
+
     def test_identical_seed_identical_state(self):
         a = basic_state(seed=33)
         b = basic_state(seed=33)
@@ -163,11 +175,13 @@ class TestRefreshSegments:
         assert np.allclose(state.increments.sum(axis=1), state.obs.increments,
                            rtol=1e-14, atol=0)
 
-    def test_rejected_rows_keep_their_path_and_stats(self):
-        class RejectEveryThird:
+    @pytest.mark.parametrize("rejects", [lambda i: i % 3 == 0, lambda i: i >= 0,
+                                         lambda i: i < 0], ids=["every_third", "every_row", "none"])
+    def test_rejected_rows_keep_their_path_and_stats(self, rejects):
+        class Reject:
             def uniform(self, size):
-                # one refresh draws (1, n_active) uniforms
-                return np.where(np.arange(size[1]) % 3 == 0, np.inf, 1e-300)[None]
+                # one refresh draws (1, n_active) uniforms; ln(inf) rejects any ratio
+                return np.where(rejects(np.arange(size[1])), np.inf, 1e-300)[None]
 
         params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
         state = basic_state(params=params, seed=13)
@@ -176,13 +190,14 @@ class TestRefreshSegments:
         assert 3 < active.size < state.n_segments
         old_inc, old_sums, old_counts = (
             state.increments.copy(), state.seg_sums.copy(), state.seg_counts.copy())
+        old_totals = (state.total_sums, state.total_counts)
         # the twin stream draws the same block: the active segments' bridges
         proposal = bridge_rows(twin.rng_path, params.beta * sub_spans(twin)[active],
                                twin.obs.increments[active], twin.m)
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
-        state.rng_accept = RejectEveryThird()
+        state.rng_accept = Reject()
         rate = g.refresh_segments(state)
-        rejected = np.arange(active.size) % 3 == 0
+        rejected = rejects(np.arange(active.size))
         n_rejected = int(rejected.sum())
         assert rate == (state.n_segments - n_rejected) / state.n_segments
         for got, old, new in ((state.increments, old_inc, proposal),
@@ -190,6 +205,15 @@ class TestRefreshSegments:
                               (state.seg_counts, old_counts, new_counts)):
             assert np.array_equal(got[active[rejected]], old[active[rejected]])
             assert np.array_equal(got[active[~rejected]], new[~rejected])
+        # the totals add the inert rows' constants to the written block's column sums
+        kept = rejected[:, None]
+        for got, inert, old, new in ((state.total_sums, state.inert_sums, old_sums, new_sums),
+                                     (state.total_counts, state.inert_counts, old_counts,
+                                      new_counts)):
+            block = np.where(kept, old[active], new)
+            assert got == (inert + np.add.reduce(block, 0)).tolist()
+        if rejected.all():
+            assert (state.total_sums, state.total_counts) == old_totals
 
     def test_nan_proposal_is_a_contract_error(self):
         class NanRow:
@@ -207,14 +231,6 @@ class TestRefreshSegments:
         state.rng_path = NanRow(state.rng_path)
         with pytest.raises(g.ContractError, match="do not share endpoints"):
             g.refresh_segments(state)
-
-    def test_path_coefficients_follow_the_terms(self):
-        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5, 1.0], [0.4, 0.1], [0.2, -0.3]))
-        slopes, intercepts = state.path_coefficients()
-        assert slopes.tolist() == [0.4, 0.1] and intercepts.tolist() == [0.2, -0.3]
-        assert state.path_coefficients()[0] is slopes
-        set_params(state, g.ModelParams(1.0, 1.0, [0.5, 1.0], [0.7, 0.0], [0.0, 0.5]))
-        assert [c.tolist() for c in state.path_coefficients()] == [[0.7, 0.0], [0.0, 0.5]]
 
     def test_acceptance_depends_only_on_perturbed_bins(self):
         # same slopes/intercepts, different alpha: identical decisions
@@ -1283,28 +1299,51 @@ class TestNonFiniteRatios:
         assert g.update_params(state, g.ProposalSpec(), self.prior) == (False, -math.inf)
         assert state.terms is terms
 
-    def test_ei_overflow_is_a_domain_reject(self):
-        class SlopeDown:
+    @staticmethod
+    def walk(*step):
+        """An rng_params whose every parameter step is z = step, at ln U = ln 0.5."""
+        class Walk:
             def normal(self, size):
-                return np.tile([0.0, -3.5, 0.0, 0.0, 0.0], (size[0], 1))
+                return np.tile(step, (size[0], 1))
 
             def random(self, size):
                 return np.full(size, 0.5)
 
+        return Walk()
+
+    def test_ei_overflow_is_a_domain_reject(self):
         # slope_1 + alpha walks from -0.5 to -4 on [200, 300): Ei(-c b) overflows
-        # at both edges, the candidate's bin-1 mass is +inf and its ratio -inf
-        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), theta=normal_priors(2)[0],
-                            rho=normal_priors(2)[1])
-        state = basic_state(params=g.ModelParams(1.0, 1.0, [200.0, 300.0], [-1.5, 0.5],
-                                                 [0.0, 0.0]))
-        state.rng_params = SlopeDown()
+        # at both edges, the candidate's bin-1 mass is +inf and its ratio -inf.  At
+        # rho_1 = 750 exp(-rho_1) underflows to 0, and the mass is +inf all the same
+        for rho_1, sd_rho in ((0.0, 1.5), (750.0, 1000.0)):
+            prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), theta=normal_priors(2)[0],
+                                rho=normal_priors(2, sd_rho=sd_rho)[1])
+            state = basic_state(params=g.ModelParams(1.0, 1.0, [200.0, 300.0], [-1.5, 0.5],
+                                                     [rho_1, 0.0]))
+            state.rng_params = self.walk(0.0, -3.5, 0.0, 0.0, 0.0)
+            terms = state.score(prior)
+            accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_theta=1.0), prior)
+            assert (accepted, log_ratio) == (False, -math.inf)
+            assert state.terms is terms
+            tally = mcmc.MoveTally()
+            tally.add(mcmc.ChainRecord(1, *terms[1:5], 1.0, accepted, logr_params=log_ratio))
+            assert tally.acceptance()["params_domain_rejects"] == 1
+
+    @pytest.mark.parametrize("edge, finite", [(1.0, False), (20.0, True)])
+    def test_intercept_step_past_the_exp_overflow_is_a_rejection(self, edge, finite):
+        # rho_1 walks from -705 to -715, where exp(-rho_1) overflows: the
+        # candidate's mass comes from logs, beta e^715 E1(1.5 b_1).  At b_1 = 1
+        # that is past the float range, +inf, and the ratio -inf; at b_1 = 20
+        # E1(30) ~ 3e-15 keeps it finite, and the ratio is finite and rejects
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), theta=normal_priors(1)[0],
+                            rho=normal_priors(1, sd_rho=1000.0)[1])
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [edge], [0.5], [-705.0]))
+        assert all(map(math.isfinite, state.terms.masses))
+        state.rng_params = self.walk(0.0, 0.0, -10.0)
         terms = state.score(prior)
-        accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_theta=1.0), prior)
-        assert (accepted, log_ratio) == (False, -math.inf)
-        assert state.terms is terms
-        tally = mcmc.MoveTally()
-        tally.add(mcmc.ChainRecord(1, *terms[1:5], 1.0, accepted, logr_params=log_ratio))
-        assert tally.acceptance()["params_domain_rejects"] == 1
+        accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_rho=1.0), prior)
+        assert not accepted and state.terms is terms
+        assert math.isfinite(log_ratio) == finite and log_ratio < -1e290
 
 
 class TestReparam:

@@ -3,6 +3,7 @@
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -209,6 +210,26 @@ class TestNuBinMass:
                                  epsabs=0, epsrel=1e-11, limit=400)
         assert total == pytest.approx(head + tail, rel=1e-8)
 
+    def test_finite_products_keep_their_bits(self):
+        # a mass is the float product beta * exp(-rho) * unit wherever that is finite
+        rng = np.random.default_rng(1117)
+        for _ in range(200):
+            beta = rng.uniform(0.01, 50.0)
+            rhos = rng.uniform(-709.7, 750.0, size=3).tolist()
+            units = np.exp(rng.uniform(-700.0, 5.0, size=3)).tolist()
+            for got, rho, unit in zip(nu_bin_mass(beta, rhos, units), rhos, units):
+                want = beta * math.exp(-rho) * unit
+                assert got == want or not math.isfinite(want)
+
+    def test_masses_past_the_float_range_of_exp(self):
+        # exp(-rho) overflows below rho = -709.78: the mass comes from logs
+        rhos, units = (-710.0, -800.0), (1e-10, 1e-100)
+        for got, rho, unit in zip(nu_bin_mass(0.5, rhos, units), rhos, units):
+            want = mpmath.mpf(0.5) * mpmath.exp(-rho) * mpmath.mpf(unit)
+            assert got == pytest.approx(float(want), rel=1e-12)
+        # +inf past the float range; 0.0 for a unit that underflowed to 0
+        assert nu_bin_mass(0.5, (-800.0, -800.0), (0.1, 0.0)) == (math.inf, 0.0)
+
 
 def quadrature_mass(p, k):
     """nu(B_k) as the integral of levy_density over the bin."""
@@ -290,7 +311,9 @@ class TestMassFactors:
         for slope in (-5.0, -4.0):
             assert mass_factors(1.0, (slope, 0.5), (200.0, 300.0))[1][0] == math.inf
         assert exp_integral_ei_values([716.36]) == [math.inf]
-        assert nu_bin_mass(2.0, (0.3,), (math.inf,)) == (math.inf,)
+        # +inf also where exp(-rho) underflows to 0, and past its overflow
+        assert math.exp(-750.0) == 0.0
+        assert nu_bin_mass(2.0, (0.3, 750.0, -800.0), (math.inf,) * 3) == (math.inf,) * 3
         # below the overflow the unit is the Ei difference
         c = -2.35
         got = mass_factors(1.0, (c - 1.0, 0.5), (200.0, 300.0))[1][0]
@@ -525,6 +548,8 @@ class TestCompilePrior:
             assert got == prior_at(spec, p)
             assert got == pytest.approx(closed_form_spec_logpdf(spec, alpha, beta, (slope,),
                                                                 (rho,)), rel=1e-12)
-        # outside the support: a slope of -alpha, and beta above the uniform's bound
+        # outside the support: a slope of -alpha, beta above the uniform's bound,
+        # and beta exp(-rho_1) past the float range, +inf, at rho_1 = -800
         assert prior_logpdf(spec, 0.8, 85.0, (-0.8,), (0.2,)) == -math.inf
         assert prior_logpdf(spec, 0.5, 130.0, (0.3,), (-0.1,)) == -math.inf
+        assert prior_logpdf(spec, 0.8, 85.0, (0.1,), (-800.0,)) == -math.inf

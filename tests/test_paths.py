@@ -18,7 +18,6 @@ from gammasub import (
     thin_path,
 )
 from gammasub.paths import (
-    _one_value,
     as_generator,
     augment_rows,
     bridge_rows,
@@ -266,12 +265,11 @@ class TestRowKernels:
 
     def test_scalar_and_column_parameters_draw_the_same_bits(self):
         # the sampler hands the kernels one scalar shape on a uniform grid,
-        # where _one_value returns it as it is, in place of a (rows, 1) column
+        # in place of a (rows, 1) column
         def gen():
             return np.random.Generator(np.random.Philox(17))
 
         shape = np.float64(0.3) * np.float64(0.1)
-        assert _one_value(shape) is shape
         column = np.full((25, 1), shape)
         size = (25, 8)
         for scalar_draw, column_draw in (
