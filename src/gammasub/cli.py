@@ -104,17 +104,24 @@ def cmd_fit(args) -> int:
     burn_in = args.burn_in if args.burn_in is not None else args.iterations // 10
     if args.thinning < 1:
         raise ConfigError(f"thinning must be >= 1, got {args.thinning}")
-    # run_mcmc yields every sweep after burn-in: the tally counts them all,
-    # thinned-out moves too, and this loop alone thins what chain.csv keeps
+    if not 0 <= burn_in <= args.iterations:
+        raise ConfigError(f"need iterations >= burn_in >= 0, got ({args.iterations}, {burn_in})")
+    # run_mcmc yields every sweep: one tally counts the burn-in sweeps, the
+    # other every sweep after, thinned-out moves too, and this loop alone
+    # drops burn-in and thins what chain.csv keeps
     sweeps = run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=args.iterations,
-                      burn_in=burn_in, seed=args.seed, m=cfg.refinement)
+                      burn_in=0, seed=args.seed, m=cfg.refinement)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the segments a sweep redraws, whose path rate the tally reports apart
+    # the segments a sweep redraws, whose path rate the tallies report apart
     n, n_active = obs.n_increments, int(active_segments(obs.increments, cfg.params0.bin_edges).size)
     t0 = time.perf_counter()
     records, tally = [], MoveTally(n_segments=n, n_active=n_active)
+    burn_in_tally = MoveTally(n_segments=n, n_active=n_active)
     for r in sweeps:
+        if r.iteration <= burn_in:
+            burn_in_tally.add(r)
+            continue
         tally.add(r)
         if (r.iteration - burn_in) % args.thinning == 0:
             records.append(r)
@@ -132,7 +139,8 @@ def cmd_fit(args) -> int:
     segments = {"total": n, "refreshed": n_active}
     with open(out_dir / "meta.json", "w") as fh:
         write_meta_json(fh, config_echo=echo, records=records, tally=tally,
-                        extra={"runtime_seconds": round(elapsed, 3), "segments": segments})
+                        extra={"runtime_seconds": round(elapsed, 3), "segments": segments,
+                               "burn_in_acceptance": burn_in_tally.acceptance()})
     print(f"wrote {out_dir / 'chain.csv'} ({len(records)} records, {elapsed:.1f}s) "
           f"and {out_dir / 'meta.json'}")
     return 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .model import theta_rows
+from .model import bin_classify, theta_rows
 
 __all__ = [
     "BandSpec",
@@ -62,27 +62,34 @@ def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise empirical quantile envelope of the functional over samples.
 
     samples is a sequence of ModelParams sharing their bin edges (else
-    DomainError); the functional is evaluated once for all of them on their
-    stacked floats (model.theta_rows).  At each grid point the band is the
-    ((1-level)/2, 1-(1-level)/2) quantile pair of the functional values,
-    using the inverse empirical CDF with linear interpolation.
+    DomainError).  Their floats are gathered once, theta's as the (N+1, S)
+    rows of model.theta_rows; then the band takes one grid point at a time,
+    so its working memory is O(S) whatever the grid.  At each grid point the
+    band is the ((1-level)/2, 1-(1-level)/2) quantile pair of the functional
+    values, using the inverse empirical CDF with linear interpolation.
     """
     samples = list(samples)
     if len(samples) < 2:
         raise DomainError("need at least two samples for a band")
-    edges = samples[0].bin_edges.tolist()
-    if any(p.bin_edges.tolist() != edges for p in samples):
+    edges = samples[0].bin_edges
+    shared = edges.tolist()
+    if any(p.bin_edges is not edges and p.bin_edges.tolist() != shared for p in samples):
         raise DomainError("samples must share their bin edges")
-    x = spec.x_grid
-    values = theta_rows(edges, np.array([p.theta_slopes for p in samples]),
-                        np.array([p.theta_intercepts for p in samples]), x)
-    values += np.array([p.alpha for p in samples])[:, None] * x
-    if spec.functional == "neg_log_levy_x":
-        values -= np.array([math.log(p.beta) for p in samples])[:, None]
+    slopes, intercepts = theta_rows(np.array([p.theta_slopes for p in samples]).T,
+                                    np.array([p.theta_intercepts for p in samples]).T)
+    alpha = np.fromiter((p.alpha for p in samples), float, len(samples))
+    log_beta = (np.fromiter((math.log(p.beta) for p in samples), float, len(samples))
+                if spec.functional == "neg_log_levy_x" else None)
     tail = (1.0 - spec.level) / 2.0
-    lo = np.quantile(values, tail, axis=0)
-    hi = np.quantile(values, 1.0 - tail, axis=0)
-    return lo, hi
+    x = spec.x_grid
+    bands = np.empty((2, x.size))
+    for j, (k, x_j) in enumerate(zip(bin_classify(x, edges), x)):
+        values = intercepts[k] + slopes[k] * x_j
+        values += alpha * x_j
+        if log_beta is not None:
+            values -= log_beta
+        bands[:, j] = np.quantile(values, [tail, 1.0 - tail], overwrite_input=True)
+    return bands[0], bands[1]
 
 
 def histogram(series, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -39,9 +39,11 @@ changes which variates serve which sweep but not the law.
 The parameter walk draws ahead as well: update_params takes each step's
 2N + 1 standard normals and its ln U from ChainState.walk, which holds those
 of the next _WALK_STEPS steps, drawn from rng_params by one normal and one
-uniform call.  That block size is a constant, so the first sweeps of a run
-are those of any longer run with the same seed; rng_path, rng_accept and
-rng_beta draw as they would one sweep at a time.
+uniform call; rng_beta draws as it would one sweep at a time.  No block of
+either is sized by the sweeps left: a refresh batch that reaches past the
+run's last sweep is drawn whole and its surplus discarded.  So the first
+sweeps of a run are those of any longer run with the same seed, bridge
+redraws included.
 
 The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
@@ -161,8 +163,9 @@ class ChainRecord:
     logr_beta: float = math.nan
 
     def to_params(self, bin_edges) -> ModelParams:
-        return ModelParams(self.alpha, self.beta, bin_edges,
-                           np.asarray(self.theta), np.asarray(self.rho))
+        """The record's parameters as a ModelParams; a read-only edges array
+        such as a ModelParams' bin_edges is shared, not copied."""
+        return ModelParams(self.alpha, self.beta, bin_edges, self.theta, self.rho)
 
 
 # slots: the state has more attributes than CPython shares keys for in an
@@ -619,14 +622,15 @@ def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, grid):
     schedule = prop.update_schedule
     n_stages = len(schedule)
     # from a sweep at schedule index i, the refreshes up to the next beta
-    # stage's, the last before beta can move: every one when beta is fixed
+    # stage's, the last before beta can move; with beta fixed, _AHEAD_STEPS,
+    # which _draw_ahead's cap undercuts.  Never the sweeps left (see the
+    # module docstring): a batch drawn past the run's end is discarded
     same_beta = [next((d + 1 for d in range(n_stages) if schedule[(i + d) % n_stages] == "beta"),
-                  iterations) for i in range(n_stages)] if state.active.size else None
+                      _AHEAD_STEPS) for i in range(n_stages)]
     for t in range(1, iterations + 1):
         state.iteration = t
         stage = (t - 1) % n_stages
-        path_rate = (refresh_segments(state) if same_beta is None else
-                     refresh_segments(state, min(same_beta[stage], iterations + 1 - t)))
+        path_rate = refresh_segments(state, same_beta[stage])
         if schedule[stage] == "params":
             accepted, log_ratio = update_params(state, prop, prior)
             outcome = accepted, None, log_ratio, math.nan
@@ -774,7 +778,8 @@ def write_meta_json(stream, *, config_echo: dict, records: list[ChainRecord],
     """Write the run manifest: config echo plus acceptance-rate summaries.
 
     The rates and domain-reject counts are tally's (see MoveTally): `gammasub
-    fit` tallies every sweep after burn-in, so that thinning drops no move.
+    fit` tallies every sweep after burn-in, so that thinning drops no move,
+    and passes the burn-in sweeps' own tally in extra, as burn_in_acceptance.
     Without a tally they are the retained records' own, which are those
     sweeps when nothing was thinned out.
     """

@@ -7,7 +7,7 @@ The jump intensity of the process has density
 where theta is piecewise linear on half-open size bins B_k = [b_k, b_{k+1})
 with b_0 = 0 and b_{N+1} = inf, and identically zero on B_0.  bin_classify
 assigns values to bins, an edge to the bin on its right, for the bin
-statistics of likelihood and for theta_rows alike.  Bin masses nu(B_k) are
+statistics of likelihood and for theta alike.  Bin masses nu(B_k) are
 available in closed form through the exponential integral; the tail bin's
 is finite only for slope_N > -alpha, the rule prior_logpdf states.
 
@@ -49,8 +49,15 @@ __all__ = [
 
 
 def _as_readonly(values) -> np.ndarray:
-    """A read-only 1-D float copy of values."""
-    arr = np.array(values, dtype=float).reshape(-1)
+    """values as one read-only 1-D float array: values itself when it is such
+    an array and owns its data, else a copy.  So every ModelParams built from
+    one edges array (ChainRecord.to_params) shares it."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
+            and values.base is None and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=float, ndmin=1)
+    if arr.ndim > 1:
+        arr = arr.reshape(-1).copy()
     arr.setflags(write=False)
     return arr
 
@@ -66,7 +73,9 @@ def _all_finite(values) -> bool:
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+# slots: no per-instance dict, so vars(params) does not work; a chain's
+# records become one ModelParams each (ChainRecord.to_params)
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """Immutable parameter triple (alpha, beta, piecewise theta).
 
@@ -89,9 +98,9 @@ class ModelParams:
         alpha, beta = float(self.alpha), float(self.beta)
         edges, slopes, intercepts = (_as_readonly(self.bin_edges), _as_readonly(self.theta_slopes),
                                      _as_readonly(self.theta_intercepts))
-        # one write past the frozen __setattr__
-        self.__dict__.update(alpha=alpha, beta=beta, bin_edges=edges, theta_slopes=slopes,
-                             theta_intercepts=intercepts)
+        for name, value in (("alpha", alpha), ("beta", beta), ("bin_edges", edges),
+                            ("theta_slopes", slopes), ("theta_intercepts", intercepts)):
+            object.__setattr__(self, name, value)      # past the frozen __setattr__
         if not (math.isfinite(alpha) and alpha > 0):
             raise DomainError(f"alpha must be finite and > 0, got {alpha}")
         if not (math.isfinite(beta) and beta > 0):
@@ -129,33 +138,33 @@ def bin_classify(values: np.ndarray, bin_edges) -> np.ndarray:
     return np.asarray(bin_edges, dtype=float).searchsorted(values, side="right")
 
 
-def theta_rows(edges, slopes: np.ndarray, intercepts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """theta at the points x for S parameter samples that share the edges.
+def theta_rows(slopes, intercepts) -> tuple[np.ndarray, np.ndarray]:
+    """theta's slopes and intercepts by bin, bin B_0's zeros first.
 
-    slopes and intercepts are (S, N); returns (S,) + x.shape, one row per
-    sample.  x is not checked: theta_at is the checked one-sample view.
+    slopes and intercepts are (N,) for one sample or (N, S), one column per
+    sample; the results are (N+1,) or (N+1, S), row k bin B_k's.  theta at a
+    point x of bin k (bin_classify) is intercepts[k] + slopes[k] * x: for
+    one sample at many points (theta_at) or for S samples at one point
+    (diagnostics.credible_band).
     """
-    idx = bin_classify(x, edges)
-    # bin B_0 has slope and intercept 0
-    pad = np.zeros((len(slopes), 1))
-    slopes = np.concatenate((pad, slopes), axis=1)
-    intercepts = np.concatenate((pad, intercepts), axis=1)
-    return intercepts[:, idx] + slopes[:, idx] * x
+    pad = np.zeros((1,) + np.shape(slopes)[1:])
+    return np.concatenate((pad, slopes)), np.concatenate((pad, intercepts))
 
 
 def theta_at(params: ModelParams, x):
     """Evaluate the piecewise-linear perturbation theta at x (scalar or array).
 
     theta is 0 below the first edge; on [b_k, b_{k+1}) it equals
-    intercept_k + slope_k * x, with edges assigned to the right bin.  One
-    sample of theta_rows, with x checked finite and > 0.
+    intercept_k + slope_k * x, with edges assigned to the right bin, read
+    from theta_rows.  x is checked finite and > 0.
     """
     x_arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x_arr)) or np.any(x_arr <= 0):
         raise DomainError("x must be finite and > 0")
-    out = theta_rows(params.bin_edges, params.theta_slopes[None, :],
-                     params.theta_intercepts[None, :], np.atleast_1d(x_arr))[0]
-    return float(out[0]) if x_arr.ndim == 0 else out
+    slopes, intercepts = theta_rows(params.theta_slopes, params.theta_intercepts)
+    k = bin_classify(x_arr, params.bin_edges)
+    out = intercepts[k] + slopes[k] * x_arr
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def levy_density(params: ModelParams, x):

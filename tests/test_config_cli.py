@@ -224,6 +224,51 @@ class TestCliRoundTrip:
             # a move that was not attempted logs nan, never -inf
             assert all(math.isnan(logr) for flag, logr in pairs if flag is None)
 
+    def test_fit_counts_burn_in_domain_rejects_apart(self, tmp_path):
+        # from rho_1 = -705, intercept steps of sd 20 leave the float range of
+        # exp(-rho_1) in burn-in, and seed 5's walk never does so after it
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "100", "--n", "100", "--seed", "5",
+              "--out", str(obs_csv)])
+        text = ("bin_edges = 1\nalpha_init = 1.0\nbeta_init = 0.5\ntheta_init = 0.5\n"
+                "rho_init = -705\nalpha_prior = gamma 2 1\ntheta_prior = gamma 2 1\n"
+                "rho_prior = normal 0 1000\nsigma_rho = 20\n")
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                   "--iterations", "2000", "--seed", "5", "--out-dir", str(out)])
+        assert rc == 0
+        meta = json.loads((out / "meta.json").read_text())
+        from gammasub import run_mcmc
+        from gammasub.data import read_observations_csv
+        run = parse_config(text)
+        records = list(run_mcmc(read_observations_csv(obs_csv), run.params0, run.prior,
+                                run.proposal, iterations=2000, burn_in=0, seed=5,
+                                m=run.refinement))
+        burn_in = meta["burn_in_acceptance"]
+        rejects = sum(r.logr_params == -math.inf for r in records[:200])
+        assert burn_in["params_domain_rejects"] == rejects > 0
+        assert meta["acceptance"]["params_domain_rejects"] == 0
+        assert burn_in["params_rate"] == sum(r.accept_params for r in records[:200]) / 200
+        # the kept chain's bytes do not depend on the burn-in tally
+        from gammasub.mcmc import read_chain_csv
+        with open(out / "chain.csv") as fh:
+            assert read_chain_csv(fh) == records[200:]
+
+    def test_fit_burn_in_beyond_the_run_is_an_error(self, tmp_path, capsys):
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",
+              "--out", str(obs_csv)])
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                   "--iterations", "20", "--burn-in", "21", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need iterations >= burn_in >= 0, got (20, 21)\n"
+        assert not out.exists()
+
     def test_fit_meta_counts_thinned_out_moves(self, tmp_path):
         # thinning 5 over a five-stage schedule retains only params sweeps; the
         # acceptance summaries still count every sweep after burn-in

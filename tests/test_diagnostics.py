@@ -2,12 +2,28 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gammasub import BandSpec, DomainError, ModelParams, credible_band, histogram, running_average
-from gammasub.diagnostics import write_line_svg, write_series_csv
+from gammasub.diagnostics import FUNCTIONALS, write_line_svg, write_series_csv
+
+
+def full_matrix_band(samples, spec):
+    """The band's quantiles along the samples of the whole (S, G) matrix of
+    functional values, theta from each sample's bin at each grid point."""
+    x = spec.x_grid
+    k = np.searchsorted(samples[0].bin_edges, x, side="right")
+    slopes = np.array([np.concatenate(([0.0], p.theta_slopes)) for p in samples])
+    intercepts = np.array([np.concatenate(([0.0], p.theta_intercepts)) for p in samples])
+    values = intercepts[:, k] + slopes[:, k] * x
+    values += np.array([p.alpha for p in samples])[:, None] * x
+    if spec.functional == "neg_log_levy_x":
+        values -= np.array([math.log(p.beta) for p in samples])[:, None]
+    tail = (1.0 - spec.level) / 2.0
+    return np.quantile(values, tail, axis=0), np.quantile(values, 1.0 - tail, axis=0)
 
 
 def functional(p, spec):
@@ -93,6 +109,41 @@ class TestCredibleBand:
         from gammasub import levy_density
         expected = [-math.log(x * levy_density(p, x)) for x in (0.5, 2.0)]
         assert vals == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("functional", ["theta_plus_alpha_x", "neg_log_levy_x"])
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("n_samples", [400, 401])
+    def test_matches_the_full_matrix_bit_for_bit(self, functional, level, n_samples):
+        rng = np.random.default_rng(n_samples)
+        edges = [1.0, 2.0, 4.0]
+        samples = [ModelParams(rng.uniform(0.5, 3.0), rng.uniform(0.1, 5.0), edges,
+                               rng.normal(0, 1, 3), rng.normal(0, 1, 3))
+                   for _ in range(n_samples)]
+        # points in B_0, on every edge and between them
+        grid = np.unique(np.concatenate((np.linspace(0.1, 6.0, 37), edges)))
+        spec = BandSpec(x_grid=grid, level=level, functional=functional)
+        lo, hi = credible_band(samples, spec)
+        expected = full_matrix_band(samples, spec)
+        assert lo.tobytes() == expected[0].tobytes()
+        assert hi.tobytes() == expected[1].tobytes()
+
+    def test_working_memory_is_linear_in_the_samples(self):
+        # the full (S, G) matrix of 20,000 samples on 200 points is 32 MB
+        rng = np.random.default_rng(4)
+        edges = ModelParams(1.0, 1.0, [1.0], [0.0], [0.0]).bin_edges
+        samples = [ModelParams(a, b, edges, [s], [r]) for a, b, s, r in
+                   zip(rng.uniform(0.5, 3.0, 20_000), rng.uniform(0.1, 5.0, 20_000),
+                       rng.normal(size=20_000), rng.normal(size=20_000))]
+        for functional in FUNCTIONALS:
+            spec = BandSpec(x_grid=np.linspace(0.1, 5.0, 200), functional=functional)
+            credible_band(samples[:2], spec)    # numpy's first quantile call imports modules
+            tracemalloc.start()
+            try:
+                credible_band(samples, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000, functional
 
     def test_samples_must_share_edges(self):
         spec = BandSpec(x_grid=np.array([1.0]))

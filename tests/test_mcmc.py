@@ -611,8 +611,8 @@ class TestDrawAhead:
                                        100, 5)
         n = mcmc.active_segments(obs.increments, params0.bin_edges).size
         assert n == 24      # so 4096 // (24 * 5) = 34 sweeps per batch
-        assert draws == [("gamma", (34 * n, 5)), ("uniform", (34, n))] * 2 + [
-            ("gamma", (32 * n, 5)), ("uniform", (32, n))]
+        # the third batch serves sweeps 69-100 and draws those of 101 and 102 too
+        assert draws == [("gamma", (34 * n, 5)), ("uniform", (34, n))] * 3
         assert recs == list(run_with(g.refresh_segments, obs, params0, self.prior,
                                      g.ProposalSpec(), 100, 17, 5))
         assert min(r.accept_path_rate for r in recs) < 1.0
@@ -625,10 +625,11 @@ class TestDrawAhead:
         prop = g.ProposalSpec(sigma_beta=0.05, update_schedule=("beta", "params", "params"))
         recs, draws = self.counted_run(monkeypatch, obs, params0, prior, prop, 11, 5)
         n = 24
-        # sweep 1 is a beta stage; then sweeps 2-4, 5-7 and 8-10 share a beta; 11 is last
+        # sweep 1 is a beta stage; then sweeps 2-4, 5-7, 8-10 and 11-13 share a
+        # beta, and the last batch is drawn whole though the run ends at 11
         one = [("gamma", (n, 5)), ("uniform", (1, n))]
         three = [("gamma", (3 * n, 5)), ("uniform", (3, n))]
-        assert draws == one + three * 3 + one
+        assert draws == one + three * 4
         assert recs == list(run_with(g.refresh_segments, obs, params0, prior, prop, 11, 17, 5))
         assert len({r.beta for r in recs}) > 1
 
@@ -1768,13 +1769,14 @@ def pin_inputs(workload, seed):
     return g.Observations.from_increments(times, increments), parse_config(text)
 
 
-def pinned_chain_text(workload, seed, iterations=300):
+def pinned_chain_text(workload, seed, iterations=300, burn_in=None):
     """write_chain_csv's output for the workload's first chain; for CI's CLI
-    fits, of `gammasub fit --seed 11` with its default burn-in and their
-    thinning."""
+    fits, of `gammasub fit --seed 11` with their thinning and, unless burn_in
+    is given, the default burn-in."""
     obs, cfg = pin_inputs(workload, seed)
     if workload in _CLI_FITS:
-        burn_in, run_seed, thinning = iterations // 10, 11, _CLI_FITS[workload][1]
+        run_seed, thinning = 11, _CLI_FITS[workload][1]
+        burn_in = iterations // 10 if burn_in is None else burn_in
     else:
         burn_in, run_seed, thinning = 0, [seed, 1], 1
     recs = g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=iterations,
@@ -1801,20 +1803,26 @@ def pinned_chain_digest(workload, seed, iterations=300):
     ("beta_binned", 7, "99c710a867249b2e02405f827287520d6e575d1b8624043d493059a420374f73"),
     # its 600-sweep form gives CI's daf51ea1... chain.csv
     ("reparam", 5, "83495205f9be55d6331ce356dbae81fda7a886e11340ed219cecb402bc72c366"),
-    # its 600-sweep form gives CI's e66ab6aa... chain.csv
-    ("tiny_shape", 5, "c706acec44cd3cad37e4906b97d8404e70b071b5e61f36e51e5202274e18fa86"),
+    # its 600-sweep form gives CI's c8196848... chain.csv
+    ("tiny_shape", 5, "70f16a79cc66dec57600c46e494665e834d7f836691773d86ca29081a25bee33"),
 ], ids=["mixture-7", "mixture-23", "binless-7", "beta_binned-7", "reparam-5", "tiny_shape-5"])
 def test_chain_bytes_pinned(workload, seed, digest):
     # a kernel rewrite must leave every chain byte where it was
     assert pinned_chain_digest(workload, seed) == digest
 
 
-@pytest.mark.parametrize("workload", ["mixture", "binless", "beta_binned"])
+@pytest.mark.parametrize("workload", ["mixture", "binless", "beta_binned", "reparam",
+                                      "tiny_shape"])
 def test_a_longer_run_extends_a_shorter_one(workload):
     # no block of draws is sized by the sweeps left: the refresh's and the
     # parameter walk's draws ahead serve a run's first sweeps as they serve
-    # those of any longer run with the same seed
-    short = pinned_chain_text(workload, 7, iterations=301).splitlines()
-    long = pinned_chain_text(workload, 7, iterations=1000).splitlines()
-    assert len(short) == 302 and len(long) == 1001
-    assert short == long[:302]
+    # those of any longer run with the same seed, and so do the tiny-shape
+    # refresh's bridge redraws, which come after each whole batch
+    seed, kept = (5, 3) if workload == "reparam" else (5, 1) if workload == "tiny_shape" else (7, 1)
+    long = pinned_chain_text(workload, seed, iterations=1000, burn_in=0).splitlines()
+    assert len(long) == 1 + 1000 // kept
+    # a 150-sweep tiny-shape run ends inside a batch that redraws rows
+    for iterations in (150, 301):
+        short = pinned_chain_text(workload, seed, iterations, burn_in=0).splitlines()
+        assert len(short) == 1 + iterations // kept
+        assert short == long[:len(short)], iterations

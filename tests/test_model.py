@@ -10,6 +10,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from gammasub import (
+    ChainRecord,
     ConfigError,
     DomainError,
     ModelParams,
@@ -92,6 +93,45 @@ class TestModelParams:
         p = binned_model()
         with pytest.raises(ValueError):
             p.bin_edges[0] = 9.0
+
+    def test_slots_leave_no_instance_dict(self):
+        p = binned_model()
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(TypeError):
+            vars(p)
+
+    def test_pickles_and_updates(self):
+        p = binned_model(slopes=(0.1, -0.2, 0.3), intercepts=(0.4, 0.5, -0.6))
+        q = pickle.loads(pickle.dumps(p))
+        assert (q.alpha, q.beta) == (p.alpha, p.beta)
+        for name in ("bin_edges", "theta_slopes", "theta_intercepts"):
+            assert np.array_equal(getattr(q, name), getattr(p, name))
+        r = q.with_updates(alpha=2.0)
+        assert (r.alpha, r.theta_slopes.tolist()) == (2.0, [0.1, -0.2, 0.3])
+
+    def test_copies_a_writable_input(self):
+        edges, slopes = np.array([1.0, 2.0]), np.array([0.1, 0.2])
+        p = ModelParams(1.0, 1.0, edges, slopes, [0.0, 0.0])
+        edges[0], slopes[0] = 0.5, 9.0
+        assert p.bin_edges.tolist() == [1.0, 2.0] and p.theta_slopes.tolist() == [0.1, 0.2]
+        # a read-only view does not own its data, whose owner may still write it
+        view = edges[:]
+        view.flags.writeable = False
+        q = ModelParams(1.0, 1.0, view, [0.0, 0.0], [0.0, 0.0])
+        edges[1] = 3.0
+        assert q.bin_edges.tolist() == [0.5, 2.0]
+
+    def test_records_of_a_chain_share_one_edges_array(self):
+        edges = binned_model().bin_edges
+        records = [ChainRecord(i, 1.0 + i, 1.0, (0.1, 0.2, 0.3), (0.0, 0.1, 0.2), 1.0)
+                   for i in range(3)]
+        params = [r.to_params(edges) for r in records]
+        assert all(p.bin_edges is edges for p in params)
+        assert [p.alpha for p in params] == [1.0, 2.0, 3.0]
+        assert params[2].theta_intercepts.tolist() == [0.0, 0.1, 0.2]
+        # a list of edges is copied, once per record
+        listed = [r.to_params([1.0, 2.0, 4.0]).bin_edges for r in records[:2]]
+        assert listed[0] is not listed[1] and np.array_equal(listed[0], edges)
 
 
 class TestThetaAt:
