@@ -214,7 +214,7 @@ def cmd_diagnose(args) -> int:
         lo, hi = diagnostics.credible_band([r.to_params(edges) for r in records], spec)
         plots["band"] = (
             {"x": spec.x_grid, "lo": lo, "hi": hi}, spec.x_grid, {"lo": lo, "hi": hi},
-            {"title": f"{int(args.band_level * 100)}% band, {args.band_functional}",
+            {"title": f"{args.band_level * 100:g}% band, {args.band_functional}",
              "xlabel": "x", "ylabel": "value"})
 
     out_dir = Path(args.out_dir)

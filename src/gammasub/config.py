@@ -31,8 +31,6 @@ a comment.  Recognized keys:
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import ConfigError
 from .mcmc import ProposalSpec
 from .model import ModelParams, Prior, PriorSpec
@@ -80,8 +78,8 @@ def _number(value: str, key: str, kind=float):
         raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
 
 
-def _floats(value: str, key: str) -> list[float]:
-    return [_number(v, key) for v in value.replace(",", " ").split()]
+def _floats(value: str, key: str) -> tuple[float, ...]:
+    return tuple(_number(v, key) for v in value.replace(",", " ").split())
 
 
 def _bool(value: str, key: str) -> bool:
@@ -117,20 +115,20 @@ def parse_config(text: str) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    edges = np.asarray(_floats(pairs.get("bin_edges", ""), "bin_edges"), dtype=float)
-    n = edges.size
+    edges = _floats(pairs.get("bin_edges", ""), "bin_edges")
+    n = len(edges)
 
     def _scalar(key: str, default: str, kind=float):
         return _number(pairs.get(key, default), key, kind)
 
-    def _vector(key: str) -> np.ndarray:
+    def _vector(key: str) -> tuple[float, ...]:
         if key not in pairs:
-            return np.zeros(n)
-        vec = np.asarray(_floats(pairs[key], key), dtype=float)
-        if vec.size == 1 and n > 1:
-            vec = np.full(n, vec[0])
-        if vec.size != n:
-            raise ConfigError(f"{key}: expected {n} values, got {vec.size}")
+            return (0.0,) * n
+        vec = _floats(pairs[key], key)
+        if len(vec) == 1 and n > 1:
+            vec *= n
+        if len(vec) != n:
+            raise ConfigError(f"{key}: expected {n} values, got {len(vec)}")
         return vec
 
     if "alpha_init" not in pairs:

@@ -61,7 +61,7 @@ def running_average(series) -> np.ndarray:
 def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise empirical quantile envelope of the functional over samples.
 
-    samples is a sequence of ModelParams sharing their bin edges (else
+    samples is a sequence of ModelParams with equal bin edges (else
     DomainError).  Their floats are gathered once, theta's as the (N+1, S)
     rows of model.theta_rows; then the band takes one grid point at a time,
     so its working memory is O(S) whatever the grid.  At each grid point the
@@ -72,8 +72,7 @@ def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
     if len(samples) < 2:
         raise DomainError("need at least two samples for a band")
     edges = samples[0].bin_edges
-    shared = edges.tolist()
-    if any(p.bin_edges is not edges and p.bin_edges.tolist() != shared for p in samples):
+    if any(p.bin_edges != edges for p in samples):
         raise DomainError("samples must share their bin edges")
     slopes, intercepts = theta_rows(np.array([p.theta_slopes for p in samples]).T,
                                     np.array([p.theta_intercepts for p in samples]).T)

@@ -82,10 +82,9 @@ class ParamTerms(NamedTuple):
 
     @classmethod
     def of(cls, params: ModelParams) -> "ParamTerms":
-        """The terms of a ModelParams."""
-        return cls.at(tuple(params.bin_edges.tolist()), params.alpha, params.beta,
-                      tuple(params.theta_slopes.tolist()),
-                      tuple(params.theta_intercepts.tolist()))
+        """The terms of a ModelParams, which share its tuples."""
+        return cls.at(params.bin_edges, params.alpha, params.beta, params.theta_slopes,
+                      params.theta_intercepts)
 
 
 def compensator_diff(old: ParamTerms, new: ParamTerms) -> float:

@@ -163,8 +163,8 @@ class ChainRecord:
     logr_beta: float = math.nan
 
     def to_params(self, bin_edges) -> ModelParams:
-        """The record's parameters as a ModelParams; a read-only edges array
-        such as a ModelParams' bin_edges is shared, not copied."""
+        """The record's parameters as a ModelParams sharing the record's theta
+        and rho tuples and an edges tuple, such as a ModelParams' bin_edges."""
         return ModelParams(self.alpha, self.beta, bin_edges, self.theta, self.rho)
 
 
@@ -280,7 +280,7 @@ class ChainState:
 
     @property
     def params(self) -> ModelParams:
-        """The current parameters as a validated ModelParams, built on each read."""
+        """The current parameters as a validated ModelParams sharing the terms' tuples."""
         t = self.terms
         return ModelParams(t.alpha, t.beta, t.edges, t.slopes, t.intercepts)
 
@@ -584,8 +584,8 @@ def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
         raise ConfigError(
             f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})"
         )
-    if prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes.tolist(),
-                    params0.theta_intercepts.tolist()) == -math.inf:
+    if prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes,
+                    params0.theta_intercepts) == -math.inf:
         raise ConfigError("initial parameters have zero prior density: a value lies outside "
                           "its prior's support, or the tail bin has infinite mass "
                           "(theta_N <= -alpha)")

@@ -18,8 +18,8 @@ nu(B_1), ..., nu(B_N), nu_diff_bin0 gives the B_0 mass difference between
 two tilt rates, and prior_logpdf a PriorSpec's joint log prior.  The
 sampler calls them by these names, through this module's globals and
 likelihood's.  ModelParams is the validated parameter type of the API edge
-(run_mcmc's start, ChainRecord.to_params, the credible bands), which
-theta_at and levy_density evaluate at points.
+(run_mcmc's start, ChainRecord.to_params, the credible bands), held as
+floats and tuples of floats; theta_at and levy_density evaluate it at points.
 """
 
 import dataclasses
@@ -48,21 +48,11 @@ __all__ = [
 ]
 
 
-def _as_readonly(values) -> np.ndarray:
-    """values as one read-only 1-D float array: values itself when it is such
-    an array and owns its data, else a copy.  So every ModelParams built from
-    one edges array (ChainRecord.to_params) shares it."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
-            and values.base is None and not values.flags.writeable):
+def _float_tuple(values) -> tuple[float, ...]:
+    """values itself when it is a tuple of floats, else flattened into a new one."""
+    if type(values) is tuple and all(type(v) is float for v in values):
         return values
-    arr = np.array(values, dtype=float, ndmin=1)
-    if arr.ndim > 1:
-        arr = arr.reshape(-1).copy()
-    arr.setflags(write=False)
-    return arr
-
-
-_NONE = _as_readonly(())     # the binless model's edges, slopes and intercepts
+    return tuple(np.asarray(values, dtype=float).reshape(-1).tolist())
 
 
 def _all_finite(values) -> bool:
@@ -77,7 +67,12 @@ _LOG_MAX = math.log(sys.float_info.max)
 # records become one ModelParams each (ChainRecord.to_params)
 @dataclass(frozen=True, slots=True)
 class ModelParams:
-    """Immutable parameter triple (alpha, beta, piecewise theta).
+    """Immutable parameter triple (alpha, beta, piecewise theta), as floats.
+
+    The vector fields are tuples of floats, as ParamTerms' and ChainRecord's
+    are, so equal parameters compare equal, hash alike and pickle as they
+    are.  A tuple of floats is kept, not copied; any other input is
+    flattened into one.
 
     Attributes:
         alpha: exponential tilt rate, > 0.
@@ -90,14 +85,14 @@ class ModelParams:
 
     alpha: float
     beta: float
-    bin_edges: np.ndarray = field(default_factory=lambda: _NONE)
-    theta_slopes: np.ndarray = field(default_factory=lambda: _NONE)
-    theta_intercepts: np.ndarray = field(default_factory=lambda: _NONE)
+    bin_edges: tuple[float, ...] = ()
+    theta_slopes: tuple[float, ...] = ()
+    theta_intercepts: tuple[float, ...] = ()
 
     def __post_init__(self):
         alpha, beta = float(self.alpha), float(self.beta)
-        edges, slopes, intercepts = (_as_readonly(self.bin_edges), _as_readonly(self.theta_slopes),
-                                     _as_readonly(self.theta_intercepts))
+        edges, slopes, intercepts = (_float_tuple(self.bin_edges), _float_tuple(self.theta_slopes),
+                                     _float_tuple(self.theta_intercepts))
         for name, value in (("alpha", alpha), ("beta", beta), ("bin_edges", edges),
                             ("theta_slopes", slopes), ("theta_intercepts", intercepts)):
             object.__setattr__(self, name, value)      # past the frozen __setattr__
@@ -105,23 +100,21 @@ class ModelParams:
             raise DomainError(f"alpha must be finite and > 0, got {alpha}")
         if not (math.isfinite(beta) and beta > 0):
             raise DomainError(f"beta must be finite and > 0, got {beta}")
-        # checked on float lists: numpy reductions cost more at these sizes
-        edges = edges.tolist()
         if edges and (not _all_finite(edges) or edges[0] <= 0
                       or not all(map(operator.lt, edges, edges[1:]))):
             raise DomainError("bin_edges must be strictly increasing positive reals")
         n = len(edges)
-        if slopes.size != n or intercepts.size != n:
+        if len(slopes) != n or len(intercepts) != n:
             raise DomainError(
                 f"need {n} slopes and intercepts for {n} bin edges, got "
-                f"{slopes.size} and {intercepts.size}"
+                f"{len(slopes)} and {len(intercepts)}"
             )
-        if not (_all_finite(slopes.tolist()) and _all_finite(intercepts.tolist())):
+        if not (_all_finite(slopes) and _all_finite(intercepts)):
             raise DomainError("theta slopes and intercepts must be finite")
 
     @property
     def n_bins(self) -> int:
-        return self.bin_edges.size
+        return len(self.bin_edges)
 
     def with_updates(self, **changes) -> "ModelParams":
         """Return a validated copy with the given fields replaced."""

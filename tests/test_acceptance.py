@@ -63,9 +63,8 @@ def test_02_bin_mass_vs_quadrature():
         ref, _ = integrate.quad(lambda x: g.levy_density(params, x),
                                 float(edges[k - 1]), hi,
                                 epsabs=0, epsrel=1e-11, limit=400)
-        _, units, _ = mass_factors(params.alpha, params.theta_slopes.tolist(),
-                                   params.bin_edges.tolist())
-        mass = g.nu_bin_mass(params.beta, params.theta_intercepts.tolist(), units)[k - 1]
+        _, units, _ = mass_factors(params.alpha, params.theta_slopes, params.bin_edges)
+        mass = g.nu_bin_mass(params.beta, params.theta_intercepts, units)[k - 1]
         rel = abs(mass - ref) / abs(ref)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

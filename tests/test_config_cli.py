@@ -414,6 +414,15 @@ class TestCliRoundTrip:
         assert main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
                      "--out-dir", str(fig), "--figures", "trace,hist"]) == 0
 
+    @pytest.mark.parametrize("level, title", [("0.95", "95% band"), ("0.975", "97.5% band"),
+                                              ("0.57", "57% band")])
+    def test_band_title_names_the_level(self, tmp_path, level, title):
+        chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "20")
+        fig = tmp_path / "figs"
+        assert main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
+                     "--out-dir", str(fig), "--figures", "band", "--band-level", level]) == 0
+        assert f">{title}, theta_plus_alpha_x</text>" in (fig / "band.svg").read_text()
+
     def test_fit_thinning_stride_and_iterations(self, tmp_path):
         chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "30", "--burn-in", "10",
                                "--thinning", "4")

@@ -42,13 +42,12 @@ def loop_classify(increments, bin_edges):
 
 
 def model(alpha=1.0, beta=1.0, edges=(1.0,), slopes=(0.0,), intercepts=(0.0,)):
-    return ModelParams(alpha, beta, np.asarray(edges), np.asarray(slopes),
-                       np.asarray(intercepts))
+    return ModelParams(alpha, beta, edges, slopes, intercepts)
 
 
 def theta(params):
     """The slopes and intercepts as float tuples, as the path ratio takes them."""
-    return tuple(params.theta_slopes.tolist()), tuple(params.theta_intercepts.tolist())
+    return params.theta_slopes, params.theta_intercepts
 
 
 class Totals(NamedTuple):

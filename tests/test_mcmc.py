@@ -69,8 +69,8 @@ def psi(stats, params):
 
 def prior_at(prior, params):
     """prior_logpdf at the floats of the ModelParams params."""
-    return g.prior_logpdf(prior, params.alpha, params.beta, params.theta_slopes.tolist(),
-                          params.theta_intercepts.tolist())
+    return g.prior_logpdf(prior, params.alpha, params.beta, params.theta_slopes,
+                          params.theta_intercepts)
 
 
 class TestInitChain:

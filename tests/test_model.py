@@ -1,5 +1,6 @@
 """Model parameters, Levy density, bin masses, and priors."""
 
+import dataclasses
 import math
 import pickle
 
@@ -40,14 +41,13 @@ def gamma_model(alpha=1.0, beta=1.0):
 
 def binned_model(alpha=1.0, beta=1.0, edges=(1.0, 2.0, 4.0),
                  slopes=(0.0, 0.0, 0.0), intercepts=(0.0, 0.0, 0.0)):
-    return ModelParams(alpha, beta, np.asarray(edges), np.asarray(slopes),
-                       np.asarray(intercepts))
+    return ModelParams(alpha, beta, edges, slopes, intercepts)
 
 
 def bin_mass(p, k):
     """nu(B_k) of the ModelParams p, from mass_factors and nu_bin_mass."""
-    _, units, _ = mass_factors(p.alpha, p.theta_slopes.tolist(), p.bin_edges.tolist())
-    return nu_bin_mass(p.beta, p.theta_intercepts.tolist(), units)[k - 1]
+    _, units, _ = mass_factors(p.alpha, p.theta_slopes, p.bin_edges)
+    return nu_bin_mass(p.beta, p.theta_intercepts, units)[k - 1]
 
 
 def diff_bin0(alpha_new, alpha_old, beta, b1):
@@ -58,8 +58,7 @@ def diff_bin0(alpha_new, alpha_old, beta, b1):
 
 def prior_at(spec, p):
     """prior_logpdf at the floats of the ModelParams p."""
-    return prior_logpdf(spec, p.alpha, p.beta, p.theta_slopes.tolist(),
-                        p.theta_intercepts.tolist())
+    return prior_logpdf(spec, p.alpha, p.beta, p.theta_slopes, p.theta_intercepts)
 
 
 class TestModelParams:
@@ -91,8 +90,11 @@ class TestModelParams:
 
     def test_immutable(self):
         p = binned_model()
-        with pytest.raises(ValueError):
+        assert type(p.bin_edges) is tuple
+        with pytest.raises(TypeError):
             p.bin_edges[0] = 9.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.bin_edges = (9.0,)
 
     def test_slots_leave_no_instance_dict(self):
         p = binned_model()
@@ -103,23 +105,24 @@ class TestModelParams:
     def test_pickles_and_updates(self):
         p = binned_model(slopes=(0.1, -0.2, 0.3), intercepts=(0.4, 0.5, -0.6))
         q = pickle.loads(pickle.dumps(p))
-        assert (q.alpha, q.beta) == (p.alpha, p.beta)
-        for name in ("bin_edges", "theta_slopes", "theta_intercepts"):
-            assert np.array_equal(getattr(q, name), getattr(p, name))
+        assert q == p
         r = q.with_updates(alpha=2.0)
-        assert (r.alpha, r.theta_slopes.tolist()) == (2.0, [0.1, -0.2, 0.3])
+        assert (r.alpha, r.theta_slopes) == (2.0, (0.1, -0.2, 0.3))
+        assert r.bin_edges is q.bin_edges
 
     def test_copies_a_writable_input(self):
         edges, slopes = np.array([1.0, 2.0]), np.array([0.1, 0.2])
         p = ModelParams(1.0, 1.0, edges, slopes, [0.0, 0.0])
         edges[0], slopes[0] = 0.5, 9.0
-        assert p.bin_edges.tolist() == [1.0, 2.0] and p.theta_slopes.tolist() == [0.1, 0.2]
-        # a read-only view does not own its data, whose owner may still write it
-        view = edges[:]
-        view.flags.writeable = False
-        q = ModelParams(1.0, 1.0, view, [0.0, 0.0], [0.0, 0.0])
-        edges[1] = 3.0
-        assert q.bin_edges.tolist() == [0.5, 2.0]
+        assert p.bin_edges == (1.0, 2.0) and p.theta_slopes == (0.1, 0.2)
+        # any input but a tuple of floats is flattened into one: nested lists,
+        # a (2, 1) array, a tuple of ints and numpy floats, a scalar
+        q = ModelParams(1.0, 1.0, [[1.0], [2.0]], np.array([[0.1], [0.2]]), (0, np.float64(1)))
+        assert (q.bin_edges, q.theta_slopes, q.theta_intercepts) == ((1.0, 2.0), (0.1, 0.2),
+                                                                     (0.0, 1.0))
+        assert all(type(v) is float for v in q.bin_edges + q.theta_slopes + q.theta_intercepts)
+        r = ModelParams(1.0, 1.0, 1.5, 0.25, 0)
+        assert (r.bin_edges, r.theta_slopes, r.theta_intercepts) == ((1.5,), (0.25,), (0.0,))
 
     def test_records_of_a_chain_share_one_edges_array(self):
         edges = binned_model().bin_edges
@@ -128,10 +131,51 @@ class TestModelParams:
         params = [r.to_params(edges) for r in records]
         assert all(p.bin_edges is edges for p in params)
         assert [p.alpha for p in params] == [1.0, 2.0, 3.0]
-        assert params[2].theta_intercepts.tolist() == [0.0, 0.1, 0.2]
-        # a list of edges is copied, once per record
+        assert params[2].theta_intercepts == (0.0, 0.1, 0.2)
+        # a list of edges is copied into a tuple, once per record
         listed = [r.to_params([1.0, 2.0, 4.0]).bin_edges for r in records[:2]]
-        assert listed[0] is not listed[1] and np.array_equal(listed[0], edges)
+        assert listed[0] is not listed[1] and listed[0] == edges
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+class TestModelParamsValue:
+    """A ModelParams is its floats: it compares, hashes and pickles by value."""
+
+    @staticmethod
+    def pair(n):
+        """Two ModelParams of n bins with equal fields, one built from lists and
+        one from arrays."""
+        edges = [2.0 ** k for k in range(n)]
+        slopes, intercepts = [0.1 * (k + 1) for k in range(n)], [-0.2 * k for k in range(n)]
+        return (ModelParams(1.5, 0.5, edges, slopes, intercepts),
+                ModelParams(1.5, 0.5, np.array(edges), np.array(slopes), np.array(intercepts)))
+
+    def test_equal_fields_compare_equal(self, n):
+        p, q = self.pair(n)
+        assert p == q and not p != q
+        assert p != p.with_updates(alpha=2.0)
+
+    def test_equal_params_hash_alike(self, n):
+        p, q = self.pair(n)
+        assert hash(p) == hash(q)
+        assert len({p, q, p.with_updates(beta=0.75)}) == 2
+
+    def test_pickle_round_trips_to_tuples(self, n):
+        p, _ = self.pair(n)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+        for name in ("bin_edges", "theta_slopes", "theta_intercepts"):
+            assert type(getattr(q, name)) is tuple
+
+    def test_to_params_shares_the_record_tuples(self, n):
+        p, _ = self.pair(n)
+        # the record's tuples built as read_chain_csv builds them
+        rec = ChainRecord(1, p.alpha, p.beta, tuple(map(float, p.theta_slopes)),
+                          tuple(map(float, p.theta_intercepts)), 1.0)
+        q = rec.to_params(p.bin_edges)
+        assert q == p
+        assert q.theta_slopes is rec.theta and q.theta_intercepts is rec.rho
+        assert q.bin_edges is p.bin_edges
 
 
 class TestThetaAt:
@@ -291,8 +335,7 @@ class TestMassFactors:
 
     @staticmethod
     def assert_matches_quadrature(p, rel=1e-8):
-        edges = tuple(p.bin_edges.tolist())
-        slopes, rhos = p.theta_slopes.tolist(), p.theta_intercepts.tolist()
+        edges, slopes, rhos = p.bin_edges, p.theta_slopes, p.theta_intercepts
         e1_b1, units, ref_units = mass_factors(p.alpha, slopes, edges)
         masses = nu_bin_mass(p.beta, rhos, units)
         # the Gamma reference: the same (beta, alpha) and bins, theta zero
@@ -310,7 +353,7 @@ class TestMassFactors:
         # interior rates slope + alpha > 0, = 0 exactly and < 0, then the tail
         p = ModelParams(0.75, 1.3, [0.5, 1.0, 2.5, 4.0], [0.4, -0.75, -1.25, 0.1],
                         [0.3, -0.2, 0.7, -1.1])
-        assert [s + p.alpha for s in p.theta_slopes.tolist()] == [1.15, 0.0, -0.5, 0.85]
+        assert [s + p.alpha for s in p.theta_slopes] == [1.15, 0.0, -0.5, 0.85]
         units = self.assert_matches_quadrature(p)
         assert units[1] == math.log(2.5)    # the integral of 1/x over [1, 2.5)
         # binless: no bins, and E1(alpha b_1) is 0.0 at b_1 = inf
@@ -559,11 +602,11 @@ class TestCompilePrior:
                 p = ModelParams(rng.uniform(0.1, 3.0), rng.uniform(0.1, 2.5),
                                 np.arange(1.0, n + 1.0), rng.normal(0.0, 1.5, size=n),
                                 rng.normal(0.0, 2.0, size=n))
-                slopes, intercepts = p.theta_slopes.tolist(), p.theta_intercepts.tolist()
+                slopes, intercepts = p.theta_slopes, p.theta_intercepts
                 want = closed_form_spec_logpdf(spec, p.alpha, p.beta, slopes, intercepts)
-                got = prior_logpdf(spec, p.alpha, p.beta, tuple(slopes), tuple(intercepts))
+                got = prior_logpdf(spec, p.alpha, p.beta, slopes, intercepts)
                 assert got == pytest.approx(want, rel=1e-12)
-                assert prior_logpdf(spec, p.alpha, p.beta, slopes, intercepts) == got
+                assert prior_logpdf(spec, p.alpha, p.beta, list(slopes), list(intercepts)) == got
 
     def test_tail_constraint(self):
         spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), theta=(Prior("normal", 0.0, 3.0),) * 3,
