@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .config import load_config
+from .config import _floats, load_config
 from .data import (
     ingest_losses,
     read_observations_csv,
@@ -163,6 +163,25 @@ def _add_diagnose(sub):
     p.set_defaults(func=cmd_diagnose)
 
 
+def _check_fit_edges(chain: Path, edges: tuple) -> None:
+    """DataError when the config echo of the chain's fit, in the meta.json that
+    `gammasub fit` writes beside it (chain_0.meta.json beside the benchmark's
+    chain_0.csv), has other bin edges than edges; chain.csv records none."""
+    for meta in (chain.with_suffix(".meta.json"), chain.with_name("meta.json")):
+        if meta.is_file():
+            break
+    else:
+        return
+    with open(meta, encoding="utf-8") as fh:
+        try:
+            fit_edges = _floats(json.load(fh)["config"].get("bin_edges", ""), "bin_edges")
+        except (ValueError, LookupError, TypeError, AttributeError):
+            raise DataError(f"{meta} holds no config echo") from None
+    if fit_edges != edges:
+        raise DataError(f"the chain was fit on bin edges {list(fit_edges)} ({meta}) but the "
+                        f"config has {list(edges)}")
+
+
 def cmd_diagnose(args) -> int:
     figures = {f.strip() for f in args.figures.split(",") if f.strip()}
     if not figures:
@@ -178,6 +197,7 @@ def cmd_diagnose(args) -> int:
     n_bins = len(records[0].theta)
     if n_bins != cfg.params0.n_bins:
         raise DataError(f"the chain has {n_bins} bins but the config has {cfg.params0.n_bins}")
+    _check_fit_edges(Path(args.chain), cfg.params0.bin_edges)
     iterations = np.array([r.iteration for r in records], dtype=float)
 
     series = {"alpha": np.array([r.alpha for r in records])}

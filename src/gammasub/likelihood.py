@@ -55,9 +55,8 @@ def bin_stats_matrix(increments: np.ndarray, bin_edges):
 class ParamTerms(NamedTuple):
     """One parameter vector as Python floats, with the bin-mass terms the ratios read.
 
-    e1_b1, units and ref_units are model.mass_factors's, masses are
-    model.nu_bin_mass's nu(B_1), ..., nu(B_N), and the Gamma
-    reference's masses, which psi subtracts, are beta * ref_units.
+    e1_b1 and units are model.mass_factors's, masses are
+    model.nu_bin_mass's nu(B_1), ..., nu(B_N).
     """
 
     edges: tuple[float, ...]
@@ -67,7 +66,6 @@ class ParamTerms(NamedTuple):
     intercepts: tuple[float, ...]
     e1_b1: float
     units: tuple[float, ...]
-    ref_units: tuple[float, ...]
     masses: tuple[float, ...]
 
     @classmethod
@@ -122,19 +120,20 @@ def loglik_ratio_params(sums, counts, horizon: float, old: ParamTerms, new: Para
     return total - horizon * compensator_diff(old, new)
 
 
-def psi_log(sums, counts, horizon: float, terms: ParamTerms) -> float:
+def psi_log(sums, counts, horizon: float, terms: ParamTerms, ref_units) -> float:
     """Log-density of the model's path law against its Gamma reference.
 
     sums and counts are the per-bin totals S_0..S_N and C_0..C_N as
     sequences of floats.  The reference shares (beta, alpha) and has all
-    slopes and intercepts zero, so
+    slopes and intercepts zero, nu_ref(B_k) = beta * ref_units[k-1]
+    (model.reference_units), so
 
         psi = -sum_k th_k * S_k - sum_k rho_k * C_k
               - T * sum_{k=1..N} (nu - nu_ref)(B_k).
     """
     slope_part = intercept_part = comp = 0.0
     for slope, intercept, mass, unit, s, c in zip(terms.slopes, terms.intercepts, terms.masses,
-                                                  terms.ref_units, sums[1:], counts[1:]):
+                                                  ref_units, sums[1:], counts[1:]):
         slope_part += slope * s
         intercept_part += intercept * c
         comp += mass - terms.beta * unit
@@ -147,52 +146,46 @@ def endpoint_tolerance(totals) -> np.ndarray:
     return _ENDPOINT_RTOL * np.abs(totals)
 
 
-def loglik_ratio_path(sums_new: np.ndarray, counts_new: np.ndarray,
-                      sums_old: np.ndarray, counts_old: np.ndarray, slopes, intercepts,
+def loglik_ratio_path(stats_new: np.ndarray, stats_old: np.ndarray, slopes, intercepts,
                       tolerance=None):
     """Log-likelihood ratio of endpoint-matched paths under one model, row-wise.
 
-    Takes per-bin sums and counts of shape (N+1,) for one path or (rows, N+1)
-    for many, and the model's N slopes and intercepts as float sequences, and
-    returns a float or one value per row.  Only the bins with nonzero slope
-    or intercept contribute; the value is independent of alpha, beta and of
-    the compensator entirely:
+    Takes bin statistics [S_0..S_N | C_0..C_N] of shape (2N+2,) for one
+    path or (rows, 2N+2) for many, and the model's N slopes and intercepts
+    as float sequences, and returns a float or one value per row.  Only the
+    bins with nonzero slope or intercept contribute; the value is
+    independent of alpha, beta and of the compensator entirely:
 
-        -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k).
+        -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k) = (old - new) @ (0, th, 0, rho).
 
     Raises ContractError when a row's two totals differ by more than
-    tolerance (the paths do not share endpoints), or either is NaN.  The
+    tolerance (the paths do not share endpoints) or either row holds a NaN.  The
     default tolerance is endpoint_tolerance of the old totals; a caller whose
-    rows keep known endpoints passes theirs, computed once.  With no bins the
-    value is zero (as -0.0).
+    rows keep known endpoints passes theirs, computed once.
     """
     n_bins = len(slopes)
-    for sums in (sums_new, sums_old):
-        if sums.shape[-1] != n_bins + 1:
-            raise ContractError(
-                f"stats have {sums.shape[-1] - 1} bins but params have {n_bins}"
-            )
-    # whole-row differences are contiguous passes; bin 0 is sliced off below.
-    # Row totals are dot products with ones: a sum over a short axis costs more.
-    d_sums = sums_new - sums_old
-    ones = _ones(n_bins + 1)
+    for stats in (stats_new, stats_old):
+        if stats.shape[-1] != 2 * n_bins + 2:
+            raise ContractError(f"stats have {stats.shape[-1] // 2 - 1} bins but params have "
+                                f"{n_bins}")
+    d = stats_old - stats_new
+    # row totals are dot products with the S columns' mask: a sum over a short axis costs more
+    mask = _sums_mask(n_bins)
     if tolerance is None:
-        tolerance = endpoint_tolerance(sums_old.dot(ones))
-    drift = np.abs(d_sums.dot(ones))
+        tolerance = endpoint_tolerance(stats_old.dot(mask))
+    drift = np.abs(d.dot(mask))
     # a NaN drift or total compares False, so it counts as a mismatch
     n_matched = np.count_nonzero(drift <= tolerance)
     if n_matched != drift.size:
         raise ContractError(
             f"paths do not share endpoints: totals differ in {drift.size - n_matched} row(s)"
         )
-    d_counts = counts_new - counts_old
-    return -(d_sums[..., 1:] @ slopes + d_counts[..., 1:] @ intercepts)
+    return d.dot(np.array((0.0, *slopes, 0.0, *intercepts)))
 
 
 @functools.cache
-def _ones(size: int) -> np.ndarray:
-    """A read-only vector of size ones, made once per size."""
-    ones = np.ones(size)
-    ones.flags.writeable = False
-    return ones
-
+def _sums_mask(n_bins: int) -> np.ndarray:
+    """A read-only vector over [S_0..S_N | C_0..C_N], 1 on each S, 0 on each C; once per N."""
+    mask = np.repeat((1.0, 0.0), n_bins + 1)
+    mask.flags.writeable = False
+    return mask

@@ -19,9 +19,10 @@ returns at once and the beta move is its prior and Gamma-density ratio.
 
 The path state is therefore the active block: the active segments'
 increments as one contiguous (n_active, m) matrix, rows in the order of
-ChainState.active, with their (n_active, N+1) bin sums and counts.  The
-refresh and the beta move run the row kernels of `paths` on the block and
-write it in place or replace it, so no sweep gathers or scatters rows of a
+ChainState.active, and their bin statistics as one (n_active, 2N+2) matrix
+of rows [S_0..S_N | C_0..C_N], counts as exact floats.  The refresh and the
+beta move run the row kernels of `paths` on the block and write both in
+place or replace them, so no sweep gathers or scatters rows of a
 full-width array.  The full-width increments, seg_sums and seg_counts are
 read-only arrays assembled on each read from the block and init_chain's
 inert rows.  All per-segment randomness is drawn in fixed-layout blocks
@@ -47,24 +48,25 @@ redraws included.
 
 The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
-with their log prior, and the bin totals as float and int lists.  The
+with their log prior, and the bin totals as float lists.  The
 refresh returns its path acceptance rate and each parameter move its
 (accepted, log ratio); run_mcmc builds each sweep's ChainRecord from the
 terms and those outcomes and yields one per sweep after burn-in, and
 `gammasub fit --thinning` alone thins.
 
 Both parameter moves draw a candidate as Python floats, check it for the
-model's domain and score it by model.prior_logpdf.  Its bin-mass terms (the
-masses, E1(alpha b_1) and the Gamma reference's factors) come from
-model.mass_factors, one specfun.exp_integral_e1 call for many points (none
-on a binless model); a beta move needs none, as its candidate shares alpha
-and the slopes.  The ratios are likelihood.loglik_ratio_params and
-likelihood.psi_log at the bin totals, and an accepted candidate's terms
-become the state's.  The moves call prior_logpdf, loglik_ratio_params,
-psi_log, bin_stats_matrix and the moves themselves by their names in this
-module, so a profiler that rebinds those names sees every call.  No sweep
-builds a ModelParams: it is the type of the API edge, and ChainState.params
-builds one on each read.  The beta move's Gamma density ratio reads the
+model's domain and score it by model.prior_logpdf.  Its bin masses and
+E1(alpha b_1) come from model.mass_factors, one specfun.exp_integral_e1
+call for many points (none on a binless model); a beta move needs none, as
+its candidate shares alpha and the slopes, but evaluates the Gamma
+reference's units, which only psi reads, once (model.reference_units).
+The ratios are likelihood.loglik_ratio_params and likelihood.psi_log at the
+bin totals, and an accepted candidate's terms become the state's.  The
+moves call prior_logpdf, loglik_ratio_params, psi_log, bin_stats_matrix,
+reference_units and the moves themselves by their names in this module, so
+a profiler that rebinds those names sees every call.  No sweep builds a
+ModelParams: it is the type of the API edge, and ChainState.params builds
+one on each read.  The beta move's Gamma density ratio reads the
 data only through per-chain constants and math.lgamma, which runs once
 per distinct observation span.
 """
@@ -80,7 +82,7 @@ from .data import Observations
 from .exceptions import ConfigError, ContractError, DataError
 from .likelihood import (ParamTerms, bin_stats_matrix, endpoint_tolerance, loglik_ratio_params,
                          loglik_ratio_path, psi_log)
-from .model import ModelParams, PriorSpec, prior_logpdf
+from .model import ModelParams, PriorSpec, prior_logpdf, reference_units
 from .paths import (TimeGrid, _one_value, _seed_sequence, augment_rows, bridge_rows, pin_rows,
                     thin_rows)
 
@@ -180,13 +182,13 @@ class ChainState:
     object rescores log_prior (score).  params builds a validated
     ModelParams from terms on each read.
 
-    block, block_sums and block_counts are the active block (see the module
-    docstring): the increments and bin statistics of the segments in
-    active, rows in that order, which write_rows writes.  start_increments,
-    start_sums and start_counts are init_chain's rows of every segment; the
-    inert ones among them are the chain's for good, the active ones are
+    block and block_stats are the active block (see the module docstring):
+    the increments and [S_0..S_N | C_0..C_N] bin statistics of the segments
+    in active, rows in that order, which write_block writes.
+    start_increments and start_stats are init_chain's rows of every segment;
+    the inert ones among them are the chain's for good, the active ones are
     superseded by the block.  total_sums and total_counts are the bin totals
-    S_0..S_N and C_0..C_N over all segments, which write_rows keeps current.
+    S_0..S_N and C_0..C_N over all segments, which write_block keeps current.
     The rest are the random streams and per-chain constants.
     """
 
@@ -194,8 +196,7 @@ class ChainState:
     obs: Observations
     grid: TimeGrid
     start_increments: np.ndarray        # (n_segments, m), rows sum to obs increments
-    start_sums: np.ndarray              # (n_segments, N+1) their bin sums
-    start_counts: np.ndarray            # (n_segments, N+1) their bin counts
+    start_stats: np.ndarray             # (n_segments, 2N+2) their bin sums, then counts
     rng_path: np.random.Generator
     rng_accept: np.random.Generator
     rng_params: np.random.Generator
@@ -205,19 +206,17 @@ class ChainState:
     prior: PriorSpec | None = None      # what terms and log_prior were scored under
     log_prior: float = math.nan
     block: np.ndarray = field(init=False)           # (n_active, m) active increments
-    block_sums: np.ndarray = field(init=False)      # (n_active, N+1) their bin sums
-    block_counts: np.ndarray = field(init=False)    # (n_active, N+1) their bin counts
+    block_stats: np.ndarray = field(init=False)     # (n_active, 2N+2) their bin statistics
     total_sums: list = field(init=False)
     total_counts: list = field(init=False)
-    inert_sums: np.ndarray = field(init=False)      # (N+1,) bin sums of the inert segments
-    inert_counts: np.ndarray = field(init=False)    # (N+1,) bin counts of the inert segments
+    inert_stats: np.ndarray = field(init=False)     # (2N+2,) statistics of the inert segments
     # endpoint_tolerance of the block's observed increments: every row of the block and
     # of a bridge proposal sums to its target, so this is the refresh's endpoint check
     block_tolerance: np.ndarray = field(init=False)
     # the block's sub-step spans h_i / m: (n_active, 1), or one float when all are equal
     block_sub_spans: np.ndarray | float = field(init=False)
-    # proposals drawn ahead (refresh_segments): one (beta, proposal, sums,
-    # counts, ln U) tuple per coming refresh, the next one last
+    # proposals drawn ahead (refresh_segments): one (beta, proposal, stats,
+    # ln U) tuple per coming refresh, the next one last
     drawn: list = field(default_factory=list, init=False)
     # parameter steps drawn ahead (update_params): one (2N+1 standard normals,
     # ln U) pair per coming step, the next one last
@@ -234,12 +233,8 @@ class ChainState:
         active = self.active
         inert = np.ones(self.n_segments, dtype=bool)
         inert[active] = False
-        self.inert_sums = self.start_sums[inert].sum(axis=0)
-        self.inert_counts = self.start_counts[inert].sum(axis=0)
-        self.block = self.start_increments[active]
-        self.block_sums = self.start_sums[active]
-        self.block_counts = self.start_counts[active]
-        self.total_sums, self.total_counts = self.block_totals(self.block_sums, self.block_counts)
+        self.inert_stats = self.start_stats[inert].sum(axis=0)
+        self.write_block(self.start_increments[active], self.start_stats[active])
         spans = self.grid.spans
         self.block_tolerance = endpoint_tolerance(self.obs.increments[active])
         self.block_sub_spans = _one_value((spans[active] / self.grid.m)[:, None])
@@ -271,12 +266,22 @@ class ChainState:
     @property
     def seg_sums(self) -> np.ndarray:
         """(n_segments, N+1) bin sums of every segment; read-only, assembled on each read."""
-        return self._full_width(self.start_sums, self.block_sums)
+        return _halves(self._full_width(self.start_stats, self.block_stats))[0]
 
     @property
     def seg_counts(self) -> np.ndarray:
         """(n_segments, N+1) bin counts of every segment; read-only, assembled on each read."""
-        return self._full_width(self.start_counts, self.block_counts)
+        return _halves(self._full_width(self.start_stats, self.block_stats))[1]
+
+    @property
+    def block_sums(self) -> np.ndarray:
+        """(n_active, N+1) bin sums of the active block: a view of block_stats."""
+        return _halves(self.block_stats)[0]
+
+    @property
+    def block_counts(self) -> np.ndarray:
+        """(n_active, N+1) bin counts of the active block: a view of block_stats."""
+        return _halves(self.block_stats)[1]
 
     @property
     def params(self) -> ModelParams:
@@ -284,34 +289,26 @@ class ChainState:
         t = self.terms
         return ModelParams(t.alpha, t.beta, t.edges, t.slopes, t.intercepts)
 
-    def block_totals(self, sums: np.ndarray, counts: np.ndarray) -> tuple[list, list]:
-        """Totals over all segments as float and int lists, given the active
-        block's (n_active, N+1) statistics; each adds the inert segments' to
-        the block's column sums, which add the rows in order."""
-        return ((self.inert_sums + np.add.reduce(sums, 0)).tolist(),
-                (self.inert_counts + np.add.reduce(counts, 0)).tolist())
-
-    def write_rows(self, increments: np.ndarray, sums: np.ndarray, counts: np.ndarray,
-                   where: np.ndarray | None = None,
-                   totals: tuple[list, list] | None = None) -> None:
+    def write_block(self, increments: np.ndarray, stats: np.ndarray,
+                    where: np.ndarray | None = None, totals: list | None = None) -> None:
         """Write the active block and its bin statistics; bring the totals up to date.
 
-        The arguments are (n_active, m) and (n_active, N+1) arrays in block
-        order.  With where, an (n_active,) mask, the rows it selects are
+        increments and stats are (n_active, m) and (n_active, 2N+2) arrays in
+        block order.  With where, an (n_active,) mask, the rows it selects are
         copied into the block in place; without, they become the block.
-        totals, when given, must be block_totals of the block after the
-        write; a caller that reduced those rows already hands it over.
+        totals, the inert statistics plus the block's column sums as a list,
+        are computed unless a caller that reduced those rows hands them over.
         """
         if where is None:
-            self.block, self.block_sums, self.block_counts = increments, sums, counts
+            self.block, self.block_stats = increments, stats
         else:
             rows = where[:, None]
             np.copyto(self.block, increments, where=rows)
-            np.copyto(self.block_sums, sums, where=rows)
-            np.copyto(self.block_counts, counts, where=rows)
+            np.copyto(self.block_stats, stats, where=rows)
         if totals is None:
-            totals = self.block_totals(self.block_sums, self.block_counts)
-        self.total_sums, self.total_counts = totals
+            totals = (self.inert_stats + np.add.reduce(self.block_stats, 0)).tolist()
+        n = len(totals) // 2
+        self.total_sums, self.total_counts = totals[:n], totals[n:]
 
     def score(self, prior: PriorSpec) -> ParamTerms:
         """terms, with log_prior rescored under prior if prior is not the
@@ -321,6 +318,12 @@ class ChainState:
             self.log_prior = prior_logpdf(prior, t.alpha, t.beta, t.slopes, t.intercepts)
             self.prior = prior
         return t
+
+
+def _halves(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the S and C halves of (rows, 2N+2) statistics [S_0..S_N | C_0..C_N]."""
+    n = stats.shape[1] // 2
+    return stats[:, :n], stats[:, n:]
 
 
 def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
@@ -348,10 +351,10 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     deltas = obs.increments
     shapes = _one_value(params0.beta * (grid.spans / grid.m)[:, None])
     increments = bridge_rows(rng_path, shapes, deltas, grid.m)
-    sums, counts = bin_stats_matrix(increments, params0.bin_edges)
+    stats = np.concatenate(bin_stats_matrix(increments, params0.bin_edges), axis=1)
     return ChainState(
         terms=ParamTerms.of(params0), obs=obs, grid=grid,
-        start_increments=increments, start_sums=sums, start_counts=counts,
+        start_increments=increments, start_stats=stats,
         rng_path=rng_path, rng_accept=rng_accept,
         rng_params=rng_params, rng_beta=rng_beta,
         active=active_segments(deltas, params0.bin_edges),
@@ -369,7 +372,7 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     the active segments, so the decisions do not depend on the order in
     which segments are visited.
     The proposal is drawn, scored and written on the active block, whose
-    accepted rows are overwritten in place (ChainState.write_rows).
+    accepted rows are overwritten in place (ChainState.write_block).
 
     sweeps is the number of refreshes, this one first, that share its beta.
     Proposals and uniforms read nothing else a move changes, and rng_path
@@ -391,17 +394,17 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
         return 1.0
     if not state.drawn:
         state.drawn = _draw_ahead(state, sweeps)
-    beta, proposal, new_sums, new_counts, log_u = state.drawn.pop()
+    beta, proposal, stats, log_u = state.drawn.pop()
     terms = state.terms
     if beta != terms.beta:
         raise ContractError(f"refresh at sweep {state.iteration} found proposals drawn at "
                             f"beta {beta!r}, but beta is {terms.beta!r}")
-    log_ratio = loglik_ratio_path(new_sums, new_counts, state.block_sums, state.block_counts,
-                                  terms.slopes, terms.intercepts, state.block_tolerance)
+    log_ratio = loglik_ratio_path(stats, state.block_stats, terms.slopes, terms.intercepts,
+                                  state.block_tolerance)
     accepted = log_ratio >= log_u
     n_rejected = n_active - int(np.count_nonzero(accepted))
     # with every row accepted the proposal becomes the block as it is
-    state.write_rows(proposal, new_sums, new_counts, where=accepted if n_rejected else None)
+    state.write_block(proposal, stats, accepted if n_rejected else None)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
     return (state.n_segments - n_rejected) / state.n_segments
 
@@ -410,7 +413,8 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     """ChainState.drawn for up to sweeps refreshes, drawn, pinned and binned at once.
 
     k refreshes draw one bridge_rows matrix of k * n_active rows and
-    (k, n_active) uniforms, at most _AHEAD_STEPS sub-steps before redraws.
+    (k, n_active) uniforms, at most _AHEAD_STEPS sub-steps before redraws,
+    and bin it into one statistics matrix.
     Without a degenerate row those are the variates, in their order, that k
     single refreshes would draw.  bridge_rows redraws a degenerate row after
     the whole matrix, not before the next refresh's draw as a single refresh
@@ -427,9 +431,9 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     # k copies of the block's rows; np.tile costs several microseconds more
     proposals = bridge_rows(state.rng_path, shapes, np.concatenate([targets] * k), m)
     log_u = np.log(state.rng_accept.uniform(size=(k, n)))
-    sums, counts = bin_stats_matrix(proposals, edges)
-    return list(zip([beta] * k, proposals.reshape(k, n, m), sums.reshape(k, n, -1),
-                    counts.reshape(k, n, -1), log_u))[::-1]
+    stats = np.concatenate(bin_stats_matrix(proposals, edges), axis=1)
+    return list(zip([beta] * k, proposals.reshape(k, n, m), stats.reshape(k, n, -1),
+                    log_u))[::-1]
 
 
 def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, intercepts,
@@ -522,14 +526,15 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     formed and returns (False, -inf).  A NaN log ratio raises ContractError.
 
     The candidate differs from the current parameters in beta alone, so it
-    reuses their mass factors: the move calls no E1.  The Gamma density
-    ratio is (beta° - beta) (ln(alpha) sum_i h_i + sum_i h_i ln(delta_i))
-    less the lnGamma differences, each distinct span once, all from the
-    chain's constants (ChainState).  The prior ratio is prior_logpdf's; in
+    reuses their mass factors; the move's one E1 call is reference_units',
+    the Gamma reference's units at alpha, which both psi terms read.  The
+    Gamma density ratio is (beta° - beta) (ln(alpha) sum_i h_i + sum_i h_i
+    ln(delta_i)) less the lnGamma differences, each distinct span once, all
+    from the chain's constants (ChainState).  The prior ratio is prior_logpdf's; in
     reparam mode its Jacobian covers beta exp(-rho_1) moving with beta.
     The move transforms the active block as it is stored; an accepted move
-    makes the transformed block the state's and hands write_rows its
-    totals, which psi read.
+    makes it and its statistics the state's and hands write_block the
+    totals psi read.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
@@ -537,14 +542,15 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     rng = state.rng_beta
     beta_new = cur.beta + prop.sigma_beta * rng.normal()
     cand = _candidate(prior, cur.edges, cur.alpha, beta_new, cur.slopes, cur.intercepts,
-                      (cur.e1_b1, cur.units, cur.ref_units))
+                      (cur.e1_b1, cur.units))
     if cand is None:
         return False, -math.inf
     new, log_prior = cand
 
     horizon = state.grid.horizon
-    totals = (state.total_sums, state.total_counts)
-    psi_old = psi_log(*totals, horizon, cur)
+    ref_units = reference_units(cur.alpha, cur.edges)
+    sums, counts = state.total_sums, state.total_counts
+    psi_old = psi_log(sums, counts, horizon, cur, ref_units)
     n_active = state.active.size
     if n_active:
         block, sub = state.block, state.block_sub_spans
@@ -555,9 +561,10 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
         block, collapsed = pin_rows(block, state.obs.increments[state.active])
         if np.count_nonzero(collapsed):
             return False, -math.inf
-        block_sums, block_counts = bin_stats_matrix(block, cur.edges)
-        totals = state.block_totals(block_sums, block_counts)
-    psi_new = psi_log(*totals, horizon, new)
+        stats = np.concatenate(bin_stats_matrix(block, cur.edges), axis=1)
+        totals = (state.inert_stats + np.add.reduce(stats, 0)).tolist()
+        sums, counts = totals[:len(sums)], totals[len(sums):]
+    psi_new = psi_log(sums, counts, horizon, new, ref_units)
 
     density_diff = (
         (beta_new - cur.beta) * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
@@ -566,7 +573,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
     accepted = _accept(state, math.log(rng.random()), cand, log_ratio, "beta")
     if accepted and n_active:
-        state.write_rows(block, block_sums, block_counts, totals=totals)
+        state.write_block(block, stats, totals=totals)
     return accepted, log_ratio
 
 

@@ -14,12 +14,13 @@ is finite only for slope_N > -alpha, the rule prior_logpdf states.
 Each formula the sampler's ratios read is one function on Python floats:
 mass_factors takes a parameter vector's E1 factors from one
 specfun.exp_integral_e1 call, nu_bin_mass turns them into the masses
-nu(B_1), ..., nu(B_N), nu_diff_bin0 gives the B_0 mass difference between
-two tilt rates, and prior_logpdf a PriorSpec's joint log prior.  The
-sampler calls them by these names, through this module's globals and
-likelihood's.  ModelParams is the validated parameter type of the API edge
-(run_mcmc's start, ChainRecord.to_params, the credible bands), held as
-floats and tuples of floats; theta_at and levy_density evaluate it at points.
+nu(B_1), ..., nu(B_N) (reference_units those of the Gamma reference),
+nu_diff_bin0 gives the B_0 mass difference between two tilt rates, and
+prior_logpdf a PriorSpec's joint log prior.  The sampler calls them by these
+names, through this module's globals and likelihood's.  ModelParams is the
+validated parameter type of the API edge (run_mcmc's start,
+ChainRecord.to_params, the credible bands), held as floats and tuples of
+floats; theta_at and levy_density evaluate it at points.
 """
 
 import dataclasses
@@ -44,6 +45,7 @@ __all__ = [
     "nu_bin_mass",
     "nu_diff_bin0",
     "mass_factors",
+    "reference_units",
     "prior_logpdf",
 ]
 
@@ -172,8 +174,8 @@ def levy_density(params: ModelParams, x):
 def mass_factors(alpha: float, slopes, edges):
     """The E1 factors of the bin masses at float parameters, from one exp1 call.
 
-    Returns (e1_b1, units, ref_units) for alpha, the slopes and the edges
-    b_1 < ... < b_N as floats:
+    Returns (e1_b1, units) for alpha, the slopes and the edges b_1 < ... <
+    b_N as floats:
 
     - e1_b1 = E1(alpha * b_1), the B_0 term of nu_diff_bin0; 0.0 for a
       binless model, whose B_0 reaches b_1 = inf;
@@ -181,18 +183,17 @@ def mass_factors(alpha: float, slopes, edges):
       exp(-c x) / x over B_k with c = slope_k + alpha: E1(c b_k) - E1(c b_{k+1}),
       E1(c b_N) for the tail bin, and for an interior bin with c <= 0 its
       finite limit, ln(b_{k+1} / b_k) at c = 0 and an Ei difference below,
-      +inf once Ei(-c b_{k+1}) overflows (a move's ratio to it is -inf);
-    - ref_units[k-1] = nu_ref(B_k) / beta for the Gamma reference (theta
-      zero), which psi reads; always computed.
+      +inf once Ei(-c b_{k+1}) overflows (a move's ratio to it is -inf).
 
-    Neither beta nor the intercepts enter, so a move that changes only those
-    reuses the factors.  Raises DomainError when the tail bin has
+    The call evaluates E1 at alpha * b_1 and at the bins' points, N + 1 to
+    2N points.  Neither beta nor the intercepts enter, so a move that changes
+    only those reuses the factors.  Raises DomainError when the tail bin has
     slope + alpha <= 0.
     """
     n = len(edges)
     if n == 0:
-        return 0.0, (), ()
-    zs = [alpha * b for b in edges]
+        return 0.0, ()
+    zs = [alpha * edges[0]]
     rates = [s + alpha for s in slopes]
     for k, c in enumerate(rates):
         if c > 0:
@@ -202,7 +203,7 @@ def mass_factors(alpha: float, slopes, edges):
         elif k + 1 == n:
             raise DomainError(f"tail bin requires slope + alpha > 0, got {c}")
     e1 = exp_integral_e1(zs)
-    bins = iter(e1[n:])
+    bins = iter(e1[1:])
     units = []
     for k, c in enumerate(rates):
         if c > 0:
@@ -212,8 +213,15 @@ def mass_factors(alpha: float, slopes, edges):
         else:
             upper, lower = exp_integral_ei_values([-c * edges[k + 1], -c * edges[k]])
             units.append(upper - lower if upper < math.inf else math.inf)
-    ref_units = tuple(e1[k] - e1[k + 1] for k in range(n - 1)) + (e1[n - 1],)
-    return e1[0], tuple(units), ref_units
+    return e1[0], tuple(units)
+
+
+def reference_units(alpha: float, edges) -> tuple[float, ...]:
+    """nu_ref(B_k) / beta, k = 1..N, of the Gamma reference (theta zero) at
+    alpha, which psi_log reads: E1(alpha b_k) - E1(alpha b_{k+1}), and
+    E1(alpha b_N) for the tail bin, from one exp1 call at the N points."""
+    e1 = exp_integral_e1([alpha * b for b in edges])
+    return tuple(map(operator.sub, e1, e1[1:])) + tuple(e1[-1:])
 
 
 def nu_bin_mass(beta: float, intercepts, units) -> tuple[float, ...]:

@@ -18,7 +18,7 @@ from scipy.special import gammaln
 import gammasub as g
 from gammasub.cli import main as cli_main
 from gammasub.likelihood import bin_stats_matrix
-from gammasub.model import mass_factors
+from gammasub.model import mass_factors, reference_units
 from gammasub.paths import as_generator, augment_rows, bridge_rows, thin_rows
 
 
@@ -63,7 +63,7 @@ def test_02_bin_mass_vs_quadrature():
         ref, _ = integrate.quad(lambda x: g.levy_density(params, x),
                                 float(edges[k - 1]), hi,
                                 epsabs=0, epsrel=1e-11, limit=400)
-        _, units, _ = mass_factors(params.alpha, params.theta_slopes, params.bin_edges)
+        _, units = mass_factors(params.alpha, params.theta_slopes, params.bin_edges)
         mass = g.nu_bin_mass(params.beta, params.theta_intercepts, units)[k - 1]
         rel = abs(mass - ref) / abs(ref)
         worst = max(worst, rel)
@@ -165,7 +165,8 @@ def test_05_likelihood_ratio_identities():
     T, m, reps = 1.0, 20, 100_000
     inc = np.random.default_rng(2024).gamma(shape=1.0 * T / m, scale=1.0, size=(reps, m))
     sums, counts = bin_stats_matrix(inc, p.bin_edges)
-    comp = g.psi_log([1.0, 0.0], [1, 0], T, g.ParamTerms.of(p))
+    comp = g.psi_log([1.0, 0.0], [1, 0], T, g.ParamTerms.of(p),
+                     reference_units(p.alpha, p.bin_edges))
     vals = np.exp(-(sums[:, 1] * 0.1 + counts[:, 1] * (-0.24)) + comp)
     se = vals.std() / math.sqrt(reps)
     mc_ok = abs(vals.mean() - 1.0) < 3 * se

@@ -401,6 +401,49 @@ class TestCliRoundTrip:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not fig.exists()
 
+    @pytest.mark.parametrize("meta_name", ["meta.json", "chain.meta.json"])
+    def test_diagnose_rejects_edges_other_than_the_fits(self, tmp_path, capsys, meta_name):
+        # chain.csv records no edges: the config echo of the fit's meta.json does,
+        # beside chain.csv as `gammasub fit` writes it, or beside chain_0.csv as
+        # chain_0.meta.json
+        chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
+        (chain.parent / "meta.json").rename(chain.parent / meta_name)
+        cfg = tmp_path / "diagnose.cfg"
+        cfg.write_text(with_value(BINNED_CONFIG, "bin_edges", "1.5 3 9"))
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        rc = main(["diagnose", "--chain", str(chain), "--config", str(cfg),
+                   "--out-dir", str(fig), "--figures", "band"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: the chain was fit on bin edges [1.0, 2.0, 4.0] ({chain.parent / meta_name}) "
+            "but the config has [1.5, 3.0, 9.0]\n")
+        assert not fig.exists()
+        # the same edges written otherwise pass
+        cfg.write_text(with_value(BINNED_CONFIG, "bin_edges", "1.0, 2 4e0"))
+        assert main(["diagnose", "--chain", str(chain), "--config", str(cfg),
+                     "--out-dir", str(fig), "--figures", "band"]) == 0
+
+    def test_diagnose_without_a_meta_json_takes_the_configs_edges(self, tmp_path):
+        chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
+        (chain.parent / "meta.json").unlink()
+        cfg = tmp_path / "diagnose.cfg"
+        cfg.write_text(with_value(BINNED_CONFIG, "bin_edges", "1.5 3 9"))
+        fig = tmp_path / "figs"
+        assert main(["diagnose", "--chain", str(chain), "--config", str(cfg),
+                     "--out-dir", str(fig), "--figures", "band"]) == 0
+        assert (fig / "band.csv").exists()
+
+    def test_diagnose_rejects_a_meta_json_without_a_config_echo(self, tmp_path, capsys):
+        chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
+        meta = chain.parent / "meta.json"
+        for text in ("{", "[]", '{"config": 3}', '{"acceptance": {}}'):
+            meta.write_text(text)
+            capsys.readouterr()
+            assert main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
+                         "--out-dir", str(tmp_path / "figs")]) == 2
+            assert capsys.readouterr().err == f"error: {meta} holds no config echo\n"
+
     def test_diagnose_band_needs_two_records(self, tmp_path, capsys):
         chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "1", "--burn-in", "0")
         capsys.readouterr()

@@ -19,7 +19,7 @@ from gammasub import (
     sample_gamma_bridge,
 )
 from gammasub.likelihood import bin_stats_matrix, compensator_diff, endpoint_tolerance
-from gammasub.model import bin_classify
+from gammasub.model import bin_classify, reference_units
 
 
 def searchsorted_stats(increments, bin_edges):
@@ -71,7 +71,16 @@ def param_ratio(s, old, new):
 
 def psi(s, params):
     """psi_log at the totals s and the ModelParams params."""
-    return psi_log(s.sums.tolist(), s.counts.tolist(), s.horizon, ParamTerms.of(params))
+    return psi_log(s.sums.tolist(), s.counts.tolist(), s.horizon, ParamTerms.of(params),
+                   reference_units(params.alpha, params.bin_edges))
+
+
+def path_ratio(sums_new, counts_new, sums_old, counts_old, slopes, intercepts, *tolerance):
+    """loglik_ratio_path of the paths with these sums and counts, stacked into
+    its [S_0..S_N | C_0..C_N] rows."""
+    return loglik_ratio_path(np.concatenate((sums_new, counts_new), axis=-1),
+                             np.concatenate((sums_old, counts_old), axis=-1),
+                             slopes, intercepts, *tolerance)
 
 
 class TestBinStats:
@@ -217,19 +226,19 @@ class TestLoglikRatioPath:
     def test_identical_stats_give_zero(self):
         p = model(slopes=(0.3,), intercepts=(0.2,))
         s = totals([1.0, 2.0], [5, 2], 1.0)
-        assert loglik_ratio_path(s.sums, s.counts, s.sums, s.counts, *theta(p)) == 0.0
+        assert path_ratio(s.sums, s.counts, s.sums, s.counts, *theta(p)) == 0.0
 
     def test_gamma_model_always_zero(self):
         p = model(slopes=(0.0,), intercepts=(0.0,))
         s1 = totals([1.0, 2.0], [5, 2], 1.0)
         s2 = totals([2.0, 1.0], [4, 3], 1.0)
-        assert loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p)) == 0.0
+        assert path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p)) == 0.0
 
     def test_alpha_irrelevant(self):
         # the ratio takes no alpha: psi's differences at two alphas both equal it
         s1 = totals([1.0, 2.0], [5, 2], 1.0)
         s2 = totals([2.2, 0.8], [4, 3], 1.0)
-        value = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, (0.3,), (0.1,))
+        value = path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, (0.3,), (0.1,))
         for alpha in (0.5, 5.0):
             p = model(alpha=alpha, slopes=(0.3,), intercepts=(0.1,))
             assert psi(s2, p) - psi(s1, p) == pytest.approx(value, rel=1e-12)
@@ -239,7 +248,7 @@ class TestLoglikRatioPath:
         s1 = totals([1.0, 2.0], [5, 2], 1.0)
         s2 = totals([1.0, 2.1], [5, 2], 1.0)
         with pytest.raises(ContractError):
-            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p))
+            path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p))
 
     def test_literal_formula(self):
         p = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
@@ -247,8 +256,8 @@ class TestLoglikRatioPath:
         s2 = totals([1.3, 1.2, 1.5], [6, 1, 1], 1.0)
         expected = -(0.3 * (1.2 - 2.0) + (-0.1) * (1.5 - 1.0)
                      + 0.2 * (1 - 2) + 0.4 * (1 - 1))
-        assert loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts,
-                                 *theta(p)) == pytest.approx(expected, rel=1e-12)
+        assert path_ratio(s2.sums, s2.counts, s1.sums, s1.counts,
+                          *theta(p)) == pytest.approx(expected, rel=1e-12)
 
     def test_intercepts_drop_out_when_counts_match(self):
         # with matching per-bin counts the value is independent of the
@@ -258,15 +267,15 @@ class TestLoglikRatioPath:
         s2 = totals([1.4, 1.2, 1.4], [5, 2, 1], 1.0)
         base = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
         shifted_rho = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(-5.0, 9.9))
-        assert (loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(base))
-                == loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(shifted_rho)))
+        assert (path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, *theta(base))
+                == path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, *theta(shifted_rho)))
         c = 0.7
         shifted_theta = model(edges=(1.0, 2.0), slopes=(0.3 + c, -0.1 + c),
                               intercepts=(0.2, 0.4))
         drift = -c * ((1.2 - 2.0) + (1.4 - 1.0))
-        assert loglik_ratio_path(
+        assert path_ratio(
             s2.sums, s2.counts, s1.sums, s1.counts, *theta(shifted_theta)) == pytest.approx(
-            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(base)) + drift,
+            path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, *theta(base)) + drift,
             rel=1e-12)
 
     def test_rows_match_one_row_calls(self):
@@ -275,12 +284,15 @@ class TestLoglikRatioPath:
         old_c = np.array([[5, 2, 1], [3, 1, 1]])
         new_s = np.array([[1.3, 1.2, 1.5], [2.0, 1.5, 0.5]])
         new_c = np.array([[6, 1, 1], [4, 2, 0]])
-        rows = loglik_ratio_path(new_s, new_c, old_s, old_c, *theta(p))
+        rows = path_ratio(new_s, new_c, old_s, old_c, *theta(p))
         assert rows.shape == (2,)
         for i in range(2):
-            assert rows[i] == loglik_ratio_path(new_s[i], new_c[i], old_s[i], old_c[i], *theta(p))
-        binless = loglik_ratio_path(new_s[:, :1], new_c[:, :1], new_s[:, :1], new_c[:, :1],
-                                    (), ())
+            # a matrix-vector product may add a row's 2N+2 terms in another
+            # order than a one-row dot product: equal to an ulp
+            assert rows[i] == pytest.approx(
+                path_ratio(new_s[i], new_c[i], old_s[i], old_c[i], *theta(p)), rel=4e-16)
+        binless = path_ratio(new_s[:, :1], new_c[:, :1], new_s[:, :1], new_c[:, :1],
+                             (), ())
         assert np.array_equal(binless, np.zeros(2))
 
     def test_one_mismatched_row_rejected_at_1e9(self):
@@ -288,10 +300,10 @@ class TestLoglikRatioPath:
         old_s = np.array([[1.0, 3.0], [2.0, 2.0]])
         counts = np.array([[5, 2], [4, 3]])
         within = old_s + np.array([[0.0, 0.0], [0.0, 4e-10]])
-        assert loglik_ratio_path(within, counts, old_s, counts, *theta(p)).shape == (2,)
+        assert path_ratio(within, counts, old_s, counts, *theta(p)).shape == (2,)
         beyond = old_s + np.array([[0.0, 0.0], [0.0, 4e-8]])
         with pytest.raises(ContractError):
-            loglik_ratio_path(beyond, counts, old_s, counts, *theta(p))
+            path_ratio(beyond, counts, old_s, counts, *theta(p))
 
 
     def test_nan_row_total_rejected(self):
@@ -302,12 +314,12 @@ class TestLoglikRatioPath:
         nan_row = sums.copy()
         nan_row[1, 0] = np.nan
         with pytest.raises(ContractError):
-            loglik_ratio_path(nan_row, counts, sums, counts, *theta(p))
+            path_ratio(nan_row, counts, sums, counts, *theta(p))
         with pytest.raises(ContractError):
-            loglik_ratio_path(sums, counts, nan_row, counts, *theta(p))
+            path_ratio(sums, counts, nan_row, counts, *theta(p))
         with pytest.raises(ContractError):
-            loglik_ratio_path(nan_row[:, :1], counts[:, :1], sums[:, :1], counts[:, :1],
-                              (), ())
+            path_ratio(nan_row[:, :1], counts[:, :1], sums[:, :1], counts[:, :1],
+                       (), ())
 
     def test_given_tolerance_bounds_each_row(self):
         # a caller with known endpoints passes their tolerance instead
@@ -316,10 +328,10 @@ class TestLoglikRatioPath:
         counts = np.array([[5, 2], [4, 3]])
         shifted = old_s + np.array([[0.0, 0.0], [0.0, 4e-8]])
         with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
-            loglik_ratio_path(shifted, counts, old_s, counts, *theta(p),
-                              endpoint_tolerance(np.array([4.0, 4.0])))
-        assert loglik_ratio_path(shifted, counts, old_s, counts, *theta(p),
-                                 np.array([0.0, 1e-7])).shape == (2,)
+            path_ratio(shifted, counts, old_s, counts, *theta(p),
+                       endpoint_tolerance(np.array([4.0, 4.0])))
+        assert path_ratio(shifted, counts, old_s, counts, *theta(p),
+                          np.array([0.0, 1e-7])).shape == (2,)
 
     def test_nan_increment_ends_in_the_endpoint_check(self):
         # searchsorted sorts a NaN increment above every edge, into the last
@@ -332,8 +344,8 @@ class TestLoglikRatioPath:
         s_old, c_old = bin_stats_matrix(old, edges)
         s_new, c_new = bin_stats_matrix(new, edges)
         with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
-            loglik_ratio_path(s_new, c_new, s_old, c_old, np.array([0.3, 0.1]),
-                              np.array([0.2, 0.0]))
+            path_ratio(s_new, c_new, s_old, c_old, np.array([0.3, 0.1]),
+                       np.array([0.2, 0.0]))
 
 
 class TestPsiLog:
@@ -347,7 +359,7 @@ class TestPsiLog:
         s1 = totals([1.0, 2.0, 1.0], [5, 2, 1], 1.0)
         s2 = totals([1.3, 1.2, 1.5], [6, 1, 1], 1.0)
         assert psi(s2, p) - psi(s1, p) == pytest.approx(
-            loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p)), rel=1e-12)
+            path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p)), rel=1e-12)
 
     def test_single_bin_term_by_term(self):
         p = model(alpha=1.0, beta=1.0, slopes=(0.2,), intercepts=(0.1,))
@@ -398,6 +410,6 @@ class TestBridgePathRatioIntegration:
         sums, counts = bin_stats_matrix(np.stack([b1, b2]), p.bin_edges)
         s1 = totals(sums[0], counts[0], grid.horizon)
         s2 = totals(sums[1], counts[1], grid.horizon)
-        val = loglik_ratio_path(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p))
+        val = path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p))
         assert math.isfinite(val)
         assert val == pytest.approx(psi(s2, p) - psi(s1, p), rel=1e-10, abs=1e-12)

@@ -10,7 +10,7 @@ from scipy import integrate, special
 from scipy.stats import gamma as gamma_dist
 
 import gammasub as g
-from gammasub import mcmc, paths
+from gammasub import mcmc, model, paths
 from gammasub.config import parse_config
 from gammasub.likelihood import ParamTerms, bin_stats_matrix, loglik_ratio_path
 from gammasub.mcmc import (
@@ -19,6 +19,7 @@ from gammasub.mcmc import (
     write_chain_csv,
     write_meta_json,
 )
+from gammasub.model import reference_units
 from gammasub.paths import augment_rows, bridge_rows, pin_rows, thin_rows
 
 
@@ -64,7 +65,25 @@ def param_ratio(stats, old, new):
 
 def psi(stats, params):
     """psi_log at bin_totals stats and the ModelParams params."""
-    return g.psi_log(*stats, ParamTerms.of(params))
+    ref_units = reference_units(params.alpha, params.bin_edges)
+    return g.psi_log(*stats, ParamTerms.of(params), ref_units)
+
+
+def stacked(sums, counts):
+    """Bin sums and counts as one [S_0..S_N | C_0..C_N] float matrix, as the state holds them."""
+    return np.concatenate((sums, counts), axis=1)
+
+
+def path_ratio(sums, counts, old_sums, old_counts, slopes, intercepts):
+    """loglik_ratio_path of rows with these sums and counts against the old ones."""
+    return loglik_ratio_path(stacked(sums, counts), stacked(old_sums, old_counts), slopes,
+                             intercepts)
+
+
+def halves(values):
+    """The S and C halves of [S_0..S_N | C_0..C_N] totals or statistics."""
+    n = len(values) // 2
+    return values[:n], values[n:]
 
 
 def prior_at(prior, params):
@@ -207,8 +226,9 @@ class TestRefreshSegments:
             assert np.array_equal(got[active[~rejected]], new[~rejected])
         # the totals add the inert rows' constants to the written block's column sums
         kept = rejected[:, None]
-        for got, inert, old, new in ((state.total_sums, state.inert_sums, old_sums, new_sums),
-                                     (state.total_counts, state.inert_counts, old_counts,
+        inert_sums, inert_counts = halves(state.inert_stats)
+        for got, inert, old, new in ((state.total_sums, inert_sums, old_sums, new_sums),
+                                     (state.total_counts, inert_counts, old_counts,
                                       new_counts)):
             block = np.where(kept, old[active], new)
             assert got == (inert + np.add.reduce(block, 0)).tolist()
@@ -284,9 +304,9 @@ def assign_rows(state, increments, sums, counts):
     """Make (n_segments, ...) arrays every segment's rows and bin statistics,
     inert ones included, as an oracle that moves every segment writes them."""
     active = state.active
-    state.start_increments, state.start_sums, state.start_counts = increments, sums, counts
-    state.block, state.block_sums, state.block_counts = (
-        increments[active], sums[active], counts[active])
+    stats = stacked(sums, counts)
+    state.start_increments, state.start_stats = increments, stats
+    state.block, state.block_stats = increments[active], stats[active]
 
 
 def full_totals(state):
@@ -298,9 +318,9 @@ def assert_totals_current(state):
     """The totals are the inert constants plus the active block's reduction, exactly,
     and the reduction over every row within 1e-12 relative (counts exactly)."""
     active = state.active
-    assert state.total_sums == (state.inert_sums + state.seg_sums[active].sum(axis=0)).tolist()
-    assert state.total_counts == (
-        state.inert_counts + state.seg_counts[active].sum(axis=0)).tolist()
+    inert_sums, inert_counts = halves(state.inert_stats)
+    assert state.total_sums == (inert_sums + state.seg_sums[active].sum(axis=0)).tolist()
+    assert state.total_counts == (inert_counts + state.seg_counts[active].sum(axis=0)).tolist()
     full_sums, full_counts = full_totals(state)
     assert np.allclose(state.total_sums, full_sums, rtol=1e-12, atol=0)
     assert state.total_counts == full_counts
@@ -312,8 +332,8 @@ def full_refresh(state):
     proposal = bridge_rows(state.rng_path, params.beta * sub_spans(state),
                            state.obs.increments, state.m)
     sums, counts = bin_stats_matrix(proposal, params.bin_edges)
-    log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts,
-                                  params.theta_slopes, params.theta_intercepts)
+    log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
+                           params.theta_slopes, params.theta_intercepts)
     accept = log_ratio >= np.log(state.rng_accept.uniform(size=state.n_segments))
     reject = ~accept
     proposal[reject] = state.increments[reject]
@@ -335,8 +355,8 @@ def refresh_all_from(rng_inert):
         proposal[active] = bridge_rows(state.rng_path, shapes[active], deltas[active], state.m)
         proposal[inert] = bridge_rows(rng_inert, shapes[inert], deltas[inert], state.m)
         sums, counts = bin_stats_matrix(proposal, params.bin_edges)
-        log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts,
-                                      params.theta_slopes, params.theta_intercepts)
+        log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
+                               params.theta_slopes, params.theta_intercepts)
         log_u = np.empty(state.n_segments)
         log_u[active] = np.log(state.rng_accept.uniform(size=active.size))
         log_u[inert] = np.log(rng_inert.uniform(size=inert.size))
@@ -416,10 +436,10 @@ class TestBinlessRefresh:
     def test_draws_nothing_and_accepts_every_segment(self):
         state = basic_state(obs=gamma_obs(n=30, seed=5), seed=19)
         state.rng_path = state.rng_accept = NoDraws()
-        blocks = (state.block, state.block_sums, state.block_counts)
+        blocks = (state.block, state.block_stats)
         copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
         assert g.refresh_segments(state) == 1.0
-        for got, same in zip((state.block, state.block_sums, state.block_counts), blocks):
+        for got, same in zip((state.block, state.block_stats), blocks):
             assert got is same and got.size == 0
         for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
             assert np.array_equal(got, copy)
@@ -484,8 +504,8 @@ class TestActiveSegments:
             proposal = bridge_rows(state.rng_path, params.beta * sub_spans(state),
                                    state.obs.increments, state.m)
             sums, counts = bin_stats_matrix(proposal, params.bin_edges)
-            log_ratio = loglik_ratio_path(sums, counts, state.seg_sums, state.seg_counts,
-                                          params.theta_slopes, params.theta_intercepts)
+            log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
+                                   params.theta_slopes, params.theta_intercepts)
             assert (counts[inert] == [state.m, 0, 0]).all()
             assert (log_ratio[inert] == 0.0).all()
             reached |= counts[:, 1:].any(axis=1)
@@ -854,32 +874,34 @@ class TestUpdateBeta:
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
                             theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.5),))
         state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71)
-        block_totals, reductions = g.ChainState.block_totals, []
+        write_block, handed = g.ChainState.write_block, []
 
-        def counted(self, sums, counts):
-            reductions.append(sums.shape)
-            return block_totals(self, sums, counts)
+        def recorded(self, increments, stats, where=None, totals=None):
+            handed.append(totals)
+            return write_block(self, increments, stats, where, totals)
 
-        monkeypatch.setattr(g.ChainState, "block_totals", counted)
+        monkeypatch.setattr(g.ChainState, "write_block", recorded)
         accepted = 0
         for _ in range(60):
             g.refresh_segments(state)
-            reductions.clear()
+            handed.clear()
             accepted_now, _ = g.update_beta(state, g.ProposalSpec(sigma_beta=0.2), prior)
-            assert len(reductions) <= 1
             if accepted_now:
-                active = state.active
-                assert reductions == [(active.size, 2)]
-                expected = block_totals(state, state.seg_sums[active], state.seg_counts[active])
-                assert (state.total_sums, state.total_counts) == expected
+                # one write, handed the totals psi read, which the block's reduction gives
+                [totals] = handed
+                expected = (state.inert_stats + np.add.reduce(state.block_stats, 0)).tolist()
+                assert totals == expected
+                assert (state.total_sums, state.total_counts) == halves(expected)
                 accepted += 1
+            else:
+                assert handed == []
         assert 5 < accepted < 60
 
     def test_binless_move_draws_only_its_proposal_and_uniform(self):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0))
         prop = g.ProposalSpec(sigma_beta=0.3)
         state, twin = basic_state(seed=31), basic_state(seed=31)
-        blocks = (state.block, state.block_sums, state.block_counts)
+        blocks = (state.block, state.block_stats)
         copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
         state.rng_beta = Recording(state.rng_beta)
         accepted = 0
@@ -888,7 +910,7 @@ class TestUpdateBeta:
             accepted_now, log_ratio = g.update_beta(state, prop, prior)
             assert state.rng_beta.draws == [("normal", None), ("random", None)]
             state.rng_beta.draws.clear()
-            for got, same in zip((state.block, state.block_sums, state.block_counts), blocks):
+            for got, same in zip((state.block, state.block_stats), blocks):
                 assert got is same and got.size == 0
             for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
                 assert np.array_equal(got, copy)
@@ -983,7 +1005,8 @@ class TestParamTerms:
             assert terms.e1_b1 == g.exp_integral_e1([state.params.alpha * 0.3])[0]
             # the Gamma reference's masses, which psi_log subtracts
             ref = state.params.with_updates(theta_slopes=[0.0, 0.0], theta_intercepts=[0.0, 0.0])
-            assert tuple(terms.beta * u for u in terms.ref_units) == ParamTerms.of(ref).masses
+            ref_units = reference_units(terms.alpha, terms.edges)
+            assert tuple(terms.beta * u for u in ref_units) == ParamTerms.of(ref).masses
         assert checked > 250
         assert 0 < accepted_params < 300 and 0 < accepted_beta < 300
 
@@ -1052,8 +1075,9 @@ def reference_update_beta(state, prop, prior):
         block, collapsed = pin_rows(block, state.obs.increments[active])
         if collapsed.any():
             return False, -math.inf
-        sums, counts = bin_stats_matrix(block, params.bin_edges)
-        new_stats = bin_totals(*state.block_totals(sums, counts), state.grid.horizon)
+        stats = stacked(*bin_stats_matrix(block, params.bin_edges))
+        new_totals = (state.inert_stats + np.add.reduce(stats, 0)).tolist()
+        new_stats = bin_totals(*halves(new_totals), state.grid.horizon)
     density_diff = sum(g.gamma_logpdf(d, beta_new * h, params.alpha)
                        - g.gamma_logpdf(d, params.beta * h, params.alpha)
                        for d, h in zip(state.obs.increments, state.grid.spans))
@@ -1063,7 +1087,7 @@ def reference_update_beta(state, prop, prior):
         return False, log_ratio
     set_params(state, cand)
     if active.size:
-        state.write_rows(block, sums, counts)
+        state.write_block(block, stats)
     return True, log_ratio
 
 
@@ -1826,3 +1850,122 @@ def test_a_longer_run_extends_a_shorter_one(workload):
         short = pinned_chain_text(workload, seed, iterations, burn_in=0).splitlines()
         assert len(short) == 1 + iterations // kept
         assert short == long[:len(short)], iterations
+
+
+def pinned_state(workload, seed=7):
+    """init_chain's state on a benchmark workload or CI's tiny-shape fit, with
+    its config, as pinned_chain_text runs it."""
+    obs, cfg = pin_inputs(workload, seed)
+    return g.init_chain(obs, cfg.params0, g.TimeGrid(obs.times, cfg.refinement), [seed, 1]), cfg
+
+
+class TestFusedRefresh:
+    """The refresh and the beta move on the one [S | C] statistics matrix."""
+
+    @pytest.mark.parametrize("workload", ["mixture", "binless", "beta_binned", "tiny_shape"])
+    def test_totals_are_a_fresh_binning_bit_for_bit(self, workload):
+        # after every refresh and every accepted beta move: the totals are those
+        # of bin_stats_matrix over the full-width increments, reduced as the
+        # state reduces them (the inert rows, then the block's rows in order)
+        state, cfg = pinned_state(workload, 5 if workload == "tiny_shape" else 7)
+        active = state.active
+        inert = np.setdiff1d(np.arange(state.n_segments), active)
+
+        def check():
+            sums, counts = bin_stats_matrix(state.increments, cfg.params0.bin_edges)
+            for got, fresh in ((state.total_sums, sums), (state.total_counts, counts)):
+                fresh = fresh.astype(float)
+                expected = (fresh[inert].sum(axis=0) + np.add.reduce(fresh[active], 0)).tolist()
+                assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+        schedule = cfg.proposal.update_schedule
+        ahead = 1 if "beta" in schedule else mcmc._AHEAD_STEPS
+        check()
+        accepted_beta = 0
+        for t in range(120):
+            state.iteration = t + 1
+            g.refresh_segments(state, ahead)
+            check()
+            if schedule[t % len(schedule)] == "params":
+                g.update_params(state, cfg.proposal, cfg.prior)
+            elif g.update_beta(state, cfg.proposal, cfg.prior)[0]:
+                accepted_beta += 1
+                check()
+        assert workload != "beta_binned" or accepted_beta > 10
+        assert workload == "binless" or active.size > 0
+
+    def test_block_sums_and_counts_are_views_of_the_stats(self):
+        state, cfg = pinned_state("beta_binned")
+        for _ in range(20):
+            g.refresh_segments(state)
+            g.update_beta(state, cfg.proposal, cfg.prior)
+            n = state.block_stats.shape[1] // 2
+            assert np.shares_memory(state.block_sums, state.block_stats)
+            assert np.shares_memory(state.block_counts, state.block_stats)
+            assert np.array_equal(state.block_sums, state.block_stats[:, :n])
+            assert np.array_equal(state.block_counts, state.block_stats[:, n:])
+        # writing through a view writes the statistics
+        state.block_sums[0, 1] += 1.0
+        state.block_counts[0, 2] += 1.0
+        assert state.block_stats[0, 1] == state.block_sums[0, 1]
+        assert state.block_stats[0, n + 2] == state.block_counts[0, 2]
+
+    @pytest.mark.parametrize("column, value", [(0, "shift"), (0, "nan"), (1, "nan"),
+                                               (4, "nan"), (7, "nan")],
+                             ids=["S_0 by 1e-6", "S_0 NaN", "S_1 NaN", "C_0 NaN", "C_3 NaN"])
+    def test_a_drawn_proposal_off_its_endpoint_is_a_contract_error(self, column, value):
+        state, _ = pinned_state("mixture")
+        g.refresh_segments(state)
+        state.drawn = mcmc._draw_ahead(state, 1)
+        stats = state.drawn[-1][2]
+        assert stats.shape == (state.active.size, 8)
+        # S_0 moved by 1e-6 of the row's total, a thousand times the endpoint tolerance
+        stats[3, column] += 1e-6 * stats[3, :4].sum() if value == "shift" else np.nan
+        block, block_stats = state.block.copy(), state.block_stats.copy()
+        with pytest.raises(g.ContractError, match=r"do not share endpoints: totals differ in "
+                                                  r"1 row\(s\)"):
+            g.refresh_segments(state)
+        assert np.array_equal(state.block, block)
+        assert np.array_equal(state.block_stats, block_stats)
+
+
+class TestE1Traffic:
+    """Only the beta move evaluates the Gamma reference's E1 points."""
+
+    def counted_run(self, monkeypatch, workload, iterations=200):
+        points, ref_calls = [], []
+        e1, ref = model.exp_integral_e1, mcmc.reference_units
+
+        def counted_e1(zs):
+            points.append(len(zs))
+            return e1(zs)
+
+        def counted_ref(alpha, edges):
+            ref_calls.append(len(edges))
+            return ref(alpha, edges)
+
+        monkeypatch.setattr(model, "exp_integral_e1", counted_e1)
+        monkeypatch.setattr(mcmc, "reference_units", counted_ref)
+        obs, cfg = pin_inputs(workload, 7)
+        recs = list(g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=iterations,
+                               burn_in=0, seed=[7, 1], m=cfg.refinement))
+        return recs, points, ref_calls
+
+    def test_fixed_beta_evaluates_no_reference(self, monkeypatch):
+        recs, points, ref_calls = self.counted_run(monkeypatch, "mixture")
+        assert ref_calls == []
+        # E1(alpha b_1) and two points per interior bin and one for the tail:
+        # 6 for three bins, one call per candidate (and the start's two)
+        assert points == [6] * len(points)
+        candidates = sum(r.logr_params != -math.inf for r in recs)
+        assert len(points) == 2 + candidates
+
+    def test_beta_move_evaluates_the_reference_once(self, monkeypatch):
+        recs, points, ref_calls = self.counted_run(monkeypatch, "beta_binned")
+        beta_moves = [r for r in recs if r.accept_beta is not None]
+        assert len(beta_moves) == 100
+        assert all(r.logr_beta > -math.inf for r in beta_moves)
+        assert ref_calls == [2] * len(beta_moves)
+        # the parameter candidates' 4 points for two bins, and each reference's 2
+        assert sorted(set(points)) == [2, 4]
+        assert points.count(2) == len(beta_moves)

@@ -28,7 +28,7 @@ from gammasub import (
     run_mcmc,
     theta_at,
 )
-from gammasub.model import mass_factors
+from gammasub.model import mass_factors, reference_units
 from gammasub.specfun import exp_integral_ei_values
 
 E1_AT_1 = 0.21938393439552028
@@ -46,7 +46,7 @@ def binned_model(alpha=1.0, beta=1.0, edges=(1.0, 2.0, 4.0),
 
 def bin_mass(p, k):
     """nu(B_k) of the ModelParams p, from mass_factors and nu_bin_mass."""
-    _, units, _ = mass_factors(p.alpha, p.theta_slopes, p.bin_edges)
+    _, units = mass_factors(p.alpha, p.theta_slopes, p.bin_edges)
     return nu_bin_mass(p.beta, p.theta_intercepts, units)[k - 1]
 
 
@@ -336,7 +336,8 @@ class TestMassFactors:
     @staticmethod
     def assert_matches_quadrature(p, rel=1e-8):
         edges, slopes, rhos = p.bin_edges, p.theta_slopes, p.theta_intercepts
-        e1_b1, units, ref_units = mass_factors(p.alpha, slopes, edges)
+        e1_b1, units = mass_factors(p.alpha, slopes, edges)
+        ref_units = reference_units(p.alpha, edges)
         masses = nu_bin_mass(p.beta, rhos, units)
         # the Gamma reference: the same (beta, alpha) and bins, theta zero
         ref = p.with_updates(theta_slopes=np.zeros(p.n_bins), theta_intercepts=np.zeros(p.n_bins))
@@ -357,13 +358,14 @@ class TestMassFactors:
         units = self.assert_matches_quadrature(p)
         assert units[1] == math.log(2.5)    # the integral of 1/x over [1, 2.5)
         # binless: no bins, and E1(alpha b_1) is 0.0 at b_1 = inf
-        assert mass_factors(0.75, (), ()) == (0.0, (), ())
+        assert mass_factors(0.75, (), ()) == (0.0, ())
+        assert reference_units(0.75, ()) == ()
 
     def test_underflow_beyond_745(self):
         # c * b beyond 745 gives E1 exactly 0: the tail and the upper edge of bin 1
         p = ModelParams(400.0, 2.0, [1.0, 2.0], [0.0, 0.0], [0.5, 0.0])
-        _, units, ref_units = mass_factors(400.0, [0.0, 0.0], (1.0, 2.0))
-        assert units == ref_units
+        _, units = mass_factors(400.0, [0.0, 0.0], (1.0, 2.0))
+        assert units == reference_units(400.0, (1.0, 2.0))
         assert units[0] == pytest.approx(e1_series(400.0), rel=1e-10)
         # E1(800) < exp(-800) / 800, below the smallest subnormal double
         assert math.exp(-800.0) == 0.0

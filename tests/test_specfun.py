@@ -259,7 +259,7 @@ class TestScipyWrappers:
     def test_mass_factors_ei_branch_equals_scipy(self):
         # interior bins with slope + alpha < 0, = 0 and > 0, then a tail bin
         alpha, slopes, edges = 0.5, [-0.9, -0.5, -0.7, 0.3], [0.4, 1.1, 2.5, 6.0]
-        _, units, _ = mass_factors(alpha, slopes, edges)
+        _, units = mass_factors(alpha, slopes, edges)
         for k in (0, 2):
             c = slopes[k] + alpha
             assert c < 0
