@@ -164,22 +164,19 @@ def _add_diagnose(sub):
 
 
 def _check_fit_edges(chain: Path, edges: tuple) -> None:
-    """DataError when the config echo of the chain's fit, in the meta.json that
-    `gammasub fit` writes beside it (chain_0.meta.json beside the benchmark's
-    chain_0.csv), has other bin edges than edges; chain.csv records none."""
+    """DataError unless the meta.json `gammasub fit` wrote beside the chain, if any
+    (chain_0.meta.json beside the benchmark's chain_0.csv), echoes these bin edges."""
     for meta in (chain.with_suffix(".meta.json"), chain.with_name("meta.json")):
         if meta.is_file():
-            break
-    else:
-        return
-    with open(meta, encoding="utf-8") as fh:
-        try:
-            fit_edges = _floats(json.load(fh)["config"].get("bin_edges", ""), "bin_edges")
-        except (ValueError, LookupError, TypeError, AttributeError):
-            raise DataError(f"{meta} holds no config echo") from None
-    if fit_edges != edges:
-        raise DataError(f"the chain was fit on bin edges {list(fit_edges)} ({meta}) but the "
-                        f"config has {list(edges)}")
+            try:
+                echo = json.loads(meta.read_text(encoding="utf-8"))["config"]
+                fit_edges = _floats(echo.get("bin_edges", ""), "bin_edges")
+            except (ValueError, LookupError, TypeError, AttributeError):
+                raise DataError(f"{meta} holds no config echo") from None
+            if fit_edges != edges:
+                raise DataError(f"the chain was fit on bin edges {list(fit_edges)} ({meta}) "
+                                f"but the config has {list(edges)}")
+            return
 
 
 def cmd_diagnose(args) -> int:

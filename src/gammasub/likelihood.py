@@ -11,7 +11,7 @@ is computed and consumed in log space; acceptance compares a log ratio to
 ln(U).
 
 loglik_ratio_params and psi_log read the bin totals S_0..S_N and C_0..C_N
-as sequences of floats and ints and a parameter vector as a ParamTerms: its
+as sequences of floats and a parameter vector as a ParamTerms: its
 Python floats with the bin-mass terms of model.mass_factors and
 model.nu_bin_mass.  Each formula is this one function, which the sampler's
 moves call by name through mcmc's globals, as compensator_diff calls
@@ -156,7 +156,7 @@ def loglik_ratio_path(stats_new: np.ndarray, stats_old: np.ndarray, slopes, inte
     bins with nonzero slope or intercept contribute; the value is
     independent of alpha, beta and of the compensator entirely:
 
-        -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k) = (old - new) @ (0, th, 0, rho).
+        -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k) = (old - new) . (0, th, 0, rho).
 
     Raises ContractError when a row's two totals differ by more than
     tolerance (the paths do not share endpoints) or either row holds a NaN.  The
@@ -166,8 +166,7 @@ def loglik_ratio_path(stats_new: np.ndarray, stats_old: np.ndarray, slopes, inte
     n_bins = len(slopes)
     for stats in (stats_new, stats_old):
         if stats.shape[-1] != 2 * n_bins + 2:
-            raise ContractError(f"stats have {stats.shape[-1] // 2 - 1} bins but params have "
-                                f"{n_bins}")
+            raise ContractError(f"stats have {stats.shape[-1]} columns, not 2N+2 for {n_bins} bins")
     d = stats_old - stats_new
     # row totals are dot products with the S columns' mask: a sum over a short axis costs more
     mask = _sums_mask(n_bins)
@@ -177,10 +176,10 @@ def loglik_ratio_path(stats_new: np.ndarray, stats_old: np.ndarray, slopes, inte
     # a NaN drift or total compares False, so it counts as a mismatch
     n_matched = np.count_nonzero(drift <= tolerance)
     if n_matched != drift.size:
-        raise ContractError(
-            f"paths do not share endpoints: totals differ in {drift.size - n_matched} row(s)"
-        )
-    return d.dot(np.array((0.0, *slopes, 0.0, *intercepts)))
+        raise ContractError(f"paths do not share endpoints: totals differ in "
+                            f"{drift.size - n_matched} row(s)")
+    # one dot per row, which a one-row call repeats; gemv's order depends on the row count
+    return np.vecdot(d, np.array((0.0, *slopes, 0.0, *intercepts)))
 
 
 @functools.cache

@@ -48,11 +48,11 @@ redraws included.
 
 The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
-with their log prior, and the bin totals as float lists.  The
-refresh returns its path acceptance rate and each parameter move its
-(accepted, log ratio); run_mcmc builds each sweep's ChainRecord from the
-terms and those outcomes and yields one per sweep after burn-in, and
-`gammasub fit --thinning` alone thins.
+with their log prior, and the bin totals as float lists.  The refresh
+returns its path acceptance rate and each parameter move its (accepted, log
+ratio); run_mcmc builds each sweep's ChainRecord from the terms and those
+outcomes and yields one per sweep after burn-in, and `gammasub fit
+--thinning` alone thins.
 
 Both parameter moves draw a candidate as Python floats, check it for the
 model's domain and score it by model.prior_logpdf.  Its bin masses and
@@ -231,9 +231,7 @@ class ChainState:
 
     def __post_init__(self):
         active = self.active
-        inert = np.ones(self.n_segments, dtype=bool)
-        inert[active] = False
-        self.inert_stats = self.start_stats[inert].sum(axis=0)
+        self.inert_stats = np.delete(self.start_stats, active, axis=0).sum(axis=0)
         self.write_block(self.start_increments[active], self.start_stats[active])
         spans = self.grid.spans
         self.block_tolerance = endpoint_tolerance(self.obs.increments[active])
@@ -251,9 +249,9 @@ class ChainState:
     def m(self) -> int:
         return self.grid.m
 
-    def _full_width(self, start: np.ndarray, block: np.ndarray) -> np.ndarray:
-        full = start.copy()
-        full[self.active] = block
+    def _full_width(self, start: np.ndarray, block: np.ndarray, cols=slice(None)) -> np.ndarray:
+        full = start[:, cols].copy()
+        full[self.active] = block[:, cols]
         full.flags.writeable = False
         return full
 
@@ -266,22 +264,12 @@ class ChainState:
     @property
     def seg_sums(self) -> np.ndarray:
         """(n_segments, N+1) bin sums of every segment; read-only, assembled on each read."""
-        return _halves(self._full_width(self.start_stats, self.block_stats))[0]
+        return self._full_width(self.start_stats, self.block_stats, np.s_[:len(self.total_sums)])
 
     @property
     def seg_counts(self) -> np.ndarray:
         """(n_segments, N+1) bin counts of every segment; read-only, assembled on each read."""
-        return _halves(self._full_width(self.start_stats, self.block_stats))[1]
-
-    @property
-    def block_sums(self) -> np.ndarray:
-        """(n_active, N+1) bin sums of the active block: a view of block_stats."""
-        return _halves(self.block_stats)[0]
-
-    @property
-    def block_counts(self) -> np.ndarray:
-        """(n_active, N+1) bin counts of the active block: a view of block_stats."""
-        return _halves(self.block_stats)[1]
+        return self._full_width(self.start_stats, self.block_stats, np.s_[len(self.total_sums):])
 
     @property
     def params(self) -> ModelParams:
@@ -318,12 +306,6 @@ class ChainState:
             self.log_prior = prior_logpdf(prior, t.alpha, t.beta, t.slopes, t.intercepts)
             self.prior = prior
         return t
-
-
-def _halves(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the S and C halves of (rows, 2N+2) statistics [S_0..S_N | C_0..C_N]."""
-    n = stats.shape[1] // 2
-    return stats[:, :n], stats[:, n:]
 
 
 def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
@@ -526,15 +508,14 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     formed and returns (False, -inf).  A NaN log ratio raises ContractError.
 
     The candidate differs from the current parameters in beta alone, so it
-    reuses their mass factors; the move's one E1 call is reference_units',
-    the Gamma reference's units at alpha, which both psi terms read.  The
-    Gamma density ratio is (beta° - beta) (ln(alpha) sum_i h_i + sum_i h_i
-    ln(delta_i)) less the lnGamma differences, each distinct span once, all
-    from the chain's constants (ChainState).  The prior ratio is prior_logpdf's; in
-    reparam mode its Jacobian covers beta exp(-rho_1) moving with beta.
-    The move transforms the active block as it is stored; an accepted move
-    makes it and its statistics the state's and hands write_block the
-    totals psi read.
+    reuses their mass factors, and both psi terms read the Gamma reference's
+    units at alpha (reference_units).  The Gamma density ratio is (beta° -
+    beta) (ln(alpha) sum_i h_i + sum_i h_i ln(delta_i)) less the lnGamma
+    differences, each distinct span once, all from the chain's constants
+    (ChainState).  The prior ratio is prior_logpdf's; in reparam mode its
+    Jacobian covers beta exp(-rho_1) moving with beta.  The move transforms
+    the active block as it is stored; an accepted move makes it and its
+    statistics the state's and hands write_block the totals psi read.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
@@ -548,7 +529,7 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     new, log_prior = cand
 
     horizon = state.grid.horizon
-    ref_units = reference_units(cur.alpha, cur.edges)
+    ref_units = reference_units(cur.alpha, cur.edges, cur.e1_b1)
     sums, counts = state.total_sums, state.total_counts
     psi_old = psi_log(sums, counts, horizon, cur, ref_units)
     n_active = state.active.size
@@ -580,17 +561,13 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
 def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
                   iterations: int, burn_in: int) -> None:
     if prior.n_bins != params0.n_bins:
-        raise ConfigError(
-            f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}"
-        )
+        raise ConfigError(f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}")
     if "beta" in prop.update_schedule and not prior.beta_is_random:
         raise ConfigError("schedule contains a beta stage but the prior fixes beta")
     if prior.beta_is_random and "beta" not in prop.update_schedule:
         raise ConfigError("the prior leaves beta random but the schedule has no beta stage")
     if iterations < 0 or burn_in < 0 or iterations < burn_in:
-        raise ConfigError(
-            f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})"
-        )
+        raise ConfigError(f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})")
     if prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes,
                     params0.theta_intercepts) == -math.inf:
         raise ConfigError("initial parameters have zero prior density: a value lies outside "

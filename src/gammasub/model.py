@@ -14,13 +14,12 @@ is finite only for slope_N > -alpha, the rule prior_logpdf states.
 Each formula the sampler's ratios read is one function on Python floats:
 mass_factors takes a parameter vector's E1 factors from one
 specfun.exp_integral_e1 call, nu_bin_mass turns them into the masses
-nu(B_1), ..., nu(B_N) (reference_units those of the Gamma reference),
-nu_diff_bin0 gives the B_0 mass difference between two tilt rates, and
-prior_logpdf a PriorSpec's joint log prior.  The sampler calls them by these
-names, through this module's globals and likelihood's.  ModelParams is the
-validated parameter type of the API edge (run_mcmc's start,
-ChainRecord.to_params, the credible bands), held as floats and tuples of
-floats; theta_at and levy_density evaluate it at points.
+nu(B_1), ..., nu(B_N), nu_diff_bin0 gives the B_0 mass difference between
+two tilt rates, and prior_logpdf a PriorSpec's joint log prior.  The
+sampler calls them by these names, through this module's globals and
+likelihood's.  ModelParams is the validated parameter type of the API edge
+(run_mcmc's start, ChainRecord.to_params, the credible bands), held as
+floats and tuples of floats; theta_at and levy_density evaluate it at points.
 """
 
 import dataclasses
@@ -185,10 +184,10 @@ def mass_factors(alpha: float, slopes, edges):
       finite limit, ln(b_{k+1} / b_k) at c = 0 and an Ei difference below,
       +inf once Ei(-c b_{k+1}) overflows (a move's ratio to it is -inf).
 
-    The call evaluates E1 at alpha * b_1 and at the bins' points, N + 1 to
-    2N points.  Neither beta nor the intercepts enter, so a move that changes
-    only those reuses the factors.  Raises DomainError when the tail bin has
-    slope + alpha <= 0.
+    E1 is evaluated at alpha * b_1 and the bins' points, N + 1 to 2N points.
+    Neither beta nor the intercepts enter, so a move that changes only those
+    reuses the factors.  Raises DomainError when the tail bin has slope +
+    alpha <= 0.
     """
     n = len(edges)
     if n == 0:
@@ -216,11 +215,11 @@ def mass_factors(alpha: float, slopes, edges):
     return e1[0], tuple(units)
 
 
-def reference_units(alpha: float, edges) -> tuple[float, ...]:
-    """nu_ref(B_k) / beta, k = 1..N, of the Gamma reference (theta zero) at
-    alpha, which psi_log reads: E1(alpha b_k) - E1(alpha b_{k+1}), and
-    E1(alpha b_N) for the tail bin, from one exp1 call at the N points."""
-    e1 = exp_integral_e1([alpha * b for b in edges])
+def reference_units(alpha: float, edges, e1_b1: float) -> tuple[float, ...]:
+    """nu_ref(B_k) / beta, k = 1..N, of the Gamma reference (theta zero), which psi_log
+    reads: E1(alpha b_k) - E1(alpha b_{k+1}), and E1(alpha b_N) for the tail bin, from
+    mass_factors's e1_b1 = E1(alpha b_1) and one exp_integral_e1 call at the other points."""
+    e1 = [e1_b1, *exp_integral_e1([alpha * b for b in edges[1:]])] if edges else []
     return tuple(map(operator.sub, e1, e1[1:])) + tuple(e1[-1:])
 
 

@@ -165,8 +165,9 @@ def test_05_likelihood_ratio_identities():
     T, m, reps = 1.0, 20, 100_000
     inc = np.random.default_rng(2024).gamma(shape=1.0 * T / m, scale=1.0, size=(reps, m))
     sums, counts = bin_stats_matrix(inc, p.bin_edges)
-    comp = g.psi_log([1.0, 0.0], [1, 0], T, g.ParamTerms.of(p),
-                     reference_units(p.alpha, p.bin_edges))
+    terms = g.ParamTerms.of(p)
+    comp = g.psi_log([1.0, 0.0], [1, 0], T, terms,
+                     reference_units(p.alpha, p.bin_edges, terms.e1_b1))
     vals = np.exp(-(sums[:, 1] * 0.1 + counts[:, 1] * (-0.24)) + comp)
     se = vals.std() / math.sqrt(reps)
     mc_ok = abs(vals.mean() - 1.0) < 3 * se

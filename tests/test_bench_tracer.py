@@ -75,7 +75,7 @@ def test_final_state_gate_passes_on_fresh_and_swept_states():
     assert gates.failures == []
     # the gate sees a stale cache: the bin sums of the first active row, which
     # the active block holds
-    state.block_sums[0, 1] += 1.0
+    state.block_stats[0, 1] += 1.0
     tracer.check_final_state(state, gates, 2)
     assert gates.failures == ["traced chain 2: cached seg_sums/seg_counts differ from "
                               "bin_stats_matrix"]

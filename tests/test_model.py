@@ -337,7 +337,7 @@ class TestMassFactors:
     def assert_matches_quadrature(p, rel=1e-8):
         edges, slopes, rhos = p.bin_edges, p.theta_slopes, p.theta_intercepts
         e1_b1, units = mass_factors(p.alpha, slopes, edges)
-        ref_units = reference_units(p.alpha, edges)
+        ref_units = reference_units(p.alpha, edges, e1_b1)
         masses = nu_bin_mass(p.beta, rhos, units)
         # the Gamma reference: the same (beta, alpha) and bins, theta zero
         ref = p.with_updates(theta_slopes=np.zeros(p.n_bins), theta_intercepts=np.zeros(p.n_bins))
@@ -359,13 +359,24 @@ class TestMassFactors:
         assert units[1] == math.log(2.5)    # the integral of 1/x over [1, 2.5)
         # binless: no bins, and E1(alpha b_1) is 0.0 at b_1 = inf
         assert mass_factors(0.75, (), ()) == (0.0, ())
-        assert reference_units(0.75, ()) == ()
+        assert reference_units(0.75, (), 0.0) == ()
+
+    def test_reference_units_reuse_e1_b1_bit_for_bit(self):
+        # E1 is evaluated point by point, so mass_factors's E1(alpha b_1) is the
+        # value an evaluation at all N points gives
+        for alpha, edges in ((0.75, (0.5, 1.0, 2.5, 4.0)), (2.0, (1.0, 2.0, 4.0)), (3.0, (0.3,)),
+                             (400.0, (1.0, 2.0))):
+            e1_b1, _ = mass_factors(alpha, [0.0] * len(edges), edges)
+            e1 = exp_integral_e1([alpha * b for b in edges])
+            assert e1_b1 == e1[0]
+            assert reference_units(alpha, edges, e1_b1) == tuple(
+                [a - b for a, b in zip(e1, e1[1:])] + [e1[-1]])
 
     def test_underflow_beyond_745(self):
         # c * b beyond 745 gives E1 exactly 0: the tail and the upper edge of bin 1
         p = ModelParams(400.0, 2.0, [1.0, 2.0], [0.0, 0.0], [0.5, 0.0])
-        _, units = mass_factors(400.0, [0.0, 0.0], (1.0, 2.0))
-        assert units == reference_units(400.0, (1.0, 2.0))
+        e1_b1, units = mass_factors(400.0, [0.0, 0.0], (1.0, 2.0))
+        assert units == reference_units(400.0, (1.0, 2.0), e1_b1)
         assert units[0] == pytest.approx(e1_series(400.0), rel=1e-10)
         # E1(800) < exp(-800) / 800, below the smallest subnormal double
         assert math.exp(-800.0) == 0.0
