@@ -45,11 +45,20 @@ def bin_stats_matrix(increments: np.ndarray, bin_edges):
     rows = increments.shape[0]
     k = len(bin_edges) + 1
     idx = bin_classify(increments, bin_edges)
-    idx += (np.arange(rows) * k)[:, None]      # each row its own k bins of one bincount
+    idx += _row_offsets(rows, k)                # each row its own k bins of one bincount
     flat = idx.ravel()
     counts = np.bincount(flat, minlength=rows * k).reshape(rows, k)
     sums = np.bincount(flat, weights=increments.ravel(), minlength=rows * k).reshape(rows, k)
     return sums, counts
+
+
+@functools.lru_cache(maxsize=64)
+def _row_offsets(rows: int, k: int) -> np.ndarray:
+    """A read-only (rows, 1) column 0, k, 2k, ...: row i's first bin in
+    bin_stats_matrix's bincount; once per (rows, k)."""
+    offsets = (np.arange(rows) * k)[:, None]
+    offsets.flags.writeable = False
+    return offsets
 
 
 class ParamTerms(NamedTuple):

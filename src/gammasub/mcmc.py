@@ -48,11 +48,15 @@ redraws included.
 
 The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
-with their log prior, and the bin totals as float lists.  The refresh
-returns its path acceptance rate and each parameter move its (accepted, log
-ratio); run_mcmc builds each sweep's ChainRecord from the terms and those
-outcomes and yields one per sweep after burn-in, and `gammasub fit
---thinning` alone thins.
+with their log prior, and the bin totals as float lists.  What the data
+and the edges fix for the chain it computes once, as read-only constants
+the moves read: T, the block's targets and sub-step spans, the edges as an
+array and, per refresh batch size, _draw_ahead's tiles of the first two.
+
+The refresh returns its path acceptance rate and each parameter move its
+(accepted, log ratio); run_mcmc builds each sweep's ChainRecord from the
+terms and those outcomes and yields one per sweep after burn-in, and
+`gammasub fit --thinning` alone thins.
 
 Both parameter moves draw a candidate as Python floats, check it for the
 model's domain and score it by model.prior_logpdf.  Its bin masses and
@@ -189,7 +193,9 @@ class ChainState:
     the inert ones among them are the chain's for good, the active ones are
     superseded by the block.  total_sums and total_counts are the bin totals
     S_0..S_N and C_0..C_N over all segments, which write_block keeps current.
-    The rest are the random streams and per-chain constants.
+    The rest are the random streams and the per-chain constants, which
+    __post_init__ computes once and the moves read: the read-only arrays
+    among them reject an in-place write, and no move rebinds them.
     """
 
     terms: ParamTerms
@@ -210,11 +216,17 @@ class ChainState:
     total_sums: list = field(init=False)
     total_counts: list = field(init=False)
     inert_stats: np.ndarray = field(init=False)     # (2N+2,) statistics of the inert segments
-    # endpoint_tolerance of the block's observed increments: every row of the block and
-    # of a bridge proposal sums to its target, so this is the refresh's endpoint check
+    horizon: float = field(init=False)              # T, the observation span
+    n_active: int = field(init=False)
+    targets: np.ndarray = field(init=False)         # the block's observed increments
+    edge_array: np.ndarray = field(init=False)      # the bin edges, float64 for bin_classify
+    # endpoint_tolerance of targets: every row of the block and of a bridge
+    # proposal sums to its target, so this is the refresh's endpoint check
     block_tolerance: np.ndarray = field(init=False)
     # the block's sub-step spans h_i / m: (n_active, 1), or one float when all are equal
     block_sub_spans: np.ndarray | float = field(init=False)
+    # _draw_ahead's k-fold (targets, block_sub_spans) per batch size k, made at k's first batch
+    ahead_tiles: dict = field(init=False)
     # proposals drawn ahead (refresh_segments): one (beta, proposal, stats,
     # ln U) tuple per coming refresh, the next one last
     drawn: list = field(default_factory=list, init=False)
@@ -234,8 +246,12 @@ class ChainState:
         self.inert_stats = np.delete(self.start_stats, active, axis=0).sum(axis=0)
         self.write_block(self.start_increments[active], self.start_stats[active])
         spans = self.grid.spans
-        self.block_tolerance = endpoint_tolerance(self.obs.increments[active])
-        self.block_sub_spans = _one_value((spans[active] / self.grid.m)[:, None])
+        self.horizon, self.n_active = self.grid.horizon, active.size
+        self.targets = _read_only(self.obs.increments[active])
+        self.edge_array = _read_only(np.array(self.terms.edges, dtype=float))
+        self.block_tolerance = _read_only(endpoint_tolerance(self.targets))
+        self.block_sub_spans = _read_only(_one_value((spans[active] / self.grid.m)[:, None]))
+        self.ahead_tiles = {}
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
         distinct, counts = np.unique(spans, return_counts=True)
@@ -308,6 +324,13 @@ class ChainState:
         return t
 
 
+def _read_only(a):
+    """a, made read-only if it is an array; a numpy scalar is immutable."""
+    if isinstance(a, np.ndarray):
+        a.flags.writeable = False
+    return a
+
+
 def _make_rngs(seed) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.Philox(s)) for s in _seed_sequence(seed).spawn(4))
 
@@ -371,7 +394,7 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     binless model has no active segment, so its refresh draws nothing and
     returns 1.0 at once.
     """
-    n_active = state.active.size
+    n_active = state.n_active
     if not n_active:
         return 1.0
     if not state.drawn:
@@ -396,24 +419,27 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
 
     k refreshes draw one bridge_rows matrix of k * n_active rows and
     (k, n_active) uniforms, at most _AHEAD_STEPS sub-steps before redraws,
-    and bin it into one statistics matrix.
+    and bin it into one statistics matrix.  The rows' targets and sub-step
+    spans are k copies of the block's (a float span stays one float), made
+    at k's first batch and kept in ChainState.ahead_tiles: at most one
+    entry per schedule stage.
     Without a degenerate row those are the variates, in their order, that k
     single refreshes would draw.  bridge_rows redraws a degenerate row after
     the whole matrix, not before the next refresh's draw as a single refresh
     would: the law is the same, and each redrawn row is an independent draw
     conditioned on being pinnable.
     """
-    beta, edges, m = state.terms.beta, state.terms.edges, state.grid.m
-    targets = state.obs.increments[state.active]
-    n = targets.size
+    beta, m, n = state.terms.beta, state.grid.m, state.n_active
     k = max(1, min(sweeps, _AHEAD_STEPS // (n * m)))
-    shapes = beta * state.block_sub_spans
-    if np.ndim(shapes):
-        shapes = np.concatenate([shapes] * k)
-    # k copies of the block's rows; np.tile costs several microseconds more
-    proposals = bridge_rows(state.rng_path, shapes, np.concatenate([targets] * k), m)
+    tiles = state.ahead_tiles.get(k)
+    if tiles is None:
+        tiles = state.ahead_tiles[k] = tuple(
+            _read_only(np.concatenate([c] * k)) if np.ndim(c) else c
+            for c in (state.targets, state.block_sub_spans))
+    targets, sub_spans = tiles
+    proposals = bridge_rows(state.rng_path, beta * sub_spans, targets, m)
     log_u = np.log(state.rng_accept.uniform(size=(k, n)))
-    stats = np.concatenate(bin_stats_matrix(proposals, edges), axis=1)
+    stats = np.concatenate(bin_stats_matrix(proposals, state.edge_array), axis=1)
     return list(zip([beta] * k, proposals.reshape(k, n, m), stats.reshape(k, n, -1),
                     log_u))[::-1]
 
@@ -477,7 +503,7 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tu
     if cand is None:
         return False, -math.inf
     new, log_prior = cand
-    log_ratio = (loglik_ratio_params(state.total_sums, state.total_counts, state.grid.horizon,
+    log_ratio = (loglik_ratio_params(state.total_sums, state.total_counts, state.horizon,
                                      cur, new) + log_prior - state.log_prior)
     return _accept(state, log_u, cand, log_ratio, "parameter"), log_ratio
 
@@ -528,21 +554,21 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
         return False, -math.inf
     new, log_prior = cand
 
-    horizon = state.grid.horizon
+    horizon = state.horizon
     ref_units = reference_units(cur.alpha, cur.edges, cur.e1_b1)
     sums, counts = state.total_sums, state.total_counts
     psi_old = psi_log(sums, counts, horizon, cur, ref_units)
-    n_active = state.active.size
+    n_active = state.n_active
     if n_active:
         block, sub = state.block, state.block_sub_spans
         if beta_new > cur.beta:
             block = augment_rows(rng, block, sub, cur.beta, beta_new, cur.alpha)
         elif beta_new < cur.beta:
             block = thin_rows(rng, block, sub, cur.beta, beta_new)
-        block, collapsed = pin_rows(block, state.obs.increments[state.active])
+        block, collapsed = pin_rows(block, state.targets)
         if np.count_nonzero(collapsed):
             return False, -math.inf
-        stats = np.concatenate(bin_stats_matrix(block, cur.edges), axis=1)
+        stats = np.concatenate(bin_stats_matrix(block, state.edge_array), axis=1)
         totals = (state.inert_stats + np.add.reduce(stats, 0)).tolist()
         sums, counts = totals[:len(sums)], totals[len(sums):]
     psi_new = psi_log(sums, counts, horizon, new, ref_units)

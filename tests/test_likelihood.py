@@ -18,7 +18,8 @@ from gammasub import (
     psi_log,
     sample_gamma_bridge,
 )
-from gammasub.likelihood import bin_stats_matrix, compensator_diff, endpoint_tolerance
+from gammasub.likelihood import (_row_offsets, bin_stats_matrix, compensator_diff,
+                                 endpoint_tolerance)
 from gammasub.model import bin_classify, reference_units
 
 
@@ -130,6 +131,31 @@ class TestBinStats:
             assert np.array_equal(counts, ref_counts)
         binless_sums, binless_counts = bin_stats_matrix(inc, np.empty(0))
         assert binless_counts.tolist() == [[9]] * 40
+
+    def test_cached_row_offsets_match_a_per_row_bincount(self):
+        # the row offsets come from a cache keyed by (rows, k): row counts that
+        # change between calls, and come back, give each row its own bincount
+        # bit for bit, with the edges as a tuple, a list or a float64 array
+        edges = (0.5, 1.0, 2.0)
+        k = len(edges) + 1
+        rng = np.random.default_rng(29)
+        for form in (tuple, list, lambda e: np.array(e, dtype=np.float64)):
+            bin_edges = form(edges)
+            for rows in (0, 1, 15, 30, 408, 15):
+                inc = rng.gamma(0.3, size=(rows, 10))
+                inc[:, :3] = edges                                 # exactly on the edges
+                sums, counts = bin_stats_matrix(inc, bin_edges)
+                assert sums.shape == counts.shape == (rows, k)
+                for row, row_sums, row_counts in zip(inc, sums, counts):
+                    idx = loop_classify(row, edges)
+                    assert row_counts.tobytes() == np.bincount(idx, minlength=k).tobytes()
+                    assert row_sums.tobytes() == np.bincount(idx, weights=row,
+                                                             minlength=k).tobytes()
+                offsets = _row_offsets(rows, k)
+                assert offsets is _row_offsets(rows, k)
+                assert offsets.ravel().tolist() == list(range(0, rows * k, k))
+                with pytest.raises(ValueError, match="read-only"):
+                    offsets[...] = 0
 
 
 class TestLoglikRatioParams:

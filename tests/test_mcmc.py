@@ -12,7 +12,7 @@ from scipy.stats import gamma as gamma_dist
 import gammasub as g
 from gammasub import mcmc, model, paths
 from gammasub.config import parse_config
-from gammasub.likelihood import ParamTerms, bin_stats_matrix, loglik_ratio_path
+from gammasub.likelihood import ParamTerms, bin_stats_matrix, endpoint_tolerance, loglik_ratio_path
 from gammasub.mcmc import (
     chain_csv_header,
     read_chain_csv,
@@ -1955,3 +1955,121 @@ class TestE1Traffic:
         # E1(alpha b_1) is the current terms'
         assert sorted(set(points)) == [1, 4]
         assert points.count(1) == len(beta_moves)
+
+
+class TestChainConstants:
+    """ChainState's per-chain constants: computed once by __post_init__, read-only,
+    and read, never rebuilt, by the refresh, the parameter step and the beta move."""
+
+    ARRAYS = ("targets", "edge_array", "block_tolerance")
+
+    def constants(self, state):
+        """Every constant array of the state, the drawn-ahead tiles among them."""
+        arrays = [getattr(state, name) for name in self.ARRAYS]
+        if np.ndim(state.block_sub_spans):
+            arrays.append(state.block_sub_spans)
+        for targets, sub in state.ahead_tiles.values():
+            arrays += [targets] + ([sub] if np.ndim(sub) else [])
+        return arrays
+
+    def run(self, state, cfg, sweeps, check):
+        """Sweeps as run_mcmc runs them, check() after every move; returns the
+        beta moves accepted."""
+        schedule = cfg.proposal.update_schedule
+        n = len(schedule)
+        same_beta = [next((d + 1 for d in range(n) if schedule[(i + d) % n] == "beta"),
+                          mcmc._AHEAD_STEPS) for i in range(n)]
+        accepted = 0
+        for t in range(sweeps):
+            state.iteration = t + 1
+            g.refresh_segments(state, same_beta[t % n])
+            check()
+            if schedule[t % n] == "params":
+                g.update_params(state, cfg.proposal, cfg.prior)
+            else:
+                accepted += g.update_beta(state, cfg.proposal, cfg.prior)[0]
+            check()
+        return accepted
+
+    @pytest.mark.parametrize("workload", ["mixture", "binless", "beta_binned"])
+    def test_each_constant_equals_its_derivation(self, workload):
+        state, cfg = pinned_state(workload)
+        active = state.active
+        assert type(state.horizon) is float and state.horizon == state.grid.horizon
+        assert type(state.n_active) is int and state.n_active == active.size
+        assert np.array_equal(state.targets, state.obs.increments[active])
+        assert state.edge_array.dtype == np.float64
+        assert state.edge_array.tolist() == list(cfg.params0.bin_edges)
+        # bin_classify takes the edges as they are, without a conversion
+        assert np.asarray(state.edge_array, dtype=float) is state.edge_array
+        assert np.array_equal(state.block_tolerance, endpoint_tolerance(state.targets))
+        assert np.array_equal(state.block_sub_spans,
+                              paths._one_value((state.grid.spans[active] / state.m)[:, None]))
+        assert state.ahead_tiles == {}
+
+    def test_each_constant_rejects_an_in_place_write(self):
+        state, _ = pinned_state("mixture")
+        g.refresh_segments(state, mcmc._AHEAD_STEPS)
+        arrays = self.constants(state)
+        # targets, edges, tolerance, the sub-step span column and one batch's two tiles
+        assert len(arrays) == 6
+        for a in arrays:
+            before = a.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+            assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("workload", ["mixture", "beta_binned"])
+    def test_every_move_keeps_the_same_constants(self, workload):
+        state, cfg = pinned_state(workload)
+        g.refresh_segments(state, 2)
+        names = ("horizon", "n_active", "block_sub_spans", "ahead_tiles") + self.ARRAYS
+        objects = {name: getattr(state, name) for name in names}
+        tiles = dict(state.ahead_tiles)
+        values = [a.copy() for a in self.constants(state)]
+
+        def check():
+            for name, obj in objects.items():
+                assert getattr(state, name) is obj, name
+            for k, pair in tiles.items():
+                assert all(a is b for a, b in zip(state.ahead_tiles[k], pair))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(self.constants(state)[:len(values)], values))
+
+        accepted = self.run(state, cfg, 200, check)
+        assert workload == "mixture" or accepted > 10
+        # a batch size's tiles are made at its first batch and kept: at most one
+        # per stage, and one for this test's first batch of two
+        assert len(state.ahead_tiles) <= len(cfg.proposal.update_schedule) + 1
+
+    @pytest.mark.parametrize("workload", ["mixture", "beta_binned"])
+    def test_tiles_are_the_concatenated_targets_and_spans(self, workload):
+        state, _ = pinned_state(workload)
+        n, m = state.n_active, state.m
+        cap = mcmc._AHEAD_STEPS // (n * m)
+        for sweeps in (1, 2, mcmc._AHEAD_STEPS):
+            mcmc._draw_ahead(state, sweeps)
+        assert sorted(state.ahead_tiles) == [1, 2, cap] and cap > 2
+        sub = state.block_sub_spans
+        for k, (targets, sub_tile) in state.ahead_tiles.items():
+            assert targets.tobytes() == np.concatenate([state.targets] * k).tobytes()
+            if np.ndim(sub):
+                assert sub_tile.tobytes() == np.concatenate([sub] * k).tobytes()
+            else:
+                assert sub_tile is sub
+        # mixture's spans differ in their last bits; beta_binned's are one float
+        assert bool(np.ndim(sub)) == (workload == "mixture")
+
+    @pytest.mark.parametrize("workload", ["mixture", "beta_binned"])
+    def test_no_proposal_or_block_shares_memory_with_a_constant(self, workload):
+        state, cfg = pinned_state(workload)
+
+        def check():
+            written = [state.block, state.block_stats]
+            for _, proposal, stats, log_u in state.drawn:
+                written += [proposal, stats, log_u]
+            for a in written:
+                for c in self.constants(state):
+                    assert not np.shares_memory(a, c)
+
+        self.run(state, cfg, 100, check)
