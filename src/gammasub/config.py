@@ -14,9 +14,10 @@ a comment.  Recognized keys:
     beta_prior      = uniform 0.1 1000   | normal MEAN SD; omit beta_prior to
     theta_prior     = normal 0 3.2       fix beta (disables the beta move)
     rho_prior       = normal 0 7.1   theta/rho priors broadcast over bins
-    reparam         = false          single-bin prior on alpha + slope_1 and
-                                     beta*exp(-rho_1) (theta/rho_prior);
-                                     the moves and sigma_rho are unchanged
+    reparam         = false          per bin, with beta fixed or random: priors
+                                     on alpha + slope_k and beta*exp(-rho_k)
+                                     (theta/rho_prior); the moves and
+                                     sigma_rho are unchanged
 
     sigma_alpha     = 0.025          proposal scales; these values and the
     sigma_theta     = 0.025          schedule below are mcmc.ProposalSpec's

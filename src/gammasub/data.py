@@ -36,9 +36,10 @@ class Observations:
     Increments are the authoritative record: an infinite-activity process can
     produce steps far below the float resolution of the running value, so
     observations built by the simulators carry their exact increments and the
-    cumulative ``values`` array is a rendering.  Observations read from a
-    value series get their increments by differencing, and those must all be
-    strictly positive.
+    cumulative ``values`` array is a rendering, which must equal their
+    running sums bit for bit (from_increments builds it).  Observations read
+    from a value series get their increments by differencing, and those must
+    all be strictly positive.
     """
 
     times: np.ndarray
@@ -72,8 +73,9 @@ class Observations:
                 "subordinator has no flat stretches. Aggregate the data over longer "
                 "periods until every increment is positive."
             )
-        if np.any(np.diff(values) < 0):
-            raise DataError("observation values must be non-decreasing")
+        if self.increments is not None and not np.array_equal(
+                values, np.concatenate(([0.0], np.cumsum(inc)))):
+            raise DataError("values must be the running sums of the increments")
         inc.flags.writeable = False
         object.__setattr__(self, "increments", inc)
 
@@ -181,41 +183,37 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
     """Aggregate (date, loss) rows into cumulative log-loss observations.
 
     Losses are log-transformed and summed within calendar windows of whole
-    weeks anchored on Monday.  A window with no contribution is merged
-    forward into the next non-empty one, so every emitted increment is
-    strictly positive.  Times are measured in weeks.  Rows with loss < 1 are
+    weeks, the first starting on the Monday of the earliest accepted date, so
+    the windows do not depend on the order of the rows.  A window with no
+    contribution is merged forward into the next non-empty one, so every
+    emitted increment is strictly positive.  Times are measured in weeks.  Rows with loss < 1 are
     rejected (their log would be non-positive) and reported, not fatal.
     """
     weeks = _period_weeks(aggregation)
     report = IngestReport()
-    by_window: dict[int, float] = {}
-    anchor = None
-    first_day = None
-    last_day = None
+    accepted = []
     for line_no, day, loss in rows:
         report.n_rows += 1
         if loss < 1.0:
             report.n_rejected += 1
             report.rejected_lines.append(line_no)
-            continue
-        if anchor is None:
-            anchor = _monday_of(day)
-            first_day = last_day = day
-        first_day = min(first_day, day)
-        last_day = max(last_day, day)
-        # floor division keeps Monday-anchored windows for dates before the anchor
-        idx = ((day - anchor).days // 7) // weeks
-        by_window[idx] = by_window.get(idx, 0.0) + math.log(loss)
-    if not by_window:
+        else:
+            accepted.append((day, loss))
+    if not accepted:
         raise DataError("no positive increments: every row was empty or rejected")
+    first_day = min(day for day, _ in accepted)
+    last_day = max(day for day, _ in accepted)
+    anchor = _monday_of(first_day)
+    by_window: dict[int, float] = {}
+    for day, loss in accepted:
+        idx = (day - anchor).days // 7 // weeks
+        by_window[idx] = by_window.get(idx, 0.0) + math.log(loss)
 
-    lo = min(by_window)
-    hi = max(by_window)
     times = [0.0]
     increments = []
     pending_weeks = 0
     pending_sum = 0.0
-    for idx in range(lo, hi + 1):
+    for idx in range(max(by_window) + 1):
         pending_weeks += weeks
         pending_sum += by_window.get(idx, 0.0)
         if pending_sum > 0.0:
@@ -227,9 +225,8 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
             pending_sum = 0.0
         # empty window: merge forward into the next one
     report.n_windows = len(increments)
-    window_start = anchor + timedelta(weeks=lo * weeks)
     report.boundary_note = (
-        f"boundary windows kept as-is: first window starts Monday {window_start.isoformat()}, "
+        f"boundary windows kept as-is: first window starts Monday {anchor.isoformat()}, "
         f"first loss on {first_day.isoformat()}, last loss on {last_day.isoformat()}"
     )
     return Observations.from_increments(np.asarray(times), np.asarray(increments)), report

@@ -538,10 +538,11 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     units at alpha (reference_units).  The Gamma density ratio is (beta° -
     beta) (ln(alpha) sum_i h_i + sum_i h_i ln(delta_i)) less the lnGamma
     differences, each distinct span once, all from the chain's constants
-    (ChainState).  The prior ratio is prior_logpdf's; in reparam mode its
-    Jacobian covers beta exp(-rho_1) moving with beta.  The move transforms
-    the active block as it is stored; an accepted move makes it and its
-    statistics the state's and hands write_block the totals psi read.
+    (ChainState).  The prior ratio is prior_logpdf's; in reparam mode, whose
+    priors are per bin with beta fixed or random, its Jacobian covers every
+    bin's beta exp(-rho_k) moving with beta.  The move transforms the active
+    block as it is stored; an accepted move makes it and its statistics the
+    state's and hands write_block the totals psi read.
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")

@@ -320,9 +320,9 @@ class PriorSpec:
     and the per-bin slopes/intercepts.  ``beta=None`` declares beta known and
     fixed, which also disables the transdimensional beta move.
 
-    With ``reparam=True`` (single-bin models only) the slope/intercept priors
-    are read as priors on alpha + slope_1 and beta * exp(-intercept_1), a
-    two-regime rate/activity description.  This changes the prior alone
+    With ``reparam=True`` the slope/intercept priors are read, per bin and
+    with beta fixed or random, as priors on each bin's rate alpha + slope_k
+    and mass scale beta * exp(-intercept_k).  This changes the prior alone
     (prior_logpdf); the moves are those of the default mode.
     """
 
@@ -337,11 +337,6 @@ class PriorSpec:
         object.__setattr__(self, "rho", tuple(self.rho))
         if len(self.theta) != len(self.rho):
             raise ConfigError("need one slope prior per intercept prior")
-        if self.reparam:
-            if len(self.theta) != 1:
-                raise ConfigError("reparam mode requires exactly one bin")
-            if self.beta is None:
-                raise ConfigError("reparam mode requires a beta prior")
 
     @property
     def n_bins(self) -> int:
@@ -356,10 +351,11 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
     """Sum of spec's component prior log-densities at float parameters.
 
     The slopes and intercepts are sequences of N floats, N = spec.n_bins.
-    In reparam mode the components are densities of (alpha, beta, alpha +
-    slope_1, beta exp(-rho_1)), and the sum gains that map's log-Jacobian
-    ln(beta) - rho_1.  Returns -inf when any parameter leaves its support
-    or the tail bin has infinite mass (slope_N <= -alpha).
+    In reparam mode the components are densities, per bin and with beta
+    fixed or random, of (alpha, beta, alpha + slope_k, beta exp(-rho_k)), and
+    the sum gains that map's log-Jacobian sum_k (ln(beta) - rho_k).  Returns
+    -inf when any parameter leaves its support or the tail bin has infinite
+    mass (slope_N <= -alpha).
     """
     if slopes and slopes[-1] <= -alpha:
         return -math.inf
@@ -367,12 +363,15 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
     if spec.beta is not None:
         total += spec.beta.logpdf(beta)
     if spec.reparam:
-        total += spec.theta[0].logpdf(alpha + slopes[0])
-        # beta exp(-rho_1) is a bin mass at unit 1, the same bits where it is finite
-        total += spec.rho[0].logpdf(nu_bin_mass(beta, intercepts, (1.0,))[0])
-        return total + math.log(beta) - intercepts[0]
-    for slope_prior, intercept_prior, slope, intercept in zip(spec.theta, spec.rho, slopes,
-                                                              intercepts):
-        total += slope_prior.logpdf(slope)
-        total += intercept_prior.logpdf(intercept)
+        # beta exp(-rho_k) is a bin mass at unit 1, the same bits where it is finite
+        rates = [alpha + s for s in slopes]
+        scales = nu_bin_mass(beta, intercepts, (1.0,) * len(intercepts))
+    else:
+        rates, scales = slopes, intercepts
+    for slope_prior, intercept_prior, x, y in zip(spec.theta, spec.rho, rates, scales):
+        total += slope_prior.logpdf(x)
+        total += intercept_prior.logpdf(y)
+    if spec.reparam:
+        # fsum, not sum, whose rounding changed in Python 3.12: the same bits everywhere
+        return total + len(intercepts) * math.log(beta) - math.fsum(intercepts)
     return total

@@ -2,6 +2,7 @@
 
 import io
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -34,6 +35,15 @@ class TestObservations:
         obs = Observations([0.0, 1.0, 3.0], [0.0, 0.5, 2.0])
         assert obs.increments == pytest.approx([0.5, 1.5])
         assert obs.n_increments == 2
+
+    def test_values_are_the_running_sums_of_given_increments(self):
+        with pytest.raises(DataError, match="running sums"):
+            Observations([0, 1, 2], [0, 1, 2], [5, 7])
+        # from_increments' values are the running sums; one ulp off them is refused
+        obs = Observations.from_increments([0.0, 1.0, 2.0], [0.1, 0.2])
+        assert obs.values.tolist() == [0.0, 0.1, 0.1 + 0.2] != [0.0, 0.1, 0.3]
+        with pytest.raises(DataError, match="running sums"):
+            Observations(obs.times, [0.0, 0.1, 0.3], [0.1, 0.2])
 
 
 class TestTwoGammaTruth:
@@ -169,6 +179,23 @@ class TestIngest:
     def test_unsupported_aggregation(self):
         with pytest.raises(DataError):
             ingest_text("date,loss\n2020-01-06,2.0\n", aggregation="monthly")
+
+    @pytest.mark.parametrize("aggregation", ["weekly", "biweekly", "3w"])
+    def test_windows_do_not_depend_on_row_order(self, aggregation):
+        # one loss in each of weeks 0-3, 5, 6 and 9 from Monday 2020-01-06, on
+        # varying weekdays, read in date order and with week 1's row first
+        rng = np.random.default_rng(8)
+        rows = [(line_no, date(2020, 1, 6) + timedelta(weeks=week, days=int(rng.integers(7))),
+                 float(rng.uniform(2.0, 50.0)))
+                for line_no, week in enumerate((0, 1, 2, 3, 5, 6, 9), start=2)]
+        shuffled = [rows[1]] + [rows[i] for i in rng.permutation([0, 2, 3, 4, 5, 6])]
+        ordered, _ = aggregate_losses(rows, aggregation)
+        obs, report = aggregate_losses(shuffled, aggregation)
+        assert obs.times.tolist() == ordered.times.tolist()
+        # a window's logs are summed in row order, so its sum may differ in rounding
+        np.testing.assert_allclose(obs.increments, ordered.increments, rtol=1e-15)
+        assert report.boundary_note.startswith(
+            "boundary windows kept as-is: first window starts Monday 2020-01-06")
 
     def test_biweekly_windows(self):
         text = ("date,loss\n"

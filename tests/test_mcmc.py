@@ -1400,35 +1400,42 @@ class TestReparam:
             moved += 1
         assert moved > 5
 
-    def test_param_move_targets_the_documented_law(self):
-        # The parameter move alone on one bin, beta fixed: the bin totals S_0,
-        # S_1 and C_1 stay as init_chain drew them.  With c = alpha + slope_1
-        # and w = beta exp(-rho_1) under the gamma(a, b) rho prior, the
-        # posterior factorises: alpha ~ p_alpha(alpha) exp(-alpha S_0 + T beta
-        # (ln alpha + E1(alpha b_1))), c ~ p_c(c) exp(-c S_1) (b + T E1(c
-        # b_1))^-(a + C_1), and w | c ~ Gamma(a + C_1, b + T E1(c b_1)).
-        b1, beta, a, b = 0.3, 1.0, 3.0, 2.0
-        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.5, 2.0),
-                            theta=(g.Prior("gamma", 2.0, 1.0),), rho=(g.Prior("gamma", a, b),),
-                            reparam=True)
+    @staticmethod
+    def check_param_move(edges, beta_prior, steps):
+        # The parameter move alone, beta held at its value: the bin totals S_0
+        # ... S_N and C_0 ... C_N stay as init_chain drew them.  With c_k =
+        # alpha + slope_k and w_k = beta exp(-rho_k) under the gamma(a, b) rho
+        # prior, the posterior factorises: alpha ~ p_alpha(alpha) exp(-alpha S_0
+        # + T beta (ln alpha + E1(alpha b_1))), c_k ~ p_c(c) exp(-c S_k) (b + T
+        # u_k(c))^-(a + C_k), and w_k | c_k ~ Gamma(a + C_k, b + T u_k(c_k)),
+        # with u_k(c) = E1(c b_k) - E1(c b_{k+1}), E1(c b_N) for the tail bin.
+        beta, a, b, n = 1.0, 3.0, 2.0, len(edges)
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=beta_prior,
+                            theta=(g.Prior("gamma", 2.0, 1.0),) * n,
+                            rho=(g.Prior("gamma", a, b),) * n, reparam=True)
         prop = g.ProposalSpec(sigma_alpha=0.4, sigma_theta=0.6, sigma_rho=0.6)
         state = basic_state(obs=gamma_obs(n=30, seed=13),
-                            params=g.ModelParams(1.0, beta, [b1], [0.0], [0.0]), seed=3)
-        (s0, s1), (c0, c1), horizon = state.total_sums, state.total_counts, state.grid.horizon
+                            params=g.ModelParams(1.0, beta, edges, [0.0] * n, [0.0] * n), seed=3)
+        sums, counts, horizon = list(state.total_sums), list(state.total_counts), state.grid.horizon
         draws = []
-        for _ in range(42_000):
+        for _ in range(steps):
             g.update_params(state, prop, prior)
             t = state.terms
-            draws.append((t.alpha, t.alpha + t.slopes[0], t.beta * math.exp(-t.intercepts[0])))
-        assert (state.total_sums, state.total_counts) == ([s0, s1], [c0, c1])
+            draws.append((t.alpha, *(t.alpha + slope for slope in t.slopes),
+                          *(t.beta * math.exp(-rho) for rho in t.intercepts)))
+        assert (state.total_sums, state.total_counts) == (sums, counts)
+
+        def units(x, k):
+            upper = special.exp1(x * edges[k + 1]) if k + 1 < n else 0.0
+            return special.exp1(x * edges[k]) - upper
 
         def log_alpha(x):
-            return (math.log(x) - x - x * s0
-                    + horizon * beta * (math.log(x) + special.exp1(x * b1)))
+            return (math.log(x) - x - x * sums[0]
+                    + horizon * beta * (math.log(x) + special.exp1(x * edges[0])))
 
-        def log_c(x):
-            return (math.log(x) - x - x * s1
-                    - (a + c1) * math.log(b + horizon * special.exp1(x * b1)))
+        def log_c(k):
+            return lambda x: (math.log(x) - x - x * sums[k + 1]
+                              - (a + counts[k + 1]) * math.log(b + horizon * units(x, k)))
 
         def expectation(log_density, h):
             top = max(map(log_density, np.linspace(0.01, 20.0, 2000)))
@@ -1438,18 +1445,25 @@ class TestReparam:
                                       epsabs=0, epsrel=1e-10, limit=200)[0]
             return moment(h) / moment(lambda x: 1.0)
 
-        targets = (expectation(log_alpha, lambda x: x), expectation(log_c, lambda x: x),
-                   expectation(log_c, lambda x: (a + c1) / (b + horizon * special.exp1(x * b1))))
+        targets = ([expectation(log_alpha, lambda x: x)]
+                   + [expectation(log_c(k), lambda x: x) for k in range(n)]
+                   + [expectation(log_c(k), lambda x, k=k: (a + counts[k + 1])
+                                  / (b + horizon * units(x, k))) for k in range(n)])
         chains = np.array(draws[2_000:]).T
-        for chain, target in zip(chains, targets):
+        for chain, target in zip(chains, targets, strict=True):
             batches = chain[: 20 * (chain.size // 20)].reshape(20, -1).mean(axis=1)
             se = batches.std(ddof=1) / math.sqrt(batches.size)
             assert abs(chain.mean() - target) < 4 * se
 
-    def test_requires_single_bin(self):
-        with pytest.raises(g.ConfigError, match="exactly one bin"):
-            g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0),
-                        reparam=True)
+    def test_param_move_targets_the_documented_law(self):
+        self.check_param_move((0.3,), g.Prior("uniform", 0.5, 2.0), 42_000)
+
+    @pytest.mark.parametrize("beta_prior", [g.Prior("uniform", 0.5, 2.0), None],
+                             ids=["random beta", "fixed beta"])
+    def test_param_move_targets_the_documented_law_three_bins(self, beta_prior):
+        # the Jacobian's -rho_k reaches every bin, with beta random or fixed:
+        # with -rho_1 alone, the mean of w_2 lies 33 MCSE below its target
+        self.check_param_move((0.3, 0.6, 1.2), beta_prior, 60_000)
 
     def test_reparam_sampler_smoke(self):
         obs = gamma_obs(n=30, seed=13)
@@ -1466,25 +1480,31 @@ class TestReparam:
         assert any(r.accept_params for r in recs if r.accept_params is not None)
         assert all(math.isfinite(r.alpha) for r in recs)
 
-    def test_beta_move_targets_the_documented_law(self):
-        # One bin with b_1 above every increment: each segment is inert, so psi
-        # is only its compensator term, -T beta (exp(-rho) E1(c b_1) - E1(alpha b_1))
-        # with c = alpha + slope.  With alpha, slope and rho fixed, beta's
-        # conditional is its uniform prior, the rho prior's gamma(3, 2) density at
-        # beta exp(-rho), the Jacobian beta of that coordinate at fixed rho, the
-        # Gamma densities of the increments and exp(psi).
+    @staticmethod
+    def check_beta_move(edges, slopes, rhos):
+        # b_1 lies above every increment: each segment is inert, so psi is only
+        # its compensator term, -T beta (sum_k exp(-rho_k) u_k(c_k) - E1(alpha
+        # b_1)) with c_k = alpha + slope_k and u_k as in check_param_move.  With
+        # alpha, the slopes and the rhos fixed, beta's conditional is its uniform
+        # prior, the rho prior's gamma(3, 2) density at each beta exp(-rho_k),
+        # the Jacobian beta^N of those coordinates at fixed rho, the Gamma
+        # densities of the increments and exp(psi).
         deltas = np.array([0.42, 1.35, 0.18, 0.77])
+        assert edges[0] > deltas.max()
         obs = g.Observations.from_increments(np.arange(5.0), deltas)
-        alpha, slope, rho, b1, horizon = 1.0, 0.3, 0.5, 2 * deltas.max(), 4.0
+        alpha, horizon, n = 1.0, 4.0, len(edges)
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 6.0),
-                            theta=(g.Prior("gamma", 2.0, 1.0),),
-                            rho=(g.Prior("gamma", 3.0, 2.0),), reparam=True)
-        comp = (math.exp(-rho) * special.exp1((alpha + slope) * b1)
-                - special.exp1(alpha * b1))
+                            theta=(g.Prior("gamma", 2.0, 1.0),) * n,
+                            rho=(g.Prior("gamma", 3.0, 2.0),) * n, reparam=True)
+        uppers = [special.exp1((alpha + s) * b) for s, b in zip(slopes[:-1], edges[1:])] + [0.0]
+        comp = sum(math.exp(-rho) * (special.exp1((alpha + s) * b) - upper)
+                   for s, rho, b, upper in zip(slopes, rhos, edges, uppers))
+        comp -= special.exp1(alpha * edges[0])
 
         def mean_of(jacobian):
             def log_density(beta):
-                return (gamma_dist.logpdf(beta * math.exp(-rho), 3.0, scale=0.5)
+                return (sum(gamma_dist.logpdf(beta * math.exp(-rho), 3.0, scale=0.5)
+                            for rho in rhos)
                         + jacobian * math.log(beta)
                         + gamma_dist.logpdf(deltas, beta, scale=1 / alpha).sum()
                         - horizon * beta * comp)
@@ -1494,17 +1514,27 @@ class TestReparam:
                                       epsabs=0, epsrel=1e-12, limit=200)[0]
             return moment(1) / moment(0)
 
-        target = mean_of(jacobian=1)
-        recs = list(g.run_mcmc(obs, g.ModelParams(alpha, 0.6, [b1], [slope], [rho]), prior,
+        target = mean_of(jacobian=n)
+        recs = list(g.run_mcmc(obs, g.ModelParams(alpha, 0.6, edges, slopes, rhos), prior,
                                g.ProposalSpec(sigma_beta=0.8, update_schedule=("beta",)),
                                iterations=80_000, burn_in=1_000, seed=3, m=3))
-        assert {(r.alpha, r.theta, r.rho) for r in recs} == {(alpha, (slope,), (rho,))}
+        assert {(r.alpha, r.theta, r.rho) for r in recs} == {(alpha, slopes, rhos)}
         chain = np.array([r.beta for r in recs])
         batches = chain[: 20 * (chain.size // 20)].reshape(20, -1).mean(axis=1)
         se = batches.std(ddof=1) / math.sqrt(batches.size)
         assert abs(chain.mean() - target) < 4 * se
-        # the law without the Jacobian is far out of reach
-        assert abs(mean_of(jacobian=0) - target) > 20 * se
+        # the law with fewer than N factors of beta is far out of reach
+        for jacobian in range(n):
+            assert abs(mean_of(jacobian) - target) > 20 * se
+
+    def test_beta_move_targets_the_documented_law(self):
+        self.check_beta_move((2 * 1.35,), (0.3,), (0.5,))
+
+    def test_beta_move_targets_the_documented_law_three_bins(self):
+        # the Jacobian carries beta^3: with ln(beta) added once, the chain's
+        # mean lies 79 MCSE below its target
+        b1 = 2 * 1.35
+        self.check_beta_move((b1, 1.5 * b1, 3 * b1), (0.3, -0.2, 0.6), (0.5, -0.3, 1.0))
 
 
 FIVE_SWEEP_BETA = ("beta", "params", "params", "params", "params")
@@ -1771,7 +1801,12 @@ rho_prior = normal 0 1.5
 refinement = 2
 """
 
-_CLI_FITS = {"reparam": (_PIN_REPARAM, 3), "tiny_shape": (_PIN_TINY_SHAPE, 1)}
+# CI's three-bin reparameterised fit: the reparam fit's config with these lines replaced
+_PIN_REPARAM_3BIN = _PIN_REPARAM.replace("bin_edges = 1.5", "bin_edges = 1 1.5 3").replace(
+    "theta_init = 0.5", "theta_init = 0.5 0.5 0.5").replace("rho_init = 0.0", "rho_init = 0 0 0")
+
+_CLI_FITS = {"reparam": (_PIN_REPARAM, 3), "reparam_3bin": (_PIN_REPARAM_3BIN, 3),
+             "tiny_shape": (_PIN_TINY_SHAPE, 1)}
 
 
 def pin_inputs(workload, seed):
@@ -1828,22 +1863,25 @@ def pinned_chain_digest(workload, seed, iterations=300):
     ("beta_binned", 7, "99c710a867249b2e02405f827287520d6e575d1b8624043d493059a420374f73"),
     # its 600-sweep form gives CI's daf51ea1... chain.csv
     ("reparam", 5, "83495205f9be55d6331ce356dbae81fda7a886e11340ed219cecb402bc72c366"),
+    # its 600-sweep form gives CI's 893eeaaa... chain.csv
+    ("reparam_3bin", 5, "db8e5f9fa2bfe08e529c7377ac020cf08c928caf7294fe60c4c323cc927db00f"),
     # its 600-sweep form gives CI's c8196848... chain.csv
     ("tiny_shape", 5, "70f16a79cc66dec57600c46e494665e834d7f836691773d86ca29081a25bee33"),
-], ids=["mixture-7", "mixture-23", "binless-7", "beta_binned-7", "reparam-5", "tiny_shape-5"])
+], ids=["mixture-7", "mixture-23", "binless-7", "beta_binned-7", "reparam-5", "reparam_3bin-5",
+        "tiny_shape-5"])
 def test_chain_bytes_pinned(workload, seed, digest):
     # a kernel rewrite must leave every chain byte where it was
     assert pinned_chain_digest(workload, seed) == digest
 
 
 @pytest.mark.parametrize("workload", ["mixture", "binless", "beta_binned", "reparam",
-                                      "tiny_shape"])
+                                      "reparam_3bin", "tiny_shape"])
 def test_a_longer_run_extends_a_shorter_one(workload):
     # no block of draws is sized by the sweeps left: the refresh's and the
     # parameter walk's draws ahead serve a run's first sweeps as they serve
     # those of any longer run with the same seed, and so do the tiny-shape
     # refresh's bridge redraws, which come after each whole batch
-    seed, kept = (5, 3) if workload == "reparam" else (5, 1) if workload == "tiny_shape" else (7, 1)
+    seed, kept = (5, _CLI_FITS[workload][1]) if workload in _CLI_FITS else (7, 1)
     long = pinned_chain_text(workload, seed, iterations=1000, burn_in=0).splitlines()
     assert len(long) == 1 + 1000 // kept
     # a 150-sweep tiny-shape run ends inside a batch that redraws rows

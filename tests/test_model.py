@@ -1,6 +1,7 @@
 """Model parameters, Levy density, bin masses, and priors."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -541,12 +542,6 @@ class TestPriorLogpdf:
                     + spec.rho[0].logpdf(85.0 * math.exp(-0.2)) + math.log(85.0) - 0.2)
         assert prior_at(spec, p) == pytest.approx(expected, rel=1e-14)
 
-    def test_reparam_requires_single_bin(self):
-        with pytest.raises(ConfigError):
-            PriorSpec(alpha=Prior("gamma", 2, 1), beta=Prior("gamma", 2, 1),
-                      theta=(Prior("gamma", 2, 1),) * 2,
-                      rho=(Prior("gamma", 2, 1),) * 2, reparam=True)
-
 
 def closed_form_logpdf(prior, x):
     """A prior's log-density at x: -log(hi - lo) on [lo, hi], gamma_logpdf on
@@ -562,17 +557,19 @@ def closed_form_logpdf(prior, x):
 
 def closed_form_spec_logpdf(spec, alpha, beta, slopes, intercepts):
     """The joint prior as a sum of closed-form component log-densities; in
-    reparam mode at (alpha, beta, alpha + slope_1, beta exp(-rho_1)), with that
-    map's log-Jacobian ln(beta exp(-rho_1))."""
+    reparam mode at (alpha, beta, alpha + slope_k, beta exp(-rho_k)) for each
+    bin k, with that map's log-Jacobian sum_k ln(beta exp(-rho_k))."""
     if slopes and slopes[-1] <= -alpha:
         return -math.inf
     total = closed_form_logpdf(spec.alpha, alpha)
     if spec.beta is not None:
         total += closed_form_logpdf(spec.beta, beta)
     if spec.reparam:
-        return (total + closed_form_logpdf(spec.theta[0], alpha + slopes[0])
-                + closed_form_logpdf(spec.rho[0], beta * math.exp(-intercepts[0]))
-                + math.log(beta * math.exp(-intercepts[0])))
+        for k in range(len(slopes)):
+            scale = beta * math.exp(-intercepts[k])
+            total += (closed_form_logpdf(spec.theta[k], alpha + slopes[k])
+                      + closed_form_logpdf(spec.rho[k], scale) + math.log(scale))
+        return total
     for k in range(len(slopes)):
         total += closed_form_logpdf(spec.theta[k], slopes[k])
         total += closed_form_logpdf(spec.rho[k], intercepts[k])
@@ -604,13 +601,15 @@ class TestCompilePrior:
 
     @pytest.mark.parametrize("beta", [None, Prior("uniform", 0.5, 2.0)])
     def test_spec_matches_prior_logpdf(self, beta):
+        # both modes at 0 to 3 bins; in reparam mode the first rho prior's
+        # support holds beta exp(-rho_1) on part of the draws and misses it on the rest
         rng = np.random.default_rng(99)
-        for n in range(4):
+        for n, reparam in itertools.product(range(4), (False, True)):
             spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), beta=beta,
                              theta=(Prior("normal", 0.0, 3.0), Prior("uniform", -1.0, 1.0),
                                     Prior("gamma", 2.0, 2.0))[:n],
                              rho=(Prior("uniform", -2.0, 2.0), Prior("normal", 0.0, 7.0),
-                                  Prior("normal", 1.0, 0.5))[:n])
+                                  Prior("normal", 1.0, 0.5))[:n], reparam=reparam)
             for _ in range(100):
                 p = ModelParams(rng.uniform(0.1, 3.0), rng.uniform(0.1, 2.5),
                                 np.arange(1.0, n + 1.0), rng.normal(0.0, 1.5, size=n),
