@@ -184,9 +184,10 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
 
     Losses are log-transformed and summed within calendar windows of whole
     weeks, the first starting on the Monday of the earliest accepted date, so
-    the windows do not depend on the order of the rows.  A window with no
-    contribution is merged forward into the next non-empty one, so every
-    emitted increment is strictly positive.  Times are measured in weeks.  Rows with loss < 1 are
+    the windows do not depend on the order of the rows; nor do their sums,
+    which math.fsum rounds once.  A window with no contribution is merged
+    forward into the next non-empty one, so every emitted increment is
+    strictly positive.  Times are measured in weeks.  Rows with loss < 1 are
     rejected (their log would be non-positive) and reported, not fatal.
     """
     weeks = _period_weeks(aggregation)
@@ -204,10 +205,9 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
     first_day = min(day for day, _ in accepted)
     last_day = max(day for day, _ in accepted)
     anchor = _monday_of(first_day)
-    by_window: dict[int, float] = {}
+    by_window: dict[int, list] = {}
     for day, loss in accepted:
-        idx = (day - anchor).days // 7 // weeks
-        by_window[idx] = by_window.get(idx, 0.0) + math.log(loss)
+        by_window.setdefault((day - anchor).days // 7 // weeks, []).append(math.log(loss))
 
     times = [0.0]
     increments = []
@@ -215,7 +215,7 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
     pending_sum = 0.0
     for idx in range(max(by_window) + 1):
         pending_weeks += weeks
-        pending_sum += by_window.get(idx, 0.0)
+        pending_sum += math.fsum(by_window.get(idx, ()))
         if pending_sum > 0.0:
             times.append(times[-1] + pending_weeks)
             increments.append(pending_sum)

@@ -3,8 +3,9 @@
 Each sweep refreshes the latent path segments with Gamma bridge proposals,
 then applies the scheduled parameter block update: a joint correlated
 random walk on (alpha, slopes, intercepts), or, when the activity rate is
-declared random, a transdimensional move that superposes or thins the
-active segments and re-pins them to the observations.
+declared random, a transdimensional move that lifts the active segments to
+fresh Gamma totals and superposes a Gamma component, or thins them, then
+re-pins them to the observations.
 
 A segment whose observed increment is below the first bin edge b_1 is
 inert: every sub-step of its bridge lies in B_0, where theta is 0, so it
@@ -32,10 +33,8 @@ order in which segments are processed.
 A refresh's proposals and uniforms read only beta and per-chain constants,
 from streams that serve the refresh alone, so run_mcmc's refreshes draw
 those of every sweep up to the next beta stage at once, in the order single
-refreshes would draw them.  The chain is the same to the byte as with one
-refresh at a time unless a bridge row is too small to pin: bridge_rows
-redraws it after the whole batch, not before the next sweep's draw, which
-changes which variates serve which sweep but not the law.
+refreshes would draw them, so the chain is the same to the byte as with one
+refresh at a time.  A bridge row too small to pin is a rejected proposal.
 
 The parameter walk draws ahead as well: update_params takes each step's
 2N + 1 standard normals and its ln U from ChainState.walk, which holds those
@@ -43,8 +42,7 @@ of the next _WALK_STEPS steps, drawn from rng_params by one normal and one
 uniform call; rng_beta draws as it would one sweep at a time.  No block of
 either is sized by the sweeps left: a refresh batch that reaches past the
 run's last sweep is drawn whole and its surplus discarded.  So the first
-sweeps of a run are those of any longer run with the same seed, bridge
-redraws included.
+sweeps of a run are those of any longer run with the same seed.
 
 The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
@@ -112,9 +110,8 @@ _STAGES = ("params", "beta")
 # is active from this far (relative) below the first bin edge
 _PIN_MARGIN = 1e-12
 
-# the most sub-steps the refresh draws ahead at once (_draw_ahead), its
-# redraws aside: 34 sweeps of a 12-row block of m = 10, and one sweep at a
-# time past 2,048 per sweep
+# the most sub-steps the refresh draws ahead at once (_draw_ahead): 34 sweeps
+# of a 12-row block of m = 10, and one sweep at a time past 2,048 per sweep
 _AHEAD_STEPS = 4096
 
 # the parameter steps whose innovations and uniforms update_params draws at
@@ -223,7 +220,9 @@ class ChainState:
     # endpoint_tolerance of targets: every row of the block and of a bridge
     # proposal sums to its target, so this is the refresh's endpoint check
     block_tolerance: np.ndarray = field(init=False)
-    # the block's sub-step spans h_i / m: (n_active, 1), or one float when all are equal
+    # the block's spans h_i, (n_active,), and sub-step spans h_i / m, (n_active, 1):
+    # each one float when all are equal
+    block_spans: np.ndarray | float = field(init=False)
     block_sub_spans: np.ndarray | float = field(init=False)
     # _draw_ahead's k-fold (targets, block_sub_spans) per batch size k, made at k's first batch
     ahead_tiles: dict = field(init=False)
@@ -250,6 +249,7 @@ class ChainState:
         self.targets = _read_only(self.obs.increments[active])
         self.edge_array = _read_only(np.array(self.terms.edges, dtype=float))
         self.block_tolerance = _read_only(endpoint_tolerance(self.targets))
+        self.block_spans = _read_only(_one_value(spans[active]))
         self.block_sub_spans = _read_only(_one_value((spans[active] / self.grid.m)[:, None]))
         self.ahead_tiles = {}
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
@@ -349,13 +349,17 @@ def active_segments(deltas: np.ndarray, bin_edges) -> np.ndarray:
 
 
 def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) -> ChainState:
-    """Build the starting state: Gamma bridges for every segment, and the inert constants."""
+    """Build the starting state: Gamma bridges for every segment, and the inert constants.
+
+    A row bridge_rows flags starts on its pinned path, which has positive
+    bridge density, so any later move may leave it.
+    """
     if not np.array_equal(grid.times, obs.times):
         raise ContractError("grid observation times must equal the data times")
     rng_path, rng_accept, rng_params, rng_beta = _make_rngs(seed)
     deltas = obs.increments
     shapes = _one_value(params0.beta * (grid.spans / grid.m)[:, None])
-    increments = bridge_rows(rng_path, shapes, deltas, grid.m)
+    increments, _ = bridge_rows(rng_path, shapes, deltas, grid.m)
     stats = np.concatenate(bin_stats_matrix(increments, params0.bin_edges), axis=1)
     return ChainState(
         terms=ParamTerms.of(params0), obs=obs, grid=grid,
@@ -375,7 +379,8 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     acceptance for segment i compares the endpoint-matched path ratio to
     ln(U_i).  Noise and uniforms are drawn in one fixed-layout block over
     the active segments, so the decisions do not depend on the order in
-    which segments are visited.
+    which segments are visited.  A proposal row too small to pin
+    (bridge_rows' flag) is rejected.
     The proposal is drawn, scored and written on the active block, whose
     accepted rows are overwritten in place (ChainState.write_block).
 
@@ -385,8 +390,7 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     drawn draws those of up to sweeps refreshes at once (_draw_ahead) into
     ChainState.drawn, and each takes the next; proposals drawn at a beta
     other than state.terms' raise ContractError.  The refreshes take the
-    variates that one at a time would take unless a bridge row needs a
-    redraw (see the module docstring).
+    variates that one at a time would take.
 
     An inert segment (see the module docstring) is not redrawn and counts as
     accepted in the rate, as the full refresh would count it: its
@@ -418,16 +422,12 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     """ChainState.drawn for up to sweeps refreshes, drawn, pinned and binned at once.
 
     k refreshes draw one bridge_rows matrix of k * n_active rows and
-    (k, n_active) uniforms, at most _AHEAD_STEPS sub-steps before redraws,
-    and bin it into one statistics matrix.  The rows' targets and sub-step
-    spans are k copies of the block's (a float span stays one float), made
-    at k's first batch and kept in ChainState.ahead_tiles: at most one
-    entry per schedule stage.
-    Without a degenerate row those are the variates, in their order, that k
-    single refreshes would draw.  bridge_rows redraws a degenerate row after
-    the whole matrix, not before the next refresh's draw as a single refresh
-    would: the law is the same, and each redrawn row is an independent draw
-    conditioned on being pinnable.
+    (k, n_active) uniforms, at most _AHEAD_STEPS sub-steps, and bin it into
+    one statistics matrix: the variates, in their order, that k single
+    refreshes would draw.  The rows' targets and sub-step spans are k copies
+    of the block's (a float span stays one float), made at k's first batch
+    and kept in ChainState.ahead_tiles: at most one entry per schedule
+    stage.  A flagged row's ln U is +inf, so its refresh keeps the row.
     """
     beta, m, n = state.terms.beta, state.grid.m, state.n_active
     k = max(1, min(sweeps, _AHEAD_STEPS // (n * m)))
@@ -437,8 +437,9 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
             _read_only(np.concatenate([c] * k)) if np.ndim(c) else c
             for c in (state.targets, state.block_sub_spans))
     targets, sub_spans = tiles
-    proposals = bridge_rows(state.rng_path, beta * sub_spans, targets, m)
+    proposals, flagged = bridge_rows(state.rng_path, beta * sub_spans, targets, m)
     log_u = np.log(state.rng_accept.uniform(size=(k, n)))
+    log_u[flagged.reshape(k, n)] = np.inf
     stats = np.concatenate(bin_stats_matrix(proposals, state.edge_array), axis=1)
     return list(zip([beta] * k, proposals.reshape(k, n, m), stats.reshape(k, n, -1),
                     log_u))[::-1]
@@ -522,16 +523,18 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     returns (accepted, log ratio).
 
     Proposes beta° from a symmetric walk; raises each active segment's
-    activity by superposing an independent Gamma component (beta° > beta)
-    or lowers it by Beta thinning (beta° < beta), re-pins it to the
+    activity (beta° > beta) by scaling it to a fresh Gamma(beta h_i, alpha)
+    total, the free process's, whose bridge direction is independent of its
+    total, and superposing an independent Gamma component, or lowers it by
+    Beta thinning (beta° < beta), which is scale free; re-pins it to the
     observations, and accepts jointly with the prior ratio, the Gamma
     density ratio at the observed increments, and the path log-density
     ratio against the respective Gamma references.  Inert segments are not
     transformed (see the module docstring), so with no active segment the
     move draws only beta° and its uniform.  A candidate outside the model's
-    domain or the prior's support, or one that thins an active segment too
-    far to re-pin (pin_rows' degenerate mask), is rejected before a ratio is
-    formed and returns (False, -inf).  A NaN log ratio raises ContractError.
+    domain or the prior's support, or one that leaves an active segment too
+    small to re-pin (pin_rows' flag), is rejected before a ratio is formed
+    and returns (False, -inf).  A NaN log ratio raises ContractError.
 
     The candidate differs from the current parameters in beta alone, so it
     reuses their mass factors, and both psi terms read the Gamma reference's
@@ -563,7 +566,9 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     if n_active:
         block, sub = state.block, state.block_sub_spans
         if beta_new > cur.beta:
-            block = augment_rows(rng, block, sub, cur.beta, beta_new, cur.alpha)
+            lift = rng.gamma(cur.beta * state.block_spans, 1.0 / cur.alpha, size=n_active)
+            block = augment_rows(rng, block * (lift / state.targets)[:, None], sub, cur.beta,
+                                 beta_new, cur.alpha)
         elif beta_new < cur.beta:
             block = thin_rows(rng, block, sub, cur.beta, beta_new)
         block, collapsed = pin_rows(block, state.targets)

@@ -29,7 +29,6 @@ __all__ = [
     "thin_rows",
 ]
 
-_RESAMPLE_LIMIT = 100
 _TINY = np.finfo(float).tiny
 
 
@@ -124,51 +123,42 @@ def _one_value(p: np.ndarray):
 
 
 def pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale each row of raw to sum to its target; returns (pinned, degenerate).
+    """Rescale each row of raw to sum to its target; returns (pinned, flagged).
 
     A pinned row is exactly raw * target / total, so zero and subnormal
     entries stay as small as the draw made them, and the row sums to its
     target to within accumulation ulp while total * target is a normal float
     (a subnormal product is then off by 2**-1075, a relative 2**-53 of the
-    sum).  A row below that, a zero row among them, is divided by 1 instead
-    and flagged in the degenerate mask, to be redrawn or rejected.  raw is
-    not modified.
+    sum).  A row below that, a zero row among them, cannot be pinned so: it
+    is flagged and gets its whole target on its largest raw entry (the
+    first, when all are zero), a valid path for a caller that rejects it.
+    raw is not modified.
     """
     total = np.add.reduce(raw, 1, keepdims=True)    # raw.sum(axis=1), without its wrapper
-    degenerate = total[:, 0] * targets < _TINY
-    if np.count_nonzero(degenerate):
-        total[degenerate] = 1.0
+    flagged = total[:, 0] * targets < _TINY
     pinned = raw * targets[:, None]
+    if np.count_nonzero(flagged):
+        rows = np.flatnonzero(flagged)
+        total[rows] = 1.0
+        pinned[rows] = 0.0
+        pinned[rows, raw[rows].argmax(axis=1)] = targets[rows]
     pinned /= total
-    return pinned, degenerate
+    return pinned, flagged
 
 
 def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarray,
-                m: int) -> np.ndarray:
-    """Gamma bridge increments, (rows, m), with Gamma shapes `shapes`, rows summing to targets.
+                m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma bridge increments, (rows, m), with Gamma shapes `shapes`, rows
+    summing to targets; returns pin_rows' (pinned, flagged).
 
     shapes is a scalar or broadcasts against the output: (rows, 1) for one
     shape per row, or (rows, m).  It is drawn from as given: a caller whose
     shapes are all one value passes that value (_one_value), which draws the
     same variates faster.  The bridge is scale free, so the driving
-    increments are drawn with unit scale.  Rows pin_rows flags as degenerate
-    are redrawn, alone, up to 100 times before DegeneratePathError is raised.
+    increments are drawn with unit scale.  A flagged row is no bridge draw:
+    a proposal rejects it, so the bridge law holds on the rows it keeps.
     """
-    pinned, degenerate = pin_rows(rng.gamma(shape=shapes, size=(targets.size, m)), targets)
-    for _ in range(_RESAMPLE_LIMIT):
-        if not np.count_nonzero(degenerate):
-            return pinned
-        idx = np.flatnonzero(degenerate)
-        redraw = rng.gamma(shape=shapes if np.ndim(shapes) == 0 else shapes[idx],
-                           size=(idx.size, m))
-        pinned[idx], degenerate[idx] = pin_rows(redraw, targets[idx])
-    n_degenerate = int(np.count_nonzero(degenerate))
-    if n_degenerate:
-        raise DegeneratePathError(
-            f"{n_degenerate} bridge proposals degenerate after "
-            f"{_RESAMPLE_LIMIT} resamples; increase refinement or check beta*h"
-        )
-    return pinned
+    return pin_rows(rng.gamma(shape=shapes, size=(targets.size, m)), targets)
 
 
 def augment_rows(rng: np.random.Generator, increments: np.ndarray, h,
@@ -206,10 +196,10 @@ def gamma_bridge(increments, total: float) -> np.ndarray:
     """Rescale an increment vector to sum to total (one-row pin_rows).
 
     The output is increments * total / sum(increments); a vector pin_rows
-    flags as degenerate raises DegeneratePathError.
+    flags raises DegeneratePathError.
     """
-    pinned, degenerate = pin_rows(_one_row(increments), _check_total(total))
-    if degenerate[0]:
+    pinned, flagged = pin_rows(_one_row(increments), _check_total(total))
+    if flagged[0]:
         raise DegeneratePathError("path total increment too small to pin; resample the proposal")
     return pinned[0]
 
@@ -218,14 +208,16 @@ def sample_gamma_bridge(beta: float, alpha: float, grid: TimeGrid, total: float,
                         seed) -> np.ndarray:
     """Increments of a Gamma(beta, alpha) bridge on the grid that sum to total.
 
-    One-row bridge_rows: the driving path is redrawn up to 100 times if it
-    degenerates (a total too small to pin), then DegeneratePathError is raised.
+    One-row bridge_rows: a draw too small to pin raises DegeneratePathError.
     """
     if not (beta > 0 and alpha > 0 and math.isfinite(beta) and math.isfinite(alpha)):
         raise DomainError("beta and alpha must be finite and > 0")
     targets = _check_total(total)
     h = _step_spans(grid)
-    return bridge_rows(as_generator(seed), beta * h[None, :], targets, h.size)[0]
+    pinned, flagged = bridge_rows(as_generator(seed), beta * h[None, :], targets, h.size)
+    if flagged[0]:
+        raise DegeneratePathError("bridge draw too small to pin; increase refinement or beta*h")
+    return pinned[0]
 
 
 def augment_path(increments, grid: TimeGrid, beta_old: float, beta_new: float,

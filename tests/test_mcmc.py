@@ -130,7 +130,7 @@ class TestInitChain:
     def test_tiny_shape_rows_stay_pinned_through_refresh_and_beta_moves(self):
         # segment shapes beta * span = 0.005: a few bridge and thinned rows in a
         # thousand sum to a subnormal, which pin_rows cannot scale to its target
-        # and flags, so the bridge redraws them and the beta move rejects them
+        # and flags, so the refresh and the beta move reject them
         deltas = np.random.default_rng(3).uniform(0.6, 3.0, size=200)
         obs = g.Observations.from_increments(np.arange(201.0), deltas)
         params = g.ModelParams(1.0, 0.005, [0.5], [0.0], [0.0])
@@ -147,6 +147,31 @@ class TestInitChain:
         sums, counts = bin_stats_matrix(state.increments, params.bin_edges)
         assert np.array_equal(sums, state.seg_sums)
         assert np.array_equal(counts, state.seg_counts)
+
+    def test_an_unpinnable_start_row_takes_a_pinned_path(self, monkeypatch):
+        # a starting bridge row too small to pin starts with its whole target on
+        # its first sub-step, a path of positive bridge density, and refreshes leave it
+        params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
+        obs = gamma_obs()
+        row = int(mcmc.active_segments(obs.increments, params.bin_edges)[0])
+        make_rngs = mcmc._make_rngs
+
+        def zero_row_rngs(seed):
+            rng_path, *rest = make_rngs(seed)
+            return (ZeroRow(rng_path, row), *rest)
+
+        monkeypatch.setattr(mcmc, "_make_rngs", zero_row_rngs)
+        state = g.init_chain(obs, params, g.TimeGrid(obs.times, 5), 13)
+        monkeypatch.undo()
+        delta = float(obs.increments[row])
+        assert state.increments[row].tolist() == [delta, 0.0, 0.0, 0.0, 0.0]
+        sums, counts = bin_stats_matrix(state.increments, params.bin_edges)
+        assert np.array_equal(sums, state.seg_sums) and np.array_equal(counts, state.seg_counts)
+        assert_totals_current(state)
+        state.rng_path = state.rng_path.gen
+        for _ in range(20):
+            g.refresh_segments(state)
+        assert np.count_nonzero(state.increments[row]) > 1
 
     def test_sub_spans_collapse_once_per_chain(self):
         # the beta move's kernels draw from a scalar shape on a uniform grid,
@@ -211,8 +236,8 @@ class TestRefreshSegments:
             state.increments.copy(), state.seg_sums.copy(), state.seg_counts.copy())
         old_totals = (state.total_sums, state.total_counts)
         # the twin stream draws the same block: the active segments' bridges
-        proposal = bridge_rows(twin.rng_path, params.beta * sub_spans(twin)[active],
-                               twin.obs.increments[active], twin.m)
+        proposal, _ = bridge_rows(twin.rng_path, params.beta * sub_spans(twin)[active],
+                                  twin.obs.increments[active], twin.m)
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
         state.rng_accept = Reject()
         rate = g.refresh_segments(state)
@@ -252,6 +277,27 @@ class TestRefreshSegments:
         with pytest.raises(g.ContractError, match="do not share endpoints"):
             g.refresh_segments(state)
 
+    def test_a_flagged_proposal_keeps_its_row(self):
+        # a proposal row too small to pin is rejected whatever its ratio: the
+        # row keeps its path and statistics, and the path rate counts it
+        class AcceptAll:
+            def uniform(self, size):
+                return np.full(size, 1e-300)
+
+        params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
+        state = basic_state(params=params, seed=13)
+        row = state.active[1]
+        kept = (state.increments[row].copy(), state.seg_sums[row].copy(),
+                state.seg_counts[row].copy())
+        others = state.increments[state.active].copy()
+        state.rng_path, state.rng_accept = ZeroRow(state.rng_path, 1), AcceptAll()
+        assert g.refresh_segments(state) == (state.n_segments - 1) / state.n_segments
+        for got, before in zip((state.increments, state.seg_sums, state.seg_counts), kept):
+            assert np.array_equal(got[row], before)
+        moved = state.increments[state.active] != others
+        assert moved.any(axis=1).sum() == state.active.size - 1
+        assert_totals_current(state)
+
     def test_acceptance_depends_only_on_perturbed_bins(self):
         # same slopes/intercepts, different alpha: identical decisions
         pa = g.ModelParams(0.7, 1.0, [0.5], [0.6], [0.3])
@@ -260,6 +306,18 @@ class TestRefreshSegments:
         b = basic_state(params=pb, seed=11)
         assert g.refresh_segments(a) == g.refresh_segments(b) < 1.0
         assert np.array_equal(a.increments, b.increments)
+
+
+class ZeroRow:
+    """Real Gamma draws, except that one row of each is all zeros: too small to pin."""
+
+    def __init__(self, gen, row):
+        self.gen, self.row = gen, row
+
+    def gamma(self, shape, size):
+        out = self.gen.gamma(shape, size=size)
+        out[self.row] = 0.0
+        return out
 
 
 class NoDraws:
@@ -329,12 +387,12 @@ def assert_totals_current(state):
 def full_refresh(state):
     """The refresh as it ran before inert segments were skipped: one block of every row."""
     params = state.params
-    proposal = bridge_rows(state.rng_path, params.beta * sub_spans(state),
-                           state.obs.increments, state.m)
+    proposal, flagged = bridge_rows(state.rng_path, params.beta * sub_spans(state),
+                                    state.obs.increments, state.m)
     sums, counts = bin_stats_matrix(proposal, params.bin_edges)
     log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
                            params.theta_slopes, params.theta_intercepts)
-    accept = log_ratio >= np.log(state.rng_accept.uniform(size=state.n_segments))
+    accept = (log_ratio >= np.log(state.rng_accept.uniform(size=state.n_segments))) & ~flagged
     reject = ~accept
     proposal[reject] = state.increments[reject]
     sums[reject] = state.seg_sums[reject]
@@ -351,16 +409,17 @@ def refresh_all_from(rng_inert):
         active = mcmc.active_segments(state.obs.increments, params.bin_edges)
         inert = np.setdiff1d(np.arange(state.n_segments), active)
         shapes, deltas = params.beta * sub_spans(state), state.obs.increments
-        proposal = np.empty_like(state.increments)
-        proposal[active] = bridge_rows(state.rng_path, shapes[active], deltas[active], state.m)
-        proposal[inert] = bridge_rows(rng_inert, shapes[inert], deltas[inert], state.m)
+        proposal, flagged = np.empty_like(state.increments), np.empty(state.n_segments, bool)
+        for rows, stream in ((active, state.rng_path), (inert, rng_inert)):
+            proposal[rows], flagged[rows] = bridge_rows(stream, shapes[rows], deltas[rows],
+                                                        state.m)
         sums, counts = bin_stats_matrix(proposal, params.bin_edges)
         log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
                                params.theta_slopes, params.theta_intercepts)
         log_u = np.empty(state.n_segments)
         log_u[active] = np.log(state.rng_accept.uniform(size=active.size))
         log_u[inert] = np.log(rng_inert.uniform(size=inert.size))
-        accept = log_ratio >= log_u
+        accept = (log_ratio >= log_u) & ~flagged
         assert (log_ratio[inert] == 0.0).all() and accept[inert].all()
         reject = ~accept
         proposal[reject] = state.increments[reject]
@@ -376,8 +435,9 @@ def beta_all_from(rng_inert):
     """The beta move over every row: active rows use rng_beta, inert rows rng_inert.
 
     This is the move as it ran before inert segments were left out of it:
-    each row is augmented or thinned and re-pinned, and the bin totals and
-    the ratio's terms are evaluated afresh over all rows.
+    each row is scaled to a fresh Gamma(beta h_i, alpha) total and augmented,
+    or thinned, and re-pinned, and the bin totals and the ratio's terms are
+    evaluated afresh over all rows.
     """
     def move(state, prop, prior):
         params, rng = state.params, state.rng_beta
@@ -390,12 +450,13 @@ def beta_all_from(rng_inert):
             return False, -math.inf
         active = mcmc.active_segments(state.obs.increments, params.bin_edges)
         inert = np.setdiff1d(np.arange(state.n_segments), active)
-        sub = sub_spans(state)
+        sub, deltas, spans = sub_spans(state), state.obs.increments, state.grid.spans
         block = state.increments.copy()
         for rows, stream in ((active, rng), (inert, rng_inert)):
             if rows.size and beta_new > params.beta:
-                block[rows] = augment_rows(stream, block[rows], sub[rows], params.beta,
-                                           beta_new, params.alpha)
+                lift = stream.gamma(params.beta * spans[rows], 1 / params.alpha)
+                block[rows] = augment_rows(stream, block[rows] * (lift / deltas[rows])[:, None],
+                                           sub[rows], params.beta, beta_new, params.alpha)
             elif rows.size and beta_new < params.beta:
                 block[rows] = thin_rows(stream, block[rows], sub[rows], params.beta, beta_new)
         block, collapsed = pin_rows(block, state.obs.increments)
@@ -404,7 +465,6 @@ def beta_all_from(rng_inert):
             return False, -math.inf
         sums, counts = bin_stats_matrix(block, params.bin_edges)
         new_stats = bin_totals(sums.sum(axis=0), counts.sum(axis=0), state.grid.horizon)
-        deltas, spans = state.obs.increments, state.grid.spans
         density_diff = np.sum(gamma_dist.logpdf(deltas, beta_new * spans, scale=1 / params.alpha)
                               - gamma_dist.logpdf(deltas, params.beta * spans,
                                                   scale=1 / params.alpha))
@@ -501,8 +561,8 @@ class TestActiveSegments:
         reached = np.zeros(state.n_segments, dtype=bool)
         for _ in range(300):
             # the full refresh's proposal for every segment
-            proposal = bridge_rows(state.rng_path, params.beta * sub_spans(state),
-                                   state.obs.increments, state.m)
+            proposal, _ = bridge_rows(state.rng_path, params.beta * sub_spans(state),
+                                      state.obs.increments, state.m)
             sums, counts = bin_stats_matrix(proposal, params.bin_edges)
             log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
                                    params.theta_slopes, params.theta_intercepts)
@@ -652,45 +712,6 @@ class TestDrawAhead:
         assert draws == one + three * 4
         assert recs == list(run_with(g.refresh_segments, obs, params0, prior, prop, 11, 17, 5))
         assert len({r.beta for r in recs}) > 1
-
-    def test_redrawn_rows_keep_the_bridge_law(self, monkeypatch):
-        # Gamma shape beta * h / m = 3e-3: a row of two sub-steps is often too
-        # small to pin, and bridge_rows redraws it after the whole batch, where
-        # a single sweep's draw redraws it before the next sweep's
-        rng = np.random.default_rng(3)
-        obs = g.Observations.from_increments(np.arange(61.0), 0.5 + rng.gamma(1.0, 1.0, size=60))
-        params = g.ModelParams(1.0, 0.006, [0.5], [0.3], [0.2])
-        pins = []
-        pin = paths.pin_rows
-
-        def counted_pin(raw, targets):
-            pins.append(raw.shape[0])
-            return pin(raw, targets)
-
-        monkeypatch.setattr(paths, "pin_rows", counted_pin)
-        fractions = []
-        for sweeps, seed in ((34, 1), (1, 2)):
-            state = g.init_chain(obs, params, g.TimeGrid(obs.times, 2), seed)
-            assert state.active.size == 60      # so 4096 // (60 * 2) = 34 sweeps per batch
-            pins.clear()
-            rows = [drawn[1] for _ in range(3400 // sweeps)
-                    for drawn in mcmc._draw_ahead(state, sweeps)]
-            if sweeps > 1:
-                # most batches redraw rows: more pin_rows calls than the 100 batches
-                assert pins.count(34 * 60) == 100 and len(pins) > 150
-            rows = np.concatenate(rows)
-            fractions.append(rows.min(axis=1) / np.tile(obs.increments[state.active], 3400))
-        monkeypatch.undo()
-        # the pinned fraction min(x_1, x_2) / delta: a two-sample test of its
-        # distribution function, 204,000 independent rows a side
-        size = fractions[0].size
-        assert size == 204_000
-        for threshold in (1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1e-5, 1e-2, 0.1):
-            ahead, single = (np.count_nonzero(f < threshold) / size for f in fractions)
-            pooled = 0.5 * (ahead + single)
-            se = math.sqrt(pooled * (1 - pooled) * 2 / size)
-            assert 0 < pooled < 1
-            assert abs(ahead - single) < 4 * se, threshold
 
     def test_refresh_after_a_beta_change_is_a_contract_error(self):
         params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
@@ -928,6 +949,51 @@ class TestUpdateBeta:
             accepted += accepted_now
         assert 0 < accepted < 40
 
+    def test_move_with_active_rows_targets_the_exact_beta_marginal(self):
+        # One bin from b_1 = 1 with slope 1.5 and intercept 1, alpha 1, m = 2,
+        # and only beta moving: five of the ten unit-span increments reach b_1.
+        # Given beta, an active row's path is the Gamma bridge, whose first
+        # sub-step is delta U with U ~ Beta(beta/2, beta/2), tilted by
+        # exp(-sum over sub-steps x >= 1 of (1.5 x + 1)).  So beta's marginal is
+        # its uniform prior, the Gamma densities of the increments, exp(psi)'s
+        # compensator exp(-10 beta (e^-1 E1(2.5) - E1(1))) and, per active row,
+        # E[exp(-sum of the tilts)] over U.  An up-move that augmented the
+        # pinned row, not the free process at a fresh total, read 9 MCSE high.
+        deltas = np.array([0.3, 1.6, 0.2, 2.4, 0.5, 1.2, 0.1, 0.9, 3.1, 1.9])
+        obs = g.Observations.from_increments(np.arange(11.0), deltas)
+        lo, hi = 0.05, 8.0
+
+        def log_tilt(beta, delta):
+            # U and 1 - U share the law, so E is twice the integral over [0, 1/2]:
+            # the tilt of delta (1 - u) up to c, then 1 (delta < 2) or the
+            # tilts of both halves (delta >= 2)
+            a, c = beta / 2, min(1 / delta, 1 - 1 / delta)
+            edge = integrate.quad(lambda u: math.exp(-(1.5 * delta * (1 - u) + 1))
+                                  * (1 - u) ** (a - 1), 0.0, c, weight="alg",
+                                  wvar=(a - 1, 0.0), epsabs=0, epsrel=1e-11)[0]
+            middle = (0.5 - special.betainc(a, a, c)) * (
+                1.0 if delta < 2 else math.exp(-(1.5 * delta + 2)))
+            return math.log(2 * (edge / special.beta(a, a) + middle))
+
+        comp = math.exp(-1.0) * special.exp1(2.5) - special.exp1(1.0)
+        betas = np.linspace(lo, hi, 261)
+        log_density = np.array([gamma_dist.logpdf(deltas, b).sum() - 10 * b * comp
+                                + sum(log_tilt(b, d) for d in deltas if d >= 1) for b in betas])
+        weights = np.exp(log_density - log_density.max())
+        target = (integrate.simpson(betas * weights, x=betas)
+                  / integrate.simpson(weights, x=betas))
+        assert target == pytest.approx(1.5698, abs=1e-4)
+
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", lo, hi),
+                            theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.0),))
+        recs = list(g.run_mcmc(obs, g.ModelParams(1.0, 1.0, [1.0], [1.5], [1.0]), prior,
+                               g.ProposalSpec(sigma_beta=0.5, update_schedule=("beta",)),
+                               iterations=41_000, burn_in=1_000, seed=3, m=2))
+        chain = np.array([r.beta for r in recs])
+        batches = chain.reshape(100, -1).mean(axis=1)
+        se = batches.std(ddof=1) / math.sqrt(batches.size)
+        assert abs(chain.mean() - target) < 4 * se
+
     def test_negative_proposals_rejected(self):
         state = basic_state(seed=51)
         prop = g.ProposalSpec(sigma_beta=500.0)
@@ -1056,7 +1122,8 @@ class ReferenceUpdateParams:
 
 def reference_update_beta(state, prop, prior):
     """update_beta on ModelParams, with prior_logpdf and psi_log evaluated afresh
-    and the Gamma densities of the observed increments one by one."""
+    and the Gamma densities of the observed increments one by one; an up-move
+    scales each active row to a fresh Gamma(beta h_i, alpha) total first."""
     params, rng = state.params, state.rng_beta
     beta_new = params.beta + prop.sigma_beta * rng.normal()
     if beta_new <= 0:
@@ -1068,11 +1135,14 @@ def reference_update_beta(state, prop, prior):
     active, new_stats = state.active, totals(state)
     if active.size:
         block, sub = state.increments[active], sub_spans(state)[active]
+        deltas = state.obs.increments[active]
         if beta_new > params.beta:
-            block = augment_rows(rng, block, sub, params.beta, beta_new, params.alpha)
+            lift = rng.gamma(params.beta * state.grid.spans[active], 1 / params.alpha)
+            block = augment_rows(rng, block * (lift / deltas)[:, None], sub, params.beta,
+                                 beta_new, params.alpha)
         elif beta_new < params.beta:
             block = thin_rows(rng, block, sub, params.beta, beta_new)
-        block, collapsed = pin_rows(block, state.obs.increments[active])
+        block, collapsed = pin_rows(block, deltas)
         if collapsed.any():
             return False, -math.inf
         stats = stacked(*bin_stats_matrix(block, params.bin_edges))
@@ -1787,7 +1857,7 @@ update_schedule = beta params params
 refinement = 6
 """
 
-# CI's fixed-beta fit at Gamma shape beta*h/m = 3e-3, whose refresh redraws
+# CI's fixed-beta fit at Gamma shape beta*h/m = 3e-3, whose refresh rejects
 # bridge rows too small to pin
 _PIN_TINY_SHAPE = """\
 bin_edges = 0.5
@@ -1860,13 +1930,13 @@ def pinned_chain_digest(workload, seed, iterations=300):
     ("mixture", 7, "31e0b6a84d90520c29afea39b67d78ab677bf4ae615e8fb2e92ba51568f64e5f"),
     ("mixture", 23, "a29b898fad5d202e57fa6c1f35da02a4f1d8ce41e6e6fb15adb9aa3edadec5d0"),
     ("binless", 7, "0125e072571f9b2e1baa8d5461c47c1b5670926fdfa0b82efc4595571deea9cb"),
-    ("beta_binned", 7, "99c710a867249b2e02405f827287520d6e575d1b8624043d493059a420374f73"),
-    # its 600-sweep form gives CI's daf51ea1... chain.csv
-    ("reparam", 5, "83495205f9be55d6331ce356dbae81fda7a886e11340ed219cecb402bc72c366"),
-    # its 600-sweep form gives CI's 893eeaaa... chain.csv
-    ("reparam_3bin", 5, "db8e5f9fa2bfe08e529c7377ac020cf08c928caf7294fe60c4c323cc927db00f"),
-    # its 600-sweep form gives CI's c8196848... chain.csv
-    ("tiny_shape", 5, "70f16a79cc66dec57600c46e494665e834d7f836691773d86ca29081a25bee33"),
+    ("beta_binned", 7, "7fd7742db500334d99f981571496916dfdd2f7be40730fe8c7975a038805816e"),
+    # its 600-sweep form gives CI's 14071b07... chain.csv
+    ("reparam", 5, "089850bd1d4d267f307b27ed55b7885859241b1c97f74cbf3bced260648b5b29"),
+    # its 600-sweep form gives CI's 5180d34b... chain.csv
+    ("reparam_3bin", 5, "eed9bd3fd3d27eff624567d6872e01cca2c2846ff603574de3c054d578165f40"),
+    # its 600-sweep form gives CI's 0b2c99f6... chain.csv
+    ("tiny_shape", 5, "f3f1ecf01ea99f5e52763af44bef2bc88765c082a5f55c332fcb6ad18702a9e9"),
 ], ids=["mixture-7", "mixture-23", "binless-7", "beta_binned-7", "reparam-5", "reparam_3bin-5",
         "tiny_shape-5"])
 def test_chain_bytes_pinned(workload, seed, digest):
@@ -1879,12 +1949,10 @@ def test_chain_bytes_pinned(workload, seed, digest):
 def test_a_longer_run_extends_a_shorter_one(workload):
     # no block of draws is sized by the sweeps left: the refresh's and the
     # parameter walk's draws ahead serve a run's first sweeps as they serve
-    # those of any longer run with the same seed, and so do the tiny-shape
-    # refresh's bridge redraws, which come after each whole batch
+    # those of any longer run with the same seed
     seed, kept = (5, _CLI_FITS[workload][1]) if workload in _CLI_FITS else (7, 1)
     long = pinned_chain_text(workload, seed, iterations=1000, burn_in=0).splitlines()
     assert len(long) == 1 + 1000 // kept
-    # a 150-sweep tiny-shape run ends inside a batch that redraws rows
     for iterations in (150, 301):
         short = pinned_chain_text(workload, seed, iterations, burn_in=0).splitlines()
         assert len(short) == 1 + iterations // kept
@@ -2004,8 +2072,7 @@ class TestChainConstants:
     def constants(self, state):
         """Every constant array of the state, the drawn-ahead tiles among them."""
         arrays = [getattr(state, name) for name in self.ARRAYS]
-        if np.ndim(state.block_sub_spans):
-            arrays.append(state.block_sub_spans)
+        arrays += [a for a in (state.block_spans, state.block_sub_spans) if np.ndim(a)]
         for targets, sub in state.ahead_tiles.values():
             arrays += [targets] + ([sub] if np.ndim(sub) else [])
         return arrays
@@ -2041,6 +2108,7 @@ class TestChainConstants:
         # bin_classify takes the edges as they are, without a conversion
         assert np.asarray(state.edge_array, dtype=float) is state.edge_array
         assert np.array_equal(state.block_tolerance, endpoint_tolerance(state.targets))
+        assert np.array_equal(state.block_spans, paths._one_value(state.grid.spans[active]))
         assert np.array_equal(state.block_sub_spans,
                               paths._one_value((state.grid.spans[active] / state.m)[:, None]))
         assert state.ahead_tiles == {}
@@ -2049,8 +2117,9 @@ class TestChainConstants:
         state, _ = pinned_state("mixture")
         g.refresh_segments(state, mcmc._AHEAD_STEPS)
         arrays = self.constants(state)
-        # targets, edges, tolerance, the sub-step span column and one batch's two tiles
-        assert len(arrays) == 6
+        # targets, edges, tolerance, the spans, the sub-step span column and one
+        # batch's two tiles
+        assert len(arrays) == 7
         for a in arrays:
             before = a.copy()
             with pytest.raises(ValueError, match="read-only"):
@@ -2061,7 +2130,8 @@ class TestChainConstants:
     def test_every_move_keeps_the_same_constants(self, workload):
         state, cfg = pinned_state(workload)
         g.refresh_segments(state, 2)
-        names = ("horizon", "n_active", "block_sub_spans", "ahead_tiles") + self.ARRAYS
+        names = ("horizon", "n_active", "block_spans", "block_sub_spans",
+                 "ahead_tiles") + self.ARRAYS
         objects = {name: getattr(state, name) for name in names}
         tiles = dict(state.ahead_tiles)
         values = [a.copy() for a in self.constants(state)]

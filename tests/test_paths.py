@@ -88,7 +88,7 @@ class TestGammaBridge:
         # Beta(beta*T/2, beta*T/2): mean 1/2, variance 1/(4*(beta*T+1))
         beta, T, reps = 2.0, 1.0, 20_000
         mids = bridge_rows(np.random.default_rng(42), np.array([[beta * T / 2]]),
-                           np.ones(reps), 2)[:, 0]
+                           np.ones(reps), 2)[0][:, 0]
         mean_se = mids.std() / math.sqrt(reps)
         assert abs(mids.mean() - 0.5) < 3 * mean_se
         target_var = 1.0 / (4.0 * (beta * T + 1.0))
@@ -212,11 +212,12 @@ class TestRoundTrip:
 
 class TestRowKernels:
     def test_pin_rows_flags_zero_rows(self):
+        # a flagged row takes its whole target on its largest entry, the first of a zero row
         raw = np.array([[1.0, 3.0], [0.0, 0.0], [0.0, 2.0]])
-        pinned, degenerate = pin_rows(raw, np.array([2.0, 5.0, 1.0]))
-        assert degenerate.tolist() == [False, True, False]
+        pinned, flagged = pin_rows(raw, np.array([2.0, 5.0, 1.0]))
+        assert flagged.tolist() == [False, True, False]
         assert pinned[0].tolist() == [0.5, 1.5]
-        assert pinned[1].tolist() == [0.0, 0.0]
+        assert pinned[1].tolist() == [5.0, 0.0]
         assert pinned[2].tolist() == [0.0, 1.0]
 
     def test_pin_rows_is_exactly_raw_times_target_over_total(self):
@@ -228,15 +229,16 @@ class TestRowKernels:
         targets = rng.uniform(0.1, 5.0, size=50)
         before = raw.copy()
         with warnings.catch_warnings():
-            warnings.simplefilter("error")      # the zero row divides by 1, not 0
-            pinned, degenerate = pin_rows(raw, targets)
+            warnings.simplefilter("error")      # the zero row forms no 0/0
+            pinned, flagged = pin_rows(raw, targets)
         live = np.arange(50) != 3
         expected = raw[live] * targets[live, None] / raw[live].sum(axis=1, keepdims=True)
         assert np.array_equal(pinned[live], expected)
-        assert pinned[3].tolist() == [0.0] * 7
-        assert np.array_equal(pinned == 0.0, raw == 0.0)     # zeros stay zeros, and only they
+        assert pinned[3].tolist() == [targets[3]] + [0.0] * 6
+        # zeros stay zeros, and only they
+        assert np.array_equal(pinned[live] == 0.0, raw[live] == 0.0)
         assert 0.0 < pinned[5, 0] < pinned[5, 1] < np.finfo(float).tiny
-        assert np.flatnonzero(degenerate).tolist() == [3]
+        assert np.flatnonzero(flagged).tolist() == [3]
         assert np.array_equal(raw, before)
 
     def test_pin_rows_flags_rows_too_small_to_pin(self):
@@ -247,9 +249,12 @@ class TestRowKernels:
         raw = np.array([[1e-320, 0.0, 3e-321], [4 * tiny, 0.0, 4 * tiny],
                         [4 * tiny, 0.0, 4 * tiny], [1e-300, 2e-300, 0.0]])
         targets = np.array([2.7, 0.1, 0.2, 2.7])
-        pinned, degenerate = pin_rows(raw, targets)
-        assert degenerate.tolist() == [True, True, False, False]
-        assert np.array_equal(pinned[:2], raw[:2] * targets[:2, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pinned, flagged = pin_rows(raw, targets)
+        assert flagged.tolist() == [True, True, False, False]
+        # each flagged row's whole target on its largest entry, the first of a tie
+        assert pinned[:2].tolist() == [[2.7, 0.0, 0.0], [0.1, 0.0, 0.0]]
         assert np.all(np.abs(pinned[2:].sum(axis=1) - targets[2:]) <= 1e-15 * targets[2:])
 
     def test_scalar_and_array_parameters_draw_the_same_variates(self):
@@ -291,16 +296,17 @@ class TestRowKernels:
         targets = inc.sum(axis=1)
         for h in (np.float64(0.25), np.full((20, 1), 0.25), np.linspace(0.1, 0.5, 20)[:, None]):
             full = np.broadcast_to(h, inc.shape)
-            bridge, _ = pin_rows(gen().gamma(0.7 * full), targets)
-            assert np.array_equal(bridge_rows(gen(), 0.7 * h, targets, 5), bridge)
+            bridge, flagged = pin_rows(gen().gamma(0.7 * full), targets)
+            drawn = bridge_rows(gen(), 0.7 * h, targets, 5)
+            assert np.array_equal(drawn[0], bridge) and np.array_equal(drawn[1], flagged)
             up = inc + gen().gamma((1.6 - 1.0) * full, scale=1.0 / 2.0)
             assert np.array_equal(augment_rows(gen(), inc, h, 1.0, 1.6, 2.0), up)
             down = inc * gen().beta(0.4 * full, (1.0 - 0.4) * full)
             assert np.array_equal(thin_rows(gen(), inc, h, 1.0, 0.4), down)
 
-    def test_bridge_rows_redraws_only_the_degenerate_row(self):
-        class FirstDrawRowZero:
-            """Real Gamma draws, except that row 1 of the first draw is all zeros."""
+    def test_bridge_rows_is_one_draw_and_one_pin(self):
+        class FirstRowZero:
+            """Real Gamma draws, except that row 1 is all zeros."""
 
             def __init__(self):
                 self.rng = np.random.default_rng(5)
@@ -308,34 +314,26 @@ class TestRowKernels:
 
             def gamma(self, shape, size):
                 out = self.rng.gamma(shape, size=size)
-                if not self.draws:
-                    out[1] = 0.0
+                out[1] = 0.0
                 self.draws.append(out.copy())
                 return out
 
-        rng = FirstDrawRowZero()
+        rng = FirstRowZero()
         targets = np.array([1.0, 2.0, 3.0])
-        out = bridge_rows(rng, np.full((3, 4), 0.5), targets, 4)
-        assert [d.shape for d in rng.draws] == [(3, 4), (1, 4)]
-        kept, _ = pin_rows(rng.draws[0][[0, 2]], targets[[0, 2]])
-        assert np.array_equal(out[[0, 2]], kept)
-        redrawn, _ = pin_rows(rng.draws[1], targets[[1]])
-        assert np.array_equal(out[[1]], redrawn)
-        assert np.allclose(out.sum(axis=1), targets, rtol=1e-14, atol=0)
-        assert np.all(out > 0)
+        pinned, flagged = bridge_rows(rng, np.full((3, 4), 0.5), targets, 4)
+        assert [d.shape for d in rng.draws] == [(3, 4)]
+        expected, expected_flags = pin_rows(rng.draws[0], targets)
+        assert np.array_equal(pinned, expected) and np.array_equal(flagged, expected_flags)
+        assert flagged.tolist() == [False, True, False]
+        assert pinned[1].tolist() == [2.0, 0.0, 0.0, 0.0]
 
-    def test_bridge_rows_gives_up_after_100_redraws(self):
-        class AllZero:
-            calls = 0
-
-            def gamma(self, shape, size):
-                self.calls += 1
-                return np.zeros(size)
-
-        rng = AllZero()
+    def test_sample_gamma_bridge_raises_on_an_unpinnable_draw(self):
+        # Gamma shape 1e-6: every draw underflows to 0, and the one-row view
+        # raises at once rather than drawing again
+        grid = TimeGrid([0.0, 1.0], m=2)
+        assert not as_generator(0).gamma(0.5e-6, size=2).any()
         with pytest.raises(DegeneratePathError):
-            bridge_rows(rng, np.full((2, 3), 0.5), np.array([1.0, 1.0]), 3)
-        assert rng.calls == 1 + 100
+            sample_gamma_bridge(1e-6, 1.0, grid, 1.0, 0)
 
     def test_path_functions_are_one_row_views(self):
         grid = TimeGrid([0.0, 1.0, 3.0], m=4)
@@ -346,7 +344,7 @@ class TestRowKernels:
         assert np.array_equal(augment_path(inc, grid, 1.5, 2.5, 2.0, 4), up[0])
         down = thin_rows(as_generator(5), row, h, 1.5, 0.5)
         assert np.array_equal(thin_path(inc, grid, 1.5, 0.5, 5), down[0])
-        bridge = bridge_rows(as_generator(6), 1.5 * h[None, :], np.array([2.0]), h.size)
+        bridge, _ = bridge_rows(as_generator(6), 1.5 * h[None, :], np.array([2.0]), h.size)
         assert np.array_equal(sample_gamma_bridge(1.5, 2.0, grid, 2.0, 6), bridge[0])
         pinned, _ = pin_rows(row, np.array([2.0]))
         assert np.array_equal(gamma_bridge(inc, 2.0), pinned[0])
