@@ -78,7 +78,8 @@ def cmd_ingest(args) -> int:
     with open(args.out, "w") as fh:
         write_observations_csv(obs, fh)
     print(f"wrote {args.out}: {report.n_windows} windows from {report.n_rows} rows "
-          f"({report.n_merged_windows} merged, {report.n_rejected} rejected)")
+          f"({report.n_merged_windows} merged, {report.n_rejected} rejected, "
+          f"{report.n_dropped} dropped after the last positive window)")
     if report.rejected_lines:
         print(f"rejected lines (loss < 1): {report.rejected_lines}", file=sys.stderr)
     print(report.boundary_note)

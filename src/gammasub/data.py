@@ -157,6 +157,7 @@ class IngestReport:
     rejected_lines: list = field(default_factory=list)
     n_windows: int = 0
     n_merged_windows: int = 0
+    n_dropped: int = 0          # rows of loss 1 after the last positive window
     boundary_note: str = ""
 
 
@@ -188,7 +189,10 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
     which math.fsum rounds once.  A window with no contribution is merged
     forward into the next non-empty one, so every emitted increment is
     strictly positive.  Times are measured in weeks.  Rows with loss < 1 are
-    rejected (their log would be non-positive) and reported, not fatal.
+    rejected (their log would be negative) and reported, not fatal; a loss
+    of 1 adds log 1 = 0.  Rows after the last positive window, whose logs
+    are all 0, have no window to merge into: they are dropped and counted
+    (n_dropped), and the boundary note says on which Sunday the series ends.
     """
     weeks = _period_weeks(aggregation)
     report = IngestReport()
@@ -211,23 +215,28 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
 
     times = [0.0]
     increments = []
-    pending_weeks = 0
+    pending_weeks = pending_rows = 0
     pending_sum = 0.0
     for idx in range(max(by_window) + 1):
+        logs = by_window.get(idx, ())
         pending_weeks += weeks
-        pending_sum += math.fsum(by_window.get(idx, ()))
+        pending_rows += len(logs)
+        pending_sum += math.fsum(logs)
         if pending_sum > 0.0:
             times.append(times[-1] + pending_weeks)
             increments.append(pending_sum)
             if pending_weeks > weeks:
                 report.n_merged_windows += 1
-            pending_weeks = 0
+            pending_weeks = pending_rows = 0
             pending_sum = 0.0
         # empty window: merge forward into the next one
     report.n_windows = len(increments)
+    report.n_dropped = pending_rows
+    series_end = anchor + timedelta(weeks=times[-1], days=-1)
     report.boundary_note = (
         f"boundary windows kept as-is: first window starts Monday {anchor.isoformat()}, "
-        f"first loss on {first_day.isoformat()}, last loss on {last_day.isoformat()}"
+        f"first loss on {first_day.isoformat()}, last loss on {last_day.isoformat()}, "
+        f"series ends Sunday {series_end.isoformat()}"
     )
     return Observations.from_increments(np.asarray(times), np.asarray(increments)), report
 

@@ -48,8 +48,8 @@ The state (ChainState) holds each fact of the chain once and nothing of the
 sweep: the current parameters as a likelihood.ParamTerms of Python floats
 with their log prior, and the bin totals as float lists.  What the data
 and the edges fix for the chain it computes once, as read-only constants
-the moves read: T, the block's targets and sub-step spans, the edges as an
-array and, per refresh batch size, _draw_ahead's tiles of the first two.
+the moves read: T, the block's targets and sub-step spans, which a refresh
+batch's (k, n_active, m) stack reads as they are, and the edges as an array.
 
 The refresh returns its path acceptance rate and each parameter move its
 (accepted, log ratio); run_mcmc builds each sweep's ChainRecord from the
@@ -152,7 +152,9 @@ class ProposalSpec:
 @dataclass(slots=True)
 class ChainRecord:
     """One sweep's parameters, its refresh's path acceptance rate and the accept
-    flag and log ratio its move returned; the stage not run has None and NaN."""
+    flag and log ratio its move returned; the stage not run has None and NaN.
+    path_unpinnable counts the refresh's proposal rows too small to pin, which
+    it rejected; chain.csv does not hold it, so read_chain_csv gives 0."""
 
     iteration: int
     alpha: float
@@ -164,6 +166,7 @@ class ChainRecord:
     accept_beta: bool | None = None
     logr_params: float = math.nan
     logr_beta: float = math.nan
+    path_unpinnable: int = 0
 
     def to_params(self, bin_edges) -> ModelParams:
         """The record's parameters as a ModelParams sharing the record's theta
@@ -224,11 +227,11 @@ class ChainState:
     # each one float when all are equal
     block_spans: np.ndarray | float = field(init=False)
     block_sub_spans: np.ndarray | float = field(init=False)
-    # _draw_ahead's k-fold (targets, block_sub_spans) per batch size k, made at k's first batch
-    ahead_tiles: dict = field(init=False)
     # proposals drawn ahead (refresh_segments): one (beta, proposal, stats,
-    # ln U) tuple per coming refresh, the next one last
+    # ln U, flagged rows) tuple per coming refresh, the next one last
     drawn: list = field(default_factory=list, init=False)
+    # the last refresh's proposal rows too small to pin, which it rejected
+    path_unpinnable: int = field(default=0, init=False)
     # parameter steps drawn ahead (update_params): one (2N+1 standard normals,
     # ln U) pair per coming step, the next one last
     walk: list = field(default_factory=list, init=False)
@@ -251,7 +254,6 @@ class ChainState:
         self.block_tolerance = _read_only(endpoint_tolerance(self.targets))
         self.block_spans = _read_only(_one_value(spans[active]))
         self.block_sub_spans = _read_only(_one_value((spans[active] / self.grid.m)[:, None]))
-        self.ahead_tiles = {}
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
         self.span_total = float(spans.sum())
         distinct, counts = np.unique(spans, return_counts=True)
@@ -359,7 +361,7 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     rng_path, rng_accept, rng_params, rng_beta = _make_rngs(seed)
     deltas = obs.increments
     shapes = _one_value(params0.beta * (grid.spans / grid.m)[:, None])
-    increments, _ = bridge_rows(rng_path, shapes, deltas, grid.m)
+    increments, _ = bridge_rows(rng_path, shapes, deltas, (deltas.size, grid.m))
     stats = np.concatenate(bin_stats_matrix(increments, params0.bin_edges), axis=1)
     return ChainState(
         terms=ParamTerms.of(params0), obs=obs, grid=grid,
@@ -382,7 +384,9 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     which segments are visited.  A proposal row too small to pin
     (bridge_rows' flag) is rejected.
     The proposal is drawn, scored and written on the active block, whose
-    accepted rows are overwritten in place (ChainState.write_block).
+    accepted rows are overwritten in place (ChainState.write_block).  The
+    count of flagged rows goes to ChainState.path_unpinnable, which run_mcmc
+    copies into the sweep's ChainRecord.
 
     sweeps is the number of refreshes, this one first, that share its beta.
     Proposals and uniforms read nothing else a move changes, and rng_path
@@ -403,11 +407,12 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
         return 1.0
     if not state.drawn:
         state.drawn = _draw_ahead(state, sweeps)
-    beta, proposal, stats, log_u = state.drawn.pop()
+    beta, proposal, stats, log_u, unpinnable = state.drawn.pop()
     terms = state.terms
     if beta != terms.beta:
         raise ContractError(f"refresh at sweep {state.iteration} found proposals drawn at "
                             f"beta {beta!r}, but beta is {terms.beta!r}")
+    state.path_unpinnable = unpinnable
     log_ratio = loglik_ratio_path(stats, state.block_stats, terms.slopes, terms.intercepts,
                                   state.block_tolerance)
     accepted = log_ratio >= log_u
@@ -421,28 +426,24 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
 def _draw_ahead(state: ChainState, sweeps: int) -> list:
     """ChainState.drawn for up to sweeps refreshes, drawn, pinned and binned at once.
 
-    k refreshes draw one bridge_rows matrix of k * n_active rows and
-    (k, n_active) uniforms, at most _AHEAD_STEPS sub-steps, and bin it into
-    one statistics matrix: the variates, in their order, that k single
-    refreshes would draw.  The rows' targets and sub-step spans are k copies
-    of the block's (a float span stays one float), made at k's first batch
-    and kept in ChainState.ahead_tiles: at most one entry per schedule
-    stage.  A flagged row's ln U is +inf, so its refresh keeps the row.
+    k refreshes draw one (k, n_active, m) bridge_rows stack, pinned against
+    the block's targets with Gamma shapes beta * block_sub_spans as they are
+    (a float or an (n_active, 1) column), and (k, n_active) uniforms, at
+    most _AHEAD_STEPS sub-steps, and bin its (k * n_active, m) view into one
+    statistics matrix: the variates, in their order, that k single
+    refreshes would draw.  A flagged row's ln U is +inf, so its refresh
+    keeps the row; each refresh's tuple ends with its count of them.
     """
     beta, m, n = state.terms.beta, state.grid.m, state.n_active
     k = max(1, min(sweeps, _AHEAD_STEPS // (n * m)))
-    tiles = state.ahead_tiles.get(k)
-    if tiles is None:
-        tiles = state.ahead_tiles[k] = tuple(
-            _read_only(np.concatenate([c] * k)) if np.ndim(c) else c
-            for c in (state.targets, state.block_sub_spans))
-    targets, sub_spans = tiles
-    proposals, flagged = bridge_rows(state.rng_path, beta * sub_spans, targets, m)
+    proposals, flagged = bridge_rows(state.rng_path, beta * state.block_sub_spans,
+                                     state.targets, (k, n, m))
     log_u = np.log(state.rng_accept.uniform(size=(k, n)))
-    log_u[flagged.reshape(k, n)] = np.inf
-    stats = np.concatenate(bin_stats_matrix(proposals, state.edge_array), axis=1)
-    return list(zip([beta] * k, proposals.reshape(k, n, m), stats.reshape(k, n, -1),
-                    log_u))[::-1]
+    log_u[flagged] = np.inf
+    stats = np.concatenate(bin_stats_matrix(proposals.reshape(k * n, m), state.edge_array),
+                           axis=1)
+    return list(zip([beta] * k, proposals, stats.reshape(k, n, -1), log_u,
+                    flagged.sum(1).tolist()))[::-1]
 
 
 def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, intercepts,
@@ -656,7 +657,7 @@ def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, grid):
         if t > burn_in:
             terms = state.terms
             yield ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
-                              path_rate, *outcome)
+                              path_rate, *outcome, state.path_unpinnable)
 
 
 def _fmt_opt_bool(v: bool | None) -> str:
@@ -744,21 +745,24 @@ class MoveTally:
     those that accepted, and those whose ratio was -inf: rejected before a
     ratio was formed (outside the model's domain or the prior's support,
     or, for the beta move, a collapsed segment).  add reads the accept and
-    logr fields a ChainRecord has.  n_segments and n_active, the chain's
-    segment count and active_segments' count, give the path rate of the
-    active rows alone; a tally not given them reports that rate as None.
+    logr fields a ChainRecord has, and path_unpinnable sums its count of
+    refresh proposals too small to pin.  n_segments and n_active, the
+    chain's segment count and active_segments' count, give the path rate of
+    the active rows alone; a tally not given them reports that rate as None.
     """
 
     n_segments: int = 0
     n_active: int = 0
     sweeps: int = 0
     path_rate_sum: float = 0.0
+    path_unpinnable: int = 0
     params: list = field(default_factory=lambda: [0, 0, 0])  # attempted, accepted, -inf
     beta: list = field(default_factory=lambda: [0, 0, 0])
 
     def add(self, r: ChainRecord) -> None:
         self.sweeps += 1
         self.path_rate_sum += r.accept_path_rate
+        self.path_unpinnable += r.path_unpinnable
         for counts, flag, logr in ((self.params, r.accept_params, r.logr_params),
                                    (self.beta, r.accept_beta, r.logr_beta)):
             if flag is not None:
@@ -785,6 +789,7 @@ class MoveTally:
 
         return {"path_refresh_mean_rate": self.path_mean_rate,
                 "path_refresh_active_rate": self.path_active_rate,
+                "path_refresh_unpinnable": self.path_unpinnable,
                 "params_rate": rate(self.params), "beta_rate": rate(self.beta),
                 "params_domain_rejects": self.params[2], "beta_domain_rejects": self.beta[2]}
 

@@ -102,7 +102,7 @@ def _step_spans(grid: TimeGrid) -> np.ndarray:
 # must keep the chain bit for bit, which means three rules.  Same draws: the
 # same Generator methods, called in the same order with the same sizes.  Same
 # reduction order: a float total keeps its numpy reduction (pin_rows' row
-# sums, np.add.reduce(raw, 1), which is what raw.sum(axis=1) runs, and
+# sums, np.add.reduce(raw, -1), which is what raw.sum(axis=-1) runs, and
 # bincount's accumulation), because its rounding feeds every later
 # acceptance ratio.  Python floats out: what reaches a ChainRecord is
 # a Python float or int (int(np.count_nonzero(...)), never the numpy scalar),
@@ -123,42 +123,44 @@ def _one_value(p: np.ndarray):
 
 
 def pin_rows(raw: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale each row of raw to sum to its target; returns (pinned, flagged).
+    """Rescale each row of raw, (..., m), to sum to its target; returns (pinned, flagged).
 
+    targets' shape ends raw's leading shape, which flagged has: (n,) for
+    (n, m) rows or a (k, n, m) batch, whose rows pin as they would alone.
     A pinned row is exactly raw * target / total, so zero and subnormal
     entries stay as small as the draw made them, and the row sums to its
     target to within accumulation ulp while total * target is a normal float
     (a subnormal product is then off by 2**-1075, a relative 2**-53 of the
-    sum).  A row below that, a zero row among them, cannot be pinned so: it
-    is flagged and gets its whole target on its largest raw entry (the
-    first, when all are zero), a valid path for a caller that rejects it.
-    raw is not modified.
+    sum).  A row below that, a zero row among them, is flagged and gets its
+    whole target on its largest raw entry (the first, when all are zero), a
+    valid path for a caller that rejects it.  raw is not modified.
     """
-    total = np.add.reduce(raw, 1, keepdims=True)    # raw.sum(axis=1), without its wrapper
-    flagged = total[:, 0] * targets < _TINY
-    pinned = raw * targets[:, None]
+    total = np.add.reduce(raw, -1, keepdims=True)   # raw.sum(axis=-1), without its wrapper
+    flagged = total[..., 0] * targets < _TINY
+    pinned = raw * targets[..., None]
     if np.count_nonzero(flagged):
-        rows = np.flatnonzero(flagged)
+        rows = np.nonzero(flagged)
         total[rows] = 1.0
         pinned[rows] = 0.0
-        pinned[rows, raw[rows].argmax(axis=1)] = targets[rows]
+        pinned[rows + (raw[rows].argmax(axis=-1),)] = targets[rows[flagged.ndim - targets.ndim:]]
     pinned /= total
     return pinned, flagged
 
 
-def bridge_rows(rng: np.random.Generator, shapes: np.ndarray, targets: np.ndarray,
-                m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma bridge increments, (rows, m), with Gamma shapes `shapes`, rows
-    summing to targets; returns pin_rows' (pinned, flagged).
+def bridge_rows(rng: np.random.Generator, shapes, targets: np.ndarray,
+                shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma bridge increments of shape `shape`, (..., m), with Gamma shapes
+    `shapes`, rows summing to targets; returns pin_rows' (pinned, flagged).
 
     shapes is a scalar or broadcasts against the output: (rows, 1) for one
-    shape per row, or (rows, m).  It is drawn from as given: a caller whose
-    shapes are all one value passes that value (_one_value), which draws the
-    same variates faster.  The bridge is scale free, so the driving
-    increments are drawn with unit scale.  A flagged row is no bridge draw:
-    a proposal rejects it, so the bridge law holds on the rows it keeps.
+    shape per row, or (rows, m); a (k, n, m) batch draws the variates of k
+    (n, m) calls in turn.  It is drawn from as given: a caller whose shapes
+    are all one value passes that value (_one_value), which draws the same
+    variates faster.  The bridge is scale free, so the driving increments
+    are drawn with unit scale.  A flagged row is no bridge draw: a proposal
+    rejects it, so the bridge law holds on the rows it keeps.
     """
-    return pin_rows(rng.gamma(shape=shapes, size=(targets.size, m)), targets)
+    return pin_rows(rng.gamma(shape=shapes, size=shape), targets)
 
 
 def augment_rows(rng: np.random.Generator, increments: np.ndarray, h,
@@ -214,7 +216,7 @@ def sample_gamma_bridge(beta: float, alpha: float, grid: TimeGrid, total: float,
         raise DomainError("beta and alpha must be finite and > 0")
     targets = _check_total(total)
     h = _step_spans(grid)
-    pinned, flagged = bridge_rows(as_generator(seed), beta * h[None, :], targets, h.size)
+    pinned, flagged = bridge_rows(as_generator(seed), beta * h[None, :], targets, (1, h.size))
     if flagged[0]:
         raise DegeneratePathError("bridge draw too small to pin; increase refinement or beta*h")
     return pinned[0]

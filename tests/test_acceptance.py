@@ -83,14 +83,14 @@ def test_03_bridge_endpoints_and_midpoint_law():
         b = a + float(rng.uniform(0.1, 5.0))
         beta = float(rng.uniform(0.5, 3.0))
         rng.uniform(0.5, 3.0)                   # alpha: the bridge is scale free
-        row, _ = bridge_rows(rng, np.array([[beta * (T / m)]]), np.array([b - a]), m)
+        row, _ = bridge_rows(rng, np.array([[beta * (T / m)]]), np.array([b - a]), (1, m))
         worst = max(worst, abs(row.sum() - (b - a)) / (b - a))
     pinned = worst <= 1e-13
 
     beta, T, reps = 2.0, 1.0, 100_000
     # each row is one 0 -> 1 bridge on two sub-steps of Gamma shape beta * T / 2
     mids = bridge_rows(np.random.default_rng(42), np.array([[beta * T / 2]]),
-                       np.ones(reps), 2)[0][:, 0]
+                       np.ones(reps), (reps, 2))[0][:, 0]
     se_mean = mids.std() / math.sqrt(reps)
     mean_ok = abs(mids.mean() - 0.5) < 3 * se_mean
     target_var = 1.0 / (4.0 * (beta * T + 1.0))

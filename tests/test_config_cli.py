@@ -586,7 +586,7 @@ class TestCliRoundTrip:
         assert capsys.readouterr().err == "error: chain file holds no records\n"
         assert not fig.exists()
 
-    def test_ingest_cli(self, tmp_path):
+    def test_ingest_cli(self, tmp_path, capsys):
         losses = tmp_path / "losses.csv"
         losses.write_text(
             "date,loss\n"
@@ -597,6 +597,10 @@ class TestCliRoundTrip:
         out = tmp_path / "obs.csv"
         rc = main(["ingest", str(losses), "--out", str(out)])
         assert rc == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == (f"wrote {out}: 2 windows from 3 rows (0 merged, 0 rejected, "
+                              "0 dropped after the last positive window)")
+        assert printed[1].endswith("series ends Sunday 2020-01-19")
         from gammasub.data import read_observations_csv
         obs = read_observations_csv(out)
         assert obs.values == pytest.approx([0.0, 3.0, 4.0])

@@ -199,6 +199,22 @@ class TestIngest:
             assert report.boundary_note.startswith(
                 "boundary windows kept as-is: first window starts Monday 2020-01-06")
 
+    def test_trailing_rows_of_loss_one_are_counted_as_dropped(self):
+        # log 1 = 0: the rows of weeks 2 and 3 have no positive window to merge
+        # into, so the series ends with week 0, and the report says so
+        text = "date,loss\n2020-01-06,5\n2020-01-21,1\n2020-01-28,1\n"
+        obs, report = ingest_text(text)
+        assert obs.times.tolist() == [0.0, 1.0]
+        assert obs.increments.tolist() == [math.log(5.0)]
+        assert (report.n_rows, report.n_rejected, report.n_dropped) == (3, 0, 2)
+        assert report.boundary_note.endswith(
+            "last loss on 2020-01-28, series ends Sunday 2020-01-12")
+        # a loss of 1 inside the series is kept in its window, and nothing is dropped
+        obs, report = ingest_text(text + "2020-02-03,2\n")
+        assert obs.times.tolist() == [0.0, 1.0, 5.0]
+        assert report.n_dropped == 0 and report.n_merged_windows == 1
+        assert report.boundary_note.endswith("series ends Sunday 2020-02-09")
+
     def test_biweekly_windows(self):
         text = ("date,loss\n"
                 "2020-01-06,%r\n"

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -237,7 +238,7 @@ class TestRefreshSegments:
         old_totals = (state.total_sums, state.total_counts)
         # the twin stream draws the same block: the active segments' bridges
         proposal, _ = bridge_rows(twin.rng_path, params.beta * sub_spans(twin)[active],
-                                  twin.obs.increments[active], twin.m)
+                                  twin.obs.increments[active], (active.size, twin.m))
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
         state.rng_accept = Reject()
         rate = g.refresh_segments(state)
@@ -269,7 +270,7 @@ class TestRefreshSegments:
 
             def gamma(self, shape, size):
                 out = self.gen.gamma(shape, size=size)
-                out[1, 0] = np.nan
+                out[..., 1, 0] = np.nan       # in a (rows, m) draw, and in each matrix of a batch
                 return out
 
         state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=13)
@@ -292,6 +293,7 @@ class TestRefreshSegments:
         others = state.increments[state.active].copy()
         state.rng_path, state.rng_accept = ZeroRow(state.rng_path, 1), AcceptAll()
         assert g.refresh_segments(state) == (state.n_segments - 1) / state.n_segments
+        assert state.path_unpinnable == 1
         for got, before in zip((state.increments, state.seg_sums, state.seg_counts), kept):
             assert np.array_equal(got[row], before)
         moved = state.increments[state.active] != others
@@ -316,7 +318,7 @@ class ZeroRow:
 
     def gamma(self, shape, size):
         out = self.gen.gamma(shape, size=size)
-        out[self.row] = 0.0
+        out[..., self.row, :] = 0.0     # in a (rows, m) draw, and in each matrix of a batch
         return out
 
 
@@ -388,7 +390,7 @@ def full_refresh(state):
     """The refresh as it ran before inert segments were skipped: one block of every row."""
     params = state.params
     proposal, flagged = bridge_rows(state.rng_path, params.beta * sub_spans(state),
-                                    state.obs.increments, state.m)
+                                    state.obs.increments, (state.n_segments, state.m))
     sums, counts = bin_stats_matrix(proposal, params.bin_edges)
     log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
                            params.theta_slopes, params.theta_intercepts)
@@ -412,7 +414,7 @@ def refresh_all_from(rng_inert):
         proposal, flagged = np.empty_like(state.increments), np.empty(state.n_segments, bool)
         for rows, stream in ((active, state.rng_path), (inert, rng_inert)):
             proposal[rows], flagged[rows] = bridge_rows(stream, shapes[rows], deltas[rows],
-                                                        state.m)
+                                                        (rows.size, state.m))
         sums, counts = bin_stats_matrix(proposal, params.bin_edges)
         log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
                                params.theta_slopes, params.theta_intercepts)
@@ -562,7 +564,7 @@ class TestActiveSegments:
         for _ in range(300):
             # the full refresh's proposal for every segment
             proposal, _ = bridge_rows(state.rng_path, params.beta * sub_spans(state),
-                                      state.obs.increments, state.m)
+                                      state.obs.increments, (state.n_segments, state.m))
             sums, counts = bin_stats_matrix(proposal, params.bin_edges)
             log_ratio = path_ratio(sums, counts, state.seg_sums, state.seg_counts,
                                    params.theta_slopes, params.theta_intercepts)
@@ -582,7 +584,7 @@ class TestActiveSegments:
         moved = 0
         for _ in range(20):
             g.refresh_segments(state)
-            assert state.rng_path.draws == [("gamma", (self.n_active, state.m))]
+            assert state.rng_path.draws == [("gamma", (1, self.n_active, state.m))]
             assert state.rng_accept.draws == [("uniform", (1, self.n_active))]
             state.rng_path.draws.clear()
             state.rng_accept.draws.clear()
@@ -692,7 +694,7 @@ class TestDrawAhead:
         n = mcmc.active_segments(obs.increments, params0.bin_edges).size
         assert n == 24      # so 4096 // (24 * 5) = 34 sweeps per batch
         # the third batch serves sweeps 69-100 and draws those of 101 and 102 too
-        assert draws == [("gamma", (34 * n, 5)), ("uniform", (34, n))] * 3
+        assert draws == [("gamma", (34, n, 5)), ("uniform", (34, n))] * 3
         assert recs == list(run_with(g.refresh_segments, obs, params0, self.prior,
                                      g.ProposalSpec(), 100, 17, 5))
         assert min(r.accept_path_rate for r in recs) < 1.0
@@ -707,8 +709,8 @@ class TestDrawAhead:
         n = 24
         # sweep 1 is a beta stage; then sweeps 2-4, 5-7, 8-10 and 11-13 share a
         # beta, and the last batch is drawn whole though the run ends at 11
-        one = [("gamma", (n, 5)), ("uniform", (1, n))]
-        three = [("gamma", (3 * n, 5)), ("uniform", (3, n))]
+        one = [("gamma", (1, n, 5)), ("uniform", (1, n))]
+        three = [("gamma", (3, n, 5)), ("uniform", (3, n))]
         assert draws == one + three * 4
         assert recs == list(run_with(g.refresh_segments, obs, params0, prior, prop, 11, 17, 5))
         assert len({r.beta for r in recs}) > 1
@@ -729,7 +731,7 @@ class TestDrawAhead:
         assert state.active.size * state.m > 2048
         state.rng_path, state.rng_accept = Recording(state.rng_path), Recording(state.rng_accept)
         g.refresh_segments(state, 50)
-        assert state.rng_path.draws == [("gamma", (state.active.size, 10))]
+        assert state.rng_path.draws == [("gamma", (1, state.active.size, 10))]
         assert state.drawn == []
 
 
@@ -1775,7 +1777,6 @@ class TestChainIo:
         recs = self.make_records()
         buf = io.StringIO()
         write_meta_json(buf, config_echo={"alpha_init": "1.0"}, records=recs)
-        import json
         meta = json.loads(buf.getvalue())
         assert meta["config"]["alpha_init"] == "1.0"
         assert meta["n_records"] == len(recs)
@@ -1792,6 +1793,12 @@ class TestChainIo:
         assert tally.path_active_rate == pytest.approx(1 - 4 / 12, rel=1e-14)
         assert mcmc.MoveTally(n_segments=10, n_active=0).path_active_rate is None
         assert mcmc.MoveTally(n_segments=10, n_active=4).path_active_rate is None
+
+    def test_tally_sums_the_unpinnable_proposals(self):
+        tally = mcmc.MoveTally()
+        for unpinnable in (0, 2, 5):
+            tally.add(mcmc.ChainRecord(1, 1.0, 1.0, (), (), 0.5, path_unpinnable=unpinnable))
+        assert tally.acceptance()["path_refresh_unpinnable"] == 7
 
 
 class TestGammaExactness:
@@ -1959,6 +1966,34 @@ def test_a_longer_run_extends_a_shorter_one(workload):
         assert short == long[:len(short)], iterations
 
 
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="counts of the pinned chains' draws")
+def test_meta_json_counts_the_unpinnable_refresh_proposals(tmp_path):
+    # CI's tiny-shape fit (Gamma shape beta*h/m = 3e-3) draws proposal rows
+    # too small to pin, in its 60 burn-in sweeps and in its 540 kept ones;
+    # the benchmark's mixture chain, whose meta.json comes from its records
+    # alone, draws none
+    from gammasub.cli import main
+    (tmp_path / "cut.cfg").write_text(_PIN_TINY_SHAPE)
+    obs = str(tmp_path / "obs.csv")
+    assert main(["simulate", "--n", "400", "--horizon", "400", "--seed", "5", "--out", obs]) == 0
+    assert main(["fit", "--config", str(tmp_path / "cut.cfg"), "--observations", obs,
+                 "--iterations", "600", "--burn-in", "60", "--seed", "11",
+                 "--out-dir", str(tmp_path / "fit")]) == 0
+    meta = json.loads((tmp_path / "fit" / "meta.json").read_text())
+    assert meta["acceptance"]["path_refresh_unpinnable"] == 702
+    assert meta["burn_in_acceptance"]["path_refresh_unpinnable"] == 76
+    # chain.csv does not hold the count: what read_chain_csv gives back is 0
+    with open(tmp_path / "fit" / "chain.csv") as fh:
+        assert {r.path_unpinnable for r in read_chain_csv(fh)} == {0}
+
+    obs, cfg = pin_inputs("mixture", 7)
+    recs = list(g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=300,
+                           burn_in=0, seed=[7, 1], m=cfg.refinement))
+    buf = io.StringIO()
+    write_meta_json(buf, config_echo={}, records=recs)
+    assert json.loads(buf.getvalue())["acceptance"]["path_refresh_unpinnable"] == 0
+
+
 def pinned_state(workload, seed=7):
     """init_chain's state on a benchmark workload or CI's tiny-shape fit, with
     its config, as pinned_chain_text runs it."""
@@ -2070,12 +2105,9 @@ class TestChainConstants:
     ARRAYS = ("targets", "edge_array", "block_tolerance")
 
     def constants(self, state):
-        """Every constant array of the state, the drawn-ahead tiles among them."""
+        """Every constant array of the state."""
         arrays = [getattr(state, name) for name in self.ARRAYS]
-        arrays += [a for a in (state.block_spans, state.block_sub_spans) if np.ndim(a)]
-        for targets, sub in state.ahead_tiles.values():
-            arrays += [targets] + ([sub] if np.ndim(sub) else [])
-        return arrays
+        return arrays + [a for a in (state.block_spans, state.block_sub_spans) if np.ndim(a)]
 
     def run(self, state, cfg, sweeps, check):
         """Sweeps as run_mcmc runs them, check() after every move; returns the
@@ -2111,15 +2143,13 @@ class TestChainConstants:
         assert np.array_equal(state.block_spans, paths._one_value(state.grid.spans[active]))
         assert np.array_equal(state.block_sub_spans,
                               paths._one_value((state.grid.spans[active] / state.m)[:, None]))
-        assert state.ahead_tiles == {}
 
     def test_each_constant_rejects_an_in_place_write(self):
         state, _ = pinned_state("mixture")
         g.refresh_segments(state, mcmc._AHEAD_STEPS)
         arrays = self.constants(state)
-        # targets, edges, tolerance, the spans, the sub-step span column and one
-        # batch's two tiles
-        assert len(arrays) == 7
+        # targets, edges, tolerance, the spans and the sub-step span column
+        assert len(arrays) == 5
         for a in arrays:
             before = a.copy()
             with pytest.raises(ValueError, match="read-only"):
@@ -2130,41 +2160,40 @@ class TestChainConstants:
     def test_every_move_keeps_the_same_constants(self, workload):
         state, cfg = pinned_state(workload)
         g.refresh_segments(state, 2)
-        names = ("horizon", "n_active", "block_spans", "block_sub_spans",
-                 "ahead_tiles") + self.ARRAYS
+        names = ("horizon", "n_active", "block_spans", "block_sub_spans") + self.ARRAYS
         objects = {name: getattr(state, name) for name in names}
-        tiles = dict(state.ahead_tiles)
         values = [a.copy() for a in self.constants(state)]
 
         def check():
             for name, obj in objects.items():
                 assert getattr(state, name) is obj, name
-            for k, pair in tiles.items():
-                assert all(a is b for a, b in zip(state.ahead_tiles[k], pair))
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(self.constants(state)[:len(values)], values))
+            assert all(np.array_equal(a, b) for a, b in zip(self.constants(state), values))
 
         accepted = self.run(state, cfg, 200, check)
         assert workload == "mixture" or accepted > 10
-        # a batch size's tiles are made at its first batch and kept: at most one
-        # per stage, and one for this test's first batch of two
-        assert len(state.ahead_tiles) <= len(cfg.proposal.update_schedule) + 1
 
     @pytest.mark.parametrize("workload", ["mixture", "beta_binned"])
-    def test_tiles_are_the_concatenated_targets_and_spans(self, workload):
+    def test_a_batch_pins_against_the_block_constants_themselves(self, workload, monkeypatch):
+        # a batch of k sweeps is one (k, n, m) bridge_rows stack on the block's
+        # targets and beta * sub-step spans as they are: no k-fold copy of either
         state, _ = pinned_state(workload)
         n, m = state.n_active, state.m
         cap = mcmc._AHEAD_STEPS // (n * m)
+        calls = []
+
+        def recorded(rng, shapes, targets, shape):
+            calls.append((shapes, targets, shape))
+            return bridge_rows(rng, shapes, targets, shape)
+
+        monkeypatch.setattr(mcmc, "bridge_rows", recorded)
         for sweeps in (1, 2, mcmc._AHEAD_STEPS):
             mcmc._draw_ahead(state, sweeps)
-        assert sorted(state.ahead_tiles) == [1, 2, cap] and cap > 2
+        assert [shape for _, _, shape in calls] == [(1, n, m), (2, n, m), (cap, n, m)] and cap > 2
         sub = state.block_sub_spans
-        for k, (targets, sub_tile) in state.ahead_tiles.items():
-            assert targets.tobytes() == np.concatenate([state.targets] * k).tobytes()
-            if np.ndim(sub):
-                assert sub_tile.tobytes() == np.concatenate([sub] * k).tobytes()
-            else:
-                assert sub_tile is sub
+        for shapes, targets, _ in calls:
+            assert targets is state.targets
+            assert np.shape(shapes) == np.shape(sub)
+            assert np.array_equal(shapes, state.terms.beta * sub)
         # mixture's spans differ in their last bits; beta_binned's are one float
         assert bool(np.ndim(sub)) == (workload == "mixture")
 
@@ -2174,7 +2203,7 @@ class TestChainConstants:
 
         def check():
             written = [state.block, state.block_stats]
-            for _, proposal, stats, log_u in state.drawn:
+            for _, proposal, stats, log_u, _ in state.drawn:
                 written += [proposal, stats, log_u]
             for a in written:
                 for c in self.constants(state):

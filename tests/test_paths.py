@@ -88,7 +88,7 @@ class TestGammaBridge:
         # Beta(beta*T/2, beta*T/2): mean 1/2, variance 1/(4*(beta*T+1))
         beta, T, reps = 2.0, 1.0, 20_000
         mids = bridge_rows(np.random.default_rng(42), np.array([[beta * T / 2]]),
-                           np.ones(reps), 2)[0][:, 0]
+                           np.ones(reps), (reps, 2))[0][:, 0]
         mean_se = mids.std() / math.sqrt(reps)
         assert abs(mids.mean() - 0.5) < 3 * mean_se
         target_var = 1.0 / (4.0 * (beta * T + 1.0))
@@ -257,6 +257,33 @@ class TestRowKernels:
         assert pinned[:2].tolist() == [[2.7, 0.0, 0.0], [0.1, 0.0, 0.0]]
         assert np.all(np.abs(pinned[2:].sum(axis=1) - targets[2:]) <= 1e-15 * targets[2:])
 
+    def test_a_batch_pins_as_its_matrices_one_at_a_time(self):
+        # a (k, n, m) batch against (n,) targets: each (n, m) matrix, a flagged
+        # row among them, pins to the bits of its own call, and the batch's
+        # Gamma draw takes the variates of k (n, m) draws in turn
+        def gen():
+            return np.random.Generator(np.random.Philox(23))
+
+        targets = np.random.default_rng(4).uniform(0.1, 5.0, size=6)
+        raw = gen().gamma(0.05, size=(4, 6, 7))
+        raw[2, 3] = 0.0
+        raw[1, 5, :2] = [5e-324, 1e-310]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the zero row forms no 0/0
+            pinned, flagged = pin_rows(raw, targets)
+        assert np.flatnonzero(flagged).tolist() == [2 * 6 + 3]
+        for batch in range(4):
+            alone, alone_flags = pin_rows(raw[batch], targets)
+            assert pinned[batch].tobytes() == alone.tobytes()
+            assert np.array_equal(flagged[batch], alone_flags)
+        assert pinned[2, 3].tolist() == [targets[3]] + [0.0] * 6
+        for h in (np.float64(0.3), np.linspace(0.1, 0.5, 6)[:, None]):
+            stream = gen()
+            one_at_a_time = [bridge_rows(stream, h, targets, (6, 7)) for _ in range(4)]
+            batch, batch_flags = bridge_rows(gen(), h, targets, (4, 6, 7))
+            assert batch.tobytes() == np.stack([p for p, _ in one_at_a_time]).tobytes()
+            assert np.array_equal(batch_flags, np.stack([f for _, f in one_at_a_time]))
+
     def test_scalar_and_array_parameters_draw_the_same_variates(self):
         def gen():
             return np.random.Generator(np.random.Philox(12))
@@ -297,7 +324,7 @@ class TestRowKernels:
         for h in (np.float64(0.25), np.full((20, 1), 0.25), np.linspace(0.1, 0.5, 20)[:, None]):
             full = np.broadcast_to(h, inc.shape)
             bridge, flagged = pin_rows(gen().gamma(0.7 * full), targets)
-            drawn = bridge_rows(gen(), 0.7 * h, targets, 5)
+            drawn = bridge_rows(gen(), 0.7 * h, targets, (20, 5))
             assert np.array_equal(drawn[0], bridge) and np.array_equal(drawn[1], flagged)
             up = inc + gen().gamma((1.6 - 1.0) * full, scale=1.0 / 2.0)
             assert np.array_equal(augment_rows(gen(), inc, h, 1.0, 1.6, 2.0), up)
@@ -320,7 +347,7 @@ class TestRowKernels:
 
         rng = FirstRowZero()
         targets = np.array([1.0, 2.0, 3.0])
-        pinned, flagged = bridge_rows(rng, np.full((3, 4), 0.5), targets, 4)
+        pinned, flagged = bridge_rows(rng, np.full((3, 4), 0.5), targets, (3, 4))
         assert [d.shape for d in rng.draws] == [(3, 4)]
         expected, expected_flags = pin_rows(rng.draws[0], targets)
         assert np.array_equal(pinned, expected) and np.array_equal(flagged, expected_flags)
@@ -344,7 +371,7 @@ class TestRowKernels:
         assert np.array_equal(augment_path(inc, grid, 1.5, 2.5, 2.0, 4), up[0])
         down = thin_rows(as_generator(5), row, h, 1.5, 0.5)
         assert np.array_equal(thin_path(inc, grid, 1.5, 0.5, 5), down[0])
-        bridge, _ = bridge_rows(as_generator(6), 1.5 * h[None, :], np.array([2.0]), h.size)
+        bridge, _ = bridge_rows(as_generator(6), 1.5 * h[None, :], np.array([2.0]), (1, h.size))
         assert np.array_equal(sample_gamma_bridge(1.5, 2.0, grid, 2.0, 6), bridge[0])
         pinned, _ = pin_rows(row, np.array([2.0]))
         assert np.array_equal(gamma_bridge(inc, 2.0), pinned[0])
