@@ -193,6 +193,8 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
     of 1 adds log 1 = 0.  Rows after the last positive window, whose logs
     are all 0, have no window to merge into: they are dropped and counted
     (n_dropped), and the boundary note says on which Sunday the series ends.
+    Without a loss above 1 no window is positive: DataError, naming the
+    rejected and the dropped lines.
     """
     weeks = _period_weeks(aggregation)
     report = IngestReport()
@@ -203,14 +205,16 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
             report.n_rejected += 1
             report.rejected_lines.append(line_no)
         else:
-            accepted.append((day, loss))
-    if not accepted:
-        raise DataError("no positive increments: every row was empty or rejected")
-    first_day = min(day for day, _ in accepted)
-    last_day = max(day for day, _ in accepted)
+            accepted.append((day, loss, line_no))
+    if not any(loss > 1.0 for _, loss, _ in accepted):
+        raise DataError(f"no positive increments: no row has a loss above 1 (rejected, "
+                        f"loss < 1: lines {report.rejected_lines}; dropped, loss 1, whose log "
+                        f"is 0: lines {[line_no for _, _, line_no in accepted]})")
+    first_day = min(day for day, _, _ in accepted)
+    last_day = max(day for day, _, _ in accepted)
     anchor = _monday_of(first_day)
     by_window: dict[int, list] = {}
-    for day, loss in accepted:
+    for day, loss, _ in accepted:
         by_window.setdefault((day - anchor).days // 7 // weeks, []).append(math.log(loss))
 
     times = [0.0]

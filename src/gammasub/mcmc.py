@@ -51,10 +51,11 @@ and the edges fix for the chain it computes once, as read-only constants
 the moves read: T, the block's targets and sub-step spans, which a refresh
 batch's (k, n_active, m) stack reads as they are, and the edges as an array.
 
-The refresh returns its path acceptance rate and each parameter move its
-(accepted, log ratio); run_mcmc builds each sweep's ChainRecord from the
-terms and those outcomes and yields one per sweep after burn-in, and
-`gammasub fit --thinning` alone thins.
+The refresh returns its path acceptance rate and its count of proposal rows
+too small to pin, and each parameter move its (accepted, log ratio);
+run_mcmc builds each sweep's ChainRecord from the terms and those outcomes
+and yields one per sweep after burn-in, and `gammasub fit --thinning` alone
+thins.
 
 Both parameter moves draw a candidate as Python floats, check it for the
 model's domain and score it by model.prior_logpdf.  Its bin masses and
@@ -230,8 +231,6 @@ class ChainState:
     # proposals drawn ahead (refresh_segments): one (beta, proposal, stats,
     # ln U, flagged rows) tuple per coming refresh, the next one last
     drawn: list = field(default_factory=list, init=False)
-    # the last refresh's proposal rows too small to pin, which it rejected
-    path_unpinnable: int = field(default=0, init=False)
     # parameter steps drawn ahead (update_params): one (2N+1 standard normals,
     # ln U) pair per coming step, the next one last
     walk: list = field(default_factory=list, init=False)
@@ -372,9 +371,10 @@ def init_chain(obs: Observations, params0: ModelParams, grid: TimeGrid, seed) ->
     )
 
 
-def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
+def refresh_segments(state: ChainState, sweeps: int = 1) -> tuple[float, int]:
     """Propose a fresh Gamma bridge per active segment and accept independently;
-    returns the path acceptance rate over every segment.
+    returns (path acceptance rate over every segment, proposal rows too small
+    to pin).
 
     The proposal reads beta from state.terms, the path ratio its slopes and
     intercepts, and both the chain's bin edges (terms.edges).  The
@@ -382,11 +382,9 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     ln(U_i).  Noise and uniforms are drawn in one fixed-layout block over
     the active segments, so the decisions do not depend on the order in
     which segments are visited.  A proposal row too small to pin
-    (bridge_rows' flag) is rejected.
+    (bridge_rows' flag) is rejected, and counted.
     The proposal is drawn, scored and written on the active block, whose
-    accepted rows are overwritten in place (ChainState.write_block).  The
-    count of flagged rows goes to ChainState.path_unpinnable, which run_mcmc
-    copies into the sweep's ChainRecord.
+    accepted rows are overwritten in place (ChainState.write_block).
 
     sweeps is the number of refreshes, this one first, that share its beta.
     Proposals and uniforms read nothing else a move changes, and rng_path
@@ -400,11 +398,11 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     accepted in the rate, as the full refresh would count it: its
     path ratio is exactly 0, which is >= ln(U) for every U in (0, 1).  A
     binless model has no active segment, so its refresh draws nothing and
-    returns 1.0 at once.
+    returns (1.0, 0) at once.
     """
     n_active = state.n_active
     if not n_active:
-        return 1.0
+        return 1.0, 0
     if not state.drawn:
         state.drawn = _draw_ahead(state, sweeps)
     beta, proposal, stats, log_u, unpinnable = state.drawn.pop()
@@ -412,7 +410,6 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     if beta != terms.beta:
         raise ContractError(f"refresh at sweep {state.iteration} found proposals drawn at "
                             f"beta {beta!r}, but beta is {terms.beta!r}")
-    state.path_unpinnable = unpinnable
     log_ratio = loglik_ratio_path(stats, state.block_stats, terms.slopes, terms.intercepts,
                                   state.block_tolerance)
     accepted = log_ratio >= log_u
@@ -420,7 +417,7 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> float:
     # with every row accepted the proposal becomes the block as it is
     state.write_block(proposal, stats, accepted if n_rejected else None)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
-    return (state.n_segments - n_rejected) / state.n_segments
+    return (state.n_segments - n_rejected) / state.n_segments, unpinnable
 
 
 def _draw_ahead(state: ChainState, sweeps: int) -> list:
@@ -451,12 +448,12 @@ def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, inter
     """A candidate's terms and log prior under prior; None outside the model's
     domain or the prior's support.
 
-    The domain is alpha and beta finite and > 0 and finite slopes and
-    intercepts; prior_logpdf is -inf for a tail slope <= -alpha.
+    The domain is alpha and beta finite and > 0, which a normal prior does not
+    enforce; prior_logpdf is -inf for a slope or intercept that is NaN or
+    infinite and for a tail slope <= -alpha.
     factors are the candidate's mass_factors when the caller has them.
     """
-    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf
-            and all(map(math.isfinite, slopes + intercepts))):
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
         return None
     log_prior = prior_logpdf(prior, alpha, beta, slopes, intercepts)
     if log_prior == -math.inf:
@@ -647,7 +644,7 @@ def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, grid):
     for t in range(1, iterations + 1):
         state.iteration = t
         stage = (t - 1) % n_stages
-        path_rate = refresh_segments(state, same_beta[stage])
+        path_rate, unpinnable = refresh_segments(state, same_beta[stage])
         if schedule[stage] == "params":
             accepted, log_ratio = update_params(state, prop, prior)
             outcome = accepted, None, log_ratio, math.nan
@@ -657,7 +654,7 @@ def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, grid):
         if t > burn_in:
             terms = state.terms
             yield ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
-                              path_rate, *outcome, state.path_unpinnable)
+                              path_rate, *outcome, unpinnable)
 
 
 def _fmt_opt_bool(v: bool | None) -> str:

@@ -354,10 +354,11 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
     In reparam mode the components are densities, per bin and with beta
     fixed or random, of (alpha, beta, alpha + slope_k, beta exp(-rho_k)), and
     the sum gains that map's log-Jacobian sum_k (ln(beta) - rho_k).  Returns
-    -inf when any parameter leaves its support or the tail bin has infinite
-    mass (slope_N <= -alpha).
+    -inf when any parameter leaves its support, is NaN or infinite, or the
+    tail bin has infinite mass (slope_N <= -alpha); in reparam mode also
+    for beta outside (0, inf), fixed or not.
     """
-    if slopes and slopes[-1] <= -alpha:
+    if (slopes and slopes[-1] <= -alpha) or (spec.reparam and not 0.0 < beta < math.inf):
         return -math.inf
     total = spec.alpha.logpdf(alpha)
     if spec.beta is not None:
@@ -371,7 +372,7 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
     for slope_prior, intercept_prior, x, y in zip(spec.theta, spec.rho, rates, scales):
         total += slope_prior.logpdf(x)
         total += intercept_prior.logpdf(y)
-    if spec.reparam:
+    if spec.reparam and total > -math.inf:
         # fsum, not sum, whose rounding changed in Python 3.12: the same bits everywhere
         return total + len(intercepts) * math.log(beta) - math.fsum(intercepts)
     return total

@@ -605,6 +605,16 @@ class TestCliRoundTrip:
         obs = read_observations_csv(out)
         assert obs.values == pytest.approx([0.0, 3.0, 4.0])
 
+    def test_ingest_of_losses_of_one_names_the_cause(self, tmp_path, capsys):
+        losses = tmp_path / "losses.csv"
+        losses.write_text("date,loss\n2020-01-06,1\n2020-01-14,1\n")
+        out = tmp_path / "obs.csv"
+        assert main(["ingest", str(losses), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no positive increments: no row has a loss above 1 (rejected, loss < 1: "
+            "lines []; dropped, loss 1, whose log is 0: lines [2, 3])\n")
+        assert not out.exists()
+
     def test_error_reporting(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alpha_init = 1\n")  # missing prior

@@ -150,6 +150,17 @@ class TestIngest:
             ingest_text("date,loss\n2020-01-06,0.5\n")
         assert "no positive increments" in str(err.value)
 
+    def test_losses_of_one_alone_name_the_cause(self):
+        # log 1 = 0: no window is positive, and every row of loss 1 is dropped
+        text = "date,loss\n2020-01-06,1\n2020-01-09,0.5\n2020-01-14,1.0\n"
+        with pytest.raises(DataError, match=r"no positive increments: no row has a loss above 1 "
+                                            r"\(rejected, loss < 1: lines \[3\]; dropped, loss 1, "
+                                            r"whose log is 0: lines \[2, 4\]\)"):
+            ingest_text(text)
+        obs, report = ingest_text(text + "2020-01-20,%r\n" % math.e)
+        assert obs.values.tolist() == [0.0, 1.0]
+        assert (report.n_rejected, report.n_dropped) == (1, 0)
+
     def test_bad_rows_error_with_line_numbers(self):
         with pytest.raises(DataError) as err:
             ingest_text("date,loss\n2020-01-06,2.0\nnot-a-date,3.0\n")

@@ -12,6 +12,7 @@ from scipy.stats import gamma as gamma_dist
 
 import gammasub as g
 from gammasub import mcmc, model, paths
+from gammasub.cli import main
 from gammasub.config import parse_config
 from gammasub.likelihood import ParamTerms, bin_stats_matrix, endpoint_tolerance, loglik_ratio_path
 from gammasub.mcmc import (
@@ -207,7 +208,7 @@ class TestRefreshSegments:
     def test_gamma_model_accepts_everything(self):
         state = basic_state()
         for _ in range(3):
-            assert g.refresh_segments(state) == 1.0
+            assert g.refresh_segments(state) == (1.0, 0)
             assert np.all(state.increments >= 0)
 
     def test_stats_stay_consistent(self):
@@ -241,10 +242,11 @@ class TestRefreshSegments:
                                   twin.obs.increments[active], (active.size, twin.m))
         new_sums, new_counts = bin_stats_matrix(proposal, params.bin_edges)
         state.rng_accept = Reject()
-        rate = g.refresh_segments(state)
+        rate, unpinnable = g.refresh_segments(state)
         rejected = rejects(np.arange(active.size))
         n_rejected = int(rejected.sum())
         assert rate == (state.n_segments - n_rejected) / state.n_segments
+        assert unpinnable == 0
         for got, old, new in ((state.increments, old_inc, proposal),
                               (state.seg_sums, old_sums, new_sums),
                               (state.seg_counts, old_counts, new_counts)):
@@ -280,7 +282,8 @@ class TestRefreshSegments:
 
     def test_a_flagged_proposal_keeps_its_row(self):
         # a proposal row too small to pin is rejected whatever its ratio: the
-        # row keeps its path and statistics, and the path rate counts it
+        # row keeps its path and statistics, and the path rate and the
+        # refresh's count of unpinnable rows count it
         class AcceptAll:
             def uniform(self, size):
                 return np.full(size, 1e-300)
@@ -292,8 +295,7 @@ class TestRefreshSegments:
                 state.seg_counts[row].copy())
         others = state.increments[state.active].copy()
         state.rng_path, state.rng_accept = ZeroRow(state.rng_path, 1), AcceptAll()
-        assert g.refresh_segments(state) == (state.n_segments - 1) / state.n_segments
-        assert state.path_unpinnable == 1
+        assert g.refresh_segments(state) == ((state.n_segments - 1) / state.n_segments, 1)
         for got, before in zip((state.increments, state.seg_sums, state.seg_counts), kept):
             assert np.array_equal(got[row], before)
         moved = state.increments[state.active] != others
@@ -306,7 +308,8 @@ class TestRefreshSegments:
         pb = g.ModelParams(2.9, 1.0, [0.5], [0.6], [0.3])
         a = basic_state(params=pa, seed=11)
         b = basic_state(params=pb, seed=11)
-        assert g.refresh_segments(a) == g.refresh_segments(b) < 1.0
+        outcome = g.refresh_segments(a)
+        assert g.refresh_segments(b) == outcome and outcome[0] < 1.0
         assert np.array_equal(a.increments, b.increments)
 
 
@@ -351,13 +354,13 @@ def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=
     state = g.init_chain(obs, params0, g.TimeGrid(obs.times, m), seed)
     for t in range(1, iterations + 1):
         state.iteration = t
-        path_rate = refresh(state)
+        path_rate, unpinnable = refresh(state)
         stage = prop.update_schedule[(t - 1) % len(prop.update_schedule)]
         accepted, log_ratio = (params_move if stage == "params" else beta_move)(state, prop, prior)
         terms = state.terms
         yield mcmc.ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
-                               path_rate, **{f"accept_{stage}": accepted,
-                                             f"logr_{stage}": log_ratio})
+                               path_rate, path_unpinnable=unpinnable,
+                               **{f"accept_{stage}": accepted, f"logr_{stage}": log_ratio})
 
 
 def assign_rows(state, increments, sums, counts):
@@ -401,7 +404,7 @@ def full_refresh(state):
     counts[reject] = state.seg_counts[reject]
     assign_rows(state, proposal, sums, counts)
     state.total_sums, state.total_counts = full_totals(state)
-    return float(accept.mean())
+    return float(accept.mean()), int(np.count_nonzero(flagged))
 
 
 def refresh_all_from(rng_inert):
@@ -429,7 +432,7 @@ def refresh_all_from(rng_inert):
         counts[reject] = state.seg_counts[reject]
         assign_rows(state, proposal, sums, counts)
         state.total_sums, state.total_counts = full_totals(state)
-        return float(accept.mean())
+        return float(accept.mean()), int(np.count_nonzero(flagged))
     return refresh
 
 
@@ -483,11 +486,11 @@ def beta_all_from(rng_inert):
 
 
 def assert_same_chain(recs, oracle):
-    """Equal parameters, flags and path rates; log ratios within 1e-9."""
+    """Equal parameters, flags, path rates and unpinnable counts; log ratios within 1e-9."""
     for r, o in zip(recs, oracle, strict=True):
         assert (r.alpha, r.beta, r.theta, r.rho) == (o.alpha, o.beta, o.theta, o.rho)
         assert (r.accept_params, r.accept_beta) == (o.accept_params, o.accept_beta)
-        assert r.accept_path_rate == o.accept_path_rate
+        assert (r.accept_path_rate, r.path_unpinnable) == (o.accept_path_rate, o.path_unpinnable)
         for a, b in ((r.logr_params, o.logr_params), (r.logr_beta, o.logr_beta)):
             assert a == b or abs(a - b) <= 1e-9 or (math.isnan(a) and math.isnan(b))
 
@@ -500,7 +503,7 @@ class TestBinlessRefresh:
         state.rng_path = state.rng_accept = NoDraws()
         blocks = (state.block, state.block_stats)
         copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
-        assert g.refresh_segments(state) == 1.0
+        assert g.refresh_segments(state) == (1.0, 0)
         for got, same in zip((state.block, state.block_stats), blocks):
             assert got is same and got.size == 0
         for got, copy in zip((state.increments, state.seg_sums, state.seg_counts), copies):
@@ -530,11 +533,11 @@ class TestBinlessRefresh:
                                seed=37, m=4))
         state = g.init_chain(obs, params0, g.TimeGrid(obs.times, 4), 37)
         for r in recs:
-            path_rate = full_refresh(state)
+            path_outcome = full_refresh(state)
             accepted, log_ratio = g.update_params(state, prop, self.prior)
             assert r.alpha == state.params.alpha
             assert r.accept_params == accepted
-            assert r.accept_path_rate == path_rate == 1.0
+            assert (r.accept_path_rate, r.path_unpinnable) == path_outcome == (1.0, 0)
             assert r.logr_params == pytest.approx(log_ratio, rel=0, abs=1e-9)
         assert len(recs) == 300
         assert 0 < sum(r.accept_params for r in recs) < 300
@@ -1228,7 +1231,8 @@ class TestKernelOracle:
         for r, o in zip(recs, oracle, strict=True):
             assert (r.alpha, r.beta, r.theta, r.rho) == (o.alpha, o.beta, o.theta, o.rho)
             assert (r.accept_params, r.accept_beta) == (o.accept_params, o.accept_beta)
-            assert r.accept_path_rate == o.accept_path_rate
+            assert (r.accept_path_rate, r.path_unpinnable) == (o.accept_path_rate,
+                                                               o.path_unpinnable)
             for a, b in ((r.logr_params, o.logr_params), (r.logr_beta, o.logr_beta)):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12) or (
                     math.isnan(a) and math.isnan(b))
@@ -1426,6 +1430,36 @@ class TestNonFiniteRatios:
             tally = mcmc.MoveTally()
             tally.add(mcmc.ChainRecord(1, *terms[1:5], 1.0, accepted, logr_params=log_ratio))
             assert tally.acceptance()["params_domain_rejects"] == 1
+
+    @pytest.mark.parametrize("reparam", [False, True], ids=["default", "reparam"])
+    def test_a_non_finite_candidate_is_a_domain_reject(self, reparam):
+        # a NaN or infinite step of the slope, the intercept or beta: prior_logpdf
+        # is -inf, so the move returns (False, -inf) before a ratio is formed
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
+                            theta=normal_priors(1)[0], rho=normal_priors(1)[1], reparam=reparam)
+        prop = g.ProposalSpec(update_schedule=("beta", "params"))
+
+        class BetaStep:
+            """An rng_beta whose beta step is z = step."""
+
+            def __init__(self, step):
+                self.step = step
+
+            def normal(self):
+                return self.step
+
+        for bad in (math.nan, math.inf, -math.inf):
+            for step in ((0.0, bad, 0.0), (0.0, 0.0, bad)):
+                state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.5], [0.0]))
+                state.rng_params = self.walk(*step)
+                terms = state.score(prior)
+                assert g.update_params(state, prop, prior) == (False, -math.inf), step
+                assert state.terms is terms
+            state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.5], [0.0]))
+            state.rng_beta = BetaStep(bad)
+            terms = state.score(prior)
+            assert g.update_beta(state, prop, prior) == (False, -math.inf), bad
+            assert state.terms is terms
 
     @pytest.mark.parametrize("edge, finite", [(1.0, False), (20.0, True)])
     def test_intercept_step_past_the_exp_overflow_is_a_rejection(self, edge, finite):
@@ -1848,7 +1882,9 @@ refinement = 4
 """
 
 
-# CI's reparameterised random-beta fit, a chain the benchmark never runs
+# The CLI fits test_cli_chains_pinned runs, chains the benchmark never runs.
+# The reparameterised random-beta fit: the reparam prior, whose Jacobian
+# sum_k (ln(beta) - rho_k) prior_logpdf adds for both moves, thinned by 3
 _PIN_REPARAM = """\
 bin_edges = 1.5
 alpha_init = 1.0
@@ -1864,7 +1900,7 @@ update_schedule = beta params params
 refinement = 6
 """
 
-# CI's fixed-beta fit at Gamma shape beta*h/m = 3e-3, whose refresh rejects
+# The fixed-beta fit at Gamma shape beta*h/m = 3e-3, whose refresh rejects
 # bridge rows too small to pin
 _PIN_TINY_SHAPE = """\
 bin_edges = 0.5
@@ -1878,16 +1914,31 @@ rho_prior = normal 0 1.5
 refinement = 2
 """
 
-# CI's three-bin reparameterised fit: the reparam fit's config with these lines replaced
+# The three-bin reparameterised fit: the reparam fit's config with these lines replaced
 _PIN_REPARAM_3BIN = _PIN_REPARAM.replace("bin_edges = 1.5", "bin_edges = 1 1.5 3").replace(
     "theta_init = 0.5", "theta_init = 0.5 0.5 0.5").replace("rho_init = 0.0", "rho_init = 0 0 0")
+
+# The wide-spacing random-beta fit: spans of 2 over edges 1 2 4 give hundreds
+# of active rows, so _draw_ahead's cap draws one sweep per batch, and every
+# second sweep runs the beta move on the whole block
+_PIN_WIDE = """\
+bin_edges = 1 2 4
+alpha_init = 2.0
+beta_init = 0.44
+alpha_prior = gamma 2 1
+beta_prior = uniform 0.05 20
+theta_prior = normal 0 1
+rho_prior = normal 0 1.5
+update_schedule = beta params
+refinement = 10
+"""
 
 _CLI_FITS = {"reparam": (_PIN_REPARAM, 3), "reparam_3bin": (_PIN_REPARAM_3BIN, 3),
              "tiny_shape": (_PIN_TINY_SHAPE, 1)}
 
 
 def pin_inputs(workload, seed):
-    """(Observations, RunConfig) of a benchmark workload, or of one of CI's CLI
+    """(Observations, RunConfig) of a benchmark workload, or of one of the CLI
     fits, at a data seed."""
     if workload in _CLI_FITS:
         # `gammasub simulate --n 400 --horizon 400 --seed 5`, as fit reads its CSV back
@@ -1907,7 +1958,7 @@ def pin_inputs(workload, seed):
 
 
 def pinned_chain_text(workload, seed, iterations=300, burn_in=None):
-    """write_chain_csv's output for the workload's first chain; for CI's CLI
+    """write_chain_csv's output for the workload's first chain; for the CLI
     fits, of `gammasub fit --seed 11` with their thinning and, unless burn_in
     is given, the default burn-in."""
     obs, cfg = pin_inputs(workload, seed)
@@ -1929,26 +1980,68 @@ def pinned_chain_digest(workload, seed, iterations=300):
     return hashlib.sha256(pinned_chain_text(workload, seed, iterations).encode()).hexdigest()
 
 
-@pytest.mark.skipif(
+numpy_pinned = pytest.mark.skipif(
     np.__version__ != "2.4.6",
     reason="chain bytes are pinned for numpy 2.4.6, the version CI installs; numpy's "
            "Gamma and Beta algorithms may differ elsewhere")
+
+
+@numpy_pinned
 @pytest.mark.parametrize("workload, seed, digest", [
     ("mixture", 7, "31e0b6a84d90520c29afea39b67d78ab677bf4ae615e8fb2e92ba51568f64e5f"),
     ("mixture", 23, "a29b898fad5d202e57fa6c1f35da02a4f1d8ce41e6e6fb15adb9aa3edadec5d0"),
     ("binless", 7, "0125e072571f9b2e1baa8d5461c47c1b5670926fdfa0b82efc4595571deea9cb"),
     ("beta_binned", 7, "7fd7742db500334d99f981571496916dfdd2f7be40730fe8c7975a038805816e"),
-    # its 600-sweep form gives CI's 14071b07... chain.csv
+    # its 600-sweep form gives test_cli_chains_pinned's 14071b07... chain.csv
     ("reparam", 5, "089850bd1d4d267f307b27ed55b7885859241b1c97f74cbf3bced260648b5b29"),
-    # its 600-sweep form gives CI's 5180d34b... chain.csv
+    # its 600-sweep form gives test_cli_chains_pinned's 5180d34b... chain.csv
     ("reparam_3bin", 5, "eed9bd3fd3d27eff624567d6872e01cca2c2846ff603574de3c054d578165f40"),
-    # its 600-sweep form gives CI's 0b2c99f6... chain.csv
+    # its 600-sweep form gives the 0b2c99f6... chain.csv of
+    # test_meta_json_counts_the_unpinnable_refresh_proposals
     ("tiny_shape", 5, "f3f1ecf01ea99f5e52763af44bef2bc88765c082a5f55c332fcb6ad18702a9e9"),
 ], ids=["mixture-7", "mixture-23", "binless-7", "beta_binned-7", "reparam-5", "reparam_3bin-5",
         "tiny_shape-5"])
 def test_chain_bytes_pinned(workload, seed, digest):
     # a kernel rewrite must leave every chain byte where it was
     assert pinned_chain_digest(workload, seed) == digest
+
+
+def cli(*argv) -> None:
+    """gammasub.cli.main on argv, made strings; asserts it exits 0."""
+    assert main([str(a) for a in argv]) == 0
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@numpy_pinned
+def test_cli_chains_pinned(tmp_path):
+    # `gammasub simulate`, `fit` and `diagnose` end to end: the CLI's
+    # observations CSV, --thinning, the reparam prior's Jacobian on one bin and
+    # on three, and a wide fit whose refresh batches hold one sweep
+    pin_obs, wide_obs = tmp_path / "pin-obs.csv", tmp_path / "wide-obs.csv"
+    cli("simulate", "--n", 400, "--horizon", 400, "--seed", 5, "--out", pin_obs)
+    cli("simulate", "--n", 1000, "--horizon", 2000, "--seed", 7, "--out", wide_obs)
+    fits = {"reparam": (_PIN_REPARAM, pin_obs, 3, 11),
+            "reparam_3bin": (_PIN_REPARAM_3BIN, pin_obs, 3, 11),
+            "wide": (_PIN_WIDE, wide_obs, 1, 13)}
+    for name, (text, obs, thinning, seed) in fits.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+        cli("fit", "--config", tmp_path / f"{name}.cfg", "--observations", obs,
+            "--iterations", 600, "--burn-in", 60, "--thinning", thinning, "--seed", seed,
+            "--out-dir", tmp_path / name)
+    cli("diagnose", "--chain", tmp_path / "reparam" / "chain.csv",
+        "--config", tmp_path / "reparam.cfg", "--out-dir", tmp_path / "band", "--figures", "band")
+    pinned = {
+        "reparam/chain.csv": "14071b07cff274eb197ed0d95592ec44aaec19123c2c643cdb4acf65db2f20db",
+        "band/band.csv": "580cceea437aeeebd27c836ec375f41e2acd2b6a764a8231c7f8a7b9f2c6e19c",
+        "reparam_3bin/chain.csv":
+            "5180d34b8eefb311649a2a4f639016701112d2f6ba23b8941d606867167a0cb1",
+        "wide-obs.csv": "3f1e18bb9cbe963cd39eb93231658930f34fd94f0a729a54fab8ed207d178f71",
+        "wide/chain.csv": "620cc8ef373a56345995118b07035eaad6a7757ff25a085090388e6971175a57",
+    }
+    assert {name: sha256_of(tmp_path / name) for name in pinned} == pinned
 
 
 @pytest.mark.parametrize("workload", ["mixture", "binless", "beta_binned", "reparam",
@@ -1966,19 +2059,21 @@ def test_a_longer_run_extends_a_shorter_one(workload):
         assert short == long[:len(short)], iterations
 
 
-@pytest.mark.skipif(np.__version__ != "2.4.6", reason="counts of the pinned chains' draws")
+@numpy_pinned
 def test_meta_json_counts_the_unpinnable_refresh_proposals(tmp_path):
-    # CI's tiny-shape fit (Gamma shape beta*h/m = 3e-3) draws proposal rows
-    # too small to pin, in its 60 burn-in sweeps and in its 540 kept ones;
+    # the tiny-shape fit (Gamma shape beta*h/m = 3e-3) draws proposal rows
+    # too small to pin, in its 60 burn-in sweeps and in its 540 kept ones,
+    # and its refresh rejects each one, keeping the row's path, within a
+    # batch of sweeps drawn whole where it reaches past the run's last sweep;
     # the benchmark's mixture chain, whose meta.json comes from its records
     # alone, draws none
-    from gammasub.cli import main
     (tmp_path / "cut.cfg").write_text(_PIN_TINY_SHAPE)
-    obs = str(tmp_path / "obs.csv")
-    assert main(["simulate", "--n", "400", "--horizon", "400", "--seed", "5", "--out", obs]) == 0
-    assert main(["fit", "--config", str(tmp_path / "cut.cfg"), "--observations", obs,
-                 "--iterations", "600", "--burn-in", "60", "--seed", "11",
-                 "--out-dir", str(tmp_path / "fit")]) == 0
+    obs = tmp_path / "obs.csv"
+    cli("simulate", "--n", 400, "--horizon", 400, "--seed", 5, "--out", obs)
+    cli("fit", "--config", tmp_path / "cut.cfg", "--observations", obs,
+        "--iterations", 600, "--burn-in", 60, "--seed", 11, "--out-dir", tmp_path / "fit")
+    assert (sha256_of(tmp_path / "fit" / "chain.csv")
+            == "0b2c99f6a09b12c22499ff09d1d959697cc29ccf4aec823ddc11c7740339649c")
     meta = json.loads((tmp_path / "fit" / "meta.json").read_text())
     assert meta["acceptance"]["path_refresh_unpinnable"] == 702
     assert meta["burn_in_acceptance"]["path_refresh_unpinnable"] == 76
@@ -1995,7 +2090,7 @@ def test_meta_json_counts_the_unpinnable_refresh_proposals(tmp_path):
 
 
 def pinned_state(workload, seed=7):
-    """init_chain's state on a benchmark workload or CI's tiny-shape fit, with
+    """init_chain's state on a benchmark workload or the tiny-shape fit, with
     its config, as pinned_chain_text runs it."""
     obs, cfg = pin_inputs(workload, seed)
     return g.init_chain(obs, cfg.params0, g.TimeGrid(obs.times, cfg.refinement), [seed, 1]), cfg

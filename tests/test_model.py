@@ -648,3 +648,21 @@ class TestCompilePrior:
         assert prior_logpdf(spec, 0.8, 85.0, (-0.8,), (0.2,)) == -math.inf
         assert prior_logpdf(spec, 0.5, 130.0, (0.3,), (-0.1,)) == -math.inf
         assert prior_logpdf(spec, 0.8, 85.0, (0.1,), (-800.0,)) == -math.inf
+
+    @pytest.mark.parametrize("reparam", [False, True], ids=["default", "reparam"])
+    @pytest.mark.parametrize("beta_prior", [None, Prior("uniform", 0.05, 20.0)],
+                             ids=["fixed beta", "random beta"])
+    def test_outside_the_domain_is_minus_inf(self, reparam, beta_prior):
+        # normal slope and intercept priors, whose support is every finite float:
+        # a NaN or infinite slope, intercept or beta is -inf, never NaN or an
+        # error, and so is beta <= 0 in reparam mode (the log of the Jacobian)
+        spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), beta=beta_prior,
+                         theta=(Prior("normal", 0.0, 1.0),), rho=(Prior("normal", 0.0, 1.0),),
+                         reparam=reparam)
+        assert math.isfinite(prior_logpdf(spec, 1.0, 0.5, (0.1,), (0.2,)))
+        for bad in (math.nan, math.inf, -math.inf):
+            assert prior_logpdf(spec, 1.0, 0.5, (bad,), (0.2,)) == -math.inf, bad
+            assert prior_logpdf(spec, 1.0, 0.5, (0.1,), (bad,)) == -math.inf, bad
+        betas = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+        for beta in betas if reparam or beta_prior else ():
+            assert prior_logpdf(spec, 1.0, beta, (0.1,), (0.2,)) == -math.inf, beta
