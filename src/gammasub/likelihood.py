@@ -82,10 +82,10 @@ class ParamTerms(NamedTuple):
            factors=None) -> "ParamTerms":
         """The terms at floats; factors are their mass_factors(alpha, slopes,
         edges), evaluated unless given."""
-        if factors is None:
-            factors = mass_factors(alpha, slopes, edges)
-        return cls(edges, alpha, beta, slopes, intercepts, *factors,
-                   nu_bin_mass(beta, intercepts, factors[1]))
+        e1_b1, units = mass_factors(alpha, slopes, edges) if factors is None else factors
+        # tuple.__new__ directly: the same tuple as cls(...), without its generated __new__'s frame
+        return tuple.__new__(cls, (edges, alpha, beta, slopes, intercepts, e1_b1, units,
+                                   nu_bin_mass(beta, intercepts, units)))
 
     @classmethod
     def of(cls, params: ModelParams) -> "ParamTerms":
@@ -119,13 +119,14 @@ def loglik_ratio_params(sums, counts, horizon: float, old: ParamTerms, new: Para
         - T * sum_{k=0..N} (nu° - nu)(B_k).
     """
     total = -(new.alpha - old.alpha) * sums[0]
-    slope_part = intercept_part = 0.0
-    for slope_new, slope_old, rho_new, rho_old, s, c in zip(
-            new.slopes, old.slopes, new.intercepts, old.intercepts, sums[1:], counts[1:]):
-        slope_part += ((slope_new + new.alpha) - (slope_old + old.alpha)) * s
-        intercept_part += (rho_new - rho_old) * c
-    total -= slope_part
-    total -= intercept_part
+    if new.slopes:      # with no bin k >= 1 both parts are 0.0, and total - 0.0 is total
+        slope_part = intercept_part = 0.0
+        for slope_new, slope_old, rho_new, rho_old, s, c in zip(
+                new.slopes, old.slopes, new.intercepts, old.intercepts, sums[1:], counts[1:]):
+            slope_part += ((slope_new + new.alpha) - (slope_old + old.alpha)) * s
+            intercept_part += (rho_new - rho_old) * c
+        total -= slope_part
+        total -= intercept_part
     return total - horizon * compensator_diff(old, new)
 
 

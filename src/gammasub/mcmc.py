@@ -57,14 +57,17 @@ run_mcmc builds each sweep's ChainRecord from the terms and those outcomes
 and yields one per sweep after burn-in, and `gammasub fit --thinning` alone
 thins.
 
-Both parameter moves draw a candidate as Python floats, check it for the
-model's domain and score it by model.prior_logpdf.  Its bin masses and
-E1(alpha b_1) come from model.mass_factors, one specfun.exp_integral_e1
-call for many points (none on a binless model); a beta move needs none, as
-its candidate shares alpha and the slopes, but evaluates the Gamma
-reference's units, which only psi reads, once (model.reference_units).
-The ratios are likelihood.loglik_ratio_params and likelihood.psi_log at the
-bin totals, and an accepted candidate's terms become the state's.  The
+Both parameter moves take a candidate in one pass, as Python floats: the
+move's own range test of what it moved (alpha, or beta, finite and > 0),
+then model.prior_logpdf, then its terms (likelihood.ParamTerms.at), then
+the ratio and the Metropolis test, so a candidate outside the domain or the
+prior's support never reaches a mass.  Its bin masses and E1(alpha b_1)
+come from model.mass_factors, one specfun.exp_integral_e1 call for many
+points (none on a binless model); a beta move needs none, as its candidate
+shares alpha and the slopes, but evaluates the Gamma reference's units,
+which only psi reads, once (model.reference_units).  The ratios are
+likelihood.loglik_ratio_params and likelihood.psi_log at the bin totals,
+and an accepted candidate's terms and log prior become the state's.  The
 moves call prior_logpdf, loglik_ratio_params, psi_log, bin_stats_matrix,
 reference_units and the moves themselves by their names in this module, so
 a profiler that rebinds those names sees every call.  No sweep builds a
@@ -209,7 +212,7 @@ class ChainState:
     rng_params: np.random.Generator
     rng_beta: np.random.Generator
     active: np.ndarray                  # indices of the active segments, the only rows moved
-    iteration: int = 0                  # the sweep under way, which _accept's errors name
+    iteration: int = 0                  # the sweep under way, which the moves' errors name
     prior: PriorSpec | None = None      # what terms and log_prior were scored under
     log_prior: float = math.nan
     block: np.ndarray = field(init=False)           # (n_active, m) active increments
@@ -436,42 +439,14 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     proposals, flagged = bridge_rows(state.rng_path, beta * state.block_sub_spans,
                                      state.targets, (k, n, m))
     log_u = np.log(state.rng_accept.uniform(size=(k, n)))
-    log_u[flagged] = np.inf
+    if np.count_nonzero(flagged):
+        log_u[flagged] = np.inf
+        unpinnable = flagged.sum(1).tolist()
+    else:
+        unpinnable = [0] * k
     stats = np.concatenate(bin_stats_matrix(proposals.reshape(k * n, m), state.edge_array),
                            axis=1)
-    return list(zip([beta] * k, proposals, stats.reshape(k, n, -1), log_u,
-                    flagged.sum(1).tolist()))[::-1]
-
-
-def _candidate(prior: PriorSpec, edges, alpha: float, beta: float, slopes, intercepts,
-               factors=None) -> tuple[ParamTerms, float] | None:
-    """A candidate's terms and log prior under prior; None outside the model's
-    domain or the prior's support.
-
-    The domain is alpha and beta finite and > 0, which a normal prior does not
-    enforce; prior_logpdf is -inf for a slope or intercept that is NaN or
-    infinite and for a tail slope <= -alpha.
-    factors are the candidate's mass_factors when the caller has them.
-    """
-    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
-        return None
-    log_prior = prior_logpdf(prior, alpha, beta, slopes, intercepts)
-    if log_prior == -math.inf:
-        return None
-    return ParamTerms.at(edges, alpha, beta, slopes, intercepts, factors), log_prior
-
-
-def _accept(state: ChainState, log_u: float, cand: tuple[ParamTerms, float], log_ratio: float,
-            move: str) -> bool:
-    """Metropolis test of log_ratio against log_u, the move's ln(U); an
-    accepted candidate's terms and log prior become the state's.  A NaN log
-    ratio raises ContractError: a numerical fault, not a rejection."""
-    if math.isnan(log_ratio):
-        raise ContractError(f"{move} move gave a NaN log ratio at sweep {state.iteration}")
-    if not log_ratio >= log_u:
-        return False
-    state.terms, state.log_prior = cand
-    return True
+    return list(zip([beta] * k, proposals, stats.reshape(k, n, -1), log_u, unpinnable))[::-1]
 
 
 def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tuple[bool, float]:
@@ -484,27 +459,44 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tu
     for alpha, the slopes and the intercepts, scaled here by prop, and its
     ln(U) from ChainState.walk; a step that finds it empty draws those of
     the next _WALK_STEPS steps from rng_params at once (_draw_walk).  A
-    candidate outside the model's domain or the prior's support is rejected
-    before a ratio is formed, leaves its ln(U) unused and returns (False,
-    -inf).  A NaN log ratio raises ContractError.
+    candidate alpha that is not finite and > 0, or a candidate outside the
+    prior's support, is rejected before its terms and ratio are formed,
+    leaves its ln(U) unused and returns (False, -inf).  A NaN log ratio
+    raises ContractError.  The log prior of the current terms is rescored
+    (ChainState.score) only when prior is not the PriorSpec it was scored
+    under.
     """
-    cur = state.score(prior)
-    n = len(cur.edges)
+    cur = state.terms
+    if state.prior is not prior:
+        state.score(prior)
+    edges = cur.edges
+    n = len(edges)
     if not state.walk:
         state.walk = _draw_walk(state.rng_params, 2 * n + 1)
     z, log_u = state.walk.pop()
     alpha = cur.alpha + prop.sigma_alpha * z[0]
-    # slopes shift against the alpha move so slope_k + alpha is preserved
-    shift = alpha - cur.alpha
-    slopes = tuple([s + prop.sigma_theta * dz - shift for s, dz in zip(cur.slopes, z[1:n + 1])])
-    intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
-    cand = _candidate(prior, cur.edges, alpha, cur.beta, slopes, intercepts)
-    if cand is None:
+    # the domain, alpha finite and > 0, which a normal prior does not enforce
+    if not 0.0 < alpha < math.inf:
         return False, -math.inf
-    new, log_prior = cand
+    if n:
+        # slopes shift against the alpha move so slope_k + alpha is preserved
+        shift = alpha - cur.alpha
+        slopes = tuple([s + prop.sigma_theta * dz - shift for s, dz in zip(cur.slopes, z[1:n + 1])])
+        intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
+    else:
+        slopes = intercepts = ()
+    log_prior = prior_logpdf(prior, alpha, cur.beta, slopes, intercepts)
+    if log_prior == -math.inf:
+        return False, -math.inf
+    new = ParamTerms.at(edges, alpha, cur.beta, slopes, intercepts)
     log_ratio = (loglik_ratio_params(state.total_sums, state.total_counts, state.horizon,
                                      cur, new) + log_prior - state.log_prior)
-    return _accept(state, log_u, cand, log_ratio, "parameter"), log_ratio
+    if not log_ratio >= log_u:
+        if math.isnan(log_ratio):
+            raise ContractError(f"parameter move gave a NaN log ratio at sweep {state.iteration}")
+        return False, log_ratio
+    state.terms, state.log_prior = new, log_prior
+    return True, log_ratio
 
 
 def _draw_walk(rng: np.random.Generator, width: int) -> list:
@@ -529,10 +521,11 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     density ratio at the observed increments, and the path log-density
     ratio against the respective Gamma references.  Inert segments are not
     transformed (see the module docstring), so with no active segment the
-    move draws only beta° and its uniform.  A candidate outside the model's
-    domain or the prior's support, or one that leaves an active segment too
-    small to re-pin (pin_rows' flag), is rejected before a ratio is formed
-    and returns (False, -inf).  A NaN log ratio raises ContractError.
+    move draws only beta° and its uniform.  A beta° that is not finite and
+    > 0 or lies outside the prior's support, or one that leaves an active
+    segment too small to re-pin (pin_rows' flag), is rejected before a ratio
+    is formed and returns (False, -inf); the first two before its terms are
+    formed.  A NaN log ratio raises ContractError.
 
     The candidate differs from the current parameters in beta alone, so it
     reuses their mass factors, and both psi terms read the Gamma reference's
@@ -547,14 +540,18 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     """
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
-    cur = state.score(prior)
+    cur = state.terms
+    if state.prior is not prior:
+        state.score(prior)
     rng = state.rng_beta
     beta_new = cur.beta + prop.sigma_beta * rng.normal()
-    cand = _candidate(prior, cur.edges, cur.alpha, beta_new, cur.slopes, cur.intercepts,
-                      (cur.e1_b1, cur.units))
-    if cand is None:
+    if not 0.0 < beta_new < math.inf:
         return False, -math.inf
-    new, log_prior = cand
+    log_prior = prior_logpdf(prior, cur.alpha, beta_new, cur.slopes, cur.intercepts)
+    if log_prior == -math.inf:
+        return False, -math.inf
+    new = ParamTerms.at(cur.edges, cur.alpha, beta_new, cur.slopes, cur.intercepts,
+                        (cur.e1_b1, cur.units))
 
     horizon = state.horizon
     ref_units = reference_units(cur.alpha, cur.edges, cur.e1_b1)
@@ -582,10 +579,14 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
         - sum([n * (math.lgamma(beta_new * h) - math.lgamma(cur.beta * h))
                for h, n in zip(state.distinct_spans, state.span_counts)]))
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
-    accepted = _accept(state, math.log(rng.random()), cand, log_ratio, "beta")
-    if accepted and n_active:
+    if not log_ratio >= math.log(rng.random()):
+        if math.isnan(log_ratio):
+            raise ContractError(f"beta move gave a NaN log ratio at sweep {state.iteration}")
+        return False, log_ratio
+    state.terms, state.log_prior = new, log_prior
+    if n_active:
         state.write_block(block, stats, totals=totals)
-    return accepted, log_ratio
+    return True, log_ratio
 
 
 def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,

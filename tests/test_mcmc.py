@@ -807,6 +807,27 @@ class TestUpdateParams:
                     + prior_at(prior, cand) - prior_at(prior, params))
         assert log_ratio == pytest.approx(expected, rel=1e-12)
 
+    def test_binless_logged_ratio_is_the_closed_form(self):
+        # N = 0: the ratio is -(a° - a) S_0 - T beta ln(a / a°) plus the prior
+        # difference, with S_0 the data's total and T its span
+        prior, prop = self.prior(), g.ProposalSpec(sigma_alpha=0.3)
+        a = basic_state(seed=23)
+        z = basic_state(seed=23).rng_params.normal(size=(mcmc._WALK_STEPS, 1))[:, 0]
+        s_0, horizon = a.total_sums[0], a.obs.times[-1] - a.obs.times[0]
+        assert s_0 == pytest.approx(math.fsum(a.obs.increments), rel=1e-14)
+        accepted = 0
+        for step in range(40):
+            before = a.params
+            accepted_now, log_ratio = g.update_params(a, prop, prior)
+            cand = before.with_updates(alpha=before.alpha + prop.sigma_alpha * z[step])
+            expected = (-(cand.alpha - before.alpha) * s_0
+                        - horizon * before.beta * math.log(before.alpha / cand.alpha)
+                        + prior_at(prior, cand) - prior_at(prior, before))
+            assert log_ratio == pytest.approx(expected, rel=1e-12)
+            assert a.params.alpha == (cand.alpha if accepted_now else before.alpha)
+            accepted += accepted_now
+        assert 0 < accepted < 40
+
     def test_walk_draws_one_block_per_walk_steps(self):
         # every _WALK_STEPS steps take one (B, 2N + 1) normal block and then B
         # uniforms, from the stream state.rng_params holds when the block is
@@ -1433,8 +1454,9 @@ class TestNonFiniteRatios:
 
     @pytest.mark.parametrize("reparam", [False, True], ids=["default", "reparam"])
     def test_a_non_finite_candidate_is_a_domain_reject(self, reparam):
-        # a NaN or infinite step of the slope, the intercept or beta: prior_logpdf
-        # is -inf, so the move returns (False, -inf) before a ratio is formed
+        # a NaN or infinite step of alpha or beta leaves the domain, one of the
+        # slope or the intercept makes prior_logpdf -inf: either way the move
+        # returns (False, -inf) before a ratio is formed
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
                             theta=normal_priors(1)[0], rho=normal_priors(1)[1], reparam=reparam)
         prop = g.ProposalSpec(update_schedule=("beta", "params"))
@@ -1449,7 +1471,7 @@ class TestNonFiniteRatios:
                 return self.step
 
         for bad in (math.nan, math.inf, -math.inf):
-            for step in ((0.0, bad, 0.0), (0.0, 0.0, bad)):
+            for step in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
                 state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.5], [0.0]))
                 state.rng_params = self.walk(*step)
                 terms = state.score(prior)
