@@ -51,11 +51,11 @@ and the edges fix for the chain it computes once, as read-only constants
 the moves read: T, the block's targets and sub-step spans, which a refresh
 batch's (k, n_active, m) stack reads as they are, and the edges as an array.
 
-The refresh returns its path acceptance rate and its count of proposal rows
-too small to pin, and each parameter move its (accepted, log ratio);
-run_mcmc builds each sweep's ChainRecord from the terms and those outcomes
-and yields one per sweep after burn-in, and `gammasub fit --thinning` alone
-thins.
+run_mcmc builds, checks and scores the start once, at the call.  The refresh
+returns its path acceptance rate and its count of proposal rows too small
+to pin, and each parameter move its (accepted, log ratio); run_mcmc builds
+each sweep's ChainRecord from the terms and those outcomes and yields one
+per sweep after burn-in, and `gammasub fit --thinning` alone thins.
 
 Both parameter moves take a candidate in one pass, as Python floats: the
 move's own range test of what it moved (alpha, or beta, finite and > 0),
@@ -72,9 +72,7 @@ moves call prior_logpdf, loglik_ratio_params, psi_log, bin_stats_matrix,
 reference_units and the moves themselves by their names in this module, so
 a profiler that rebinds those names sees every call.  No sweep builds a
 ModelParams: it is the type of the API edge, and ChainState.params builds
-one on each read.  The beta move's Gamma density ratio reads the
-data only through per-chain constants and math.lgamma, which runs once
-per distinct observation span.
+one on each read.
 """
 
 import json
@@ -186,8 +184,8 @@ class ChainState:
 
     terms are the current parameters as the moves read them, the chain's
     bin edges among them, and log_prior their log prior under prior, the
-    PriorSpec the last move was handed; a move handed another PriorSpec
-    object rescores log_prior (score).  params builds a validated
+    PriorSpec run_mcmc or the last move handed it; a move handed another
+    PriorSpec object rescores log_prior (score).  params builds a validated
     ModelParams from terms on each read.
 
     block and block_stats are the active block (see the module docstring):
@@ -574,10 +572,13 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
         sums, counts = totals[:len(sums)], totals[len(sums):]
     psi_new = psi_log(sums, counts, horizon, new, ref_units)
 
-    density_diff = (
-        (beta_new - cur.beta) * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
-        - sum([n * (math.lgamma(beta_new * h) - math.lgamma(cur.beta * h))
-               for h, n in zip(state.distinct_spans, state.span_counts)]))
+    # left to right, not sum(), whose rounding changed in Python 3.12: the same bits everywhere
+    lgamma_diff = 0.0
+    for h, n in zip(state.distinct_spans, state.span_counts):
+        lgamma_diff += n * (math.lgamma(beta_new * h) - math.lgamma(cur.beta * h))
+    density_diff = ((beta_new - cur.beta)
+                    * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
+                    - lgamma_diff)
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
     if not log_ratio >= math.log(rng.random()):
         if math.isnan(log_ratio):
@@ -587,27 +588,6 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     if n_active:
         state.write_block(block, stats, totals=totals)
     return True, log_ratio
-
-
-def _validate_run(params0: ModelParams, prior: PriorSpec, prop: ProposalSpec,
-                  iterations: int, burn_in: int) -> None:
-    if prior.n_bins != params0.n_bins:
-        raise ConfigError(f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}")
-    if "beta" in prop.update_schedule and not prior.beta_is_random:
-        raise ConfigError("schedule contains a beta stage but the prior fixes beta")
-    if prior.beta_is_random and "beta" not in prop.update_schedule:
-        raise ConfigError("the prior leaves beta random but the schedule has no beta stage")
-    if iterations < 0 or burn_in < 0 or iterations < burn_in:
-        raise ConfigError(f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})")
-    if prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes,
-                    params0.theta_intercepts) == -math.inf:
-        raise ConfigError("initial parameters have zero prior density: a value lies outside "
-                          "its prior's support, or the tail bin has infinite mass "
-                          "(theta_N <= -alpha)")
-    if not all(map(math.isfinite, ParamTerms.of(params0).masses)):
-        raise ConfigError("initial parameters give a bin an infinite mass: its slope + alpha "
-                          "is so far below 0 that its Ei overflows, or its intercept so far "
-                          "below 0 that beta * exp(-rho) times the E1 or Ei factor overflows")
 
 
 def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
@@ -621,19 +601,37 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     update of the schedule, which names a beta stage exactly when beta is
     random.  burn_in defaults to 10 percent of iterations.  Nothing is thinned
     here: `gammasub fit --thinning` keeps every k-th record.  Fully
-    deterministic given the seed.  The arguments are checked at the call,
-    the sweeps run on next(): ConfigError for the model, prior, schedule and
-    seed, and TimeGrid's DomainError for m.
+    deterministic given the seed.  The start is built, checked and scored
+    once, at the call (ConfigError, or TimeGrid's DomainError for m), and
+    the sweeps run on next(); the state takes prior and the start's log
+    prior, so no move rescores them (ChainState.score).
     """
     if burn_in is None:
         burn_in = iterations // 10
-    _validate_run(params0, prior, prop, iterations, burn_in)
-    return _sweeps(obs, params0, prior, prop, iterations, burn_in, _seed_sequence(seed),
-                   TimeGrid(obs.times, m))
+    if prior.n_bins != params0.n_bins:
+        raise ConfigError(f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}")
+    if ("beta" in prop.update_schedule) != prior.beta_is_random:
+        raise ConfigError("the schedule must name a beta stage exactly when the prior leaves "
+                          "beta random")
+    if iterations < 0 or burn_in < 0 or iterations < burn_in:
+        raise ConfigError(f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})")
+    # before init_chain's mass_factors, which refuses theta_N <= -alpha, on the
+    # tuples the start's terms share: the float ChainState.score gives
+    log_prior = prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes,
+                             params0.theta_intercepts)
+    if log_prior == -math.inf:
+        raise ConfigError("initial parameters have zero prior density: a value lies outside "
+                          "its prior's support, or theta_N <= -alpha gives the tail infinite mass")
+    state = init_chain(obs, params0, TimeGrid(obs.times, m), seed)
+    if not all(map(math.isfinite, state.terms.masses)):
+        raise ConfigError("initial parameters give a bin an infinite mass: its slope + alpha "
+                          "is so far below 0 that its Ei overflows, or its intercept so far "
+                          "below 0 that beta * exp(-rho) times the E1 or Ei factor overflows")
+    state.prior, state.log_prior = prior, log_prior
+    return _sweeps(state, prior, prop, iterations, burn_in)
 
 
-def _sweeps(obs, params0, prior, prop, iterations, burn_in, seed, grid):
-    state = init_chain(obs, params0, grid, seed)
+def _sweeps(state, prior, prop, iterations, burn_in):
     schedule = prop.update_schedule
     n_stages = len(schedule)
     # from a sweep at schedule index i, the refreshes up to the next beta
@@ -701,7 +699,7 @@ def read_chain_csv(stream) -> list[ChainRecord]:
     wrong number of fields or a malformed value: a parameter value or path
     rate must be finite, as every retained state's is."""
     header = stream.readline().strip().split(",")
-    n_bins = sum(1 for c in header if c.startswith("theta_"))
+    n_bins = len([c for c in header if c.startswith("theta_")])
     expected = chain_csv_header(n_bins)
     if header != expected.split(","):
         raise DataError(f"chain file must start with the header {expected!r}")

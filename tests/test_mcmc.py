@@ -1689,16 +1689,13 @@ class TestRunMcmc:
         obs = gamma_obs()
         p0 = g.ModelParams(1.0, 1.0)
         with pytest.raises(g.ConfigError):
-            list(g.run_mcmc(obs, p0, self.prior(), g.ProposalSpec(), iterations=5,
-                            burn_in=9, seed=0))
+            g.run_mcmc(obs, p0, self.prior(), g.ProposalSpec(), iterations=5, burn_in=9, seed=0)
         with pytest.raises(g.ConfigError):
-            list(g.run_mcmc(obs, p0, self.prior(),
-                            g.ProposalSpec(update_schedule=("beta",)),
-                            iterations=5, burn_in=0, seed=0))
+            g.run_mcmc(obs, p0, self.prior(), g.ProposalSpec(update_schedule=("beta",)),
+                       iterations=5, burn_in=0, seed=0)
         bad_prior = g.PriorSpec(alpha=g.Prior("uniform", 5.0, 6.0))
         with pytest.raises(g.ConfigError):
-            list(g.run_mcmc(obs, p0, bad_prior, g.ProposalSpec(), iterations=5,
-                            burn_in=0, seed=0))
+            g.run_mcmc(obs, p0, bad_prior, g.ProposalSpec(), iterations=5, burn_in=0, seed=0)
 
     def test_start_with_an_infinite_bin_mass_is_refused(self):
         # slope_1 + alpha = -4 on [200, 300): the Ei of the bin's mass overflows
@@ -2081,6 +2078,35 @@ def test_a_longer_run_extends_a_shorter_one(workload):
         assert short == long[:len(short)], iterations
 
 
+def neumaier_sum(values, start=0):
+    """sum() as CPython 3.12 computes it for floats: compensated (Neumaier)."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_the_chain_does_not_read_the_builtin_sum(monkeypatch):
+    # a random-beta chain on mixture's 11 distinct spans, whose beta move adds
+    # an lnGamma difference per span: its bits must not follow the interpreter's
+    # sum(), whose rounding Python 3.12 changed
+    obs, cfg = pin_inputs("mixture", 7)
+    cfg = parse_config(_PIN_MIXTURE.format(edges="1 2 4", beta=cfg.params0.beta)
+                       + "beta_prior = uniform 0.05 100\nupdate_schedule = beta params\n")
+
+    def chain_text():
+        buf = io.StringIO()
+        write_chain_csv(g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=300,
+                                   burn_in=0, seed=[7, 1], m=cfg.refinement), buf, 3)
+        return buf.getvalue()
+
+    plain = chain_text()
+    monkeypatch.setattr(mcmc, "sum", neumaier_sum, raising=False)
+    assert chain_text() == plain
+
+
 @numpy_pinned
 def test_meta_json_counts_the_unpinnable_refresh_proposals(tmp_path):
     # the tiny-shape fit (Gamma shape beta*h/m = 3e-3) draws proposal rows
@@ -2198,10 +2224,35 @@ class TestE1Traffic:
         recs, points, ref_calls = self.counted_run(monkeypatch, "mixture")
         assert ref_calls == []
         # E1(alpha b_1) and two points per interior bin and one for the tail:
-        # 6 for three bins, one call per candidate (and the start's two)
+        # 6 for three bins, one call per candidate (and the start's one)
         assert points == [6] * len(points)
         candidates = sum(r.logr_params != -math.inf for r in recs)
-        assert len(points) == 2 + candidates
+        assert len(points) == 1 + candidates
+
+    @pytest.mark.parametrize("workload", ["mixture", "beta_binned"])
+    def test_the_start_is_scored_once(self, monkeypatch, workload):
+        # run_mcmc evaluates the start's prior and E1 once, and hands the state
+        # its log prior: no move rescores it through ChainState.score
+        prior_calls = []
+        prior_logpdf = mcmc.prior_logpdf
+
+        def counted_prior(*args):
+            prior_calls.append(args)
+            return prior_logpdf(*args)
+
+        def no_score(state, prior):
+            raise AssertionError(f"ChainState.score ran at sweep {state.iteration}")
+
+        monkeypatch.setattr(mcmc, "prior_logpdf", counted_prior)
+        monkeypatch.setattr(mcmc.ChainState, "score", no_score)
+        recs, points, _ = self.counted_run(monkeypatch, workload)
+        # every candidate passes its range test and the prior's support, and no
+        # beta move collapses a segment: each move scores one candidate
+        assert all(-math.inf < (r.logr_params if r.accept_beta is None else r.logr_beta)
+                   for r in recs)
+        assert len(prior_calls) == 1 + len(recs)
+        # a parameter candidate's mass_factors, a beta move's reference_units
+        assert len(points) == 1 + len(recs)
 
     def test_beta_move_evaluates_the_reference_once(self, monkeypatch):
         recs, points, ref_calls = self.counted_run(monkeypatch, "beta_binned")

@@ -288,3 +288,14 @@ def test_no_module_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def test_no_module_calls_the_builtin_sum():
+    # Python 3.12 made sum() of floats compensated, so its bits depend on the
+    # interpreter: an exact sum is math.fsum, one whose bits a chain keeps a loop
+    package = Path(gammasub.__file__).resolve().parent
+    callers = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "sum"]
+    assert callers == []
