@@ -199,7 +199,9 @@ def cmd_diagnose(args) -> int:
     iterations = np.array([r.iteration for r in records], dtype=float)
 
     series = {"alpha": np.array([r.alpha for r in records])}
-    if cfg.prior.beta_is_random:
+    # beta is sampled when a record ran the beta move or, with thinning that
+    # kept no such record, when beta moves along the chain
+    if any(r.accept_beta is not None for r in records) or len({r.beta for r in records}) > 1:
         series["beta"] = np.array([r.beta for r in records])
     for k in range(n_bins):
         series[f"theta_{k + 1}"] = np.array([r.theta[k] for r in records])

@@ -174,5 +174,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
+    """parse_config of a UTF-8 file, a leading byte-order mark dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_config(fh.read())

@@ -245,15 +245,32 @@ def aggregate_losses(rows, aggregation: str = "weekly") -> tuple[Observations, I
     return Observations.from_increments(np.asarray(times), np.asarray(increments)), report
 
 
-def _parse_loss_rows(stream):
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header[:2]] != ["date", "loss"]:
-        raise DataError("loss CSV must start with header 'date,loss'")
+def _csv_rows(path, header: str, what: str) -> list:
+    """(line number, fields) of each row of a CSV file after its header,
+    skipping blank and whitespace-only lines.
+
+    The file is read as UTF-8, a leading byte-order mark (which spreadsheet
+    exports write) dropped.  Raises DataError unless the header's first
+    fields are header's names, in any case and spacing.
+    """
+    names = header.split(",")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first[:len(names)]] != names:
+            raise DataError(f"{what} CSV must start with header '{header}'")
+        return [(line_no, row) for line_no, row in enumerate(reader, start=2)
+                if len(row) > 1 or (row and row[0].strip())]
+
+
+def ingest_losses(csv_path, aggregation: str = "weekly") -> tuple[Observations, IngestReport]:
+    """Read a (date, loss) CSV and aggregate it into Observations.
+
+    Returns aggregate_losses's (Observations, IngestReport) pair; see
+    aggregate_losses for the windowing rules.
+    """
     rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for line_no, row in _csv_rows(csv_path, "date,loss", "loss"):
         if len(row) < 2:
             raise DataError(f"line {line_no}: expected 'date,loss', got {row!r}")
         try:
@@ -267,17 +284,6 @@ def _parse_loss_rows(stream):
         if not math.isfinite(loss):
             raise DataError(f"line {line_no}: loss must be finite, got {row[1]!r}")
         rows.append((line_no, day, loss))
-    return rows
-
-
-def ingest_losses(csv_path, aggregation: str = "weekly") -> tuple[Observations, IngestReport]:
-    """Read a (date, loss) CSV and aggregate it into Observations.
-
-    Returns aggregate_losses's (Observations, IngestReport) pair; see
-    aggregate_losses for the windowing rules.
-    """
-    with open(csv_path, "r", newline="") as fh:
-        rows = _parse_loss_rows(fh)
     return aggregate_losses(rows, aggregation)
 
 
@@ -285,19 +291,12 @@ def read_observations_csv(path) -> Observations:
     """Read a 'time,value' CSV into Observations."""
     times = []
     values = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["time", "value"]:
-            raise DataError("observations CSV must start with header 'time,value'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except (ValueError, IndexError):
-                raise DataError(f"line {line_no}: expected 'time,value', got {row!r}") from None
+    for line_no, row in _csv_rows(path, "time,value", "observations"):
+        try:
+            times.append(float(row[0]))
+            values.append(float(row[1]))
+        except (ValueError, IndexError):
+            raise DataError(f"line {line_no}: expected 'time,value', got {row!r}") from None
     return Observations(np.asarray(times), np.asarray(values))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from gammasub import ConfigError
 from gammasub.cli import main
-from gammasub.config import parse_config
+from gammasub.config import load_config, parse_config
 
 BASIC_CONFIG = """
 # binless activity-fixed model
@@ -97,6 +97,11 @@ class TestParseConfig:
     def test_proposal_defaults_are_proposal_specs(self):
         from gammasub.mcmc import ProposalSpec
         assert parse_config(BASIC_CONFIG).proposal == ProposalSpec(sigma_alpha=0.1)
+
+    def test_load_config_reads_past_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_bytes(("\ufeff" + BINNED_CONFIG.lstrip()).encode("utf-8"))
+        assert load_config(path) == parse_config(BINNED_CONFIG)
 
     def test_comments_and_echo(self):
         cfg = parse_config(BASIC_CONFIG)
@@ -326,7 +331,8 @@ class TestCliRoundTrip:
 
     def test_diagnose_plots_beta_under_thinning(self, tmp_path):
         # with thinning 5 over a five-stage schedule every retained record ran a
-        # params move, yet beta varies along the chain: the prior makes it random
+        # params move, yet beta varies along the chain, which diagnose reads
+        # as a sampled beta
         obs_csv = tmp_path / "obs.csv"
         main(["simulate", "--horizon", "40", "--n", "100", "--seed", "5",
               "--out", str(obs_csv)])
@@ -346,6 +352,27 @@ class TestCliRoundTrip:
                    "--out-dir", str(fig), "--figures", "trace,hist"])
         assert rc == 0
         assert (fig / "trace_beta.csv").exists() and (fig / "hist_beta.csv").exists()
+
+    def test_diagnose_reads_the_beta_figures_off_the_chain(self, tmp_path):
+        # the chain decides, not the config's beta_prior: a random-beta chain
+        # diagnosed with a fixed-beta config gets its beta figures, and a
+        # fixed-beta chain diagnosed with a random-beta config gets none
+        obs_csv = tmp_path / "obs.csv"
+        main(["simulate", "--horizon", "40", "--n", "100", "--seed", "5",
+              "--out", str(obs_csv)])
+        random_cfg, fixed_cfg = tmp_path / "random.cfg", tmp_path / "fixed.cfg"
+        random_cfg.write_text(BINNED_CONFIG)
+        fixed_cfg.write_text("".join(line for line in BINNED_CONFIG.splitlines(True)
+                                     if not line.startswith(("beta_prior", "update_schedule"))))
+        for cfg, other in ((random_cfg, fixed_cfg), (fixed_cfg, random_cfg)):
+            out, fig = tmp_path / f"fit-{cfg.stem}", tmp_path / f"figs-{cfg.stem}"
+            assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                         "--iterations", "50", "--seed", "7", "--out-dir", str(out)]) == 0
+            assert main(["diagnose", "--chain", str(out / "chain.csv"), "--config", str(other),
+                         "--out-dir", str(fig), "--figures", "trace,hist"]) == 0
+            beta_figures = {"trace_beta.csv", "hist_beta.csv"} & {p.name for p in fig.iterdir()}
+            assert beta_figures == ({"trace_beta.csv", "hist_beta.csv"}
+                                    if cfg is random_cfg else set())
 
     def test_diagnose_rejects_unknown_figures(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"

@@ -226,6 +226,14 @@ class TestIngest:
         assert report.n_dropped == 0 and report.n_merged_windows == 1
         assert report.boundary_note.endswith("series ends Sunday 2020-02-09")
 
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        # spreadsheet exports start a UTF-8 file with U+FEFF
+        text = "date,loss\n2020-01-06,%r\n2020-01-14,%r\n" % (math.e, math.e ** 2)
+        path = tmp_path / "losses.csv"
+        path.write_bytes(("\ufeff" + text).encode("utf-8"))
+        obs, _ = ingest_losses(path)
+        assert obs.increments.tolist() == ingest_text(text)[0].increments.tolist()
+
     def test_biweekly_windows(self):
         text = ("date,loss\n"
                 "2020-01-06,%r\n"
@@ -251,3 +259,14 @@ class TestObservationsCsv:
             os.unlink(name)
         assert np.array_equal(back.times, obs.times)
         assert np.array_equal(back.values, obs.values)
+
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_bytes("\ufefftime,value\n0,0\n1,0.5\n".encode("utf-8"))
+        assert read_observations_csv(path).values.tolist() == [0.0, 0.5]
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        # as the loss reader skips them
+        path = tmp_path / "obs.csv"
+        path.write_text("time,value\n0,0\n  \n1,0.5\n\t\n\n2,0.75\n")
+        assert read_observations_csv(path).values.tolist() == [0.0, 0.5, 0.75]

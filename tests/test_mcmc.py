@@ -1956,9 +1956,20 @@ _CLI_FITS = {"reparam": (_PIN_REPARAM, 3), "reparam_3bin": (_PIN_REPARAM_3BIN, 3
              "tiny_shape": (_PIN_TINY_SHAPE, 1)}
 
 
+# binned workload -> (increment count, bin edges, config lines beyond _PIN_MIXTURE's);
+# mixture_ei is mixture started at theta_1 = -3, slope_1 + alpha = -1, so that
+# its candidates' bin-1 masses run mass_factors' Ei branch until the walk
+# brings slope_1 + alpha above 0
+_PIN_BINNED = {
+    "mixture": (1000, "1 2 4", ""),
+    "mixture_ei": (1000, "1 2 4", "theta_init = -3 0 0\n"),
+    "beta_binned": (200, "1 2", "beta_prior = uniform 0.05 100\nupdate_schedule = beta params\n"),
+}
+
+
 def pin_inputs(workload, seed):
-    """(Observations, RunConfig) of a benchmark workload, or of one of the CLI
-    fits, at a data seed."""
+    """(Observations, RunConfig) of a benchmark workload, of mixture_ei, or of
+    one of the CLI fits, at a data seed."""
     if workload in _CLI_FITS:
         # `gammasub simulate --n 400 --horizon 400 --seed 5`, as fit reads its CSV back
         data, _ = g.synth_two_gamma(2.0, 0.4, 0.2, 0.04, T=400.0, n=400, seed=seed)
@@ -1968,8 +1979,7 @@ def pin_inputs(workload, seed):
         times, increments = np.arange(2001, dtype=float), rng.gamma(1.0, 0.5, size=2000)
         text = _PIN_BINLESS
     else:
-        n, edges, extra = (1000, "1 2 4", "") if workload == "mixture" else (
-            200, "1 2", "beta_prior = uniform 0.05 100\nupdate_schedule = beta params\n")
+        n, edges, extra = _PIN_BINNED[workload]
         data, truth = g.synth_two_gamma(2.0, 0.4, 0.2, 0.04, T=200.0, n=n, seed=seed)
         times, increments = data.times, data.increments
         text = _PIN_MIXTURE.format(edges=edges, beta=truth.beta_bar) + extra
@@ -2009,6 +2019,8 @@ numpy_pinned = pytest.mark.skipif(
 @pytest.mark.parametrize("workload, seed, digest", [
     ("mixture", 7, "31e0b6a84d90520c29afea39b67d78ab677bf4ae615e8fb2e92ba51568f64e5f"),
     ("mixture", 23, "a29b898fad5d202e57fa6c1f35da02a4f1d8ce41e6e6fb15adb9aa3edadec5d0"),
+    # the one pin whose sweeps run mass_factors' Ei branch (test_the_ei_pins_take_the_ei_branch)
+    ("mixture_ei", 7, "699321f969a12956e12d92619d4c78dda0251291318503aaef5d849b905209d1"),
     ("binless", 7, "0125e072571f9b2e1baa8d5461c47c1b5670926fdfa0b82efc4595571deea9cb"),
     ("beta_binned", 7, "7fd7742db500334d99f981571496916dfdd2f7be40730fe8c7975a038805816e"),
     # its 600-sweep form gives test_cli_chains_pinned's 14071b07... chain.csv
@@ -2018,8 +2030,8 @@ numpy_pinned = pytest.mark.skipif(
     # its 600-sweep form gives the 0b2c99f6... chain.csv of
     # test_meta_json_counts_the_unpinnable_refresh_proposals
     ("tiny_shape", 5, "f3f1ecf01ea99f5e52763af44bef2bc88765c082a5f55c332fcb6ad18702a9e9"),
-], ids=["mixture-7", "mixture-23", "binless-7", "beta_binned-7", "reparam-5", "reparam_3bin-5",
-        "tiny_shape-5"])
+], ids=["mixture-7", "mixture-23", "mixture_ei-7", "binless-7", "beta_binned-7", "reparam-5",
+        "reparam_3bin-5", "tiny_shape-5"])
 def test_chain_bytes_pinned(workload, seed, digest):
     # a kernel rewrite must leave every chain byte where it was
     assert pinned_chain_digest(workload, seed) == digest
@@ -2063,8 +2075,8 @@ def test_cli_chains_pinned(tmp_path):
     assert {name: sha256_of(tmp_path / name) for name in pinned} == pinned
 
 
-@pytest.mark.parametrize("workload", ["mixture", "binless", "beta_binned", "reparam",
-                                      "reparam_3bin", "tiny_shape"])
+@pytest.mark.parametrize("workload", ["mixture", "mixture_ei", "binless", "beta_binned",
+                                      "reparam", "reparam_3bin", "tiny_shape"])
 def test_a_longer_run_extends_a_shorter_one(workload):
     # no block of draws is sized by the sweeps left: the refresh's and the
     # parameter walk's draws ahead serve a run's first sweeps as they serve
@@ -2076,6 +2088,38 @@ def test_a_longer_run_extends_a_shorter_one(workload):
         short = pinned_chain_text(workload, seed, iterations, burn_in=0).splitlines()
         assert len(short) == 1 + iterations // kept
         assert short == long[:len(short)], iterations
+
+
+@numpy_pinned
+@pytest.mark.parametrize("workload, seed, iterations, first, count", [
+    # CI pins the benchmark's seed-2 mixture chain as the one whose retained
+    # sweeps, after its 1,000 burn-in sweeps, run the branch; seeds 7 and 23
+    # never reach it
+    ("mixture", 2, 4000, 2630, 524),
+    # mixture_ei starts in the branch and stays there until the walk lifts
+    # slope_1 + alpha above 0
+    ("mixture_ei", 7, 300, 1, 256),
+], ids=["ci-mixture-2", "mixture_ei-7"])
+def test_the_ei_pins_take_the_ei_branch(monkeypatch, workload, seed, iterations, first, count):
+    # the sweeps of the chain, as pinned_chain_text runs it, whose parameter
+    # candidate took mass_factors' Ei branch (an interior bin with slope +
+    # alpha < 0); the start's own mass factors count with sweep 1
+    ei_calls = []
+    ei = model.exp_integral_ei_values
+
+    def counted_ei(xs):
+        ei_calls.append(xs)
+        return ei(xs)
+
+    monkeypatch.setattr(model, "exp_integral_ei_values", counted_ei)
+    obs, cfg = pin_inputs(workload, seed)
+    sweeps = []
+    for r in g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=iterations,
+                        burn_in=0, seed=[seed, 1], m=cfg.refinement):
+        if ei_calls:
+            sweeps.append(r.iteration)
+            ei_calls.clear()
+    assert sweeps[:1] == [first] and len(sweeps) == count
 
 
 def neumaier_sum(values, start=0):
