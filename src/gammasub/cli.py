@@ -47,9 +47,10 @@ def cmd_simulate(args) -> int:
                                  args.horizon, args.n, args.seed)
     absorbed = int(np.sum(np.diff(obs.values) == 0.0))
     if absorbed:
-        print(f"warning: {absorbed} increments fall below the float resolution of the "
-              "cumulative values and are lost in the CSV rendering; use fewer or "
-              "coarser observations for a file-based workflow", file=sys.stderr)
+        # fit rejects a file whose values do not strictly increase
+        raise DataError(f"{absorbed} increments fall below the float resolution of the "
+                        "cumulative values and would be lost in the CSV rendering; use fewer "
+                        "or coarser observations for a file-based workflow")
     with open(args.out, "w") as fh:
         write_observations_csv(obs, fh)
     truth_path = args.truth_out or str(Path(args.out).with_suffix(".truth.json"))
@@ -149,8 +150,7 @@ def cmd_fit(args) -> int:
 
 def _add_diagnose(sub):
     p = sub.add_parser("diagnose", help="figures and summaries from a chain file")
-    p.add_argument("--chain", required=True, help="chain.csv from fit")
-    p.add_argument("--config", required=True, help="config used for the fit")
+    p.add_argument("--chain", required=True, help="chain.csv beside the fit's meta.json")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--figures", default="trace,hist,band",
                    help="comma list from {trace,hist,band}")
@@ -164,20 +164,20 @@ def _add_diagnose(sub):
     p.set_defaults(func=cmd_diagnose)
 
 
-def _check_fit_edges(chain: Path, edges: tuple) -> None:
-    """DataError unless the meta.json `gammasub fit` wrote beside the chain, if any
-    (chain_0.meta.json beside the benchmark's chain_0.csv), echoes these bin edges."""
-    for meta in (chain.with_suffix(".meta.json"), chain.with_name("meta.json")):
-        if meta.is_file():
-            try:
-                echo = json.loads(meta.read_text(encoding="utf-8"))["config"]
-                fit_edges = _floats(echo.get("bin_edges", ""), "bin_edges")
-            except (ValueError, LookupError, TypeError, AttributeError):
-                raise DataError(f"{meta} holds no config echo") from None
-            if fit_edges != edges:
-                raise DataError(f"the chain was fit on bin edges {list(fit_edges)} ({meta}) "
-                                f"but the config has {list(edges)}")
-            return
+def _read_manifest(chain: Path) -> tuple[tuple, bool]:
+    """The bin edges and whether beta was sampled (a beta_prior is set) in the
+    config echo of the fit's manifest beside the chain: <stem>.meta.json, as
+    the benchmark writes it, else meta.json, as `gammasub fit` writes it."""
+    metas = (chain.with_suffix(".meta.json"), chain.with_name("meta.json"))
+    meta = next((m for m in metas if m.is_file()), None)
+    if meta is None:
+        raise DataError(f"neither {metas[0].name} nor {metas[1].name} lies beside {chain}: "
+                        "diagnose reads the fit's config echo from its manifest")
+    try:
+        echo = json.loads(meta.read_text(encoding="utf-8-sig"))["config"]
+        return _floats(echo.get("bin_edges", ""), "bin_edges"), "beta_prior" in echo
+    except (ValueError, LookupError, TypeError, AttributeError):
+        raise DataError(f"{meta} holds no config echo") from None
 
 
 def cmd_diagnose(args) -> int:
@@ -187,21 +187,19 @@ def cmd_diagnose(args) -> int:
     unknown = sorted(figures - {"trace", "hist", "band"})
     if unknown:
         raise ConfigError(f"unknown figure(s) {', '.join(unknown)}; choose from trace, hist, band")
-    cfg = load_config(args.config)
-    with open(args.chain) as fh:
+    bin_edges, random_beta = _read_manifest(Path(args.chain))
+    with open(args.chain, encoding="utf-8-sig") as fh:
         records = read_chain_csv(fh)
     if not records:
         raise DataError("chain file holds no records")
     n_bins = len(records[0].theta)
-    if n_bins != cfg.params0.n_bins:
-        raise DataError(f"the chain has {n_bins} bins but the config has {cfg.params0.n_bins}")
-    _check_fit_edges(Path(args.chain), cfg.params0.bin_edges)
+    if n_bins != len(bin_edges):
+        raise DataError(f"the chain has {n_bins} bins but its manifest's bin edges "
+                        f"{list(bin_edges)} make {len(bin_edges)}")
     iterations = np.array([r.iteration for r in records], dtype=float)
 
     series = {"alpha": np.array([r.alpha for r in records])}
-    # beta is sampled when a record ran the beta move or, with thinning that
-    # kept no such record, when beta moves along the chain
-    if any(r.accept_beta is not None for r in records) or len({r.beta for r in records}) > 1:
+    if random_beta:                 # drawn even where beta never moved
         series["beta"] = np.array([r.beta for r in records])
     for k in range(n_bins):
         series[f"theta_{k + 1}"] = np.array([r.theta[k] for r in records])
@@ -230,8 +228,7 @@ def cmd_diagnose(args) -> int:
         spec = diagnostics.BandSpec(
             x_grid=np.linspace(args.x_min, args.x_max, args.x_points),
             level=args.band_level, functional=args.band_functional)
-        edges = cfg.params0.bin_edges
-        lo, hi = diagnostics.credible_band([r.to_params(edges) for r in records], spec)
+        lo, hi = diagnostics.credible_band([r.to_params(bin_edges) for r in records], spec)
         plots["band"] = (
             {"x": spec.x_grid, "lo": lo, "hi": hi}, spec.x_grid, {"lo": lo, "hi": hi},
             {"title": f"{args.band_level * 100:g}% band, {args.band_functional}",

@@ -141,8 +141,7 @@ class TestCliRoundTrip:
         assert meta["acceptance"]["path_refresh_mean_rate"] == 1.0
 
         fig_dir = tmp_path / "figs"
-        rc = main(["diagnose", "--chain", str(out_dir / "chain.csv"),
-                   "--config", str(cfg), "--out-dir", str(fig_dir),
+        rc = main(["diagnose", "--chain", str(out_dir / "chain.csv"), "--out-dir", str(fig_dir),
                    "--x-min", "0.5", "--x-max", "4.0", "--x-points", "8"])
         assert rc == 0
         assert (fig_dir / "trace_alpha.csv").exists()
@@ -152,8 +151,7 @@ class TestCliRoundTrip:
         assert (fig_dir / "band.svg").exists()
         for bound in ("--x-min", "--x-max"):
             rc = main(["diagnose", "--chain", str(out_dir / "chain.csv"),
-                       "--config", str(cfg), "--out-dir", str(tmp_path / bound),
-                       "--figures", "band", bound, "nan"])
+                       "--out-dir", str(tmp_path / bound), "--figures", "band", bound, "nan"])
             assert rc == 2
             assert not (tmp_path / bound / "band.csv").exists()
 
@@ -324,8 +322,8 @@ class TestCliRoundTrip:
         blobs = []
         for name in ("f1", "f2"):
             fig = tmp_path / name
-            main(["diagnose", "--chain", str(out / "chain.csv"), "--config",
-                  str(cfg), "--out-dir", str(fig), "--x-points", "6"])
+            main(["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(fig),
+                  "--x-points", "6"])
             blobs.append({p.name: p.read_bytes() for p in sorted(fig.iterdir())})
         assert blobs[0] == blobs[1]
 
@@ -348,31 +346,44 @@ class TestCliRoundTrip:
         assert all(r.accept_beta is None for r in records)
         assert len({r.beta for r in records}) > 1
         fig = tmp_path / "figs"
-        rc = main(["diagnose", "--chain", str(out / "chain.csv"), "--config", str(cfg),
-                   "--out-dir", str(fig), "--figures", "trace,hist"])
+        rc = main(["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(fig),
+                   "--figures", "trace,hist"])
         assert rc == 0
         assert (fig / "trace_beta.csv").exists() and (fig / "hist_beta.csv").exists()
 
-    def test_diagnose_reads_the_beta_figures_off_the_chain(self, tmp_path):
-        # the chain decides, not the config's beta_prior: a random-beta chain
-        # diagnosed with a fixed-beta config gets its beta figures, and a
-        # fixed-beta chain diagnosed with a random-beta config gets none
+    def test_diagnose_draws_beta_figures_for_a_beta_prior(self, tmp_path):
+        # the fit's config echo decides, not the chain: a random-beta fit gets
+        # its beta figures and a fixed-beta fit none. A random-beta fit whose
+        # beta never moved gets them too, though no retained record ran the
+        # beta move: every proposal at sigma_beta 1e6 leaves the prior's
+        # support, and thinning by 2 over "beta params" keeps params sweeps alone
         obs_csv = tmp_path / "obs.csv"
         main(["simulate", "--horizon", "40", "--n", "100", "--seed", "5",
               "--out", str(obs_csv)])
-        random_cfg, fixed_cfg = tmp_path / "random.cfg", tmp_path / "fixed.cfg"
-        random_cfg.write_text(BINNED_CONFIG)
-        fixed_cfg.write_text("".join(line for line in BINNED_CONFIG.splitlines(True)
-                                     if not line.startswith(("beta_prior", "update_schedule"))))
-        for cfg, other in ((random_cfg, fixed_cfg), (fixed_cfg, random_cfg)):
-            out, fig = tmp_path / f"fit-{cfg.stem}", tmp_path / f"figs-{cfg.stem}"
+        fixed = "".join(line for line in BINNED_CONFIG.splitlines(True)
+                        if not line.startswith(("beta_prior", "update_schedule")))
+        stuck = with_value(with_value(BINNED_CONFIG, "sigma_beta", "1e6"),
+                           "update_schedule", "beta params")
+        fits = {"random": (BINNED_CONFIG, []), "fixed": (fixed, []),
+                "stuck": (stuck, ["--burn-in", "0", "--thinning", "2"])}
+        for name, (config, options) in fits.items():
+            cfg, out, fig = tmp_path / f"{name}.cfg", tmp_path / name, tmp_path / f"figs-{name}"
+            cfg.write_text(config)
             assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
-                         "--iterations", "50", "--seed", "7", "--out-dir", str(out)]) == 0
-            assert main(["diagnose", "--chain", str(out / "chain.csv"), "--config", str(other),
-                         "--out-dir", str(fig), "--figures", "trace,hist"]) == 0
+                         "--iterations", "200", "--seed", "7", "--out-dir", str(out),
+                         *options]) == 0
+            assert main(["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(fig),
+                         "--figures", "trace,hist"]) == 0
             beta_figures = {"trace_beta.csv", "hist_beta.csv"} & {p.name for p in fig.iterdir()}
-            assert beta_figures == ({"trace_beta.csv", "hist_beta.csv"}
-                                    if cfg is random_cfg else set())
+            assert beta_figures == (set() if name == "fixed" else {"trace_beta.csv",
+                                                                   "hist_beta.csv"})
+        from gammasub.mcmc import read_chain_csv
+        with open(tmp_path / "stuck" / "chain.csv") as fh:
+            records = read_chain_csv(fh)
+        assert all(r.accept_beta is None for r in records)
+        assert {r.beta for r in records} == {0.44}
+        meta = json.loads((tmp_path / "stuck" / "meta.json").read_text())
+        assert meta["acceptance"]["beta_rate"] == 0.0
 
     def test_diagnose_rejects_unknown_figures(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"
@@ -384,8 +395,8 @@ class TestCliRoundTrip:
               "--iterations", "20", "--seed", "7", "--out-dir", str(out)])
         capsys.readouterr()
         fig = tmp_path / "figs"
-        rc = main(["diagnose", "--chain", str(out / "chain.csv"), "--config", str(cfg),
-                   "--out-dir", str(fig), "--figures", "bnad,trcae"])
+        rc = main(["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(fig),
+                   "--figures", "bnad,trcae"])
         assert rc == 2
         assert capsys.readouterr().err == ("error: unknown figure(s) bnad, trcae; "
                                            "choose from trace, hist, band\n")
@@ -404,62 +415,77 @@ class TestCliRoundTrip:
         assert rc == 0
         return out / "chain.csv"
 
-    @pytest.mark.parametrize("chain_config, diagnose_config, options, message", [
-        (BASIC_CONFIG, BASIC_CONFIG, ["--band-level", "1.5"], "level must be in (0, 1), got 1.5"),
-        (BASIC_CONFIG, BASIC_CONFIG, ["--hist-bins", "0"], "bins must be >= 1, got 0"),
-        (BASIC_CONFIG, BASIC_CONFIG, ["--x-points", "-1"], "x-points must be >= 1, got -1"),
-        (BASIC_CONFIG, BASIC_CONFIG, ["--x-points", "0"], "x-points must be >= 1, got 0"),
-        (BASIC_CONFIG, BASIC_CONFIG, ["--figures", ""], "--figures names no figure"),
-        (BASIC_CONFIG, BASIC_CONFIG, ["--figures", ","], "--figures names no figure"),
-        (BINNED_CONFIG.replace("1 2 4", "1 2").replace("0 0 0", "0 0"), BINNED_CONFIG, [],
-         "the chain has 2 bins but the config has 3"),
+    def band(self, chain: Path, fig: Path) -> bytes:
+        """The band.csv diagnose draws from chain into fig."""
+        assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig),
+                     "--figures", "band"]) == 0
+        return (fig / "band.csv").read_bytes()
+
+    def set_fit_edges(self, chain: Path, edges: str) -> None:
+        """Set bin_edges in the config echo of the meta.json beside chain."""
+        meta = json.loads((chain.parent / "meta.json").read_text())
+        meta["config"]["bin_edges"] = edges
+        (chain.parent / "meta.json").write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize("config, options, fit_edges, message", [
+        (BASIC_CONFIG, ["--band-level", "1.5"], None, "level must be in (0, 1), got 1.5"),
+        (BASIC_CONFIG, ["--hist-bins", "0"], None, "bins must be >= 1, got 0"),
+        (BASIC_CONFIG, ["--x-points", "-1"], None, "x-points must be >= 1, got -1"),
+        (BASIC_CONFIG, ["--x-points", "0"], None, "x-points must be >= 1, got 0"),
+        (BASIC_CONFIG, ["--figures", ""], None, "--figures names no figure"),
+        (BASIC_CONFIG, ["--figures", ","], None, "--figures names no figure"),
+        (BINNED_CONFIG, [], "1 2",
+         "the chain has 3 bins but its manifest's bin edges [1.0, 2.0] make 2"),
     ], ids=["band level", "hist bins", "x points -1", "x points 0", "no figure", "no figure ,",
             "bin count"])
-    def test_diagnose_checks_its_inputs_first(self, tmp_path, capsys, chain_config,
-                                             diagnose_config, options, message):
-        chain = self.fit_chain(tmp_path, chain_config, "--iterations", "20")
-        cfg = tmp_path / "diagnose.cfg"
-        cfg.write_text(diagnose_config)
+    def test_diagnose_checks_its_inputs_first(self, tmp_path, capsys, config, options,
+                                             fit_edges, message):
+        chain = self.fit_chain(tmp_path, config, "--iterations", "20")
+        if fit_edges is not None:
+            self.set_fit_edges(chain, fit_edges)
         capsys.readouterr()
         fig = tmp_path / "figs"
-        rc = main(["diagnose", "--chain", str(chain), "--config", str(cfg),
-                   "--out-dir", str(fig), *options])
+        rc = main(["diagnose", "--chain", str(chain), "--out-dir", str(fig), *options])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not fig.exists()
 
-    @pytest.mark.parametrize("meta_name", ["meta.json", "chain.meta.json"])
-    def test_diagnose_rejects_edges_other_than_the_fits(self, tmp_path, capsys, meta_name):
-        # chain.csv records no edges: the config echo of the fit's meta.json does,
-        # beside chain.csv as `gammasub fit` writes it, or beside chain_0.csv as
-        # chain_0.meta.json
+    def test_diagnose_reads_the_edges_from_either_manifest_name(self, tmp_path):
+        # chain.csv records no edges: the config echo of the fit's manifest
+        # does, meta.json beside chain.csv as `gammasub fit` writes it, or
+        # <stem>.meta.json as the benchmark writes chain_0.meta.json beside
+        # chain_0.csv, which is read first
         chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
-        (chain.parent / "meta.json").rename(chain.parent / meta_name)
-        cfg = tmp_path / "diagnose.cfg"
-        cfg.write_text(with_value(BINNED_CONFIG, "bin_edges", "1.5 3 9"))
-        capsys.readouterr()
-        fig = tmp_path / "figs"
-        rc = main(["diagnose", "--chain", str(chain), "--config", str(cfg),
-                   "--out-dir", str(fig), "--figures", "band"])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: the chain was fit on bin edges [1.0, 2.0, 4.0] ({chain.parent / meta_name}) "
-            "but the config has [1.5, 3.0, 9.0]\n")
-        assert not fig.exists()
-        # the same edges written otherwise pass
-        cfg.write_text(with_value(BINNED_CONFIG, "bin_edges", "1.0, 2 4e0"))
-        assert main(["diagnose", "--chain", str(chain), "--config", str(cfg),
-                     "--out-dir", str(fig), "--figures", "band"]) == 0
+        band = self.band(chain, tmp_path / "figs")
+        (chain.parent / "meta.json").rename(chain.parent / "chain.meta.json")
+        (chain.parent / "meta.json").write_text('{"config": {"bin_edges": "1.5 3 9"}}')
+        assert self.band(chain, tmp_path / "figs-stem") == band
 
-    def test_diagnose_without_a_meta_json_takes_the_configs_edges(self, tmp_path):
+    def test_diagnose_refuses_a_chain_without_a_manifest(self, tmp_path, capsys):
         chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
         (chain.parent / "meta.json").unlink()
-        cfg = tmp_path / "diagnose.cfg"
-        cfg.write_text(with_value(BINNED_CONFIG, "bin_edges", "1.5 3 9"))
+        capsys.readouterr()
         fig = tmp_path / "figs"
-        assert main(["diagnose", "--chain", str(chain), "--config", str(cfg),
-                     "--out-dir", str(fig), "--figures", "band"]) == 0
-        assert (fig / "band.csv").exists()
+        assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: neither chain.meta.json nor meta.json lies beside {chain}: diagnose reads "
+            "the fit's config echo from its manifest\n")
+        assert not fig.exists()
+        # the config the fit read is no option of diagnose
+        with pytest.raises(SystemExit):
+            main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
+                  "--out-dir", str(fig)])
+        assert not fig.exists()
+
+    @pytest.mark.parametrize("name", ["chain.csv", "meta.json"])
+    def test_diagnose_reads_past_a_byte_order_mark(self, tmp_path, name):
+        # chain.csv and meta.json are read as the other inputs are: UTF-8, a
+        # leading byte-order mark dropped
+        chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
+        band = self.band(chain, tmp_path / "figs")
+        path = chain.parent / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert self.band(chain, tmp_path / "figs-bom") == band
 
     def test_diagnose_rejects_a_meta_json_without_a_config_echo(self, tmp_path, capsys):
         chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
@@ -467,30 +493,29 @@ class TestCliRoundTrip:
         for text in ("{", "[]", '{"config": 3}', '{"acceptance": {}}'):
             meta.write_text(text)
             capsys.readouterr()
-            assert main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
-                         "--out-dir", str(tmp_path / "figs")]) == 2
+            rc = main(["diagnose", "--chain", str(chain), "--out-dir", str(tmp_path / "figs")])
+            assert rc == 2
             assert capsys.readouterr().err == f"error: {meta} holds no config echo\n"
 
     def test_diagnose_band_needs_two_records(self, tmp_path, capsys):
         chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "1", "--burn-in", "0")
         capsys.readouterr()
         fig = tmp_path / "figs"
-        rc = main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
-                   "--out-dir", str(fig)])
+        rc = main(["diagnose", "--chain", str(chain), "--out-dir", str(fig)])
         assert rc == 2
         assert capsys.readouterr().err == "error: need at least two samples for a band\n"
         assert not fig.exists()
         # without the band one record is enough
-        assert main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
-                     "--out-dir", str(fig), "--figures", "trace,hist"]) == 0
+        assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig),
+                     "--figures", "trace,hist"]) == 0
 
     @pytest.mark.parametrize("level, title", [("0.95", "95% band"), ("0.975", "97.5% band"),
                                               ("0.57", "57% band")])
     def test_band_title_names_the_level(self, tmp_path, level, title):
         chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "20")
         fig = tmp_path / "figs"
-        assert main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
-                     "--out-dir", str(fig), "--figures", "band", "--band-level", level]) == 0
+        assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig),
+                     "--figures", "band", "--band-level", level]) == 0
         assert f">{title}, theta_plus_alpha_x</text>" in (fig / "band.svg").read_text()
 
     def test_fit_thinning_stride_and_iterations(self, tmp_path):
@@ -602,13 +627,24 @@ class TestCliRoundTrip:
             "error: seed must be a non-negative integer or a sequence of them, got -3\n")
         assert not obs_csv.exists()
 
+    def test_simulate_refuses_increments_below_the_float_resolution(self, tmp_path, capsys):
+        # fit would reject the file: its cumulative values do not strictly increase
+        obs_csv = tmp_path / "obs.csv"
+        rc = main(["simulate", "--n", "200", "--horizon", "100", "--seed", "3",
+                   "--out", str(obs_csv)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: 1 increments fall below the float resolution of the cumulative values and "
+            "would be lost in the CSV rendering; use fewer or coarser observations for a "
+            "file-based workflow\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_diagnose_chain_without_records_is_an_error(self, tmp_path, capsys):
         chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "20")
         chain.write_text(chain.read_text().splitlines()[0] + "\n")
         capsys.readouterr()
         fig = tmp_path / "figs"
-        rc = main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
-                   "--out-dir", str(fig)])
+        rc = main(["diagnose", "--chain", str(chain), "--out-dir", str(fig)])
         assert rc == 2
         assert capsys.readouterr().err == "error: chain file holds no records\n"
         assert not fig.exists()
@@ -667,8 +703,7 @@ class TestCliRoundTrip:
         chain.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         fig = tmp_path / "figs"
-        rc = main(["diagnose", "--chain", str(chain), "--config", str(tmp_path / "fit.cfg"),
-                   "--out-dir", str(fig), "--figures", "hist"])
+        rc = main(["diagnose", "--chain", str(chain), "--out-dir", str(fig), "--figures", "hist"])
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: chain line {len(lines)}: alpha, beta, theta, rho and accept_path_rate must "
@@ -688,8 +723,7 @@ class TestCliRoundTrip:
         lines[-1] = lines[-1].rsplit(",", 3)[0]
         chain.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        rc = main(["diagnose", "--chain", str(chain), "--config", str(cfg),
-                   "--out-dir", str(tmp_path / "figs")])
+        rc = main(["diagnose", "--chain", str(chain), "--out-dir", str(tmp_path / "figs")])
         assert rc == 2
         assert capsys.readouterr().err == (f"error: chain line {len(lines)}: expected 8 fields, "
                                            "got 5\n")

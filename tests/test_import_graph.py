@@ -75,8 +75,7 @@ def test_diagnose_of_a_binned_chain_loads_no_scipy(tmp_path):
     cfg.write_text(BINNED_CONFIG)
     assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
                  "--iterations", "50", "--seed", "1", "--out-dir", str(out)]) == 0
-    argv = ["diagnose", "--chain", str(out / "chain.csv"), "--config", str(cfg),
-            "--out-dir", str(tmp_path / "figs")]
+    argv = ["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(tmp_path / "figs")]
     assert scipy_modules_after(f"""
         from gammasub.cli import main
         assert main({argv!r}) == 0
@@ -92,8 +91,7 @@ def test_binned_fits_beta_moves_ei_bins_and_diagnose_load_no_scipy(tmp_path):
     random_cfg.write_text(BINNED_CONFIG + "beta_prior = uniform 0.05 20\n"
                           "update_schedule = beta params\n")
     fit = ["fit", "--observations", str(obs_csv), "--iterations", "60", "--seed", "1"]
-    diagnose = ["diagnose", "--chain", str(out / "chain.csv"), "--config", str(random_cfg),
-                "--out-dir", str(tmp_path / "figs")]
+    diagnose = ["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(tmp_path / "figs")]
     assert scipy_modules_after(f"""
         import json
         from gammasub.cli import main

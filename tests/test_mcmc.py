@@ -2062,8 +2062,8 @@ def test_cli_chains_pinned(tmp_path):
         cli("fit", "--config", tmp_path / f"{name}.cfg", "--observations", obs,
             "--iterations", 600, "--burn-in", 60, "--thinning", thinning, "--seed", seed,
             "--out-dir", tmp_path / name)
-    cli("diagnose", "--chain", tmp_path / "reparam" / "chain.csv",
-        "--config", tmp_path / "reparam.cfg", "--out-dir", tmp_path / "band", "--figures", "band")
+    cli("diagnose", "--chain", tmp_path / "reparam" / "chain.csv", "--out-dir", tmp_path / "band",
+        "--figures", "band")
     pinned = {
         "reparam/chain.csv": "14071b07cff274eb197ed0d95592ec44aaec19123c2c643cdb4acf65db2f20db",
         "band/band.csv": "580cceea437aeeebd27c836ec375f41e2acd2b6a764a8231c7f8a7b9f2c6e19c",
