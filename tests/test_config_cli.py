@@ -461,6 +461,29 @@ class TestCliRoundTrip:
         (chain.parent / "meta.json").write_text('{"config": {"bin_edges": "1.5 3 9"}}')
         assert self.band(chain, tmp_path / "figs-stem") == band
 
+    @pytest.mark.parametrize("meta_name", ["meta.json", "chain.meta.json"])
+    def test_diagnose_rejects_edges_other_than_the_fits(self, tmp_path, capsys, meta_name):
+        # the manifest's config echo is the only source of edges, under either
+        # name; edges that do not make the chain's bins are refused before any
+        # output, and the fit's edges written otherwise pass
+        chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
+        band = self.band(chain, tmp_path / "figs-fit")
+        self.set_fit_edges(chain, "1.5 3")
+        (chain.parent / "meta.json").rename(chain.parent / meta_name)
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        rc = main(["diagnose", "--chain", str(chain), "--out-dir", str(fig),
+                   "--figures", "band"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the chain has 3 bins but its manifest's bin edges [1.5, 3.0] make 2\n")
+        assert not fig.exists()
+        meta = chain.parent / meta_name
+        echo = json.loads(meta.read_text())
+        echo["config"]["bin_edges"] = "1.0, 2 4e0"
+        meta.write_text(json.dumps(echo))
+        assert self.band(chain, fig) == band
+
     def test_diagnose_refuses_a_chain_without_a_manifest(self, tmp_path, capsys):
         chain = self.fit_chain(tmp_path, BINNED_CONFIG, "--iterations", "20")
         (chain.parent / "meta.json").unlink()
