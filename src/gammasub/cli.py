@@ -175,9 +175,11 @@ def _read_manifest(chain: Path) -> tuple[tuple, bool]:
                         "diagnose reads the fit's config echo from its manifest")
     try:
         echo = json.loads(meta.read_text(encoding="utf-8-sig"))["config"]
-        return _floats(echo.get("bin_edges", ""), "bin_edges"), "beta_prior" in echo
+        edges = echo.get("bin_edges", "")
     except (ValueError, LookupError, TypeError, AttributeError):
         raise DataError(f"{meta} holds no config echo") from None
+    # outside the try: _floats' ConfigError, a ValueError, names the malformed edge
+    return _floats(str(edges), "bin_edges"), "beta_prior" in echo
 
 
 def cmd_diagnose(args) -> int:

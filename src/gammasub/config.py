@@ -23,9 +23,9 @@ a comment.  Recognized keys:
     sigma_theta     = 0.025          schedule below are mcmc.ProposalSpec's
     sigma_rho       = 0.15           defaults
     sigma_beta      = 0.01
-    update_schedule = params         stages cycled per sweep, params | beta;
-                                     a beta stage is required exactly when
-                                     beta_prior is set, e.g.
+    update_schedule = params         stages cycled per sweep, params | beta,
+                                     in any case; a beta stage is required
+                                     exactly when beta_prior is set, e.g.
                                      beta params params params params
     refinement      = 10             imputed points per observation interval
 """
@@ -165,7 +165,8 @@ def parse_config(text: str) -> RunConfig:
     # only the keys the file sets: ProposalSpec holds the defaults
     proposal_keys = {key: _number(pairs[key], key) for key in _SIGMAS if key in pairs}
     if "update_schedule" in pairs:
-        proposal_keys["update_schedule"] = tuple(pairs["update_schedule"].split())
+        # stage names, like keys, prior kinds and booleans, in any case
+        proposal_keys["update_schedule"] = tuple(pairs["update_schedule"].lower().split())
     proposal = ProposalSpec(**proposal_keys)
 
     # run_mcmc's TimeGrid checks that refinement is >= 1

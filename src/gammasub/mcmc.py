@@ -51,7 +51,8 @@ and the edges fix for the chain it computes once, as read-only constants
 the moves read: T, the block's targets and sub-step spans, which a refresh
 batch's (k, n_active, m) stack reads as they are, and the edges as an array.
 
-run_mcmc builds, checks and scores the start once, at the call.  The refresh
+run_mcmc builds, checks and scores the start once, at the call, and the
+moves read the prior from the state (ChainState.score).  The refresh
 returns its path acceptance rate and its count of proposal rows too small
 to pin, and each parameter move its (accepted, log ratio); run_mcmc builds
 each sweep's ChainRecord from the terms and those outcomes and yields one
@@ -184,8 +185,9 @@ class ChainState:
 
     terms are the current parameters as the moves read them, the chain's
     bin edges among them, and log_prior their log prior under prior, the
-    PriorSpec run_mcmc or the last move handed it; a move handed another
-    PriorSpec object rescores log_prior (score).  params builds a validated
+    PriorSpec both moves target.  run_mcmc sets the two at the start, and
+    score sets them for a direct caller; init_chain leaves them unset, and
+    a move on such a state raises ContractError.  params builds a validated
     ModelParams from terms on each read.
 
     block and block_stats are the active block (see the module docstring):
@@ -317,13 +319,20 @@ class ChainState:
         self.total_sums, self.total_counts = totals[:n], totals[n:]
 
     def score(self, prior: PriorSpec) -> ParamTerms:
-        """terms, with log_prior rescored under prior if prior is not the
-        object it was scored under."""
+        """Make prior the one the moves target and log_prior the terms' log
+        prior under it; returns terms.  ConfigError for a prior over another
+        number of bins than the chain's (_check_prior_bins)."""
         t = self.terms
-        if self.prior is not prior:
-            self.log_prior = prior_logpdf(prior, t.alpha, t.beta, t.slopes, t.intercepts)
-            self.prior = prior
+        _check_prior_bins(prior, len(t.edges))
+        self.prior = prior
+        self.log_prior = prior_logpdf(prior, t.alpha, t.beta, t.slopes, t.intercepts)
         return t
+
+
+def _check_prior_bins(prior: PriorSpec, n_bins: int) -> None:
+    """ConfigError unless prior covers n_bins bins, which prior_logpdf zips."""
+    if prior.n_bins != n_bins:
+        raise ConfigError(f"prior covers {prior.n_bins} bins but the model has {n_bins}")
 
 
 def _read_only(a):
@@ -447,7 +456,7 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     return list(zip([beta] * k, proposals, stats.reshape(k, n, -1), log_u, unpinnable))[::-1]
 
 
-def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tuple[bool, float]:
+def update_params(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
     """Joint Metropolis update of alpha and the per-bin slopes/intercepts;
     returns (accepted, log ratio).
 
@@ -460,13 +469,13 @@ def update_params(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tu
     candidate alpha that is not finite and > 0, or a candidate outside the
     prior's support, is rejected before its terms and ratio are formed,
     leaves its ln(U) unused and returns (False, -inf).  A NaN log ratio
-    raises ContractError.  The log prior of the current terms is rescored
-    (ChainState.score) only when prior is not the PriorSpec it was scored
-    under.
+    raises ContractError.  The prior is state.prior and the current log prior
+    state.log_prior; a state with no prior raises ContractError.
     """
+    prior = state.prior
+    if prior is None:
+        raise ContractError("the state has no prior: call ChainState.score(prior) first")
     cur = state.terms
-    if state.prior is not prior:
-        state.score(prior)
     edges = cur.edges
     n = len(edges)
     if not state.walk:
@@ -506,7 +515,7 @@ def _draw_walk(rng: np.random.Generator, width: int) -> list:
     return list(zip(z, log_u))[::-1]
 
 
-def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tuple[bool, float]:
+def update_beta(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
     """Transdimensional activity-rate move with segment transform and re-pin;
     returns (accepted, log ratio).
 
@@ -523,7 +532,9 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     > 0 or lies outside the prior's support, or one that leaves an active
     segment too small to re-pin (pin_rows' flag), is rejected before a ratio
     is formed and returns (False, -inf); the first two before its terms are
-    formed.  A NaN log ratio raises ContractError.
+    formed.  A NaN log ratio raises ContractError.  The prior is state.prior,
+    which must leave beta random (ConfigError), and the current log prior
+    state.log_prior; a state with no prior raises ContractError.
 
     The candidate differs from the current parameters in beta alone, so it
     reuses their mass factors, and both psi terms read the Gamma reference's
@@ -536,11 +547,12 @@ def update_beta(state: ChainState, prop: ProposalSpec, prior: PriorSpec) -> tupl
     block as it is stored; an accepted move makes it and its statistics the
     state's and hands write_block the totals psi read.
     """
+    prior = state.prior
+    if prior is None:
+        raise ContractError("the state has no prior: call ChainState.score(prior) first")
     if not prior.beta_is_random:
         raise ConfigError("beta is fixed by the prior; the beta move is unavailable")
     cur = state.terms
-    if state.prior is not prior:
-        state.score(prior)
     rng = state.rng_beta
     beta_new = cur.beta + prop.sigma_beta * rng.normal()
     if not 0.0 < beta_new < math.inf:
@@ -604,12 +616,11 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     deterministic given the seed.  The start is built, checked and scored
     once, at the call (ConfigError, or TimeGrid's DomainError for m), and
     the sweeps run on next(); the state takes prior and the start's log
-    prior, so no move rescores them (ChainState.score).
+    prior, which the moves read from it.
     """
     if burn_in is None:
         burn_in = iterations // 10
-    if prior.n_bins != params0.n_bins:
-        raise ConfigError(f"prior covers {prior.n_bins} bins but the model has {params0.n_bins}")
+    _check_prior_bins(prior, params0.n_bins)
     if ("beta" in prop.update_schedule) != prior.beta_is_random:
         raise ConfigError("the schedule must name a beta stage exactly when the prior leaves "
                           "beta random")
@@ -628,10 +639,10 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
                           "is so far below 0 that its Ei overflows, or its intercept so far "
                           "below 0 that beta * exp(-rho) times the E1 or Ei factor overflows")
     state.prior, state.log_prior = prior, log_prior
-    return _sweeps(state, prior, prop, iterations, burn_in)
+    return _sweeps(state, prop, iterations, burn_in)
 
 
-def _sweeps(state, prior, prop, iterations, burn_in):
+def _sweeps(state, prop, iterations, burn_in):
     schedule = prop.update_schedule
     n_stages = len(schedule)
     # from a sweep at schedule index i, the refreshes up to the next beta
@@ -645,10 +656,10 @@ def _sweeps(state, prior, prop, iterations, burn_in):
         stage = (t - 1) % n_stages
         path_rate, unpinnable = refresh_segments(state, same_beta[stage])
         if schedule[stage] == "params":
-            accepted, log_ratio = update_params(state, prop, prior)
+            accepted, log_ratio = update_params(state, prop)
             outcome = accepted, None, log_ratio, math.nan
         else:
-            accepted, log_ratio = update_beta(state, prop, prior)
+            accepted, log_ratio = update_beta(state, prop)
             outcome = None, accepted, math.nan, log_ratio
         if t > burn_in:
             terms = state.terms

@@ -350,7 +350,8 @@ class PriorSpec:
 def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts) -> float:
     """Sum of spec's component prior log-densities at float parameters.
 
-    The slopes and intercepts are sequences of N floats, N = spec.n_bins.
+    Precondition: the slopes and intercepts are sequences of N floats, N =
+    spec.n_bins, as run_mcmc and ChainState.score check: the bins are zipped.
     In reparam mode the components are densities, per bin and with beta
     fixed or random, of (alpha, beta, alpha + slope_k, beta exp(-rho_k)), and
     the sum gains that map's log-Jacobian sum_k (ln(beta) - rho_k).  Returns

@@ -63,13 +63,14 @@ def test_final_state_gate_passes_on_fresh_and_swept_states():
                         rho=(g.Prior("normal", 0, 1.5),) * 2)
     prop = g.ProposalSpec(sigma_beta=0.05)
     state = mcmc.init_chain(obs, params0, g.TimeGrid(obs.times, 4), 7)
+    state.score(prior)
     gates = RecordingGates()
     tracer.check_final_state(state, gates, 0)
     accepted = 0
     for _ in range(100):
         mcmc.refresh_segments(state)
-        mcmc.update_params(state, prop, prior)
-        accepted += mcmc.update_beta(state, prop, prior)[0]
+        mcmc.update_params(state, prop)
+        accepted += mcmc.update_beta(state, prop)[0]
     assert 0 < accepted < 100
     tracer.check_final_state(state, gates, 1)
     assert gates.failures == []

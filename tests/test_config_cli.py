@@ -94,6 +94,12 @@ class TestParseConfig:
             parse_config(with_value(BINNED_CONFIG, key, value))
         assert str(err.value).startswith(f"{key}: expected ")
 
+    def test_stage_names_are_read_in_any_case(self):
+        # as keys, prior kinds and booleans are; the echo keeps the user's text
+        cfg = parse_config(with_value(BINNED_CONFIG, "update_schedule", "Beta PARAMS params"))
+        assert cfg.proposal.update_schedule == ("beta", "params", "params")
+        assert cfg.echo()["update_schedule"] == "Beta PARAMS params"
+
     def test_proposal_defaults_are_proposal_specs(self):
         from gammasub.mcmc import ProposalSpec
         assert parse_config(BASIC_CONFIG).proposal == ProposalSpec(sigma_alpha=0.1)
@@ -436,8 +442,9 @@ class TestCliRoundTrip:
         (BASIC_CONFIG, ["--figures", ","], None, "--figures names no figure"),
         (BINNED_CONFIG, [], "1 2",
          "the chain has 3 bins but its manifest's bin edges [1.0, 2.0] make 2"),
+        (BINNED_CONFIG, [], "1 x 4", "bin_edges: expected a number, got 'x'"),
     ], ids=["band level", "hist bins", "x points -1", "x points 0", "no figure", "no figure ,",
-            "bin count"])
+            "bin count", "malformed edge"])
     def test_diagnose_checks_its_inputs_first(self, tmp_path, capsys, config, options,
                                              fit_edges, message):
         chain = self.fit_chain(tmp_path, config, "--iterations", "20")

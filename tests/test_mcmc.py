@@ -32,11 +32,15 @@ def gamma_obs(n=20, dt=1.0, beta=1.0, alpha=2.0, seed=7):
                           np.concatenate(([0.0], np.cumsum(inc))))
 
 
-def basic_state(obs=None, params=None, m=5, seed=0):
+def basic_state(obs=None, params=None, m=5, seed=0, prior=None):
+    """init_chain's state, scored under prior (ChainState.score) when one is given."""
     obs = obs if obs is not None else gamma_obs()
     params = params if params is not None else g.ModelParams(1.0, 1.0)
     grid = g.TimeGrid(obs.times, m)
-    return g.init_chain(obs, params, grid, seed)
+    state = g.init_chain(obs, params, grid, seed)
+    if prior is not None:
+        state.score(prior)
+    return state
 
 
 def sub_spans(state):
@@ -45,8 +49,9 @@ def sub_spans(state):
 
 
 def set_params(state, params):
-    """Make params the state's current parameters; the next move rescores them."""
-    state.terms, state.prior = ParamTerms.of(params), None
+    """Make params the state's current parameters, scored under the state's prior."""
+    state.terms = ParamTerms.of(params)
+    state.score(state.prior)
 
 
 def bin_totals(sums, counts, horizon):
@@ -140,10 +145,11 @@ class TestInitChain:
                             theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.0),))
         prop = g.ProposalSpec(sigma_beta=0.002, update_schedule=("beta",))
         state = g.init_chain(obs, params, g.TimeGrid(obs.times, 10), [5, 2])
+        state.score(prior)
         accepted = 0
         for _ in range(30):
             g.refresh_segments(state)
-            accepted += g.update_beta(state, prop, prior)[0]
+            accepted += g.update_beta(state, prop)[0]
             assert np.all(np.abs(state.increments.sum(axis=1) - deltas) <= 1e-9 * deltas)
         assert 0 < accepted < 30
         sums, counts = bin_stats_matrix(state.increments, params.bin_edges)
@@ -350,13 +356,15 @@ class Recording:
 
 def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=g.update_beta,
              params_move=g.update_params):
-    """run_mcmc's loop, with burn_in 0, around other moves that return their outcomes."""
+    """run_mcmc's loop, with burn_in 0, around other moves that return their
+    outcomes; the state is scored under prior, which the moves read from it."""
     state = g.init_chain(obs, params0, g.TimeGrid(obs.times, m), seed)
+    state.score(prior)
     for t in range(1, iterations + 1):
         state.iteration = t
         path_rate, unpinnable = refresh(state)
         stage = prop.update_schedule[(t - 1) % len(prop.update_schedule)]
-        accepted, log_ratio = (params_move if stage == "params" else beta_move)(state, prop, prior)
+        accepted, log_ratio = (params_move if stage == "params" else beta_move)(state, prop)
         terms = state.terms
         yield mcmc.ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
                                path_rate, path_unpinnable=unpinnable,
@@ -444,8 +452,8 @@ def beta_all_from(rng_inert):
     or thinned, and re-pinned, and the bin totals and the ratio's terms are
     evaluated afresh over all rows.
     """
-    def move(state, prop, prior):
-        params, rng = state.params, state.rng_beta
+    def move(state, prop):
+        params, prior, rng = state.params, state.prior, state.rng_beta
         beta_new = params.beta + prop.sigma_beta * rng.normal()
         if beta_new <= 0:
             return False, -math.inf
@@ -517,12 +525,12 @@ class TestBinlessRefresh:
             g.refresh_segments(state)
 
     def test_totals_are_reduced_once_per_chain(self):
-        state = basic_state(seed=3)
+        state = basic_state(seed=3, prior=self.prior)
         sums, counts = state.total_sums, state.total_counts
         assert_totals_current(state)
         for _ in range(20):
             g.refresh_segments(state)
-            g.update_params(state, g.ProposalSpec(), self.prior)
+            g.update_params(state, g.ProposalSpec())
         assert state.total_sums is sums and state.total_counts is counts
 
     def test_run_matches_the_full_refresh(self):
@@ -532,9 +540,10 @@ class TestBinlessRefresh:
         recs = list(g.run_mcmc(obs, params0, self.prior, prop, iterations=300, burn_in=0,
                                seed=37, m=4))
         state = g.init_chain(obs, params0, g.TimeGrid(obs.times, 4), 37)
+        state.score(self.prior)
         for r in recs:
             path_outcome = full_refresh(state)
-            accepted, log_ratio = g.update_params(state, prop, self.prior)
+            accepted, log_ratio = g.update_params(state, prop)
             assert r.alpha == state.params.alpha
             assert r.accept_params == accepted
             assert (r.accept_path_rate, r.path_unpinnable) == path_outcome == (1.0, 0)
@@ -720,7 +729,7 @@ class TestDrawAhead:
 
     def test_refresh_after_a_beta_change_is_a_contract_error(self):
         params = g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2])
-        state = basic_state(params=params, seed=13)
+        state = basic_state(params=params, seed=13, prior=self.prior)
         g.refresh_segments(state, 3)
         assert len(state.drawn) == 2
         g.refresh_segments(state)
@@ -748,38 +757,37 @@ class TestUpdateParams:
 
     def test_acceptance_rate_reasonable_on_gamma_data(self):
         # tight prior, default proposal scale: acceptance away from 0 and 1
-        state = basic_state(obs=gamma_obs(n=100, seed=3))
         prop = g.ProposalSpec(sigma_alpha=0.025)
         tight = g.PriorSpec(alpha=g.Prior("gamma", 2500.0, 1250.0))  # sd 0.04
+        state = basic_state(obs=gamma_obs(n=100, seed=3), prior=tight)
         accepted = 0
         for _ in range(400):
             g.refresh_segments(state)
-            accepted += g.update_params(state, prop, tight)[0]
+            accepted += g.update_params(state, prop)[0]
         assert 0.1 < accepted / 400 < 0.9
 
     def test_rejection_keeps_params(self):
-        state = basic_state()
-        prior = g.PriorSpec(alpha=g.Prior("uniform", 0.999, 1.001))
+        state = basic_state(prior=g.PriorSpec(alpha=g.Prior("uniform", 0.999, 1.001)))
         prop = g.ProposalSpec(sigma_alpha=50.0)  # nearly always out of support
         rejected = 0
         for _ in range(50):
             before = state.params.alpha
-            if not g.update_params(state, prop, prior)[0]:
+            if not g.update_params(state, prop)[0]:
                 assert state.params.alpha == before
                 rejected += 1
         assert rejected > 0
 
     def test_tail_violations_rejected(self):
         params = g.ModelParams(1.0, 1.0, [1.0], [-0.9], [0.0])
-        state = basic_state(params=params, seed=2)
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0),
                             theta=(g.Prior("normal", 0, 5.0),),
                             rho=(g.Prior("normal", 0, 5.0),))
+        state = basic_state(params=params, seed=2, prior=prior)
         # huge slope steps propose tail slopes below -alpha often
         prop = g.ProposalSpec(sigma_alpha=1e-6, sigma_theta=20.0, sigma_rho=1e-6)
         kept_integrable = True
         for _ in range(100):
-            g.update_params(state, prop, prior)
+            g.update_params(state, prop)
             kept_integrable &= state.terms.slopes[-1] > -state.terms.alpha
         assert kept_integrable
 
@@ -789,9 +797,9 @@ class TestUpdateParams:
                             theta=(g.Prior("normal", 0, 3.0),),
                             rho=(g.Prior("normal", 0, 7.0),))
         prop = g.ProposalSpec()
-        a = basic_state(params=params, seed=21)
+        a = basic_state(params=params, seed=21, prior=prior)
         b = basic_state(params=params, seed=21)
-        _, log_ratio = g.update_params(a, prop, prior)
+        _, log_ratio = g.update_params(a, prop)
         # replay the same innovations on the twin state
         z_alpha = b.rng_params.normal()
         z_theta = b.rng_params.normal(size=1)
@@ -811,14 +819,14 @@ class TestUpdateParams:
         # N = 0: the ratio is -(a° - a) S_0 - T beta ln(a / a°) plus the prior
         # difference, with S_0 the data's total and T its span
         prior, prop = self.prior(), g.ProposalSpec(sigma_alpha=0.3)
-        a = basic_state(seed=23)
+        a = basic_state(seed=23, prior=prior)
         z = basic_state(seed=23).rng_params.normal(size=(mcmc._WALK_STEPS, 1))[:, 0]
         s_0, horizon = a.total_sums[0], a.obs.times[-1] - a.obs.times[0]
         assert s_0 == pytest.approx(math.fsum(a.obs.increments), rel=1e-14)
         accepted = 0
         for step in range(40):
             before = a.params
-            accepted_now, log_ratio = g.update_params(a, prop, prior)
+            accepted_now, log_ratio = g.update_params(a, prop)
             cand = before.with_updates(alpha=before.alpha + prop.sigma_alpha * z[step])
             expected = (-(cand.alpha - before.alpha) * s_0
                         - horizon * before.beta * math.log(before.alpha / cand.alpha)
@@ -833,14 +841,14 @@ class TestUpdateParams:
         # uniforms, from the stream state.rng_params holds when the block is
         # drawn; a domain reject takes its step's draws all the same
         params = g.ModelParams(1.0, 1.0, [0.5, 1.5], [0.2, -0.1], [0.1, 0.0])
-        state = basic_state(params=params, seed=13)
+        state = basic_state(params=params, seed=13, prior=self.prior(2))
         state.rng_params = Recording(state.rng_params)
         prop = g.ProposalSpec(sigma_alpha=0.05, sigma_theta=0.5, sigma_rho=0.3)
         steps = mcmc._WALK_STEPS
         block = [("normal", (steps, 5)), ("random", steps)]
         rejects = 0
         for step in range(2 * steps + 1):
-            rejects += g.update_params(state, prop, self.prior(2)) == (False, -math.inf)
+            rejects += g.update_params(state, prop) == (False, -math.inf)
             assert state.rng_params.draws == block * (step // steps + 1)
         assert rejects > 0
 
@@ -851,16 +859,15 @@ class TestUpdateBeta:
                            beta=g.Prior("uniform", 0.05, 50.0))
 
     def test_requires_random_beta(self):
-        state = basic_state()
-        fixed = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0))
+        state = basic_state(prior=g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0)))
         with pytest.raises(g.ConfigError):
-            g.update_beta(state, g.ProposalSpec(), fixed)
+            g.update_beta(state, g.ProposalSpec())
 
     def test_gamma_model_ratio_is_prior_times_increment_densities(self):
         prop = g.ProposalSpec(sigma_beta=0.3)
-        a = basic_state(seed=31)
+        a = basic_state(seed=31, prior=self.prior())
         b = basic_state(seed=31)
-        _, log_ratio = g.update_beta(a, prop, self.prior())
+        _, log_ratio = g.update_beta(a, prop)
         beta_new = b.params.beta + prop.sigma_beta * b.rng_beta.normal()
         spans = b.grid.spans
         expected = sum(
@@ -872,12 +879,12 @@ class TestUpdateBeta:
         assert log_ratio == pytest.approx(expected, rel=1e-9)
 
     def test_endpoints_preserved_after_accepted_moves(self):
-        state = basic_state(seed=41)
+        state = basic_state(seed=41, prior=self.prior())
         prop = g.ProposalSpec(sigma_beta=0.5)
         accepted = 0
         for _ in range(100):
             g.refresh_segments(state)
-            accepted += g.update_beta(state, prop, self.prior())[0]
+            accepted += g.update_beta(state, prop)[0]
             assert np.allclose(state.increments.sum(axis=1), state.obs.increments,
                            rtol=1e-14, atol=0)
         assert accepted > 0
@@ -907,7 +914,7 @@ class TestUpdateBeta:
         increments = state.increments.copy()
         sums, counts = state.seg_sums.copy(), state.seg_counts.copy()
         state.rng_beta = Collapse()
-        outcome = g.update_beta(state, g.ProposalSpec(sigma_beta=0.5), prior)
+        outcome = g.update_beta(state, g.ProposalSpec(sigma_beta=0.5))
         assert Collapse.sizes == [(state.active.size, state.m)]     # the active block only
         assert outcome == (False, -math.inf)
         assert state.terms is terms
@@ -920,7 +927,8 @@ class TestUpdateBeta:
         # the totals psi read are stored: one reduction of the active block per move
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
                             theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.5),))
-        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71)
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71,
+                            prior=prior)
         write_block, handed = g.ChainState.write_block, []
 
         def recorded(self, increments, stats, where=None, totals=None):
@@ -932,7 +940,7 @@ class TestUpdateBeta:
         for _ in range(60):
             g.refresh_segments(state)
             handed.clear()
-            accepted_now, _ = g.update_beta(state, g.ProposalSpec(sigma_beta=0.2), prior)
+            accepted_now, _ = g.update_beta(state, g.ProposalSpec(sigma_beta=0.2))
             if accepted_now:
                 # one write, handed the totals psi read, which the block's reduction gives
                 [totals] = handed
@@ -947,14 +955,14 @@ class TestUpdateBeta:
     def test_binless_move_draws_only_its_proposal_and_uniform(self):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0))
         prop = g.ProposalSpec(sigma_beta=0.3)
-        state, twin = basic_state(seed=31), basic_state(seed=31)
+        state, twin = basic_state(seed=31, prior=prior), basic_state(seed=31)
         blocks = (state.block, state.block_stats)
         copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
         state.rng_beta = Recording(state.rng_beta)
         accepted = 0
         for _ in range(40):
             before = state.params
-            accepted_now, log_ratio = g.update_beta(state, prop, prior)
+            accepted_now, log_ratio = g.update_beta(state, prop)
             assert state.rng_beta.draws == [("normal", None), ("random", None)]
             state.rng_beta.draws.clear()
             for got, same in zip((state.block, state.block_stats), blocks):
@@ -1021,15 +1029,51 @@ class TestUpdateBeta:
         assert abs(chain.mean() - target) < 4 * se
 
     def test_negative_proposals_rejected(self):
-        state = basic_state(seed=51)
+        state = basic_state(seed=51, prior=self.prior())
         prop = g.ProposalSpec(sigma_beta=500.0)
         rejections = 0
         for _ in range(50):
             before = state.params.beta
-            if not g.update_beta(state, prop, self.prior())[0]:
+            if not g.update_beta(state, prop)[0]:
                 assert state.params.beta == before
                 rejections += 1
         assert rejections > 0
+
+
+class TestChainPrior:
+    """The moves read the prior from the state, which ChainState.score sets."""
+
+    def test_a_prior_over_other_bins_is_refused_at_score(self):
+        # prior_logpdf zips the bins: a 2-bin prior would score a 3-bin state
+        # without its third bin's terms
+        params = g.ModelParams(1.0, 1.0, [0.5, 1.0, 2.0], [0.2, -0.1, 0.3], [0.1, 0.0, -0.2])
+        theta, rho = normal_priors(3)
+        three = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), theta=theta, rho=rho)
+        two = g.PriorSpec(alpha=three.alpha, theta=theta[:2], rho=rho[:2])
+        state = basic_state(params=params, prior=three)
+        log_prior = state.log_prior
+        with pytest.raises(g.ConfigError, match="prior covers 2 bins but the model has 3"):
+            state.score(two)
+        assert state.prior is three and state.log_prior == log_prior
+        # run_mcmc refuses it with the same error
+        with pytest.raises(g.ConfigError, match="prior covers 2 bins but the model has 3"):
+            g.run_mcmc(gamma_obs(), params, two, g.ProposalSpec(), iterations=5)
+
+    def test_score_rescores_the_same_prior(self):
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), theta=normal_priors(1)[0],
+                            rho=normal_priors(1)[1])
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), prior=prior)
+        state.terms = ParamTerms.of(g.ModelParams(1.5, 1.0, [0.5], [0.1], [0.3]))
+        assert state.score(prior) is state.terms
+        assert state.log_prior == prior_at(prior, state.params)
+
+    @pytest.mark.parametrize("move", [g.update_params, g.update_beta],
+                             ids=["update_params", "update_beta"])
+    def test_a_move_on_an_unscored_state_is_a_contract_error(self, move):
+        state = basic_state()
+        assert state.prior is None
+        with pytest.raises(g.ContractError, match=r"call ChainState\.score\(prior\) first"):
+            move(state, g.ProposalSpec())
 
 
 class Replay:
@@ -1060,13 +1104,13 @@ class TestParamTerms:
                             theta=(g.Prior("normal", 0, 1.0),) * 2,
                             rho=(g.Prior("normal", 0, 1.5),) * 2)
         prop = g.ProposalSpec(sigma_beta=0.1)
-        state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17)
+        state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17, prior=prior)
         state.rng_params = Replay(state.rng_params)
         checked = accepted_params = accepted_beta = 0
         for step in range(300):
             g.refresh_segments(state)
             before, stats = state.params, totals(state)
-            accepted, log_ratio = g.update_params(state, prop, prior)
+            accepted, log_ratio = g.update_params(state, prop)
             accepted_params += accepted
             if math.isfinite(log_ratio):
                 # the candidate from the same innovations, on ModelParams
@@ -1086,7 +1130,7 @@ class TestParamTerms:
                     assert np.array_equal(state.params.theta_slopes, cand.theta_slopes)
                     assert np.array_equal(state.params.theta_intercepts, cand.theta_intercepts)
                 checked += 1
-            accepted_beta += g.update_beta(state, prop, prior)[0]
+            accepted_beta += g.update_beta(state, prop)[0]
             terms, log_prior = state.terms, state.log_prior
             assert state.prior is prior
             assert (terms.alpha, terms.beta) == (state.params.alpha, state.params.beta)
@@ -1116,8 +1160,8 @@ class ReferenceUpdateParams:
     def __init__(self):
         self.steps, self.normals, self.uniforms = 0, None, None
 
-    def __call__(self, state, prop, prior):
-        params, rng = state.params, state.rng_params
+    def __call__(self, state, prop):
+        params, prior, rng = state.params, state.prior, state.rng_params
         n, row = params.n_bins, self.steps % mcmc._WALK_STEPS
         if row == 0:
             self.normals = rng.normal(size=(mcmc._WALK_STEPS, 2 * n + 1))
@@ -1146,11 +1190,11 @@ class ReferenceUpdateParams:
         return True, log_ratio
 
 
-def reference_update_beta(state, prop, prior):
+def reference_update_beta(state, prop):
     """update_beta on ModelParams, with prior_logpdf and psi_log evaluated afresh
     and the Gamma densities of the observed increments one by one; an up-move
     scales each active row to a fresh Gamma(beta h_i, alpha) total first."""
-    params, rng = state.params, state.rng_beta
+    params, prior, rng = state.params, state.prior, state.rng_beta
     beta_new = params.beta + prop.sigma_beta * rng.normal()
     if beta_new <= 0:
         return False, -math.inf
@@ -1279,7 +1323,7 @@ class TestSegmentTotals:
                             theta=(g.Prior("normal", 0, 1.0),) * 2,
                             rho=(g.Prior("normal", 0, 1.5),) * 2)
         prop = g.ProposalSpec(sigma_beta=0.1)
-        state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17)
+        state = basic_state(obs=gamma_obs(n=30, seed=5), params=params, m=4, seed=17, prior=prior)
         assert 0 < state.active.size < state.n_segments
         inert = np.setdiff1d(np.arange(state.n_segments), state.active)
         inert_rows = state.increments[inert].copy()
@@ -1288,8 +1332,8 @@ class TestSegmentTotals:
         for _ in range(300):
             g.refresh_segments(state)
             assert_totals_current(state)
-            g.update_params(state, prop, prior)
-            accepted_beta += g.update_beta(state, prop, prior)[0]
+            g.update_params(state, prop)
+            accepted_beta += g.update_beta(state, prop)[0]
             assert_totals_current(state)
             # no move writes an inert row
             assert np.array_equal(state.increments[inert], inert_rows)
@@ -1306,16 +1350,16 @@ class TestActiveBlock:
     def chain(self, name):
         obs = gamma_obs(n=30, seed=9)
         if name == "binless":
-            return basic_state(obs=obs, m=4, seed=11), g.PriorSpec(
-                alpha=self.prior.alpha, beta=self.prior.beta)
+            prior = g.PriorSpec(alpha=self.prior.alpha, beta=self.prior.beta)
+            return basic_state(obs=obs, m=4, seed=11, prior=prior)
         # the first edge below every increment, or inside their range
         b1 = 0.9 * float(obs.increments.min()) if name == "every row active" else 0.5
         params = g.ModelParams(1.0, 1.0, [b1, 0.8], [0.3, -0.2], [0.2, 0.1])
-        return basic_state(obs=obs, params=params, m=4, seed=11), self.prior
+        return basic_state(obs=obs, params=params, m=4, seed=11, prior=self.prior)
 
     @pytest.mark.parametrize("name", ["binless", "every row active", "mixed"])
     def test_views_after_refresh_params_and_beta_moves(self, name):
-        state, prior = self.chain(name)
+        state = self.chain(name)
         n_active = state.active.size
         assert n_active == {"binless": 0, "every row active": 30}.get(name, n_active)
         assert name != "mixed" or 0 < n_active < 30
@@ -1339,8 +1383,8 @@ class TestActiveBlock:
         for _ in range(200):
             g.refresh_segments(state)
             check_views()
-            g.update_params(state, prop, prior)
-            accepted += g.update_beta(state, prop, prior)[0]
+            g.update_params(state, prop)
+            accepted += g.update_beta(state, prop)[0]
             check_views()
         assert 0 < accepted < 200
         if n_active:
@@ -1348,7 +1392,7 @@ class TestActiveBlock:
 
     @pytest.mark.parametrize("attr", ["increments", "seg_sums", "seg_counts"])
     def test_writing_into_a_view_raises(self, attr):
-        state, _ = self.chain("mixed")
+        state = self.chain("mixed")
         view = getattr(state, attr)
         with pytest.raises(ValueError, match="read-only"):
             view[state.active[0]] = 0
@@ -1395,17 +1439,18 @@ class TestNonFiniteRatios:
         return state
 
     def test_nan_parameter_ratio_raises(self):
-        state = self.with_total(basic_state(), 0, math.nan)
+        state = self.with_total(basic_state(prior=self.prior), 0, math.nan)
         with pytest.raises(g.ContractError, match="NaN"):
-            g.update_params(state, g.ProposalSpec(), self.prior)
+            g.update_params(state, g.ProposalSpec())
 
     def test_nan_beta_ratio_raises(self):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("uniform", 0.05, 50.0),
                             theta=(g.Prior("normal", 0, 1.0),), rho=(g.Prior("normal", 0, 1.5),))
-        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71)
+        state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.4], [0.2]), seed=71,
+                            prior=prior)
         self.with_total(state, 1, math.nan)
         with pytest.raises(g.ContractError, match="NaN"):
-            g.update_beta(state, g.ProposalSpec(), prior)
+            g.update_beta(state, g.ProposalSpec())
 
     def test_minus_inf_ratio_is_a_rejection(self):
         class Upward:
@@ -1419,7 +1464,7 @@ class TestNonFiniteRatios:
         state = self.with_total(basic_state(), 0, math.inf)
         state.rng_params = Upward()
         terms = state.score(self.prior)
-        assert g.update_params(state, g.ProposalSpec(), self.prior) == (False, -math.inf)
+        assert g.update_params(state, g.ProposalSpec()) == (False, -math.inf)
         assert state.terms is terms
 
     @staticmethod
@@ -1445,7 +1490,7 @@ class TestNonFiniteRatios:
                                                      [rho_1, 0.0]))
             state.rng_params = self.walk(0.0, -3.5, 0.0, 0.0, 0.0)
             terms = state.score(prior)
-            accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_theta=1.0), prior)
+            accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_theta=1.0))
             assert (accepted, log_ratio) == (False, -math.inf)
             assert state.terms is terms
             tally = mcmc.MoveTally()
@@ -1475,12 +1520,12 @@ class TestNonFiniteRatios:
                 state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.5], [0.0]))
                 state.rng_params = self.walk(*step)
                 terms = state.score(prior)
-                assert g.update_params(state, prop, prior) == (False, -math.inf), step
+                assert g.update_params(state, prop) == (False, -math.inf), step
                 assert state.terms is terms
             state = basic_state(params=g.ModelParams(1.0, 1.0, [0.5], [0.5], [0.0]))
             state.rng_beta = BetaStep(bad)
             terms = state.score(prior)
-            assert g.update_beta(state, prop, prior) == (False, -math.inf), bad
+            assert g.update_beta(state, prop) == (False, -math.inf), bad
             assert state.terms is terms
 
     @pytest.mark.parametrize("edge, finite", [(1.0, False), (20.0, True)])
@@ -1495,7 +1540,7 @@ class TestNonFiniteRatios:
         assert all(map(math.isfinite, state.terms.masses))
         state.rng_params = self.walk(0.0, 0.0, -10.0)
         terms = state.score(prior)
-        accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_rho=1.0), prior)
+        accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_rho=1.0))
         assert not accepted and state.terms is terms
         assert math.isfinite(log_ratio) == finite and log_ratio < -1e290
 
@@ -1510,12 +1555,12 @@ class TestReparam:
                             rho=(g.Prior("uniform", 1.0, 200.0),), reparam=True)
         prop = g.ProposalSpec(sigma_alpha=0.05, sigma_theta=0.05, sigma_rho=0.05,
                               update_schedule=("beta", "params"))
-        state = basic_state(params=params, seed=3)
+        state = basic_state(params=params, seed=3, prior=prior)
         state.rng_params = Replay(state.rng_params)
         moved = 0
         for step in range(20):
             before = state.terms
-            accepted, _ = g.update_params(state, prop, prior)
+            accepted, _ = g.update_params(state, prop)
             if not accepted:
                 continue
             z = state.rng_params.step(step).tolist()
@@ -1543,11 +1588,12 @@ class TestReparam:
                             rho=(g.Prior("gamma", a, b),) * n, reparam=True)
         prop = g.ProposalSpec(sigma_alpha=0.4, sigma_theta=0.6, sigma_rho=0.6)
         state = basic_state(obs=gamma_obs(n=30, seed=13),
-                            params=g.ModelParams(1.0, beta, edges, [0.0] * n, [0.0] * n), seed=3)
+                            params=g.ModelParams(1.0, beta, edges, [0.0] * n, [0.0] * n), seed=3,
+                            prior=prior)
         sums, counts, horizon = list(state.total_sums), list(state.total_counts), state.grid.horizon
         draws = []
         for _ in range(steps):
-            g.update_params(state, prop, prior)
+            g.update_params(state, prop)
             t = state.terms
             draws.append((t.alpha, *(t.alpha + slope for slope in t.slopes),
                           *(t.beta * math.exp(-rho) for rho in t.intercepts)))
@@ -2182,10 +2228,12 @@ def test_meta_json_counts_the_unpinnable_refresh_proposals(tmp_path):
 
 
 def pinned_state(workload, seed=7):
-    """init_chain's state on a benchmark workload or the tiny-shape fit, with
-    its config, as pinned_chain_text runs it."""
+    """init_chain's state on a benchmark workload or the tiny-shape fit, scored
+    under its config's prior, with its config, as pinned_chain_text runs it."""
     obs, cfg = pin_inputs(workload, seed)
-    return g.init_chain(obs, cfg.params0, g.TimeGrid(obs.times, cfg.refinement), [seed, 1]), cfg
+    state = g.init_chain(obs, cfg.params0, g.TimeGrid(obs.times, cfg.refinement), [seed, 1])
+    state.score(cfg.prior)
+    return state, cfg
 
 
 class TestFusedRefresh:
@@ -2216,8 +2264,8 @@ class TestFusedRefresh:
             g.refresh_segments(state, ahead)
             check()
             if schedule[t % len(schedule)] == "params":
-                g.update_params(state, cfg.proposal, cfg.prior)
-            elif g.update_beta(state, cfg.proposal, cfg.prior)[0]:
+                g.update_params(state, cfg.proposal)
+            elif g.update_beta(state, cfg.proposal)[0]:
                 accepted_beta += 1
                 check()
         assert workload != "beta_binned" or accepted_beta > 10
@@ -2334,9 +2382,9 @@ class TestChainConstants:
             g.refresh_segments(state, same_beta[t % n])
             check()
             if schedule[t % n] == "params":
-                g.update_params(state, cfg.proposal, cfg.prior)
+                g.update_params(state, cfg.proposal)
             else:
-                accepted += g.update_beta(state, cfg.proposal, cfg.prior)[0]
+                accepted += g.update_beta(state, cfg.proposal)[0]
             check()
         return accepted
 
