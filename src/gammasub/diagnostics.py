@@ -3,6 +3,9 @@
 Every emitter is a pure transform of the chain records: running the same
 input twice produces byte-identical files.  Plots are written as small
 self-contained SVG documents so the core carries no plotting dependency.
+The band's quantiles come from an in-place partition, not numpy.quantile, so
+drawing a band loads no numpy.ma.  A series flat to float precision is drawn
+and binned as a constant one is.
 """
 
 import math
@@ -66,7 +69,8 @@ def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
     rows of model.theta_rows; then the band takes one grid point at a time,
     so its working memory is O(S) whatever the grid.  At each grid point the
     band is the ((1-level)/2, 1-(1-level)/2) quantile pair of the functional
-    values, using the inverse empirical CDF with linear interpolation.
+    values, using the inverse empirical CDF with linear interpolation
+    (_quantile_pair, which is numpy.quantile's "linear" method bit for bit).
     """
     samples = list(samples)
     if len(samples) < 2:
@@ -87,8 +91,35 @@ def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
         values += alpha * x_j
         if log_beta is not None:
             values -= log_beta
-        bands[:, j] = np.quantile(values, [tail, 1.0 - tail], overwrite_input=True)
+        bands[:, j] = _quantile_pair(values, tail)
     return bands[0], bands[1]
+
+
+def _quantile_pair(values: np.ndarray, tail: float) -> tuple[float, float]:
+    """numpy.quantile(values, [tail, 1 - tail], overwrite_input=True), bit for bit.
+
+    Hyndman & Fan's type 7 quantile (numpy's "linear") at q interpolates the
+    order statistics either side of (n - 1) * q, so one in-place partition of
+    values at those ranks, and at numpy's own 0 and n - 1, gives both levels.
+    numpy.quantile calls numpy.unique, which loads numpy.ma (about 1.3 MB
+    resident) into every process that draws a band.  The interpolation is
+    numpy's _lerp.
+    """
+    n = values.size
+    pairs = []
+    for q in (tail, 1.0 - tail):
+        virtual = (n - 1) * q
+        lo = min(math.floor(virtual), n - 1)       # at or past n - 1: the maximum
+        pairs.append((lo, min(lo + 1, n - 1), virtual - lo))
+    values.partition(sorted({0, n - 1, *(k for lo, hi, _ in pairs for k in (lo, hi))}))
+    if math.isnan(values[-1]):                     # a NaN sorts last and is the quantile
+        return math.nan, math.nan
+    out = []
+    for lo, hi, t in pairs:
+        a, b = float(values[lo]), float(values[hi])
+        d = b - a
+        out.append(a + d * t if t < 0.5 else b - d * (1.0 - t))
+    return out[0], out[1]
 
 
 def histogram(series, bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +129,11 @@ def histogram(series, bins: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("series must be non-empty")
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
-    counts, edges = np.histogram(arr, bins=bins)
+    lo, hi = float(arr.min()), float(arr.max())
+    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
+        # too narrow for distinct equal-width bins: widen as numpy widens a constant series
+        lo, hi = lo - 0.5, hi + 0.5
+    counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
     return edges, counts
 
 
@@ -119,19 +154,20 @@ _ML, _MR, _MT, _MB = 64, 16, 32, 44
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
+def _flat(lo: float, hi: float, n: int = 5) -> bool:
+    """Whether n equal steps across [lo, hi] fall below the float spacing there."""
+    return not (hi - lo) / n > math.ulp(max(abs(lo), abs(hi)))
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
+    """About n round ticks across [lo, hi]: the integer multiples of one step."""
+    if _flat(lo, hi, n):
         hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        out.append(round(t, 12))
-        t += step
-    return out
+    return [round(i * step, 12)
+            for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-12) + 1)]
 
 
 def write_line_svg(stream, x, ys: dict, title: str = "",
@@ -143,9 +179,9 @@ def write_line_svg(stream, x, ys: dict, title: str = "",
     all_y = np.concatenate(list(series.values()))
     finite = all_y[np.isfinite(all_y)]
     ymin, ymax = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
-    if xmax == xmin:
+    if _flat(xmin, xmax):
         xmax = xmin + 1.0
-    if ymax == ymin:
+    if _flat(ymin, ymax):
         ymax = ymin + 1.0
     pad = 0.05 * (ymax - ymin)
     ymin, ymax = ymin - pad, ymax + pad

@@ -391,6 +391,25 @@ class TestCliRoundTrip:
         meta = json.loads((tmp_path / "stuck" / "meta.json").read_text())
         assert meta["acceptance"]["beta_rate"] == 0.0
 
+    def test_diagnose_draws_the_trace_of_a_beta_flat_to_float_precision(self, tmp_path):
+        # beta never moves, yet its running average ends one float spacing
+        # above 0.1: the axis ticks across that range once never advanced
+        obs_csv, cfg, out = tmp_path / "obs.csv", tmp_path / "flat.cfg", tmp_path / "run"
+        main(["simulate", "--n", "40", "--horizon", "20", "--seed", "2", "--out", str(obs_csv)])
+        cfg.write_text("bin_edges = 1 2\nalpha_init = 1.0\nbeta_init = 0.1\n"
+                       "alpha_prior = gamma 2 1\nbeta_prior = uniform 0.05 100\n"
+                       "theta_prior = normal 0 1\nrho_prior = normal 0 1.5\n"
+                       "sigma_beta = 1e6\nupdate_schedule = beta params\nrefinement = 4\n")
+        assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                     "--iterations", "3", "--burn-in", "0", "--seed", "1",
+                     "--out-dir", str(out)]) == 0
+        fig = tmp_path / "figs"
+        assert main(["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(fig),
+                     "--figures", "trace"]) == 0
+        rows = (fig / "trace_beta.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0.1", "0.1", "0.10000000000000002"]
+        assert (fig / "trace_beta.svg").is_file()
+
     def test_diagnose_rejects_unknown_figures(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"
         main(["simulate", "--horizon", "10", "--n", "20", "--seed", "1",

@@ -3,12 +3,14 @@
 import io
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gammasub import BandSpec, DomainError, ModelParams, credible_band, histogram, running_average
-from gammasub.diagnostics import FUNCTIONALS, write_line_svg, write_series_csv
+from gammasub.diagnostics import (FUNCTIONALS, _quantile_pair, _ticks, write_line_svg,
+                                  write_series_csv)
 
 
 def full_matrix_band(samples, spec):
@@ -136,7 +138,7 @@ class TestCredibleBand:
                        rng.normal(size=20_000), rng.normal(size=20_000))]
         for functional in FUNCTIONALS:
             spec = BandSpec(x_grid=np.linspace(0.1, 5.0, 200), functional=functional)
-            credible_band(samples[:2], spec)    # numpy's first quantile call imports modules
+            credible_band(samples[:2], spec)    # one-time imports stay out of the traced peak
             tracemalloc.start()
             try:
                 credible_band(samples, spec)
@@ -157,6 +159,42 @@ class TestCredibleBand:
             credible_band(self.samples([1.0]), spec)
 
 
+class TestQuantilePair:
+    LEVELS = (0.5, 0.9, 0.95, 0.99, 0.999)
+
+    def check(self, x, level):
+        tail = (1.0 - level) / 2.0
+        expected = np.quantile(x, [tail, 1.0 - tail])
+        values = x.copy()
+        got = np.array(_quantile_pair(values, tail))
+        assert got.tobytes() == expected.tobytes(), (x.size, level)
+        assert np.array_equal(np.sort(values), np.sort(x))   # partitioned in place
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_equals_np_quantile_bit_for_bit(self, level):
+        rng = np.random.default_rng(int(level * 1000))
+        for _ in range(300):
+            n = int(rng.integers(2, 501))
+            x = rng.normal(size=n)
+            if rng.random() < 0.5:              # ties
+                x = np.round(4.0 * x) / 4.0
+            self.check(x, level)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_equals_np_quantile_where_the_rank_is_an_integer(self, level):
+        # (n - 1) * tail is an integer in exact arithmetic; in floats it may
+        # land a rounding below it, and the weight next to 1
+        rng = np.random.default_rng(7)
+        period = ((1 - Fraction(str(level))) / 2).denominator
+        for n in (1 + k * period for k in range(1, 6)):
+            self.check(rng.gamma(0.5, size=n), level)
+            self.check(np.round(rng.gamma(0.5, size=n), 1), level)
+
+    def test_two_values_and_a_nan(self):
+        assert _quantile_pair(np.array([2.0, 1.0]), 0.25) == (1.25, 1.75)
+        assert all(math.isnan(q) for q in _quantile_pair(np.array([1.0, math.nan, 0.0]), 0.1))
+
+
 class TestHistogram:
     def test_counts_sum(self):
         rng = np.random.default_rng(4)
@@ -174,6 +212,19 @@ class TestHistogram:
         x = np.arange(100) + 0.5
         edges, counts = histogram(x, 10)
         assert np.all(counts == 10)
+
+    def test_series_narrower_than_its_bins(self):
+        # one float spacing apart: widened to a unit range, as numpy widens a constant
+        edges, counts = histogram([0.1, 0.10000000000000002], 40)
+        assert edges.size == 41 and np.all(np.diff(edges) > 0)
+        assert edges[0] == pytest.approx(-0.4) and edges[-1] == pytest.approx(0.6)
+        assert counts.sum() == 2 and (counts > 0).sum() == 1
+        # a series wide enough for its bins is numpy's histogram unchanged
+        x = np.random.default_rng(5).normal(size=300)
+        expected_counts, expected_edges = np.histogram(x, bins=25)
+        edges, counts = histogram(x, 25)
+        assert edges.tobytes() == expected_edges.tobytes()
+        assert np.array_equal(counts, expected_counts)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -207,3 +258,19 @@ class TestEmitters:
         buf = io.StringIO()
         write_line_svg(buf, [0.0, 1.0], {"c": [2.0, 2.0]})
         assert "<polyline" in buf.getvalue()
+
+    @pytest.mark.parametrize("lo, hi", [(0.1, 0.10000000000000002), (1e6, 1e6 + 5e-10),
+                                        (-2.0, -2.0), (0.0, 5e-324)])
+    def test_ticks_of_a_range_flat_to_float_precision(self, lo, hi):
+        # each is drawn as the unit range above lo, as a constant series is
+        assert _ticks(lo, hi) == _ticks(lo, lo + 1.0)
+        assert 1 <= len(_ticks(lo, hi)) <= 6
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.2, 7.9), (0.1, 0.1 + 1e-9),
+                                        (1e6, 1e6 + 3.0), (-1e-3, -5e-4)])
+    def test_ticks_are_multiples_of_a_round_step_inside_the_range(self, lo, hi):
+        ticks = _ticks(lo, hi)
+        assert 2 <= len(ticks) <= 11
+        assert lo - 1e-12 <= ticks[0] and ticks[-1] <= hi + 1e-12
+        steps = np.diff(ticks)
+        assert np.allclose(steps, steps[0], rtol=1e-6)

@@ -1,9 +1,10 @@
-"""No run of the package loads scipy.
+"""No run of the package loads scipy or numpy.ma.
 
-specfun's E1, Ei and lnGamma are pure-Python kernels, so importing the
-package, the binless and binned samplers with fixed or random beta, chain
-I/O and `gammasub diagnose` load no scipy module.  Each check runs in a
-fresh interpreter.
+specfun's E1, Ei and lnGamma are pure-Python kernels, and the credible band
+takes its quantiles by partition instead of np.quantile (whose np.unique
+imports numpy.ma), so importing the package, the binless and binned samplers
+with fixed or random beta, chain I/O, the band and `gammasub diagnose` load
+no scipy or numpy.ma module.  Each check runs in a fresh interpreter.
 """
 
 import json
@@ -31,11 +32,12 @@ refinement = 4
 """
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded after running code."""
+def unwanted_modules_after(code: str) -> list[str]:
+    """The scipy and numpy.ma modules a fresh interpreter has loaded after running code."""
     code = textwrap.dedent(code) + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                        or m.split('.')[:2] == ['numpy', 'ma'])))\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
@@ -44,11 +46,11 @@ def scipy_modules_after(code: str) -> list[str]:
 
 @pytest.mark.parametrize("module", ["gammasub", "gammasub.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules_after(f"import {module}") == []
+    assert unwanted_modules_after(f"import {module}") == []
 
 
 def test_binless_fixed_beta_run_io_and_band_load_no_scipy():
-    assert scipy_modules_after("""
+    assert unwanted_modules_after("""
         import io
         import numpy as np
         import gammasub as g
@@ -76,7 +78,7 @@ def test_diagnose_of_a_binned_chain_loads_no_scipy(tmp_path):
     assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
                  "--iterations", "50", "--seed", "1", "--out-dir", str(out)]) == 0
     argv = ["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(tmp_path / "figs")]
-    assert scipy_modules_after(f"""
+    assert unwanted_modules_after(f"""
         from gammasub.cli import main
         assert main({argv!r}) == 0
         """) == []
@@ -92,7 +94,7 @@ def test_binned_fits_beta_moves_ei_bins_and_diagnose_load_no_scipy(tmp_path):
                           "update_schedule = beta params\n")
     fit = ["fit", "--observations", str(obs_csv), "--iterations", "60", "--seed", "1"]
     diagnose = ["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(tmp_path / "figs")]
-    assert scipy_modules_after(f"""
+    assert unwanted_modules_after(f"""
         import json
         from gammasub.cli import main
         from gammasub.model import mass_factors
