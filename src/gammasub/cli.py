@@ -8,6 +8,7 @@ Subcommands:
 """
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -207,23 +208,23 @@ def cmd_diagnose(args) -> int:
         series[f"theta_{k + 1}"] = np.array([r.theta[k] for r in records])
         series[f"rho_{k + 1}"] = np.array([r.rho[k] for r in records])
 
-    # every figure is computed, and so every input checked, before the output
-    # directory is made: name -> (CSV columns, SVG x, SVG lines, SVG labels)
+    # every figure is computed and its SVG drawn, and so every input checked,
+    # before the output directory is made: name -> (CSV columns, SVG text)
     plots = {}
     if "trace" in figures:
         for name, values in series.items():
             avg = diagnostics.running_average(values)
             plots[f"trace_{name}"] = (
                 {"iteration": iterations, name: values, "running_average": avg},
-                iterations, {name: values, "running avg": avg},
-                {"title": f"trace of {name}", "xlabel": "iteration", "ylabel": name})
+                _svg_text(iterations, {name: values, "running avg": avg},
+                          title=f"trace of {name}", xlabel="iteration", ylabel=name))
     if "hist" in figures:
         for name, values in series.items():
             edges, counts = diagnostics.histogram(values, args.hist_bins)
             plots[f"hist_{name}"] = (
                 {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts},
-                0.5 * (edges[:-1] + edges[1:]), {"count": counts.astype(float)},
-                {"title": f"posterior of {name}", "xlabel": name, "ylabel": "count"})
+                _svg_text(0.5 * (edges[:-1] + edges[1:]), {"count": counts.astype(float)},
+                          title=f"posterior of {name}", xlabel=name, ylabel="count"))
     if "band" in figures:
         if args.x_points < 1:
             raise ConfigError(f"x-points must be >= 1, got {args.x_points}")
@@ -232,19 +233,27 @@ def cmd_diagnose(args) -> int:
             level=args.band_level, functional=args.band_functional)
         lo, hi = diagnostics.credible_band([r.to_params(bin_edges) for r in records], spec)
         plots["band"] = (
-            {"x": spec.x_grid, "lo": lo, "hi": hi}, spec.x_grid, {"lo": lo, "hi": hi},
-            {"title": f"{args.band_level * 100:g}% band, {args.band_functional}",
-             "xlabel": "x", "ylabel": "value"})
+            {"x": spec.x_grid, "lo": lo, "hi": hi},
+            _svg_text(spec.x_grid, {"lo": lo, "hi": hi},
+                      title=f"{args.band_level * 100:g}% band, {args.band_functional}",
+                      xlabel="x", ylabel="value"))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (columns, x, lines, labels) in plots.items():
+    for name, (columns, svg) in plots.items():
         with open(out_dir / f"{name}.csv", "w") as fh:
             diagnostics.write_series_csv(fh, columns)
         with open(out_dir / f"{name}.svg", "w") as fh:
-            diagnostics.write_line_svg(fh, x, lines, **labels)
+            fh.write(svg)
     print(f"wrote {len(plots)} figure(s) to {out_dir}: {', '.join(plots)}")
     return 0
+
+
+def _svg_text(x, lines: dict, **labels) -> str:
+    """diagnostics.write_line_svg's document as a string."""
+    buf = io.StringIO()
+    diagnostics.write_line_svg(buf, x, lines, **labels)
+    return buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -130,11 +130,20 @@ def histogram(series, bins: int) -> tuple[np.ndarray, np.ndarray]:
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     lo, hi = float(arr.min()), float(arr.max())
-    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
-        # too narrow for distinct equal-width bins: widen as numpy widens a constant series
-        lo, hi = lo - 0.5, hi + 0.5
+    if not _distinct_edges(lo, hi, bins):
+        # too narrow for distinct equal-width bins: widen as numpy widens a constant
+        # series, or where that is still too narrow (|lo| past about 2**52 / bins)
+        # by 2 float spacings a bin
+        half = 0.5 if _distinct_edges(lo - 0.5, hi + 0.5, bins) else (
+            2 * bins * math.ulp(max(-lo, hi)))
+        lo, hi = lo - half, hi + half
     counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
     return edges, counts
+
+
+def _distinct_edges(lo: float, hi: float, bins: int) -> bool:
+    """Whether numpy's bins equal-width edges across [lo, hi] are strictly increasing."""
+    return bool(np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0))
 
 
 def write_series_csv(stream, columns: dict) -> None:
@@ -159,10 +168,20 @@ def _flat(lo: float, hi: float, n: int = 5) -> bool:
     return not (hi - lo) / n > math.ulp(max(abs(lo), abs(hi)))
 
 
+def _flat_span(lo: float) -> tuple[float, float]:
+    """The span a range flat at lo is drawn over: [lo, lo + 1.0], or where lo + 1.0
+    rounds back to lo (|lo| >= 2**53) a span 2**-40 |lo| wide that ends at lo on
+    zero's side, so that it is finite."""
+    if lo + 1.0 > lo:
+        return lo, lo + 1.0
+    inner = lo - lo * 2.0 ** -40
+    return min(lo, inner), max(lo, inner)
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     """About n round ticks across [lo, hi]: the integer multiples of one step."""
     if _flat(lo, hi, n):
-        hi = lo + 1.0
+        lo, hi = _flat_span(lo)
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
@@ -180,9 +199,9 @@ def write_line_svg(stream, x, ys: dict, title: str = "",
     finite = all_y[np.isfinite(all_y)]
     ymin, ymax = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     if _flat(xmin, xmax):
-        xmax = xmin + 1.0
+        xmin, xmax = _flat_span(xmin)
     if _flat(ymin, ymax):
-        ymax = ymin + 1.0
+        ymin, ymax = _flat_span(ymin)
     pad = 0.05 * (ymax - ymin)
     ymin, ymax = ymin - pad, ymax + pad
 

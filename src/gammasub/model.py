@@ -357,13 +357,16 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
     the sum gains that map's log-Jacobian sum_k (ln(beta) - rho_k).  Returns
     -inf when any parameter leaves its support, is NaN or infinite, or the
     tail bin has infinite mass (slope_N <= -alpha); in reparam mode also
-    for beta outside (0, inf), fixed or not.
+    for beta outside (0, inf), fixed or not.  A binless model outside reparam
+    mode returns after the alpha and beta terms, with no bin loop.
     """
     if (slopes and slopes[-1] <= -alpha) or (spec.reparam and not 0.0 < beta < math.inf):
         return -math.inf
     total = spec.alpha.logpdf(alpha)
     if spec.beta is not None:
         total += spec.beta.logpdf(beta)
+    if not (slopes or spec.reparam):
+        return total
     if spec.reparam:
         # beta exp(-rho_k) is a bin mass at unit 1, the same bits where it is finite
         rates = [alpha + s for s in slopes]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gammasub import ConfigError
+from gammasub import ConfigError, DomainError, diagnostics
 from gammasub.cli import main
 from gammasub.config import load_config, parse_config
 
@@ -409,6 +409,45 @@ class TestCliRoundTrip:
         rows = (fig / "trace_beta.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["0.1", "0.1", "0.10000000000000002"]
         assert (fig / "trace_beta.svg").is_file()
+
+    def test_diagnose_draws_every_figure_of_a_trace_flat_beyond_2_to_the_53(self, tmp_path):
+        # alpha stays at 1e17, where its steps round back to it: a flat range
+        # widened by 1.0, or by 0.5 a side, rounds back to itself there
+        obs_csv, cfg, out = tmp_path / "obs.csv", tmp_path / "big.cfg", tmp_path / "run"
+        obs_csv.write_text("time,value\n0,0\n1,1\n")
+        cfg.write_text("alpha_init = 1e17\nalpha_prior = gamma 2 1\n")
+        assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                     "--iterations", "3", "--burn-in", "0", "--seed", "1",
+                     "--out-dir", str(out)]) == 0
+        assert (out / "chain.csv").read_text().splitlines()[1].startswith("1,1e+17,")
+        fig = tmp_path / "figs"
+        assert main(["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(fig),
+                     "--figures", "trace,hist,band"]) == 0
+        names = {f"{stem}.{ext}" for stem in ("trace_alpha", "hist_alpha", "band")
+                 for ext in ("csv", "svg")}
+        assert {p.name for p in fig.iterdir()} == names
+        for name in names:
+            assert (fig / name).read_text().rstrip().endswith(
+                "</svg>" if name.endswith(".svg") else "")
+
+    def test_diagnose_leaves_no_files_when_a_figure_cannot_be_drawn(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "20")
+        drawn = []
+
+        def write_line_svg(stream, x, ys, **labels):
+            if drawn:
+                raise DomainError("cannot draw")
+            drawn.append(labels["title"])
+            stream.write("<svg/>\n")
+
+        monkeypatch.setattr(diagnostics, "write_line_svg", write_line_svg)
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig)]) == 2
+        assert drawn == ["trace of alpha"]
+        assert capsys.readouterr().err == "error: cannot draw\n"
+        assert not fig.exists()
 
     def test_diagnose_rejects_unknown_figures(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -226,6 +227,15 @@ class TestHistogram:
         assert edges.tobytes() == expected_edges.tobytes()
         assert np.array_equal(counts, expected_counts)
 
+    @pytest.mark.parametrize("value", [1e17, -1e17, 2.0 ** 53])
+    def test_constant_series_beyond_a_half_unit_widening(self, value):
+        # value -+ 0.5 rounds back to value: widened by 2 float spacings a bin instead
+        edges, counts = histogram([value, value, value], 40)
+        assert edges.size == 41 and np.all(np.diff(edges) > 0)
+        assert edges[0] < value < edges[-1]
+        assert counts.sum() == 3 and (counts > 0).sum() == 1
+        assert edges[-1] - edges[0] == 4 * 40 * math.ulp(value)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             histogram([], 3)
@@ -265,6 +275,28 @@ class TestEmitters:
         # each is drawn as the unit range above lo, as a constant series is
         assert _ticks(lo, hi) == _ticks(lo, lo + 1.0)
         assert 1 <= len(_ticks(lo, hi)) <= 6
+
+    @pytest.mark.parametrize("value", [1e17, -1e17, 2.0 ** 53])
+    def test_ticks_of_a_flat_range_beyond_a_unit_widening(self, value):
+        # value + 1.0 rounds back to value: the span is 2**-40 |value| on zero's side
+        ticks = _ticks(value, value)
+        assert 2 <= len(ticks) <= 6 and ticks == sorted(set(ticks))
+        inner = value - value * 2.0 ** -40
+        assert min(value, inner) <= ticks[0] and ticks[-1] <= max(value, inner)
+
+    @pytest.mark.parametrize("value", [1e17, -1e17, 2.0 ** 53])
+    def test_svg_of_a_flat_series_beyond_a_unit_widening(self, value):
+        flat_y, flat_x = io.StringIO(), io.StringIO()
+        write_line_svg(flat_y, [0.0, 1.0], {"c": [value, value]})
+        write_line_svg(flat_x, [value, value], {"c": [0.0, 1.0]})
+        for buf in (flat_y, flat_x):
+            body = buf.getvalue()
+            assert body.rstrip().endswith("</svg>")
+            points = re.search(r'<polyline points="([^"]*)"', body).group(1).split()
+            assert len(points) == 2
+            for point in points:        # inside the plot frame
+                px, py = map(float, point.split(","))
+                assert 64 <= px <= 704 and 32 <= py <= 396
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.2, 7.9), (0.1, 0.1 + 1e-9),
                                         (1e6, 1e6 + 3.0), (-1e-3, -5e-4)])

@@ -20,7 +20,7 @@ from gammasub import (
 )
 from gammasub.likelihood import (_row_offsets, bin_stats_matrix, compensator_diff,
                                  endpoint_tolerance)
-from gammasub.model import bin_classify, reference_units
+from gammasub.model import bin_classify, mass_factors, nu_bin_mass, reference_units
 
 
 def searchsorted_stats(increments, bin_edges):
@@ -247,6 +247,36 @@ class TestLoglikRatioParams:
             ref, _ = integrate.quad(lambda x: levy_density(new, x), bounds[k],
                                     bounds[k + 1], epsabs=0, epsrel=1e-12, limit=400)
             assert ParamTerms.of(new).masses[k - 1] == pytest.approx(ref, rel=1e-9)
+
+
+class TestBinlessTerms:
+    """A binless model's terms and parameter ratio skip the bin formulas: the
+    same floats as the general path, compared with ==."""
+
+    def draws(self, fixed_beta):
+        rng = np.random.default_rng(43 + fixed_beta)
+        for _ in range(200):
+            alpha_old, alpha_new = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+            beta = 1.0 if fixed_beta else 10.0 ** rng.uniform(-3.0, 3.0)
+            yield (float(alpha_old), float(alpha_new), float(beta),
+                   float(rng.gamma(2.0, 50.0)), float(rng.uniform(0.1, 1e4)))
+
+    @staticmethod
+    def general_terms(alpha, beta):
+        """ParamTerms.at's tuple from mass_factors and nu_bin_mass."""
+        e1_b1, units = mass_factors(alpha, (), ())
+        return ParamTerms((), alpha, beta, (), (), e1_b1, units, nu_bin_mass(beta, (), units))
+
+    @pytest.mark.parametrize("fixed_beta", [True, False], ids=["fixed beta", "random beta"])
+    def test_terms_and_ratio_equal_the_general_path(self, fixed_beta):
+        for alpha_old, alpha_new, beta, s0, horizon in self.draws(fixed_beta):
+            old, new = ParamTerms.at((), alpha_old, beta, (), ()), ParamTerms.at(
+                (), alpha_new, beta, (), (), factors=(0.0, ()))
+            assert type(old) is ParamTerms
+            assert old == self.general_terms(alpha_old, beta)
+            assert new == self.general_terms(alpha_new, beta)
+            got = loglik_ratio_params([s0], [7.0], horizon, old, new)
+            assert got == -(alpha_new - alpha_old) * s0 - horizon * compensator_diff(old, new)
 
 
 class TestLoglikRatioPath:

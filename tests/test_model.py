@@ -620,6 +620,27 @@ class TestCompilePrior:
                 assert got == pytest.approx(want, rel=1e-12)
                 assert prior_logpdf(spec, p.alpha, p.beta, list(slopes), list(intercepts)) == got
 
+    @pytest.mark.parametrize("beta", [None, Prior("uniform", 0.05, 20.0)],
+                             ids=["fixed beta", "random beta"])
+    def test_binless_prior_is_its_alpha_and_beta_terms(self, beta):
+        # compared with ==: the general loop over no bins adds nothing
+        rng = np.random.default_rng(44)
+        spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), beta=beta)
+        reparam = dataclasses.replace(spec, reparam=True)
+        for _ in range(200):
+            alpha, b = (float(v) for v in 10.0 ** rng.uniform(-3.0, 3.0, size=2))
+            want = spec.alpha.logpdf(alpha)
+            if beta is not None:
+                want += beta.logpdf(b)
+            assert prior_logpdf(spec, alpha, b, (), ()) == want
+            # reparam keeps its Jacobian, 0 ln(beta) - fsum(()), and its beta domain
+            jacobian = want + 0 * math.log(b) - math.fsum(()) if want > -math.inf else want
+            assert prior_logpdf(reparam, alpha, b, (), ()) == jacobian
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            assert prior_logpdf(reparam, 1.0, bad, (), ()) == -math.inf
+            if beta is None:
+                assert prior_logpdf(spec, 1.0, bad, (), ()) == spec.alpha.logpdf(1.0)
+
     def test_tail_constraint(self):
         spec = PriorSpec(alpha=Prior("gamma", 2.0, 1.0), theta=(Prior("normal", 0.0, 3.0),) * 3,
                          rho=(Prior("normal", 0.0, 7.0),) * 3)
