@@ -8,7 +8,6 @@ Subcommands:
 """
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -25,8 +24,8 @@ from .data import (
     write_observations_csv,
 )
 from .exceptions import ConfigError, DataError, GammasubError
-from .mcmc import (MoveTally, active_segments, read_chain_csv, run_mcmc, write_chain_csv,
-                   write_meta_json)
+from .mcmc import (MoveTally, active_segments, checked_burn_in, read_chain_csv, run_mcmc,
+                   write_chain_csv, write_meta_json)
 
 
 def _add_simulate(sub):
@@ -104,11 +103,9 @@ def _add_fit(sub):
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     obs = read_observations_csv(args.observations)
-    burn_in = args.burn_in if args.burn_in is not None else args.iterations // 10
     if args.thinning < 1:
         raise ConfigError(f"thinning must be >= 1, got {args.thinning}")
-    if not 0 <= burn_in <= args.iterations:
-        raise ConfigError(f"need iterations >= burn_in >= 0, got ({args.iterations}, {burn_in})")
+    burn_in = checked_burn_in(args.iterations, args.burn_in)
     # run_mcmc yields every sweep: one tally counts the burn-in sweeps, the
     # other every sweep after, thinned-out moves too, and this loop alone
     # drops burn-in and thins what chain.csv keeps
@@ -216,15 +213,16 @@ def cmd_diagnose(args) -> int:
             avg = diagnostics.running_average(values)
             plots[f"trace_{name}"] = (
                 {"iteration": iterations, name: values, "running_average": avg},
-                _svg_text(iterations, {name: values, "running avg": avg},
-                          title=f"trace of {name}", xlabel="iteration", ylabel=name))
+                diagnostics.line_svg(iterations, {name: values, "running avg": avg},
+                                     title=f"trace of {name}", xlabel="iteration", ylabel=name))
     if "hist" in figures:
         for name, values in series.items():
             edges, counts = diagnostics.histogram(values, args.hist_bins)
+            centres = edges[:-1] / 2 + edges[1:] / 2    # halved first: the edges' sum may overflow
             plots[f"hist_{name}"] = (
                 {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts},
-                _svg_text(0.5 * (edges[:-1] + edges[1:]), {"count": counts.astype(float)},
-                          title=f"posterior of {name}", xlabel=name, ylabel="count"))
+                diagnostics.line_svg(centres, {"count": counts.astype(float)},
+                                     title=f"posterior of {name}", xlabel=name, ylabel="count"))
     if "band" in figures:
         if args.x_points < 1:
             raise ConfigError(f"x-points must be >= 1, got {args.x_points}")
@@ -234,9 +232,9 @@ def cmd_diagnose(args) -> int:
         lo, hi = diagnostics.credible_band([r.to_params(bin_edges) for r in records], spec)
         plots["band"] = (
             {"x": spec.x_grid, "lo": lo, "hi": hi},
-            _svg_text(spec.x_grid, {"lo": lo, "hi": hi},
-                      title=f"{args.band_level * 100:g}% band, {args.band_functional}",
-                      xlabel="x", ylabel="value"))
+            diagnostics.line_svg(spec.x_grid, {"lo": lo, "hi": hi},
+                                 title=f"{args.band_level * 100:g}% band, {args.band_functional}",
+                                 xlabel="x", ylabel="value"))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -247,13 +245,6 @@ def cmd_diagnose(args) -> int:
             fh.write(svg)
     print(f"wrote {len(plots)} figure(s) to {out_dir}: {', '.join(plots)}")
     return 0
-
-
-def _svg_text(x, lines: dict, **labels) -> str:
-    """diagnostics.write_line_svg's document as a string."""
-    buf = io.StringIO()
-    diagnostics.write_line_svg(buf, x, lines, **labels)
-    return buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,11 +4,13 @@ Every emitter is a pure transform of the chain records: running the same
 input twice produces byte-identical files.  Plots are written as small
 self-contained SVG documents so the core carries no plotting dependency.
 The band's quantiles come from an in-place partition, not numpy.quantile, so
-drawing a band loads no numpy.ma.  A series flat to float precision is drawn
-and binned as a constant one is.
+drawing a band loads no numpy.ma.  One rule, _span, widens every range too
+narrow for its steps: a series flat to float precision is drawn and binned as
+a constant one is.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +24,11 @@ __all__ = [
     "credible_band",
     "histogram",
     "write_series_csv",
-    "write_line_svg",
+    "line_svg",
 ]
 
 FUNCTIONALS = ("theta_plus_alpha_x", "neg_log_levy_x")
+_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -54,11 +57,21 @@ class BandSpec:
 
 
 def running_average(series) -> np.ndarray:
-    """Cumulative means r_j = (1/j) * sum_{i<=j} s_i."""
+    """Cumulative means r_j = (1/j) * sum_{i<=j} s_i.
+
+    Where a sum overflows, the series is summed scaled down by a power of two
+    no smaller than its length, so that a finite series has finite means."""
     arr = np.asarray(series, dtype=float).reshape(-1)
     if arr.size == 0:
         raise DomainError("series must be non-empty")
-    return np.cumsum(arr) / np.arange(1, arr.size + 1)
+    counts = np.arange(1, arr.size + 1)
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(arr)
+    if not math.isinf(sums[-1]):    # a prefix that overflowed leaves every later sum infinite
+        return sums / counts
+    scale = 2.0 ** math.ceil(math.log2(arr.size))
+    # clipped to the series' range, no mean rounded up past the largest float overflows
+    return np.clip(np.cumsum(arr / scale) / counts, arr.min() / scale, arr.max() / scale) * scale
 
 
 def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -122,28 +135,32 @@ def _quantile_pair(values: np.ndarray, tail: float) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def _span(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """The range values in [lo, hi] are drawn or binned over in n equal steps:
+    [lo, hi] where its n steps are distinct floats, each at least the least
+    normal float so that _ticks finds a round step; else [lo - 1/2, hi + 1/2],
+    as numpy bins a constant series; else (|lo| or |hi| past about 2**52 / n)
+    the range widened by 2n float spacings each way, clamped to the float
+    range.  DomainError where hi - lo is not finite."""
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the width of the range [{lo!r}, {hi!r}] is not a finite float")
+    for a, b in ((lo, hi), (lo - 0.5, hi + 0.5)):
+        if (b - a) / n >= sys.float_info.min and np.all(np.diff(np.linspace(a, b, n + 1)) > 0):
+            return a, b
+    pad = 2 * n * math.ulp(max(-lo, hi))
+    return max(lo - pad, -_MAX), min(hi + pad, _MAX)
+
+
 def histogram(series, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-width histogram over [min, max]; counts sum to len(series)."""
+    """Equal-width histogram over _span(min, max, bins); counts sum to len(series)."""
     arr = np.asarray(series, dtype=float).reshape(-1)
     if arr.size == 0:
         raise DomainError("series must be non-empty")
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
-    lo, hi = float(arr.min()), float(arr.max())
-    if not _distinct_edges(lo, hi, bins):
-        # too narrow for distinct equal-width bins: widen as numpy widens a constant
-        # series, or where that is still too narrow (|lo| past about 2**52 / bins)
-        # by 2 float spacings a bin
-        half = 0.5 if _distinct_edges(lo - 0.5, hi + 0.5, bins) else (
-            2 * bins * math.ulp(max(-lo, hi)))
-        lo, hi = lo - half, hi + half
-    counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
+    span = _span(float(arr.min()), float(arr.max()), bins)
+    counts, edges = np.histogram(arr, bins=bins, range=span)
     return edges, counts
-
-
-def _distinct_edges(lo: float, hi: float, bins: int) -> bool:
-    """Whether numpy's bins equal-width edges across [lo, hi] are strictly increasing."""
-    return bool(np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0))
 
 
 def write_series_csv(stream, columns: dict) -> None:
@@ -163,47 +180,28 @@ _ML, _MR, _MT, _MB = 64, 16, 32, 44
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def _flat(lo: float, hi: float, n: int = 5) -> bool:
-    """Whether n equal steps across [lo, hi] fall below the float spacing there."""
-    return not (hi - lo) / n > math.ulp(max(abs(lo), abs(hi)))
-
-
-def _flat_span(lo: float) -> tuple[float, float]:
-    """The span a range flat at lo is drawn over: [lo, lo + 1.0], or where lo + 1.0
-    rounds back to lo (|lo| >= 2**53) a span 2**-40 |lo| wide that ends at lo on
-    zero's side, so that it is finite."""
-    if lo + 1.0 > lo:
-        return lo, lo + 1.0
-    inner = lo - lo * 2.0 ** -40
-    return min(lo, inner), max(lo, inner)
-
-
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """About n round ticks across [lo, hi]: the integer multiples of one step."""
-    if _flat(lo, hi, n):
-        lo, hi = _flat_span(lo)
+    """About n round ticks across _span(lo, hi, n): the integer multiples of one step."""
+    lo, hi = _span(lo, hi, n)
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
-    return [round(i * step, 12)
-            for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-12) + 1)]
+    return [i * step for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-12) + 1)]
 
 
-def write_line_svg(stream, x, ys: dict, title: str = "",
-                   xlabel: str = "", ylabel: str = "") -> None:
-    """Render one or more named series against x as a standalone SVG."""
+def line_svg(x, ys: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+    """Named series against x as a standalone SVG document.  Each axis spans
+    _span(min, max, 5) of its values (y's finite ones), y padded by 5% each
+    way where that leaves its width finite."""
     x = np.asarray(x, dtype=float).reshape(-1)
     series = {name: np.asarray(v, dtype=float).reshape(-1) for name, v in ys.items()}
-    xmin, xmax = float(x.min()), float(x.max())
+    xmin, xmax = _span(float(x.min()), float(x.max()), 5)
     all_y = np.concatenate(list(series.values()))
     finite = all_y[np.isfinite(all_y)]
-    ymin, ymax = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
-    if _flat(xmin, xmax):
-        xmin, xmax = _flat_span(xmin)
-    if _flat(ymin, ymax):
-        ymin, ymax = _flat_span(ymin)
+    ymin, ymax = _span(float(finite.min()), float(finite.max()), 5) if finite.size else (0.0, 1.0)
     pad = 0.05 * (ymax - ymin)
-    ymin, ymax = ymin - pad, ymax + pad
+    if math.isfinite((ymax + pad) - (ymin - pad)):      # else drawn unpadded
+        ymin, ymax = ymin - pad, ymax + pad
 
     def sx(v):
         return _ML + (v - xmin) / (xmax - xmin) * (_W - _ML - _MR)
@@ -241,4 +239,4 @@ def write_line_svg(stream, x, ys: dict, title: str = "",
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 14 + 13 * idx}" '
                      f'text-anchor="end" fill="{color}">{name}</text>')
     parts.append("</svg>")
-    stream.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -602,6 +602,15 @@ def update_beta(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
     return True, log_ratio
 
 
+def checked_burn_in(iterations: int, burn_in: int | None = None) -> int:
+    """burn_in, iterations // 10 by default; ConfigError unless iterations >= burn_in >= 0."""
+    if burn_in is None:
+        burn_in = iterations // 10
+    if iterations < 0 or burn_in < 0 or iterations < burn_in:
+        raise ConfigError(f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})")
+    return burn_in
+
+
 def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
              prop: ProposalSpec, iterations: int, burn_in: int | None = None,
              seed=0, m: int = 10) -> Iterator[ChainRecord]:
@@ -611,21 +620,18 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     observation interval.  Every sweep refreshes the active segments (none
     on a binless model, see refresh_segments), then runs the next block
     update of the schedule, which names a beta stage exactly when beta is
-    random.  burn_in defaults to 10 percent of iterations.  Nothing is thinned
-    here: `gammasub fit --thinning` keeps every k-th record.  Fully
-    deterministic given the seed.  The start is built, checked and scored
-    once, at the call (ConfigError, or TimeGrid's DomainError for m), and
-    the sweeps run on next(); the state takes prior and the start's log
+    random.  burn_in defaults to 10 percent of iterations (checked_burn_in).
+    Nothing is thinned here: `gammasub fit --thinning` keeps every k-th
+    record.  Fully deterministic given the seed.  The start is built, checked
+    and scored once, at the call (ConfigError, or TimeGrid's DomainError for
+    m), and the sweeps run on next(); the state takes prior and the start's log
     prior, which the moves read from it.
     """
-    if burn_in is None:
-        burn_in = iterations // 10
     _check_prior_bins(prior, params0.n_bins)
     if ("beta" in prop.update_schedule) != prior.beta_is_random:
         raise ConfigError("the schedule must name a beta stage exactly when the prior leaves "
                           "beta random")
-    if iterations < 0 or burn_in < 0 or iterations < burn_in:
-        raise ConfigError(f"need iterations >= burn_in >= 0, got ({iterations}, {burn_in})")
+    burn_in = checked_burn_in(iterations, burn_in)
     # before init_chain's mass_factors, which refuses theta_N <= -alpha, on the
     # tuples the start's terms share: the float ChainState.score gives
     log_prior = prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes,

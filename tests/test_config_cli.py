@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -430,18 +431,57 @@ class TestCliRoundTrip:
             assert (fig / name).read_text().rstrip().endswith(
                 "</svg>" if name.endswith(".svg") else "")
 
+    def fit_at_the_float_edge(self, tmp_path) -> Path:
+        """A 3-sweep fit whose alpha stays at 1.7e308; the path of its chain.csv."""
+        obs_csv, cfg, out = tmp_path / "obs.csv", tmp_path / "edge.cfg", tmp_path / "run"
+        obs_csv.write_text("time,value\n0,0\n1,1\n")
+        cfg.write_text("alpha_init = 1.7e308\nalpha_prior = gamma 2 1\n")
+        assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
+                     "--iterations", "3", "--burn-in", "0", "--seed", "1",
+                     "--out-dir", str(out)]) == 0
+        return out / "chain.csv"
+
+    def test_diagnose_draws_the_trace_and_histogram_of_a_chain_at_the_float_edge(self,
+                                                                                 tmp_path):
+        # the running sums and the bin centres' edge sums pass the largest float
+        chain = self.fit_at_the_float_edge(tmp_path)
+        assert [row.split(",")[1] for row in chain.read_text().splitlines()[1:]] == [
+            "1.7e+308"] * 3
+        fig = tmp_path / "figs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig),
+                         "--figures", "trace,hist"]) == 0
+        for name in ("trace_alpha", "hist_alpha"):
+            rows = (fig / f"{name}.csv").read_text().splitlines()
+            values = [float(v) for row in rows[1:] for v in row.split(",")]
+            assert values and all(map(math.isfinite, values))
+            assert (fig / f"{name}.svg").read_text().rstrip().endswith("</svg>")
+
+    def test_diagnose_refuses_a_range_wider_than_the_float_range(self, tmp_path, capsys):
+        chain = self.fit_at_the_float_edge(tmp_path)
+        header, *rows = chain.read_text().splitlines()
+        rows[0] = rows[0].replace("1.7e+308", "-1.7e+308", 1)
+        chain.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig)]) == 2
+        assert capsys.readouterr().err == ("error: the width of the range [-1.7e+308, 1.7e+308] "
+                                           "is not a finite float\n")
+        assert not fig.exists()
+
     def test_diagnose_leaves_no_files_when_a_figure_cannot_be_drawn(self, tmp_path, capsys,
                                                                     monkeypatch):
         chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "20")
         drawn = []
 
-        def write_line_svg(stream, x, ys, **labels):
+        def line_svg(x, ys, **labels):
             if drawn:
                 raise DomainError("cannot draw")
             drawn.append(labels["title"])
-            stream.write("<svg/>\n")
+            return "<svg/>\n"
 
-        monkeypatch.setattr(diagnostics, "write_line_svg", write_line_svg)
+        monkeypatch.setattr(diagnostics, "line_svg", line_svg)
         capsys.readouterr()
         fig = tmp_path / "figs"
         assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig)]) == 2

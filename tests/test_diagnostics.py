@@ -3,15 +3,19 @@
 import io
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gammasub import BandSpec, DomainError, ModelParams, credible_band, histogram, running_average
-from gammasub.diagnostics import (FUNCTIONALS, _quantile_pair, _ticks, write_line_svg,
+from gammasub.diagnostics import (FUNCTIONALS, _quantile_pair, _span, _ticks, line_svg,
                                   write_series_csv)
+
+FLOAT_MAX = sys.float_info.max
 
 
 def full_matrix_band(samples, spec):
@@ -52,6 +56,20 @@ class TestRunningAverage:
     def test_empty_errors(self):
         with pytest.raises(DomainError):
             running_average([])
+
+    def test_sums_past_the_float_range_give_finite_means(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert running_average([1e308, 1e308]).tolist() == [1e308, 1e308]
+            assert running_average([FLOAT_MAX] * 3).tolist() == [FLOAT_MAX] * 3
+            avg = running_average([1.7e308, 1.7e308, -1.7e308, 1e308])
+        assert np.all(np.isfinite(avg))
+        assert avg == pytest.approx([1.7e308, 1.7e308, 1.7e308 / 3, 6.75e307], rel=1e-15)
+
+    def test_finite_sums_keep_their_quotients(self):
+        x = np.random.default_rng(6).normal(size=500) * 1e300
+        expected = np.cumsum(x) / np.arange(1, x.size + 1)
+        assert running_average(x).tobytes() == expected.tobytes()
 
 
 class TestBandSpec:
@@ -255,42 +273,42 @@ class TestEmitters:
     def test_svg_deterministic_and_wellformed(self):
         x = np.linspace(0, 10, 50)
         ys = {"signal": np.sin(x), "trend": x / 10}
-        a, b = io.StringIO(), io.StringIO()
-        write_line_svg(a, x, ys, title="demo", xlabel="t", ylabel="v")
-        write_line_svg(b, x, ys, title="demo", xlabel="t", ylabel="v")
-        assert a.getvalue() == b.getvalue()
-        body = a.getvalue()
+        body = line_svg(x, ys, title="demo", xlabel="t", ylabel="v")
+        assert body == line_svg(x, ys, title="demo", xlabel="t", ylabel="v")
         assert body.startswith("<svg ")
         assert body.rstrip().endswith("</svg>")
         assert body.count("<polyline") == 2
 
     def test_svg_handles_flat_series(self):
-        buf = io.StringIO()
-        write_line_svg(buf, [0.0, 1.0], {"c": [2.0, 2.0]})
-        assert "<polyline" in buf.getvalue()
+        assert "<polyline" in line_svg([0.0, 1.0], {"c": [2.0, 2.0]})
 
     @pytest.mark.parametrize("lo, hi", [(0.1, 0.10000000000000002), (1e6, 1e6 + 5e-10),
                                         (-2.0, -2.0), (0.0, 5e-324)])
-    def test_ticks_of_a_range_flat_to_float_precision(self, lo, hi):
-        # each is drawn as the unit range above lo, as a constant series is
-        assert _ticks(lo, hi) == _ticks(lo, lo + 1.0)
+    def test_span_of_a_range_flat_to_float_precision(self, lo, hi):
+        # each is widened by a half each way, as numpy bins a constant series
+        assert _span(lo, hi, 5) == (lo - 0.5, hi + 0.5)
         assert 1 <= len(_ticks(lo, hi)) <= 6
 
     @pytest.mark.parametrize("value", [1e17, -1e17, 2.0 ** 53])
-    def test_ticks_of_a_flat_range_beyond_a_unit_widening(self, value):
-        # value + 1.0 rounds back to value: the span is 2**-40 |value| on zero's side
+    def test_span_of_a_flat_range_beyond_a_half_widening(self, value):
+        # value -+ 0.5 rounds back to value: widened by 2n float spacings each way
+        pad = 2 * 5 * math.ulp(value)
+        assert _span(value, value, 5) == (value - pad, value + pad)
         ticks = _ticks(value, value)
         assert 2 <= len(ticks) <= 6 and ticks == sorted(set(ticks))
-        inner = value - value * 2.0 ** -40
-        assert min(value, inner) <= ticks[0] and ticks[-1] <= max(value, inner)
+        assert value - pad <= ticks[0] and ticks[-1] <= value + pad
+
+    @pytest.mark.parametrize("lo, hi", [(-FLOAT_MAX, FLOAT_MAX), (-1e308, 1e308),
+                                        (math.nan, 1.0)])
+    def test_span_refuses_a_width_that_is_not_finite(self, lo, hi):
+        with pytest.raises(DomainError, match=re.escape(f"[{lo!r}, {hi!r}]")):
+            _span(lo, hi, 5)
 
     @pytest.mark.parametrize("value", [1e17, -1e17, 2.0 ** 53])
     def test_svg_of_a_flat_series_beyond_a_unit_widening(self, value):
-        flat_y, flat_x = io.StringIO(), io.StringIO()
-        write_line_svg(flat_y, [0.0, 1.0], {"c": [value, value]})
-        write_line_svg(flat_x, [value, value], {"c": [0.0, 1.0]})
-        for buf in (flat_y, flat_x):
-            body = buf.getvalue()
+        flat_y = line_svg([0.0, 1.0], {"c": [value, value]})
+        flat_x = line_svg([value, value], {"c": [0.0, 1.0]})
+        for body in (flat_y, flat_x):
             assert body.rstrip().endswith("</svg>")
             points = re.search(r'<polyline points="([^"]*)"', body).group(1).split()
             assert len(points) == 2
@@ -306,3 +324,56 @@ class TestEmitters:
         assert lo - 1e-12 <= ticks[0] and ticks[-1] <= hi + 1e-12
         steps = np.diff(ticks)
         assert np.allclose(steps, steps[0], rtol=1e-6)
+
+
+def sweep_series(rng, kind: int) -> np.ndarray:
+    """A finite series of 1 to 7 values, of one of five kinds: a constant, a
+    range a few float spacings wide, a subnormal range, values up to the
+    float maximum, and mixed signs and magnitudes."""
+    n = int(rng.integers(1, 8))
+
+    def magnitude(size=None):      # a float of any binade, subnormal to the largest
+        return np.ldexp(rng.uniform(1, 2, size), rng.integers(-1074, 1024, size))
+
+    value = rng.choice([-1.0, 1.0]) * magnitude()
+    if kind == 0:
+        return np.full(n, value)
+    if kind == 1:
+        with np.errstate(over="ignore"):
+            return np.clip(value + rng.integers(-3, 4, n) * math.ulp(value), -FLOAT_MAX, FLOAT_MAX)
+    if kind == 2:
+        return rng.integers(-20, 21, n) * 5e-324
+    if kind == 3:
+        return FLOAT_MAX * rng.uniform(-1, 1, n) ** rng.choice([1, 3, 101])
+    return rng.choice([-1.0, 1.0], n) * magnitude(n)
+
+
+def test_every_finite_series_is_binned_and_drawn_or_refused_for_its_width():
+    # each series as x and as y: refused (DomainError) exactly when max - min
+    # overflows, else binned over finite increasing edges and drawn inside the
+    # frame, with no warning
+    rng = np.random.default_rng(44)
+    series = [sweep_series(rng, k % 5) for k in range(2500)] + [
+        np.array(s) for s in ([FLOAT_MAX] * 2, [-FLOAT_MAX] * 2, [-1.7e308, 1.7e308],
+                              [8e-323, 2e-323, 7e-323, 5.4e-323, 5.4e-323])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in series:
+            bins = int(rng.choice([1, 2, 5, 40]))
+            steps = np.arange(s.size, dtype=float)
+            if not math.isfinite(float(s.max()) - float(s.min())):
+                for call in (lambda: histogram(s, bins), lambda: line_svg(s, {"c": steps}),
+                             lambda: line_svg(steps, {"c": s})):
+                    with pytest.raises(DomainError):
+                        call()
+                continue
+            edges, counts = histogram(s, bins)
+            assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0), s
+            assert counts.sum() == s.size, s
+            for svg in (line_svg(s, {"c": steps}), line_svg(steps, {"c": s})):
+                assert not re.search("nan|inf", svg), s
+                points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
+                assert len(points) == s.size
+                for point in points:
+                    px, py = map(float, point.split(","))
+                    assert 64 <= px <= 704 and 32 <= py <= 396, s
