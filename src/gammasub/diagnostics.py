@@ -84,6 +84,8 @@ def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
     band is the ((1-level)/2, 1-(1-level)/2) quantile pair of the functional
     values, using the inverse empirical CDF with linear interpolation
     (_quantile_pair, which is numpy.quantile's "linear" method bit for bit).
+    DomainError names the first grid point whose band edge is not a finite
+    float: a functional value there overflowed.
     """
     samples = list(samples)
     if len(samples) < 2:
@@ -99,12 +101,17 @@ def credible_band(samples, spec: BandSpec) -> tuple[np.ndarray, np.ndarray]:
     tail = (1.0 - spec.level) / 2.0
     x = spec.x_grid
     bands = np.empty((2, x.size))
-    for j, (k, x_j) in enumerate(zip(bin_classify(x, edges), x)):
-        values = intercepts[k] + slopes[k] * x_j
-        values += alpha * x_j
-        if log_beta is not None:
-            values -= log_beta
-        bands[:, j] = _quantile_pair(values, tail)
+    # an overflow shows as an edge that is not finite, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (k, x_j) in enumerate(zip(bin_classify(x, edges), x)):
+            values = intercepts[k] + slopes[k] * x_j
+            values += alpha * x_j
+            if log_beta is not None:
+                values -= log_beta
+            lo, hi = bands[:, j] = _quantile_pair(values, tail)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError(f"the band's edges at x = {float(x_j)!r} are ({lo!r}, {hi!r}): "
+                                  f"its {spec.functional} values overflow the float range")
     return bands[0], bands[1]
 
 
@@ -189,10 +196,21 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [i * step for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-12) + 1)]
 
 
+def _labels(ticks: list[float]) -> list[str]:
+    """The ticks in the fewest significant digits, at least format g's 6, that
+    tell them apart; 17 digits tell every two floats apart."""
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def line_svg(x, ys: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Named series against x as a standalone SVG document.  Each axis spans
     _span(min, max, 5) of its values (y's finite ones), y padded by 5% each
-    way where that leaves its width finite."""
+    way where that leaves its width finite, and labels its ticks as _labels
+    prints them."""
     x = np.asarray(x, dtype=float).reshape(-1)
     series = {name: np.asarray(v, dtype=float).reshape(-1) for name, v in ys.items()}
     xmin, xmax = _span(float(x.min()), float(x.max()), 5)
@@ -218,15 +236,17 @@ def line_svg(x, ys: dict, title: str = "", xlabel: str = "", ylabel: str = "") -
     ]
     if title:
         parts.append(f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle">{title}</text>')
-    for t in _ticks(xmin, xmax):
+    ticks = _ticks(xmin, xmax)
+    for t, label in zip(ticks, _labels(ticks)):
         px = sx(t)
         parts.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
                      f'y2="{_H - _MB + 4}" stroke="#333"/>')
-        parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 16}" text-anchor="middle">{t:g}</text>')
-    for t in _ticks(ymin, ymax):
+        parts.append(f'<text x="{px:.2f}" y="{_H - _MB + 16}" text-anchor="middle">{label}</text>')
+    ticks = _ticks(ymin, ymax)
+    for t, label in zip(ticks, _labels(ticks)):
         py = sy(t)
         parts.append(f'<line x1="{_ML - 4}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" stroke="#333"/>')
-        parts.append(f'<text x="{_ML - 6}" y="{py + 3:.2f}" text-anchor="end">{t:g}</text>')
+        parts.append(f'<text x="{_ML - 6}" y="{py + 3:.2f}" text-anchor="end">{label}</text>')
     if xlabel:
         parts.append(f'<text x="{_W / 2:.1f}" y="{_H - 8}" text-anchor="middle">{xlabel}</text>')
     if ylabel:

@@ -8,7 +8,9 @@ with its compensator compensator_diff), the ratio between two
 endpoint-matched paths under fixed parameters (loglik_ratio_path, row-wise)
 and psi_log, a path's log-density against its Gamma reference.  Everything
 is computed and consumed in log space; acceptance compares a log ratio to
-ln(U).
+ln(U).  The path ratio is the formula alone: check_endpoints, which the
+sampler runs once on each row where it is pinned, holds every row to its
+observed increment, so any two rows it scores share their endpoints.
 
 loglik_ratio_params and psi_log read the bin totals S_0..S_N and C_0..C_N
 as sequences of floats and a parameter vector as a ParamTerms: its
@@ -29,6 +31,7 @@ from .model import ModelParams, bin_classify, mass_factors, nu_bin_mass, nu_diff
 
 __all__ = [
     "ParamTerms",
+    "check_endpoints",
     "compensator_diff",
     "endpoint_tolerance",
     "loglik_ratio_params",
@@ -160,13 +163,39 @@ def psi_log(sums, counts, horizon: float, terms: ParamTerms, ref_units) -> float
 
 
 def endpoint_tolerance(totals) -> np.ndarray:
-    """The largest change in a path's total that loglik_ratio_path takes for a
-    shared endpoint: 1e-9 relative to the total."""
+    """How far apart two paths' totals may lie and share an endpoint: 1e-9
+    relative to the totals.  check_endpoints holds each row to half of it
+    about its target, so two rows that pass for one target lie within it."""
     return _ENDPOINT_RTOL * np.abs(totals)
 
 
-def loglik_ratio_path(stats_new: np.ndarray, stats_old: np.ndarray, slopes, intercepts,
-                      tolerance=None):
+def check_endpoints(stats: np.ndarray, targets, tolerance=None) -> None:
+    """ContractError unless every row of stats sums to its target.
+
+    stats holds rows [S_0..S_N | C_0..C_N], (2N+2,) for one path or a stack
+    (..., 2N+2); targets, and tolerance when given, broadcast against its
+    rows.  A row passes when |sum_k S_k - target| <= tolerance, by default
+    half endpoint_tolerance(targets); a caller whose targets are fixed passes
+    theirs, computed once.  A NaN in any S or C column makes the row's total
+    NaN, which fails.  The sampler checks each row once, where it is pinned,
+    so loglik_ratio_path takes its rows as sharing their endpoints.
+    """
+    if tolerance is None:
+        tolerance = 0.5 * endpoint_tolerance(targets)
+    # row totals are dot products with the S columns' mask (a sum over a short
+    # axis costs more, and a C column's NaN or inf makes 0 * it a NaN total),
+    # one gemv over the rows as a matrix: a stack's own dot makes no BLAS call
+    width = stats.shape[-1]
+    totals = stats.reshape(-1, width).dot(_sums_mask(width)).reshape(stats.shape[:-1])
+    drift = np.abs(totals - targets)
+    # a NaN drift compares False, so it counts as a mismatch
+    n_matched = np.count_nonzero(drift <= tolerance)
+    if n_matched != drift.size:
+        raise ContractError(f"paths do not share endpoints: totals differ in "
+                            f"{drift.size - n_matched} row(s)")
+
+
+def loglik_ratio_path(stats_new: np.ndarray, stats_old: np.ndarray, slopes, intercepts):
     """Log-likelihood ratio of endpoint-matched paths under one model, row-wise.
 
     Takes bin statistics [S_0..S_N | C_0..C_N] of shape (2N+2,) for one
@@ -177,33 +206,17 @@ def loglik_ratio_path(stats_new: np.ndarray, stats_old: np.ndarray, slopes, inte
 
         -sum_k th_k * (S°_k - S_k) - sum_k rho_k * (C°_k - C_k) = (old - new) . (0, th, 0, rho).
 
-    Raises ContractError when a row's two totals differ by more than
-    tolerance (the paths do not share endpoints) or either row holds a NaN.  The
-    default tolerance is endpoint_tolerance of the old totals; a caller whose
-    rows keep known endpoints passes theirs, computed once.
+    The formula alone: each pair of rows must share its endpoint, which the
+    sampler checks where it makes rows (check_endpoints).
     """
-    n_bins = len(slopes)
-    for stats in (stats_new, stats_old):
-        if stats.shape[-1] != 2 * n_bins + 2:
-            raise ContractError(f"stats have {stats.shape[-1]} columns, not 2N+2 for {n_bins} bins")
-    d = stats_old - stats_new
-    # row totals are dot products with the S columns' mask: a sum over a short axis costs more
-    mask = _sums_mask(n_bins)
-    if tolerance is None:
-        tolerance = endpoint_tolerance(stats_old.dot(mask))
-    drift = np.abs(d.dot(mask))
-    # a NaN drift or total compares False, so it counts as a mismatch
-    n_matched = np.count_nonzero(drift <= tolerance)
-    if n_matched != drift.size:
-        raise ContractError(f"paths do not share endpoints: totals differ in "
-                            f"{drift.size - n_matched} row(s)")
     # one dot per row, which a one-row call repeats; gemv's order depends on the row count
-    return np.vecdot(d, np.array((0.0, *slopes, 0.0, *intercepts)))
+    return np.vecdot(stats_old - stats_new, np.array((0.0, *slopes, 0.0, *intercepts)))
 
 
 @functools.cache
-def _sums_mask(n_bins: int) -> np.ndarray:
-    """A read-only vector over [S_0..S_N | C_0..C_N], 1 on each S, 0 on each C; once per N."""
-    mask = np.repeat((1.0, 0.0), n_bins + 1)
+def _sums_mask(width: int) -> np.ndarray:
+    """A read-only vector over [S_0..S_N | C_0..C_N], 1 on each S, 0 on each C;
+    once per row width 2N+2."""
+    mask = np.repeat((1.0, 0.0), width // 2)
     mask.flags.writeable = False
     return mask

@@ -30,6 +30,14 @@ inert rows.  All per-segment randomness is drawn in fixed-layout blocks
 from dedicated splittable streams, so the result is independent of the
 order in which segments are processed.
 
+Every row of the block sums to its segment's observed increment, and is
+checked once, where it is made: likelihood.check_endpoints holds each row
+of the start block (ChainState), of each refresh batch (_draw_ahead) and of
+the beta move's re-pinned block, before its ratio, to half of
+endpoint_tolerance about its target, and raises ContractError on a row off
+it or with a NaN before any state is written.  So every pair of rows the
+refresh scores shares its endpoint, and its path ratio is the formula alone.
+
 A refresh's proposals and uniforms read only beta and per-chain constants,
 from streams that serve the refresh alone, so run_mcmc's refreshes draw
 those of every sweep up to the next beta stage at once, in the order single
@@ -49,7 +57,8 @@ sweep: the current parameters as a likelihood.ParamTerms of Python floats
 with their log prior, and the bin totals as float lists.  What the data
 and the edges fix for the chain it computes once, as read-only constants
 the moves read: T, the block's targets and sub-step spans, which a refresh
-batch's (k, n_active, m) stack reads as they are, and the edges as an array.
+batch's (k, n_active, m) stack reads as they are, the edges as an array and
+the endpoint check's tolerance.
 
 run_mcmc builds, checks and scores the start once, at the call, and the
 moves read the prior from the state (ChainState.score).  The refresh
@@ -70,8 +79,8 @@ which only psi reads, once (model.reference_units).  The ratios are
 likelihood.loglik_ratio_params and likelihood.psi_log at the bin totals,
 and an accepted candidate's terms and log prior become the state's.  The
 moves call prior_logpdf, loglik_ratio_params, psi_log, bin_stats_matrix,
-reference_units and the moves themselves by their names in this module, so
-a profiler that rebinds those names sees every call.  No sweep builds a
+check_endpoints, reference_units and the moves themselves by their names in
+this module, so a profiler that rebinds those names sees every call.  No sweep builds a
 ModelParams: it is the type of the API edge, and ChainState.params builds
 one on each read.
 """
@@ -85,8 +94,8 @@ import numpy as np
 
 from .data import Observations
 from .exceptions import ConfigError, ContractError, DataError
-from .likelihood import (ParamTerms, bin_stats_matrix, endpoint_tolerance, loglik_ratio_params,
-                         loglik_ratio_path, psi_log)
+from .likelihood import (ParamTerms, bin_stats_matrix, check_endpoints, endpoint_tolerance,
+                         loglik_ratio_params, loglik_ratio_path, psi_log)
 from .model import ModelParams, PriorSpec, prior_logpdf, reference_units
 from .paths import (TimeGrid, _one_value, _seed_sequence, augment_rows, bridge_rows, pin_rows,
                     thin_rows)
@@ -224,9 +233,9 @@ class ChainState:
     n_active: int = field(init=False)
     targets: np.ndarray = field(init=False)         # the block's observed increments
     edge_array: np.ndarray = field(init=False)      # the bin edges, float64 for bin_classify
-    # endpoint_tolerance of targets: every row of the block and of a bridge
-    # proposal sums to its target, so this is the refresh's endpoint check
-    block_tolerance: np.ndarray = field(init=False)
+    # half endpoint_tolerance of targets: check_endpoints' bound on each row of
+    # the start block, of a refresh batch and of a re-pinned beta block
+    pin_tolerance: np.ndarray = field(init=False)
     # the block's spans h_i, (n_active,), and sub-step spans h_i / m, (n_active, 1):
     # each one float when all are equal
     block_spans: np.ndarray | float = field(init=False)
@@ -247,13 +256,15 @@ class ChainState:
 
     def __post_init__(self):
         active = self.active
+        self.targets = _read_only(self.obs.increments[active])
+        self.pin_tolerance = _read_only(0.5 * endpoint_tolerance(self.targets))
+        start_stats = self.start_stats[active]
+        check_endpoints(start_stats, self.targets, self.pin_tolerance)
         self.inert_stats = np.delete(self.start_stats, active, axis=0).sum(axis=0)
-        self.write_block(self.start_increments[active], self.start_stats[active])
+        self.write_block(self.start_increments[active], start_stats)
         spans = self.grid.spans
         self.horizon, self.n_active = self.grid.horizon, active.size
-        self.targets = _read_only(self.obs.increments[active])
         self.edge_array = _read_only(np.array(self.terms.edges, dtype=float))
-        self.block_tolerance = _read_only(endpoint_tolerance(self.targets))
         self.block_spans = _read_only(_one_value(spans[active]))
         self.block_sub_spans = _read_only(_one_value((spans[active] / self.grid.m)[:, None]))
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
@@ -392,7 +403,8 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> tuple[float, int]:
     ln(U_i).  Noise and uniforms are drawn in one fixed-layout block over
     the active segments, so the decisions do not depend on the order in
     which segments are visited.  A proposal row too small to pin
-    (bridge_rows' flag) is rejected, and counted.
+    (bridge_rows' flag) is rejected, and counted.  The ratio checks no
+    endpoint: each row was checked where it was made (module docstring).
     The proposal is drawn, scored and written on the active block, whose
     accepted rows are overwritten in place (ChainState.write_block).
 
@@ -420,8 +432,7 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> tuple[float, int]:
     if beta != terms.beta:
         raise ContractError(f"refresh at sweep {state.iteration} found proposals drawn at "
                             f"beta {beta!r}, but beta is {terms.beta!r}")
-    log_ratio = loglik_ratio_path(stats, state.block_stats, terms.slopes, terms.intercepts,
-                                  state.block_tolerance)
+    log_ratio = loglik_ratio_path(stats, state.block_stats, terms.slopes, terms.intercepts)
     accepted = log_ratio >= log_u
     n_rejected = n_active - int(np.count_nonzero(accepted))
     # with every row accepted the proposal becomes the block as it is
@@ -439,7 +450,9 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     most _AHEAD_STEPS sub-steps, and bin its (k * n_active, m) view into one
     statistics matrix: the variates, in their order, that k single
     refreshes would draw.  A flagged row's ln U is +inf, so its refresh
-    keeps the row; each refresh's tuple ends with its count of them.
+    keeps the row; each refresh's tuple ends with its count of them.  One
+    check_endpoints call over the (k, n_active, 2N+2) statistics checks
+    every row of the batch, which is then returned whole or not at all.
     """
     beta, m, n = state.terms.beta, state.grid.m, state.n_active
     k = max(1, min(sweeps, _AHEAD_STEPS // (n * m)))
@@ -452,8 +465,9 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
     else:
         unpinnable = [0] * k
     stats = np.concatenate(bin_stats_matrix(proposals.reshape(k * n, m), state.edge_array),
-                           axis=1)
-    return list(zip([beta] * k, proposals, stats.reshape(k, n, -1), log_u, unpinnable))[::-1]
+                           axis=1).reshape(k, n, -1)
+    check_endpoints(stats, state.targets, state.pin_tolerance)
+    return list(zip([beta] * k, proposals, stats, log_u, unpinnable))[::-1]
 
 
 def update_params(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
@@ -532,7 +546,8 @@ def update_beta(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
     > 0 or lies outside the prior's support, or one that leaves an active
     segment too small to re-pin (pin_rows' flag), is rejected before a ratio
     is formed and returns (False, -inf); the first two before its terms are
-    formed.  A NaN log ratio raises ContractError.  The prior is state.prior,
+    formed.  A re-pinned row off its target (check_endpoints, before the
+    ratio) or a NaN log ratio raises ContractError.  The prior is state.prior,
     which must leave beta random (ConfigError), and the current log prior
     state.log_prior; a state with no prior raises ContractError.
 
@@ -580,6 +595,7 @@ def update_beta(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
         if np.count_nonzero(collapsed):
             return False, -math.inf
         stats = np.concatenate(bin_stats_matrix(block, state.edge_array), axis=1)
+        check_endpoints(stats, state.targets, state.pin_tolerance)
         totals = (state.inert_stats + np.add.reduce(stats, 0)).tolist()
         sums, counts = totals[:len(sums)], totals[len(sums):]
     psi_new = psi_log(sums, counts, horizon, new, ref_units)

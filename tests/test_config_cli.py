@@ -470,6 +470,20 @@ class TestCliRoundTrip:
                                            "is not a finite float\n")
         assert not fig.exists()
 
+    def test_diagnose_refuses_a_band_past_the_float_range(self, tmp_path, capsys):
+        # alpha * x overflows from the grid's eleventh point, x = 1.1, on
+        chain = self.fit_at_the_float_edge(tmp_path)
+        capsys.readouterr()
+        fig = tmp_path / "figs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig),
+                         "--figures", "band"]) == 2
+        assert capsys.readouterr().err == ("error: the band's edges at x = 1.1 are (nan, nan): "
+                                           "its theta_plus_alpha_x values overflow the float "
+                                           "range\n")
+        assert not fig.exists()
+
     def test_diagnose_leaves_no_files_when_a_figure_cannot_be_drawn(self, tmp_path, capsys,
                                                                     monkeypatch):
         chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "20")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gammasub import BandSpec, DomainError, ModelParams, credible_band, histogram, running_average
-from gammasub.diagnostics import (FUNCTIONALS, _quantile_pair, _span, _ticks, line_svg,
+from gammasub.diagnostics import (FUNCTIONALS, _labels, _quantile_pair, _span, _ticks, line_svg,
                                   write_series_csv)
 
 FLOAT_MAX = sys.float_info.max
@@ -165,6 +165,20 @@ class TestCredibleBand:
             finally:
                 tracemalloc.stop()
             assert peak < 2_000_000, functional
+
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_a_band_past_the_float_range_names_its_first_point(self, functional):
+        # alpha * x overflows from x = 1.2 on, where the edges would be NaN
+        spec = BandSpec(x_grid=np.array([0.5, 1.0, 1.2, 3.0]), functional=functional)
+        samples = [ModelParams(a, 1.0) for a in np.linspace(1.5e308, 1.7e308, 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"at x = 1.2 are (nan, nan): its "
+                                                            f"{functional} values overflow")):
+                credible_band(samples, spec)
+            lo, hi = credible_band(samples, BandSpec(x_grid=spec.x_grid[:2],
+                                                     functional=functional))
+        assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
 
     def test_samples_must_share_edges(self):
         spec = BandSpec(x_grid=np.array([1.0]))
@@ -326,6 +340,25 @@ class TestEmitters:
         assert np.allclose(steps, steps[0], rtol=1e-6)
 
 
+    @pytest.mark.parametrize("lo, hi, labels", [
+        (2.0 ** 53, 2.0 ** 53, ["9.00719925474098e+15", "9.00719925474099e+15",
+                                "9.007199254741e+15", "9.00719925474101e+15"]),
+        (1000.0, 1000.0001, ["1000", "1000.00002", "1000.00004", "1000.00006", "1000.00008"]),
+        (0.0, 1.0, ["0", "0.2", "0.4", "0.6", "0.8", "1"])])
+    def test_tick_labels_take_the_fewest_digits_that_tell_them_apart(self, lo, hi, labels):
+        # at least format g's six digits, so an axis six digits tell apart reads as before
+        ticks = _ticks(lo, hi)
+        assert _labels(ticks) == labels
+        assert (len({f"{t:g}" for t in ticks}) == len(ticks)) == (labels == [f"{t:g}" for t in
+                                                                               ticks])
+
+
+def axis_labels(svg: str) -> tuple[list[str], list[str]]:
+    """The x axis's and the y axis's tick labels of a line_svg document."""
+    return (re.findall(r'<text x="[^"]*" y="412" text-anchor="middle">([^<]*)</text>', svg),
+            re.findall(r'<text x="58" y="[^"]*" text-anchor="end">([^<]*)</text>', svg))
+
+
 def sweep_series(rng, kind: int) -> np.ndarray:
     """A finite series of 1 to 7 values, of one of five kinds: a constant, a
     range a few float spacings wide, a subnormal range, values up to the
@@ -377,3 +410,18 @@ def test_every_finite_series_is_binned_and_drawn_or_refused_for_its_width():
                 for point in points:
                     px, py = map(float, point.split(","))
                     assert 64 <= px <= 704 and 32 <= py <= 396, s
+
+
+def test_every_drawn_axis_labels_its_ticks_apart():
+    rng = np.random.default_rng(45)
+    drawn = 0
+    for k in range(1000):
+        values = sweep_series(rng, k % 5)
+        try:
+            svg = line_svg(values, {"s": values})
+        except DomainError:
+            continue
+        drawn += 1
+        for labels in axis_labels(svg):
+            assert labels and len(set(labels)) == len(labels), (values, labels)
+    assert drawn > 800

@@ -18,8 +18,8 @@ from gammasub import (
     psi_log,
     sample_gamma_bridge,
 )
-from gammasub.likelihood import (_row_offsets, bin_stats_matrix, compensator_diff,
-                                 endpoint_tolerance)
+from gammasub.likelihood import (_row_offsets, bin_stats_matrix, check_endpoints,
+                                 compensator_diff, endpoint_tolerance)
 from gammasub.model import bin_classify, mass_factors, nu_bin_mass, reference_units
 
 
@@ -77,12 +77,18 @@ def psi(s, params):
                    reference_units(terms.alpha, terms.edges, terms.e1_b1))
 
 
-def path_ratio(sums_new, counts_new, sums_old, counts_old, slopes, intercepts, *tolerance):
+def path_ratio(sums_new, counts_new, sums_old, counts_old, slopes, intercepts):
     """loglik_ratio_path of the paths with these sums and counts, stacked into
     its [S_0..S_N | C_0..C_N] rows."""
     return loglik_ratio_path(np.concatenate((sums_new, counts_new), axis=-1),
                              np.concatenate((sums_old, counts_old), axis=-1),
-                             slopes, intercepts, *tolerance)
+                             slopes, intercepts)
+
+
+def endpoint_check(sums, counts, targets, *tolerance):
+    """check_endpoints of the rows with these sums and counts, stacked into
+    its [S_0..S_N | C_0..C_N] rows."""
+    check_endpoints(np.concatenate((sums, counts), axis=-1), targets, *tolerance)
 
 
 class TestBinStats:
@@ -301,11 +307,12 @@ class TestLoglikRatioPath:
             assert psi(s2, p) - psi(s1, p) == pytest.approx(value, rel=1e-12)
 
     def test_endpoint_mismatch_rejected(self):
-        p = model(slopes=(0.3,), intercepts=(0.2,))
+        # the check holds each row to its own target: of two rows, the one off it fails
         s1 = totals([1.0, 2.0], [5, 2], 1.0)
         s2 = totals([1.0, 2.1], [5, 2], 1.0)
-        with pytest.raises(ContractError):
-            path_ratio(s2.sums, s2.counts, s1.sums, s1.counts, *theta(p))
+        endpoint_check(s1.sums, s1.counts, 3.0)
+        with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
+            endpoint_check(s2.sums, s2.counts, 3.0)
 
     def test_literal_formula(self):
         p = model(edges=(1.0, 2.0), slopes=(0.3, -0.1), intercepts=(0.2, 0.4))
@@ -361,61 +368,68 @@ class TestLoglikRatioPath:
             new = old + rng.normal(size=old.shape)
             new[:, :n_bins + 1] += (old - new)[:, :n_bins + 1].mean(axis=1, keepdims=True)
             slopes, intercepts = tuple(rng.normal(size=n_bins)), tuple(rng.normal(size=n_bins))
-            values = loglik_ratio_path(new, old, slopes, intercepts, np.full(rows, 1e-6))
+            values = loglik_ratio_path(new, old, slopes, intercepts)
             for i in range(rows):
-                assert values[i] == loglik_ratio_path(new[i], old[i], slopes, intercepts, 1e-6)
+                assert values[i] == loglik_ratio_path(new[i], old[i], slopes, intercepts)
 
     def test_one_mismatched_row_rejected_at_1e9(self):
-        p = model(slopes=(0.3,), intercepts=(0.2,))
-        old_s = np.array([[1.0, 3.0], [2.0, 2.0]])
-        counts = np.array([[5, 2], [4, 3]])
-        within = old_s + np.array([[0.0, 0.0], [0.0, 4e-10]])
-        assert path_ratio(within, counts, old_s, counts, *theta(p)).shape == (2,)
-        beyond = old_s + np.array([[0.0, 0.0], [0.0, 4e-8]])
-        with pytest.raises(ContractError):
-            path_ratio(beyond, counts, old_s, counts, *theta(p))
-
-
-    def test_nan_row_total_rejected(self):
-        # NaN compares False against the tolerance; it must still count as a mismatch
-        p = model(slopes=(0.3,), intercepts=(0.2,))
+        # each row is held to half of 1e-9 of its target, so two rows that pass
+        # differ by at most 1e-9 of it
         sums = np.array([[1.0, 3.0], [2.0, 2.0]])
         counts = np.array([[5, 2], [4, 3]])
-        nan_row = sums.copy()
-        nan_row[1, 0] = np.nan
-        with pytest.raises(ContractError):
-            path_ratio(nan_row, counts, sums, counts, *theta(p))
-        with pytest.raises(ContractError):
-            path_ratio(sums, counts, nan_row, counts, *theta(p))
-        with pytest.raises(ContractError):
-            path_ratio(nan_row[:, :1], counts[:, :1], sums[:, :1], counts[:, :1],
-                       (), ())
+        targets = np.array([4.0, 4.0])
+        within = sums + np.array([[0.0, 0.0], [0.0, 1.9e-9]])
+        endpoint_check(within, counts, targets)
+        for beyond in (2.1e-9, 4e-8):
+            with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
+                endpoint_check(sums + np.array([[0.0, 0.0], [0.0, beyond]]), counts, targets)
+        with pytest.raises(ContractError, match=r"differ in 2 row\(s\)"):
+            endpoint_check(sums + 4e-8, counts, targets)
+
+    def test_nan_row_total_rejected(self):
+        # NaN compares False against the tolerance; it must still count as a
+        # mismatch, in an S column or a C column alike
+        stats = np.array([[1.0, 3.0, 5.0, 2.0], [2.0, 2.0, 4.0, 3.0]])
+        check_endpoints(stats, 4.0)
+        for column in range(4):
+            nan_row = stats.copy()
+            nan_row[1, column] = np.nan
+            with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
+                check_endpoints(nan_row, 4.0)
+            with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
+                check_endpoints(nan_row[1], 4.0)
 
     def test_given_tolerance_bounds_each_row(self):
         # a caller with known endpoints passes their tolerance instead
-        p = model(slopes=(0.3,), intercepts=(0.2,))
-        old_s = np.array([[1.0, 3.0], [2.0, 2.0]])
+        sums = np.array([[1.0, 3.0], [2.0, 2.0]])
         counts = np.array([[5, 2], [4, 3]])
-        shifted = old_s + np.array([[0.0, 0.0], [0.0, 4e-8]])
+        shifted = sums + np.array([[0.0, 0.0], [0.0, 4e-8]])
         with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
-            path_ratio(shifted, counts, old_s, counts, *theta(p),
-                       endpoint_tolerance(np.array([4.0, 4.0])))
-        assert path_ratio(shifted, counts, old_s, counts, *theta(p),
-                          np.array([0.0, 1e-7])).shape == (2,)
+            endpoint_check(shifted, counts, 4.0, endpoint_tolerance(np.array([4.0, 4.0])))
+        endpoint_check(shifted, counts, 4.0, np.array([0.0, 1e-7]))
+
+    def test_stacks_are_checked_against_the_targets_of_their_rows(self):
+        # a (k, n, 2N+2) batch of k proposals for n targets, as the sampler draws it
+        rng = np.random.default_rng(3)
+        targets = rng.gamma(1.0, 2.0, size=5)
+        sums = rng.dirichlet(np.ones(3), size=(4, 5)) * targets[:, None]
+        counts = rng.integers(0, 4, size=(4, 5, 3))
+        endpoint_check(sums, counts, targets)
+        sums[2, 4, 1] += 1e-6 * targets[4]
+        with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
+            endpoint_check(sums, counts, targets)
 
     def test_nan_increment_ends_in_the_endpoint_check(self):
         # searchsorted sorts a NaN increment above every edge, into the last
         # bin; its row's sums and total are NaN, which the check rejects
         edges = np.array([1.0, 2.0])
-        old = np.array([[0.5, 1.5, 2.5], [0.2, 0.3, 0.4]])
-        new = old.copy()
+        new = np.array([[0.5, 1.5, 2.5], [0.2, 0.3, 0.4]])
+        targets = new.sum(axis=1)
         new[1, 1] = np.nan
         assert bin_classify(new, edges)[1].tolist() == [0, 2, 0]
-        s_old, c_old = bin_stats_matrix(old, edges)
         s_new, c_new = bin_stats_matrix(new, edges)
         with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
-            path_ratio(s_new, c_new, s_old, c_old, np.array([0.3, 0.1]),
-                       np.array([0.2, 0.0]))
+            endpoint_check(s_new, c_new, targets)
 
 
 class TestPsiLog:

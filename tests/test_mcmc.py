@@ -2274,20 +2274,72 @@ class TestFusedRefresh:
     @pytest.mark.parametrize("column, value", [(0, "shift"), (0, "nan"), (1, "nan"),
                                                (4, "nan"), (7, "nan")],
                              ids=["S_0 by 1e-6", "S_0 NaN", "S_1 NaN", "C_0 NaN", "C_3 NaN"])
-    def test_a_drawn_proposal_off_its_endpoint_is_a_contract_error(self, column, value):
+    def test_a_drawn_proposal_off_its_endpoint_is_a_contract_error(self, column, value,
+                                                                    monkeypatch):
+        # the fault enters where the draw-ahead bins its batch, before its check
         state, _ = pinned_state("mixture")
         g.refresh_segments(state)
-        state.drawn = mcmc._draw_ahead(state, 1)
-        stats = state.drawn[-1][2]
-        assert stats.shape == (state.active.size, 8)
-        # S_0 moved by 1e-6 of the row's total, a thousand times the endpoint tolerance
-        stats[3, column] += 1e-6 * stats[3, :4].sum() if value == "shift" else np.nan
-        block, block_stats = state.block.copy(), state.block_stats.copy()
-        with pytest.raises(g.ContractError, match=r"do not share endpoints: totals differ in "
-                                                  r"1 row\(s\)"):
+        assert state.drawn == [] and state.block_stats.shape == (state.active.size, 8)
+        off_endpoint(monkeypatch, 3, column, value)
+        before = snapshot(state)
+        with pytest.raises(g.ContractError, match=ENDPOINT_ERROR):
             g.refresh_segments(state)
-        assert np.array_equal(state.block, block)
-        assert np.array_equal(state.block_stats, block_stats)
+        assert snapshot(state) == before and state.drawn == []
+
+    @pytest.mark.parametrize("column, value", [(0, "shift"), (0, "nan"), (1, "nan"),
+                                               (3, "nan"), (5, "nan")],
+                             ids=["S_0 by 1e-6", "S_0 NaN", "S_1 NaN", "C_0 NaN", "C_2 NaN"])
+    def test_a_re_pinned_beta_block_off_its_endpoint_is_a_contract_error(self, column, value,
+                                                                        monkeypatch):
+        # the fault enters where the beta move bins its re-pinned block, before its ratio
+        state, cfg = pinned_state("beta_binned")
+        assert state.block_stats.shape[1] == 6 and state.n_active > 3
+        off_endpoint(monkeypatch, 3, column, value)
+        before = snapshot(state)
+        with pytest.raises(g.ContractError, match=ENDPOINT_ERROR):
+            g.update_beta(state, cfg.proposal)
+        assert snapshot(state) == before
+
+    @pytest.mark.parametrize("column, value", [(0, "shift"), (0, "nan"), (1, "nan"),
+                                               (4, "nan"), (7, "nan")],
+                             ids=["S_0 by 1e-6", "S_0 NaN", "S_1 NaN", "C_0 NaN", "C_3 NaN"])
+    def test_a_start_block_off_its_endpoint_is_a_contract_error(self, column, value,
+                                                               monkeypatch):
+        # the fault enters where init_chain bins every segment, in an active row:
+        # no state is built and no run starts
+        obs, cfg = pin_inputs("mixture", 7)
+        row = pinned_state("mixture")[0].active[3]
+        off_endpoint(monkeypatch, row, column, value)
+        with pytest.raises(g.ContractError, match=ENDPOINT_ERROR):
+            g.init_chain(obs, cfg.params0, g.TimeGrid(obs.times, cfg.refinement), [7, 1])
+        with pytest.raises(g.ContractError, match=ENDPOINT_ERROR):
+            g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, 10, seed=[7, 1],
+                       m=cfg.refinement)
+
+
+ENDPOINT_ERROR = r"do not share endpoints: totals differ in 1 row\(s\)"
+
+
+def off_endpoint(monkeypatch, row, column, value):
+    """Rebind mcmc.bin_stats_matrix, as the bench tracer rebinds it, so that each
+    matrix it returns has row `row` off its endpoint: column `column` of
+    [S_0..S_N | C_0..C_N] NaN, or ("shift") S_0 moved by 1e-6 of the row's
+    total, two thousand times the endpoint check's bound."""
+    binned = mcmc.bin_stats_matrix
+
+    def corrupted(increments, edges):
+        sums, counts = binned(increments, edges)
+        stats = stacked(sums, counts)
+        stats[row, column] += 1e-6 * sums[row].sum() if value == "shift" else np.nan
+        return stats[:, :sums.shape[1]], stats[:, sums.shape[1]:]
+
+    monkeypatch.setattr(mcmc, "bin_stats_matrix", corrupted)
+
+
+def snapshot(state):
+    """What a move may write: the parameters, the block and the bin totals."""
+    return (state.terms, state.log_prior, state.block.tobytes(), state.block_stats.tobytes(),
+            state.total_sums, state.total_counts)
 
 
 class TestE1Traffic:
@@ -2362,7 +2414,7 @@ class TestChainConstants:
     """ChainState's per-chain constants: computed once by __post_init__, read-only,
     and read, never rebuilt, by the refresh, the parameter step and the beta move."""
 
-    ARRAYS = ("targets", "edge_array", "block_tolerance")
+    ARRAYS = ("targets", "edge_array", "pin_tolerance")
 
     def constants(self, state):
         """Every constant array of the state."""
@@ -2399,7 +2451,7 @@ class TestChainConstants:
         assert state.edge_array.tolist() == list(cfg.params0.bin_edges)
         # bin_classify takes the edges as they are, without a conversion
         assert np.asarray(state.edge_array, dtype=float) is state.edge_array
-        assert np.array_equal(state.block_tolerance, endpoint_tolerance(state.targets))
+        assert np.array_equal(state.pin_tolerance, 0.5 * endpoint_tolerance(state.targets))
         assert np.array_equal(state.block_spans, paths._one_value(state.grid.spans[active]))
         assert np.array_equal(state.block_sub_spans,
                               paths._one_value((state.grid.spans[active] / state.m)[:, None]))
