@@ -4,7 +4,7 @@ Subcommands:
     simulate  - generate two-component Gamma mixture observations + truth file
     ingest    - aggregate a (date, loss) CSV into observations
     fit       - run the sampler, writing chain.csv and meta.json
-    diagnose  - turn chain.csv into trace/band/histogram CSV and SVG files
+    diagnose  - turn chain.csv into trace, histogram and band CSV tables
 """
 
 import argparse
@@ -147,7 +147,7 @@ def cmd_fit(args) -> int:
 
 
 def _add_diagnose(sub):
-    p = sub.add_parser("diagnose", help="figures and summaries from a chain file")
+    p = sub.add_parser("diagnose", help="trace, histogram and band tables from a chain file")
     p.add_argument("--chain", required=True, help="chain.csv beside the fit's meta.json")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--figures", default="trace,hist,band",
@@ -205,24 +205,18 @@ def cmd_diagnose(args) -> int:
         series[f"theta_{k + 1}"] = np.array([r.theta[k] for r in records])
         series[f"rho_{k + 1}"] = np.array([r.rho[k] for r in records])
 
-    # every figure is computed and its SVG drawn, and so every input checked,
-    # before the output directory is made: name -> (CSV columns, SVG text)
-    plots = {}
+    # every table is computed, and so every input checked, before the output
+    # directory is made: name -> CSV columns
+    tables = {}
     if "trace" in figures:
         for name, values in series.items():
-            avg = diagnostics.running_average(values)
-            plots[f"trace_{name}"] = (
-                {"iteration": iterations, name: values, "running_average": avg},
-                diagnostics.line_svg(iterations, {name: values, "running avg": avg},
-                                     title=f"trace of {name}", xlabel="iteration", ylabel=name))
+            tables[f"trace_{name}"] = {"iteration": iterations, name: values,
+                                      "running_average": diagnostics.running_average(values)}
     if "hist" in figures:
         for name, values in series.items():
             edges, counts = diagnostics.histogram(values, args.hist_bins)
-            centres = edges[:-1] / 2 + edges[1:] / 2    # halved first: the edges' sum may overflow
-            plots[f"hist_{name}"] = (
-                {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts},
-                diagnostics.line_svg(centres, {"count": counts.astype(float)},
-                                     title=f"posterior of {name}", xlabel=name, ylabel="count"))
+            tables[f"hist_{name}"] = {"bin_left": edges[:-1], "bin_right": edges[1:],
+                                     "count": counts}
     if "band" in figures:
         if args.x_points < 1:
             raise ConfigError(f"x-points must be >= 1, got {args.x_points}")
@@ -230,20 +224,14 @@ def cmd_diagnose(args) -> int:
             x_grid=np.linspace(args.x_min, args.x_max, args.x_points),
             level=args.band_level, functional=args.band_functional)
         lo, hi = diagnostics.credible_band([r.to_params(bin_edges) for r in records], spec)
-        plots["band"] = (
-            {"x": spec.x_grid, "lo": lo, "hi": hi},
-            diagnostics.line_svg(spec.x_grid, {"lo": lo, "hi": hi},
-                                 title=f"{args.band_level * 100:g}% band, {args.band_functional}",
-                                 xlabel="x", ylabel="value"))
+        tables["band"] = {"x": spec.x_grid, "lo": lo, "hi": hi}
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (columns, svg) in plots.items():
+    for name, columns in tables.items():
         with open(out_dir / f"{name}.csv", "w") as fh:
             diagnostics.write_series_csv(fh, columns)
-        with open(out_dir / f"{name}.svg", "w") as fh:
-            fh.write(svg)
-    print(f"wrote {len(plots)} figure(s) to {out_dir}: {', '.join(plots)}")
+    print(f"wrote {len(tables)} table(s) to {out_dir}: {', '.join(tables)}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Chain post-processing: running averages, credible bands, histograms, SVG."""
+"""Chain post-processing: running averages, credible bands, histograms, CSV tables."""
 
 import io
 import math
@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from gammasub import BandSpec, DomainError, ModelParams, credible_band, histogram, running_average
-from gammasub.diagnostics import (FUNCTIONALS, _labels, _quantile_pair, _span, _ticks, line_svg,
-                                  write_series_csv)
+from gammasub.diagnostics import FUNCTIONALS, _quantile_pair, write_series_csv
 
 FLOAT_MAX = sys.float_info.max
 
@@ -57,14 +56,15 @@ class TestRunningAverage:
         with pytest.raises(DomainError):
             running_average([])
 
-    def test_sums_past_the_float_range_give_finite_means(self):
+    @pytest.mark.parametrize("series", [[1e308, 1e308], [FLOAT_MAX] * 3,
+                                        [1.7e308, 1.7e308, -1.7e308, 1e308]],
+                             ids=["two 1e308", "three max", "mixed signs"])
+    def test_sums_past_the_float_range_are_refused(self, series):
+        # a running sum overflows: refused with no warning, not widened or scaled
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert running_average([1e308, 1e308]).tolist() == [1e308, 1e308]
-            assert running_average([FLOAT_MAX] * 3).tolist() == [FLOAT_MAX] * 3
-            avg = running_average([1.7e308, 1.7e308, -1.7e308, 1e308])
-        assert np.all(np.isfinite(avg))
-        assert avg == pytest.approx([1.7e308, 1.7e308, 1.7e308 / 3, 6.75e307], rel=1e-15)
+            with pytest.raises(DomainError, match="running sum of the series is inf"):
+                running_average(series)
 
     def test_finite_sums_keep_their_quotients(self):
         x = np.random.default_rng(6).normal(size=500) * 1e300
@@ -247,11 +247,10 @@ class TestHistogram:
         assert np.all(counts == 10)
 
     def test_series_narrower_than_its_bins(self):
-        # one float spacing apart: widened to a unit range, as numpy widens a constant
-        edges, counts = histogram([0.1, 0.10000000000000002], 40)
-        assert edges.size == 41 and np.all(np.diff(edges) > 0)
-        assert edges[0] == pytest.approx(-0.4) and edges[-1] == pytest.approx(0.6)
-        assert counts.sum() == 2 and (counts > 0).sum() == 1
+        # one float spacing apart: numpy finds no 40 distinct edges across it
+        with pytest.raises(DomainError, match=re.escape(
+                "the range [0.1, 0.10000000000000002] is too narrow for 40 bins")):
+            histogram([0.1, 0.10000000000000002], 40)
         # a series wide enough for its bins is numpy's histogram unchanged
         x = np.random.default_rng(5).normal(size=300)
         expected_counts, expected_edges = np.histogram(x, bins=25)
@@ -261,12 +260,18 @@ class TestHistogram:
 
     @pytest.mark.parametrize("value", [1e17, -1e17, 2.0 ** 53])
     def test_constant_series_beyond_a_half_unit_widening(self, value):
-        # value -+ 0.5 rounds back to value: widened by 2 float spacings a bin instead
-        edges, counts = histogram([value, value, value], 40)
-        assert edges.size == 41 and np.all(np.diff(edges) > 0)
-        assert edges[0] < value < edges[-1]
-        assert counts.sum() == 3 and (counts > 0).sum() == 1
-        assert edges[-1] - edges[0] == 4 * 40 * math.ulp(value)
+        # value -+ 0.5, numpy's range for a constant series, rounds back to value
+        with pytest.raises(DomainError, match=re.escape(f"[{value!r}, {value!r}] is too narrow")):
+            histogram([value, value, value], 40)
+
+    @pytest.mark.parametrize("series, lo, hi", [([-FLOAT_MAX, FLOAT_MAX], -FLOAT_MAX, FLOAT_MAX),
+                                                ([-1e308, 1e308], -1e308, 1e308),
+                                                ([math.nan, 1.0], math.nan, math.nan)],
+                             ids=["max", "1e308", "nan"])
+    def test_refuses_a_width_that_is_not_finite(self, series, lo, hi):
+        with pytest.raises(DomainError, match=re.escape(
+                f"the width of the range [{lo!r}, {hi!r}] is not a finite float")):
+            histogram(series, 5)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -283,80 +288,6 @@ class TestEmitters:
         write_series_csv(b, cols)
         assert a.getvalue() == b.getvalue()
         assert a.getvalue().splitlines()[0] == "x,y"
-
-    def test_svg_deterministic_and_wellformed(self):
-        x = np.linspace(0, 10, 50)
-        ys = {"signal": np.sin(x), "trend": x / 10}
-        body = line_svg(x, ys, title="demo", xlabel="t", ylabel="v")
-        assert body == line_svg(x, ys, title="demo", xlabel="t", ylabel="v")
-        assert body.startswith("<svg ")
-        assert body.rstrip().endswith("</svg>")
-        assert body.count("<polyline") == 2
-
-    def test_svg_handles_flat_series(self):
-        assert "<polyline" in line_svg([0.0, 1.0], {"c": [2.0, 2.0]})
-
-    @pytest.mark.parametrize("lo, hi", [(0.1, 0.10000000000000002), (1e6, 1e6 + 5e-10),
-                                        (-2.0, -2.0), (0.0, 5e-324)])
-    def test_span_of_a_range_flat_to_float_precision(self, lo, hi):
-        # each is widened by a half each way, as numpy bins a constant series
-        assert _span(lo, hi, 5) == (lo - 0.5, hi + 0.5)
-        assert 1 <= len(_ticks(lo, hi)) <= 6
-
-    @pytest.mark.parametrize("value", [1e17, -1e17, 2.0 ** 53])
-    def test_span_of_a_flat_range_beyond_a_half_widening(self, value):
-        # value -+ 0.5 rounds back to value: widened by 2n float spacings each way
-        pad = 2 * 5 * math.ulp(value)
-        assert _span(value, value, 5) == (value - pad, value + pad)
-        ticks = _ticks(value, value)
-        assert 2 <= len(ticks) <= 6 and ticks == sorted(set(ticks))
-        assert value - pad <= ticks[0] and ticks[-1] <= value + pad
-
-    @pytest.mark.parametrize("lo, hi", [(-FLOAT_MAX, FLOAT_MAX), (-1e308, 1e308),
-                                        (math.nan, 1.0)])
-    def test_span_refuses_a_width_that_is_not_finite(self, lo, hi):
-        with pytest.raises(DomainError, match=re.escape(f"[{lo!r}, {hi!r}]")):
-            _span(lo, hi, 5)
-
-    @pytest.mark.parametrize("value", [1e17, -1e17, 2.0 ** 53])
-    def test_svg_of_a_flat_series_beyond_a_unit_widening(self, value):
-        flat_y = line_svg([0.0, 1.0], {"c": [value, value]})
-        flat_x = line_svg([value, value], {"c": [0.0, 1.0]})
-        for body in (flat_y, flat_x):
-            assert body.rstrip().endswith("</svg>")
-            points = re.search(r'<polyline points="([^"]*)"', body).group(1).split()
-            assert len(points) == 2
-            for point in points:        # inside the plot frame
-                px, py = map(float, point.split(","))
-                assert 64 <= px <= 704 and 32 <= py <= 396
-
-    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.2, 7.9), (0.1, 0.1 + 1e-9),
-                                        (1e6, 1e6 + 3.0), (-1e-3, -5e-4)])
-    def test_ticks_are_multiples_of_a_round_step_inside_the_range(self, lo, hi):
-        ticks = _ticks(lo, hi)
-        assert 2 <= len(ticks) <= 11
-        assert lo - 1e-12 <= ticks[0] and ticks[-1] <= hi + 1e-12
-        steps = np.diff(ticks)
-        assert np.allclose(steps, steps[0], rtol=1e-6)
-
-
-    @pytest.mark.parametrize("lo, hi, labels", [
-        (2.0 ** 53, 2.0 ** 53, ["9.00719925474098e+15", "9.00719925474099e+15",
-                                "9.007199254741e+15", "9.00719925474101e+15"]),
-        (1000.0, 1000.0001, ["1000", "1000.00002", "1000.00004", "1000.00006", "1000.00008"]),
-        (0.0, 1.0, ["0", "0.2", "0.4", "0.6", "0.8", "1"])])
-    def test_tick_labels_take_the_fewest_digits_that_tell_them_apart(self, lo, hi, labels):
-        # at least format g's six digits, so an axis six digits tell apart reads as before
-        ticks = _ticks(lo, hi)
-        assert _labels(ticks) == labels
-        assert (len({f"{t:g}" for t in ticks}) == len(ticks)) == (labels == [f"{t:g}" for t in
-                                                                               ticks])
-
-
-def axis_labels(svg: str) -> tuple[list[str], list[str]]:
-    """The x axis's and the y axis's tick labels of a line_svg document."""
-    return (re.findall(r'<text x="[^"]*" y="412" text-anchor="middle">([^<]*)</text>', svg),
-            re.findall(r'<text x="58" y="[^"]*" text-anchor="end">([^<]*)</text>', svg))
 
 
 def sweep_series(rng, kind: int) -> np.ndarray:
@@ -381,47 +312,43 @@ def sweep_series(rng, kind: int) -> np.ndarray:
     return rng.choice([-1.0, 1.0], n) * magnitude(n)
 
 
-def test_every_finite_series_is_binned_and_drawn_or_refused_for_its_width():
-    # each series as x and as y: refused (DomainError) exactly when max - min
-    # overflows, else binned over finite increasing edges and drawn inside the
-    # frame, with no warning
+def test_every_finite_series_is_binned_as_numpy_bins_it_or_refused():
+    # histogram is numpy's, bit for bit, or refused (DomainError): by its own
+    # rule where max - min overflows, else where numpy finds too many bins for
+    # the range; running_average is cumsum / counts, or refused where the last
+    # sum overflows; no warning either way
     rng = np.random.default_rng(44)
     series = [sweep_series(rng, k % 5) for k in range(2500)] + [
         np.array(s) for s in ([FLOAT_MAX] * 2, [-FLOAT_MAX] * 2, [-1.7e308, 1.7e308],
                               [8e-323, 2e-323, 7e-323, 5.4e-323, 5.4e-323])]
+    binned = refused_wide = refused_narrow = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in series:
             bins = int(rng.choice([1, 2, 5, 40]))
-            steps = np.arange(s.size, dtype=float)
             if not math.isfinite(float(s.max()) - float(s.min())):
-                for call in (lambda: histogram(s, bins), lambda: line_svg(s, {"c": steps}),
-                             lambda: line_svg(steps, {"c": s})):
-                    with pytest.raises(DomainError):
-                        call()
-                continue
-            edges, counts = histogram(s, bins)
-            assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0), s
-            assert counts.sum() == s.size, s
-            for svg in (line_svg(s, {"c": steps}), line_svg(steps, {"c": s})):
-                assert not re.search("nan|inf", svg), s
-                points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split()
-                assert len(points) == s.size
-                for point in points:
-                    px, py = map(float, point.split(","))
-                    assert 64 <= px <= 704 and 32 <= py <= 396, s
-
-
-def test_every_drawn_axis_labels_its_ticks_apart():
-    rng = np.random.default_rng(45)
-    drawn = 0
-    for k in range(1000):
-        values = sweep_series(rng, k % 5)
-        try:
-            svg = line_svg(values, {"s": values})
-        except DomainError:
-            continue
-        drawn += 1
-        for labels in axis_labels(svg):
-            assert labels and len(set(labels)) == len(labels), (values, labels)
-    assert drawn > 800
+                with pytest.raises(DomainError, match="is not a finite float"):
+                    histogram(s, bins)
+                refused_wide += 1
+            else:
+                try:
+                    expected_counts, expected_edges = np.histogram(s, bins)
+                except ValueError:
+                    with pytest.raises(DomainError, match="too narrow"):
+                        histogram(s, bins)
+                    refused_narrow += 1
+                else:
+                    edges, counts = histogram(s, bins)
+                    assert edges.tobytes() == expected_edges.tobytes(), s
+                    assert np.array_equal(counts, expected_counts) and counts.sum() == s.size, s
+                    assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0), s
+                    binned += 1
+            with np.errstate(over="ignore"):
+                sums = np.cumsum(s)
+            if math.isfinite(sums[-1]):
+                expected = sums / np.arange(1, s.size + 1)
+                assert running_average(s).tobytes() == expected.tobytes(), s
+            else:
+                with pytest.raises(DomainError):
+                    running_average(s)
+    assert binned > 1500 and refused_wide > 100 and refused_narrow > 500

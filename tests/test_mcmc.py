@@ -2096,7 +2096,8 @@ def sha256_of(path) -> str:
 def test_cli_chains_pinned(tmp_path):
     # `gammasub simulate`, `fit` and `diagnose` end to end: the CLI's
     # observations CSV, --thinning, the reparam prior's Jacobian on one bin and
-    # on three, and a wide fit whose refresh batches hold one sweep
+    # on three, a wide fit whose refresh batches hold one sweep, and every
+    # trace, histogram and band table of the one-bin chain
     pin_obs, wide_obs = tmp_path / "pin-obs.csv", tmp_path / "wide-obs.csv"
     cli("simulate", "--n", 400, "--horizon", 400, "--seed", 5, "--out", pin_obs)
     cli("simulate", "--n", 1000, "--horizon", 2000, "--seed", 7, "--out", wide_obs)
@@ -2109,10 +2110,19 @@ def test_cli_chains_pinned(tmp_path):
             "--iterations", 600, "--burn-in", 60, "--thinning", thinning, "--seed", seed,
             "--out-dir", tmp_path / name)
     cli("diagnose", "--chain", tmp_path / "reparam" / "chain.csv", "--out-dir", tmp_path / "band",
-        "--figures", "band")
+        "--figures", "trace,hist,band")
     pinned = {
         "reparam/chain.csv": "14071b07cff274eb197ed0d95592ec44aaec19123c2c643cdb4acf65db2f20db",
         "band/band.csv": "580cceea437aeeebd27c836ec375f41e2acd2b6a764a8231c7f8a7b9f2c6e19c",
+        "band/trace_alpha.csv": "4f3ff88a0a982b72d00a2b096d542ea33820db3efd5e7bad5d656a290e2f98dd",
+        "band/trace_beta.csv": "41fdab9751d69606f8c09960272f13934f70ebaca23f107560d0b9ef57e60054",
+        "band/trace_theta_1.csv":
+            "531e79ce31f62a86be9760d4f46c99a7943c6620d898cdd3c80d48b53b9c983d",
+        "band/trace_rho_1.csv": "49f4527c2a15f7050fa310bce128382da5e4920a52ac053d180db20107329cea",
+        "band/hist_alpha.csv": "496a95c5f3713aa46e1777d92ffd1fe5445a03062a04256a787190c8244a1e7e",
+        "band/hist_beta.csv": "0aa34e605a8a2a8eb8954f3b81eb6726d28cd1e9715b5149f5184c7548571e2e",
+        "band/hist_theta_1.csv": "9c6340481fd280eb676aa299e94305a04dc2c8c1cd8212a00691916d22d03cb5",
+        "band/hist_rho_1.csv": "ec734ff9c488e4deb0e20448f5618f82f28865017429f5940f13e1e004103e7e",
         "reparam_3bin/chain.csv":
             "5180d34b8eefb311649a2a4f639016701112d2f6ba23b8941d606867167a0cb1",
         "wide-obs.csv": "3f1e18bb9cbe963cd39eb93231658930f34fd94f0a729a54fab8ed207d178f71",
