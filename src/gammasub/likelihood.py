@@ -33,13 +33,13 @@ __all__ = [
     "ParamTerms",
     "check_endpoints",
     "compensator_diff",
-    "endpoint_tolerance",
     "loglik_ratio_params",
     "loglik_ratio_path",
+    "pin_tolerance",
     "psi_log",
 ]
 
-_ENDPOINT_RTOL = 1e-9
+_PIN_RTOL = 5e-10
 
 
 def bin_stats_matrix(increments: np.ndarray, bin_edges):
@@ -162,11 +162,10 @@ def psi_log(sums, counts, horizon: float, terms: ParamTerms, ref_units) -> float
     return -(slope_part + intercept_part + horizon * comp)
 
 
-def endpoint_tolerance(totals) -> np.ndarray:
-    """How far apart two paths' totals may lie and share an endpoint: 1e-9
-    relative to the totals.  check_endpoints holds each row to half of it
-    about its target, so two rows that pass for one target lie within it."""
-    return _ENDPOINT_RTOL * np.abs(totals)
+def pin_tolerance(targets) -> np.ndarray:
+    """How far a pinned row's total may lie from its target: 5e-10 relative,
+    so two rows that pass for one target lie within 1e-9 of each other."""
+    return _PIN_RTOL * np.abs(targets)
 
 
 def check_endpoints(stats: np.ndarray, targets, tolerance=None) -> None:
@@ -175,13 +174,13 @@ def check_endpoints(stats: np.ndarray, targets, tolerance=None) -> None:
     stats holds rows [S_0..S_N | C_0..C_N], (2N+2,) for one path or a stack
     (..., 2N+2); targets, and tolerance when given, broadcast against its
     rows.  A row passes when |sum_k S_k - target| <= tolerance, by default
-    half endpoint_tolerance(targets); a caller whose targets are fixed passes
-    theirs, computed once.  A NaN in any S or C column makes the row's total
+    pin_tolerance(targets); a caller whose targets are fixed passes theirs,
+    computed once.  A NaN in any S or C column makes the row's total
     NaN, which fails.  The sampler checks each row once, where it is pinned,
     so loglik_ratio_path takes its rows as sharing their endpoints.
     """
     if tolerance is None:
-        tolerance = 0.5 * endpoint_tolerance(targets)
+        tolerance = pin_tolerance(targets)
     # row totals are dot products with the S columns' mask (a sum over a short
     # axis costs more, and a C column's NaN or inf makes 0 * it a NaN total),
     # one gemv over the rows as a matrix: a stack's own dot makes no BLAS call

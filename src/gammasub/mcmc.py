@@ -33,10 +33,10 @@ order in which segments are processed.
 Every row of the block sums to its segment's observed increment, and is
 checked once, where it is made: likelihood.check_endpoints holds each row
 of the start block (ChainState), of each refresh batch (_draw_ahead) and of
-the beta move's re-pinned block, before its ratio, to half of
-endpoint_tolerance about its target, and raises ContractError on a row off
-it or with a NaN before any state is written.  So every pair of rows the
-refresh scores shares its endpoint, and its path ratio is the formula alone.
+the beta move's re-pinned block, before its ratio, to pin_tolerance about
+its target, and raises ContractError on a row off it or with a NaN before
+any state is written.  So every pair of rows the refresh scores shares its
+endpoint, and its path ratio is the formula alone.
 
 A refresh's proposals and uniforms read only beta and per-chain constants,
 from streams that serve the refresh alone, so run_mcmc's refreshes draw
@@ -60,12 +60,13 @@ the moves read: T, the block's targets and sub-step spans, which a refresh
 batch's (k, n_active, m) stack reads as they are, the edges as an array and
 the endpoint check's tolerance.
 
-run_mcmc builds, checks and scores the start once, at the call, and the
-moves read the prior from the state (ChainState.score).  The refresh
-returns its path acceptance rate and its count of proposal rows too small
-to pin, and each parameter move its (accepted, log ratio); run_mcmc builds
-each sweep's ChainRecord from the terms and those outcomes and yields one
-per sweep after burn-in, and `gammasub fit --thinning` alone thins.
+run_mcmc builds the start (init_chain), scores it (ChainState.score) and
+checks it once, at the call, and the moves read the prior from the state.
+The refresh returns its path acceptance rate and its count of proposal
+rows too small to pin, and each parameter move its (accepted, log ratio);
+run_mcmc builds each sweep's ChainRecord from the terms and those outcomes
+and yields one per sweep after burn-in, and `gammasub fit --thinning`
+alone thins.
 
 Both parameter moves take a candidate in one pass, as Python floats: the
 move's own range test of what it moved (alpha, or beta, finite and > 0),
@@ -80,9 +81,9 @@ likelihood.loglik_ratio_params and likelihood.psi_log at the bin totals,
 and an accepted candidate's terms and log prior become the state's.  The
 moves call prior_logpdf, loglik_ratio_params, psi_log, bin_stats_matrix,
 check_endpoints, reference_units and the moves themselves by their names in
-this module, so a profiler that rebinds those names sees every call.  No sweep builds a
-ModelParams: it is the type of the API edge, and ChainState.params builds
-one on each read.
+this module, so a profiler that rebinds those names sees every call.  No
+sweep builds a ModelParams: it is the type of the API edge, and
+ChainState.params builds one on each read.
 """
 
 import json
@@ -94,8 +95,8 @@ import numpy as np
 
 from .data import Observations
 from .exceptions import ConfigError, ContractError, DataError
-from .likelihood import (ParamTerms, bin_stats_matrix, check_endpoints, endpoint_tolerance,
-                         loglik_ratio_params, loglik_ratio_path, psi_log)
+from .likelihood import (ParamTerms, bin_stats_matrix, check_endpoints, loglik_ratio_params,
+                         loglik_ratio_path, pin_tolerance, psi_log)
 from .model import ModelParams, PriorSpec, prior_logpdf, reference_units
 from .paths import (TimeGrid, _one_value, _seed_sequence, augment_rows, bridge_rows, pin_rows,
                     thin_rows)
@@ -194,9 +195,9 @@ class ChainState:
 
     terms are the current parameters as the moves read them, the chain's
     bin edges among them, and log_prior their log prior under prior, the
-    PriorSpec both moves target.  run_mcmc sets the two at the start, and
-    score sets them for a direct caller; init_chain leaves them unset, and
-    a move on such a state raises ContractError.  params builds a validated
+    PriorSpec both moves target: score sets the two, for run_mcmc's start
+    and for a direct caller; init_chain leaves them unset, and a move on
+    such a state raises ContractError.  params builds a validated
     ModelParams from terms on each read.
 
     block and block_stats are the active block (see the module docstring):
@@ -233,8 +234,8 @@ class ChainState:
     n_active: int = field(init=False)
     targets: np.ndarray = field(init=False)         # the block's observed increments
     edge_array: np.ndarray = field(init=False)      # the bin edges, float64 for bin_classify
-    # half endpoint_tolerance of targets: check_endpoints' bound on each row of
-    # the start block, of a refresh batch and of a re-pinned beta block
+    # pin_tolerance of targets: check_endpoints' bound on each row of the
+    # start block, of a refresh batch and of a re-pinned beta block
     pin_tolerance: np.ndarray = field(init=False)
     # the block's spans h_i, (n_active,), and sub-step spans h_i / m, (n_active, 1):
     # each one float when all are equal
@@ -247,17 +248,16 @@ class ChainState:
     # ln U) pair per coming step, the next one last
     walk: list = field(default_factory=list, init=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
-    # chain: sum_i h_i log(delta_i), sum_i h_i, and the distinct spans h with
+    # chain: T (horizon), sum_i h_i log(delta_i) and the distinct spans h with
     # their counts, so that lnGamma runs once per distinct span.
     span_log_deltas: float = field(init=False)
-    span_total: float = field(init=False)
     distinct_spans: list[float] = field(init=False)
     span_counts: list[int] = field(init=False)
 
     def __post_init__(self):
         active = self.active
         self.targets = _read_only(self.obs.increments[active])
-        self.pin_tolerance = _read_only(0.5 * endpoint_tolerance(self.targets))
+        self.pin_tolerance = _read_only(pin_tolerance(self.targets))
         start_stats = self.start_stats[active]
         check_endpoints(start_stats, self.targets, self.pin_tolerance)
         self.inert_stats = np.delete(self.start_stats, active, axis=0).sum(axis=0)
@@ -268,7 +268,6 @@ class ChainState:
         self.block_spans = _read_only(_one_value(spans[active]))
         self.block_sub_spans = _read_only(_one_value((spans[active] / self.grid.m)[:, None]))
         self.span_log_deltas = float(spans @ np.log(self.obs.increments))
-        self.span_total = float(spans.sum())
         distinct, counts = np.unique(spans, return_counts=True)
         self.distinct_spans, self.span_counts = distinct.tolist(), counts.tolist()
 
@@ -332,18 +331,13 @@ class ChainState:
     def score(self, prior: PriorSpec) -> ParamTerms:
         """Make prior the one the moves target and log_prior the terms' log
         prior under it; returns terms.  ConfigError for a prior over another
-        number of bins than the chain's (_check_prior_bins)."""
+        number of bins than the chain's, which prior_logpdf would zip."""
         t = self.terms
-        _check_prior_bins(prior, len(t.edges))
+        if prior.n_bins != len(t.edges):
+            raise ConfigError(f"prior covers {prior.n_bins} bins but the model has {len(t.edges)}")
         self.prior = prior
         self.log_prior = prior_logpdf(prior, t.alpha, t.beta, t.slopes, t.intercepts)
         return t
-
-
-def _check_prior_bins(prior: PriorSpec, n_bins: int) -> None:
-    """ConfigError unless prior covers n_bins bins, which prior_logpdf zips."""
-    if prior.n_bins != n_bins:
-        raise ConfigError(f"prior covers {prior.n_bins} bins but the model has {n_bins}")
 
 
 def _read_only(a):
@@ -554,7 +548,7 @@ def update_beta(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
     The candidate differs from the current parameters in beta alone, so it
     reuses their mass factors, and both psi terms read the Gamma reference's
     units at alpha (reference_units).  The Gamma density ratio is (beta° -
-    beta) (ln(alpha) sum_i h_i + sum_i h_i ln(delta_i)) less the lnGamma
+    beta) (ln(alpha) T + sum_i h_i ln(delta_i)) less the lnGamma
     differences, each distinct span once, all from the chain's constants
     (ChainState).  The prior ratio is prior_logpdf's; in reparam mode, whose
     priors are per bin with beta fixed or random, its Jacobian covers every
@@ -605,7 +599,7 @@ def update_beta(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
     for h, n in zip(state.distinct_spans, state.span_counts):
         lgamma_diff += n * (math.lgamma(beta_new * h) - math.lgamma(cur.beta * h))
     density_diff = ((beta_new - cur.beta)
-                    * (math.log(cur.alpha) * state.span_total + state.span_log_deltas)
+                    * (math.log(cur.alpha) * horizon + state.span_log_deltas)
                     - lgamma_diff)
     log_ratio = (log_prior - state.log_prior) + density_diff + (psi_new - psi_old)
     if not log_ratio >= math.log(rng.random()):
@@ -638,29 +632,24 @@ def run_mcmc(obs: Observations, params0: ModelParams, prior: PriorSpec,
     update of the schedule, which names a beta stage exactly when beta is
     random.  burn_in defaults to 10 percent of iterations (checked_burn_in).
     Nothing is thinned here: `gammasub fit --thinning` keeps every k-th
-    record.  Fully deterministic given the seed.  The start is built, checked
-    and scored once, at the call (ConfigError, or TimeGrid's DomainError for
-    m), and the sweeps run on next(); the state takes prior and the start's log
-    prior, which the moves read from it.
+    record.  Fully deterministic given the seed.  At the call the start is
+    built (init_chain; TimeGrid's DomainError for m), scored once by
+    ChainState.score and refused (ConfigError) at zero prior density or an
+    infinite bin mass; the sweeps run on next() and read prior from the state.
     """
-    _check_prior_bins(prior, params0.n_bins)
     if ("beta" in prop.update_schedule) != prior.beta_is_random:
         raise ConfigError("the schedule must name a beta stage exactly when the prior leaves "
                           "beta random")
     burn_in = checked_burn_in(iterations, burn_in)
-    # before init_chain's mass_factors, which refuses theta_N <= -alpha, on the
-    # tuples the start's terms share: the float ChainState.score gives
-    log_prior = prior_logpdf(prior, params0.alpha, params0.beta, params0.theta_slopes,
-                             params0.theta_intercepts)
-    if log_prior == -math.inf:
+    state = init_chain(obs, params0, TimeGrid(obs.times, m), seed)
+    terms = state.score(prior)
+    if state.log_prior == -math.inf:
         raise ConfigError("initial parameters have zero prior density: a value lies outside "
                           "its prior's support, or theta_N <= -alpha gives the tail infinite mass")
-    state = init_chain(obs, params0, TimeGrid(obs.times, m), seed)
-    if not all(map(math.isfinite, state.terms.masses)):
+    if not all(map(math.isfinite, terms.masses)):
         raise ConfigError("initial parameters give a bin an infinite mass: its slope + alpha "
                           "is so far below 0 that its Ei overflows, or its intercept so far "
                           "below 0 that beta * exp(-rho) times the E1 or Ei factor overflows")
-    state.prior, state.log_prior = prior, log_prior
     return _sweeps(state, prop, iterations, burn_in)
 
 

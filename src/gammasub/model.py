@@ -9,7 +9,7 @@ with b_0 = 0 and b_{N+1} = inf, and identically zero on B_0.  bin_classify
 assigns values to bins, an edge to the bin on its right, for the bin
 statistics of likelihood and for theta alike.  Bin masses nu(B_k) are
 available in closed form through the exponential integral; the tail bin's
-is finite only for slope_N > -alpha, the rule prior_logpdf states.
+is +inf for slope_N <= -alpha, where prior_logpdf is -inf.
 
 Each formula the sampler's ratios read is one function on Python floats:
 mass_factors takes a parameter vector's E1 factors from one
@@ -182,12 +182,12 @@ def mass_factors(alpha: float, slopes, edges):
       exp(-c x) / x over B_k with c = slope_k + alpha: E1(c b_k) - E1(c b_{k+1}),
       E1(c b_N) for the tail bin, and for an interior bin with c <= 0 its
       finite limit, ln(b_{k+1} / b_k) at c = 0 and an Ei difference below,
-      +inf once Ei(-c b_{k+1}) overflows (a move's ratio to it is -inf).
+      +inf once Ei(-c b_{k+1}) overflows (a move's ratio to it is -inf), and
+      +inf for the tail bin with c <= 0, whose integral diverges.
 
-    E1 is evaluated at alpha * b_1 and the bins' points, N + 1 to 2N points.
+    E1 is evaluated at alpha * b_1 and the bins' points, up to 2N points.
     Neither beta nor the intercepts enter, so a move that changes only those
-    reuses the factors.  Raises DomainError when the tail bin has slope +
-    alpha <= 0.
+    reuses the factors.
     """
     n = len(edges)
     if n == 0:
@@ -199,14 +199,14 @@ def mass_factors(alpha: float, slopes, edges):
             zs.append(c * edges[k])
             if k + 1 < n:
                 zs.append(c * edges[k + 1])
-        elif k + 1 == n:
-            raise DomainError(f"tail bin requires slope + alpha > 0, got {c}")
     e1 = exp_integral_e1(zs)
     bins = iter(e1[1:])
     units = []
     for k, c in enumerate(rates):
         if c > 0:
             units.append(next(bins) - next(bins) if k + 1 < n else next(bins))
+        elif k + 1 == n:
+            units.append(math.inf)
         elif c == 0:
             units.append(math.log(edges[k + 1] / edges[k]))
         else:
@@ -351,7 +351,7 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
     """Sum of spec's component prior log-densities at float parameters.
 
     Precondition: the slopes and intercepts are sequences of N floats, N =
-    spec.n_bins, as run_mcmc and ChainState.score check: the bins are zipped.
+    spec.n_bins, as ChainState.score checks: the bins are zipped.
     In reparam mode the components are densities, per bin and with beta
     fixed or random, of (alpha, beta, alpha + slope_k, beta exp(-rho_k)), and
     the sum gains that map's log-Jacobian sum_k (ln(beta) - rho_k).  Returns

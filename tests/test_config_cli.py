@@ -738,23 +738,30 @@ class TestCliRoundTrip:
             "error: seed must be a non-negative integer or a sequence of them, got -1\n")
         assert not out.exists()
 
-    def test_start_past_the_float_range_of_exp_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("theta, rho, theta_prior, reason", [
         # rho_1 = -800: exp(-rho_1) overflows, and the bin's mass is +inf
+        ("0.5", "-800", "gamma 2 1", "give a bin an infinite mass: its slope + alpha is so far "
+                                     "below 0 that its Ei overflows, or its intercept"),
+        # theta_1 <= -alpha: the tail's integral diverges, which the prior refuses
+        ("-1.0", "0", "normal 0 1", "have zero prior density"),
+        ("-1.5", "0", "normal 0 1", "have zero prior density"),
+    ], ids=["rho-800", "tail=0", "tail<0"])
+    def test_start_past_the_float_range_of_exp_is_an_error(self, tmp_path, capsys, theta, rho,
+                                                            theta_prior, reason):
         obs_csv = tmp_path / "obs.csv"
         main(["simulate", "--horizon", "100", "--n", "100", "--seed", "5",
               "--out", str(obs_csv)])
         cfg = tmp_path / "model.cfg"
-        cfg.write_text("bin_edges = 1\nalpha_init = 1.0\nbeta_init = 0.5\ntheta_init = 0.5\n"
-                       "rho_init = -800\nalpha_prior = gamma 2 1\ntheta_prior = gamma 2 1\n"
+        cfg.write_text(f"bin_edges = 1\nalpha_init = 1.0\nbeta_init = 0.5\ntheta_init = {theta}\n"
+                       f"rho_init = {rho}\nalpha_prior = gamma 2 1\ntheta_prior = {theta_prior}\n"
                        "rho_prior = normal 0 1000\n")
         out = tmp_path / "run"
         capsys.readouterr()
         rc = main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
                    "--iterations", "20", "--out-dir", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: initial parameters give a bin an infinite mass")
-        assert "intercept" in err and not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: initial parameters {reason}")
+        assert not out.exists()
 
     def test_negative_simulate_seed_is_an_error(self, tmp_path, capsys):
         obs_csv = tmp_path / "obs.csv"

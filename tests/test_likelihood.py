@@ -19,7 +19,7 @@ from gammasub import (
     sample_gamma_bridge,
 )
 from gammasub.likelihood import (_row_offsets, bin_stats_matrix, check_endpoints,
-                                 compensator_diff, endpoint_tolerance)
+                                 compensator_diff, pin_tolerance)
 from gammasub.model import bin_classify, mass_factors, nu_bin_mass, reference_units
 
 
@@ -405,7 +405,7 @@ class TestLoglikRatioPath:
         counts = np.array([[5, 2], [4, 3]])
         shifted = sums + np.array([[0.0, 0.0], [0.0, 4e-8]])
         with pytest.raises(ContractError, match=r"differ in 1 row\(s\)"):
-            endpoint_check(shifted, counts, 4.0, endpoint_tolerance(np.array([4.0, 4.0])))
+            endpoint_check(shifted, counts, 4.0, pin_tolerance(np.array([4.0, 4.0])))
         endpoint_check(shifted, counts, 4.0, np.array([0.0, 1e-7]))
 
     def test_stacks_are_checked_against_the_targets_of_their_rows(self):

@@ -14,7 +14,7 @@ import gammasub as g
 from gammasub import mcmc, model, paths
 from gammasub.cli import main
 from gammasub.config import parse_config
-from gammasub.likelihood import ParamTerms, bin_stats_matrix, endpoint_tolerance, loglik_ratio_path
+from gammasub.likelihood import ParamTerms, bin_stats_matrix, loglik_ratio_path, pin_tolerance
 from gammasub.mcmc import (
     chain_csv_header,
     read_chain_csv,
@@ -30,6 +30,21 @@ def gamma_obs(n=20, dt=1.0, beta=1.0, alpha=2.0, seed=7):
     inc = rng.gamma(beta * dt, 1 / alpha, size=n)
     return g.Observations(np.arange(n + 1) * dt,
                           np.concatenate(([0.0], np.cumsum(inc))))
+
+
+# spans h_i: one span; spans 1, 2 and 3, as ingest's merged windows give; and
+# tenths whose sum differs from T = t_n - t_0 in the last bits
+SPAN_GRIDS = {"unit": [1.0] * 20, "1-2-3": [1.0, 2.0, 1.0, 3.0, 1.0] * 4,
+              "tenths": [0.1 * k for k in (15, 12, 12, 13, 6, 7, 5, 3, 8, 10,
+                                           15, 4, 15, 12, 9, 7, 12, 8, 6, 15)]}
+
+
+def span_obs(spans):
+    """Gamma(h_i, 2) increments over consecutive spans from time 0, as
+    gamma_obs() draws them on unit spans."""
+    times = np.concatenate(([0.0], np.cumsum(spans)))
+    inc = np.random.default_rng(7).gamma(np.diff(times), 0.5)
+    return g.Observations(times, np.concatenate(([0.0], np.cumsum(inc))))
 
 
 def basic_state(obs=None, params=None, m=5, seed=0, prior=None):
@@ -863,13 +878,18 @@ class TestUpdateBeta:
         with pytest.raises(g.ConfigError):
             g.update_beta(state, g.ProposalSpec())
 
-    def test_gamma_model_ratio_is_prior_times_increment_densities(self):
-        prop = g.ProposalSpec(sigma_beta=0.3)
-        a = basic_state(seed=31, prior=self.prior())
-        b = basic_state(seed=31)
+    @pytest.mark.parametrize("grid", SPAN_GRIDS)
+    def test_gamma_model_ratio_is_prior_times_increment_densities(self, grid):
+        # alpha != 1, so the ratio's T ln(alpha) term is not 0
+        prop, obs = g.ProposalSpec(sigma_beta=0.3), span_obs(SPAN_GRIDS[grid])
+        params = g.ModelParams(2.0, 1.0)
+        a = basic_state(obs, params, seed=31, prior=self.prior())
+        b = basic_state(obs, params, seed=31)
         _, log_ratio = g.update_beta(a, prop)
         beta_new = b.params.beta + prop.sigma_beta * b.rng_beta.normal()
         spans = b.grid.spans
+        assert (len(b.distinct_spans) > 1) == (grid != "unit")
+        assert (float(spans.sum()) != b.horizon) == (grid == "tenths")
         expected = sum(
             g.gamma_logpdf(d, beta_new * h, b.params.alpha)
             - g.gamma_logpdf(d, b.params.beta * h, b.params.alpha)
@@ -952,10 +972,13 @@ class TestUpdateBeta:
                 assert handed == []
         assert 5 < accepted < 60
 
-    def test_binless_move_draws_only_its_proposal_and_uniform(self):
+    @pytest.mark.parametrize("grid", SPAN_GRIDS)
+    def test_binless_move_draws_only_its_proposal_and_uniform(self, grid):
         prior = g.PriorSpec(alpha=g.Prior("gamma", 2.0, 1.0), beta=g.Prior("gamma", 2.0, 1.0))
-        prop = g.ProposalSpec(sigma_beta=0.3)
-        state, twin = basic_state(seed=31, prior=prior), basic_state(seed=31)
+        prop, obs = g.ProposalSpec(sigma_beta=0.3), span_obs(SPAN_GRIDS[grid])
+        params = g.ModelParams(2.0, 1.0)
+        state = basic_state(obs, params, seed=31, prior=prior)
+        twin = basic_state(obs, params, seed=31)
         blocks = (state.block, state.block_stats)
         copies = tuple(a.copy() for a in (state.increments, state.seg_sums, state.seg_counts))
         state.rng_beta = Recording(state.rng_beta)
@@ -2385,21 +2408,25 @@ class TestE1Traffic:
 
     @pytest.mark.parametrize("workload", ["mixture", "beta_binned"])
     def test_the_start_is_scored_once(self, monkeypatch, workload):
-        # run_mcmc evaluates the start's prior and E1 once, and hands the state
-        # its log prior: no move rescores it through ChainState.score
-        prior_calls = []
-        prior_logpdf = mcmc.prior_logpdf
+        # run_mcmc evaluates the start's prior and E1 once, through one
+        # ChainState.score call before sweep 1: no move rescores the state
+        prior_calls, score_calls = [], []
+        prior_logpdf, score = mcmc.prior_logpdf, mcmc.ChainState.score
 
         def counted_prior(*args):
             prior_calls.append(args)
             return prior_logpdf(*args)
 
-        def no_score(state, prior):
-            raise AssertionError(f"ChainState.score ran at sweep {state.iteration}")
+        def score_once(state, prior):
+            if score_calls or state.iteration:
+                raise AssertionError(f"ChainState.score ran again at sweep {state.iteration}")
+            score_calls.append(prior)
+            return score(state, prior)
 
         monkeypatch.setattr(mcmc, "prior_logpdf", counted_prior)
-        monkeypatch.setattr(mcmc.ChainState, "score", no_score)
+        monkeypatch.setattr(mcmc.ChainState, "score", score_once)
         recs, points, _ = self.counted_run(monkeypatch, workload)
+        assert len(score_calls) == 1
         # every candidate passes its range test and the prior's support, and no
         # beta move collapses a segment: each move scores one candidate
         assert all(-math.inf < (r.logr_params if r.accept_beta is None else r.logr_beta)
@@ -2461,7 +2488,7 @@ class TestChainConstants:
         assert state.edge_array.tolist() == list(cfg.params0.bin_edges)
         # bin_classify takes the edges as they are, without a conversion
         assert np.asarray(state.edge_array, dtype=float) is state.edge_array
-        assert np.array_equal(state.pin_tolerance, 0.5 * endpoint_tolerance(state.targets))
+        assert np.array_equal(state.pin_tolerance, pin_tolerance(state.targets))
         assert np.array_equal(state.block_spans, paths._one_value(state.grid.spans[active]))
         assert np.array_equal(state.block_sub_spans,
                               paths._one_value((state.grid.spans[active] / state.m)[:, None]))

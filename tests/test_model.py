@@ -252,9 +252,12 @@ class TestNuBinMass:
         assert total == pytest.approx(2.5 * exp_integral_e1([1.3 * 1.0])[0], rel=1e-12)
 
     def test_tail_requires_positive_rate(self):
-        p = binned_model(slopes=(0.0, 0.0, -1.5))
-        with pytest.raises(DomainError):
-            bin_mass(p, 3)
+        # slope + alpha <= 0 on the tail: its integral diverges, and its mass is +inf
+        for slope in (-1.0, -1.5):
+            p = binned_model(slopes=(0.0, 0.0, slope))
+            assert slope + p.alpha <= 0
+            assert bin_mass(p, 3) == math.inf
+            assert math.isfinite(bin_mass(p, 2))
 
     def test_matches_quadrature_randomized(self):
         rng = np.random.default_rng(314)
@@ -399,8 +402,11 @@ class TestMassFactors:
                                                        slopes, rng.normal(0.0, 1.0, size=n)))
 
     def test_tail_requires_positive_rate(self):
-        with pytest.raises(DomainError):
-            mass_factors(1.0, (0.0, -1.0), (1.0, 2.0))
+        # the tail's unit is +inf at slope + alpha = 0 and below: its integral diverges
+        e1_b1, (unit, _) = mass_factors(1.0, (0.0, 0.5), (1.0, 2.0))
+        for slope in (-1.0, -2.5):
+            assert mass_factors(1.0, (0.0, slope), (1.0, 2.0)) == (e1_b1, (unit, math.inf))
+            assert nu_bin_mass(0.7, (0.2, -0.3), (unit, math.inf))[1] == math.inf
 
     def test_ei_overflow_gives_an_infinite_unit(self):
         # on [200, 300) at alpha = 1: c = -4 overflows both Ei(1200) and
