@@ -21,8 +21,10 @@ a comment.  Recognized keys:
 
     sigma_alpha     = 0.025          proposal scales; these values and the
     sigma_theta     = 0.025          schedule below are mcmc.ProposalSpec's
-    sigma_rho       = 0.15           defaults
-    sigma_beta      = 0.01
+    sigma_rho       = 0.15           defaults; sigma_alpha scales the alpha
+    sigma_beta      = 0.01           walk of binned models, and a binless
+                                     model draws alpha from its exact
+                                     conditional
     update_schedule = params         stages cycled per sweep, params | beta,
                                      in any case; a beta stage is required
                                      exactly when beta_prior is set, e.g.

@@ -16,9 +16,9 @@ loglik_ratio_params and psi_log read the bin totals S_0..S_N and C_0..C_N
 as sequences of floats and a parameter vector as a ParamTerms: its
 Python floats with the bin-mass terms of model.mass_factors and
 model.nu_bin_mass.  Each formula is this one function, which the sampler's
-moves call by name through mcmc's globals, as compensator_diff (and
-loglik_ratio_params on a binless model) calls model.nu_diff_bin0 and
-ParamTerms.at model.nu_bin_mass through this module's.
+moves call by name through mcmc's globals, as compensator_diff calls
+model.nu_diff_bin0 and ParamTerms.at model.nu_bin_mass through this
+module's.
 """
 
 import functools
@@ -124,14 +124,8 @@ def loglik_ratio_params(sums, counts, horizon: float, old: ParamTerms, new: Para
         - sum_k (th°_k + a° - th_k - a) * S_k
         - sum_k (rho°_k - rho_k) * C_k
         - T * sum_{k=0..N} (nu° - nu)(B_k).
-
-    A binless model has only the B_0 terms: it skips the bin loop and
-    compensator_diff, whose sum is then nu_diff_bin0's value alone.
     """
     total = -(new.alpha - old.alpha) * sums[0]
-    if not new.slopes:
-        return total - horizon * nu_diff_bin0(old.beta, new.alpha, old.alpha, new.e1_b1,
-                                              old.e1_b1)
     slope_part = intercept_part = 0.0
     for slope_new, slope_old, rho_new, rho_old, s, c in zip(
             new.slopes, old.slopes, new.intercepts, old.intercepts, sums[1:], counts[1:]):

@@ -2,10 +2,12 @@
 
 Each sweep refreshes the latent path segments with Gamma bridge proposals,
 then applies the scheduled parameter block update: a joint correlated
-random walk on (alpha, slopes, intercepts), or, when the activity rate is
-declared random, a transdimensional move that lifts the active segments to
-fresh Gamma totals and superposes a Gamma component, or thins them, then
-re-pins them to the observations.
+random walk on (alpha, slopes, intercepts), on a binless model an
+independence step that draws alpha from its Gamma likelihood and accepts on
+the prior ratio, or, when the activity rate is declared random, a
+transdimensional move that lifts the active segments to fresh Gamma totals
+and superposes a Gamma component, or thins them, then re-pins them to the
+observations.
 
 A segment whose observed increment is below the first bin edge b_1 is
 inert: every sub-step of its bridge lies in B_0, where theta is 0, so it
@@ -44,10 +46,12 @@ those of every sweep up to the next beta stage at once, in the order single
 refreshes would draw them, so the chain is the same to the byte as with one
 refresh at a time.  A bridge row too small to pin is a rejected proposal.
 
-The parameter walk draws ahead as well: update_params takes each step's
-2N + 1 standard normals and its ln U from ChainState.walk, which holds those
-of the next _WALK_STEPS steps, drawn from rng_params by one normal and one
-uniform call; rng_beta draws as it would one sweep at a time.  No block of
+The parameter steps draw ahead as well: update_params takes each step's
+2N + 1 standard normals, or a binless step's Gamma draw G, and its ln U
+from ChainState.walk, which holds those of the next _WALK_STEPS steps,
+drawn from rng_params by one normal or standard_gamma call and one uniform
+call.  A binless chain with beta random, which moves G's shape, draws one
+(G, U) pair per step, as rng_beta draws one sweep at a time.  No block of
 either is sized by the sweeps left: a refresh batch that reaches past the
 run's last sweep is drawn whole and its surplus discarded.  So the first
 sweeps of a run are those of any longer run with the same seed.
@@ -77,9 +81,10 @@ come from model.mass_factors, one specfun.exp_integral_e1 call for many
 points (none on a binless model); a beta move needs none, as its candidate
 shares alpha and the slopes, but evaluates the Gamma reference's units,
 which only psi reads, once (model.reference_units).  The ratios are
-likelihood.loglik_ratio_params and likelihood.psi_log at the bin totals,
-and an accepted candidate's terms and log prior become the state's.  The
-moves call prior_logpdf, loglik_ratio_params, psi_log, bin_stats_matrix,
+likelihood.loglik_ratio_params (none on a binless model, whose ratio is
+the prior's) and likelihood.psi_log at the bin totals, and an accepted
+candidate's terms and log prior become the state's.  The moves call
+prior_logpdf, loglik_ratio_params, psi_log, bin_stats_matrix,
 check_endpoints, reference_units and the moves themselves by their names in
 this module, so a profiler that rebinds those names sees every call.  No
 sweep builds a ModelParams: it is the type of the API edge, and
@@ -127,15 +132,16 @@ _PIN_MARGIN = 1e-12
 # of a 12-row block of m = 10, and one sweep at a time past 2,048 per sweep
 _AHEAD_STEPS = 4096
 
-# the parameter steps whose innovations and uniforms update_params draws at
-# once (_draw_walk); a constant, so that a run's first sweeps are those of
-# any longer run with the same seed
+# the parameter steps whose innovations, or binless Gamma draws, and uniforms
+# update_params draws at once (_draw_walk); a constant, so that a run's first
+# sweeps are those of any longer run with the same seed
 _WALK_STEPS = 256
 
 
 @dataclass(frozen=True)
 class ProposalSpec:
-    """Random-walk proposal scales and the per-sweep update schedule.
+    """Random-walk proposal scales and the per-sweep update schedule; a
+    binless model's alpha step is exact and reads no sigma_alpha.
 
     update_schedule lists the block updated on each sweep, cycled; "params"
     is the joint correlated move, "beta" the transdimensional move.  A model
@@ -245,7 +251,7 @@ class ChainState:
     # ln U, flagged rows) tuple per coming refresh, the next one last
     drawn: list = field(default_factory=list, init=False)
     # parameter steps drawn ahead (update_params): one (2N+1 standard normals,
-    # ln U) pair per coming step, the next one last
+    # ln U) pair per coming step, a binless model's (G, ln U), the next one last
     walk: list = field(default_factory=list, init=False)
     # The data-only parts of the beta move's Gamma density ratio, fixed for the
     # chain: T (horizon), sum_i h_i log(delta_i) and the distinct spans h with
@@ -465,19 +471,25 @@ def _draw_ahead(state: ChainState, sweeps: int) -> list:
 
 
 def update_params(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
-    """Joint Metropolis update of alpha and the per-bin slopes/intercepts;
+    """Metropolis update of alpha and the per-bin slopes/intercepts;
     returns (accepted, log ratio).
 
-    The proposal is a symmetric Gaussian walk (with the correlated alpha
-    shift), so acceptance uses the parameter likelihood ratio plus the prior
-    log ratio only.  Each step takes 2N + 1 standard normals, the innovations
-    for alpha, the slopes and the intercepts, scaled here by prop, and its
-    ln(U) from ChainState.walk; a step that finds it empty draws those of
-    the next _WALK_STEPS steps from rng_params at once (_draw_walk).  A
-    candidate alpha that is not finite and > 0, or a candidate outside the
-    prior's support, is rejected before its terms and ratio are formed,
-    leaves its ln(U) unused and returns (False, -inf).  A NaN log ratio
-    raises ContractError.  The prior is state.prior and the current log prior
+    A binned model's proposal is a symmetric Gaussian walk (with the
+    correlated alpha shift), so acceptance uses the parameter likelihood
+    ratio plus the prior log ratio only.  Each step takes 2N + 1 standard
+    normals, the innovations for alpha, the slopes and the intercepts,
+    scaled here by prop, and its ln(U) from ChainState.walk; a step that
+    finds it empty draws those of the next _WALK_STEPS steps from rng_params
+    at once (_draw_walk).  A binless model's alpha likelihood is the
+    Gamma(1 + beta T, rate S_0) kernel, so it proposes alpha° = G / S_0 with
+    G ~ Gamma(1 + beta T), whatever alpha and prop, and the ratio is the
+    prior's alone; with beta fixed its (G, ln U) pairs come from the walk,
+    while a random beta, which moves the shape, draws G, then U, per step.
+    A NaN alpha° (S_0 or T not finite) raises ContractError.  A candidate
+    alpha that is not finite and > 0, or a candidate outside the prior's
+    support, is rejected before its terms and ratio are formed, leaves its
+    ln(U) unused and returns (False, -inf).  A NaN log ratio raises
+    ContractError.  The prior is state.prior and the current log prior
     state.log_prior; a state with no prior raises ContractError.
     """
     prior = state.prior
@@ -486,26 +498,36 @@ def update_params(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
     cur = state.terms
     edges = cur.edges
     n = len(edges)
-    if not state.walk:
-        state.walk = _draw_walk(state.rng_params, 2 * n + 1)
-    z, log_u = state.walk.pop()
-    alpha = cur.alpha + prop.sigma_alpha * z[0]
-    # the domain, alpha finite and > 0, which a normal prior does not enforce
-    if not 0.0 < alpha < math.inf:
-        return False, -math.inf
     if n:
+        if not state.walk:
+            rng = state.rng_params
+            state.walk = _draw_walk(rng, rng.normal(size=(_WALK_STEPS, 2 * n + 1)))
+        z, log_u = state.walk.pop()
+        alpha = cur.alpha + prop.sigma_alpha * z[0]
         # slopes shift against the alpha move so slope_k + alpha is preserved
         shift = alpha - cur.alpha
         slopes = tuple([s + prop.sigma_theta * dz - shift for s, dz in zip(cur.slopes, z[1:n + 1])])
         intercepts = tuple([r + prop.sigma_rho * dz for r, dz in zip(cur.intercepts, z[n + 1:])])
     else:
+        if not state.walk:
+            rng, shape = state.rng_params, 1.0 + cur.beta * state.horizon
+            state.walk = ([(rng.standard_gamma(shape), math.log(rng.random()))]
+                          if prior.beta_is_random else
+                          _draw_walk(rng, rng.standard_gamma(shape, size=_WALK_STEPS)))
+        g, log_u = state.walk.pop()
+        alpha = g / state.total_sums[0]
         slopes = intercepts = ()
+    # the domain, alpha finite and > 0, which a normal prior does not enforce
+    if not 0.0 < alpha < math.inf:
+        if math.isnan(alpha) and not n:
+            raise ContractError(f"the alpha draw is NaN at sweep {state.iteration}")
+        return False, -math.inf
     log_prior = prior_logpdf(prior, alpha, cur.beta, slopes, intercepts)
     if log_prior == -math.inf:
         return False, -math.inf
     new = ParamTerms.at(edges, alpha, cur.beta, slopes, intercepts)
-    log_ratio = (loglik_ratio_params(state.total_sums, state.total_counts, state.horizon,
-                                     cur, new) + log_prior - state.log_prior)
+    log_ratio = ((loglik_ratio_params(state.total_sums, state.total_counts, state.horizon,
+                                      cur, new) if n else 0.0) + log_prior - state.log_prior)
     if not log_ratio >= log_u:
         if math.isnan(log_ratio):
             raise ContractError(f"parameter move gave a NaN log ratio at sweep {state.iteration}")
@@ -514,13 +536,12 @@ def update_params(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:
     return True, log_ratio
 
 
-def _draw_walk(rng: np.random.Generator, width: int) -> list:
-    """ChainState.walk for the next _WALK_STEPS parameter steps: one
-    (_WALK_STEPS, width) normal draw, then _WALK_STEPS uniforms, row i and
-    uniform i serving the i-th step."""
-    z = rng.normal(size=(_WALK_STEPS, width)).tolist()
+def _draw_walk(rng: np.random.Generator, steps: np.ndarray) -> list:
+    """ChainState.walk for the next _WALK_STEPS parameter steps: steps, their
+    first draws (a (_WALK_STEPS, 2N + 1) normal block, or _WALK_STEPS Gamma
+    draws), then _WALK_STEPS uniforms, row i and uniform i serving the i-th step."""
     log_u = np.log(rng.random(size=_WALK_STEPS)).tolist()
-    return list(zip(z, log_u))[::-1]
+    return list(zip(steps.tolist(), log_u))[::-1]
 
 
 def update_beta(state: ChainState, prop: ProposalSpec) -> tuple[bool, float]:

@@ -10,6 +10,7 @@ import pytest
 from gammasub import ConfigError, DomainError, diagnostics
 from gammasub.cli import main
 from gammasub.config import load_config, parse_config
+from gammasub.mcmc import ChainRecord, write_chain_csv, write_meta_json
 
 BASIC_CONFIG = """
 # binless activity-fixed model
@@ -408,38 +409,38 @@ class TestCliRoundTrip:
         rows = (fig / "trace_beta.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["0.1", "0.1", "0.10000000000000002"]
 
+    @staticmethod
+    def binless_chain_at(tmp_path, alpha: float) -> Path:
+        """chain.csv and meta.json of a 3-sweep binless fit whose alpha stays
+        at alpha, written as `gammasub fit` writes them; the path of the chain."""
+        out = tmp_path / "run"
+        out.mkdir()
+        records = [ChainRecord(t, alpha, 1.0, (), (), 1.0, False, logr_params=-math.inf)
+                   for t in (1, 2, 3)]
+        with open(out / "chain.csv", "w") as fh:
+            write_chain_csv(records, fh, 0)
+        with open(out / "meta.json", "w") as fh:
+            write_meta_json(fh, config_echo={"alpha_init": repr(alpha),
+                                             "alpha_prior": "gamma 2 1"}, records=records)
+        return out / "chain.csv"
+
     def test_diagnose_refuses_the_histogram_of_a_trace_flat_beyond_2_to_the_53(self, tmp_path,
                                                                              capsys):
         # alpha stays at 1e17, where numpy's unit range for a constant series
         # rounds back to the value: its histogram is refused, its trace and
         # band are written
-        obs_csv, cfg, out = tmp_path / "obs.csv", tmp_path / "big.cfg", tmp_path / "run"
-        obs_csv.write_text("time,value\n0,0\n1,1\n")
-        cfg.write_text("alpha_init = 1e17\nalpha_prior = gamma 2 1\n")
-        assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
-                     "--iterations", "3", "--burn-in", "0", "--seed", "1",
-                     "--out-dir", str(out)]) == 0
-        assert (out / "chain.csv").read_text().splitlines()[1].startswith("1,1e+17,")
+        chain = self.binless_chain_at(tmp_path, 1e17)
+        assert chain.read_text().splitlines()[1].startswith("1,1e+17,")
         capsys.readouterr()
         fig = tmp_path / "figs"
-        assert main(["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(fig),
+        assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig),
                      "--figures", "hist"]) == 2
         assert capsys.readouterr().err.startswith(
             "error: the range [1e+17, 1e+17] is too narrow for 40 bins: ")
         assert not fig.exists()
-        assert main(["diagnose", "--chain", str(out / "chain.csv"), "--out-dir", str(fig),
+        assert main(["diagnose", "--chain", str(chain), "--out-dir", str(fig),
                      "--figures", "trace,band"]) == 0
         assert {p.name for p in fig.iterdir()} == {"trace_alpha.csv", "band.csv"}
-
-    def fit_at_the_float_edge(self, tmp_path) -> Path:
-        """A 3-sweep fit whose alpha stays at 1.7e308; the path of its chain.csv."""
-        obs_csv, cfg, out = tmp_path / "obs.csv", tmp_path / "edge.cfg", tmp_path / "run"
-        obs_csv.write_text("time,value\n0,0\n1,1\n")
-        cfg.write_text("alpha_init = 1.7e308\nalpha_prior = gamma 2 1\n")
-        assert main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
-                     "--iterations", "3", "--burn-in", "0", "--seed", "1",
-                     "--out-dir", str(out)]) == 0
-        return out / "chain.csv"
 
     @pytest.mark.parametrize("figure, message", [
         ("trace", "the running sum of the series is inf, not a finite float"),
@@ -448,7 +449,7 @@ class TestCliRoundTrip:
     def test_diagnose_refuses_a_chain_at_the_float_edge(self, tmp_path, capsys, figure, message):
         # the running sums pass the largest float, and numpy's unit range for a
         # constant series rounds back to it
-        chain = self.fit_at_the_float_edge(tmp_path)
+        chain = self.binless_chain_at(tmp_path, 1.7e308)
         assert [row.split(",")[1] for row in chain.read_text().splitlines()[1:]] == [
             "1.7e+308"] * 3
         capsys.readouterr()
@@ -461,7 +462,7 @@ class TestCliRoundTrip:
         assert not fig.exists()
 
     def test_diagnose_refuses_a_range_wider_than_the_float_range(self, tmp_path, capsys):
-        chain = self.fit_at_the_float_edge(tmp_path)
+        chain = self.binless_chain_at(tmp_path, 1.7e308)
         header, *rows = chain.read_text().splitlines()
         rows[0] = rows[0].replace("1.7e+308", "-1.7e+308", 1)
         chain.write_text("\n".join([header, *rows]) + "\n")
@@ -474,7 +475,7 @@ class TestCliRoundTrip:
 
     def test_diagnose_refuses_a_band_past_the_float_range(self, tmp_path, capsys):
         # alpha * x overflows from the grid's eleventh point, x = 1.1, on
-        chain = self.fit_at_the_float_edge(tmp_path)
+        chain = self.binless_chain_at(tmp_path, 1.7e308)
         capsys.readouterr()
         fig = tmp_path / "figs"
         with warnings.catch_warnings():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 from scipy.stats import gamma as gamma_dist
+from scipy.stats import kstest
 
 import gammasub as g
 from gammasub import mcmc, model, paths
@@ -771,7 +772,8 @@ class TestUpdateParams:
         )
 
     def test_acceptance_rate_reasonable_on_gamma_data(self):
-        # tight prior, default proposal scale: acceptance away from 0 and 1
+        # a tight prior against 100 increments' likelihood: the binless step's
+        # prior ratio accepts away from 0 and 1
         prop = g.ProposalSpec(sigma_alpha=0.025)
         tight = g.PriorSpec(alpha=g.Prior("gamma", 2500.0, 1250.0))  # sd 0.04
         state = basic_state(obs=gamma_obs(n=100, seed=3), prior=tight)
@@ -783,7 +785,7 @@ class TestUpdateParams:
 
     def test_rejection_keeps_params(self):
         state = basic_state(prior=g.PriorSpec(alpha=g.Prior("uniform", 0.999, 1.001)))
-        prop = g.ProposalSpec(sigma_alpha=50.0)  # nearly always out of support
+        prop = g.ProposalSpec()  # binless: alpha° nearly always falls outside the support
         rejected = 0
         for _ in range(50):
             before = state.params.alpha
@@ -831,22 +833,25 @@ class TestUpdateParams:
         assert log_ratio == pytest.approx(expected, rel=1e-12)
 
     def test_binless_logged_ratio_is_the_closed_form(self):
-        # N = 0: the ratio is -(a° - a) S_0 - T beta ln(a / a°) plus the prior
-        # difference, with S_0 the data's total and T its span
-        prior, prop = self.prior(), g.ProposalSpec(sigma_alpha=0.3)
+        # N = 0: alpha° = G / S_0 with G the Gamma(1 + beta T) draws of one
+        # block, then its uniforms, and the ratio is the prior difference alone,
+        # with S_0 the data's total and T its span; a prior that pulls alpha
+        # away from the data's makes both outcomes happen
+        prior = g.PriorSpec(alpha=g.Prior("gamma", 20.0, 20.0))
         a = basic_state(seed=23, prior=prior)
-        z = basic_state(seed=23).rng_params.normal(size=(mcmc._WALK_STEPS, 1))[:, 0]
         s_0, horizon = a.total_sums[0], a.obs.times[-1] - a.obs.times[0]
         assert s_0 == pytest.approx(math.fsum(a.obs.increments), rel=1e-14)
+        rng = basic_state(seed=23).rng_params
+        gammas = rng.standard_gamma(1.0 + horizon, size=mcmc._WALK_STEPS)
+        log_u = np.log(rng.random(size=mcmc._WALK_STEPS))
         accepted = 0
         for step in range(40):
             before = a.params
-            accepted_now, log_ratio = g.update_params(a, prop)
-            cand = before.with_updates(alpha=before.alpha + prop.sigma_alpha * z[step])
-            expected = (-(cand.alpha - before.alpha) * s_0
-                        - horizon * before.beta * math.log(before.alpha / cand.alpha)
-                        + prior_at(prior, cand) - prior_at(prior, before))
+            accepted_now, log_ratio = g.update_params(a, g.ProposalSpec())
+            cand = before.with_updates(alpha=gammas[step] / s_0)
+            expected = prior_at(prior, cand) - prior_at(prior, before)
             assert log_ratio == pytest.approx(expected, rel=1e-12)
+            assert accepted_now == (expected >= log_u[step])
             assert a.params.alpha == (cand.alpha if accepted_now else before.alpha)
             accepted += accepted_now
         assert 0 < accepted < 40
@@ -1177,7 +1182,8 @@ class ReferenceUpdateParams:
     The documented layout of rng_params, kept apart from the sampler's: every
     B = _WALK_STEPS steps draw a (B, 2N + 1) normal block, then B uniforms;
     the i-th step reads row i % B and uniform i % B, and a domain reject
-    leaves its uniform unused.  One instance serves one chain.
+    leaves its uniform unused.  A binless model takes the exact step (exact)
+    instead.  One instance serves one chain.
     """
 
     def __init__(self):
@@ -1186,6 +1192,8 @@ class ReferenceUpdateParams:
     def __call__(self, state, prop):
         params, prior, rng = state.params, state.prior, state.rng_params
         n, row = params.n_bins, self.steps % mcmc._WALK_STEPS
+        if not n:
+            return self.exact(state, params, prior, rng, row)
         if row == 0:
             self.normals = rng.normal(size=(mcmc._WALK_STEPS, 2 * n + 1))
             self.uniforms = rng.random(size=mcmc._WALK_STEPS)
@@ -1208,6 +1216,29 @@ class ReferenceUpdateParams:
         log_ratio = float(param_ratio(totals(state), params, cand)
                           + lp_new - prior_at(prior, params))
         if not log_ratio >= math.log(self.uniforms[row]):
+            return False, log_ratio
+        set_params(state, cand)
+        return True, log_ratio
+
+    def exact(self, state, params, prior, rng, row):
+        """The binless step: alpha° = G / S_0 with G ~ Gamma(1 + beta T), G and
+        U drawn in the walk's blocks with beta fixed and one pair per step with
+        beta random, accepted on the prior ratio alone."""
+        shape = 1.0 + params.beta * state.grid.horizon
+        if prior.beta_is_random:
+            gamma, u = rng.standard_gamma(shape), rng.random()
+        else:
+            if row == 0:
+                self.gammas = rng.standard_gamma(shape, size=mcmc._WALK_STEPS)
+                self.uniforms = rng.random(size=mcmc._WALK_STEPS)
+            self.steps += 1
+            gamma, u = self.gammas[row], self.uniforms[row]
+        cand = params.with_updates(alpha=float(gamma / state.total_sums[0]))
+        lp_new = prior_at(prior, cand) if 0 < cand.alpha < math.inf else -math.inf
+        if lp_new == -math.inf:
+            return False, -math.inf
+        log_ratio = lp_new - prior_at(prior, params)
+        if not log_ratio >= math.log(u):
             return False, log_ratio
         set_params(state, cand)
         return True, log_ratio
@@ -1462,8 +1493,11 @@ class TestNonFiniteRatios:
         return state
 
     def test_nan_parameter_ratio_raises(self):
+        # a NaN S_0 makes the binless step's alpha° = G / S_0 NaN, which the
+        # prior would score -inf: it raises, naming the sweep
         state = self.with_total(basic_state(prior=self.prior), 0, math.nan)
-        with pytest.raises(g.ContractError, match="NaN"):
+        state.iteration = 12
+        with pytest.raises(g.ContractError, match="NaN at sweep 12"):
             g.update_params(state, g.ProposalSpec())
 
     def test_nan_beta_ratio_raises(self):
@@ -1480,15 +1514,23 @@ class TestNonFiniteRatios:
             def normal(self, size):
                 return np.ones(size)
 
-            def random(self, size):
-                return np.full(size, 0.5)
+            def standard_gamma(self, shape, size=None):
+                return shape if size is None else np.full(size, shape)
 
-        # an alpha step up against an infinite S_0 gives a ratio of -inf
-        state = self.with_total(basic_state(), 0, math.inf)
-        state.rng_params = Upward()
-        terms = state.score(self.prior)
-        assert g.update_params(state, g.ProposalSpec()) == (False, -math.inf)
-        assert state.terms is terms
+            def random(self, size=None):
+                return 0.5 if size is None else np.full(size, 0.5)
+
+        # against an infinite S_0 the binless step's alpha° = G / S_0 is 0, a
+        # domain reject, and a binned walk's alpha step up gives a ratio of -inf
+        prior = g.PriorSpec(alpha=self.prior.alpha, beta=self.prior.beta,
+                            theta=normal_priors(1)[0], rho=normal_priors(1)[1])
+        for params, spec in ((g.ModelParams(1.0, 1.0), self.prior),
+                             (g.ModelParams(1.0, 1.0, [0.5], [0.0], [0.0]), prior)):
+            state = self.with_total(basic_state(params=params), 0, math.inf)
+            state.rng_params = Upward()
+            terms = state.score(spec)
+            assert g.update_params(state, g.ProposalSpec()) == (False, -math.inf)
+            assert state.terms is terms
 
     @staticmethod
     def walk(*step):
@@ -1947,6 +1989,45 @@ class TestGammaExactness:
         assert abs(chain.mean() - target) < 3 * se
 
 
+class TestExactAlphaStep:
+    """The binless alpha step's law: given 40 increments over T with beta = 1
+    fixed, alpha is the prior times the Gamma(1 + beta T, S_0) likelihood."""
+
+    obs = gamma_obs(n=40, seed=19)
+
+    def chain(self, alpha_prior):
+        """The alpha of 20,000 sweeps and its batch-means MCSE (20 batches)."""
+        recs = g.run_mcmc(self.obs, g.ModelParams(2.0, 1.0), g.PriorSpec(alpha=alpha_prior),
+                          g.ProposalSpec(), iterations=20_000, burn_in=0, seed=29, m=2)
+        chain = np.array([r.alpha for r in recs])
+        batches = chain.reshape(20, -1).mean(axis=1)
+        return chain, batches.std(ddof=1) / math.sqrt(batches.size)
+
+    def test_gamma_prior_gives_the_conjugate_posterior(self):
+        a, b = 5.0, 5.0
+        horizon, s_0 = self.obs.times[-1], math.fsum(self.obs.increments)
+        chain, mcse = self.chain(g.Prior("gamma", a, b))
+        mean = (a + horizon) / (b + s_0)
+        assert abs(chain.mean() - mean) < 4 * mcse
+        assert kstest(chain[::5], gamma_dist(a + horizon, scale=1 / (b + s_0)).cdf).pvalue > 1e-3
+        # the pin's power: dropping the prior ratio moves the mean to
+        # (1 + beta T) / S_0, and a shape of beta T moves it by 1 / (b + S_0)
+        assert abs((1 + horizon) / s_0 - mean) > 40 * mcse
+        assert 1 / (b + s_0) > 8 * mcse
+
+    def test_uniform_prior_truncates_the_gamma_likelihood(self):
+        lo, hi = 1.6, 2.6
+        horizon, s_0 = self.obs.times[-1], math.fsum(self.obs.increments)
+        law, raised = gamma_dist(1 + horizon, scale=1 / s_0), gamma_dist(2 + horizon, scale=1 / s_0)
+        mass = law.cdf(hi) - law.cdf(lo)
+        mean = (1 + horizon) / s_0 * (raised.cdf(hi) - raised.cdf(lo)) / mass
+        chain, mcse = self.chain(g.Prior("uniform", lo, hi))
+        assert lo <= chain.min() and chain.max() <= hi
+        assert abs(chain.mean() - mean) < 4 * mcse
+        assert kstest(chain[::5], lambda x: (law.cdf(x) - law.cdf(lo)) / mass).pvalue > 1e-3
+        assert 1 / s_0 > 8 * mcse
+
+
 # The benchmark's workload inputs (bench/workloads.py), rebuilt from gammasub.data
 _PIN_MIXTURE = """\
 bin_edges = {edges}
@@ -2021,6 +2102,18 @@ update_schedule = beta params
 refinement = 10
 """
 
+# Criterion 07's random-beta binless fit, one segment with T = 50 and X_T = 100,
+# with a params stage, whose alpha step draws one (G, U) pair per step
+_PIN_BINLESS_BETA = """\
+alpha_init = 2.0
+beta_init = 4.0
+alpha_prior = uniform 1 3
+beta_prior = uniform 0.1 1000
+sigma_beta = 0.6
+update_schedule = beta params
+refinement = 8
+"""
+
 _CLI_FITS = {"reparam": (_PIN_REPARAM, 3), "reparam_3bin": (_PIN_REPARAM_3BIN, 3),
              "tiny_shape": (_PIN_TINY_SHAPE, 1)}
 
@@ -2037,12 +2130,14 @@ _PIN_BINNED = {
 
 
 def pin_inputs(workload, seed):
-    """(Observations, RunConfig) of a benchmark workload, of mixture_ei, or of
-    one of the CLI fits, at a data seed."""
+    """(Observations, RunConfig) of a benchmark workload, of mixture_ei, of
+    binless_beta (no data seed) or of one of the CLI fits, at a data seed."""
     if workload in _CLI_FITS:
         # `gammasub simulate --n 400 --horizon 400 --seed 5`, as fit reads its CSV back
         data, _ = g.synth_two_gamma(2.0, 0.4, 0.2, 0.04, T=400.0, n=400, seed=seed)
         return g.Observations(data.times, data.values), parse_config(_CLI_FITS[workload][0])
+    if workload == "binless_beta":
+        return g.Observations([0.0, 50.0], [0.0, 100.0]), parse_config(_PIN_BINLESS_BETA)
     if workload == "binless":
         rng = np.random.Generator(np.random.Philox(seed))
         times, increments = np.arange(2001, dtype=float), rng.gamma(1.0, 0.5, size=2000)
@@ -2090,7 +2185,7 @@ numpy_pinned = pytest.mark.skipif(
     ("mixture", 23, "a29b898fad5d202e57fa6c1f35da02a4f1d8ce41e6e6fb15adb9aa3edadec5d0"),
     # the one pin whose sweeps run mass_factors' Ei branch (test_the_ei_pins_take_the_ei_branch)
     ("mixture_ei", 7, "699321f969a12956e12d92619d4c78dda0251291318503aaef5d849b905209d1"),
-    ("binless", 7, "0125e072571f9b2e1baa8d5461c47c1b5670926fdfa0b82efc4595571deea9cb"),
+    ("binless", 7, "867c67e5bcad87c6edaa9dfff68815e2099a6a3fe6c1bc84474639ede45e984b"),
     ("beta_binned", 7, "7fd7742db500334d99f981571496916dfdd2f7be40730fe8c7975a038805816e"),
     # its 600-sweep form gives test_cli_chains_pinned's 14071b07... chain.csv
     ("reparam", 5, "089850bd1d4d267f307b27ed55b7885859241b1c97f74cbf3bced260648b5b29"),
@@ -2154,11 +2249,11 @@ def test_cli_chains_pinned(tmp_path):
     assert {name: sha256_of(tmp_path / name) for name in pinned} == pinned
 
 
-@pytest.mark.parametrize("workload", ["mixture", "mixture_ei", "binless", "beta_binned",
-                                      "reparam", "reparam_3bin", "tiny_shape"])
+@pytest.mark.parametrize("workload", ["mixture", "mixture_ei", "binless", "binless_beta",
+                                      "beta_binned", "reparam", "reparam_3bin", "tiny_shape"])
 def test_a_longer_run_extends_a_shorter_one(workload):
     # no block of draws is sized by the sweeps left: the refresh's and the
-    # parameter walk's draws ahead serve a run's first sweeps as they serve
+    # parameter steps' draws ahead serve a run's first sweeps as they serve
     # those of any longer run with the same seed
     seed, kept = (5, _CLI_FITS[workload][1]) if workload in _CLI_FITS else (7, 1)
     long = pinned_chain_text(workload, seed, iterations=1000, burn_in=0).splitlines()
