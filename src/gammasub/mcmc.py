@@ -173,7 +173,8 @@ class ChainRecord:
     """One sweep's parameters, its refresh's path acceptance rate and the accept
     flag and log ratio its move returned; the stage not run has None and NaN.
     path_unpinnable counts the refresh's proposal rows too small to pin, which
-    it rejected; chain.csv does not hold it, so read_chain_csv gives 0."""
+    it rejected; chain.csv does not hold it, so read_chain_csv gives 0.
+    Fields may be shared with neighbouring records; all are immutable."""
 
     iteration: int
     alpha: float
@@ -238,6 +239,7 @@ class ChainState:
     inert_stats: np.ndarray = field(init=False)     # (2N+2,) statistics of the inert segments
     horizon: float = field(init=False)              # T, the observation span
     n_active: int = field(init=False)
+    path_rates: tuple = field(init=False)           # the refresh's rates, (n - r) / n at r rejected
     targets: np.ndarray = field(init=False)         # the block's observed increments
     edge_array: np.ndarray = field(init=False)      # the bin edges, float64 for bin_classify
     # pin_tolerance of targets: check_endpoints' bound on each row of the
@@ -270,6 +272,8 @@ class ChainState:
         self.write_block(self.start_increments[active], start_stats)
         spans = self.grid.spans
         self.horizon, self.n_active = self.grid.horizon, active.size
+        n = self.n_segments
+        self.path_rates = tuple([(n - r) / n for r in range(active.size + 1)])
         self.edge_array = _read_only(np.array(self.terms.edges, dtype=float))
         self.block_spans = _read_only(_one_value(spans[active]))
         self.block_sub_spans = _read_only(_one_value((spans[active] / self.grid.m)[:, None]))
@@ -438,7 +442,7 @@ def refresh_segments(state: ChainState, sweeps: int = 1) -> tuple[float, int]:
     # with every row accepted the proposal becomes the block as it is
     state.write_block(proposal, stats, accepted if n_rejected else None)
     # the mean of every segment's accept flag, bit for bit (a quotient of exact counts)
-    return (state.n_segments - n_rejected) / state.n_segments, unpinnable
+    return state.path_rates[n_rejected], unpinnable
 
 
 def _draw_ahead(state: ChainState, sweeps: int) -> list:
@@ -740,13 +744,18 @@ def read_chain_csv(stream) -> list[ChainRecord]:
     """Parse write_chain_csv's output.  Raises DataError for a header that
     write_chain_csv does not write, and, naming the line, for a row with the
     wrong number of fields or a malformed value: a parameter value or path
-    rate must be finite, as every retained state's is."""
+    rate must be finite, as every retained state's is.  A field whose text
+    repeats the previous row's, or a path rate's any earlier row's, is that
+    row's object."""
     header = stream.readline().strip().split(",")
     n_bins = len([c for c in header if c.startswith("theta_")])
     expected = chain_csv_header(n_bins)
     if header != expected.split(","):
         raise DataError(f"chain file must start with the header {expected!r}")
-    records = []
+    records, rates, k = [], {}, 3 + 2 * n_bins
+    # the previous row's fields and record; no text equals None, and the
+    # first row shares only an empty theta/rho block
+    seen, last = [None] * len(header), ChainRecord(0, 0.0, 0.0, (), (), 0.0)
     for line_no, line in enumerate(stream, start=2):
         line = line.strip()
         if not line:
@@ -755,13 +764,21 @@ def read_chain_csv(stream) -> list[ChainRecord]:
         if len(parts) != len(header):
             raise DataError(f"chain line {line_no}: expected {len(header)} fields, "
                             f"got {len(parts)}")
-        tail = parts[3 + 2 * n_bins:]
+        tail = parts[k:]
         try:
+            iteration = int(parts[0])
+            alpha = last.alpha if parts[1] == seen[1] else float(parts[1])
+            beta = last.beta if parts[2] == seen[2] else float(parts[2])
+            if parts[3:k] == seen[3:k]:
+                theta, rho = last.theta, last.rho
+            else:
+                theta = tuple(map(float, parts[3:3 + n_bins]))
+                rho = tuple(map(float, parts[3 + n_bins:k]))
+            rate = rates.get(tail[0])
+            if rate is None:
+                rate = rates[tail[0]] = float(tail[0])
             r = ChainRecord(
-                iteration=int(parts[0]), alpha=float(parts[1]), beta=float(parts[2]),
-                theta=tuple(map(float, parts[3:3 + n_bins])),
-                rho=tuple(map(float, parts[3 + n_bins:3 + 2 * n_bins])),
-                accept_path_rate=float(tail[0]),
+                iteration, alpha, beta, theta, rho, rate,
                 accept_params=_parse_opt_bool(tail[1]),
                 accept_beta=_parse_opt_bool(tail[2]),
                 logr_params=math.nan if tail[3] == "" else float(tail[3]),
@@ -773,6 +790,7 @@ def read_chain_csv(stream) -> list[ChainRecord]:
             raise DataError(f"chain line {line_no}: alpha, beta, theta, rho and "
                             "accept_path_rate must be finite")
         records.append(r)
+        seen, last = parts, r
     return records
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -777,6 +778,18 @@ class TestUpdateParams:
         prop = g.ProposalSpec(sigma_alpha=0.025)
         tight = g.PriorSpec(alpha=g.Prior("gamma", 2500.0, 1250.0))  # sd 0.04
         state = basic_state(obs=gamma_obs(n=100, seed=3), prior=tight)
+        accepted = 0
+        for _ in range(400):
+            g.refresh_segments(state)
+            accepted += g.update_params(state, prop)[0]
+        assert 0.1 < accepted / 400 < 0.9
+
+    def test_binned_walk_acceptance_rate_reasonable_on_gamma_data(self):
+        # the joint walk at the default scales on a two-bin model, whose
+        # likelihood ratio, not the prior's alone, sets the rate
+        _, params, prior, _ = kernel_model("binned fixed beta")
+        state = basic_state(obs=gamma_obs(n=200, seed=3), params=params, prior=prior)
+        prop = g.ProposalSpec()
         accepted = 0
         for _ in range(400):
             g.refresh_segments(state)
@@ -1883,6 +1896,58 @@ class TestChainIo:
         back = read_chain_csv(buf)
         assert back == recs
 
+    def test_repeated_fields_are_shared(self):
+        # a binned chain with random beta: a parameter step leaves beta as it
+        # was, a beta move alpha and the theta/rho block, a rejection both
+        obs, params0, prior, prop = kernel_model("binned random beta")
+        recs = list(g.run_mcmc(obs, params0, prior, prop, iterations=300, burn_in=0, seed=5,
+                               m=4))
+        buf = io.StringIO()
+        write_chain_csv(recs, buf, 2)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        back = read_chain_csv(io.StringIO(buf.getvalue()))
+        assert back == recs
+        for name, cols in (("alpha", [1]), ("beta", [2]), ("theta", [3, 4, 5, 6]),
+                           ("rho", [3, 4, 5, 6])):
+            repeats = [[row[c] for c in cols] == [prev[c] for c in cols]
+                       for prev, row in zip(rows, rows[1:])]
+            shared = [getattr(b, name) is getattr(a, name) for a, b in zip(back, back[1:])]
+            assert shared == repeats, name
+            assert 0 < sum(repeats) < len(repeats), name
+            # one object per run of equal texts
+            assert len({id(getattr(r, name)) for r in back}) == len(rows) - sum(repeats), name
+        # each distinct path rate text is one float object
+        assert len({id(r.accept_path_rate) for r in back}) == len({row[7] for row in rows}) > 1
+        for r in back:
+            for flag, logr in ((r.accept_params, r.logr_params), (r.accept_beta, r.logr_beta)):
+                assert (flag is None) == math.isnan(logr)
+
+    def test_zero_after_negative_zero_is_not_shared(self):
+        # equal floats, different texts: each row parses its own
+        rows = ["1,-0.0,-0.0,-0.0,-0.0,-0.0,1,,0.5,", "2,0.0,0.0,0.0,0.0,0.0,1,,0.5,"]
+        first, second = read_chain_csv(io.StringIO("\n".join([chain_csv_header(1), *rows])))
+        for r, sign in ((first, -1.0), (second, 1.0)):
+            for v in (r.alpha, r.beta, *r.theta, *r.rho, r.accept_path_rate):
+                assert v == 0.0 and math.copysign(1.0, v) == sign
+
+    @pytest.mark.parametrize("column, value, detail", [
+        ("iteration", "3.5", "'3.5'"),
+        ("accept_path_rate", "abc", "'abc'"),
+        ("accept_params", "2", "accept flag must be empty, 0 or 1, got '2'"),
+        ("logr_params", "z", "'z'"),
+        ("rho_1", "inf", "accept_path_rate must be finite"),
+    ])
+    def test_bad_field_beside_shared_ones_names_its_line(self, column, value, detail):
+        # line 4 repeats every field of line 3 but one, as line 3 repeats line 2's
+        header = chain_csv_header(1)
+        row = "2,1.0,2.0,0.5,-0.5,0.9,1,,0.1,".split(",")
+        bad = ["4", *row[1:]]
+        bad[header.split(",").index(column)] = value
+        text = "\n".join([header, ",".join(row), ",".join(["3", *row[1:]]), ",".join(bad)])
+        with pytest.raises(g.DataError) as err:
+            read_chain_csv(io.StringIO(text))
+        assert str(err.value).startswith("chain line 4: ") and detail in str(err.value)
+
     @pytest.mark.parametrize("row, detail", [
         ("3,1.0,2.0,0.5,1", "expected 8 fields, got 5"),          # truncated
         ("3,1.0,2.0,0.5,1,,0.1,,,", "expected 8 fields, got 10"),
@@ -2341,8 +2406,16 @@ def test_meta_json_counts_the_unpinnable_refresh_proposals(tmp_path):
     assert (sha256_of(tmp_path / "fit" / "chain.csv")
             == "0b2c99f6a09b12c22499ff09d1d959697cc29ccf4aec823ddc11c7740339649c")
     meta = json.loads((tmp_path / "fit" / "meta.json").read_text())
-    assert meta["acceptance"]["path_refresh_unpinnable"] == 702
-    assert meta["burn_in_acceptance"]["path_refresh_unpinnable"] == 76
+    # every figure of both tallies, the rate means among them, as the sampler
+    # wrote them when each refresh returned a fresh quotient
+    assert meta["acceptance"] == {
+        "beta_domain_rejects": 0, "beta_rate": None, "params_domain_rejects": 36,
+        "params_rate": 0.4981481481481482, "path_refresh_active_rate": 0.9321265085310289,
+        "path_refresh_mean_rate": 0.9848981481481539, "path_refresh_unpinnable": 702}
+    assert meta["burn_in_acceptance"] == {
+        "beta_domain_rejects": 0, "beta_rate": None, "params_domain_rejects": 0,
+        "params_rate": 0.4, "path_refresh_active_rate": 0.9805243445692875,
+        "path_refresh_mean_rate": 0.9956666666666665, "path_refresh_unpinnable": 76}
     # chain.csv does not hold the count: what read_chain_csv gives back is 0
     with open(tmp_path / "fit" / "chain.csv") as fh:
         assert {r.path_unpinnable for r in read_chain_csv(fh)} == {0}
@@ -2587,6 +2660,11 @@ class TestChainConstants:
         assert np.array_equal(state.block_spans, paths._one_value(state.grid.spans[active]))
         assert np.array_equal(state.block_sub_spans,
                               paths._one_value((state.grid.spans[active] / state.m)[:, None]))
+        # the refresh's rate at r rejected rows, the correctly rounded (n - r) / n
+        n = state.n_segments
+        assert type(state.path_rates) is tuple
+        assert ([rate.hex() for rate in state.path_rates]
+                == [float(Fraction(n - r, n)).hex() for r in range(active.size + 1)])
 
     def test_each_constant_rejects_an_in_place_write(self):
         state, _ = pinned_state("mixture")
@@ -2604,7 +2682,8 @@ class TestChainConstants:
     def test_every_move_keeps_the_same_constants(self, workload):
         state, cfg = pinned_state(workload)
         g.refresh_segments(state, 2)
-        names = ("horizon", "n_active", "block_spans", "block_sub_spans") + self.ARRAYS
+        names = ("horizon", "n_active", "path_rates", "block_spans",
+                 "block_sub_spans") + self.ARRAYS
         objects = {name: getattr(state, name) for name in names}
         values = [a.copy() for a in self.constants(state)]
 
@@ -2615,6 +2694,22 @@ class TestChainConstants:
 
         accepted = self.run(state, cfg, 200, check)
         assert workload == "mixture" or accepted > 10
+
+    @pytest.mark.parametrize("workload", ["mixture", "beta_binned"])
+    def test_refresh_returns_the_path_rates_entries(self, workload):
+        # each refresh returns an entry of path_rates itself, so a run's
+        # records hold at most n_active + 1 rate objects
+        state, cfg = pinned_state(workload)
+        for _ in range(100):
+            rate, _ = g.refresh_segments(state)
+            assert any(rate is entry for entry in state.path_rates)
+            g.update_params(state, cfg.proposal)
+        obs, _ = pin_inputs(workload, 7)
+        recs = list(g.run_mcmc(obs, cfg.params0, cfg.prior, cfg.proposal, iterations=300,
+                               burn_in=0, seed=[7, 1], m=cfg.refinement))
+        rates = {id(r.accept_path_rate) for r in recs}
+        assert 1 < len(rates) <= len(state.path_rates)
+        assert {r.accept_path_rate for r in recs} <= set(state.path_rates)
 
     @pytest.mark.parametrize("workload", ["mixture", "beta_binned"])
     def test_a_batch_pins_against_the_block_constants_themselves(self, workload, monkeypatch):
