@@ -7,6 +7,7 @@ activity rate beta moves through a transdimensional superposition/thinning
 step.
 """
 
+from .chain import ChainRecord
 from .data import Observations, TwoGammaTruth, ingest_losses, synth_two_gamma
 from .diagnostics import BandSpec, credible_band, histogram, running_average
 from .exceptions import (
@@ -19,7 +20,6 @@ from .exceptions import (
 )
 from .likelihood import ParamTerms, loglik_ratio_params, loglik_ratio_path, psi_log
 from .mcmc import (
-    ChainRecord,
     ChainState,
     ProposalSpec,
     init_chain,

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
+from .chain import MoveTally, read_chain_csv, write_chain_csv, write_meta_json
 from .config import _floats, load_config
 from .data import (
     ingest_losses,
@@ -24,8 +25,7 @@ from .data import (
     write_observations_csv,
 )
 from .exceptions import ConfigError, DataError, GammasubError
-from .mcmc import (MoveTally, active_segments, checked_burn_in, read_chain_csv, run_mcmc,
-                   write_chain_csv, write_meta_json)
+from .mcmc import active_segments, checked_burn_in, run_mcmc
 
 
 def _add_simulate(sub):

@@ -377,6 +377,6 @@ def prior_logpdf(spec: PriorSpec, alpha: float, beta: float, slopes, intercepts)
         total += slope_prior.logpdf(x)
         total += intercept_prior.logpdf(y)
     if spec.reparam and total > -math.inf:
-        # fsum, not sum, whose rounding changed in Python 3.12: the same bits everywhere
+        # fsum, not sum, so that the rounding does not follow Python 3.12's change to sum()
         return total + len(intercepts) * math.log(beta) - math.fsum(intercepts)
     return total

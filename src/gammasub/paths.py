@@ -8,6 +8,8 @@ its segment matrix; gamma_bridge, sample_gamma_bridge, augment_path and
 thin_path are their checked one-row views on a 1-D increment vector.
 """
 
+from __future__ import annotations
+
 import math
 import numbers
 from dataclasses import dataclass

@@ -10,7 +10,7 @@ import pytest
 from gammasub import ConfigError, DomainError, diagnostics
 from gammasub.cli import main
 from gammasub.config import load_config, parse_config
-from gammasub.mcmc import ChainRecord, write_chain_csv, write_meta_json
+from gammasub.chain import ChainRecord, write_chain_csv, write_meta_json
 
 BASIC_CONFIG = """
 # binless activity-fixed model
@@ -185,7 +185,7 @@ class TestCliRoundTrip:
                    "--iterations", "200", "--seed", "7", "--out-dir", str(out)])
         assert rc == 0
         from gammasub.data import read_observations_csv
-        from gammasub.mcmc import read_chain_csv
+        from gammasub.chain import read_chain_csv
         deltas = read_observations_csv(obs_csv).increments
         meta = json.loads((out / "meta.json").read_text())
         segments = meta["segments"]
@@ -219,7 +219,7 @@ class TestCliRoundTrip:
                    "--iterations", "300", "--burn-in", "0", "--seed", "3",
                    "--out-dir", str(out)])
         assert rc == 0
-        from gammasub.mcmc import read_chain_csv
+        from gammasub.chain import read_chain_csv
         with open(out / "chain.csv") as fh:
             records = read_chain_csv(fh)
         acceptance = json.loads((out / "meta.json").read_text())["acceptance"]
@@ -261,7 +261,7 @@ class TestCliRoundTrip:
         assert meta["acceptance"]["params_domain_rejects"] == 0
         assert burn_in["params_rate"] == sum(r.accept_params for r in records[:200]) / 200
         # the kept chain's bytes do not depend on the burn-in tally
-        from gammasub.mcmc import read_chain_csv
+        from gammasub.chain import read_chain_csv
         with open(out / "chain.csv") as fh:
             assert read_chain_csv(fh) == records[200:]
 
@@ -299,7 +299,7 @@ class TestCliRoundTrip:
         # the thinned chain is every fifth row of the full one, byte for byte
         assert thinned == full[:1] + full[5::5]
         assert meta["n_records"] == 100 and full_meta["n_records"] == 500
-        from gammasub.mcmc import read_chain_csv
+        from gammasub.chain import read_chain_csv
         with open(tmp_path / "thin1" / "chain.csv") as fh:
             records = read_chain_csv(fh)
         acceptance = meta["acceptance"]
@@ -346,7 +346,7 @@ class TestCliRoundTrip:
         main(["fit", "--config", str(cfg), "--observations", str(obs_csv),
               "--iterations", "100", "--burn-in", "0", "--thinning", "5", "--seed", "7",
               "--out-dir", str(out)])
-        from gammasub.mcmc import read_chain_csv
+        from gammasub.chain import read_chain_csv
         with open(out / "chain.csv") as fh:
             records = read_chain_csv(fh)
         assert all(r.accept_beta is None for r in records)
@@ -383,7 +383,7 @@ class TestCliRoundTrip:
             beta_figures = {"trace_beta.csv", "hist_beta.csv"} & {p.name for p in fig.iterdir()}
             assert beta_figures == (set() if name == "fixed" else {"trace_beta.csv",
                                                                    "hist_beta.csv"})
-        from gammasub.mcmc import read_chain_csv
+        from gammasub.chain import read_chain_csv
         with open(tmp_path / "stuck" / "chain.csv") as fh:
             records = read_chain_csv(fh)
         assert all(r.accept_beta is None for r in records)
@@ -660,7 +660,7 @@ class TestCliRoundTrip:
     def test_fit_thinning_stride_and_iterations(self, tmp_path):
         chain = self.fit_chain(tmp_path, BASIC_CONFIG, "--iterations", "30", "--burn-in", "10",
                                "--thinning", "4")
-        from gammasub.mcmc import read_chain_csv
+        from gammasub.chain import read_chain_csv
         with open(chain) as fh:
             assert [r.iteration for r in read_chain_csv(fh)] == [14, 18, 22, 26, 30]
 

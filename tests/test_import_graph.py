@@ -1,10 +1,15 @@
-"""No run of the package loads scipy or numpy.ma.
+"""No run of the package loads scipy or numpy.ma, and none that draws no
+variate loads numpy.random or hashlib.
 
 specfun's E1, Ei and lnGamma are pure-Python kernels, and the credible band
 takes its quantiles by partition instead of np.quantile (whose np.unique
 imports numpy.ma), so importing the package, the binless and binned samplers
 with fixed or random beta, chain I/O, the band and `gammasub diagnose` load
-no scipy or numpy.ma module.  Each check runs in a fresh interpreter.
+no scipy or numpy.ma module.  paths and mcmc name numpy.random's types only
+in annotations, which are not evaluated, so importing the package or its
+CLI, and `gammasub diagnose`, which builds no Generator, load no
+numpy.random either, nor the hashlib (and OpenSSL) its bit_generator
+imports.  Each check runs in a fresh interpreter.
 """
 
 import json
@@ -32,16 +37,16 @@ refinement = 4
 """
 
 
-def unwanted_modules_after(code: str) -> list[str]:
-    """The scipy and numpy.ma modules a fresh interpreter has loaded after running code."""
-    code = textwrap.dedent(code) + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "                        or m.split('.')[:2] == ['numpy', 'ma'])))\n")
+def unwanted_modules_after(code: str, draws: bool = False) -> list[str]:
+    """The scipy and numpy.ma modules a fresh interpreter has loaded after
+    running code, and unless code draws variates, its numpy.random and hashlib."""
+    code = textwrap.dedent(code) + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    unwanted = [["scipy"], ["numpy", "ma"]] + ([] if draws else [["numpy", "random"], ["hashlib"]])
+    return [m for m in json.loads(out.splitlines()[-1])
+            if any(m.split(".")[:len(u)] == u for u in unwanted)]
 
 
 @pytest.mark.parametrize("module", ["gammasub", "gammasub.cli"])
@@ -54,7 +59,7 @@ def test_binless_fixed_beta_run_io_and_band_load_no_scipy():
         import io
         import numpy as np
         import gammasub as g
-        from gammasub.mcmc import read_chain_csv, write_chain_csv
+        from gammasub.chain import read_chain_csv, write_chain_csv
 
         rng = np.random.default_rng(3)
         obs = g.Observations.from_increments(np.arange(41.0), rng.gamma(1.0, 0.5, size=40))
@@ -68,7 +73,7 @@ def test_binless_fixed_beta_run_io_and_band_load_no_scipy():
         g.credible_band([r.to_params(()) for r in back],
                         g.BandSpec(x_grid=np.linspace(0.1, 5.0, 20), level=0.9,
                                    functional="theta_plus_alpha_x"))
-        """) == []
+        """, draws=True) == []
 
 
 def test_diagnose_of_a_binned_chain_loads_no_scipy(tmp_path):
@@ -107,5 +112,5 @@ def test_binned_fits_beta_moves_ei_bins_and_diagnose_load_no_scipy(tmp_path):
         # an interior bin with slope + alpha < 0 takes its mass from Ei
         assert mass_factors(1.0, (-1.5, 0.0), (1.0, 2.0))[1][0] > 0
         assert main({diagnose!r}) == 0
-        """) == []
+        """, draws=True) == []
     assert (tmp_path / "figs" / "band.csv").exists()

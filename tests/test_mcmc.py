@@ -13,11 +13,11 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
 import gammasub as g
-from gammasub import mcmc, model, paths
+from gammasub import chain, mcmc, model, paths
 from gammasub.cli import main
 from gammasub.config import parse_config
 from gammasub.likelihood import ParamTerms, bin_stats_matrix, loglik_ratio_path, pin_tolerance
-from gammasub.mcmc import (
+from gammasub.chain import (
     chain_csv_header,
     read_chain_csv,
     write_chain_csv,
@@ -383,7 +383,7 @@ def run_with(refresh, obs, params0, prior, prop, iterations, seed, m, beta_move=
         stage = prop.update_schedule[(t - 1) % len(prop.update_schedule)]
         accepted, log_ratio = (params_move if stage == "params" else beta_move)(state, prop)
         terms = state.terms
-        yield mcmc.ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
+        yield chain.ChainRecord(t, terms.alpha, terms.beta, terms.slopes, terms.intercepts,
                                path_rate, path_unpinnable=unpinnable,
                                **{f"accept_{stage}": accepted, f"logr_{stage}": log_ratio})
 
@@ -1571,8 +1571,8 @@ class TestNonFiniteRatios:
             accepted, log_ratio = g.update_params(state, g.ProposalSpec(sigma_theta=1.0))
             assert (accepted, log_ratio) == (False, -math.inf)
             assert state.terms is terms
-            tally = mcmc.MoveTally()
-            tally.add(mcmc.ChainRecord(1, *terms[1:5], 1.0, accepted, logr_params=log_ratio))
+            tally = chain.MoveTally()
+            tally.add(chain.ChainRecord(1, *terms[1:5], 1.0, accepted, logr_params=log_ratio))
             assert tally.acceptance()["params_domain_rejects"] == 1
 
     @pytest.mark.parametrize("reparam", [False, True], ids=["default", "reparam"])
@@ -1984,10 +1984,10 @@ class TestChainIo:
     def test_numpy_scalars_round_trip(self):
         # a record holding numpy scalars writes the text of the Python floats
         # (repr would write 'np.float64(2.0)', which read_chain_csv rejects)
-        mixed = mcmc.ChainRecord(3, np.float64(2.0), 0.5, (np.float64(0.25),), (np.float64(-1.5),),
+        mixed = chain.ChainRecord(3, np.float64(2.0), 0.5, (np.float64(0.25),), (np.float64(-1.5),),
                                  np.float64(0.9), accept_params=True,
                                  logr_params=np.float64(-0.125))
-        plain = mcmc.ChainRecord(3, 2.0, 0.5, (0.25,), (-1.5,), 0.9, accept_params=True,
+        plain = chain.ChainRecord(3, 2.0, 0.5, (0.25,), (-1.5,), 0.9, accept_params=True,
                                  logr_params=-0.125)
         texts = []
         for rec in (mixed, plain):
@@ -2015,18 +2015,18 @@ class TestChainIo:
 
     def test_active_rate_counts_every_rejection_against_the_active_rows(self):
         # 10 segments, 4 active: sweeps with 0, 1 and 3 rejected rows
-        tally = mcmc.MoveTally(n_segments=10, n_active=4)
+        tally = chain.MoveTally(n_segments=10, n_active=4)
         for rejected in (0, 1, 3):
-            tally.add(mcmc.ChainRecord(1, 1.0, 1.0, (), (), (10 - rejected) / 10))
+            tally.add(chain.ChainRecord(1, 1.0, 1.0, (), (), (10 - rejected) / 10))
         assert tally.path_mean_rate == pytest.approx(1 - 4 / 30, rel=1e-15)
         assert tally.path_active_rate == pytest.approx(1 - 4 / 12, rel=1e-14)
-        assert mcmc.MoveTally(n_segments=10, n_active=0).path_active_rate is None
-        assert mcmc.MoveTally(n_segments=10, n_active=4).path_active_rate is None
+        assert chain.MoveTally(n_segments=10, n_active=0).path_active_rate is None
+        assert chain.MoveTally(n_segments=10, n_active=4).path_active_rate is None
 
     def test_tally_sums_the_unpinnable_proposals(self):
-        tally = mcmc.MoveTally()
+        tally = chain.MoveTally()
         for unpinnable in (0, 2, 5):
-            tally.add(mcmc.ChainRecord(1, 1.0, 1.0, (), (), 0.5, path_unpinnable=unpinnable))
+            tally.add(chain.ChainRecord(1, 1.0, 1.0, (), (), 0.5, path_unpinnable=unpinnable))
         assert tally.acceptance()["path_refresh_unpinnable"] == 7
 
 
